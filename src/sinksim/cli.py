@@ -17,7 +17,13 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .core import DEFAULT_CONSTANTS, ProtocolConstants, replace_constants, validate_constants
+from .core import (
+    DEFAULT_CONSTANTS,
+    ProtocolConstants,
+    duty_cycle,
+    replace_constants,
+    validate_constants,
+)
 from .energy import RealTimeParams, lifetime_hours, phase_energy, v_max_bs, v_max_network
 from .flood import simulate_flood
 from .frames import (
@@ -32,7 +38,7 @@ from .frames import (
     encode_frame,
     micro_frame,
 )
-from .mac import ContentionConfig, preamble_duty_cycle, p_rr, simulate_collision
+from .mac import ContentionConfig, collision_probability, simulate_collision
 from .radio import (
     E_PREAMB_MJ,
     POWER_TABLES,
@@ -142,7 +148,7 @@ def cmd_analyze(args) -> int:
                 lifetime_hours(args.battery_j, table.listen),
             )
         )
-    duty = preamble_duty_cycle(c)
+    duty = duty_cycle(c)
     vbs = v_max_bs(c)
     vnet = v_max_network(c)
     vnet_diag = v_max_network(c, RealTimeParams(traverse_m=190.0))
@@ -201,7 +207,7 @@ def cmd_collisions(args) -> int:
             if w_us < block:
                 continue
             cfg = ContentionConfig(w_us, block, args.n, discrete_levels=args.levels)
-            closed = p_rr(cfg)
+            closed = collision_probability(cfg)
             sim = simulate_collision(cfg, args.runs, rng_seed=args.seed)
             half = 3.0 * math.sqrt(max(closed * (1 - closed), 1e-12) / args.runs)
             rows.append((w_ms, closed, sim, max(sim - half, 0.0), min(sim + half, 1.0)))

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Duration, Metric, NodeId, ProtocolConstants
+from .core import Duration, Metric, NodeId
 
 
 @dataclass(frozen=True)
@@ -53,28 +53,17 @@ class ContentionConfig:
             raise ValueError("discrete_levels must be >= 2")
 
 
-def _closed_form(cfg: ContentionConfig) -> float:
+def collision_probability(cfg: ContentionConfig) -> float:
+    """Closed-form probability that the earliest answer collides.
+
+    Covers both contention families: build cfg with block_us = d_rxtx for
+    broadcast relays (a relay is hit when a neighbor starts within the
+    rx->tx switch time after it) and with block_us = d_ack for the first ACK
+    of a route request (hit when another ACK starts before it ends).
+    """
     if cfg.n == 0:
         return 0.0
     return 1.0 - ((cfg.window_us - cfg.block_us) / cfg.window_us) ** cfg.n
-
-
-def p_br(cfg: ContentionConfig) -> float:
-    """Collision probability for broadcast relays.
-
-    Build cfg with block_us = d_rxtx: a relay is hit when a neighbor picks a
-    backoff within the rx->tx switch time after the first relay starts.
-    """
-    return _closed_form(cfg)
-
-
-def p_rr(cfg: ContentionConfig) -> float:
-    """Collision probability for the first ACK of a route request.
-
-    Build cfg with block_us = d_ack: the first ACK is hit when another ACK
-    starts before it ends.
-    """
-    return _closed_form(cfg)
 
 
 def simulate_collision(cfg: ContentionConfig, runs: int, rng_seed: int = 0) -> float:
@@ -113,9 +102,13 @@ def min_window(target_p: float, block_us: float, n: int) -> Duration:
         return int(block_us) + 1
     w = block_us / (1.0 - (1.0 - target_p) ** (1.0 / n))
     w_us = max(int(math.ceil(w)), int(block_us) + 1)
-    while _closed_form(ContentionConfig(w_us, block_us, n)) > target_p:
+
+    def p(window_us: int) -> float:
+        return collision_probability(ContentionConfig(window_us, block_us, n))
+
+    while p(w_us) > target_p:
         w_us += 1
-    while w_us - 1 > block_us and _closed_form(ContentionConfig(w_us - 1, block_us, n)) <= target_p:
+    while w_us - 1 > block_us and p(w_us - 1) <= target_p:
         w_us -= 1
     return w_us
 
@@ -131,11 +124,6 @@ def ack_backoff(metric: Metric, metric_max: Metric, window_us: float) -> float:
     if not 0 <= metric <= metric_max:
         raise ValueError("need 0 <= metric <= metric_max")
     return window_us * metric / metric_max
-
-
-def preamble_duty_cycle(c: ProtocolConstants) -> float:
-    """Idle radio duty cycle of the sampling schedule: D_cca / T_cca."""
-    return c.d_cca / c.t_cca
 
 
 @dataclass

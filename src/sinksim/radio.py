@@ -32,9 +32,6 @@ class Topology:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def neighbors(self, node: NodeId) -> Tuple[NodeId, ...]:
-        return self.adjacency[node]
-
     def in_range(self, node: NodeId, point: Position) -> bool:
         """True when `point` is within communication range of `node`."""
         x, y = self.positions[node]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .core import NodeId, Position
 from .frames import MAX_ADDRESS_COUNT
@@ -181,17 +181,29 @@ def route(
     *,
     sink_coord: Optional[Position] = None,
     round_limit: Optional[int] = None,
+    on_round: Optional[Callable[[NodeId, Action, RouteHeader], None]] = None,
 ) -> RouteResult:
     """Round-based walk of one message from `source` toward the mobile sink.
 
-    One hop per round; after each round the sink track advances one step.
-    `sink` provides `position` (physical) plus `step()` and `departed`.  With
-    `sink_coord` set, greedy decisions aim at that fixed virtual coordinate;
-    otherwise the destination coordinate is a snapshot of the sink's physical
-    position, retaken on every restart.
+    One decision per round; a forward or backtrack moves the packet one hop,
+    any other decision waits the round out.  With `sink_coord` set, greedy
+    decisions aim at that fixed virtual coordinate; otherwise the destination
+    coordinate is a snapshot of the sink's physical position, retaken on
+    every restart.
+
+    `sink` is whatever clock drives the walk.  It provides `position`
+    (physical) and `departed`, both read as they stand when the round's
+    decision is taken, and `step()`, called once at the end of every round
+    that does not end the walk.  The round-based tracks step one unit of
+    drift per round; the six-phase scenario observes the sink at the ACK
+    instant of the round's hop exchange and steps one exchange duration.
+    `on_round`, when given, is called after each round's decision (and any
+    restart it triggered) with the node holding the packet, the action and
+    the header, before the packet moves or the sink steps.
 
     Terminates on delivery, on the sink leaving the field (miss), on the
     round limit (miss), or on exhaustion with a sink that never moved (fail).
+    Raises HeaderOverflow when the traversed list outgrows the DATA payload.
     """
     limit = round_limit if round_limit is not None else 4 * len(topology)
     header = RouteHeader(traversed=[], dest_coord=sink_coord or sink.position)
@@ -236,6 +248,8 @@ def route(
                 snapshot = sink.position
                 continue
             break
+        if on_round is not None:
+            on_round(current, action, header)
         if action.kind == "deliver":
             return RouteResult(True, hops, restarts, path, "delivered", rounds)
         if action.kind in ("forward", "backtrack"):

@@ -1,12 +1,14 @@
 """End-to-end mobile-sink scenarios and sink mobility models.
 
-Two time abstractions coexist, both exposed on purpose:
+There is one routing walk, :func:`sinksim.routing.route`, driven by two
+clocks:
 
-* the round-based walk of :func:`sinksim.routing.route` (one hop per round,
-  sink stepping once per round), used for the large routing sweeps;
-* the event-time six-phase run of :func:`run_scenario`, where every duration
-  comes from the protocol constant table and the sink position is a function
-  of elapsed microseconds.
+* in the large routing sweeps one round is one unit of sink drift, and the
+  round-based tracks below step once per round;
+* in the event-time six-phase run of :func:`run_scenario` every duration
+  comes from the protocol constant table, one round is one hop exchange, and
+  the sink is observed at the exchange's ACK instant, a function of elapsed
+  microseconds along its flight path.
 
 The six phases of one collection rotation: (1) the base station's periodic
 data-request preamble is caught by the mobile sink's channel sampling and
@@ -36,8 +38,7 @@ from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
 from .flood import FloodEngine, FloodReport
 from .mac import ack_backoff
 from .radio import Topology, build_udg, euclid, grid_topology
-from .routing import (
-    RouteHeader,
+from .routing import (  # noqa: F401  next_hop_3rule stays bound for bench/tracer.py
     RouteResult,
     VirtualCoords,
     init_virtual_coords,
@@ -138,12 +139,6 @@ def edge_line(field: float, speed: float) -> LineTrack:
 def diagonal_line(field: float, speed: float) -> LineTrack:
     """Corner-to-corner crossing (longest connected time)."""
     return LineTrack((0.0, 0.0), (field, field), speed)
-
-
-def step_sink(track):
-    """Advance a sink track one round and return it."""
-    track.step()
-    return track
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +311,7 @@ class ScenarioConfig:
     coord_mode: str = "physical"  # physical | virtual
     virtual_coords: Optional[VirtualCoords] = None
     ms_virtual_coord: Optional[Position] = None
-    hop_limit: Optional[int] = None
+    hop_limit: Optional[int] = None  # route()'s round_limit: every round counts
     collisions: bool = False
 
 
@@ -357,6 +352,32 @@ def _first_cca_catch(c: ProtocolConstants, cca_offset: int, not_before: int) -> 
                 return drp_start + c.d_drp
         j += 1
     raise ConfigError("sink channel sampling never catches a request preamble")
+
+
+class _FlyingSink:
+    """The flying sink as the routing walk sees it in event time.
+
+    A round is the hop exchange starting at `t`; the sink is observed at the
+    exchange's ACK instant, t + d_rrp, and `step()` moves on by one exchange,
+    d_rrp + w_rr + d_data.
+    """
+
+    def __init__(self, position_at, departed_at, t: int, c: ProtocolConstants):
+        self._position_at = position_at
+        self._departed_at = departed_at
+        self._ack_us = c.d_rrp
+        self.hop_us = c.d_rrp + c.w_rr + c.d_data
+        self.t = t
+        self._observe()
+
+    def _observe(self) -> None:
+        ack_at = self.t + self._ack_us
+        self.position = self._position_at(ack_at)
+        self.departed = self._departed_at(ack_at)
+
+    def step(self) -> None:
+        self.t += self.hop_us
+        self._observe()
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
@@ -440,97 +461,40 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     for nid, ts in sorted(flood_report.tx_start_us.items()):
         timeline.append(Segment(nid, "poll", ts, flood_report.tx_end_us[nid]))
 
-    # Phase 4: source routes the answer toward the moving sink.
-    source = cfg.query_node
-    coords = (
-        topo.positions if cfg.coord_mode == "physical" else cfg.virtual_coords.coords
-    )
-    t = flood_report.source_wait_expiry_us
-    hop_limit = cfg.hop_limit if cfg.hop_limit is not None else 4 * len(topo)
-    hop_len = c.d_rrp + c.w_rr + c.d_data
+    # Phase 4: source routes the answer toward the moving sink, one hop
+    # exchange per round of the routing walk.
+    coords = topo.positions if cfg.coord_mode == "physical" else cfg.virtual_coords.coords
     metric_max = max(euclid((x0, y0), (x1, y1)), 1.0) * 2
+    sink = _FlyingSink(ms_pos, ms_departed, flood_report.source_wait_expiry_us, c)
 
-    def dest_coord_now(t_us: int) -> Position:
-        if cfg.coord_mode == "virtual":
-            return cfg.ms_virtual_coord
-        return ms_pos(t_us)
-
-    header = RouteHeader(traversed=[], dest_coord=dest_coord_now(t))
-    snapshot = ms_pos(t)
-    current = source
-    path = [source]
-    hops = 0
-    restarts = 0
-    neighbors = list(topo.adjacency[source])
-    miss = False
-    delivered = False
-    while True:
-        ack_at = t + c.d_rrp
-        if ms_departed(ack_at):
-            miss = True
-            break
-        if hops >= hop_limit:
-            miss = True
-            break
-        sink_here = topo.in_range(current, ms_pos(ack_at))
-        restarted = False
-        while True:
-            action = next_hop_3rule(
-                current,
-                header,
-                topo,
-                coords,
-                sink_adjacent=sink_here,
-                sink_moved=ms_pos(ack_at) != snapshot,
-                source=source,
-            )
-            if action.kind == "restart" and not restarted:
-                restarts += 1
-                restarted = True
-                header.traversed.clear()
-                header.dest_coord = dest_coord_now(ack_at)
-                snapshot = ms_pos(ack_at)
-                continue
-            break
+    def hop_exchange(current: NodeId, action, header) -> None:
+        if action.kind not in ("deliver", "forward", "backtrack"):
+            return  # no move: the packet waits the round out
         responders = []
         for nid in topo.adjacency[current]:
             # virtual coordinates live in an unbounded space; clamp the metric
             metric = min(euclid(coords[nid], header.dest_coord), metric_max)
             responders.append((nid, int(round(ack_backoff(metric, metric_max, c.w_rr)))))
-        if sink_here:
-            responders.append((MS_ID, 0))
-        cca = {nid: rng.randint(0, c.d_rrp - c.d_cca) for nid, _ in sorted(responders)}
+        target = action.target
         if action.kind == "deliver":
-            timeline.extend(hop_exchange_timeline(c, current, responders, MS_ID, t, cca))
-            delivered = True
-            t += hop_len
-            break
-        if action.kind in ("forward", "backtrack"):
-            if current not in header.traversed:
-                header.traversed.append(current)
-            timeline.extend(hop_exchange_timeline(c, current, responders, action.target, t, cca))
-            current = action.target
-            path.append(current)
-            hops += 1
-            t += hop_len
-            continue
-        # fail, or restart that went nowhere: the sink will move; retry later
-        t += hop_len
-        hops += 1
-        if hops >= hop_limit:
-            miss = True
-            break
+            responders.append((MS_ID, 0))
+            target = MS_ID
+        cca = {nid: rng.randint(0, c.d_rrp - c.d_cca) for nid, _ in sorted(responders)}
+        timeline.extend(hop_exchange_timeline(c, current, responders, target, sink.t, cca))
 
-    route_result = RouteResult(
-        delivered=delivered,
-        hops=hops,
-        restarts=restarts,
-        path=path,
-        outcome="delivered" if delivered else "missed",
-        rounds=hops,
+    route_result = route(
+        topo,
+        coords,
+        cfg.query_node,
+        sink,
+        sink_coord=cfg.ms_virtual_coord if cfg.coord_mode == "virtual" else None,
+        round_limit=cfg.hop_limit,
+        on_round=hop_exchange,
     )
-    horizon = t
-    if delivered:
+    miss = not route_result.delivered
+    horizon = sink.t
+    if not miss:
+        t = sink.t + sink.hop_us  # end of the delivering exchange
         phase_times[4] = t
         # Phase 5: sink acknowledges the data.
         timeline.append(Segment(MS_ID, "tx", t, t + c.d_ack))
@@ -541,8 +505,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         timeline.append(Segment(MS_ID, "tx", drp_end, drp_end + c.d_data))
         phase_times[6] = drp_end + c.d_data
         horizon = phase_times[6]
-    else:
-        miss = True
 
     # Base station: request preambles all along, listening in between.
     bs_active = []
@@ -568,7 +530,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         phase_times_us=phase_times,
         route=route_result,
         miss=miss,
-        neighbors=neighbors,
+        neighbors=list(topo.adjacency[cfg.query_node]),
         flood=flood_report,
         timeline=full,
         horizon_us=horizon,

@@ -13,7 +13,7 @@ from collections import Counter, deque
 import pytest
 
 from sinksim.cli import main as cli_main
-from sinksim.core import DEFAULT_CONSTANTS
+from sinksim.core import DEFAULT_CONSTANTS, duty_cycle
 from sinksim.energy import integrate_timeline, lifetime_hours, phase_energy, v_max_bs, v_max_network
 from sinksim.flood import simulate_flood
 from sinksim.frames import (
@@ -27,7 +27,7 @@ from sinksim.frames import (
     encode_frame,
     micro_frame,
 )
-from sinksim.mac import ContentionConfig, p_rr, preamble_duty_cycle, simulate_collision
+from sinksim.mac import ContentionConfig, collision_probability, simulate_collision
 from sinksim.radio import E_PREAMB_MJ, build_udg, grid_topology, power_table
 from sinksim.routing import route
 from sinksim.scenario import (
@@ -58,12 +58,12 @@ def test_criterion_01_collision_probabilities():
     for w_ms in (5, 10, 20, 30, 40):
         for block_us in (192, 480):
             cfg = ContentionConfig(w_ms * 1000.0, block_us, 5)
-            closed = p_rr(cfg)
+            closed = collision_probability(cfg)
             estimate = simulate_collision(cfg, runs, rng_seed=w_ms * 1000 + block_us)
             sigma = math.sqrt(max(closed * (1 - closed), 1e-12) / runs)
             ok = ok and abs(estimate - closed) <= 3 * sigma
-    ok = ok and p_rr(ContentionConfig(30_000, 480, 5)) < 0.1
-    ok = ok and p_rr(ContentionConfig(10_000, 192, 5)) < 0.1
+    ok = ok and collision_probability(ContentionConfig(30_000, 480, 5)) < 0.1
+    ok = ok and collision_probability(ContentionConfig(10_000, 192, 5)) < 0.1
     elapsed = time.time() - started
     ok = ok and elapsed < 10.0
     report(1, f"Monte Carlo within 3 sigma of closed form, operating points < 0.1 ({elapsed:.1f} s)", ok)
@@ -127,7 +127,7 @@ def test_criterion_04_lifetime_and_duty_cycle():
     always_on = lifetime_hours(10_000, 61.030)
     ok = abs(sampling / 850.0 - 1.0) <= 0.02
     ok = ok and abs(always_on / 45.0 - 1.0) <= 0.02
-    duty = preamble_duty_cycle(C)
+    duty = duty_cycle(C)
     ok = ok and 0.0100 <= duty <= 0.0105
     report(4, f"lifetimes {sampling:.0f} h / {always_on:.1f} h, duty {duty * 100:.2f}%", ok)
 

@@ -59,6 +59,14 @@ def test_duty_cycle_hits_the_one_percent_target():
     assert DUTY_CYCLE_MIN <= duty_cycle(DEFAULT_CONSTANTS) <= DUTY_CYCLE_MAX
 
 
+def test_duty_cycle_is_cca_over_period():
+    assert duty_cycle(DEFAULT_CONSTANTS) == pytest.approx(0.0103, abs=2e-4)
+    c = replace_constants(DEFAULT_CONSTANTS, t_cca=DEFAULT_CONSTANTS.d_cca)
+    assert duty_cycle(c) == 1.0
+    c = replace_constants(DEFAULT_CONSTANTS, t_cca=10 * DEFAULT_CONSTANTS.d_cca)
+    assert duty_cycle(c) == pytest.approx(0.1)
+
+
 def test_preamble_micro_frame_count_spans_the_preamble():
     c = DEFAULT_CONSTANTS
     assert c.mf_count * c.t_mf <= c.d_drp + c.t_mf

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinksim.core import DEFAULT_CONSTANTS, replace_constants
 from sinksim.mac import (
     AckEvent,
     ContentionConfig,
     ack_backoff,
+    collision_probability,
     elect_next_hop,
     min_window,
-    p_br,
-    p_rr,
-    preamble_duty_cycle,
     simulate_collision,
 )
 
@@ -26,29 +23,29 @@ def three_sigma(p: float, runs: int) -> float:
 def test_relay_collision_closed_form():
     cfg = ContentionConfig(10_000, 192, 5)
     expected = 1.0 - ((10_000 - 192) / 10_000) ** 5
-    assert p_br(cfg) == pytest.approx(expected, rel=1e-12)
-    assert p_br(cfg) < 0.1
+    assert collision_probability(cfg) == pytest.approx(expected, rel=1e-12)
+    assert collision_probability(cfg) < 0.1
 
 
 def test_ack_collision_closed_form():
     cfg = ContentionConfig(30_000, 480, 5)
     expected = 1.0 - ((30_000 - 480) / 30_000) ** 5
-    assert p_rr(cfg) == pytest.approx(expected, rel=1e-12)
-    assert p_rr(cfg) < 0.1
+    assert collision_probability(cfg) == pytest.approx(expected, rel=1e-12)
+    assert collision_probability(cfg) < 0.1
 
 
 def test_closed_form_ten_contenders():
     cfg = ContentionConfig(30_000, 480, 10)
-    assert p_rr(cfg) == pytest.approx(1.0 - 0.984**10, rel=1e-12)
-    assert p_rr(cfg) == pytest.approx(0.14896, abs=5e-6)
+    assert collision_probability(cfg) == pytest.approx(1.0 - 0.984**10, rel=1e-12)
+    assert collision_probability(cfg) == pytest.approx(0.14896, abs=5e-6)
 
 
 def test_closed_form_edge_cases():
-    assert p_br(ContentionConfig(10_000, 192, 0)) == 0.0
-    assert p_br(ContentionConfig(192, 192, 1)) == 1.0
-    assert p_br(ContentionConfig(192, 192, 7)) == 1.0
+    assert collision_probability(ContentionConfig(10_000, 192, 0)) == 0.0
+    assert collision_probability(ContentionConfig(192, 192, 1)) == 1.0
+    assert collision_probability(ContentionConfig(192, 192, 7)) == 1.0
     # one contender degenerates to pricing it against a committed sender
-    assert p_rr(ContentionConfig(30_000, 480, 1)) == pytest.approx(480 / 30_000)
+    assert collision_probability(ContentionConfig(30_000, 480, 1)) == pytest.approx(480 / 30_000)
 
 
 def test_config_validation():
@@ -70,7 +67,8 @@ def test_monte_carlo_matches_closed_form(window_us, block_us, n):
     cfg = ContentionConfig(window_us, block_us, n)
     runs = 100_000
     estimate = simulate_collision(cfg, runs, rng_seed=7)
-    assert abs(estimate - p_rr(cfg)) <= three_sigma(p_rr(cfg), runs)
+    closed = collision_probability(cfg)
+    assert abs(estimate - closed) <= three_sigma(closed, runs)
 
 
 def test_monte_carlo_deterministic_per_seed():
@@ -118,7 +116,7 @@ def test_discrete_matches_exhaustive_enumeration(levels, n):
 def test_discrete_362_levels_tracks_the_continuous_curve():
     cfg = ContentionConfig(30_000, 480, 5, discrete_levels=362)
     estimate = simulate_collision(cfg, 100_000, rng_seed=13)
-    assert abs(estimate - p_rr(ContentionConfig(30_000, 480, 5))) < 0.01
+    assert abs(estimate - collision_probability(ContentionConfig(30_000, 480, 5))) < 0.01
 
 
 @settings(max_examples=50)
@@ -129,23 +127,26 @@ def test_discrete_362_levels_tracks_the_continuous_curve():
     st.floats(1.05, 2.0),
 )
 def test_closed_form_monotonicity(window_us, block_us, n, factor):
-    base = p_rr(ContentionConfig(window_us, block_us, n))
-    assert p_rr(ContentionConfig(window_us * factor, block_us, n)) <= base + 1e-12
-    assert p_rr(ContentionConfig(window_us, block_us, n + 1)) >= base - 1e-12
+    def p(w, d, k):
+        return collision_probability(ContentionConfig(w, d, k))
+
+    base = p(window_us, block_us, n)
+    assert p(window_us * factor, block_us, n) <= base + 1e-12
+    assert p(window_us, block_us, n + 1) >= base - 1e-12
     if block_us * factor <= window_us:
-        assert p_rr(ContentionConfig(window_us, block_us * factor, n)) >= base - 1e-12
+        assert p(window_us, block_us * factor, n) >= base - 1e-12
 
 
 def test_min_window_hits_the_deployed_operating_points():
     w_ack = min_window(0.1, 480, 5)
     assert w_ack <= 30_000
-    assert p_rr(ContentionConfig(w_ack, 480, 5)) <= 0.1
-    assert p_rr(ContentionConfig(w_ack - 1, 480, 5)) > 0.1
+    assert collision_probability(ContentionConfig(w_ack, 480, 5)) <= 0.1
+    assert collision_probability(ContentionConfig(w_ack - 1, 480, 5)) > 0.1
 
     w_relay = min_window(0.1, 192, 5)
     assert w_relay <= 10_000
-    assert p_rr(ContentionConfig(w_relay, 192, 5)) <= 0.1
-    assert p_rr(ContentionConfig(w_relay - 1, 192, 5)) > 0.1
+    assert collision_probability(ContentionConfig(w_relay, 192, 5)) <= 0.1
+    assert collision_probability(ContentionConfig(w_relay - 1, 192, 5)) > 0.1
 
 
 def test_min_window_limit_behavior():
@@ -252,10 +253,3 @@ def test_metric_order_preserved_when_no_overlap(metrics):
     assert result.winner is not None
     assert result.correct
 
-
-def test_preamble_duty_cycle():
-    assert preamble_duty_cycle(DEFAULT_CONSTANTS) == pytest.approx(0.0103, abs=2e-4)
-    c = replace_constants(DEFAULT_CONSTANTS, t_cca=DEFAULT_CONSTANTS.d_cca)
-    assert preamble_duty_cycle(c) == 1.0
-    c = replace_constants(DEFAULT_CONSTANTS, t_cca=10 * DEFAULT_CONSTANTS.d_cca)
-    assert preamble_duty_cycle(c) == pytest.approx(0.1)

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from sinksim.core import DEFAULT_CONSTANTS
-from sinksim.radio import grid_topology
+from sinksim.radio import build_udg, grid_topology
+from sinksim.routing import HeaderOverflow, init_virtual_coords
 from sinksim.scenario import (
     BS_ID,
     MS_ID,
@@ -22,7 +23,6 @@ from sinksim.scenario import (
     mean_ci,
     random_graph_point,
     run_scenario,
-    step_sink,
     timeline_coverage,
 )
 
@@ -46,7 +46,7 @@ def test_bounce_reflects_at_the_border():
 def test_bounce_zero_speed_stays_put():
     track = BounceTrack((400.0, 600.0), 0.0, 1000.0, seed=1)
     for _ in range(5):
-        step_sink(track)
+        track.step()
     assert track.position == (400.0, 600.0)
 
 
@@ -75,7 +75,7 @@ def test_diagonal_line_geometry():
 
 def test_static_sink_never_moves():
     sink = StaticSink((3.0, 4.0))
-    step_sink(sink)
+    sink.step()
     assert sink.position == (3.0, 4.0)
     assert not sink.departed
 
@@ -147,8 +147,6 @@ def test_scenario_phases_are_ordered():
 
 
 def test_two_node_network_end_to_end():
-    from sinksim.radio import build_udg
-
     topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, 25.0)
     report = run_scenario(
         ScenarioConfig(
@@ -201,6 +199,38 @@ def test_scenario_miss_at_excessive_speed():
     # the sink crosses so fast that the answer cannot catch it
     report = run_scenario(scenario_config(ms_speed_mps=100.0, seed=3))
     assert report.miss
+    assert 4 not in report.phase_times_us
+
+
+def test_scenario_enforces_the_header_bound():
+    # a 15x15 grid on random virtual coordinates walks more distinct nodes
+    # than the DATA payload can list
+    g = grid_topology(15, 25.0)
+    vc = init_virtual_coords(g, 0, ((0, 350), (0, 350)))
+    cfg = scenario_config(
+        topology=g,
+        query_node=0,
+        seed=0,
+        coord_mode="virtual",
+        virtual_coords=vc,
+        ms_virtual_coord=(175.0, 175.0),
+    )
+    with pytest.raises(HeaderOverflow):
+        run_scenario(cfg)
+
+
+def test_isolated_query_node_misses_without_hops():
+    # the sink hands the query to the lone node while flying over it, but is
+    # out of range by the time the answer is ready and the node has no
+    # neighbor to forward to: nothing moves, so nothing counts as a hop
+    topo = build_udg({0: (0.0, 0.0), 1: (500.0, 0.0)}, 25.0)
+    cfg = scenario_config(
+        topology=topo, query_node=0, seed=1, bs_position=(-60.0, 0.0), ms_speed_mps=60.0
+    )
+    report = run_scenario(cfg)
+    assert report.miss
+    assert report.route.outcome == "failed"
+    assert report.route.hops == len(report.route.path) - 1 == 0
     assert 4 not in report.phase_times_us
 
 
