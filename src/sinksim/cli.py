@@ -190,6 +190,8 @@ def cmd_collisions(args) -> int:
     c = load_constants(args.config)
     if args.w_max_ms < args.w_min_ms or args.w_step_ms <= 0:
         raise SystemExit("error: empty contention window sweep")
+    if args.runs < 1:
+        raise SystemExit(f"error: --runs must be at least 1, got {args.runs}")
     blocks = {"relay": c.d_rxtx, "ack": c.d_ack}
     if args.block_us is not None:
         blocks = {"custom": args.block_us}
@@ -237,6 +239,8 @@ def cmd_route_sim(args) -> int:
     presets = ("random-graph", "grid25")
     if args.preset not in presets:
         raise SystemExit(f"error: unknown preset {args.preset!r}; choose from {presets}")
+    if args.runs < 1:
+        raise SystemExit(f"error: --runs must be at least 1, got {args.runs}")
     _write_manifest(out, "route-sim", vars(args))
     rows = []
     if args.preset == "random-graph":

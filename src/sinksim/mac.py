@@ -23,8 +23,6 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from .core import Duration, Metric, NodeId
 
 
@@ -82,6 +80,8 @@ def simulate_collision(cfg: ContentionConfig, runs: int, rng_seed: int = 0) -> f
         raise ValueError("runs must be >= 1")
     if cfg.n < 2:
         return 0.0
+    import numpy as np  # imported here so that `import sinksim` does not load numpy
+
     rng = np.random.default_rng(rng_seed)
     if cfg.discrete_levels is None:
         backoffs = rng.random((runs, cfg.n)) * cfg.window_us

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .core import NodeId, Position
 from .frames import MAX_ADDRESS_COUNT
@@ -123,20 +123,22 @@ def next_hop_3rule(
     topology: Topology,
     coords: Mapping[NodeId, Position],
     *,
+    visited: AbstractSet[NodeId],
     sink_adjacent: bool,
     sink_moved: bool,
     source: NodeId,
 ) -> Action:
     """Pure next-hop decision for the packet sitting at `current`.
 
+    `visited` holds the ids in `header.traversed`; the caller keeps it next
+    to the header so that no decision has to rebuild it.  `current` need not
+    be in it: `build_udg` never lists a node as its own neighbor.
     `sink_adjacent` and `sink_moved` come from the caller, which knows the
     sink's physical position (in the live protocol these facts arrive as the
     metric-0 ACK and the absence of further progress).
     """
     if sink_adjacent:
         return Action("deliver")
-    visited = set(header.traversed)
-    visited.add(current)
     best = None
     best_key = None
     for v in topology.adjacency[current]:
@@ -235,6 +237,7 @@ def route(
                 header,
                 topology,
                 coords,
+                visited=traversed_set,
                 sink_adjacent=topology.in_range(current, sink.position),
                 sink_moved=sink.position != snapshot,
                 source=source,

@@ -86,6 +86,17 @@ def test_collisions_empty_sweep_is_a_usage_error(tmp_path):
         run_cli("collisions", "--w-min-ms", "30", "--w-max-ms", "10", "--out", str(tmp_path))
 
 
+@pytest.mark.parametrize("command", ["collisions", "route-sim"])
+def test_zero_runs_is_a_usage_error_without_output(tmp_path, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--runs", "0", "--out", str(out))
+    message = str(exc.value)
+    assert message.startswith("error:") and "--runs" in message
+    assert "\n" not in message
+    assert not out.exists()
+
+
 def test_route_sim_unknown_preset(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("route-sim", "--preset", "moon", "--out", str(tmp_path))

@@ -1,0 +1,25 @@
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PROBE = """
+import sys
+import sinksim, sinksim.cli
+heavy = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+from sinksim.mac import ContentionConfig, simulate_collision
+print(heavy, simulate_collision(ContentionConfig(30_000, 480, 5), 10_000, 3))
+"""
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    # A fresh interpreter: the test session itself may already hold numpy.
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == ["[]", "0.0789"]

@@ -193,12 +193,14 @@ def test_backtrack_targets_the_first_reacher():
     coords = {0: (0.0, 0.0), 1: (100.0, 100.0), 2: (200.0, 200.0)}
     header = RouteHeader(traversed=[], dest_coord=(100.0, 110.0))
     action = next_hop_3rule(
-        0, header, topo, coords, sink_adjacent=False, sink_moved=False, source=0
+        0, header, topo, coords, visited=set(header.traversed),
+        sink_adjacent=False, sink_moved=False, source=0,
     )
     assert action == Action("forward", 1)
     header.traversed.append(0)
     action = next_hop_3rule(
-        1, header, topo, coords, sink_adjacent=False, sink_moved=False, source=0
+        1, header, topo, coords, visited=set(header.traversed),
+        sink_adjacent=False, sink_moved=False, source=0,
     )
     assert action == Action("backtrack", 0)
 
@@ -266,6 +268,7 @@ def test_forward_entries_unique_between_restarts():
                 header,
                 topo,
                 coords,
+                visited=set(header.traversed),
                 sink_adjacent=topo.in_range(current, sink_pos),
                 sink_moved=False,
                 source=source,

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import pytest
 
@@ -14,6 +15,7 @@ from sinksim.scenario import (
     ScenarioConfig,
     StaticSink,
     WaypointTrack,
+    _t_quantile,
     diagonal_line,
     discovered_graph,
     edge_line,
@@ -270,8 +272,56 @@ def test_mean_ci_basics():
     assert half == 0.0
     mean, half = mean_ci([0.0, 2.0])
     assert mean == 1.0
-    assert half > 0.0
+    assert half == pytest.approx(12.7062047361747, rel=1e-13)  # t(0.975, 1) * 1
     assert math.isnan(mean_ci([])[0])
+
+
+QUANTILE_PS = (0.6, 0.9, 0.95, 0.975, 0.995, 0.9999)
+
+
+@pytest.mark.parametrize("p", (0.01, 0.3, 0.6, 0.9, 0.95, 0.975, 0.995))
+def test_t_quantile_closed_forms(p):
+    # tan(pi (p - 1/2)) itself loses digits as p nears 0 or 1, so p stays inside [0.01, 0.995]
+    assert _t_quantile(p, 1) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-13)
+    assert _t_quantile(p, 2) == pytest.approx((2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-13)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 7, 30, 199, 9999, 1e5, 2.5])
+def test_t_quantile_is_odd_about_one_half(df):
+    assert _t_quantile(0.5, df) == 0.0
+    for p in QUANTILE_PS:
+        assert _t_quantile(1 - p, df) == -_t_quantile(p, df)
+        assert _t_quantile(p, df) > 0.0
+
+
+def test_t_quantile_approaches_the_normal_quantile():
+    z = NormalDist().inv_cdf(0.975)
+    df = 1e8  # first Cornish-Fisher term; the next one is below 1e-16
+    assert _t_quantile(0.975, df) == pytest.approx(z + (z**3 + z) / (4 * df), rel=1e-14)
+    assert _t_quantile(0.975, 30) > _t_quantile(0.975, 300) > _t_quantile(0.975, 3000)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan")])
+def test_t_quantile_rejects_p_outside_the_open_unit_interval(p):
+    with pytest.raises(ValueError):
+        _t_quantile(p, 10)
+
+
+@pytest.mark.parametrize("df", [0, 0.5, -3, float("nan")])
+def test_t_quantile_rejects_df_below_one(df):
+    with pytest.raises(ValueError):
+        _t_quantile(0.975, df)
+
+
+def test_t_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    dfs = list(range(1, 301)) + sorted({round(10 ** (k / 8)) for k in range(20, 41)})
+    worst = 0.0
+    for p in (0.95, 0.975, 0.995):
+        for df in dfs:
+            expected = float(stats.t.ppf(p, df))
+            worst = max(worst, abs(_t_quantile(p, df) - expected) / expected)
+    assert worst <= 1e-12
 
 
 def test_grid_point_smoke():
