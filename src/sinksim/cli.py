@@ -29,6 +29,7 @@ from .flood import simulate_flood
 from .frames import (
     DataPayload,
     Frame,
+    FrameError,
     FrameKind,
     PreambleKind,
     ack_frame,
@@ -132,11 +133,16 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 def cmd_analyze(args) -> int:
     c = load_constants(args.config)
+    if args.battery_j < 0:
+        raise SystemExit(f"error: --battery-j must be at least 0, got {args.battery_j}")
     powers = [args.power] if args.power is not None else [0, -25]
     rows = []
     for dbm in powers:
         table = POWER_TABLES[dbm]
-        pe = phase_energy(table, c, args.neighbors, E_PREAMB_MJ[dbm])
+        try:
+            pe = phase_energy(table, c, args.neighbors, E_PREAMB_MJ[dbm])
+        except ValueError as exc:  # no neighbors, or more ACKs than the window holds
+            raise SystemExit(f"error: --neighbors {args.neighbors}: {exc}")
         rows.append(
             (
                 f"{dbm}dBm",
@@ -188,33 +194,41 @@ def cmd_analyze(args) -> int:
 
 def cmd_collisions(args) -> int:
     c = load_constants(args.config)
-    if args.w_max_ms < args.w_min_ms or args.w_step_ms <= 0:
+    if args.w_step_ms <= 0:
         raise SystemExit("error: empty contention window sweep")
     if args.runs < 1:
         raise SystemExit(f"error: --runs must be at least 1, got {args.runs}")
     blocks = {"relay": c.d_rxtx, "ack": c.d_ack}
     if args.block_us is not None:
         blocks = {"custom": args.block_us}
-    out = Path(args.out)
-    _write_manifest(out, "collisions", vars(args))
     w_values = []
     w = args.w_min_ms
     while w <= args.w_max_ms + 1e-9:
         w_values.append(round(w, 6))
         w += args.w_step_ms
+    # Each block sweeps only the windows that can hold it; every block needs
+    # one, and every configuration is checked before anything is written.
+    sweeps = {}
     for name, block in sorted(blocks.items()):
+        fitting = [w_ms for w_ms in w_values if w_ms * 1000.0 >= block]
+        if not fitting:
+            raise SystemExit("error: empty contention window sweep")
+        try:
+            sweeps[name] = [
+                (w_ms, ContentionConfig(w_ms * 1000.0, block, args.n, discrete_levels=args.levels))
+                for w_ms in fitting
+            ]
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
+    out = Path(args.out)
+    _write_manifest(out, "collisions", vars(args))
+    for name, sweep in sweeps.items():
         rows = []
-        for w_ms in w_values:
-            w_us = w_ms * 1000.0
-            if w_us < block:
-                continue
-            cfg = ContentionConfig(w_us, block, args.n, discrete_levels=args.levels)
+        for w_ms, cfg in sweep:
             closed = collision_probability(cfg)
             sim = simulate_collision(cfg, args.runs, rng_seed=args.seed)
             half = 3.0 * math.sqrt(max(closed * (1 - closed), 1e-12) / args.runs)
             rows.append((w_ms, closed, sim, max(sim - half, 0.0), min(sim + half, 1.0)))
-        if not rows:
-            raise SystemExit("error: empty contention window sweep")
         path = out / f"collisions_{name}.csv"
         _write_csv(path, ["W_ms", "closed_form", "simulated", "ci_low", "ci_high"], rows)
         print(f"wrote {path}")
@@ -463,23 +477,34 @@ def _frame_summary(frame: Frame) -> str:
 def cmd_codec(args) -> int:
     if args.action == "decode":
         text = args.hex if args.hex else sys.stdin.read()
-        data = bytes.fromhex("".join(text.split()))
-        frame = decode_frame(data)
-        print(_frame_summary(frame))
+        try:
+            summary = _frame_summary(decode_frame(bytes.fromhex("".join(text.split()))))
+        except ValueError as exc:  # a non-hex digit, or any FrameError
+            raise SystemExit(f"error: cannot decode frame: {exc}")
+        print(summary)
         return 0
-    if args.kind == "micro":
-        frame = micro_frame(
-            PreambleKind[args.preamble.upper()], args.remaining, args.src, args.query
-        )
-    elif args.kind == "ack":
-        frame = ack_frame(args.src)
-    else:
-        payload = DataPayload(
-            _parse_number_list(args.traversed, int) if args.traversed else [],
-            _parse_number_list(args.neighbors, int) if args.neighbors else [],
-        )
-        frame = data_frame(args.src, payload)
-    print(encode_frame(frame).hex())
+    if not 0 <= args.src <= 0xFFFF:
+        raise SystemExit(f"error: --src {args.src:#x} does not fit 16 bits")
+    try:
+        if args.kind == "micro":
+            preamble = PreambleKind.__members__.get(args.preamble.upper())
+            if preamble is None:
+                raise SystemExit(
+                    f"error: unknown preamble {args.preamble!r}; choose drp, brp or rrp"
+                )
+            frame = micro_frame(preamble, args.remaining, args.src, args.query)
+        elif args.kind == "ack":
+            frame = ack_frame(args.src)
+        else:
+            payload = DataPayload(
+                _parse_number_list(args.traversed, int) if args.traversed else [],
+                _parse_number_list(args.neighbors, int) if args.neighbors else [],
+            )
+            frame = data_frame(args.src, payload)
+        encoded = encode_frame(frame)
+    except FrameError as exc:
+        raise SystemExit(f"error: cannot encode frame: {exc}")
+    print(encoded.hex())
     return 0
 
 

@@ -44,6 +44,12 @@ def build_udg(
 ) -> Topology:
     """Unit-disk topology over the given node positions.
 
+    Sweeps the nodes in (x, id) order and stops pairing a node once the
+    squared x gap alone exceeds the squared range, so only pairs within one
+    range in x are tested.  The squared gap never shrinks along the sweep and
+    adding the y term never lowers it, so every pruned pair is one the full
+    test rejects; a pair at exactly the range still counts as connected.
+
     Raises DuplicateId when the same node id appears twice.
     """
     if isinstance(positions, Mapping):
@@ -56,15 +62,19 @@ def build_udg(
             raise DuplicateId(f"node id {nid} appears twice")
         pos[nid] = (float(p[0]), float(p[1]))
 
-    ids = sorted(pos)
     r2 = float(range_m) ** 2
-    nbrs: Dict[NodeId, list] = {nid: [] for nid in ids}
-    for i, a in enumerate(ids):
-        ax, ay = pos[a]
-        for b in ids[i + 1 :]:
-            bx, by = pos[b]
-            if (ax - bx) ** 2 + (ay - by) ** 2 <= r2:
-                nbrs[a].append(b)
+    # A NaN x fails every pair test and would break the sort order: leave it out.
+    swept = sorted((x, nid, y) for nid, (x, y) in pos.items() if not math.isnan(x))
+    nbrs: Dict[NodeId, list] = {nid: [] for nid in sorted(pos)}
+    for i, (ax, a, ay) in enumerate(swept):
+        near = nbrs[a]
+        for j in range(i + 1, len(swept)):
+            bx, b, by = swept[j]
+            dx2 = (ax - bx) ** 2
+            if dx2 > r2:
+                break
+            if dx2 + (ay - by) ** 2 <= r2:
+                near.append(b)
                 nbrs[b].append(a)
     adjacency = {nid: tuple(sorted(ns)) for nid, ns in nbrs.items()}
     return Topology(pos, float(range_m), adjacency)

@@ -70,15 +70,17 @@ def init_virtual_coords(
     Nodes listed in `fixed_coords` keep their preset position and are never
     touched by centroid rounds.
     """
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     (x0, x1), (y0, y1) = bounds
+    # rng.uniform(a, b) is a + (b - a) * rng.random(), written out here.
+    wx, wy = x1 - x0, y1 - y0
     fixed_coords = dict(fixed_coords or {})
     coords: Dict[NodeId, Position] = {}
     for nid in sorted(topology.positions):
         if nid in fixed_coords:
             coords[nid] = fixed_coords[nid]
         else:
-            coords[nid] = (rng.uniform(x0, x1), rng.uniform(y0, y1))
+            coords[nid] = (x0 + wx * draw(), y0 + wy * draw())
     return VirtualCoords(coords, frozenset(fixed_coords))
 
 
@@ -113,8 +115,9 @@ class Action:
     target: Optional[NodeId] = None
 
 
-def _dist2(a: Position, b: Position) -> float:
-    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+_DELIVER = Action("deliver")
+_RESTART = Action("restart")
+_FAIL = Action("fail")
 
 
 def next_hop_3rule(
@@ -130,23 +133,28 @@ def next_hop_3rule(
 ) -> Action:
     """Pure next-hop decision for the packet sitting at `current`.
 
-    `visited` holds the ids in `header.traversed`; the caller keeps it next
-    to the header so that no decision has to rebuild it.  `current` need not
-    be in it: `build_udg` never lists a node as its own neighbor.
+    Ties in distance go to the smallest id: the adjacency tuples are sorted,
+    as `build_udg` builds them, and only a strictly closer neighbor replaces
+    the best so far.  `visited` holds the ids in `header.traversed`; the
+    caller keeps it next to the header so that no decision has to rebuild
+    it.  `current` need not be in it: `build_udg` never lists a node as its
+    own neighbor.
     `sink_adjacent` and `sink_moved` come from the caller, which knows the
     sink's physical position (in the live protocol these facts arrive as the
     metric-0 ACK and the absence of further progress).
     """
     if sink_adjacent:
-        return Action("deliver")
+        return _DELIVER
+    tx, ty = header.dest_coord
     best = None
-    best_key = None
+    best_d2 = 0.0
     for v in topology.adjacency[current]:
         if v in visited:
             continue
-        key = (_dist2(coords[v], header.dest_coord), v)
-        if best_key is None or key < best_key:
-            best, best_key = v, key
+        vx, vy = coords[v]
+        d2 = (vx - tx) ** 2 + (vy - ty) ** 2
+        if best is None or d2 < best_d2:
+            best, best_d2 = v, d2
     if best is not None:
         return Action("forward", best)
     # Exhausted here: return toward the node this one was first reached from.
@@ -161,8 +169,8 @@ def next_hop_3rule(
             return Action("backtrack", entries[i])
     # Nothing before us in the header: the search is exhausted at the source.
     if sink_moved and current == source and topology.adjacency[source]:
-        return Action("restart")
-    return Action("fail")
+        return _RESTART
+    return _FAIL
 
 
 @dataclass

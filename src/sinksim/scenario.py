@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -99,8 +98,10 @@ class BounceTrack:
         return value, sign
 
     def step(self) -> None:
-        dx = self.rng.uniform(0.0, self.speed_max)
-        dy = self.rng.uniform(0.0, self.speed_max)
+        # rng.uniform(0.0, s) is 0.0 + (s - 0.0) * rng.random(), i.e. s * rng.random().
+        draw = self.rng.random
+        dx = self.speed_max * draw()
+        dy = self.speed_max * draw()
         x, sx = self._advance(self.position[0], self.direction[0], dx)
         y, sy = self._advance(self.position[1], self.direction[1], dy)
         self.position = (x, y)
@@ -730,18 +731,19 @@ def nodes_for_degree(degree: float, field: float = RANDOM_FIELD_M, range_m: floa
     return max(2, round(1 + degree * field * field / (math.pi * range_m * range_m)))
 
 
-def _sink_component(topology: Topology, sink_pos: Position) -> List[NodeId]:
-    """Nodes connected (over the graph) to some node in range of the sink."""
-    seed_nodes = [nid for nid in sorted(topology.positions) if topology.in_range(nid, sink_pos)]
-    seen = set(seed_nodes)
-    queue = deque(seed_nodes)
-    while queue:
-        u = queue.popleft()
-        for v in topology.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return sorted(seen)
+def _component_labels(adjacency: Dict[NodeId, Tuple[NodeId, ...]]) -> List[int]:
+    """Connected-component label of each node 0..n-1: the smallest id in it."""
+    label = [-1] * len(adjacency)
+    for root in range(len(adjacency)):
+        if label[root] < 0:
+            label[root] = root
+            stack = [root]
+            while stack:
+                for v in adjacency[stack.pop()]:
+                    if label[v] < 0:
+                        label[v] = root
+                        stack.append(v)
+    return label
 
 
 def random_graph_point(
@@ -769,24 +771,34 @@ def random_graph_point(
     paired: speed scales the per-round drift of an otherwise identical run.
     """
     rng = random.Random(seed)
+    # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
+    draw = rng.random
     n = nodes_for_degree(degree, field, range_m)
     topos = []
     for _ in range(topologies):
-        positions = {i: (rng.uniform(0, field), rng.uniform(0, field)) for i in range(n)}
-        topos.append(build_udg(positions, range_m))
+        positions = {i: (field * draw(), field * draw()) for i in range(n)}
+        topo = build_udg(positions, range_m)
+        topos.append((topo, _component_labels(topo.adjacency)))
 
+    r2 = float(range_m) ** 2
     restarts: List[float] = []
     hops: List[float] = []
     missed = 0
     for i in range(runs):
-        topo = topos[i % len(topos)]
+        topo, label = topos[i % len(topos)]
+        # Redraw the sink until some node is in range of it; the source is
+        # then uniform over the components of the nodes in range.
         while True:
-            sink_pos = (rng.uniform(0, field), rng.uniform(0, field))
-            if any(topo.in_range(nid, sink_pos) for nid in topo.positions):
+            sx, sy = field * draw(), field * draw()
+            heard = {
+                label[nid]
+                for nid, (x, y) in topo.positions.items()
+                if (x - sx) ** 2 + (y - sy) ** 2 <= r2
+            }
+            if heard:
                 break
-        component = _sink_component(topo, sink_pos)
-        source = rng.choice(component)
-        track = BounceTrack(sink_pos, speed, field, seed=rng.randrange(2**31))
+        source = rng.choice([nid for nid in range(n) if label[nid] in heard])
+        track = BounceTrack((sx, sy), speed, field, seed=rng.randrange(2**31))
         vc = init_virtual_coords(topo, rng.randrange(2**31), ((0, field), (0, field)))
         res = route(
             topo,

@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sinksim.cli import load_constants, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -84,6 +89,24 @@ def test_collisions_writes_csvs(tmp_path, capsys):
 def test_collisions_empty_sweep_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit):
         run_cli("collisions", "--w-min-ms", "30", "--w-max-ms", "10", "--out", str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "window_ms",
+    [
+        "0.1",  # shorter than both blocking times
+        "0.3",  # holds the 192 us relay switch but not the 480 us ACK
+    ],
+)
+def test_collisions_block_without_a_window_writes_nothing(tmp_path, window_ms):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "collisions", "--runs", "100", "--w-min-ms", window_ms, "--w-max-ms", window_ms,
+            "--w-step-ms", "0.1", "--out", str(out),
+        )
+    assert str(exc.value) == "error: empty contention window sweep"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["collisions", "route-sim"])
@@ -187,3 +210,36 @@ def test_unknown_constant_in_config(tmp_path):
 def test_missing_config_file():
     with pytest.raises(SystemExit):
         load_constants("/nonexistent/path.ini")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--neighbors", "100"],  # more ACKs than the contention window holds
+        ["analyze", "--neighbors", "0"],
+        ["analyze", "--battery-j", "-1"],
+        ["collisions", "--runs", "10", "--levels", "1"],
+        ["collisions", "--runs", "10", "--n", "-1"],
+        ["codec", "decode", "--hex", "zz"],
+        ["codec", "decode", "--hex", "00"],  # too short for a frame
+        ["codec", "encode", "--remaining", "99"],  # beyond the 6-bit countdown
+        ["codec", "encode", "--src", "0x10000"],
+        ["codec", "encode", "--preamble", "xx"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_is_a_one_line_error(argv, tmp_path):
+    # Run where the default output directories would land, to see none made.
+    proc = subprocess.run(
+        [sys.executable, "-m", "sinksim.cli", *argv],
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []

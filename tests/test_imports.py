@@ -7,14 +7,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import sys
 import sinksim, sinksim.cli
+from sinksim.scenario import grid_point, random_graph_point
+rg = random_graph_point(4, 10, 20, 1)
+grid = grid_point("edge", 2, 20, 1)
 heavy = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 from sinksim.mac import ContentionConfig, simulate_collision
-print(heavy, simulate_collision(ContentionConfig(30_000, 480, 5), 10_000, 3))
+print(heavy, rg.runs, grid.runs, simulate_collision(ContentionConfig(30_000, 480, 5), 10_000, 3))
 """
 
 
 def test_import_loads_neither_numpy_nor_scipy():
     # A fresh interpreter: the test session itself may already hold numpy.
+    # The sweeps run before the check, so they must stay free of both too.
     proc = subprocess.run(
         [sys.executable, "-c", PROBE],
         env={"PYTHONPATH": str(SRC)},
@@ -22,4 +26,4 @@ def test_import_loads_neither_numpy_nor_scipy():
         text=True,
         check=True,
     )
-    assert proc.stdout.split() == ["[]", "0.0789"]
+    assert proc.stdout.split() == ["[]", "20", "20", "0.0789"]

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -22,11 +21,16 @@ from sinksim.radio import (
 
 
 def brute_force_adjacency(positions, range_m):
-    adj = {nid: set() for nid in positions}
-    for a, pa in positions.items():
-        for b, pb in positions.items():
-            if a != b and math.dist(pa, pb) <= range_m:
-                adj[a].add(b)
+    """Every ordered pair through the unit-disk test on squared distances."""
+    r2 = float(range_m) ** 2
+    adj = {}
+    for a in sorted(positions):
+        ax, ay = positions[a]
+        adj[a] = tuple(
+            b
+            for b in sorted(positions)
+            if b != a and (ax - positions[b][0]) ** 2 + (ay - positions[b][1]) ** 2 <= r2
+        )
     return adj
 
 
@@ -47,24 +51,74 @@ def test_adjacency_matches_brute_force_on_random_fields():
         n = rnd.randrange(2, 30)
         positions = {i: (rnd.uniform(0, 1000), rnd.uniform(0, 1000)) for i in range(n)}
         topo = build_udg(positions, 200.0)
-        expected = brute_force_adjacency(positions, 200.0)
-        assert {nid: set(v) for nid, v in topo.adjacency.items()} == expected
+        assert topo.adjacency == brute_force_adjacency(positions, 200.0)
 
 
-@settings(max_examples=60)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(0, 1000, allow_nan=False), st.floats(0, 1000, allow_nan=False)
-        ),
-        min_size=1,
-        max_size=15,
+# (positions, range) at the edges of the x sweep's pruning.
+SWEEP_BOUNDARY_CASES = {
+    "x gap equal to the range, dy = 0": ({0: (0.0, 0.0), 1: (25.0, 0.0)}, 25.0),
+    "x gap equal to the range, dy > 0": (
+        {0: (0.0, 0.0), 1: (25.0, 1e-3), 2: (25.0, 0.0), 3: (25.0, -3.0)},
+        25.0,
     ),
-    st.floats(1, 500, allow_nan=False),
+    "many nodes sharing one x": (
+        {**{i: (5.0, 7.0 * i) for i in range(20)}, 20: (30.0, 0.0), 21: (-20.0, 133.0)},
+        25.0,
+    ),
+    "negative coordinates": (
+        {i: (-50.0 + 13.0 * (i % 7), -40.0 + 11.0 * (i // 7)) for i in range(21)},
+        20.0,
+    ),
+    "range 0": ({0: (1.0, 1.0), 1: (1.0, 1.0), 2: (1.0, 2.0), 3: (0.0, 1.0)}, 0.0),
+    "ids out of x order": (
+        {9: (0.0, 0.0), 2: (10.0, 0.0), 5: (-10.0, 0.0), 7: (10.0, 5.0)},
+        10.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_BOUNDARY_CASES))
+def test_adjacency_matches_brute_force_at_sweep_boundaries(case):
+    positions, range_m = SWEEP_BOUNDARY_CASES[case]
+    topo = build_udg(positions, range_m)
+    assert list(topo.adjacency) == sorted(positions)
+    assert topo.adjacency == brute_force_adjacency(positions, range_m)
+
+
+def test_sweep_keeps_pairs_at_exactly_the_range():
+    positions, range_m = SWEEP_BOUNDARY_CASES["x gap equal to the range, dy > 0"]
+    assert build_udg(positions, range_m).adjacency[0] == (2,)
+    positions, range_m = SWEEP_BOUNDARY_CASES["range 0"]
+    assert build_udg(positions, range_m).adjacency[0] == (1,)
+
+
+def test_nan_coordinate_isolates_only_that_node():
+    # Sorted with the NaN x in place, 20.0 would land before 8.0 and end the sweep early.
+    nan = float("nan")
+    positions = {
+        0: (0.0, 0.0), 1: (5.0, 0.0), 2: (20.0, 0.0), 3: (nan, 0.0), 4: (8.0, 0.0), 5: (1.0, nan)
+    }
+    topo = build_udg(positions, 10.0)
+    assert topo.adjacency == brute_force_adjacency(positions, 10.0)
+    assert topo.adjacency[0] == (1, 4)
+    assert topo.adjacency[3] == () and topo.adjacency[5] == ()
+
+
+# Whole numbers make shared x values and gaps of exactly the range common.
+_coordinate = st.one_of(
+    st.floats(-1000, 1000, allow_nan=False), st.integers(-20, 20).map(float)
 )
-def test_adjacency_symmetric_and_irreflexive(points, range_m):
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=25),
+    st.one_of(st.floats(0, 500, allow_nan=False), st.integers(0, 10).map(float)),
+)
+def test_adjacency_equals_brute_force(points, range_m):
     positions = dict(enumerate(points))
     topo = build_udg(positions, range_m)
+    assert topo.adjacency == brute_force_adjacency(positions, range_m)
     for a, nbrs in topo.adjacency.items():
         assert a not in nbrs
         for b in nbrs:

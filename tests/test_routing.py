@@ -254,6 +254,22 @@ def test_static_delivery_with_adversarial_coordinates():
         assert res.hops <= 2 * len(topo)
 
 
+def test_forward_ties_go_to_the_smallest_id():
+    # The centre of a 3x3 grid: its neighbors 1, 3, 5 and 7 are equally far from it.
+    g = grid_topology(3, 10.0)
+    header = RouteHeader(traversed=[], dest_coord=g.positions[4])
+
+    def decide(visited):
+        return next_hop_3rule(
+            4, header, g, g.positions,
+            visited=visited, sink_adjacent=False, sink_moved=False, source=4,
+        )
+
+    assert decide(set()) == Action("forward", 1)
+    assert decide({1}) == Action("forward", 3)
+    assert decide({1, 3, 5}) == Action("forward", 7)
+
+
 def test_forward_entries_unique_between_restarts():
     # drive the decision function manually and check the header discipline
     rnd = random.Random(13)

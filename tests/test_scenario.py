@@ -337,6 +337,30 @@ def test_random_graph_point_smoke():
     assert 0.0 <= pt.miss_ratio <= 1.0
 
 
+# Recorded from the all-pairs topology build with a per-replication component
+# BFS; the sweep must reproduce every field bit for bit.
+PINNED_RANDOM_GRAPH_POINTS = {
+    (7, 25, 60, 3): (0.0, 0.0, 17.107142857142858, 4.26612581848308, 0.06666666666666667),
+    (4, 0, 60, 3): (0.0, 0.0, 4.431034482758621, 1.5777057368664746, 0.03333333333333333),
+    (4, 50, 60, 3): (
+        0.05, 0.07406539166837417, 4.2075471698113205, 1.7577514208941754, 0.11666666666666667
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_RANDOM_GRAPH_POINTS))
+def test_random_graph_point_is_pinned(args):
+    degree, speed, runs, seed = args
+    pt = random_graph_point(degree, speed, runs, seed)
+    assert (pt.mobility, pt.speed, pt.degree, pt.runs) == ("bounce", speed, degree, runs)
+    restarts, restarts_ci, hops, hops_ci, miss = PINNED_RANDOM_GRAPH_POINTS[args]
+    assert pt.mean_restarts == restarts
+    assert pt.restarts_ci95 == restarts_ci
+    assert pt.mean_hops == hops
+    assert pt.hops_ci95 == hops_ci
+    assert pt.miss_ratio == miss
+
+
 def test_grid_crossing_reference_band():
     mean, half = grid_crossing_hops(1_500, seed=10)
     assert 7.5 <= mean <= 10.0
