@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from .core import ProtocolConstants, seconds
-from .radio import RadioPowerTable
-from .scenario import Segment
+from .core import US_PER_S, ProtocolConstants, seconds
+from .radio import RadioPowerTable, Segment
 
 MPS_TO_KMH = 3.6
 
@@ -133,9 +132,18 @@ def v_max_network(c: ProtocolConstants, p: RealTimeParams = RealTimeParams()) ->
 def integrate_timeline(
     segments: Sequence[Segment], powers: RadioPowerTable
 ) -> Dict[int, float]:
-    """Energy per node (mJ) from a radio-state timeline and a power table."""
+    """Energy per node (mJ) from a radio-state timeline and a power table.
+
+    Raises KeyError for a state the power table does not know.
+    """
     energy: Dict[int, float] = {}
+    power: Dict[str, float] = {}  # each state's draw, looked up once
     for seg in segments:
-        mj = seconds(seg.end_us - seg.start_us) * powers.power_mw(seg.state)
-        energy[seg.node] = energy.get(seg.node, 0.0) + mj
+        state = seg.state
+        p = power.get(state)
+        if p is None:
+            p = power[state] = powers.power_mw(state)
+        node = seg.node
+        # the same float as seconds(duration) * p
+        energy[node] = energy.get(node, 0.0) + (seg.end_us - seg.start_us) / US_PER_S * p
     return energy

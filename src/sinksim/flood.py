@@ -67,7 +67,9 @@ class FloodEngine:
         self.busy_until: Dict[NodeId, int] = {nid: 0 for nid in topology.positions}
         self.expiry: Dict[NodeId, int] = {}
         self.token: Dict[NodeId, int] = {nid: 0 for nid in topology.positions}
-        self.tx_intervals: List[Tuple[int, int, NodeId]] = []
+        # (start, end) of every transmission each node hears, in send order;
+        # recorded only for the collision check
+        self.heard: Dict[NodeId, List[Tuple[int, int]]] = {nid: [] for nid in topology.positions}
         self.report = FloodReport(initiator=-1, source=source)
         self._queue: List[tuple] = []
         self._seq = 0
@@ -95,9 +97,8 @@ class FloodEngine:
         if not self.collisions:
             return False
         overlapping = 0
-        nbrs = set(self.topology.adjacency[node])
-        for s, e, u in self.tx_intervals:
-            if u in nbrs and s < end and e > start:
+        for s, e in self.heard[node]:
+            if s < end and e > start:
                 overlapping += 1
         return overlapping > 1
 
@@ -108,7 +109,9 @@ class FloodEngine:
         self.report.tx_start_us[node] = t
         self.report.tx_end_us[node] = end
         self.report.transmissions.append((node, t))
-        self.tx_intervals.append((t, end, node))
+        if self.collisions:
+            for v in self.topology.adjacency[node]:
+                self.heard[v].append((t, end))
         for v in self.topology.adjacency[node]:
             self.busy_until[v] = max(self.busy_until[v], end)
             if self.state[v] == BACKOFF and self.expiry[v] >= t + self.c.d_rxtx:

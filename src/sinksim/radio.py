@@ -1,4 +1,5 @@
-"""Topology construction and the measured radio tables.
+"""Topology construction, the measured radio tables and the radio-state
+segment that per-node timelines are made of.
 
 Connectivity is a plain unit disk graph: two nodes are neighbors iff their
 Euclidean distance is at most the communication range (equality counts, so a
@@ -144,6 +145,16 @@ def range_for(tx_power_dbm: int, height_m: int) -> float:
 
 
 RADIO_STATES = ("sleep", "poll", "listen", "tx", "rx")
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One stretch of a node's radio timeline: `state` over [start_us, end_us)."""
+
+    node: NodeId
+    state: str
+    start_us: int
+    end_us: int
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
 from .flood import FloodEngine, FloodReport
 from .mac import ack_backoff
-from .radio import Topology, build_udg, euclid, grid_topology
+from .radio import Segment, Topology, build_udg, euclid, grid_topology
 from .routing import (  # noqa: F401  next_hop_3rule stays bound for bench/tracer.py
     RouteResult,
     VirtualCoords,
@@ -188,14 +189,6 @@ class WaypointTrack:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
-    node: NodeId
-    state: str
-    start_us: int
-    end_us: int
-
-
 def _fill_gaps(
     node: NodeId, active: List[Tuple[int, int, str]], start: int, end: int, idle: str
 ) -> List[Segment]:
@@ -203,15 +196,46 @@ def _fill_gaps(
     out: List[Segment] = []
     t = start
     for s, e, state in sorted(active):
-        s, e = max(s, start), min(e, end)
+        if s < start:
+            s = start
+        if e > end:
+            e = end
         if e <= t:
             continue
         if s > t:
             out.append(Segment(node, idle, t, s))
-        out.append(Segment(node, state, max(s, t), e))
-        t = max(e, t)
+            t = s
+        out.append(Segment(node, state, t, e))
+        t = e
     if t < end:
         out.append(Segment(node, idle, t, end))
+    return out
+
+
+def _base_station_timeline(c: ProtocolConstants, horizon: int) -> List[Segment]:
+    """The base station over [0, horizon]: a data-request preamble (`poll`)
+    every t_dr, listening in between.
+
+    Built directly in final form, equal for any constants to the preambles
+    passed through `_fill_gaps` and then through the idle fill: where
+    preambles overlap (d_drp > t_dr) one starts where the one before it ends,
+    and with d_drp = 0 the listening still breaks at every period.
+    """
+    out: List[Segment] = []
+    d_drp = c.d_drp
+    t = 0
+    for k in range(0, horizon, c.t_dr):
+        poll_end = k + d_drp
+        if poll_end > horizon:
+            poll_end = horizon
+        if k > t:
+            out.append(Segment(BS_ID, "listen", t, k))
+            t = k
+        if poll_end > t:
+            out.append(Segment(BS_ID, "poll", t, poll_end))
+            t = poll_end
+    if t < horizon:
+        out.append(Segment(BS_ID, "listen", t, horizon))
     return out
 
 
@@ -276,8 +300,9 @@ def timeline_coverage(segments: Sequence[Segment]) -> Dict[NodeId, int]:
     for seg in segments:
         by_node.setdefault(seg.node, []).append(seg)
     totals = {}
+    start_us = attrgetter("start_us")
     for node, segs in by_node.items():
-        segs.sort(key=lambda s: s.start_us)
+        segs.sort(key=start_us)
         total = 0
         last_end = None
         for seg in segs:
@@ -332,6 +357,28 @@ def _network_bbox(topology: Topology) -> Tuple[float, float, float, float]:
     xs = [p[0] for p in topology.positions.values()]
     ys = [p[1] for p in topology.positions.values()]
     return min(xs), min(ys), max(xs), max(ys)
+
+
+def _hearers(
+    nodes: Sequence[Tuple[NodeId, Position]],
+    bbox: Tuple[float, float, float, float],
+    r2: float,
+    point: Position,
+) -> List[NodeId]:
+    """Ids of the `nodes` within range of `point`, in the order given.
+
+    `nodes` are (id, position) pairs inside `bbox`, `r2` the squared range.
+    The pair test is the expression of Topology.in_range.  Rounding is
+    monotone, so no node's computed squared distance falls below the box's:
+    when the box is out of range, so is every node, and the scan is skipped.
+    """
+    px, py = point
+    x0, y0, x1, y1 = bbox
+    dx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
+    dy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
+    if dx**2 + dy**2 > r2:
+        return []
+    return [nid for nid, (x, y) in nodes if (x - px) ** 2 + (y - py) ** 2 <= r2]
 
 
 def _first_cca_catch(c: ProtocolConstants, cca_offset: int, not_before: int) -> int:
@@ -394,20 +441,25 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     ):
         raise ConfigError("virtual mode needs virtual_coords and ms_virtual_coord")
 
-    x0, y0, x1, y1 = _network_bbox(topo)
+    bbox = x0, y0, x1, y1 = _network_bbox(topo)
     entry = cfg.entry if cfg.entry is not None else (x0, (y0 + y1) / 2)
     exit_ = cfg.exit if cfg.exit is not None else (x1, (y0 + y1) / 2)
     track = WaypointTrack([cfg.bs_position, entry, exit_, cfg.bs_position], cfg.ms_speed_mps)
     exit_dist = euclid(cfg.bs_position, entry) + euclid(entry, exit_)
 
     phase_times: Dict[int, int] = {}
-    timeline: List[Segment] = []
+    # Active (start, end, state) spans per node, in the timeline's node order;
+    # the base station's train is built apart, after the horizon is known.
+    active: Dict[NodeId, List[Tuple[int, int, str]]] = {
+        nid: [] for nid in sorted([MS_ID, *topo.positions])
+    }
+    ms_active = active[MS_ID]
 
     # Phase 1: query handed from base station to sink.
     cca_offset = rng.randint(0, c.t_cca - 1)
     drp_end = _first_cca_catch(c, cca_offset, 0)
     phase_times[1] = drp_end + c.d_ack
-    timeline.append(Segment(MS_ID, "tx", drp_end, drp_end + c.d_ack))
+    ms_active.append((drp_end, drp_end + c.d_ack, "tx"))
     fly_start = phase_times[1]
 
     def ms_pos(t_us: int) -> Position:
@@ -427,6 +479,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     relay_heard: Optional[int] = None
     seeded = False
     scanned = 0
+    nodes = sorted(topo.positions.items())  # ascending ids: injection order sets the event order
+    r2 = topo.range_m**2
     for i in range(1_000_000):
         brp_start = fly_start + i * c.t_brp
         brp_end = brp_start + c.d_brp
@@ -434,15 +488,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             if seeded:
                 break  # query handed off; the sink flies on without hearing back
             raise ConfigError("sink crossed the network without being heard")
-        pos = ms_pos(brp_end)
-        hearers = [nid for nid in sorted(topo.positions) if topo.in_range(nid, pos)]
+        hearers = _hearers(nodes, bbox, r2, ms_pos(brp_end))
         if hearers:
             if not seeded:
                 phase_times[2] = brp_end
             seeded = True
             for nid in hearers:
                 engine.inject_reception(nid, brp_end)
-        timeline.append(Segment(MS_ID, "poll", brp_start, brp_end))
+        ms_active.append((brp_start, brp_end, "poll"))
         engine.run_until(brp_start + c.t_brp)
         while scanned < len(engine.report.transmissions):
             nid, ts = engine.report.transmissions[scanned]
@@ -458,8 +511,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     if cfg.query_node not in flood_report.reached:
         raise ConfigError("flood never reached the queried node")
     phase_times[3] = max(flood_report.tx_end_us.values(), default=phase_times[2])
-    for nid, ts in sorted(flood_report.tx_start_us.items()):
-        timeline.append(Segment(nid, "poll", ts, flood_report.tx_end_us[nid]))
+    for nid, ts in flood_report.tx_start_us.items():
+        active[nid].append((ts, flood_report.tx_end_us[nid], "poll"))
 
     # Phase 4: source routes the answer toward the moving sink, one hop
     # exchange per round of the routing walk.
@@ -480,7 +533,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             responders.append((MS_ID, 0))
             target = MS_ID
         cca = {nid: rng.randint(0, c.d_rrp - c.d_cca) for nid, _ in sorted(responders)}
-        timeline.extend(hop_exchange_timeline(c, current, responders, target, sink.t, cca))
+        for seg in hop_exchange_timeline(c, current, responders, target, sink.t, cca):
+            active[seg.node].append((seg.start_us, seg.end_us, seg.state))
 
     route_result = route(
         topo,
@@ -497,32 +551,20 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         t = sink.t + sink.hop_us  # end of the delivering exchange
         phase_times[4] = t
         # Phase 5: sink acknowledges the data.
-        timeline.append(Segment(MS_ID, "tx", t, t + c.d_ack))
+        ms_active.append((t, t + c.d_ack, "tx"))
         phase_times[5] = t + c.d_ack
         # Phase 6: back at the base station, answer the next request with data.
         arrival = fly_start + track.duration_us()
         drp_end = _first_cca_catch(c, cca_offset, max(arrival, phase_times[5]))
-        timeline.append(Segment(MS_ID, "tx", drp_end, drp_end + c.d_data))
+        ms_active.append((drp_end, drp_end + c.d_data, "tx"))
         phase_times[6] = drp_end + c.d_data
         horizon = phase_times[6]
 
-    # Base station: request preambles all along, listening in between.
-    bs_active = []
-    k = 0
-    while k * c.t_dr < horizon:
-        bs_active.append((k * c.t_dr, min(k * c.t_dr + c.d_drp, horizon), "poll"))
-        k += 1
-    timeline.extend(_fill_gaps(BS_ID, bs_active, 0, horizon, "listen"))
-
-    # Fill every node's untracked stretches with the idle sampling state.
-    by_node: Dict[NodeId, List[Tuple[int, int, str]]] = {nid: [] for nid in topo.positions}
-    by_node[MS_ID] = []
-    by_node[BS_ID] = []
-    for seg in timeline:
-        by_node.setdefault(seg.node, []).append((seg.start_us, seg.end_us, seg.state))
-    full: List[Segment] = []
-    for nid in sorted(by_node):
-        full.extend(_fill_gaps(nid, by_node[nid], 0, horizon, "poll"))
+    # Base station: request preambles all along, listening in between.  Then
+    # every other node, its untracked stretches in the idle sampling state.
+    full = _base_station_timeline(c, horizon)
+    for nid, spans in active.items():
+        full.extend(_fill_gaps(nid, spans, 0, horizon, "poll"))
 
     return ScenarioReport(
         config_seed=cfg.seed,
@@ -770,6 +812,10 @@ def random_graph_point(
     sink tracks for every speed, so points that differ only in speed are
     paired: speed scales the per-round drift of an otherwise identical run.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs!r}")
+    if topologies < 1:
+        raise ValueError(f"topologies must be >= 1, got {topologies!r}")
     rng = random.Random(seed)
     # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
     draw = rng.random
@@ -837,6 +883,8 @@ def grid_point(
     """
     if mobility not in ("edge", "diagonal"):
         raise ValueError("grid mobility must be 'edge' or 'diagonal'")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs!r}")
     rng = random.Random(seed)
     g = grid_topology(GRID_SIDE, GRID_SPACING_M)
     make_track = edge_line if mobility == "edge" else diagonal_line

@@ -110,3 +110,9 @@ def test_integrate_timeline_hand_check():
     energy = integrate_timeline(segments, row)
     assert energy[0] == pytest.approx(1.0 * 32.807 + 2.0 * 2.735)
     assert energy[1] == pytest.approx(0.5 * 65.444)
+
+
+def test_integrate_timeline_rejects_an_unknown_state():
+    segments = [Segment(0, "tx", 0, 1_000), Segment(0, "warp", 1_000, 2_000)]
+    with pytest.raises(KeyError, match="warp"):
+        integrate_timeline(segments, power_table(0))

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter, deque
 
 import pytest
@@ -125,8 +126,52 @@ def test_injected_receptions_seed_the_flood():
     assert set(report.tx_start_us) == set(g.positions)
 
 
+def test_collision_needs_two_overlapping_transmissions_the_node_hears():
+    # node 1 hears 0, 2 and 4; node 3 is out of its range
+    topo = build_udg(
+        {0: (0.0, 0.0), 1: (25.0, 0.0), 2: (50.0, 0.0), 3: (75.0, 0.0), 4: (25.0, 25.0)}, 25.0
+    )
+    d = C.d_brp
+    engine = FloodEngine(topo, C, seed=0, collisions=True)
+    engine.transmit(0, 0)
+    engine.transmit(3, 1_000)
+    assert not engine._lost_to_collision(1, 0, d)
+    engine.transmit(2, d)  # starts exactly as the first one ends
+    assert not engine._lost_to_collision(1, 0, d)
+    assert not engine._lost_to_collision(1, d, 2 * d)
+    engine.transmit(4, d - 1)  # overlaps both by a microsecond or more
+    assert engine._lost_to_collision(1, 0, d)
+    assert engine._lost_to_collision(1, d, 2 * d)
+
+
 def test_collision_flag_smoke():
     g = grid_topology(5, 25.0)
     lossy = simulate_flood(g, 0, seed=21, collisions=True)
     assert lossy.reached <= set(g.positions)
     assert (0, 0) in lossy.transmissions
+
+
+# Recorded before the collision check moved to per-node lists of the
+# transmissions each node hears: (transmissions, reached, completion, and the
+# SHA-256 of the repr of the transmissions and of the sorted first receptions).
+PINNED_LOSSY_FLOODS = {
+    0: (46, 47, 2_331_072, "925a364a4a26068dd89c83745b4a47fcce94c2d57db0328659d8fe9e6e8e1e8f",
+        "1cca73bb4543947c70cc964be271ab15e5b24061a4ab174e4967af5bdc6b01d5"),
+    1: (46, 47, 2_328_179, "4c8ed1a082aa5321bd877c4c1aff5093099980c769beec21f5143529f6c8faf0",
+        "9b8f8ea095079a04ecc2f9a14ba79a839b18fb2b0cb3da3237eac9645abbeec9"),
+    2: (46, 47, 2_324_476, "92541e6a7d1f1acd4e35a2d8847800d2e1c819ced46f04bde448b24266521f4d",
+        "c603a11214c8d01859f86fa30a2c73b4585ba6239726da3055b73f8052010acd"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_LOSSY_FLOODS))
+def test_lossy_flood_is_pinned(seed):
+    # 17 of the 64 nodes of the 8x8 grid lose every copy to collisions
+    report = simulate_flood(grid_topology(8, 25.0), 27, source=5, seed=seed, collisions=True)
+    sent, reached, completion, tx_digest, rx_digest = PINNED_LOSSY_FLOODS[seed]
+    assert len(report.transmissions) == sent
+    assert len(report.reached) == reached
+    assert report.completion_us == report.source_wait_expiry_us == completion
+    assert hashlib.sha256(repr(report.transmissions).encode()).hexdigest() == tx_digest
+    first_rx = sorted(report.first_rx_us.items())
+    assert hashlib.sha256(repr(first_rx).encode()).hexdigest() == rx_digest

@@ -27,3 +27,26 @@ def test_import_loads_neither_numpy_nor_scipy():
         check=True,
     )
     assert proc.stdout.split() == ["[]", "20", "20", "0.0789"]
+
+
+# sinksim/__init__.py imports the scenario for its own public names, so a bare
+# package object stands in for it: what loads is what energy itself imports.
+ENERGY_PROBE = """
+import sys, types
+package = types.ModuleType("sinksim")
+package.__path__ = [sys.argv[1]]
+sys.modules["sinksim"] = package
+import sinksim.energy
+print(" ".join(sorted(m for m in sys.modules if m.startswith("sinksim."))))
+"""
+
+
+def test_energy_does_not_import_the_scenario():
+    proc = subprocess.run(
+        [sys.executable, "-c", ENERGY_PROBE, str(SRC / "sinksim")],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == ["sinksim.core", "sinksim.energy", "sinksim.radio"]

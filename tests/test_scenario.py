@@ -1,10 +1,14 @@
+import hashlib
 import math
 from statistics import NormalDist
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from sinksim.core import DEFAULT_CONSTANTS
-from sinksim.radio import build_udg, grid_topology
+from sinksim.core import DEFAULT_CONSTANTS, replace_constants
+from sinksim.energy import integrate_timeline
+from sinksim.radio import build_udg, grid_topology, power_table
 from sinksim.routing import HeaderOverflow, init_virtual_coords
 from sinksim.scenario import (
     BS_ID,
@@ -15,6 +19,10 @@ from sinksim.scenario import (
     ScenarioConfig,
     StaticSink,
     WaypointTrack,
+    _base_station_timeline,
+    _fill_gaps,
+    _hearers,
+    _network_bbox,
     _t_quantile,
     diagonal_line,
     discovered_graph,
@@ -236,6 +244,162 @@ def test_isolated_query_node_misses_without_hops():
     assert 4 not in report.phase_times_us
 
 
+def sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# Recorded before the timeline was assembled from per-node buckets with the
+# base-station train built in final form and the hearer scan prefiltered by
+# the bounding box; every output must stay bit for bit.  Segments,
+# transmissions and energies are pinned by count and the SHA-256 of their repr.
+PINNED_ROTATIONS = {
+    # nodes 4 and 8 hear the first request preamble at the same instant; the
+    # one injected first (the lower id) draws the first relay backoff
+    "two-first-hearers": dict(
+        side=4,
+        config=dict(query_node=10, seed=42),
+        phases={
+            1: 144_480, 2: 8_688_480, 3: 9_593_763,
+            4: 10_672_025, 5: 10_672_505, 6: 44_748_000,
+        },
+        path=[10, 9, 8],
+        segments=(660, "ac42f740e19d2010b94cd7a29753fdc9e416c47bf13538e9d4b09e28e0da0c16"),
+        transmissions=(15, "a6a9c739fde53323d288af9a9455ecc711be1bce9bb5fdbe2497c8e54afcee46"),
+        energy="80ecc8c39eeaddb0b0af9569139284aaef659b79e99335d0ef1f767c3308b407",
+    ),
+    "loss-free": dict(
+        side=6,
+        config=dict(query_node=21, seed=3),
+        phases={
+            1: 144_480, 2: 8_688_480, 3: 10_038_926,
+            4: 11_003_960, 5: 11_004_440, 6: 59_748_000,
+        },
+        path=[21, 20, 19, 18],
+        segments=(905, "9c592b1301b6ad147b23e5f5d51e0a5f7da2e1ae5f0be693ff2040555ddb055f"),
+        transmissions=(35, "ac11199015477e6a9507d1f0fea43262e930d28bcc39c0b08068ddbfc9a75215"),
+        energy="362380ccfd06b327b460f6aee8317015d0adc7db937f7c18ae2a79698edbc5ce",
+    ),
+    # six of the 36 nodes lose every copy of the query to collisions
+    "collisions": dict(
+        side=6,
+        config=dict(query_node=28, seed=5, collisions=True),
+        phases={
+            1: 144_480, 2: 8_688_480, 3: 10_601_022,
+            4: 11_635_591, 5: 11_636_071, 6: 59_748_000,
+        },
+        path=[28, 27, 26, 25, 19, 18],
+        segments=(957, "8a5bc8425d76ae88632661ac7a1cf71d17b0cce20b91bcbba39e263392b8f340"),
+        transmissions=(29, "73247b065f4267595ee5eb9fb6bb15ecf6066f651ceeca44e7a88a216ce7af27"),
+        energy="c5b5c6acab70d3998e8ed4f09fc1eecefe147f831386daddad3d87d2d4fb8885",
+    ),
+    "virtual": dict(
+        side=6,
+        config=dict(query_node=21, seed=4, coord_mode="virtual"),
+        phases={
+            1: 144_480, 2: 8_688_480, 3: 10_043_550,
+            4: 11_706_370, 5: 11_706_850, 6: 59_748_000,
+        },
+        path=[21, 20, 26, 25, 31, 30, 24, 18],
+        segments=(1005, "90e03e24b55c63219872cde3e36d31248ed522d56314ed0cae341d5035eebe20"),
+        transmissions=(35, "23036bec0a8eac517e051067a900852a246e10abc84df616ecc59db774140af8"),
+        energy="8cfd9b367f4f0ffd2ac8279abc7d889551ca8a02c96a061ba1270b5b23aedd42",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROTATIONS))
+def test_rotation_outputs_are_pinned(name):
+    pinned = PINNED_ROTATIONS[name]
+    g = grid_topology(pinned["side"], 25.0)
+    config = dict(pinned["config"])
+    if config.get("coord_mode") == "virtual":
+        config["virtual_coords"] = init_virtual_coords(g, config["seed"], ((0, 125), (0, 125)))
+        config["ms_virtual_coord"] = (62.5, 62.5)
+    report = run_scenario(ScenarioConfig(topology=g, **config))
+    assert not report.miss
+    assert report.phase_times_us == pinned["phases"]
+    assert report.horizon_us == pinned["phases"][6]
+    assert report.route.path == pinned["path"]
+    segments = [(s.node, s.state, s.start_us, s.end_us) for s in report.timeline]
+    assert (len(segments), sha256(segments)) == pinned["segments"]
+    transmissions = report.flood.transmissions
+    assert (len(transmissions), sha256(transmissions)) == pinned["transmissions"]
+    energy = integrate_timeline(report.timeline, power_table(-25))
+    assert sha256(sorted(energy.items())) == pinned["energy"]
+
+
+def earlier_base_station_timeline(c, horizon):
+    """The base station's train as it was built before: the preambles through
+    `_fill_gaps` with listening in the gaps, then once more through the idle
+    fill that every node's timeline passes."""
+    polls = []
+    k = 0
+    while k * c.t_dr < horizon:
+        polls.append((k * c.t_dr, min(k * c.t_dr + c.d_drp, horizon), "poll"))
+        k += 1
+    train = _fill_gaps(BS_ID, polls, 0, horizon, "listen")
+    return _fill_gaps(BS_ID, [(s.start_us, s.end_us, s.state) for s in train], 0, horizon, "poll")
+
+
+@pytest.mark.parametrize(
+    "horizon",
+    [
+        0,
+        1_000,  # before the first preamble ends
+        C.d_drp,  # exactly at the first preamble's end
+        3 * C.t_dr + 1_000,  # inside a preamble
+        3 * C.t_dr + C.d_drp + 1_000,  # inside a listen stretch
+        5 * C.t_dr,  # exactly on a period boundary
+        298 * C.t_dr + 12_345,
+    ],
+)
+@pytest.mark.parametrize(
+    "constants",
+    [
+        C,
+        replace_constants(C, d_drp=0),
+        replace_constants(C, d_drp=C.t_dr),
+        replace_constants(C, d_drp=C.t_dr + 70_000),  # preambles overlap
+    ],
+    ids=["default", "no-preamble", "preamble-fills-period", "preambles-overlap"],
+)
+def test_base_station_train_equals_the_gap_filled_one(constants, horizon):
+    train = _base_station_timeline(constants, horizon)
+    assert train == earlier_base_station_timeline(constants, horizon)
+    assert timeline_coverage(train) == ({BS_ID: horizon} if horizon else {})
+
+
+def test_sink_exactly_at_range_diagonally_off_a_corner_is_heard():
+    g = grid_topology(3, 25.0)
+    nodes = sorted(g.positions.items())
+    box = _network_bbox(g)
+    r2 = g.range_m**2
+    # a 15-20-25 triangle off a corner node, outside the box in x and in y
+    assert _hearers(nodes, box, r2, (-15.0, -20.0)) == [0]
+    assert _hearers(nodes, box, r2, (70.0, 65.0)) == [8]
+    assert _hearers(nodes, box, r2, (-15.0, -20.001)) == []
+    assert _hearers(nodes, box, r2, (25.0, -25.0)) == [1]  # below the box, no x offset
+
+
+# whole numbers make exact-range ties (Pythagorean offsets) likely
+COORD = st.integers(-60, 60).map(float) | st.floats(-60.0, 60.0)
+POINT = st.integers(-120, 120).map(float) | st.floats(-120.0, 120.0)
+
+
+@given(
+    positions=st.dictionaries(st.integers(0, 40), st.tuples(COORD, COORD), min_size=1, max_size=12),
+    range_m=st.integers(0, 40).map(float) | st.floats(0.0, 40.0),
+    point=st.tuples(POINT, POINT),
+)
+@example(positions={0: (0.0, 0.0), 1: (10.0, 10.0)}, range_m=5.0, point=(-3.0, -4.0))
+@example(positions={3: (10.0, 10.0), 1: (0.0, 0.0)}, range_m=5.0, point=(14.0, 13.0))
+def test_prefiltered_hearers_equal_the_in_range_scan(positions, range_m, point):
+    topo = build_udg(positions, range_m)
+    expected = [nid for nid in sorted(topo.positions) if topo.in_range(nid, point)]
+    nodes = sorted(topo.positions.items())
+    assert _hearers(nodes, _network_bbox(topo), topo.range_m**2, point) == expected
+
+
 def test_scenario_config_errors():
     with pytest.raises(ConfigError):
         run_scenario(scenario_config(query_node=99))
@@ -359,6 +523,20 @@ def test_random_graph_point_is_pinned(args):
     assert pt.mean_hops == hops
     assert pt.hops_ci95 == hops_ci
     assert pt.miss_ratio == miss
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda: random_graph_point(4, 10, 0, 1), "runs"),
+        (lambda: random_graph_point(4, 10, 20, 1, topologies=0), "topologies"),
+        (lambda: grid_point("edge", 2, 0, 1), "runs"),
+    ],
+    ids=["random-graph-runs", "random-graph-topologies", "grid-runs"],
+)
+def test_sweep_points_reject_an_empty_count(call, argument):
+    with pytest.raises(ValueError, match=argument):
+        call()
 
 
 def test_grid_crossing_reference_band():
