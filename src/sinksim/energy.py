@@ -26,10 +26,10 @@ stretch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Iterable, Union
 
 from .core import US_PER_S, ProtocolConstants, seconds
-from .radio import RadioPowerTable, Segment
+from .radio import RadioPowerTable, Segment, Timeline
 
 MPS_TO_KMH = 3.6
 
@@ -130,20 +130,33 @@ def v_max_network(c: ProtocolConstants, p: RealTimeParams = RealTimeParams()) ->
 
 
 def integrate_timeline(
-    segments: Sequence[Segment], powers: RadioPowerTable
+    timeline: Union[Timeline, Iterable[Segment]], powers: RadioPowerTable
 ) -> Dict[int, float]:
     """Energy per node (mJ) from a radio-state timeline and a power table.
 
-    Raises KeyError for a state the power table does not know.
+    Energy is time in each state times that state's draw.  A `Timeline` view
+    already carries each node's microseconds per state; a plain segment list
+    is first folded into those integer totals.  Each (node, state) total is
+    then priced once.  Raises KeyError for a state the power table does not
+    know.
     """
+    if isinstance(timeline, Timeline):
+        totals = timeline.totals
+    else:
+        totals = {}
+        for seg in timeline:
+            states = totals.get(seg.node)
+            if states is None:
+                states = totals[seg.node] = {}
+            states[seg.state] = states.get(seg.state, 0) + (seg.end_us - seg.start_us)
     energy: Dict[int, float] = {}
     power: Dict[str, float] = {}  # each state's draw, looked up once
-    for seg in segments:
-        state = seg.state
-        p = power.get(state)
-        if p is None:
-            p = power[state] = powers.power_mw(state)
-        node = seg.node
-        # the same float as seconds(duration) * p
-        energy[node] = energy.get(node, 0.0) + (seg.end_us - seg.start_us) / US_PER_S * p
+    for node, states in totals.items():
+        e = 0.0
+        for state, us in states.items():
+            p = power.get(state)
+            if p is None:
+                p = power[state] = powers.power_mw(state)
+            e += us / US_PER_S * p  # the same float as seconds(us) * p
+        energy[node] = e
     return energy

@@ -1,5 +1,5 @@
-"""Topology construction, the measured radio tables and the radio-state
-segment that per-node timelines are made of.
+"""Topology construction, the measured radio tables, and the radio-state
+segment and timeline view that per-node timelines are made of.
 
 Connectivity is a plain unit disk graph: two nodes are neighbors iff their
 Euclidean distance is at most the communication range (equality counts, so a
@@ -10,8 +10,8 @@ ranges are measured hardware values, keyed by transmission power setting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 from .core import NodeId, Position
 
@@ -155,6 +155,28 @@ class Segment:
     state: str
     start_us: int
     end_us: int
+
+
+@dataclass(frozen=True, eq=False)
+class Timeline:
+    """Read-only view of assembled radio timelines, kept as per-state totals.
+
+    `totals` holds each node's microseconds per state and `clipped_us` the
+    active microseconds cut from a node where its spans overlapped (nodes
+    without any are left out).  `len()` is the number of segments, counted
+    during assembly; iterating calls `build` for the segments themselves.
+    """
+
+    totals: Dict[NodeId, Dict[str, int]]
+    clipped_us: Dict[NodeId, int]
+    length: int
+    build: Callable[[], Iterable[Segment]] = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[Segment]:
+        return iter(self.build())
 
 
 @dataclass(frozen=True)

@@ -19,24 +19,27 @@ source routes its answer hop by hop toward the sink; (5) the sink
 acknowledges the data; (6) back at the base station the sink answers the next
 data-request preamble with the data.
 
-Radio activity is recorded as a per-node timeline of (state, start, end)
-segments which partitions each node's simulated time; un-involved stretches
-are the idle sampling state.
+Radio activity partitions each node's simulated time into (state, start,
+end) segments; un-involved stretches are the idle sampling state.  A rotation
+keeps its timelines as a :class:`~sinksim.radio.Timeline` view: each node's
+microseconds per state, added up while the timeline is assembled, with the
+base station's request train priced in closed form.  The segments themselves
+are built only when the view is iterated.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from statistics import NormalDist
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
 from .flood import FloodEngine, FloodReport
 from .mac import ack_backoff
-from .radio import Segment, Topology, build_udg, euclid, grid_topology
+from .radio import Segment, Timeline, Topology, build_udg, euclid, grid_topology
 from .routing import (  # noqa: F401  next_hop_3rule stays bound for bench/tracer.py
     RouteResult,
     VirtualCoords,
@@ -192,7 +195,12 @@ class WaypointTrack:
 def _fill_gaps(
     node: NodeId, active: List[Tuple[int, int, str]], start: int, end: int, idle: str
 ) -> List[Segment]:
-    """Explicit segments for `node` covering [start, end], idle state in gaps."""
+    """Explicit segments for `node` covering [start, end], idle state in gaps.
+
+    Active (start, end, state) spans are taken in sorted order and clipped to
+    [start, end]; one left empty is skipped, and one that starts before the
+    span before it ends keeps only its part after that end.
+    """
     out: List[Segment] = []
     t = start
     for s, e, state in sorted(active):
@@ -200,7 +208,7 @@ def _fill_gaps(
             s = start
         if e > end:
             e = end
-        if e <= t:
+        if e <= s or e <= t:
             continue
         if s > t:
             out.append(Segment(node, idle, t, s))
@@ -212,6 +220,72 @@ def _fill_gaps(
     return out
 
 
+def _span_totals(
+    active: List[Tuple[int, int, str]], start: int, end: int, idle: str
+) -> Tuple[Dict[str, int], int, int]:
+    """What `_fill_gaps` builds, without building it: the microseconds per
+    state, the number of segments, and the active microseconds clipped where
+    spans overlap (each span's part that lies before the end of the spans
+    sorted ahead of it).  Same clipping rules; a state without time is left
+    out.
+    """
+    totals: Dict[str, int] = {}
+    count = clipped = 0
+    t = start
+    for s, e, state in sorted(active):
+        if s < start:
+            s = start
+        if e > end:
+            e = end
+        if e <= s:
+            continue
+        if s < t:
+            if e <= t:
+                clipped += e - s
+                continue
+            clipped += t - s
+            s = t
+        elif s > t:
+            totals[idle] = totals.get(idle, 0) + (s - t)
+            count += 1
+        totals[state] = totals.get(state, 0) + (e - s)
+        count += 1
+        t = e
+    if t < end:
+        totals[idle] = totals.get(idle, 0) + (end - t)
+        count += 1
+    return totals, count, clipped
+
+
+def _base_station_totals(c: ProtocolConstants, horizon: int) -> Tuple[Dict[str, int], int]:
+    """Microseconds per state and segment count of `_base_station_timeline`,
+    in closed form.
+
+    Each full request period polls for min(d_drp, t_dr), the part before the
+    horizon for min(d_drp, rest), and the base station listens for the
+    remainder.  With d_drp = 0 that is one listening stretch.  Otherwise a
+    preamble adds a segment unless the one before it already reached the
+    horizon (with overlapping preambles each ends where the next begins), a
+    listening stretch precedes every later preamble while d_drp < t_dr, and
+    one follows the last preamble if it ends before the horizon.
+    """
+    if horizon <= 0:
+        return {}, 0
+    period, d_drp = c.t_dr, c.d_drp
+    if d_drp == 0:
+        return {"listen": horizon}, 1
+    full, rest = divmod(horizon, period)
+    preambles = full + (rest > 0)  # those starting before the horizon
+    poll = full * min(d_drp, period) + min(d_drp, rest)
+    # the first preamble, then those whose predecessor ends before the horizon
+    polls = 1 + min(preambles - 1, max(0, -((d_drp - horizon) // period)))
+    listens = (preambles - 1 if d_drp < period else 0) + (
+        (preambles - 1) * period + d_drp < horizon
+    )
+    totals = {"listen": horizon - poll, "poll": poll}
+    return {state: us for state, us in totals.items() if us}, polls + listens
+
+
 def _base_station_timeline(c: ProtocolConstants, horizon: int) -> List[Segment]:
     """The base station over [0, horizon]: a data-request preamble (`poll`)
     every t_dr, listening in between.
@@ -219,7 +293,7 @@ def _base_station_timeline(c: ProtocolConstants, horizon: int) -> List[Segment]:
     Built directly in final form, equal for any constants to the preambles
     passed through `_fill_gaps` and then through the idle fill: where
     preambles overlap (d_drp > t_dr) one starts where the one before it ends,
-    and with d_drp = 0 the listening still breaks at every period.
+    and with d_drp = 0 there is no preamble and one listening stretch.
     """
     out: List[Segment] = []
     d_drp = c.d_drp
@@ -228,12 +302,13 @@ def _base_station_timeline(c: ProtocolConstants, horizon: int) -> List[Segment]:
         poll_end = k + d_drp
         if poll_end > horizon:
             poll_end = horizon
+        if poll_end <= k or poll_end <= t:
+            continue
         if k > t:
             out.append(Segment(BS_ID, "listen", t, k))
             t = k
-        if poll_end > t:
-            out.append(Segment(BS_ID, "poll", t, poll_end))
-            t = poll_end
+        out.append(Segment(BS_ID, "poll", t, poll_end))
+        t = poll_end
     if t < horizon:
         out.append(Segment(BS_ID, "listen", t, horizon))
     return out
@@ -294,10 +369,17 @@ def hop_exchange_timeline(
     return segments
 
 
-def timeline_coverage(segments: Sequence[Segment]) -> Dict[NodeId, int]:
-    """Total covered microseconds per node; raises on overlapping segments."""
+def timeline_coverage(timeline: Union[Timeline, Sequence[Segment]]) -> Dict[NodeId, int]:
+    """Total covered microseconds per node.
+
+    A `Timeline` view's state totals are summed per node (its overlaps are
+    counted in `clipped_us`); a plain segment list raises ValueError on
+    overlapping segments.
+    """
+    if isinstance(timeline, Timeline):
+        return {node: sum(states.values()) for node, states in timeline.totals.items()}
     by_node: Dict[NodeId, List[Segment]] = {}
-    for seg in segments:
+    for seg in timeline:
         by_node.setdefault(seg.node, []).append(seg)
     totals = {}
     start_us = attrgetter("start_us")
@@ -342,6 +424,13 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioReport:
+    """Outcome of one rotation over [0, horizon_us].
+
+    `timeline` is a read-only view: each node's microseconds per state and
+    the active time clipped where its spans overlapped, both counted during
+    assembly, and the segment count; iterating it builds the segments.
+    """
+
     config_seed: int
     query_node: NodeId
     phase_times_us: Dict[int, int]
@@ -349,7 +438,7 @@ class ScenarioReport:
     miss: bool
     neighbors: List[NodeId]
     flood: Optional[FloodReport]
-    timeline: List[Segment] = field(default_factory=list)
+    timeline: Timeline
     horizon_us: int = 0
 
 
@@ -562,9 +651,22 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 
     # Base station: request preambles all along, listening in between.  Then
     # every other node, its untracked stretches in the idle sampling state.
-    full = _base_station_timeline(c, horizon)
+    # Only the state totals are added up here; the segments are built when
+    # the view is iterated.
+    bs_totals, length = _base_station_totals(c, horizon)
+    totals = {BS_ID: bs_totals}
+    clipped: Dict[NodeId, int] = {}
     for nid, spans in active.items():
-        full.extend(_fill_gaps(nid, spans, 0, horizon, "poll"))
+        totals[nid], count, cut = _span_totals(spans, 0, horizon, "poll")
+        length += count
+        if cut:
+            clipped[nid] = cut
+
+    def segments() -> List[Segment]:
+        full = _base_station_timeline(c, horizon)
+        for nid, spans in active.items():
+            full.extend(_fill_gaps(nid, spans, 0, horizon, "poll"))
+        return full
 
     return ScenarioReport(
         config_seed=cfg.seed,
@@ -574,7 +676,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         miss=miss,
         neighbors=list(topo.adjacency[cfg.query_node]),
         flood=flood_report,
-        timeline=full,
+        timeline=Timeline(totals, clipped, length, segments),
         horizon_us=horizon,
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -170,6 +171,18 @@ def test_demo_deterministic_outputs(tmp_path, capsys):
     run_cli("demo", "--rotations", "4", "--grid", "3", "--seed", "7", "--out", str(out_b))
     assert (out_a / "rotations.csv").read_bytes() == (out_b / "rotations.csv").read_bytes()
     assert (out_a / "graph.dot").read_bytes() == (out_b / "graph.dot").read_bytes()
+
+
+def test_demo_timeline_csv_is_pinned(tmp_path, capsys):
+    # Recorded while the timeline was still built as a segment list; the
+    # segments the view builds on demand must write the same bytes.
+    out = tmp_path / "demo"
+    assert run_cli("demo", "--grid", "3", "--rotations", "4", "--seed", "7", "--out", str(out)) == 0
+    data = (out / "timeline.csv").read_bytes()
+    assert len(data.splitlines()) == 519
+    assert hashlib.sha256(data).hexdigest() == (
+        "b19bb56e1cb625c687b0e993f7d1b2d0953f76f41f76fe46be5daaa9f3c4093b"
+    )
 
 
 def test_constants_override_via_config(tmp_path):

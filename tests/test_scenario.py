@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sinksim.core import DEFAULT_CONSTANTS, replace_constants
 from sinksim.energy import integrate_timeline
-from sinksim.radio import build_udg, grid_topology, power_table
+from sinksim.radio import RADIO_STATES, Timeline, build_udg, grid_topology, power_table
 from sinksim.routing import HeaderOverflow, init_virtual_coords
 from sinksim.scenario import (
     BS_ID,
@@ -20,9 +20,11 @@ from sinksim.scenario import (
     StaticSink,
     WaypointTrack,
     _base_station_timeline,
+    _base_station_totals,
     _fill_gaps,
     _hearers,
     _network_bbox,
+    _span_totals,
     _t_quantile,
     diagonal_line,
     discovered_graph,
@@ -128,6 +130,22 @@ def test_hop_timeline_merges_overlapping_acks():
     responders = [(1, 1_000), (2, 1_100)]  # ACKs overlap on the air
     segments = hop_exchange_timeline(C, 0, responders, data_target=None, t0=0)
     timeline_coverage(segments)  # must not raise
+
+
+def test_hop_timeline_without_ack_time_has_no_empty_segments():
+    c = replace_constants(C, d_ack=0)
+    segments = hop_exchange_timeline(c, 0, [(1, 2_000), (2, 8_000)], data_target=2, t0=0)
+    assert all(s.end_us > s.start_us for s in segments)
+    # the sender listens through the whole window, the responders sleep
+    # through it, and no ACK leaves a trace
+    assert [(s.state, s.start_us, s.end_us) for s in segments if s.node == 0] == [
+        ("poll", 0, c.d_rrp),
+        ("listen", c.d_rrp, c.d_rrp + c.w_rr),
+        ("tx", c.d_rrp + c.w_rr, c.d_rrp + c.w_rr + c.d_data),
+    ]
+    assert not any(s.state == "tx" for s in segments if s.node != 0)
+    window = c.d_rrp + c.w_rr + c.d_data
+    assert timeline_coverage(segments) == {0: window, 1: window, 2: window}
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +270,8 @@ def sha256(value) -> str:
 # base-station train built in final form and the hearer scan prefiltered by
 # the bounding box; every output must stay bit for bit.  Segments,
 # transmissions and energies are pinned by count and the SHA-256 of their repr.
+# The energies were recorded again once they were priced from per-state
+# totals rather than summed segment by segment, which moves their last bits.
 PINNED_ROTATIONS = {
     # nodes 4 and 8 hear the first request preamble at the same instant; the
     # one injected first (the lower id) draws the first relay backoff
@@ -265,7 +285,7 @@ PINNED_ROTATIONS = {
         path=[10, 9, 8],
         segments=(660, "ac42f740e19d2010b94cd7a29753fdc9e416c47bf13538e9d4b09e28e0da0c16"),
         transmissions=(15, "a6a9c739fde53323d288af9a9455ecc711be1bce9bb5fdbe2497c8e54afcee46"),
-        energy="80ecc8c39eeaddb0b0af9569139284aaef659b79e99335d0ef1f767c3308b407",
+        energy="c3b43bb7a9034005e4d0edc58336f544176136ef46eca2cc383489f508603719",
     ),
     "loss-free": dict(
         side=6,
@@ -277,7 +297,7 @@ PINNED_ROTATIONS = {
         path=[21, 20, 19, 18],
         segments=(905, "9c592b1301b6ad147b23e5f5d51e0a5f7da2e1ae5f0be693ff2040555ddb055f"),
         transmissions=(35, "ac11199015477e6a9507d1f0fea43262e930d28bcc39c0b08068ddbfc9a75215"),
-        energy="362380ccfd06b327b460f6aee8317015d0adc7db937f7c18ae2a79698edbc5ce",
+        energy="890bc919cf25e6a77a722c75063e198a5ab6ec0fde46fb483902ce28255a94d8",
     ),
     # six of the 36 nodes lose every copy of the query to collisions
     "collisions": dict(
@@ -290,7 +310,7 @@ PINNED_ROTATIONS = {
         path=[28, 27, 26, 25, 19, 18],
         segments=(957, "8a5bc8425d76ae88632661ac7a1cf71d17b0cce20b91bcbba39e263392b8f340"),
         transmissions=(29, "73247b065f4267595ee5eb9fb6bb15ecf6066f651ceeca44e7a88a216ce7af27"),
-        energy="c5b5c6acab70d3998e8ed4f09fc1eecefe147f831386daddad3d87d2d4fb8885",
+        energy="5226694f75dce2b1626bfa18c2542f6878f68241d1fb19d93af2e764b1e90a85",
     ),
     "virtual": dict(
         side=6,
@@ -302,20 +322,25 @@ PINNED_ROTATIONS = {
         path=[21, 20, 26, 25, 31, 30, 24, 18],
         segments=(1005, "90e03e24b55c63219872cde3e36d31248ed522d56314ed0cae341d5035eebe20"),
         transmissions=(35, "23036bec0a8eac517e051067a900852a246e10abc84df616ecc59db774140af8"),
-        energy="8cfd9b367f4f0ffd2ac8279abc7d889551ca8a02c96a061ba1270b5b23aedd42",
+        energy="a9728a58fc9a11d9489a1bc4cdccfa19fb1a8b9e02daf2b9f954012a447c9e6e",
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_ROTATIONS))
-def test_rotation_outputs_are_pinned(name):
+def run_pinned(name):
     pinned = PINNED_ROTATIONS[name]
     g = grid_topology(pinned["side"], 25.0)
     config = dict(pinned["config"])
     if config.get("coord_mode") == "virtual":
         config["virtual_coords"] = init_virtual_coords(g, config["seed"], ((0, 125), (0, 125)))
         config["ms_virtual_coord"] = (62.5, 62.5)
-    report = run_scenario(ScenarioConfig(topology=g, **config))
+    return run_scenario(ScenarioConfig(topology=g, **config))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROTATIONS))
+def test_rotation_outputs_are_pinned(name):
+    pinned = PINNED_ROTATIONS[name]
+    report = run_pinned(name)
     assert not report.miss
     assert report.phase_times_us == pinned["phases"]
     assert report.horizon_us == pinned["phases"][6]
@@ -326,6 +351,46 @@ def test_rotation_outputs_are_pinned(name):
     assert (len(transmissions), sha256(transmissions)) == pinned["transmissions"]
     energy = integrate_timeline(report.timeline, power_table(-25))
     assert sha256(sorted(energy.items())) == pinned["energy"]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROTATIONS))
+def test_timeline_view_agrees_with_its_segments(name):
+    report = run_pinned(name)
+    view = report.timeline
+    assert isinstance(view, Timeline)
+    segments = list(view)
+    assert len(view) == len(segments)
+    assert view.clipped_us == {}
+    assert timeline_coverage(view) == timeline_coverage(segments)
+    for dbm in (0, -25):
+        powers = power_table(dbm)
+        by_segment = {}
+        for s in segments:
+            by_segment[s.node] = by_segment.get(s.node, 0.0) + (
+                (s.end_us - s.start_us) / 1e6 * powers.power_mw(s.state)
+            )
+        energy = integrate_timeline(view, powers)
+        assert energy.keys() == by_segment.keys()
+        for node, e in energy.items():
+            assert e == pytest.approx(by_segment[node], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "query, seed, clipped",
+    [
+        # node 49 is still relaying the flood when node 48's delivering hop
+        # exchange, in which 49 is a responder, begins: its relay and its
+        # sleep in the exchange overlap by 53,707 us
+        (48, 48, {49: 53_707}),
+        (47, 47, {}),
+    ],
+)
+def test_overlapping_active_spans_are_counted(query, seed, clipped):
+    g = grid_topology(12, 25.0)
+    report = run_scenario(ScenarioConfig(topology=g, query_node=query, seed=seed))
+    assert report.timeline.clipped_us == clipped
+    coverage = timeline_coverage(report.timeline)
+    assert set(coverage.values()) == {report.horizon_us}
 
 
 def earlier_base_station_timeline(c, horizon):
@@ -341,7 +406,7 @@ def earlier_base_station_timeline(c, horizon):
     return _fill_gaps(BS_ID, [(s.start_us, s.end_us, s.state) for s in train], 0, horizon, "poll")
 
 
-@pytest.mark.parametrize(
+TRAIN_HORIZONS = pytest.mark.parametrize(
     "horizon",
     [
         0,
@@ -353,7 +418,7 @@ def earlier_base_station_timeline(c, horizon):
         298 * C.t_dr + 12_345,
     ],
 )
-@pytest.mark.parametrize(
+TRAIN_CONSTANTS = pytest.mark.parametrize(
     "constants",
     [
         C,
@@ -363,10 +428,54 @@ def earlier_base_station_timeline(c, horizon):
     ],
     ids=["default", "no-preamble", "preamble-fills-period", "preambles-overlap"],
 )
+
+
+@TRAIN_HORIZONS
+@TRAIN_CONSTANTS
 def test_base_station_train_equals_the_gap_filled_one(constants, horizon):
     train = _base_station_timeline(constants, horizon)
     assert train == earlier_base_station_timeline(constants, horizon)
     assert timeline_coverage(train) == ({BS_ID: horizon} if horizon else {})
+
+
+def state_totals(segments):
+    totals = {}
+    for s in segments:
+        totals[s.state] = totals.get(s.state, 0) + s.end_us - s.start_us
+    return totals
+
+
+@TRAIN_HORIZONS
+@TRAIN_CONSTANTS
+def test_base_station_totals_equal_the_built_train(constants, horizon):
+    train = _base_station_timeline(constants, horizon)
+    assert _base_station_totals(constants, horizon) == (state_totals(train), len(train))
+
+
+SPAN = st.tuples(st.integers(-50, 450), st.integers(0, 120), st.sampled_from(RADIO_STATES))
+
+
+@given(
+    spans=st.lists(SPAN, max_size=12),
+    start=st.integers(-20, 100),
+    length=st.integers(0, 300),
+)
+@example(spans=[(10, 0, "rx"), (40, 0, "tx")], start=0, length=100)  # zero-length, after the cursor
+@example(spans=[(0, 50, "poll"), (20, 50, "tx"), (30, 10, "rx")], start=0, length=100)
+@example(spans=[(-30, 20, "rx"), (90, 40, "tx"), (150, 5, "tx")], start=0, length=100)
+def test_span_totals_equal_the_filled_segments(spans, start, length):
+    end = start + length
+    active = [(s, s + d, state) for s, d, state in spans]
+    segments = _fill_gaps(7, active, start, end, "idle")  # an idle state no span has
+    assert all(s.end_us > s.start_us for s in segments)
+    # the clipped time is the active time inside [start, end] that no segment kept
+    inside = sum(max(0, min(e, end) - max(s, start)) for s, e, _ in active)
+    kept = sum(s.end_us - s.start_us for s in segments if s.state != "idle")
+    assert _span_totals(active, start, end, "idle") == (
+        state_totals(segments),
+        len(segments),
+        inside - kept,
+    )
 
 
 def test_sink_exactly_at_range_diagonally_off_a_corner_is_heard():
