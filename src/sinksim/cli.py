@@ -262,9 +262,8 @@ def cmd_route_sim(args) -> int:
         speeds = _parse_number_list(args.speeds) if args.speeds else [0, 10, 25, 50]
         for degree in degrees:
             for speed in speeds:
-                pt = random_graph_point(
-                    degree, speed, args.runs, args.seed + int(degree) * 1000 + int(speed)
-                )
+                # seed by degree only: speeds are compared on paired replications
+                pt = random_graph_point(degree, speed, args.runs, args.seed + int(degree) * 1000)
                 rows.append(
                     (
                         pt.mobility,

@@ -216,8 +216,12 @@ def route(
     Raises HeaderOverflow when the traversed list outgrows the DATA payload.
     """
     limit = round_limit if round_limit is not None else 4 * len(topology)
-    header = RouteHeader(traversed=[], dest_coord=sink_coord or sink.position)
-    snapshot = sink.position
+    positions = topology.positions
+    r2 = topology.range_m**2  # the pair test is the expression of Topology.in_range
+    pos = sink.position
+    header = RouteHeader(traversed=[], dest_coord=sink_coord or pos)
+    traversed = header.traversed
+    snapshot = pos
     ever_moved = False
     current = source
     path = [source]
@@ -226,55 +230,59 @@ def route(
     rounds = 0
     traversed_set = set()
 
-    def record(node: NodeId) -> None:
-        if node not in traversed_set:
-            if len(header.traversed) >= MAX_ADDRESS_COUNT:
-                raise HeaderOverflow(f"traversed list would exceed {MAX_ADDRESS_COUNT} ids")
-            header.traversed.append(node)
-            traversed_set.add(node)
-
     while True:
         if getattr(sink, "departed", False):
             return RouteResult(False, hops, restarts, path, "missed", rounds)
         if rounds >= limit:
             return RouteResult(False, hops, restarts, path, "missed", rounds)
-        restarted_this_round = False
-        while True:
+        pos = sink.position
+        x, y = positions[current]
+        adjacent = (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2
+        action = next_hop_3rule(
+            current,
+            header,
+            topology,
+            coords,
+            visited=traversed_set,
+            sink_adjacent=adjacent,
+            sink_moved=pos != snapshot,
+            source=source,
+        )
+        if action.kind == "restart":
+            restarts += 1
+            traversed.clear()
+            traversed_set.clear()
+            header.dest_coord = sink_coord or pos
+            snapshot = pos
+            # Decide again from the fresh header, in the same round.
             action = next_hop_3rule(
                 current,
                 header,
                 topology,
                 coords,
                 visited=traversed_set,
-                sink_adjacent=topology.in_range(current, sink.position),
-                sink_moved=sink.position != snapshot,
+                sink_adjacent=adjacent,
+                sink_moved=False,
                 source=source,
             )
-            if action.kind == "restart" and not restarted_this_round:
-                restarts += 1
-                restarted_this_round = True
-                header.traversed.clear()
-                traversed_set.clear()
-                header.dest_coord = sink_coord or sink.position
-                snapshot = sink.position
-                continue
-            break
+        kind = action.kind
         if on_round is not None:
             on_round(current, action, header)
-        if action.kind == "deliver":
+        if kind == "deliver":
             return RouteResult(True, hops, restarts, path, "delivered", rounds)
-        if action.kind in ("forward", "backtrack"):
-            record(current)
+        if kind == "forward" or kind == "backtrack":
+            if current not in traversed_set:
+                if len(traversed) >= MAX_ADDRESS_COUNT:
+                    raise HeaderOverflow(f"traversed list would exceed {MAX_ADDRESS_COUNT} ids")
+                traversed.append(current)
+                traversed_set.add(current)
             current = action.target
             path.append(current)
             hops += 1
-        elif action.kind in ("fail", "restart"):
-            # restart here means: restarted already this round and still stuck
-            if not ever_moved:
-                return RouteResult(False, hops, restarts, path, "failed", rounds)
-            # stuck but the sink moves: wait this round out
-        before = sink.position
+        elif not ever_moved:
+            return RouteResult(False, hops, restarts, path, "failed", rounds)
+        # else stuck but the sink moves: wait this round out
         sink.step()
-        if sink.position != before:
+        if not ever_moved and sink.position != pos:
             ever_moved = True
         rounds += 1

@@ -890,6 +890,61 @@ def _component_labels(adjacency: Dict[NodeId, Tuple[NodeId, ...]]) -> List[int]:
     return label
 
 
+# One replication's speed-free draws: (topology, source, sink start, track
+# seed, coordinate seed).
+_Replication = Tuple[Topology, NodeId, Position, int, int]
+
+# The one set-up kept between calls, keyed by every argument that decides its
+# draws.  Sweeps walk all speeds of one degree in a row, so one entry serves
+# them; it is emptied before a new set-up is drawn, so that two set-ups are
+# never alive at once.
+_SETUP_CACHE: Dict[tuple, List[_Replication]] = {}
+
+
+def _random_graph_setup(
+    n: int, runs: int, seed: int, field: float, range_m: float, topologies: int
+) -> List[_Replication]:
+    """The replications of a point, drawn or reused from the last call.
+
+    Every topology's positions are drawn, so that the stream stays the same,
+    but only those a replication uses are built.
+    """
+    key = (n, runs, seed, field, range_m, topologies)
+    reps = _SETUP_CACHE.get(key)
+    if reps is not None:
+        return reps
+    _SETUP_CACHE.clear()
+    rng = random.Random(seed)
+    # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
+    draw = rng.random
+    topos = []
+    for t in range(topologies):
+        positions = {i: (field * draw(), field * draw()) for i in range(n)}
+        if t < runs:  # replication i uses topology i % topologies
+            topo = build_udg(positions, range_m)
+            topos.append((topo, _component_labels(topo.adjacency)))
+
+    r2 = float(range_m) ** 2
+    reps = []
+    for i in range(runs):
+        topo, label = topos[i % topologies]
+        # Redraw the sink until some node is in range of it; the source is
+        # then uniform over the components of the nodes in range.
+        while True:
+            sx, sy = field * draw(), field * draw()
+            heard = {
+                label[nid]
+                for nid, (x, y) in topo.positions.items()
+                if (x - sx) ** 2 + (y - sy) ** 2 <= r2
+            }
+            if heard:
+                break
+        source = rng.choice([nid for nid in range(n) if label[nid] in heard])
+        reps.append((topo, source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31)))
+    _SETUP_CACHE[key] = reps
+    return reps
+
+
 def random_graph_point(
     degree: float,
     speed: float,
@@ -913,49 +968,30 @@ def random_graph_point(
     The same `seed` re-draws the same topologies, sources, coordinates and
     sink tracks for every speed, so points that differ only in speed are
     paired: speed scales the per-round drift of an otherwise identical run.
+    Consecutive calls with the same node count, `runs`, `seed`, `field`,
+    `range_m` and `topologies` reuse the set-up the first one drew and only
+    walk again; the results are those of a fresh draw.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
     if topologies < 1:
         raise ValueError(f"topologies must be >= 1, got {topologies!r}")
-    rng = random.Random(seed)
-    # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
-    draw = rng.random
+    if not field > 0:
+        raise ValueError(f"field must be > 0, got {field!r}")
+    if not range_m > 0:
+        raise ValueError(f"range_m must be > 0, got {range_m!r}")
     n = nodes_for_degree(degree, field, range_m)
-    topos = []
-    for _ in range(topologies):
-        positions = {i: (field * draw(), field * draw()) for i in range(n)}
-        topo = build_udg(positions, range_m)
-        topos.append((topo, _component_labels(topo.adjacency)))
+    reps = _random_graph_setup(n, runs, seed, field, range_m, topologies)
 
-    r2 = float(range_m) ** 2
+    bounds = ((0, field), (0, field))
+    sink_coord = (field / 2, field / 2)
     restarts: List[float] = []
     hops: List[float] = []
     missed = 0
-    for i in range(runs):
-        topo, label = topos[i % len(topos)]
-        # Redraw the sink until some node is in range of it; the source is
-        # then uniform over the components of the nodes in range.
-        while True:
-            sx, sy = field * draw(), field * draw()
-            heard = {
-                label[nid]
-                for nid, (x, y) in topo.positions.items()
-                if (x - sx) ** 2 + (y - sy) ** 2 <= r2
-            }
-            if heard:
-                break
-        source = rng.choice([nid for nid in range(n) if label[nid] in heard])
-        track = BounceTrack((sx, sy), speed, field, seed=rng.randrange(2**31))
-        vc = init_virtual_coords(topo, rng.randrange(2**31), ((0, field), (0, field)))
-        res = route(
-            topo,
-            vc.coords,
-            source,
-            track,
-            sink_coord=(field / 2, field / 2),
-            round_limit=n,
-        )
+    for topo, source, start, track_seed, vc_seed in reps:
+        track = BounceTrack(start, speed, field, seed=track_seed)
+        vc = init_virtual_coords(topo, vc_seed, bounds)
+        res = route(topo, vc.coords, source, track, sink_coord=sink_coord, round_limit=n)
         restarts.append(res.restarts)
         if res.delivered:
             hops.append(res.hops)

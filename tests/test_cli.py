@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sinksim.cli import load_constants, main
+from sinksim.scenario import random_graph_point
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -136,6 +137,22 @@ def test_route_sim_grid_preset(tmp_path, capsys):
     rows = (out / "summary.csv").read_text().splitlines()
     assert rows[0].startswith("mobility,speed_per_round")
     assert len(rows) == 5  # header + 2 mobilities x 2 speeds
+
+
+def test_route_sim_random_graph_pairs_speeds(tmp_path, capsys):
+    # Every speed of one degree runs on the same seed, so speeds are compared
+    # on paired replications, as in random_graph_point's own sweep.
+    out = tmp_path / "rg"
+    assert run_cli(
+        "route-sim", "--preset", "random-graph", "--runs", "40", "--degrees", "4",
+        "--speeds", "0,25", "--seed", "2", "--out", str(out),
+    ) == 0
+    rows = [row.split(",") for row in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    for row, speed in zip(rows, (0, 25)):
+        pt = random_graph_point(4, speed, 40, 2 + 4 * 1000)
+        expected = (pt.mean_restarts, pt.restarts_ci95, pt.mean_hops, pt.hops_ci95, pt.miss_ratio)
+        assert row[3:] == [f"{value:.6g}" for value in expected]
 
 
 def test_flood_sim_outputs(tmp_path, capsys):

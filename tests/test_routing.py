@@ -212,6 +212,31 @@ def test_exhausted_static_search_fails():
     assert res.outcome == "failed"
 
 
+class _MovesOnceSink:
+    """Steps once from its first position to its second, then stays."""
+
+    def __init__(self, first, second):
+        self.position = first
+        self._second = second
+        self.departed = False
+
+    def step(self):
+        self.position = self._second
+
+
+def test_exhausted_search_waits_once_the_sink_has_moved():
+    # The sink moves once, far out of reach: the walk restarts on that move,
+    # exhausts the chain again against the new snapshot and then waits the
+    # remaining rounds out instead of failing.
+    topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, 25.0)
+    sink = _MovesOnceSink((500.0, 500.0), (600.0, 600.0))
+    res = route(topo, topo.positions, 0, sink, round_limit=10)
+    assert res.outcome == "missed"
+    assert res.rounds == 10
+    assert res.restarts == 1
+    assert res.path == [0, 1, 0, 1, 0]
+
+
 def test_round_limit_counts_as_miss():
     g = grid_topology(5, 25.0)
     track = BounceTrack((500.0, 500.0), 5.0, 1000.0, seed=3)  # far away, roams

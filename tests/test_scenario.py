@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sinksim import scenario
 from sinksim.core import DEFAULT_CONSTANTS, replace_constants
 from sinksim.energy import integrate_timeline
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, grid_topology, power_table
@@ -611,8 +612,14 @@ def test_random_graph_point_smoke():
 
 
 # Recorded from the all-pairs topology build with a per-replication component
-# BFS; the sweep must reproduce every field bit for bit.
+# BFS; the sweep must reproduce every field bit for bit.  The 30-run point,
+# fewer runs than the 50 topologies, was recorded while every topology was
+# still built.
 PINNED_RANDOM_GRAPH_POINTS = {
+    (4, 50, 30, 1): (
+        0.26666666666666666, 0.5453945712353937, 2.6538461538461537, 1.754814268023123,
+        0.13333333333333333,
+    ),
     (7, 25, 60, 3): (0.0, 0.0, 17.107142857142858, 4.26612581848308, 0.06666666666666667),
     (4, 0, 60, 3): (0.0, 0.0, 4.431034482758621, 1.5777057368664746, 0.03333333333333333),
     (4, 50, 60, 3): (
@@ -634,14 +641,61 @@ def test_random_graph_point_is_pinned(args):
     assert pt.miss_ratio == miss
 
 
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_random_graph_points_hold_from_a_cold_cache(order):
+    scenario._SETUP_CACHE.clear()
+    for args in sorted(PINNED_RANDOM_GRAPH_POINTS, reverse=order == "reversed"):
+        pt = random_graph_point(*args)
+        fields = (pt.mean_restarts, pt.restarts_ci95, pt.mean_hops, pt.hops_ci95, pt.miss_ratio)
+        assert fields == PINNED_RANDOM_GRAPH_POINTS[args]
+        assert len(scenario._SETUP_CACHE) == 1
+
+
+def test_random_graph_set_up_reuse_matches_a_fresh_draw():
+    # Each call differs from the one before it in one argument; the fields
+    # and ranges chosen keep the node count of the default 1000 m / 200 m.
+    wide = {"field": 1005.0}
+    calls = [
+        ((4, 10, 30, 5), {}),
+        ((4, 50, 30, 5), {}),  # speed: the set-up is reused
+        ((4, 50, 12, 5), {}),  # runs, fewer than topologies: only 12 are built
+        ((4, 50, 12, 6), {}),  # seed
+        ((4, 50, 12, 6), wide),  # field
+        ((4, 50, 12, 6), {**wide, "range_m": 201.0}),  # range
+        ((7, 50, 12, 6), {**wide, "range_m": 201.0}),  # degree
+        ((7, 50, 12, 6), {**wide, "range_m": 201.0, "topologies": 3}),  # topologies
+        ((7, 0, 12, 6), {**wide, "range_m": 201.0, "topologies": 3}),
+        ((4, 25, 30, 5), {}),  # back to the first set-up
+    ]
+    interleaved = []
+    for args, kwargs in calls:
+        interleaved.append(random_graph_point(*args, **kwargs))
+        assert len(scenario._SETUP_CACHE) == 1
+    for (args, kwargs), pt in zip(calls, interleaved):
+        scenario._SETUP_CACHE.clear()
+        assert random_graph_point(*args, **kwargs) == pt
+
+
 @pytest.mark.parametrize(
     "call, argument",
     [
         (lambda: random_graph_point(4, 10, 0, 1), "runs"),
         (lambda: random_graph_point(4, 10, 20, 1, topologies=0), "topologies"),
+        (lambda: random_graph_point(4, 10, 20, 1, field=0), "field"),
+        (lambda: random_graph_point(4, 10, 20, 1, field=-1000.0), "field"),
+        (lambda: random_graph_point(4, 10, 20, 1, range_m=0), "range_m"),
+        (lambda: random_graph_point(4, 10, 20, 1, range_m=-200.0), "range_m"),
         (lambda: grid_point("edge", 2, 0, 1), "runs"),
     ],
-    ids=["random-graph-runs", "random-graph-topologies", "grid-runs"],
+    ids=[
+        "random-graph-runs",
+        "random-graph-topologies",
+        "random-graph-zero-field",
+        "random-graph-negative-field",
+        "random-graph-zero-range",
+        "random-graph-negative-range",
+        "grid-runs",
+    ],
 )
 def test_sweep_points_reject_an_empty_count(call, argument):
     with pytest.raises(ValueError, match=argument):
