@@ -255,11 +255,21 @@ def cmd_route_sim(args) -> int:
         raise SystemExit(f"error: unknown preset {args.preset!r}; choose from {presets}")
     if args.runs < 1:
         raise SystemExit(f"error: --runs must be at least 1, got {args.runs}")
-    _write_manifest(out, "route-sim", vars(args))
-    rows = []
     if args.preset == "random-graph":
         degrees = _parse_number_list(args.degrees) if args.degrees else [4, 5, 6, 7, 8, 9, 10]
         speeds = _parse_number_list(args.speeds) if args.speeds else [0, 10, 25, 50]
+    else:
+        speeds = _parse_number_list(args.speeds) if args.speeds else [1, 2, 3, 4, 6, 8]
+        degrees = []
+    for speed in speeds:
+        if not 0 <= speed < math.inf:
+            raise SystemExit(f"error: --speeds must be finite and >= 0, got {speed}")
+    for degree in degrees:
+        if not 0 < degree < math.inf:
+            raise SystemExit(f"error: --degrees must be finite and > 0, got {degree}")
+    _write_manifest(out, "route-sim", vars(args))
+    rows = []
+    if args.preset == "random-graph":
         for degree in degrees:
             for speed in speeds:
                 # seed by degree only: speeds are compared on paired replications
@@ -278,7 +288,6 @@ def cmd_route_sim(args) -> int:
                 )
     else:
         mobilities = ("edge", "diagonal") if args.mobility == "both" else (args.mobility,)
-        speeds = _parse_number_list(args.speeds) if args.speeds else [1, 2, 3, 4, 6, 8]
         for mobility in mobilities:
             for speed in speeds:
                 pt = grid_point(

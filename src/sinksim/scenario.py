@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
 from .flood import FloodEngine, FloodReport
+from .forkmap import split_map
 from .mac import ack_backoff
 from .radio import Segment, Timeline, Topology, build_udg, euclid, grid_topology
 from .routing import (  # noqa: F401  next_hop_3rule stays bound for bench/tracer.py
@@ -68,12 +69,18 @@ class StaticSink:
         pass
 
 
+def _check_speed(speed: float) -> None:
+    if not 0.0 <= speed < math.inf:
+        raise ValueError(f"speed must be finite and >= 0, got {speed!r}")
+
+
 class BounceTrack:
     """Random drift bouncing off the field borders like a billiard ball.
 
     Each round both coordinates advance by independent uniform draws in
     [0, speed_max] along the current diagonal direction; hitting a border
-    flips that direction component.
+    flips that direction component.  A speed that is negative or not finite
+    raises ValueError.
     """
 
     def __init__(
@@ -83,6 +90,7 @@ class BounceTrack:
         field_size: float = 1000.0,
         seed: int = 0,
     ):
+        _check_speed(speed_max)
         self.position = (float(position[0]), float(position[1]))
         self.speed_max = float(speed_max)
         self.field_size = float(field_size)
@@ -945,6 +953,25 @@ def _random_graph_setup(
     return reps
 
 
+# One replication's outcome: (restarts, hops, or None when not delivered).
+_Outcome = Tuple[int, Optional[int]]
+
+
+def _outcome(res: RouteResult) -> _Outcome:
+    return res.restarts, res.hops if res.delivered else None
+
+
+def _sweep_point(
+    mobility: str, speed: float, degree: Optional[float], outcomes: List[_Outcome]
+) -> SweepPoint:
+    restarts: List[float] = [r for r, _ in outcomes]
+    hops: List[float] = [h for _, h in outcomes if h is not None]
+    runs = len(outcomes)
+    rm, rci = mean_ci(restarts)
+    hm, hci = mean_ci(hops)
+    return SweepPoint(mobility, speed, degree, runs, rm, rci, hm, hci, (runs - len(hops)) / runs)
+
+
 def random_graph_point(
     degree: float,
     speed: float,
@@ -954,6 +981,7 @@ def random_graph_point(
     field: float = RANDOM_FIELD_M,
     range_m: float = RANDOM_RANGE_M,
     topologies: int = 50,
+    workers: Optional[int] = None,
 ) -> SweepPoint:
     """One point of the random-graph sweep.
 
@@ -971,6 +999,12 @@ def random_graph_point(
     Consecutive calls with the same node count, `runs`, `seed`, `field`,
     `range_m` and `topologies` reuse the set-up the first one drew and only
     walk again; the results are those of a fresh draw.
+
+    The set-up is drawn in the calling process; the walks then run in
+    contiguous slices over `workers` processes, all but the first forked
+    (:func:`sinksim.forkmap.split_map`).  ``None`` takes the CPUs available,
+    with at least 100 replications per worker.  The point is bit-identical
+    for any worker count.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
@@ -980,26 +1014,20 @@ def random_graph_point(
         raise ValueError(f"field must be > 0, got {field!r}")
     if not range_m > 0:
         raise ValueError(f"range_m must be > 0, got {range_m!r}")
+    _check_speed(speed)
     n = nodes_for_degree(degree, field, range_m)
     reps = _random_graph_setup(n, runs, seed, field, range_m, topologies)
 
     bounds = ((0, field), (0, field))
     sink_coord = (field / 2, field / 2)
-    restarts: List[float] = []
-    hops: List[float] = []
-    missed = 0
-    for topo, source, start, track_seed, vc_seed in reps:
+
+    def walk(rep: _Replication) -> _Outcome:
+        topo, source, start, track_seed, vc_seed = rep
         track = BounceTrack(start, speed, field, seed=track_seed)
         vc = init_virtual_coords(topo, vc_seed, bounds)
-        res = route(topo, vc.coords, source, track, sink_coord=sink_coord, round_limit=n)
-        restarts.append(res.restarts)
-        if res.delivered:
-            hops.append(res.hops)
-        else:
-            missed += 1
-    rm, rci = mean_ci(restarts)
-    hm, hci = mean_ci(hops)
-    return SweepPoint("bounce", speed, degree, runs, rm, rci, hm, hci, missed / runs)
+        return _outcome(route(topo, vc.coords, source, track, sink_coord=sink_coord, round_limit=n))
+
+    return _sweep_point("bounce", speed, degree, split_map(walk, reps, workers))
 
 
 def grid_point(
@@ -1009,6 +1037,7 @@ def grid_point(
     seed: int,
     *,
     coord_mode: str = "virtual",
+    workers: Optional[int] = None,
 ) -> SweepPoint:
     """One point of the regular-grid crossing sweep.
 
@@ -1018,53 +1047,57 @@ def grid_point(
     replication and aims at the sink's fixed virtual coordinate in the field
     center; physical mode routes on the true positions with a snapshot of the
     sink's position as destination.
+
+    Each replication's source and coordinate seed are drawn up front, in the
+    order of a serial sweep; the walks then run in `workers` slices as in
+    :func:`random_graph_point`, and the point is bit-identical for any
+    worker count.
     """
     if mobility not in ("edge", "diagonal"):
         raise ValueError("grid mobility must be 'edge' or 'diagonal'")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
+    _check_speed(speed)
     rng = random.Random(seed)
     g = grid_topology(GRID_SIDE, GRID_SPACING_M)
     make_track = edge_line if mobility == "edge" else diagonal_line
-
-    restarts: List[float] = []
-    hops: List[float] = []
-    missed = 0
+    virtual = coord_mode == "virtual"
+    draws = []  # (source, coordinate seed or None)
     for _ in range(runs):
         source = rng.randrange(len(g))
+        draws.append((source, rng.randrange(2**31) if virtual else None))
+
+    def walk(draw: Tuple[NodeId, Optional[int]]) -> _Outcome:
+        source, vc_seed = draw
         track = make_track(GRID_FIELD_M, speed)
-        if coord_mode == "virtual":
-            vc = init_virtual_coords(
-                g, rng.randrange(2**31), ((0, GRID_FIELD_M), (0, GRID_FIELD_M))
-            )
-            res = route(g, vc.coords, source, track, sink_coord=GRID_SINK_VCOORD)
-        else:
-            res = route(g, g.positions, source, track)
-        restarts.append(res.restarts)
-        if res.delivered:
-            hops.append(res.hops)
-        else:
-            missed += 1
-    rm, rci = mean_ci(restarts)
-    hm, hci = mean_ci(hops)
-    return SweepPoint(mobility, speed, None, runs, rm, rci, hm, hci, missed / runs)
+        if vc_seed is not None:
+            vc = init_virtual_coords(g, vc_seed, ((0, GRID_FIELD_M), (0, GRID_FIELD_M)))
+            return _outcome(route(g, vc.coords, source, track, sink_coord=GRID_SINK_VCOORD))
+        return _outcome(route(g, g.positions, source, track))
+
+    return _sweep_point(mobility, speed, None, split_map(walk, draws, workers))
 
 
-def grid_crossing_hops(runs: int, seed: int) -> Tuple[float, float]:
+def grid_crossing_hops(
+    runs: int, seed: int, *, workers: Optional[int] = None
+) -> Tuple[float, float]:
     """Delivered-only mean hop count of the reference grid crossing.
 
     Pools edge and diagonal crossings at the reference per-round speed over
-    per-replication random virtual coordinates; returns (mean, ci95).
+    per-replication random virtual coordinates; returns (mean, ci95).  The
+    sources and coordinate seeds are drawn up front and the walks split
+    across `workers` as in :func:`grid_point`, bit-identical for any count.
     """
     rng = random.Random(seed)
     g = grid_topology(GRID_SIDE, GRID_SPACING_M)
-    hops: List[float] = []
-    for i in range(runs):
-        source = rng.randrange(len(g))
+    draws = [(rng.randrange(len(g)), rng.randrange(2**31)) for _ in range(runs)]
+
+    def walk(i: int) -> _Outcome:
+        source, vc_seed = draws[i]
         make_track = edge_line if i % 2 == 0 else diagonal_line
         track = make_track(GRID_FIELD_M, GRID_CROSSING_SPEED)
-        vc = init_virtual_coords(g, rng.randrange(2**31), ((0, GRID_FIELD_M), (0, GRID_FIELD_M)))
-        res = route(g, vc.coords, source, track, sink_coord=GRID_SINK_VCOORD)
-        if res.delivered:
-            hops.append(res.hops)
-    return mean_ci(hops)
+        vc = init_virtual_coords(g, vc_seed, ((0, GRID_FIELD_M), (0, GRID_FIELD_M)))
+        return _outcome(route(g, vc.coords, source, track, sink_coord=GRID_SINK_VCOORD))
+
+    outcomes = split_map(walk, range(runs), workers)
+    return mean_ci([h for _, h in outcomes if h is not None])

@@ -255,6 +255,19 @@ def test_missing_config_file():
         ["codec", "encode", "--remaining", "99"],  # beyond the 6-bit countdown
         ["codec", "encode", "--src", "0x10000"],
         ["codec", "encode", "--preamble", "xx"],
+        # Non-finite speeds used to hang the sink's drift after the manifest
+        # was written; every speed and degree is now checked before.
+        ["route-sim", "--degrees", "4", "--speeds", "nan", "--runs", "2"],
+        ["route-sim", "--degrees", "4", "--speeds", "inf", "--runs", "2"],
+        ["route-sim", "--degrees", "4", "--speeds", "10,-1", "--runs", "2"],
+        ["route-sim", "--degrees", "4,nan", "--runs", "2"],
+        ["route-sim", "--degrees", "inf", "--runs", "2"],
+        ["route-sim", "--degrees", "0", "--runs", "2"],
+        ["route-sim", "--degrees", "4,-7", "--runs", "2"],
+        ["route-sim", "--preset", "grid25", "--speeds", "nan", "--runs", "2"],
+        ["route-sim", "--preset", "grid25", "--speeds=-inf", "--runs", "2"],
+        ["route-sim", "--preset", "grid25", "--speeds", "2,-4", "--runs", "2"],
+        ["route-sim", "--speeds", "4,x", "--runs", "2"],
     ],
     ids=" ".join,
 )
@@ -266,6 +279,7 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path):
         env={"PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
+        timeout=60,
     )
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import NormalDist
 
 import pytest
@@ -10,7 +14,7 @@ from sinksim import scenario
 from sinksim.core import DEFAULT_CONSTANTS, replace_constants
 from sinksim.energy import integrate_timeline
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, grid_topology, power_table
-from sinksim.routing import HeaderOverflow, init_virtual_coords
+from sinksim.routing import HeaderOverflow, RoutingError, init_virtual_coords
 from sinksim.scenario import (
     BS_ID,
     MS_ID,
@@ -40,6 +44,7 @@ from sinksim.scenario import (
 )
 
 C = DEFAULT_CONSTANTS
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +74,38 @@ def test_bounce_stays_inside_the_field():
         track.step()
         assert 0.0 <= track.position[0] <= 1000.0
         assert 0.0 <= track.position[1] <= 1000.0
+
+
+SPEED_PROBE = """
+import sys
+from sinksim.scenario import BounceTrack, grid_point, random_graph_point
+calls = {
+    "bounce": lambda v: BounceTrack((500.0, 500.0), v, 1000.0, seed=1).step(),
+    "random-graph": lambda v: random_graph_point(4, v, 3, 1),
+    "grid-virtual": lambda v: grid_point("edge", v, 3, 1),
+    "grid-physical": lambda v: grid_point("diagonal", v, 3, 1, coord_mode="physical"),
+}
+try:
+    calls[sys.argv[1]](float(sys.argv[2]))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("call", ["bounce", "random-graph", "grid-virtual", "grid-physical"])
+def test_speeds_that_are_negative_or_not_finite_are_rejected(call, speed):
+    # A fresh interpreter under a timeout: a non-finite drift used to bounce
+    # off the borders forever.
+    proc = subprocess.run(
+        [sys.executable, "-c", SPEED_PROBE, call, speed],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert proc.stdout.startswith("speed must be finite and >= 0")
 
 
 def test_edge_line_exits_after_four_rounds():
@@ -676,6 +713,100 @@ def test_random_graph_set_up_reuse_matches_a_fresh_draw():
         assert random_graph_point(*args, **kwargs) == pt
 
 
+# Calls whose replications split unevenly over 2 and 3 workers, and counts
+# below both the worker count and the default minimum slice.
+WORKER_COUNT_CALLS = {
+    "random-graph-37": lambda w: random_graph_point(4, 25, 37, 3, workers=w),
+    "random-graph-2": lambda w: random_graph_point(5, 10, 2, 2, workers=w),
+    "random-graph-static": lambda w: random_graph_point(7, 0, 41, 4, workers=w),
+    "grid-virtual-250": lambda w: grid_point("edge", 4, 250, 9, workers=w),
+    "grid-virtual-1": lambda w: grid_point("diagonal", 2, 1, 9, workers=w),
+    "grid-physical-103": lambda w: grid_point("diagonal", 8, 103, 5, coord_mode="physical", workers=w),
+    "grid-physical-5": lambda w: grid_point("edge", 1, 5, 5, coord_mode="physical", workers=w),
+    "grid-crossing-301": lambda w: grid_crossing_hops(301, 4, workers=w),
+    "grid-crossing-7": lambda w: grid_crossing_hops(7, 4, workers=w),
+}
+
+
+def _no_child_left():
+    # Every worker was reaped: this process has no child at all.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(WORKER_COUNT_CALLS))
+def test_sweep_points_do_not_depend_on_the_worker_count(name):
+    call = WORKER_COUNT_CALLS[name]
+    serial = call(1)
+    for workers in (2, 3, None):
+        assert call(workers) == serial
+    assert _no_child_left()
+
+
+# Recorded while the grid sweeps drew each replication's source and
+# coordinate seed just before walking it, in one process.
+PINNED_GRID_POINTS = {
+    ("edge", 4, 250, 9, "virtual"): (
+        0.0, 0.0, 7.919431279620853, 0.8556357329745711, 0.156,
+    ),
+    ("diagonal", 2, 120, 3, "virtual"): (
+        0.008333333333333333, 0.016500832303807843, 11.725, 2.004624715710474, 0.0,
+    ),
+    ("diagonal", 8, 103, 5, "physical"): (
+        0.0, 0.0, 2.2524271844660193, 0.31882099024055094, 0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_grid_points_are_pinned(workers):
+    for (mobility, speed, runs, seed, mode), pinned in PINNED_GRID_POINTS.items():
+        pt = grid_point(mobility, speed, runs, seed, coord_mode=mode, workers=workers)
+        fields = (pt.mean_restarts, pt.restarts_ci95, pt.mean_hops, pt.hops_ci95, pt.miss_ratio)
+        assert fields == pinned
+    assert grid_crossing_hops(301, 4, workers=workers) == (8.643122676579926, 0.858149555686788)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pinned_points_hold_on_the_parallel_path_from_a_cold_cache(workers):
+    scenario._SETUP_CACHE.clear()
+    for args in sorted(PINNED_RANDOM_GRAPH_POINTS):
+        pt = random_graph_point(*args, workers=workers)
+        fields = (pt.mean_restarts, pt.restarts_ci95, pt.mean_hops, pt.hops_ci95, pt.miss_ratio)
+        assert fields == PINNED_RANDOM_GRAPH_POINTS[args]
+
+
+def test_a_child_error_is_raised_in_the_caller(monkeypatch):
+    parent = os.getpid()
+    real_route = scenario.route
+
+    def route_failing_in_children(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RoutingError("walk failed in a worker")
+        return real_route(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "route", route_failing_in_children)
+    with pytest.raises(RoutingError, match="^walk failed in a worker$"):
+        grid_point("edge", 4, 9, 1, workers=3)
+    assert _no_child_left()
+
+
+def test_a_caller_error_ends_the_children(monkeypatch):
+    parent = os.getpid()
+    real_route = scenario.route
+
+    def route_failing_in_the_caller(*args, **kwargs):
+        if os.getpid() == parent:
+            raise RoutingError("walk failed in the caller")
+        return real_route(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "route", route_failing_in_the_caller)
+    with pytest.raises(RoutingError, match="walk failed in the caller"):
+        random_graph_point(4, 10, 30, 1, workers=2)
+    assert _no_child_left()
+
+
 @pytest.mark.parametrize(
     "call, argument",
     [
@@ -686,6 +817,7 @@ def test_random_graph_set_up_reuse_matches_a_fresh_draw():
         (lambda: random_graph_point(4, 10, 20, 1, range_m=0), "range_m"),
         (lambda: random_graph_point(4, 10, 20, 1, range_m=-200.0), "range_m"),
         (lambda: grid_point("edge", 2, 0, 1), "runs"),
+        (lambda: grid_point("edge", 2, 10, 1, workers=0), "workers"),
     ],
     ids=[
         "random-graph-runs",
@@ -695,6 +827,7 @@ def test_random_graph_set_up_reuse_matches_a_fresh_draw():
         "random-graph-zero-range",
         "random-graph-negative-range",
         "grid-runs",
+        "grid-workers",
     ],
 )
 def test_sweep_points_reject_an_empty_count(call, argument):
