@@ -2,7 +2,9 @@
 
 Subcommands: analyze, collisions, route-sim, flood-sim, demo, codec.  Every
 run that writes files also writes a manifest.json next to them; rerunning
-with the same manifest arguments reproduces byte-identical outputs.
+with the same manifest arguments reproduces byte-identical outputs.  A
+command computes everything before it creates its output directory, and bad
+input ends in one `error:` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .flood import simulate_flood
 from .frames import (
     DataPayload,
     Frame,
-    FrameError,
     FrameKind,
     PreambleKind,
     ack_frame,
@@ -43,10 +44,12 @@ from .mac import ContentionConfig, collision_probability, simulate_collision
 from .radio import (
     E_PREAMB_MJ,
     POWER_TABLES,
+    UnknownConfiguration,
     grid_topology,
     load_topology_csv,
     to_dot,
 )
+from .routing import RoutingError
 from .scenario import (
     ScenarioConfig,
     discovered_graph,
@@ -55,25 +58,38 @@ from .scenario import (
     run_scenario,
 )
 
+# The INI section that fills a command's options left unset on the command
+# line, and the keys (option dests) it may hold.
+SECTIONS = {
+    "route-sim": ("sweep", ("preset", "mobility", "speeds", "degrees", "runs", "seed")),
+    "demo": ("scenario", ("topology", "grid", "rotations", "speed_mps", "seed")),
+}
+
 
 def read_config(config_path: Optional[str]) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    config = configparser.ConfigParser()
     if config_path:
-        if not parser.read(config_path):
-            raise SystemExit(f"error: cannot read config file {config_path}")
-    return parser
+        with open(config_path, encoding="utf-8") as fh:
+            config.read_file(fh)
+    return config
 
 
-def load_constants(config_path: Optional[str]) -> ProtocolConstants:
-    """Constants from an INI file's [constants] section, defaults elsewhere."""
-    parser = read_config(config_path)
+def _convert(section: str, key: str, text: str, cast):
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"[{section}] {key}: invalid {cast.__name__} value {text!r}") from None
+
+
+def load_constants(config: configparser.ConfigParser) -> ProtocolConstants:
+    """Constants from the [constants] section, defaults elsewhere."""
+    known = {f.name for f in fields(ProtocolConstants)}
     overrides = {}
-    if parser.has_section("constants"):
-        known = {f.name for f in fields(ProtocolConstants)}
-        for key, value in parser.items("constants"):
+    if config.has_section("constants"):
+        for key, value in config.items("constants"):
             if key not in known:
-                raise SystemExit(f"error: unknown constant {key!r} in {config_path}")
-            overrides[key] = int(value)
+                raise ValueError(f"unknown key {key!r} in [constants]")
+            overrides[key] = _convert("constants", key, value, int)
     c = replace_constants(DEFAULT_CONSTANTS, **overrides)
     violations = validate_constants(c)
     if violations:
@@ -81,24 +97,29 @@ def load_constants(config_path: Optional[str]) -> ProtocolConstants:
     return c
 
 
-def apply_sweep_config(args, config_path: Optional[str]) -> None:
-    """Fill route-sim arguments from a [sweep] section where not given."""
-    parser = read_config(config_path)
-    if not parser.has_section("sweep"):
-        return
-    section = parser["sweep"]
-    if args.speeds is None and "speeds" in section:
-        args.speeds = section["speeds"]
-    if args.degrees is None and "degrees" in section:
-        args.degrees = section["degrees"]
-    if "preset" in section:
-        args.preset = section["preset"]
-    if "mobility" in section:
-        args.mobility = section["mobility"]
-    if "runs" in section:
-        args.runs = section.getint("runs")
-    if "seed" in section:
-        args.seed = section.getint("seed")
+def _fill_from_section(parser, argv, args, config) -> argparse.Namespace:
+    """`args` parsed again with the command's INI section as the command's
+    defaults, so that each value fills only an option the command line left
+    unset.  Each value goes through its option's own type; argparse checks
+    no choices on defaults, so they are checked here.
+    """
+    name, keys = SECTIONS.get(args.command, ("", ()))
+    if not config.has_section(name):
+        return args
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = commands[args.command]
+    actions = {a.dest: a for a in command._actions}
+    defaults = {}
+    for key, text in config.items(name):
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in [{name}]")
+        action = actions[key]
+        value = _convert(name, key, text, action.type or str)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"[{name}] {key}: {text!r} is not one of {', '.join(action.choices)}")
+        defaults[key] = value
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _write_manifest(out: Path, command: str, args: dict) -> None:
@@ -126,23 +147,36 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
+def _at_least_one(args, name: str) -> None:
+    value = getattr(args, name)
+    if value < 1:
+        raise ValueError(f"--{name} must be at least 1, got {value}")
+
+
+def _topology(args):
+    """The --topology CSV, or else the --grid square."""
+    if not args.topology:
+        _at_least_one(args, "grid")
+        return grid_topology(args.grid, args.spacing, args.range_m)
+    topo = load_topology_csv(args.topology, args.range_m or 25.0)
+    if not topo.positions:
+        raise ValueError(f"no nodes in {args.topology}")
+    return topo
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
-    c = load_constants(args.config)
+def cmd_analyze(args, c: ProtocolConstants) -> int:
     if args.battery_j < 0:
-        raise SystemExit(f"error: --battery-j must be at least 0, got {args.battery_j}")
+        raise ValueError(f"--battery-j must be at least 0, got {args.battery_j}")
     powers = [args.power] if args.power is not None else [0, -25]
     rows = []
     for dbm in powers:
         table = POWER_TABLES[dbm]
-        try:
-            pe = phase_energy(table, c, args.neighbors, E_PREAMB_MJ[dbm])
-        except ValueError as exc:  # no neighbors, or more ACKs than the window holds
-            raise SystemExit(f"error: --neighbors {args.neighbors}: {exc}")
+        pe = phase_energy(table, c, args.neighbors, E_PREAMB_MJ[dbm])
         rows.append(
             (
                 f"{dbm}dBm",
@@ -192,12 +226,10 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_collisions(args) -> int:
-    c = load_constants(args.config)
+def cmd_collisions(args, c: ProtocolConstants) -> int:
     if args.w_step_ms <= 0:
-        raise SystemExit("error: empty contention window sweep")
-    if args.runs < 1:
-        raise SystemExit(f"error: --runs must be at least 1, got {args.runs}")
+        raise ValueError("empty contention window sweep")
+    _at_least_one(args, "runs")
     blocks = {"relay": c.d_rxtx, "ack": c.d_ack}
     if args.block_us is not None:
         blocks = {"custom": args.block_us}
@@ -206,29 +238,22 @@ def cmd_collisions(args) -> int:
     while w <= args.w_max_ms + 1e-9:
         w_values.append(round(w, 6))
         w += args.w_step_ms
-    # Each block sweeps only the windows that can hold it; every block needs
-    # one, and every configuration is checked before anything is written.
-    sweeps = {}
+    # Each block sweeps only the windows that can hold it; every block needs one.
+    tables = {}
     for name, block in sorted(blocks.items()):
         fitting = [w_ms for w_ms in w_values if w_ms * 1000.0 >= block]
         if not fitting:
-            raise SystemExit("error: empty contention window sweep")
-        try:
-            sweeps[name] = [
-                (w_ms, ContentionConfig(w_ms * 1000.0, block, args.n, discrete_levels=args.levels))
-                for w_ms in fitting
-            ]
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
-    out = Path(args.out)
-    _write_manifest(out, "collisions", vars(args))
-    for name, sweep in sweeps.items():
-        rows = []
-        for w_ms, cfg in sweep:
+            raise ValueError("empty contention window sweep")
+        rows = tables[name] = []
+        for w_ms in fitting:
+            cfg = ContentionConfig(w_ms * 1000.0, block, args.n, discrete_levels=args.levels)
             closed = collision_probability(cfg)
             sim = simulate_collision(cfg, args.runs, rng_seed=args.seed)
             half = 3.0 * math.sqrt(max(closed * (1 - closed), 1e-12) / args.runs)
             rows.append((w_ms, closed, sim, max(sim - half, 0.0), min(sim + half, 1.0)))
+    out = Path(args.out)
+    _write_manifest(out, "collisions", vars(args))
+    for name, rows in tables.items():
         path = out / f"collisions_{name}.csv"
         _write_csv(path, ["W_ms", "closed_form", "simulated", "ci_low", "ci_high"], rows)
         print(f"wrote {path}")
@@ -244,17 +269,14 @@ def _parse_number_list(text: str, cast=float) -> List:
     try:
         return [cast(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise SystemExit(f"error: bad number list {text!r}")
+        raise ValueError(f"bad number list {text!r}") from None
 
 
-def cmd_route_sim(args) -> int:
-    apply_sweep_config(args, args.config)
-    out = Path(args.out)
+def cmd_route_sim(args, c: ProtocolConstants) -> int:
     presets = ("random-graph", "grid25")
     if args.preset not in presets:
-        raise SystemExit(f"error: unknown preset {args.preset!r}; choose from {presets}")
-    if args.runs < 1:
-        raise SystemExit(f"error: --runs must be at least 1, got {args.runs}")
+        raise ValueError(f"unknown preset {args.preset!r}; choose from {presets}")
+    _at_least_one(args, "runs")
     if args.preset == "random-graph":
         degrees = _parse_number_list(args.degrees) if args.degrees else [4, 5, 6, 7, 8, 9, 10]
         speeds = _parse_number_list(args.speeds) if args.speeds else [0, 10, 25, 50]
@@ -263,11 +285,10 @@ def cmd_route_sim(args) -> int:
         degrees = []
     for speed in speeds:
         if not 0 <= speed < math.inf:
-            raise SystemExit(f"error: --speeds must be finite and >= 0, got {speed}")
+            raise ValueError(f"--speeds must be finite and >= 0, got {speed}")
     for degree in degrees:
         if not 0 < degree < math.inf:
-            raise SystemExit(f"error: --degrees must be finite and > 0, got {degree}")
-    _write_manifest(out, "route-sim", vars(args))
+            raise ValueError(f"--degrees must be finite and > 0, got {degree}")
     rows = []
     if args.preset == "random-graph":
         for degree in degrees:
@@ -309,6 +330,8 @@ def cmd_route_sim(args) -> int:
                         pt.miss_ratio,
                     )
                 )
+    out = Path(args.out)
+    _write_manifest(out, "route-sim", vars(args))
     path = out / "summary.csv"
     _write_csv(
         path,
@@ -333,16 +356,11 @@ def cmd_route_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_flood_sim(args) -> int:
-    c = load_constants(args.config)
-    if args.topology:
-        topo = load_topology_csv(args.topology, args.range_m or 25.0)
-    else:
-        topo = grid_topology(args.grid, args.spacing, args.range_m)
+def cmd_flood_sim(args, c: ProtocolConstants) -> int:
+    _at_least_one(args, "runs")
+    topo = _topology(args)
     if args.initiator not in topo.positions:
-        raise SystemExit(f"error: initiator {args.initiator} not in topology")
-    out = Path(args.out)
-    _write_manifest(out, "flood-sim", vars(args))
+        raise ValueError(f"initiator {args.initiator} not in topology")
     summary = []
     for i in range(args.runs):
         report = simulate_flood(topo, args.initiator, source=args.source, c=c, seed=args.seed + i)
@@ -360,7 +378,9 @@ def cmd_flood_sim(args) -> int:
                         report.tx_start_us.get(nid, ""),
                     )
                 )
-            _write_csv(out / "flood_timeline.csv", ["node", "first_rx_us", "tx_us"], rows)
+    out = Path(args.out)
+    _write_manifest(out, "flood-sim", vars(args))
+    _write_csv(out / "flood_timeline.csv", ["node", "first_rx_us", "tx_us"], rows)
     _write_csv(
         out / "flood_summary.csv",
         ["run", "reached", "transmissions", "max_first_rx_us", "completion_us"],
@@ -375,33 +395,9 @@ def cmd_flood_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def apply_scenario_config(args, config_path: Optional[str]) -> None:
-    """Fill demo arguments from a [scenario] section where not overridden."""
-    parser = read_config(config_path)
-    if not parser.has_section("scenario"):
-        return
-    section = parser["scenario"]
-    if args.topology is None and "topology" in section:
-        args.topology = section["topology"]
-    if "rotations" in section:
-        args.rotations = section.getint("rotations")
-    if "speed_mps" in section:
-        args.speed_mps = section.getfloat("speed_mps")
-    if "seed" in section:
-        args.seed = section.getint("seed")
-    if "grid" in section:
-        args.grid = section.getint("grid")
-
-
-def cmd_demo(args) -> int:
-    c = load_constants(args.config)
-    apply_scenario_config(args, args.config)
-    if args.topology:
-        topo = load_topology_csv(args.topology, args.range_m or 25.0)
-    else:
-        topo = grid_topology(args.grid, args.spacing, args.range_m)
-    out = Path(args.out)
-    _write_manifest(out, "demo", vars(args))
+def cmd_demo(args, c: ProtocolConstants) -> int:
+    _at_least_one(args, "rotations")
+    topo = _topology(args)
     node_ids = sorted(topo.positions)
     reports = []
     rows = []
@@ -431,16 +427,11 @@ def cmd_demo(args) -> int:
             )
         )
     graph = discovered_graph([r for r in reports if not r.miss])
+    timeline = [(seg.node, seg.state, seg.start_us, seg.end_us) for seg in reports[0].timeline]
+    out = Path(args.out)
+    _write_manifest(out, "demo", vars(args))
     (out / "graph.dot").write_text(to_dot(graph, name="discovered"))
-    if reports:
-        _write_csv(
-            out / "timeline.csv",
-            ["node", "state", "start_us", "end_us"],
-            [
-                (seg.node, seg.state, seg.start_us, seg.end_us)
-                for seg in reports[0].timeline
-            ],
-        )
+    _write_csv(out / "timeline.csv", ["node", "state", "start_us", "end_us"], timeline)
     _write_csv(
         out / "rotations.csv",
         [
@@ -482,37 +473,27 @@ def _frame_summary(frame: Frame) -> str:
     return " ".join(parts)
 
 
-def cmd_codec(args) -> int:
+def cmd_codec(args, c: ProtocolConstants) -> int:
     if args.action == "decode":
         text = args.hex if args.hex else sys.stdin.read()
-        try:
-            summary = _frame_summary(decode_frame(bytes.fromhex("".join(text.split()))))
-        except ValueError as exc:  # a non-hex digit, or any FrameError
-            raise SystemExit(f"error: cannot decode frame: {exc}")
-        print(summary)
+        print(_frame_summary(decode_frame(bytes.fromhex("".join(text.split())))))
         return 0
     if not 0 <= args.src <= 0xFFFF:
-        raise SystemExit(f"error: --src {args.src:#x} does not fit 16 bits")
-    try:
-        if args.kind == "micro":
-            preamble = PreambleKind.__members__.get(args.preamble.upper())
-            if preamble is None:
-                raise SystemExit(
-                    f"error: unknown preamble {args.preamble!r}; choose drp, brp or rrp"
-                )
-            frame = micro_frame(preamble, args.remaining, args.src, args.query)
-        elif args.kind == "ack":
-            frame = ack_frame(args.src)
-        else:
-            payload = DataPayload(
-                _parse_number_list(args.traversed, int) if args.traversed else [],
-                _parse_number_list(args.neighbors, int) if args.neighbors else [],
-            )
-            frame = data_frame(args.src, payload)
-        encoded = encode_frame(frame)
-    except FrameError as exc:
-        raise SystemExit(f"error: cannot encode frame: {exc}")
-    print(encoded.hex())
+        raise ValueError(f"--src {args.src:#x} does not fit 16 bits")
+    if args.kind == "micro":
+        preamble = PreambleKind.__members__.get(args.preamble.upper())
+        if preamble is None:
+            raise ValueError(f"unknown preamble {args.preamble!r}; choose drp, brp or rrp")
+        frame = micro_frame(preamble, args.remaining, args.src, args.query)
+    elif args.kind == "ack":
+        frame = ack_frame(args.src)
+    else:
+        payload = DataPayload(
+            _parse_number_list(args.traversed, int) if args.traversed else [],
+            _parse_number_list(args.neighbors, int) if args.neighbors else [],
+        )
+        frame = data_frame(args.src, payload)
+    print(encode_frame(frame).hex())
     return 0
 
 
@@ -576,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flood_sim)
 
     p = sub.add_parser("demo", help="full six-phase rotations, connectivity graph discovery")
-    p.add_argument("--config", help="INI file with a [constants] section")
+    p.add_argument("--config", help="INI file with [constants] and [scenario] sections")
     p.add_argument("--topology", help="CSV id,x,y file")
     p.add_argument("--grid", type=int, default=4, help="grid side when no CSV given")
     p.add_argument("--spacing", type=float, default=25.0)
@@ -603,8 +584,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = read_config(getattr(args, "config", None))
+        args = _fill_from_section(parser, argv, args, config)
+        return args.func(args, load_constants(config))
+    except (ValueError, RoutingError, UnknownConfiguration, configparser.Error, OSError) as exc:
+        # a KeyError's str() is the repr of its message
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print("error:", " ".join(str(text).split()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -254,17 +254,9 @@ def route(
             traversed_set.clear()
             header.dest_coord = sink_coord or pos
             snapshot = pos
-            # Decide again from the fresh header, in the same round.
-            action = next_hop_3rule(
-                current,
-                header,
-                topology,
-                coords,
-                visited=traversed_set,
-                sink_adjacent=adjacent,
-                sink_moved=False,
-                source=source,
-            )
+            # Decide again from the fresh header, in the same round: the sink
+            # has not stepped, so the loop top sees it where it was, unmoved.
+            continue
         kind = action.kind
         if on_round is not None:
             on_round(current, action, header)

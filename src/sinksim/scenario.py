@@ -101,6 +101,10 @@ class BounceTrack:
     def _advance(self, value: float, sign: int, dist: float) -> Tuple[float, int]:
         value += sign * dist
         while not 0.0 <= value <= self.field_size:
+            if not -self.field_size <= value <= 2 * self.field_size:
+                # The bounce repeats every two widths: drop whole periods at
+                # once, not one width per pass.
+                value = math.fmod(value, 2 * self.field_size)
             if value > self.field_size:
                 value = 2 * self.field_size - value
                 sign = -1
@@ -164,13 +168,16 @@ class WaypointTrack:
     def __init__(self, points: Sequence[Position], speed_mps: float):
         if len(points) < 2:
             raise ValueError("need at least two waypoints")
-        if speed_mps <= 0:
-            raise ValueError("speed must be positive")
+        if not 0 < speed_mps < math.inf:
+            raise ValueError(f"speed must be finite and positive, got {speed_mps!r}")
         self.points = [(float(x), float(y)) for x, y in points]
         self.speed_mps = float(speed_mps)
         self.cum = [0.0]
         for a, b in zip(self.points, self.points[1:]):
             self.cum.append(self.cum[-1] + euclid(a, b))
+        # a non-finite length would keep the sink from ever arriving or leaving
+        if not math.isfinite(self.cum[-1]):
+            raise ValueError("waypoints must be finite")
 
     @property
     def total_length(self) -> float:
@@ -266,8 +273,9 @@ def _span_totals(
 
 
 def _base_station_totals(c: ProtocolConstants, horizon: int) -> Tuple[Dict[str, int], int]:
-    """Microseconds per state and segment count of `_base_station_timeline`,
-    in closed form.
+    """Microseconds per state and segment count of the base station's train,
+    a data-request preamble (`poll`) every t_dr with listening in between, as
+    `_fill_gaps` builds it, in closed form.
 
     Each full request period polls for min(d_drp, t_dr), the part before the
     horizon for min(d_drp, rest), and the base station listens for the
@@ -292,34 +300,6 @@ def _base_station_totals(c: ProtocolConstants, horizon: int) -> Tuple[Dict[str, 
     )
     totals = {"listen": horizon - poll, "poll": poll}
     return {state: us for state, us in totals.items() if us}, polls + listens
-
-
-def _base_station_timeline(c: ProtocolConstants, horizon: int) -> List[Segment]:
-    """The base station over [0, horizon]: a data-request preamble (`poll`)
-    every t_dr, listening in between.
-
-    Built directly in final form, equal for any constants to the preambles
-    passed through `_fill_gaps` and then through the idle fill: where
-    preambles overlap (d_drp > t_dr) one starts where the one before it ends,
-    and with d_drp = 0 there is no preamble and one listening stretch.
-    """
-    out: List[Segment] = []
-    d_drp = c.d_drp
-    t = 0
-    for k in range(0, horizon, c.t_dr):
-        poll_end = k + d_drp
-        if poll_end > horizon:
-            poll_end = horizon
-        if poll_end <= k or poll_end <= t:
-            continue
-        if k > t:
-            out.append(Segment(BS_ID, "listen", t, k))
-            t = k
-        out.append(Segment(BS_ID, "poll", t, poll_end))
-        t = poll_end
-    if t < horizon:
-        out.append(Segment(BS_ID, "listen", t, horizon))
-    return out
 
 
 def hop_exchange_timeline(
@@ -671,7 +651,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             clipped[nid] = cut
 
     def segments() -> List[Segment]:
-        full = _base_station_timeline(c, horizon)
+        polls = [(k, k + c.d_drp, "poll") for k in range(0, horizon, c.t_dr)]
+        full = _fill_gaps(BS_ID, polls, 0, horizon, "listen")
         for nid, spans in active.items():
             full.extend(_fill_gaps(nid, spans, 0, horizon, "poll"))
         return full

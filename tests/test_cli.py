@@ -1,12 +1,17 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sinksim.cli import load_constants, main
+from sinksim.cli import load_constants, main, read_config
 from sinksim.scenario import random_graph_point
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -89,8 +94,9 @@ def test_collisions_writes_csvs(tmp_path, capsys):
 
 
 def test_collisions_empty_sweep_is_a_usage_error(tmp_path):
-    with pytest.raises(SystemExit):
-        run_cli("collisions", "--w-min-ms", "30", "--w-max-ms", "10", "--out", str(tmp_path))
+    out = tmp_path / "out"
+    assert run_cli("collisions", "--w-min-ms", "30", "--w-max-ms", "10", "--out", str(out)) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -100,32 +106,30 @@ def test_collisions_empty_sweep_is_a_usage_error(tmp_path):
         "0.3",  # holds the 192 us relay switch but not the 480 us ACK
     ],
 )
-def test_collisions_block_without_a_window_writes_nothing(tmp_path, window_ms):
+def test_collisions_block_without_a_window_writes_nothing(tmp_path, capsys, window_ms):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        run_cli(
-            "collisions", "--runs", "100", "--w-min-ms", window_ms, "--w-max-ms", window_ms,
-            "--w-step-ms", "0.1", "--out", str(out),
-        )
-    assert str(exc.value) == "error: empty contention window sweep"
+    assert run_cli(
+        "collisions", "--runs", "100", "--w-min-ms", window_ms, "--w-max-ms", window_ms,
+        "--w-step-ms", "0.1", "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err == "error: empty contention window sweep\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["collisions", "route-sim"])
-def test_zero_runs_is_a_usage_error_without_output(tmp_path, command):
+@pytest.mark.parametrize("command", ["collisions", "route-sim", "flood-sim"])
+def test_zero_runs_is_a_usage_error_without_output(tmp_path, capsys, command):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        run_cli(command, "--runs", "0", "--out", str(out))
-    message = str(exc.value)
-    assert message.startswith("error:") and "--runs" in message
-    assert "\n" not in message
+    assert run_cli(command, "--runs", "0", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--runs" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not out.exists()
 
 
-def test_route_sim_unknown_preset(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("route-sim", "--preset", "moon", "--out", str(tmp_path))
-    assert "random-graph" in str(exc.value)
+def test_route_sim_unknown_preset(tmp_path, capsys):
+    assert run_cli("route-sim", "--preset", "moon", "--out", str(tmp_path)) == 2
+    assert "random-graph" in capsys.readouterr().err
 
 
 def test_route_sim_grid_preset(tmp_path, capsys):
@@ -174,13 +178,6 @@ def test_demo_runs_and_discovers(tmp_path, capsys):
     assert dot.startswith("graph discovered {")
 
 
-def test_demo_zero_rotations_empty_graph(tmp_path, capsys):
-    out = tmp_path / "demo0"
-    assert run_cli("demo", "--rotations", "0", "--grid", "3", "--out", str(out)) == 0
-    dot = (out / "graph.dot").read_text()
-    assert dot == "graph discovered {\n}\n"
-
-
 def test_demo_deterministic_outputs(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -205,7 +202,7 @@ def test_demo_timeline_csv_is_pinned(tmp_path, capsys):
 def test_constants_override_via_config(tmp_path):
     cfg = tmp_path / "constants.ini"
     cfg.write_text("[constants]\nw_rr = 20000\n")
-    c = load_constants(str(cfg))
+    c = load_constants(read_config(str(cfg)))
     assert c.w_rr == 20_000
     assert c.w_br == 10_000
 
@@ -230,16 +227,62 @@ def test_scenario_section_drives_demo(tmp_path):
     assert timeline[0] == "node,state,start_us,end_us"
 
 
+def test_flags_beat_the_ini_and_the_ini_fills_unset_flags(tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[sweep]\npreset = grid25\nmobility = edge\nspeeds = 3\nruns = 80\nseed = 2\n")
+    out = tmp_path / "out"
+    assert run_cli("route-sim", "--config", str(cfg), "--runs", "3", "--out", str(out)) == 0
+    args = json.loads((out / "manifest.json").read_text())["args"]
+    assert args["runs"] == 3
+    assert (args["preset"], args["mobility"], args["speeds"], args["seed"]) == (
+        "grid25", "edge", "3", 2
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[sweep]\nmobility = sideways\n", "[sweep] mobility: 'sideways' is not one of edge, diagonal, both"),
+        ("[sweep]\nruns = abc\n", "[sweep] runs: invalid int value 'abc'"),
+        ("[sweep]\nrunz = 5\n", "unknown key 'runz' in [sweep]"),
+        ("[constants]\nw_rr = 2.5\n", "[constants] w_rr: invalid int value '2.5'"),
+    ],
+)
+def test_a_bad_ini_value_is_named_in_the_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli(
+        "route-sim", "--config", str(cfg), "--runs", "2", "--degrees", "4", "--speeds", "0",
+        "--out", str(out),
+    ) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_unknown_constant_in_config(tmp_path):
     cfg = tmp_path / "constants.ini"
     cfg.write_text("[constants]\nwarp_factor = 9\n")
-    with pytest.raises(SystemExit):
-        load_constants(str(cfg))
+    with pytest.raises(ValueError, match="warp_factor"):
+        load_constants(read_config(str(cfg)))
 
 
-def test_missing_config_file():
-    with pytest.raises(SystemExit):
-        load_constants("/nonexistent/path.ini")
+def test_missing_config_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("demo", "--config", "/nonexistent/path.ini", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+INPUT_FILES = {
+    "sweep_runz.ini": "[sweep]\nrunz = 5\n",
+    "sweep_runs_abc.ini": "[sweep]\nruns = abc\n",
+    "sweep_mobility.ini": "[sweep]\npreset = grid25\nmobility = sideways\n",
+    "no_section.ini": "runs = 5\n",
+    "scenario_out.ini": "[scenario]\nout = elsewhere\n",
+    "constants_float.ini": "[constants]\nw_rr = 2.5\n",
+    "no_nodes.csv": "id,x,y\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -268,10 +311,29 @@ def test_missing_config_file():
         ["route-sim", "--preset", "grid25", "--speeds=-inf", "--runs", "2"],
         ["route-sim", "--preset", "grid25", "--speeds", "2,-4", "--runs", "2"],
         ["route-sim", "--speeds", "4,x", "--runs", "2"],
+        ["route-sim", "--config", "sweep_runz.ini"],  # a misspelled key
+        ["route-sim", "--config", "sweep_runs_abc.ini"],
+        ["route-sim", "--config", "sweep_mobility.ini"],  # not one of the choices
+        ["route-sim", "--config", "no_section.ini"],
+        ["demo", "--config", "scenario_out.ini"],  # a key that is no [scenario] key
+        ["analyze", "--config", "constants_float.ini"],
+        ["analyze", "--config", "missing.ini"],
+        ["demo", "--speed-mps", "0"],
+        ["demo", "--grid", "0"],
+        ["demo", "--rotations", "0"],
+        ["demo", "--rotations", "-1"],
+        ["flood-sim", "--topology", "missing.csv"],
+        ["demo", "--topology", "no_nodes.csv"],
+        ["flood-sim", "--runs", "0"],
     ],
     ids=" ".join,
 )
-def test_bad_input_is_a_one_line_error(argv, tmp_path):
+def test_bad_input_is_a_one_line_error(argv, tmp_path, tmp_path_factory):
+    # The input files live elsewhere: the run's cwd must stay empty.
+    inputs = tmp_path_factory.mktemp("inputs")
+    for name, text in INPUT_FILES.items():
+        (inputs / name).write_text(text)
+    argv = [str(inputs / arg) if arg in INPUT_FILES else arg for arg in argv]
     # Run where the default output directories would land, to see none made.
     proc = subprocess.run(
         [sys.executable, "-m", "sinksim.cli", *argv],
@@ -281,9 +343,84 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path):
         text=True,
         timeout=60,
     )
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_route_sim_ends_at_a_huge_finite_speed(tmp_path):
+    # The sink's bounce reflected one field width per pass and never ended
+    # at 1e300; a fresh interpreter under a timeout.
+    proc = subprocess.run(
+        [sys.executable, "-m", "sinksim.cli", "route-sim", "--degrees", "4", "--speeds", "1e300",
+         "--runs", "2", "--out", "out"],
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert (tmp_path / "out" / "summary.csv").read_text().startswith("mobility,")
+
+
+# A cheap run of each command, then the options the fuzz may set on it; the
+# values keep every count small.
+FUZZ_COMMANDS = {
+    "analyze": ([], ["--neighbors", "--battery-j", "--power"]),
+    "collisions": (
+        ["--runs", "20", "--w-min-ms", "28", "--w-max-ms", "30"],
+        ["--runs", "--n", "--levels", "--block-us", "--w-min-ms", "--w-step-ms"],
+    ),
+    "route-sim": (
+        ["--runs", "2", "--degrees", "4", "--speeds", "0"],
+        ["--runs", "--preset", "--speeds", "--degrees", "--coord-mode"],
+    ),
+    "flood-sim": (
+        ["--runs", "1", "--grid", "3"],
+        ["--runs", "--grid", "--range-m", "--spacing", "--initiator"],
+    ),
+    "demo": (
+        ["--rotations", "1", "--grid", "2"],
+        ["--rotations", "--grid", "--speed-mps", "--range-m", "--spacing"],
+    ),
+    "codec": (["encode"], ["--kind", "--src", "--remaining", "--preamble", "--traversed"]),
+}
+FUZZ_VALUES = ["-1", "0", "1", "2", "nan", "inf", "x", "2,x", "0x10", "grid25", "data"]
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    base, options = FUZZ_COMMANDS[command]
+    argv = [command, *base]
+    for option in draw(st.lists(st.sampled_from(options), max_size=2)):
+        argv += [option, draw(st.sampled_from(FUZZ_VALUES))]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_ends_in_output_or_one_error_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if argv[0] not in ("analyze", "codec"):
+            argv = argv + ["--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                status = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            assert exc.code == 2
+            return
+        if status == 0:
+            assert stdout.getvalue()
+            return
+        assert status == 2
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert stdout.getvalue() == ""
+        assert not out.exists()

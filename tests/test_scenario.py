@@ -24,7 +24,6 @@ from sinksim.scenario import (
     ScenarioConfig,
     StaticSink,
     WaypointTrack,
-    _base_station_timeline,
     _base_station_totals,
     _fill_gaps,
     _hearers,
@@ -79,8 +78,15 @@ def test_bounce_stays_inside_the_field():
 SPEED_PROBE = """
 import sys
 from sinksim.scenario import BounceTrack, grid_point, random_graph_point
+
+def bounce(v):
+    track = BounceTrack((500.0, 500.0), v, 1000.0, seed=1)
+    for _ in range(100):
+        track.step()
+        assert all(0.0 <= p <= 1000.0 for p in track.position), track.position
+
 calls = {
-    "bounce": lambda v: BounceTrack((500.0, 500.0), v, 1000.0, seed=1).step(),
+    "bounce": bounce,
     "random-graph": lambda v: random_graph_point(4, v, 3, 1),
     "grid-virtual": lambda v: grid_point("edge", v, 3, 1),
     "grid-physical": lambda v: grid_point("diagonal", v, 3, 1, coord_mode="physical"),
@@ -106,6 +112,21 @@ def test_speeds_that_are_negative_or_not_finite_are_rejected(call, speed):
         timeout=60,
     )
     assert proc.stdout.startswith("speed must be finite and >= 0")
+
+
+@pytest.mark.parametrize("call", ["bounce", "random-graph", "grid-virtual", "grid-physical"])
+def test_a_huge_finite_speed_ends_inside_the_field(call):
+    # The bounce reflected one field width per pass, and at 1e300, where
+    # 2 * field - value rounds to -value, it never came back inside.
+    proc = subprocess.run(
+        [sys.executable, "-c", SPEED_PROBE, call, "1e300"],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert proc.stdout == ""
 
 
 def test_edge_line_exits_after_four_rounds():
@@ -139,6 +160,22 @@ def test_waypoint_track_positions():
     assert track.position_at(10**9) == (10.0, 10.0)
     with pytest.raises(ValueError):
         WaypointTrack([(0.0, 0.0), (1.0, 0.0)], speed_mps=0.0)
+
+
+@pytest.mark.parametrize(
+    "points, speed",
+    [
+        ([(0.0, 0.0), (1.0, 0.0)], math.nan),
+        ([(0.0, 0.0), (1.0, 0.0)], math.inf),
+        ([(0.0, 0.0), (math.nan, 0.0)], 1.0),
+        ([(0.0, 0.0), (math.inf, 0.0)], 1.0),
+    ],
+)
+def test_waypoint_track_rejects_what_would_never_arrive(points, speed):
+    # A sink whose flight has no finite length or duration flew a million
+    # request retries before the rotation gave up.
+    with pytest.raises(ValueError):
+        WaypointTrack(points, speed_mps=speed)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +468,13 @@ def test_overlapping_active_spans_are_counted(query, seed, clipped):
     assert set(coverage.values()) == {report.horizon_us}
 
 
+def base_station_train(c, horizon):
+    """The base station's train as a rotation's timeline view builds it: a
+    preamble every t_dr through `_fill_gaps`, listening in the gaps."""
+    polls = [(k, k + c.d_drp, "poll") for k in range(0, horizon, c.t_dr)]
+    return _fill_gaps(BS_ID, polls, 0, horizon, "listen")
+
+
 def earlier_base_station_timeline(c, horizon):
     """The base station's train as it was built before: the preambles through
     `_fill_gaps` with listening in the gaps, then once more through the idle
@@ -471,7 +515,7 @@ TRAIN_CONSTANTS = pytest.mark.parametrize(
 @TRAIN_HORIZONS
 @TRAIN_CONSTANTS
 def test_base_station_train_equals_the_gap_filled_one(constants, horizon):
-    train = _base_station_timeline(constants, horizon)
+    train = base_station_train(constants, horizon)
     assert train == earlier_base_station_timeline(constants, horizon)
     assert timeline_coverage(train) == ({BS_ID: horizon} if horizon else {})
 
@@ -486,7 +530,7 @@ def state_totals(segments):
 @TRAIN_HORIZONS
 @TRAIN_CONSTANTS
 def test_base_station_totals_equal_the_built_train(constants, horizon):
-    train = _base_station_timeline(constants, horizon)
+    train = base_station_train(constants, horizon)
     assert _base_station_totals(constants, horizon) == (state_totals(train), len(train))
 
 
