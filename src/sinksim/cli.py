@@ -502,8 +502,16 @@ def cmd_codec(args, c: ProtocolConstants) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with one `error:` line and exit status 2, like
+    every other bad input; subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sinksim",
         description="mobile-sink sensor network simulator and analysis toolkit",
     )
@@ -590,9 +598,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = read_config(getattr(args, "config", None))
         args = _fill_from_section(parser, argv, args, config)
         return args.func(args, load_constants(config))
-    except (ValueError, RoutingError, UnknownConfiguration, configparser.Error, OSError) as exc:
+    except (ValueError, OverflowError, RoutingError, UnknownConfiguration, configparser.Error,
+            OSError) as exc:
         # a KeyError's str() is the repr of its message
         text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        if isinstance(exc, OverflowError):
+            text = f"number too large: {exc}"
         print("error:", " ".join(str(text).split()), file=sys.stderr)
         return 2
 

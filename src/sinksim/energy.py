@@ -26,10 +26,10 @@ stretch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Union
+from typing import Dict, Iterable, Mapping, Union
 
-from .core import US_PER_S, ProtocolConstants, seconds
-from .radio import RadioPowerTable, Segment, Timeline
+from .core import US_PER_S, NodeId, ProtocolConstants, seconds
+from .radio import RadioPowerTable, Span, Timeline, state_totals
 
 MPS_TO_KMH = 3.6
 
@@ -130,25 +130,20 @@ def v_max_network(c: ProtocolConstants, p: RealTimeParams = RealTimeParams()) ->
 
 
 def integrate_timeline(
-    timeline: Union[Timeline, Iterable[Segment]], powers: RadioPowerTable
+    timeline: Union[Timeline, Mapping[NodeId, Iterable[Span]]], powers: RadioPowerTable
 ) -> Dict[int, float]:
-    """Energy per node (mJ) from a radio-state timeline and a power table.
+    """Energy per node (mJ) from radio-state timelines and a power table.
 
     Energy is time in each state times that state's draw.  A `Timeline` view
-    already carries each node's microseconds per state; a plain segment list
-    is first folded into those integer totals.  Each (node, state) total is
+    already carries each node's microseconds per state; plain per-node spans
+    are first folded into those integer totals.  Each (node, state) total is
     then priced once.  Raises KeyError for a state the power table does not
     know.
     """
     if isinstance(timeline, Timeline):
         totals = timeline.totals
     else:
-        totals = {}
-        for seg in timeline:
-            states = totals.get(seg.node)
-            if states is None:
-                states = totals[seg.node] = {}
-            states[seg.state] = states.get(seg.state, 0) + (seg.end_us - seg.start_us)
+        totals = {node: state_totals(spans) for node, spans in timeline.items()}
     energy: Dict[int, float] = {}
     power: Dict[str, float] = {}  # each state's draw, looked up once
     for node, states in totals.items():

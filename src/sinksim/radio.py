@@ -1,5 +1,5 @@
 """Topology construction, the measured radio tables, and the radio-state
-segment and timeline view that per-node timelines are made of.
+spans and timeline view that per-node timelines are made of.
 
 Connectivity is a plain unit disk graph: two nodes are neighbors iff their
 Euclidean distance is at most the communication range (equality counts, so a
@@ -98,16 +98,21 @@ def average_degree(topology: Topology) -> float:
 
 
 def load_topology_csv(path: str, range_m: float) -> Topology:
-    """Read `id,x,y` rows (header optional) and build the unit disk graph."""
+    """Read `id,x,y` rows (header optional) and build the unit disk graph.
+
+    Raises ValueError, naming the file and line, for a row of fewer fields.
+    """
     items = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
             if parts[0].lower() in ("id", "node"):
                 continue
+            if len(parts) < 3:
+                raise ValueError(f"{path} line {lineno}: need id,x,y, got {line!r}")
             items.append((int(parts[0]), (float(parts[1]), float(parts[2]))))
     return build_udg(items, range_m)
 
@@ -146,10 +151,23 @@ def range_for(tx_power_dbm: int, height_m: int) -> float:
 
 RADIO_STATES = ("sleep", "poll", "listen", "tx", "rx")
 
+# One stretch of one node's radio timeline: (start_us, end_us, state).
+# Timelines are assembled and handed around as per-node lists of spans.
+Span = Tuple[int, int, str]
+
+
+def state_totals(spans: Iterable[Span]) -> Dict[str, int]:
+    """Microseconds per state, each state keyed in order of first appearance."""
+    totals: Dict[str, int] = {}
+    for s, e, state in spans:
+        totals[state] = totals.get(state, 0) + (e - s)
+    return totals
+
 
 @dataclass(frozen=True)
 class Segment:
-    """One stretch of a node's radio timeline: `state` over [start_us, end_us)."""
+    """One stretch of a node's radio timeline, as iterating a `Timeline`
+    yields it: `state` over [start_us, end_us)."""
 
     node: NodeId
     state: str

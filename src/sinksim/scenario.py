@@ -19,12 +19,14 @@ source routes its answer hop by hop toward the sink; (5) the sink
 acknowledges the data; (6) back at the base station the sink answers the next
 data-request preamble with the data.
 
-Radio activity partitions each node's simulated time into (state, start,
-end) segments; un-involved stretches are the idle sampling state.  A rotation
+Radio activity partitions each node's simulated time into (start, end,
+state) spans; un-involved stretches are the idle sampling state.  Hop
+exchanges hand each node's spans to the rotation, and `_fill_gaps`, the one
+routine that fills gaps and clips overlaps, fills each node once.  A rotation
 keeps its timelines as a :class:`~sinksim.radio.Timeline` view: each node's
-microseconds per state, added up while the timeline is assembled, with the
-base station's request train priced in closed form.  The segments themselves
-are built only when the view is iterated.
+microseconds per state, added up from the filled spans, with the base
+station's request train priced in closed form.  Segments are built only when
+the view is iterated.
 """
 
 from __future__ import annotations
@@ -32,15 +34,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from statistics import NormalDist
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
 from .flood import FloodEngine, FloodReport
 from .forkmap import split_map
 from .mac import ack_backoff
-from .radio import Segment, Timeline, Topology, build_udg, euclid, grid_topology
+from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_topology, state_totals
 from .routing import (  # noqa: F401  next_hop_3rule stays bound for bench/tracer.py
     RouteResult,
     VirtualCoords,
@@ -207,45 +208,17 @@ class WaypointTrack:
 # ---------------------------------------------------------------------------
 
 
-def _fill_gaps(
-    node: NodeId, active: List[Tuple[int, int, str]], start: int, end: int, idle: str
-) -> List[Segment]:
-    """Explicit segments for `node` covering [start, end], idle state in gaps.
+def _fill_gaps(active: List[Span], start: int, end: int, idle: str) -> Tuple[List[Span], int]:
+    """Spans covering [start, end], the idle state in the gaps, and the
+    active microseconds clipped where spans overlap.
 
     Active (start, end, state) spans are taken in sorted order and clipped to
     [start, end]; one left empty is skipped, and one that starts before the
-    span before it ends keeps only its part after that end.
+    span before it ends keeps only its part after that end; the part cut off
+    counts as clipped.
     """
-    out: List[Segment] = []
-    t = start
-    for s, e, state in sorted(active):
-        if s < start:
-            s = start
-        if e > end:
-            e = end
-        if e <= s or e <= t:
-            continue
-        if s > t:
-            out.append(Segment(node, idle, t, s))
-            t = s
-        out.append(Segment(node, state, t, e))
-        t = e
-    if t < end:
-        out.append(Segment(node, idle, t, end))
-    return out
-
-
-def _span_totals(
-    active: List[Tuple[int, int, str]], start: int, end: int, idle: str
-) -> Tuple[Dict[str, int], int, int]:
-    """What `_fill_gaps` builds, without building it: the microseconds per
-    state, the number of segments, and the active microseconds clipped where
-    spans overlap (each span's part that lies before the end of the spans
-    sorted ahead of it).  Same clipping rules; a state without time is left
-    out.
-    """
-    totals: Dict[str, int] = {}
-    count = clipped = 0
+    out: List[Span] = []
+    clipped = 0
     t = start
     for s, e, state in sorted(active):
         if s < start:
@@ -261,21 +234,18 @@ def _span_totals(
             clipped += t - s
             s = t
         elif s > t:
-            totals[idle] = totals.get(idle, 0) + (s - t)
-            count += 1
-        totals[state] = totals.get(state, 0) + (e - s)
-        count += 1
+            out.append((t, s, idle))
+        out.append((s, e, state))
         t = e
     if t < end:
-        totals[idle] = totals.get(idle, 0) + (end - t)
-        count += 1
-    return totals, count, clipped
+        out.append((t, end, idle))
+    return out, clipped
 
 
 def _base_station_totals(c: ProtocolConstants, horizon: int) -> Tuple[Dict[str, int], int]:
     """Microseconds per state and segment count of the base station's train,
     a data-request preamble (`poll`) every t_dr with listening in between, as
-    `_fill_gaps` builds it, in closed form.
+    `_fill_gaps` fills it, in closed form.
 
     Each full request period polls for min(d_drp, t_dr), the part before the
     horizon for min(d_drp, rest), and the base station listens for the
@@ -309,7 +279,7 @@ def hop_exchange_timeline(
     data_target: Optional[NodeId],
     t0: int = 0,
     cca_offsets: Optional[Dict[NodeId, int]] = None,
-) -> List[Segment]:
+) -> Dict[NodeId, List[Span]]:
     """Radio states of one routing hop: preamble, ACK window, data.
 
     `responders` are (node, ack backoff in us) pairs.  The sender runs the
@@ -317,13 +287,13 @@ def hop_exchange_timeline(
     state), listens through the whole contention window receiving each ACK,
     then transmits the data to `data_target`, which receives it.  Every
     responder wakes once during the preamble for a d_cca channel check and
-    otherwise sleeps through the exchange apart from its own ACK.
+    otherwise sleeps through the exchange apart from its own ACK.  Returns
+    each node's spans, the sender's first.
     """
     cca_offsets = cca_offsets or {}
     t_win = t0 + c.d_rrp
     t_data = t_win + c.w_rr
     t_end = t_data + (c.d_data if data_target is not None else 0)
-    segments: List[Segment] = []
 
     ack_spans = []
     for node, backoff in responders:
@@ -339,11 +309,10 @@ def hop_exchange_timeline(
             rx_spans[-1] = (rx_spans[-1][0], max(rx_spans[-1][1], e))
         else:
             rx_spans.append((s, e))
-    active = [(s, e, "rx") for s, e in rx_spans]
+    active = [(t0, t_win, "poll")] + [(s, e, "rx") for s, e in rx_spans]
     if data_target is not None:
         active.append((t_data, t_end, "tx"))
-    segments.append(Segment(sender, "poll", t0, t_win))
-    segments.extend(_fill_gaps(sender, active, t_win, t_end, "listen"))
+    timeline = {sender: _fill_gaps(active, t0, t_end, "listen")[0]}
 
     for node, backoff in responders:
         offset = cca_offsets.get(node, 0)
@@ -353,33 +322,30 @@ def hop_exchange_timeline(
         active.append((ack_start, ack_start + c.d_ack, "tx"))
         if node == data_target:
             active.append((t_data, t_end, "rx"))
-        segments.extend(_fill_gaps(node, active, t0, t_end, "sleep"))
-    return segments
+        timeline.setdefault(node, []).extend(_fill_gaps(active, t0, t_end, "sleep")[0])
+    return timeline
 
 
-def timeline_coverage(timeline: Union[Timeline, Sequence[Segment]]) -> Dict[NodeId, int]:
+def timeline_coverage(
+    timeline: Union[Timeline, Mapping[NodeId, Sequence[Span]]]
+) -> Dict[NodeId, int]:
     """Total covered microseconds per node.
 
     A `Timeline` view's state totals are summed per node (its overlaps are
-    counted in `clipped_us`); a plain segment list raises ValueError on
-    overlapping segments.
+    counted in `clipped_us`); plain per-node spans raise ValueError where a
+    node's spans overlap.
     """
     if isinstance(timeline, Timeline):
         return {node: sum(states.values()) for node, states in timeline.totals.items()}
-    by_node: Dict[NodeId, List[Segment]] = {}
-    for seg in timeline:
-        by_node.setdefault(seg.node, []).append(seg)
     totals = {}
-    start_us = attrgetter("start_us")
-    for node, segs in by_node.items():
-        segs.sort(key=start_us)
+    for node, spans in timeline.items():
         total = 0
         last_end = None
-        for seg in segs:
-            if last_end is not None and seg.start_us < last_end:
-                raise ValueError(f"overlapping segments for node {node}")
-            total += seg.end_us - seg.start_us
-            last_end = seg.end_us
+        for s, e, _ in sorted(spans):
+            if last_end is not None and s < last_end:
+                raise ValueError(f"overlapping spans for node {node}")
+            total += e - s
+            last_end = e
         totals[node] = total
     return totals
 
@@ -610,8 +576,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             responders.append((MS_ID, 0))
             target = MS_ID
         cca = {nid: rng.randint(0, c.d_rrp - c.d_cca) for nid, _ in sorted(responders)}
-        for seg in hop_exchange_timeline(c, current, responders, target, sink.t, cca):
-            active[seg.node].append((seg.start_us, seg.end_us, seg.state))
+        exchange = hop_exchange_timeline(c, current, responders, target, sink.t, cca)
+        for nid, spans in exchange.items():
+            active[nid] += spans
 
     route_result = route(
         topo,
@@ -637,25 +604,25 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         phase_times[6] = drp_end + c.d_data
         horizon = phase_times[6]
 
-    # Base station: request preambles all along, listening in between.  Then
-    # every other node, its untracked stretches in the idle sampling state.
-    # Only the state totals are added up here; the segments are built when
-    # the view is iterated.
+    # Base station: request preambles all along, listening in between, its
+    # totals in closed form.  Then every other node, its untracked stretches
+    # in the idle sampling state, filled once: its spans are added up here and
+    # kept for the segments, which are built when the view is iterated.
     bs_totals, length = _base_station_totals(c, horizon)
     totals = {BS_ID: bs_totals}
     clipped: Dict[NodeId, int] = {}
+    filled: Dict[NodeId, List[Span]] = {}
     for nid, spans in active.items():
-        totals[nid], count, cut = _span_totals(spans, 0, horizon, "poll")
-        length += count
+        filled[nid], cut = _fill_gaps(spans, 0, horizon, "poll")
+        totals[nid] = state_totals(filled[nid])
+        length += len(filled[nid])
         if cut:
             clipped[nid] = cut
 
     def segments() -> List[Segment]:
         polls = [(k, k + c.d_drp, "poll") for k in range(0, horizon, c.t_dr)]
-        full = _fill_gaps(BS_ID, polls, 0, horizon, "listen")
-        for nid, spans in active.items():
-            full.extend(_fill_gaps(nid, spans, 0, horizon, "poll"))
-        return full
+        spans = {BS_ID: _fill_gaps(polls, 0, horizon, "listen")[0], **filled}
+        return [Segment(nid, state, s, e) for nid, ss in spans.items() for s, e, state in ss]
 
     return ScenarioReport(
         config_seed=cfg.seed,

@@ -282,6 +282,7 @@ INPUT_FILES = {
     "scenario_out.ini": "[scenario]\nout = elsewhere\n",
     "constants_float.ini": "[constants]\nw_rr = 2.5\n",
     "no_nodes.csv": "id,x,y\n",
+    "short_row.csv": "id,x,y\n0,0,0\n1,10\n",
 }
 
 
@@ -325,6 +326,14 @@ INPUT_FILES = {
         ["flood-sim", "--topology", "missing.csv"],
         ["demo", "--topology", "no_nodes.csv"],
         ["flood-sim", "--runs", "0"],
+        ["flood-sim", "--topology", "short_row.csv"],
+        # a length whose square overflows a float
+        ["flood-sim", "--range-m", "1e300"],
+        ["demo", "--range-m", "1e300"],
+        ["demo", "--spacing", "1e300"],
+        # rejected by argparse
+        ["route-sim", "--runs", "x"],
+        ["demo", "--bogus"],
     ],
     ids=" ".join,
 )
@@ -349,6 +358,16 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, tmp_path_factory):
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["demo", "--help"], ["--version"]], ids=" ".join)
+def test_help_and_version_print_to_stdout_and_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: sinksim" if "--help" in argv else "sinksim ")
+    assert captured.err == ""
 
 
 def test_route_sim_ends_at_a_huge_finite_speed(tmp_path):
@@ -415,6 +434,8 @@ def test_fuzzed_argv_ends_in_output_or_one_error_line(argv):
                 status = main(argv)
         except SystemExit as exc:  # argparse rejected the command line
             assert exc.code == 2
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
             return
         if status == 0:
             assert stdout.getvalue()

@@ -11,7 +11,6 @@ from sinksim.energy import (
     v_max_network,
 )
 from sinksim.radio import E_PREAMB_MJ, power_table
-from sinksim.scenario import Segment
 
 C = DEFAULT_CONSTANTS
 
@@ -102,17 +101,16 @@ def test_demo_speeds_are_feasible():
 
 def test_integrate_timeline_hand_check():
     row = power_table(-25)
-    segments = [
-        Segment(0, "tx", 0, 1_000_000),
-        Segment(0, "sleep", 1_000_000, 3_000_000),
-        Segment(1, "rx", 0, 500_000),
-    ]
-    energy = integrate_timeline(segments, row)
+    spans = {
+        0: [(0, 1_000_000, "tx"), (1_000_000, 3_000_000, "sleep")],
+        1: [(0, 500_000, "rx")],
+    }
+    energy = integrate_timeline(spans, row)
     assert energy[0] == pytest.approx(1.0 * 32.807 + 2.0 * 2.735)
     assert energy[1] == pytest.approx(0.5 * 65.444)
 
 
 def test_integrate_timeline_rejects_an_unknown_state():
-    segments = [Segment(0, "tx", 0, 1_000), Segment(0, "warp", 1_000, 2_000)]
+    spans = {0: [(0, 1_000, "tx"), (1_000, 2_000, "warp")]}
     with pytest.raises(KeyError, match="warp"):
-        integrate_timeline(segments, power_table(0))
+        integrate_timeline(spans, power_table(0))

@@ -175,6 +175,13 @@ def test_csv_loader_and_dot_export(tmp_path):
     assert "0 -- 2;" not in dot
 
 
+def test_csv_loader_names_the_line_of_a_short_row(tmp_path):
+    csv = tmp_path / "short.csv"
+    csv.write_text("id,x,y\n0,0,0\n\n1,10\n")
+    with pytest.raises(ValueError, match=r"short\.csv line 4: need id,x,y, got '1,10'"):
+        load_topology_csv(str(csv), 25.0)
+
+
 def test_in_range_uses_topology_range():
     g = grid_topology(3, 25.0)
     assert g.in_range(0, (12.0, 0.0))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sinksim import scenario
+from sinksim import energy, radio, scenario
 from sinksim.core import DEFAULT_CONSTANTS, replace_constants
 from sinksim.energy import integrate_timeline
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, grid_topology, power_table
@@ -28,7 +28,6 @@ from sinksim.scenario import (
     _fill_gaps,
     _hearers,
     _network_bbox,
-    _span_totals,
     _t_quantile,
     diagonal_line,
     discovered_graph,
@@ -185,42 +184,42 @@ def test_waypoint_track_rejects_what_would_never_arrive(points, speed):
 
 def test_hop_timeline_partitions_the_exchange():
     responders = [(1, 2_000), (2, 8_000), (3, 20_000)]
-    segments = hop_exchange_timeline(C, 0, responders, data_target=2, t0=0)
+    spans = hop_exchange_timeline(C, 0, responders, data_target=2, t0=0)
     window = C.d_rrp + C.w_rr + C.d_data
-    assert timeline_coverage(segments) == {0: window, 1: window, 2: window, 3: window}
+    assert timeline_coverage(spans) == {0: window, 1: window, 2: window, 3: window}
 
 
 def test_hop_timeline_listen_budget():
     responders = [(1, 1_000), (2, 9_000)]
-    segments = hop_exchange_timeline(C, 0, responders, data_target=1, t0=0)
-    listen = sum(s.end_us - s.start_us for s in segments if s.node == 0 and s.state == "listen")
-    rx = sum(s.end_us - s.start_us for s in segments if s.node == 0 and s.state == "rx")
+    spans = hop_exchange_timeline(C, 0, responders, data_target=1, t0=0)
+    listen = sum(e - s for s, e, state in spans[0] if state == "listen")
+    rx = sum(e - s for s, e, state in spans[0] if state == "rx")
     assert listen == C.w_rr - 2 * C.d_ack
     assert rx == 2 * C.d_ack
-    target_rx = sum(s.end_us - s.start_us for s in segments if s.node == 1 and s.state == "rx")
+    target_rx = sum(e - s for s, e, state in spans[1] if state == "rx")
     assert target_rx == C.d_cca + C.d_data
 
 
 def test_hop_timeline_merges_overlapping_acks():
     responders = [(1, 1_000), (2, 1_100)]  # ACKs overlap on the air
-    segments = hop_exchange_timeline(C, 0, responders, data_target=None, t0=0)
-    timeline_coverage(segments)  # must not raise
+    spans = hop_exchange_timeline(C, 0, responders, data_target=None, t0=0)
+    timeline_coverage(spans)  # must not raise
 
 
 def test_hop_timeline_without_ack_time_has_no_empty_segments():
     c = replace_constants(C, d_ack=0)
-    segments = hop_exchange_timeline(c, 0, [(1, 2_000), (2, 8_000)], data_target=2, t0=0)
-    assert all(s.end_us > s.start_us for s in segments)
+    spans = hop_exchange_timeline(c, 0, [(1, 2_000), (2, 8_000)], data_target=2, t0=0)
+    assert all(e > s for node_spans in spans.values() for s, e, _ in node_spans)
     # the sender listens through the whole window, the responders sleep
     # through it, and no ACK leaves a trace
-    assert [(s.state, s.start_us, s.end_us) for s in segments if s.node == 0] == [
+    assert [(state, s, e) for s, e, state in spans[0]] == [
         ("poll", 0, c.d_rrp),
         ("listen", c.d_rrp, c.d_rrp + c.w_rr),
         ("tx", c.d_rrp + c.w_rr, c.d_rrp + c.w_rr + c.d_data),
     ]
-    assert not any(s.state == "tx" for s in segments if s.node != 0)
+    assert not any(state == "tx" for node in (1, 2) for _, _, state in spans[node])
     window = c.d_rrp + c.w_rr + c.d_data
-    assert timeline_coverage(segments) == {0: window, 1: window, 2: window}
+    assert timeline_coverage(spans) == {0: window, 1: window, 2: window}
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +435,10 @@ def test_timeline_view_agrees_with_its_segments(name):
     segments = list(view)
     assert len(view) == len(segments)
     assert view.clipped_us == {}
-    assert timeline_coverage(view) == timeline_coverage(segments)
+    spans = {}
+    for s in segments:
+        spans.setdefault(s.node, []).append((s.start_us, s.end_us, s.state))
+    assert timeline_coverage(view) == timeline_coverage(spans)
     for dbm in (0, -25):
         powers = power_table(dbm)
         by_segment = {}
@@ -448,6 +450,54 @@ def test_timeline_view_agrees_with_its_segments(name):
         assert energy.keys() == by_segment.keys()
         for node, e in energy.items():
             assert e == pytest.approx(by_segment[node], rel=1e-12, abs=0)
+
+
+def test_a_rotation_builds_segments_only_when_its_view_is_iterated(monkeypatch):
+    built = []
+
+    def counting_segment(*args, **kwargs):
+        built.append(args)
+        return radio.Segment(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "Segment", counting_segment)
+    assert not hasattr(energy, "Segment")
+    report = run_pinned("collisions")
+    view = report.timeline
+    integrate_timeline(view, power_table(0))
+    timeline_coverage(view)
+    assert len(view) == PINNED_ROTATIONS["collisions"]["segments"][0]
+    assert built == []
+    segments = list(view)
+    assert len(built) == len(view) == len(segments)
+
+
+# Recorded before timelines were assembled from per-node spans: every
+# rotation of the benchmark grid (12x12 at 25 m, seed = query node, without
+# and with collisions), its phase times, horizon, segment count, clipped
+# time and 0 dBm energies, or the ConfigError that ended it.
+GRID_ROTATIONS_SHA256 = "618b5a15361a67eb2c0da99cb297f0db5fd2dc7dfbc42c0a2f83ff41268989e4"
+
+
+def test_benchmark_grid_rotations_are_pinned():
+    g = grid_topology(12, 25.0)
+    powers = power_table(0)
+    rows = []
+    for query in sorted(g.positions):
+        for collisions in (False, True):
+            config = ScenarioConfig(topology=g, query_node=query, seed=query, collisions=collisions)
+            try:
+                report = run_scenario(config)
+            except ConfigError as exc:
+                rows.append((query, collisions, str(exc)))
+                continue
+            view = report.timeline
+            rows.append((
+                query, collisions, sorted(report.phase_times_us.items()), report.horizon_us,
+                len(view), sorted(view.clipped_us.items()),
+                sorted(integrate_timeline(view, powers).items()),
+            ))
+    assert sum(len(row) == 3 for row in rows) == 34  # the flood misses the queried node
+    assert sha256(rows) == GRID_ROTATIONS_SHA256
 
 
 @pytest.mark.parametrize(
@@ -472,7 +522,7 @@ def base_station_train(c, horizon):
     """The base station's train as a rotation's timeline view builds it: a
     preamble every t_dr through `_fill_gaps`, listening in the gaps."""
     polls = [(k, k + c.d_drp, "poll") for k in range(0, horizon, c.t_dr)]
-    return _fill_gaps(BS_ID, polls, 0, horizon, "listen")
+    return _fill_gaps(polls, 0, horizon, "listen")[0]
 
 
 def earlier_base_station_timeline(c, horizon):
@@ -484,8 +534,8 @@ def earlier_base_station_timeline(c, horizon):
     while k * c.t_dr < horizon:
         polls.append((k * c.t_dr, min(k * c.t_dr + c.d_drp, horizon), "poll"))
         k += 1
-    train = _fill_gaps(BS_ID, polls, 0, horizon, "listen")
-    return _fill_gaps(BS_ID, [(s.start_us, s.end_us, s.state) for s in train], 0, horizon, "poll")
+    train = _fill_gaps(polls, 0, horizon, "listen")[0]
+    return _fill_gaps(train, 0, horizon, "poll")[0]
 
 
 TRAIN_HORIZONS = pytest.mark.parametrize(
@@ -517,13 +567,15 @@ TRAIN_CONSTANTS = pytest.mark.parametrize(
 def test_base_station_train_equals_the_gap_filled_one(constants, horizon):
     train = base_station_train(constants, horizon)
     assert train == earlier_base_station_timeline(constants, horizon)
-    assert timeline_coverage(train) == ({BS_ID: horizon} if horizon else {})
+    assert timeline_coverage({BS_ID: train} if train else {}) == (
+        {BS_ID: horizon} if horizon else {}
+    )
 
 
-def state_totals(segments):
+def state_totals(spans):
     totals = {}
-    for s in segments:
-        totals[s.state] = totals.get(s.state, 0) + s.end_us - s.start_us
+    for s, e, state in spans:
+        totals[state] = totals.get(state, 0) + e - s
     return totals
 
 
@@ -545,19 +597,18 @@ SPAN = st.tuples(st.integers(-50, 450), st.integers(0, 120), st.sampled_from(RAD
 @example(spans=[(10, 0, "rx"), (40, 0, "tx")], start=0, length=100)  # zero-length, after the cursor
 @example(spans=[(0, 50, "poll"), (20, 50, "tx"), (30, 10, "rx")], start=0, length=100)
 @example(spans=[(-30, 20, "rx"), (90, 40, "tx"), (150, 5, "tx")], start=0, length=100)
-def test_span_totals_equal_the_filled_segments(spans, start, length):
+def test_fill_gaps_covers_the_window_and_counts_what_it_clips(spans, start, length):
     end = start + length
     active = [(s, s + d, state) for s, d, state in spans]
-    segments = _fill_gaps(7, active, start, end, "idle")  # an idle state no span has
-    assert all(s.end_us > s.start_us for s in segments)
-    # the clipped time is the active time inside [start, end] that no segment kept
+    filled, clipped = _fill_gaps(active, start, end, "idle")  # an idle state no span has
+    assert all(e > s for s, e, _ in filled)
+    # contiguous, from start to end
+    edges = [start] + [e for _, e, _ in filled]
+    assert [s for s, _, _ in filled] == edges[:-1] and edges[-1] == end
+    # the clipped time is the active time inside [start, end] that no span kept
     inside = sum(max(0, min(e, end) - max(s, start)) for s, e, _ in active)
-    kept = sum(s.end_us - s.start_us for s in segments if s.state != "idle")
-    assert _span_totals(active, start, end, "idle") == (
-        state_totals(segments),
-        len(segments),
-        inside - kept,
-    )
+    kept = sum(e - s for s, e, state in filled if state != "idle")
+    assert clipped == inside - kept
 
 
 def test_sink_exactly_at_range_diagonally_off_a_corner_is_heard():
