@@ -54,6 +54,7 @@ from .scenario import (
     ScenarioConfig,
     discovered_graph,
     grid_point,
+    nodes_for_degree,
     random_graph_point,
     run_scenario,
 )
@@ -287,8 +288,10 @@ def cmd_route_sim(args, c: ProtocolConstants) -> int:
         if not 0 <= speed < math.inf:
             raise ValueError(f"--speeds must be finite and >= 0, got {speed}")
     for degree in degrees:
-        if not 0 < degree < math.inf:
-            raise ValueError(f"--degrees must be finite and > 0, got {degree}")
+        try:
+            nodes_for_degree(degree)
+        except ValueError as exc:
+            raise ValueError(f"--degrees: {exc}") from None
     rows = []
     if args.preset == "random-graph":
         for degree in degrees:

@@ -19,6 +19,18 @@ This walk is exactly a depth-first search of the connected component, so on a
 static topology it reaches every node regardless of how good or bad the
 coordinates are; coordinates only steer the visit order.
 
+Rules 2 and 3 never read the sink, so away from it the walk follows one fixed
+tour: the sequence of nodes the search visits when the sink never answers.
+`route` is a scan of the sink along that tour.  A :class:`Tour` holds its
+entries, whether the search is exhausted, and the index at which the header
+would overflow; it grows lazily, one `next_hop_3rule` decision at a time, as
+far as a scan reaches.  Each round checks the sink against the packet's
+entry: in range it delivers (rule 1), otherwise the packet moves to the next
+entry.  At the end of an exhausted tour, rule 4 restarts the scan from the
+source.  With a fixed destination coordinate a restart replays the same tour,
+so walks that differ only in the sink, such as the paired speeds of a sweep,
+share it.  With a destination snapshot each restart starts a fresh tour.
+
 Coordinates can be the physical positions or virtual ones: random initial
 points smoothed by iterated centroid averaging, with a fixed set (the sink's
 predefined coordinate in particular) never updated.
@@ -28,7 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from .core import NodeId, Position
 from .frames import MAX_ADDRESS_COUNT
@@ -183,15 +195,46 @@ class RouteResult:
     rounds: int = 0
 
 
+@dataclass
+class Tour:
+    """The depth-first tour of one source toward one destination coordinate.
+
+    `entries[k]` is the node that holds the packet after k moves of a walk
+    that the sink never answers; `entries[0]` is the source.  The tour is
+    grown lazily, one entry at a time.  `complete` marks a search exhausted
+    at `entries[-1]`.  `overflow` is the index whose move would push a 119th
+    address into the header, the last index a walk can leave.  A tour is only
+    ints, so it can be kept or sent as plain data; the search behind it is
+    rebuilt from its entries when it has to grow.
+    """
+
+    entries: List[NodeId]
+    complete: bool = False
+    overflow: Optional[int] = None
+
+
+def _search_state(entries: List[NodeId], dest: Position) -> Tuple[RouteHeader, set]:
+    """The header and id set of the search that grew a tour to `entries`:
+    every entry it has left, in first-visit order."""
+    header = RouteHeader([], dest)
+    visited: set = set()
+    for node in entries[:-1]:
+        if node not in visited:
+            visited.add(node)
+            header.traversed.append(node)
+    return header, visited
+
+
 def route(
     topology: Topology,
-    coords: Mapping[NodeId, Position],
+    coords: Union[Mapping[NodeId, Position], Callable[[], Mapping[NodeId, Position]]],
     source: NodeId,
     sink,
     *,
     sink_coord: Optional[Position] = None,
     round_limit: Optional[int] = None,
     on_round: Optional[Callable[[NodeId, Action, RouteHeader], None]] = None,
+    tour: Optional[Tour] = None,
 ) -> RouteResult:
     """Round-based walk of one message from `source` toward the mobile sink.
 
@@ -200,6 +243,19 @@ def route(
     decisions aim at that fixed virtual coordinate; otherwise the destination
     coordinate is a snapshot of the sink's physical position, retaken on
     every restart.
+
+    Away from the sink the decisions do not depend on it, so the walk is a
+    scan of the sink along a depth-first :class:`Tour`.  Each round checks
+    the sink against the packet's tour entry: in range, the packet is
+    delivered; otherwise it moves to the next entry, growing the tour through
+    `next_hop_3rule` when the scan reaches its end.  At the end of a complete
+    tour a sink that has moved since the snapshot restarts the walk: with a
+    fixed `sink_coord` the scan goes back to the tour's start, and in
+    physical mode the new snapshot starts a fresh tour.  `tour`, when given,
+    is the tour of this topology, coordinates, source and destination
+    coordinate that earlier walks grew; it is grown in place, so walks that
+    differ only in the sink share it.  `coords` may be a function that makes
+    the coordinates: it is called only if a tour has to grow.
 
     `sink` is whatever clock drives the walk.  It provides `position`
     (physical) and `departed`, both read as they stand when the round's
@@ -218,62 +274,95 @@ def route(
     limit = round_limit if round_limit is not None else 4 * len(topology)
     positions = topology.positions
     r2 = topology.range_m**2  # the pair test is the expression of Topology.in_range
-    pos = sink.position
-    header = RouteHeader(traversed=[], dest_coord=sink_coord or pos)
-    traversed = header.traversed
-    snapshot = pos
-    ever_moved = False
-    current = source
+    snapshot = sink.position
+    dest = sink_coord if sink_coord is not None else snapshot
+    if tour is None:
+        tour = Tour([source])
+    entries = tour.entries
+    end, overflow = len(entries) - 1, tour.overflow
+    search = None  # (header, id set, coordinates) of the search, made on the first growth
+    # The header and its id set are kept only for `on_round`; the tour
+    # already knows where the packet goes.
+    header = RouteHeader([], dest)
+    seen: set = set()
+    node = source
+    k = 0  # the packet's index in the tour
     path = [source]
-    hops = 0
     restarts = 0
     rounds = 0
-    traversed_set = set()
+    ever_moved = False
 
     while True:
-        if getattr(sink, "departed", False):
-            return RouteResult(False, hops, restarts, path, "missed", rounds)
-        if rounds >= limit:
-            return RouteResult(False, hops, restarts, path, "missed", rounds)
+        if sink.departed or rounds >= limit:
+            return RouteResult(False, len(path) - 1, restarts, path, "missed", rounds)
         pos = sink.position
-        x, y = positions[current]
-        adjacent = (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2
-        action = next_hop_3rule(
-            current,
-            header,
-            topology,
-            coords,
-            visited=traversed_set,
-            sink_adjacent=adjacent,
-            sink_moved=pos != snapshot,
-            source=source,
-        )
-        if action.kind == "restart":
+        x, y = positions[node]
+        if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
+            if on_round is not None:
+                on_round(node, _DELIVER, header)
+            return RouteResult(True, len(path) - 1, restarts, path, "delivered", rounds)
+        if k == end and not tour.complete:
+            # Grow the tour by one decision of the search, the sink never
+            # adjacent and never moved.  The rule is looked up at call time,
+            # so a wrapped rule sees every decision.
+            if search is None:
+                search = (*_search_state(entries, dest), coords() if callable(coords) else coords)
+            search_header, visited, made = search
+            action = next_hop_3rule(
+                node,
+                search_header,
+                topology,
+                made,
+                visited=visited,
+                sink_adjacent=False,
+                sink_moved=False,
+                source=source,
+            )
+            if action.kind == "fail":
+                tour.complete = True
+            else:
+                if node not in visited:
+                    if len(search_header.traversed) >= MAX_ADDRESS_COUNT:
+                        tour.overflow = overflow = k  # the search ends here
+                    else:
+                        visited.add(node)
+                        search_header.traversed.append(node)
+                entries.append(action.target)
+                end += 1
+        if k < end:
+            target = entries[k + 1]
+            if on_round is not None:
+                on_round(node, Action("backtrack" if target in seen else "forward", target), header)
+                if node not in seen:
+                    seen.add(node)
+                    header.traversed.append(node)
+            if k == overflow:
+                raise HeaderOverflow(f"traversed list would exceed {MAX_ADDRESS_COUNT} ids")
+            k += 1
+            node = target
+            path.append(node)
+        elif pos != snapshot and node == source and topology.adjacency[source]:
             restarts += 1
-            traversed.clear()
-            traversed_set.clear()
-            header.dest_coord = sink_coord or pos
             snapshot = pos
-            # Decide again from the fresh header, in the same round: the sink
+            k = 0
+            if sink_coord is None:
+                dest = pos
+                tour = Tour([source])
+                entries = tour.entries
+                end, overflow = 0, None
+                search = None
+            header.traversed.clear()
+            header.dest_coord = dest
+            seen.clear()
+            # Decide again from the tour's start, in the same round: the sink
             # has not stepped, so the loop top sees it where it was, unmoved.
             continue
-        kind = action.kind
-        if on_round is not None:
-            on_round(current, action, header)
-        if kind == "deliver":
-            return RouteResult(True, hops, restarts, path, "delivered", rounds)
-        if kind == "forward" or kind == "backtrack":
-            if current not in traversed_set:
-                if len(traversed) >= MAX_ADDRESS_COUNT:
-                    raise HeaderOverflow(f"traversed list would exceed {MAX_ADDRESS_COUNT} ids")
-                traversed.append(current)
-                traversed_set.add(current)
-            current = action.target
-            path.append(current)
-            hops += 1
-        elif not ever_moved:
-            return RouteResult(False, hops, restarts, path, "failed", rounds)
-        # else stuck but the sink moves: wait this round out
+        else:
+            if on_round is not None:
+                on_round(node, _FAIL, header)
+            if not ever_moved:
+                return RouteResult(False, len(path) - 1, restarts, path, "failed", rounds)
+            # stuck but the sink moves: wait this round out
         sink.step()
         if not ever_moved and sink.position != pos:
             ever_moved = True

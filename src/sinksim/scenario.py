@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -44,6 +45,7 @@ from .mac import ack_backoff
 from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_topology, state_totals
 from .routing import (  # noqa: F401  next_hop_3rule stays bound for bench/tracer.py
     RouteResult,
+    Tour,
     VirtualCoords,
     init_virtual_coords,
     next_hop_3rule,
@@ -99,8 +101,9 @@ class BounceTrack:
         self.direction = (self.rng.choice((-1, 1)), self.rng.choice((-1, 1)))
         self.departed = False
 
-    def _advance(self, value: float, sign: int, dist: float) -> Tuple[float, int]:
-        value += sign * dist
+    def _reflect(self, value: float, sign: int) -> Tuple[float, int]:
+        """A coordinate past a border, folded back into the field, and its
+        direction sign after the bounces."""
         while not 0.0 <= value <= self.field_size:
             if not -self.field_size <= value <= 2 * self.field_size:
                 # The bounce repeats every two widths: drop whole periods at
@@ -119,8 +122,13 @@ class BounceTrack:
         draw = self.rng.random
         dx = self.speed_max * draw()
         dy = self.speed_max * draw()
-        x, sx = self._advance(self.position[0], self.direction[0], dx)
-        y, sy = self._advance(self.position[1], self.direction[1], dy)
+        (x, y), (sx, sy) = self.position, self.direction
+        x += sx * dx
+        y += sy * dy
+        if not 0.0 <= x <= self.field_size:
+            x, sx = self._reflect(x, sx)
+        if not 0.0 <= y <= self.field_size:
+            y, sy = self._reflect(y, sy)
         self.position = (x, y)
         self.direction = (sx, sy)
 
@@ -359,6 +367,13 @@ class ConfigError(ValueError):
     pass
 
 
+# The longest round trip a rotation may fly.  The base station polls every
+# t_dr (200 ms) all along, and a rotation's timeline lists every poll: an hour
+# holds 18,000.  A 2,000 km round trip at 7 m/s held 3.7 million segments,
+# took 1.1 GB and 20 s.  The 12x12 grid's round trip takes under 2 minutes.
+MAX_ROUND_TRIP_S = 3_600
+
+
 @dataclass
 class ScenarioConfig:
     topology: Topology
@@ -488,6 +503,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     entry = cfg.entry if cfg.entry is not None else (x0, (y0 + y1) / 2)
     exit_ = cfg.exit if cfg.exit is not None else (x1, (y0 + y1) / 2)
     track = WaypointTrack([cfg.bs_position, entry, exit_, cfg.bs_position], cfg.ms_speed_mps)
+    if track.duration_us() > MAX_ROUND_TRIP_S * 1_000_000:
+        raise ConfigError(
+            f"the sink's round trip takes {track.duration_us() / 1e6:.4g} s, more than {MAX_ROUND_TRIP_S} s"
+        )
     exit_dist = euclid(cfg.bs_position, entry) + euclid(entry, exit_)
 
     phase_times: Dict[int, int] = {}
@@ -826,9 +845,26 @@ GRID_SINK_VCOORD = (GRID_FIELD_M / 2, GRID_FIELD_M / 2)
 GRID_CROSSING_SPEED = 4.0  # field units per round, hop-count reference setting
 
 
+# The most nodes a random-graph topology may have.  A set-up holds up to 50
+# topologies at once, and their adjacency grows with the square of the node
+# count: at 1,000 nodes (mean degree 125 on the default field) a 50-run point
+# takes about 4 s and 72 MB, at 2,000 nodes 18 s and 216 MB.  The paper's
+# degrees 4-10 need 33-81 nodes.
+MAX_NODES = 1_000
+
+
 def nodes_for_degree(degree: float, field: float = RANDOM_FIELD_M, range_m: float = RANDOM_RANGE_M) -> int:
-    """Node count giving the target mean neighbor count on a uniform field."""
-    return max(2, round(1 + degree * field * field / (math.pi * range_m * range_m)))
+    """Node count giving the target mean neighbor count on a uniform field.
+
+    Raises ValueError unless the degree is finite and > 0 and the count, before
+    rounding, is at most MAX_NODES.
+    """
+    if not 0 < degree < math.inf:
+        raise ValueError(f"degree must be finite and > 0, got {degree!r}")
+    count = 1 + degree * field * field / (math.pi * range_m * range_m)
+    if not count <= MAX_NODES:
+        raise ValueError(f"degree {degree!r} needs {count:.4g} nodes, more than {MAX_NODES}")
+    return max(2, round(count))
 
 
 def _component_labels(adjacency: Dict[NodeId, Tuple[NodeId, ...]]) -> List[int]:
@@ -851,24 +887,27 @@ def _component_labels(adjacency: Dict[NodeId, Tuple[NodeId, ...]]) -> List[int]:
 _Replication = Tuple[Topology, NodeId, Position, int, int]
 
 # The one set-up kept between calls, keyed by every argument that decides its
-# draws.  Sweeps walk all speeds of one degree in a row, so one entry serves
+# draws: each replication next to its routing tour, as far as earlier calls
+# grew it.  Sweeps walk all speeds of one degree in a row, so one entry serves
 # them; it is emptied before a new set-up is drawn, so that two set-ups are
 # never alive at once.
-_SETUP_CACHE: Dict[tuple, List[_Replication]] = {}
+_SETUP_CACHE: Dict[tuple, List[Tuple[_Replication, Tour]]] = {}
 
 
 def _random_graph_setup(
     n: int, runs: int, seed: int, field: float, range_m: float, topologies: int
-) -> List[_Replication]:
-    """The replications of a point, drawn or reused from the last call.
+) -> List[Tuple[_Replication, Tour]]:
+    """The replications of a point and their tours, drawn or reused from the
+    last call.
 
     Every topology's positions are drawn, so that the stream stays the same,
-    but only those a replication uses are built.
+    but only those a replication uses are built.  A fresh tour holds only the
+    source.
     """
     key = (n, runs, seed, field, range_m, topologies)
-    reps = _SETUP_CACHE.get(key)
-    if reps is not None:
-        return reps
+    setup = _SETUP_CACHE.get(key)
+    if setup is not None:
+        return setup
     _SETUP_CACHE.clear()
     rng = random.Random(seed)
     # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
@@ -878,27 +917,35 @@ def _random_graph_setup(
         positions = {i: (field * draw(), field * draw()) for i in range(n)}
         if t < runs:  # replication i uses topology i % topologies
             topo = build_udg(positions, range_m)
-            topos.append((topo, _component_labels(topo.adjacency)))
+            label = _component_labels(topo.adjacency)
+            members: Dict[int, List[NodeId]] = {}
+            for nid in range(n):
+                members.setdefault(label[nid], []).append(nid)
+            by_x = sorted((x, y, label[nid]) for nid, (x, y) in topo.positions.items())
+            topos.append((topo, [x for x, _, _ in by_x], by_x, members))
 
     r2 = float(range_m) ** 2
-    reps = []
+    setup = []
     for i in range(runs):
-        topo, label = topos[i % topologies]
+        topo, xs, by_x, members = topos[i % topologies]
         # Redraw the sink until some node is in range of it; the source is
-        # then uniform over the components of the nodes in range.
+        # then uniform over the components of the nodes in range.  A node
+        # further than the range in x, with a margin far above rounding,
+        # fails the test, so only the nodes inside that strip are tested.
         while True:
             sx, sy = field * draw(), field * draw()
-            heard = {
-                label[nid]
-                for nid, (x, y) in topo.positions.items()
-                if (x - sx) ** 2 + (y - sy) ** 2 <= r2
-            }
+            reach = range_m + 1e-9 * (abs(sx) + range_m)
+            strip = by_x[bisect_left(xs, sx - reach) : bisect_right(xs, sx + reach)]
+            heard = {lab for x, y, lab in strip if (x - sx) ** 2 + (y - sy) ** 2 <= r2}
             if heard:
                 break
-        source = rng.choice([nid for nid in range(n) if label[nid] in heard])
-        reps.append((topo, source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31)))
-    _SETUP_CACHE[key] = reps
-    return reps
+        # The ids of the heard components, ascending.
+        ids = [members[lab] for lab in heard]
+        source = rng.choice(ids[0] if len(ids) == 1 else sorted(nid for c in ids for nid in c))
+        rep = (topo, source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31))
+        setup.append((rep, Tour([source])))
+    _SETUP_CACHE[key] = setup
+    return setup
 
 
 # One replication's outcome: (restarts, hops, or None when not delivered).
@@ -948,11 +995,23 @@ def random_graph_point(
     `range_m` and `topologies` reuse the set-up the first one drew and only
     walk again; the results are those of a fresh draw.
 
+    With the sink's virtual coordinate fixed, a replication's depth-first
+    tour (:class:`sinksim.routing.Tour`) does not depend on the speed: speed
+    decides only the round in which the scan along it delivers, restarts or
+    runs out.  So the set-up memo keeps each replication's tour, grown as far
+    as any call has walked it, and a later speed scans it again.  Its
+    coordinates are made from the stored seed only when the tour has to grow
+    further.  The degree must be finite and > 0, and its node count at most
+    MAX_NODES (see :func:`nodes_for_degree`); a speed of 0 walks against a
+    static sink, which a bounce at speed 0 is.
+
     The set-up is drawn in the calling process; the walks then run in
     contiguous slices over `workers` processes, all but the first forked
     (:func:`sinksim.forkmap.split_map`).  ``None`` takes the CPUs available,
-    with at least 100 replications per worker.  The point is bit-identical
-    for any worker count.
+    with at least 100 replications per worker.  Each walk sends back its
+    outcome and the entries its tour grew, and the caller merges them into
+    the memo in slice order.  The point is bit-identical for any worker
+    count and any order of the speeds.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
@@ -964,18 +1023,36 @@ def random_graph_point(
         raise ValueError(f"range_m must be > 0, got {range_m!r}")
     _check_speed(speed)
     n = nodes_for_degree(degree, field, range_m)
-    reps = _random_graph_setup(n, runs, seed, field, range_m, topologies)
+    setup = _random_graph_setup(n, runs, seed, field, range_m, topologies)
 
     bounds = ((0, field), (0, field))
     sink_coord = (field / 2, field / 2)
 
-    def walk(rep: _Replication) -> _Outcome:
-        topo, source, start, track_seed, vc_seed = rep
-        track = BounceTrack(start, speed, field, seed=track_seed)
-        vc = init_virtual_coords(topo, vc_seed, bounds)
-        return _outcome(route(topo, vc.coords, source, track, sink_coord=sink_coord, round_limit=n))
+    def walk(item: Tuple[_Replication, Tour]) -> Tuple[_Outcome, Optional[tuple]]:
+        (topo, source, start, track_seed, vc_seed), known = item
+        # A copy, so that the caller's tours change only in the merge below.
+        tour = Tour(list(known.entries), known.complete, known.overflow)
+        # A bounce at speed 0 never moves: it is a static sink, without the draws.
+        track = BounceTrack(start, speed, field, seed=track_seed) if speed else StaticSink(start)
+        res = route(
+            topo,
+            lambda: init_virtual_coords(topo, vc_seed, bounds).coords,
+            source,
+            track,
+            sink_coord=sink_coord,
+            round_limit=n,
+            tour=tour,
+        )
+        grown = len(tour.entries) > len(known.entries) or tour.complete != known.complete
+        added = (tour.entries[len(known.entries) :], tour.complete, tour.overflow)
+        return _outcome(res), added if grown else None
 
-    return _sweep_point("bounce", speed, degree, split_map(walk, reps, workers))
+    results = split_map(walk, setup, workers)
+    for (_, tour), (_, grown) in zip(setup, results):
+        if grown is not None:
+            added, tour.complete, tour.overflow = grown
+            tour.entries += added
+    return _sweep_point("bounce", speed, degree, [outcome for outcome, _ in results])
 
 
 def grid_point(
@@ -1003,6 +1080,8 @@ def grid_point(
     """
     if mobility not in ("edge", "diagonal"):
         raise ValueError("grid mobility must be 'edge' or 'diagonal'")
+    if coord_mode not in ("physical", "virtual"):
+        raise ValueError(f"unknown coordinate mode {coord_mode!r}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
     _check_speed(speed)

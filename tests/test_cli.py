@@ -308,6 +308,9 @@ INPUT_FILES = {
         ["route-sim", "--degrees", "inf", "--runs", "2"],
         ["route-sim", "--degrees", "0", "--runs", "2"],
         ["route-sim", "--degrees", "4,-7", "--runs", "2"],
+        # a node count that would exhaust memory
+        ["route-sim", "--degrees", "1e6", "--runs", "2"],
+        ["route-sim", "--degrees", "4,1e300", "--runs", "2"],
         ["route-sim", "--preset", "grid25", "--speeds", "nan", "--runs", "2"],
         ["route-sim", "--preset", "grid25", "--speeds=-inf", "--runs", "2"],
         ["route-sim", "--preset", "grid25", "--speeds", "2,-4", "--runs", "2"],
@@ -331,6 +334,8 @@ INPUT_FILES = {
         ["flood-sim", "--range-m", "1e300"],
         ["demo", "--range-m", "1e300"],
         ["demo", "--spacing", "1e300"],
+        # a round trip whose timeline would hold millions of polls
+        ["demo", "--grid", "2", "--spacing", "1e6"],
         # rejected by argparse
         ["route-sim", "--runs", "x"],
         ["demo", "--bogus"],
@@ -408,7 +413,7 @@ FUZZ_COMMANDS = {
     ),
     "codec": (["encode"], ["--kind", "--src", "--remaining", "--preamble", "--traversed"]),
 }
-FUZZ_VALUES = ["-1", "0", "1", "2", "nan", "inf", "x", "2,x", "0x10", "grid25", "data"]
+FUZZ_VALUES = ["-1", "0", "1", "2", "nan", "inf", "1e6", "1e300", "x", "2,x", "0x10", "grid25", "data"]
 
 
 @st.composite

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinksim.frames import MAX_ADDRESS_COUNT
 from sinksim.radio import build_udg, grid_topology
 from sinksim.routing import (
     Action,
     HeaderOverflow,
     IsolatedNode,
     RouteHeader,
+    RouteResult,
+    Tour,
     centroid_round,
     init_virtual_coords,
     next_hop_3rule,
     route,
 )
-from sinksim.scenario import BounceTrack, StaticSink
+from sinksim.scenario import BounceTrack, LineTrack, StaticSink
 
 
 def connected_component(topology, start_nodes):
@@ -355,3 +358,193 @@ def test_grid_far_corner_matches_dfs_oracle():
         assert delivered and res.delivered
         assert res.path == walk
         assert res.hops == len(walk) - 1
+
+
+# ---------------------------------------------------------------------------
+# the tour scan against the round-by-round walk
+# ---------------------------------------------------------------------------
+
+
+def reference_route(topology, coords, source, sink, *, sink_coord=None, round_limit=None, on_round=None):
+    """The walk as it was before the tour: one `next_hop_3rule` decision per
+    round, on a header the walk itself keeps."""
+    limit = round_limit if round_limit is not None else 4 * len(topology)
+    positions = topology.positions
+    r2 = topology.range_m**2
+    pos = sink.position
+    header = RouteHeader(traversed=[], dest_coord=sink_coord or pos)
+    traversed = header.traversed
+    snapshot = pos
+    ever_moved = False
+    current = source
+    path = [source]
+    hops = 0
+    restarts = 0
+    rounds = 0
+    traversed_set = set()
+
+    while True:
+        if getattr(sink, "departed", False):
+            return RouteResult(False, hops, restarts, path, "missed", rounds)
+        if rounds >= limit:
+            return RouteResult(False, hops, restarts, path, "missed", rounds)
+        pos = sink.position
+        x, y = positions[current]
+        adjacent = (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2
+        action = next_hop_3rule(
+            current,
+            header,
+            topology,
+            coords,
+            visited=traversed_set,
+            sink_adjacent=adjacent,
+            sink_moved=pos != snapshot,
+            source=source,
+        )
+        if action.kind == "restart":
+            restarts += 1
+            traversed.clear()
+            traversed_set.clear()
+            header.dest_coord = sink_coord or pos
+            snapshot = pos
+            continue
+        kind = action.kind
+        if on_round is not None:
+            on_round(current, action, header)
+        if kind == "deliver":
+            return RouteResult(True, hops, restarts, path, "delivered", rounds)
+        if kind == "forward" or kind == "backtrack":
+            if current not in traversed_set:
+                if len(traversed) >= MAX_ADDRESS_COUNT:
+                    raise HeaderOverflow(f"traversed list would exceed {MAX_ADDRESS_COUNT} ids")
+                traversed.append(current)
+                traversed_set.add(current)
+            current = action.target
+            path.append(current)
+            hops += 1
+        elif not ever_moved:
+            return RouteResult(False, hops, restarts, path, "failed", rounds)
+        sink.step()
+        if not ever_moved and sink.position != pos:
+            ever_moved = True
+        rounds += 1
+
+
+def _walked(walk, topology, coords, source, sink, **kwargs):
+    """A walk's result fields, or "overflow", and every round it reported."""
+    seen = []
+
+    def record(node, action, header):
+        seen.append((node, action.kind, action.target, header.dest_coord, list(header.traversed)))
+
+    try:
+        res = walk(topology, coords, source, sink, on_round=record, **kwargs)
+        fields = (res.delivered, res.path, res.rounds, res.hops, res.restarts, res.outcome)
+    except HeaderOverflow:
+        fields = "overflow"
+    return fields, seen
+
+
+def _sinks(rnd, field):
+    """One sink of each kind, started somewhere on a `field`-wide square."""
+    start = (rnd.uniform(0, field), rnd.uniform(0, field))
+    end = (rnd.uniform(0, field), rnd.uniform(0, field))
+    speed = rnd.choice((0.0, 1.0, 5.0, 20.0, 80.0))
+    seed = rnd.randrange(2**31)
+    return {
+        "bounce": lambda: BounceTrack(start, speed, field, seed=seed),
+        "line": lambda: LineTrack(start, end, speed or 3.0),
+        "static": lambda: StaticSink(start),
+        "moves-once": lambda: _MovesOnceSink(start, end),
+    }
+
+
+def _instances():
+    """Random UDGs of every density and the grid, with sources that include
+    isolated nodes; each with virtual and physical coordinates."""
+    rnd = random.Random(2024)
+    for i in range(120):
+        if i % 6 == 0:
+            topo, field = grid_topology(5, 25.0), 100.0
+        else:
+            field = 300.0
+            n = rnd.randrange(2, 45)
+            positions = {nid: (rnd.uniform(0, field), rnd.uniform(0, field)) for nid in range(n)}
+            topo = build_udg(positions, rnd.choice((40.0, 60.0, 90.0)))
+        source = rnd.choice(sorted(topo.positions))
+        limit = rnd.choice((None, None, 3, 25))
+        vcoords = {nid: (rnd.uniform(0, field), rnd.uniform(0, field)) for nid in topo.positions}
+        dest = (rnd.uniform(0, field), rnd.uniform(0, field))
+        for kind, make_sink in _sinks(rnd, field).items():
+            yield topo, vcoords, source, make_sink, {"sink_coord": dest, "round_limit": limit}
+            yield topo, topo.positions, source, make_sink, {"round_limit": limit}
+
+
+def test_the_tour_scan_equals_the_round_by_round_walk():
+    outcomes = set()
+    for topo, coords, source, make_sink, kwargs in _instances():
+        expected = _walked(reference_route, topo, coords, source, make_sink(), **kwargs)
+        assert _walked(route, topo, coords, source, make_sink(), **kwargs) == expected
+        fields = expected[0]
+        outcomes.add(fields if fields == "overflow" else fields[-1])
+        if fields != "overflow" and fields[4]:
+            outcomes.add("restarted")
+        if not topo.adjacency[source]:
+            outcomes.add("isolated source")
+    assert outcomes == {"delivered", "missed", "failed", "restarted", "isolated source"}
+
+
+def test_a_shared_tour_gives_every_sink_the_round_by_round_walk():
+    # One tour per (topology, coordinates, source, destination), walked by
+    # sinks of every speed in a random order; each grows it only as far as
+    # it needs, and makes coordinates only then.
+    rnd = random.Random(7)
+    grew = 0
+    for _ in range(40):
+        n = rnd.randrange(10, 45)
+        positions = {nid: (rnd.uniform(0, 300), rnd.uniform(0, 300)) for nid in range(n)}
+        topo = build_udg(positions, 70.0)
+        coords = {nid: (rnd.uniform(0, 300), rnd.uniform(0, 300)) for nid in range(n)}
+        source, dest = rnd.randrange(n), (150.0, 150.0)
+        tour = Tour([source])
+        made = []
+
+        def make_coords():
+            made.append(1)
+            return coords
+
+        start = (rnd.uniform(0, 300), rnd.uniform(0, 300))
+        speeds = [0.0, 2.0, 10.0, 40.0, 120.0]
+        rnd.shuffle(speeds)
+        for speed in speeds:
+            seed = rnd.randrange(100)
+            known = len(tour.entries), tour.complete
+            calls = len(made)
+            expected = _walked(
+                reference_route, topo, coords, source,
+                BounceTrack(start, speed, 300.0, seed=seed), sink_coord=dest, round_limit=n,
+            )
+            got = _walked(
+                route, topo, make_coords, source,
+                BounceTrack(start, speed, 300.0, seed=seed), sink_coord=dest, round_limit=n, tour=tour,
+            )
+            assert got == expected
+            grown = (len(tour.entries), tour.complete) != known
+            assert len(made) - calls == int(grown)
+            grew += grown
+    assert grew
+
+
+def test_header_overflow_on_a_long_chain_matches_the_round_by_round_walk():
+    positions = {i: (i * 20.0, 0.0) for i in range(130)}
+    topo = build_udg(positions, 25.0)
+    for sink in (lambda: StaticSink((129 * 20.0, 0.0)), lambda: BounceTrack((2500.0, 5.0), 3.0, 2600.0, seed=1)):
+        for kwargs in ({}, {"sink_coord": (2600.0, 0.0)}):
+            expected = _walked(reference_route, topo, topo.positions, 0, sink(), round_limit=10_000, **kwargs)
+            assert expected[0] == "overflow"
+            assert _walked(route, topo, topo.positions, 0, sink(), round_limit=10_000, **kwargs) == expected
+    tour = Tour([0])
+    with pytest.raises(HeaderOverflow):
+        route(topo, topo.positions, 0, StaticSink((129 * 20.0, 0.0)), sink_coord=(2600.0, 0.0), tour=tour)
+    assert tour.overflow == MAX_ADDRESS_COUNT and not tour.complete
+    assert tour.entries == list(range(MAX_ADDRESS_COUNT + 2))

@@ -14,9 +14,11 @@ from sinksim import energy, radio, scenario
 from sinksim.core import DEFAULT_CONSTANTS, replace_constants
 from sinksim.energy import integrate_timeline
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, grid_topology, power_table
-from sinksim.routing import HeaderOverflow, RoutingError, init_virtual_coords
+from sinksim.routing import HeaderOverflow, RoutingError, Tour, init_virtual_coords
 from sinksim.scenario import (
     BS_ID,
+    MAX_NODES,
+    MAX_ROUND_TRIP_S,
     MS_ID,
     BounceTrack,
     ConfigError,
@@ -36,6 +38,7 @@ from sinksim.scenario import (
     grid_point,
     hop_exchange_timeline,
     mean_ci,
+    nodes_for_degree,
     random_graph_point,
     run_scenario,
     timeline_coverage,
@@ -651,6 +654,14 @@ def test_scenario_config_errors():
         run_scenario(scenario_config(coord_mode="warp"))
 
 
+def test_a_round_trip_longer_than_the_bound_is_a_config_error():
+    # 4x4 grid at 25 m: the round trip from (-80, 37.5) is 80 + 75 + 155 m.
+    slowest = 310 / MAX_ROUND_TRIP_S
+    assert run_scenario(scenario_config(ms_speed_mps=slowest * 1.01)).horizon_us > 0
+    with pytest.raises(ConfigError, match="round trip"):
+        run_scenario(scenario_config(ms_speed_mps=slowest * 0.99))
+
+
 def test_discovered_graph_union():
     assert discovered_graph([]) == {}
     reports = [run_scenario(scenario_config(query_node=q, seed=50 + q)) for q in range(16)]
@@ -900,6 +911,72 @@ def test_a_caller_error_ends_the_children(monkeypatch):
     with pytest.raises(RoutingError, match="walk failed in the caller"):
         random_graph_point(4, 10, 30, 1, workers=2)
     assert _no_child_left()
+
+
+PAIRED_SPEEDS = (0, 10, 25, 50)
+
+
+def _point_fields(pt):
+    return repr(pt)  # the repr shows nan, which == would not match
+
+
+def _memo_tours():
+    """The memo's tours as plain data, after checking that the one entry
+    holds replications and tours only: ints, no coordinates."""
+    (setup,) = scenario._SETUP_CACHE.values()
+    tours = []
+    for (topo, source, start, track_seed, vc_seed), tour in setup:
+        assert isinstance(topo, radio.Topology) and isinstance(tour, Tour)
+        assert all(type(v) is int for v in (source, track_seed, vc_seed, *tour.entries))
+        assert type(start) is tuple and type(tour.complete) is bool
+        assert tour.overflow is None or type(tour.overflow) is int
+        assert set(vars(tour)) == {"entries", "complete", "overflow"}
+        tours.append((tuple(tour.entries), tour.complete, tour.overflow))
+    return tours
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, None])
+def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers):
+    # 230 replications: the default splits them over 2 workers on 2 CPUs.
+    degree, runs, seed = 6, 230, 12
+    single = {}
+    for speed in PAIRED_SPEEDS:
+        scenario._SETUP_CACHE.clear()
+        single[speed] = _point_fields(random_graph_point(degree, speed, runs, seed, workers=1))
+    grown = {}
+    for order in ("ascending", "descending"):
+        scenario._SETUP_CACHE.clear()
+        speeds = PAIRED_SPEEDS if order == "ascending" else PAIRED_SPEEDS[::-1]
+        for speed in speeds:
+            pt = random_graph_point(degree, speed, runs, seed, workers=workers)
+            assert _point_fields(pt) == single[speed]
+            assert len(scenario._SETUP_CACHE) == 1
+        grown[order] = _memo_tours()
+    # Tours grown in any process are merged: all speeds leave the same tours.
+    assert grown["ascending"] == grown["descending"]
+    assert any(len(entries) > 1 for entries, _, _ in grown["ascending"])
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("degree", [-5, 0, math.nan, math.inf, -math.inf, 1e6, 1e300])
+def test_a_degree_that_is_not_positive_finite_and_bounded_is_rejected(degree):
+    with pytest.raises(ValueError, match="degree"):
+        nodes_for_degree(degree)
+    with pytest.raises(ValueError, match="degree"):
+        random_graph_point(degree, 10, 5, 1)
+
+
+def test_the_node_bound_admits_degrees_up_to_it():
+    largest = (MAX_NODES - 1) * math.pi * 200.0**2 / 1000.0**2
+    assert nodes_for_degree(largest * (1 - 1e-9)) == MAX_NODES
+    with pytest.raises(ValueError, match=f"more than {MAX_NODES}"):
+        nodes_for_degree(largest * 1.001)
+    assert nodes_for_degree(1e-9) == 2  # a 2-node floor for tiny degrees
+
+
+def test_grid_point_rejects_an_unknown_coordinate_mode():
+    with pytest.raises(ValueError, match="coordinate mode 'virtul'"):
+        grid_point("edge", 4, 10, 1, coord_mode="virtul")
 
 
 @pytest.mark.parametrize(
