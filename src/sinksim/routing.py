@@ -195,7 +195,7 @@ class RouteResult:
     rounds: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Tour:
     """The depth-first tour of one source toward one destination coordinate.
 
@@ -280,7 +280,9 @@ def route(
         tour = Tour([source])
     entries = tour.entries
     end, overflow = len(entries) - 1, tour.overflow
-    search = None  # (header, id set, coordinates) of the search, made on the first growth
+    # The search behind the tour (header, id set, coordinates), made when the
+    # tour first has to grow.
+    search_header = visited = made = None
     # The header and its id set are kept only for `on_round`; the tour
     # already knows where the packet goes.
     header = RouteHeader([], dest)
@@ -305,9 +307,9 @@ def route(
             # Grow the tour by one decision of the search, the sink never
             # adjacent and never moved.  The rule is looked up at call time,
             # so a wrapped rule sees every decision.
-            if search is None:
-                search = (*_search_state(entries, dest), coords() if callable(coords) else coords)
-            search_header, visited, made = search
+            if search_header is None:
+                search_header, visited = _search_state(entries, dest)
+                made = coords() if callable(coords) else coords
             action = next_hop_3rule(
                 node,
                 search_header,
@@ -350,7 +352,7 @@ def route(
                 tour = Tour([source])
                 entries = tour.entries
                 end, overflow = 0, None
-                search = None
+                search_header = None
             header.traversed.clear()
             header.dest_coord = dest
             seen.clear()

@@ -369,8 +369,9 @@ class ConfigError(ValueError):
 
 # The longest round trip a rotation may fly.  The base station polls every
 # t_dr (200 ms) all along, and a rotation's timeline lists every poll: an hour
-# holds 18,000.  A 2,000 km round trip at 7 m/s held 3.7 million segments,
-# took 1.1 GB and 20 s.  The 12x12 grid's round trip takes under 2 minutes.
+# holds 18,000.  A 2,600 km round trip at 7 m/s (`demo --grid 2 --spacing
+# 1e6`) held 3.7 million segments and took 1.1 GB and 20 s.  The round trip
+# over the 12x12 grid at 25 m takes under 2 minutes.
 MAX_ROUND_TRIP_S = 3_600
 
 
@@ -842,6 +843,7 @@ GRID_SIDE = 5
 GRID_SPACING_M = 25.0
 GRID_FIELD_M = GRID_SPACING_M * (GRID_SIDE - 1)
 GRID_SINK_VCOORD = (GRID_FIELD_M / 2, GRID_FIELD_M / 2)
+GRID_BOUNDS = ((0, GRID_FIELD_M), (0, GRID_FIELD_M))  # virtual coordinates start inside the field
 GRID_CROSSING_SPEED = 4.0  # field units per round, hop-count reference setting
 
 
@@ -921,13 +923,14 @@ def _random_graph_setup(
             members: Dict[int, List[NodeId]] = {}
             for nid in range(n):
                 members.setdefault(label[nid], []).append(nid)
-            by_x = sorted((x, y, label[nid]) for nid, (x, y) in topo.positions.items())
-            topos.append((topo, [x for x, _, _ in by_x], by_x, members))
+            order = sorted(topo.positions, key=topo.positions.__getitem__)
+            points = [topo.positions[nid] for nid in order]
+            topos.append((topo, [x for x, _ in points], points, [label[nid] for nid in order], members))
 
     r2 = float(range_m) ** 2
     setup = []
     for i in range(runs):
-        topo, xs, by_x, members = topos[i % topologies]
+        topo, xs, points, labels, members = topos[i % topologies]
         # Redraw the sink until some node is in range of it; the source is
         # then uniform over the components of the nodes in range.  A node
         # further than the range in x, with a margin far above rounding,
@@ -935,8 +938,10 @@ def _random_graph_setup(
         while True:
             sx, sy = field * draw(), field * draw()
             reach = range_m + 1e-9 * (abs(sx) + range_m)
-            strip = by_x[bisect_left(xs, sx - reach) : bisect_right(xs, sx + reach)]
-            heard = {lab for x, y, lab in strip if (x - sx) ** 2 + (y - sy) ** 2 <= r2}
+            lo, hi = bisect_left(xs, sx - reach), bisect_right(xs, sx + reach)
+            heard = {
+                lab for (x, y), lab in zip(points[lo:hi], labels[lo:hi]) if (x - sx) ** 2 + (y - sy) ** 2 <= r2
+            }
             if heard:
                 break
         # The ids of the heard components, ascending.
@@ -1097,10 +1102,18 @@ def grid_point(
     def walk(draw: Tuple[NodeId, Optional[int]]) -> _Outcome:
         source, vc_seed = draw
         track = make_track(GRID_FIELD_M, speed)
-        if vc_seed is not None:
-            vc = init_virtual_coords(g, vc_seed, ((0, GRID_FIELD_M), (0, GRID_FIELD_M)))
-            return _outcome(route(g, vc.coords, source, track, sink_coord=GRID_SINK_VCOORD))
-        return _outcome(route(g, g.positions, source, track))
+        if vc_seed is None:
+            return _outcome(route(g, g.positions, source, track))
+        # Coordinates are made only if the walk moves at all.
+        return _outcome(
+            route(
+                g,
+                lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS).coords,
+                source,
+                track,
+                sink_coord=GRID_SINK_VCOORD,
+            )
+        )
 
     return _sweep_point(mobility, speed, None, split_map(walk, draws, workers))
 
@@ -1123,8 +1136,15 @@ def grid_crossing_hops(
         source, vc_seed = draws[i]
         make_track = edge_line if i % 2 == 0 else diagonal_line
         track = make_track(GRID_FIELD_M, GRID_CROSSING_SPEED)
-        vc = init_virtual_coords(g, vc_seed, ((0, GRID_FIELD_M), (0, GRID_FIELD_M)))
-        return _outcome(route(g, vc.coords, source, track, sink_coord=GRID_SINK_VCOORD))
+        return _outcome(
+            route(
+                g,
+                lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS).coords,
+                source,
+                track,
+                sink_coord=GRID_SINK_VCOORD,
+            )
+        )
 
     outcomes = split_map(walk, range(runs), workers)
     return mean_ci([h for _, h in outcomes if h is not None])

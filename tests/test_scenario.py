@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -819,6 +820,39 @@ def test_random_graph_set_up_reuse_matches_a_fresh_draw():
         assert random_graph_point(*args, **kwargs) == pt
 
 
+def _naive_set_up(n, runs, seed, field, range_m, topologies):
+    """The set-up's draws with every node tested against every sink start."""
+    rng = random.Random(seed)
+    topos = []
+    for t in range(topologies):
+        positions = {i: (field * rng.random(), field * rng.random()) for i in range(n)}
+        if t < runs:
+            topo = build_udg(positions, range_m)
+            topos.append((topo, scenario._component_labels(topo.adjacency)))
+    draws = []
+    for i in range(runs):
+        topo, label = topos[i % topologies]
+        while True:
+            sx, sy = field * rng.random(), field * rng.random()
+            heard = {label[v] for v in topo.positions if topo.in_range(v, (sx, sy))}
+            if heard:
+                break
+        source = rng.choice([v for v in range(n) if label[v] in heard])
+        draws.append((source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31)))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "n, field, range_m",
+    [(33, 1000.0, 200.0), (81, 1000.0, 200.0), (12, 1000.0, 60.0), (12, 50.0, 3.0), (40, 1e7, 2e6)],
+)
+def test_the_set_up_tests_only_a_strip_but_draws_as_if_it_tested_every_node(n, field, range_m):
+    scenario._SETUP_CACHE.clear()
+    setup = scenario._random_graph_setup(n, 120, 5, field, range_m, 7)
+    scenario._SETUP_CACHE.clear()
+    assert [rep[1:] for rep, _ in setup] == _naive_set_up(n, 120, 5, field, range_m, 7)
+
+
 # Calls whose replications split unevenly over 2 and 3 workers, and counts
 # below both the worker count and the default minimum slice.
 WORKER_COUNT_CALLS = {
@@ -930,7 +964,7 @@ def _memo_tours():
         assert all(type(v) is int for v in (source, track_seed, vc_seed, *tour.entries))
         assert type(start) is tuple and type(tour.complete) is bool
         assert tour.overflow is None or type(tour.overflow) is int
-        assert set(vars(tour)) == {"entries", "complete", "overflow"}
+        assert not hasattr(tour, "__dict__")  # entries, complete and overflow only
         tours.append((tuple(tour.entries), tour.complete, tour.overflow))
     return tours
 
