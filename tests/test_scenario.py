@@ -977,18 +977,19 @@ def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers):
     for speed in PAIRED_SPEEDS:
         scenario._SETUP_CACHE.clear()
         single[speed] = _point_fields(random_graph_point(degree, speed, runs, seed, workers=1))
-    grown = {}
-    for order in ("ascending", "descending"):
+    scenario._SETUP_CACHE.clear()
+    for speed in PAIRED_SPEEDS:
+        random_graph_point(degree, speed, runs, seed, workers=1)
+    serial_tours = _memo_tours()
+    assert any(len(entries) > 1 for entries, _, _ in serial_tours)
+    for speeds in (PAIRED_SPEEDS, PAIRED_SPEEDS[::-1]):
         scenario._SETUP_CACHE.clear()
-        speeds = PAIRED_SPEEDS if order == "ascending" else PAIRED_SPEEDS[::-1]
         for speed in speeds:
             pt = random_graph_point(degree, speed, runs, seed, workers=workers)
             assert _point_fields(pt) == single[speed]
             assert len(scenario._SETUP_CACHE) == 1
-        grown[order] = _memo_tours()
-    # Tours grown in any process are merged: all speeds leave the same tours.
-    assert grown["ascending"] == grown["descending"]
-    assert any(len(entries) > 1 for entries, _, _ in grown["ascending"])
+        # The tours grown in every worker were merged into the memo.
+        assert _memo_tours() == serial_tours
     assert _no_child_left()
 
 
