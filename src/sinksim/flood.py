@@ -14,12 +14,23 @@ long source wait instead, giving the broadcast storm time to die out.
 
 Transmissions are modeled at packet granularity (one interval of d_brp per
 relay) and reception is loss-free by default; the optional collision flag
-drops receptions at nodes covered by two overlapping transmissions.
+drops receptions at nodes covered by two overlapping transmissions.  Only
+then does the engine record, per node, the transmissions it hears
+(`heard`); loss-free it stays empty.
+
+Event order: `run_until` is the one event loop.  Events run in time order,
+ties in push order (one counter numbers the pushes of `run_until`,
+`transmit` and `inject_reception`).  Every backoff start and every cancel
+bumps the node's token; a `resume` or `expiry` that carries an older token,
+or finds the node no longer deferring or backing off, is stale and is
+dropped when it comes up.  `transmit` is the one place a transmission is
+booked.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -32,6 +43,12 @@ BACKOFF = "backoff"
 DEFER = "defer"
 SENT = "sent"
 SOURCE_WAIT = "source_wait"
+
+# event kinds
+DELIVER = "deliver"  # an external preamble ends at the node
+TX_END = "tx_end"  # the node's relay ends at each of its neighbors
+RESUME = "resume"  # the channel a deferring node waited on is clear
+EXPIRY = "expiry"  # the node's backoff runs out
 
 
 @dataclass
@@ -63,34 +80,21 @@ class FloodEngine:
         self.source = source
         self.collisions = collisions
         self.rng = random.Random(seed)
-        self.state: Dict[NodeId, str] = {nid: IDLE for nid in topology.positions}
-        self.busy_until: Dict[NodeId, int] = {nid: 0 for nid in topology.positions}
+        nodes = topology.positions
+        self.state: Dict[NodeId, str] = dict.fromkeys(nodes, IDLE)
+        self.busy_until: Dict[NodeId, int] = dict.fromkeys(nodes, 0)
         self.expiry: Dict[NodeId, int] = {}
-        self.token: Dict[NodeId, int] = {nid: 0 for nid in topology.positions}
+        self.token: Dict[NodeId, int] = dict.fromkeys(nodes, 0)
         # (start, end) of every transmission each node hears, in send order;
         # recorded only for the collision check
-        self.heard: Dict[NodeId, List[Tuple[int, int]]] = {nid: [] for nid in topology.positions}
+        self.heard: Dict[NodeId, List[Tuple[int, int]]] = (
+            {nid: [] for nid in nodes} if collisions else {}
+        )
         self.report = FloodReport(initiator=-1, source=source)
-        self._queue: List[tuple] = []
-        self._seq = 0
+        # (time, push order, kind, node, token) entries
+        self._queue: List[Tuple[int, int, str, NodeId, int]] = []
+        self._seq = itertools.count()
         self.now = 0
-
-    def _push(self, time_us: int, kind: str, node: NodeId, token: int = 0) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (time_us, self._seq, kind, node, token))
-
-    def _draw_backoff(self) -> int:
-        return self.rng.randint(0, self.c.w_br)
-
-    def _start_backoff(self, node: NodeId, t: int) -> None:
-        if self.busy_until[node] > t:
-            self.state[node] = DEFER
-            self._push(self.busy_until[node], "resume", node, self.token[node])
-            return
-        self.state[node] = BACKOFF
-        self.expiry[node] = t + self._draw_backoff()
-        self.token[node] += 1
-        self._push(self.expiry[node], "expiry", node, self.token[node])
 
     def _lost_to_collision(self, node: NodeId, start: int, end: int) -> bool:
         """Reception is lost when a second neighbor transmission overlaps it."""
@@ -104,60 +108,93 @@ class FloodEngine:
 
     def transmit(self, node: NodeId, t: int) -> None:
         """Node starts a relay transmission at time t."""
-        end = t + self.c.d_brp
+        c = self.c
+        end = t + c.d_brp
         self.state[node] = SENT
-        self.report.tx_start_us[node] = t
-        self.report.tx_end_us[node] = end
-        self.report.transmissions.append((node, t))
+        report = self.report
+        report.tx_start_us[node] = t
+        report.tx_end_us[node] = end
+        report.transmissions.append((node, t))
+        neighbors = self.topology.adjacency[node]
         if self.collisions:
-            for v in self.topology.adjacency[node]:
-                self.heard[v].append((t, end))
-        for v in self.topology.adjacency[node]:
-            self.busy_until[v] = max(self.busy_until[v], end)
-            if self.state[v] == BACKOFF and self.expiry[v] >= t + self.c.d_rxtx:
+            heard = self.heard
+            for v in neighbors:
+                heard[v].append((t, end))
+        state, busy_until, expiry, token = self.state, self.busy_until, self.expiry, self.token
+        queue, seq = self._queue, self._seq
+        committed = t + c.d_rxtx
+        for v in neighbors:
+            if busy_until[v] < end:
+                busy_until[v] = end
+            if state[v] == BACKOFF and expiry[v] >= committed:
                 # v detects the preamble before committing to transmit
-                self.state[v] = DEFER
-                self.token[v] += 1
-                self._push(end, "resume", v, self.token[v])
-        self._push(end, "tx_end", node)
+                state[v] = DEFER
+                token[v] = k = token[v] + 1
+                heapq.heappush(queue, (end, next(seq), RESUME, v, k))
+        heapq.heappush(queue, (end, next(seq), TX_END, node, 0))
 
     def inject_reception(self, node: NodeId, rx_complete_us: int) -> None:
         """External preamble (e.g. from the mobile sink) finishing at a node."""
-        self._push(rx_complete_us, "deliver", node)
-
-    def _handle_reception(self, node: NodeId, t: int) -> None:
-        if self.state[node] != IDLE:
-            return
-        self.report.first_rx_us[node] = t
-        self.report.reached.add(node)
-        if node == self.source:
-            self.state[node] = SOURCE_WAIT
-            self.report.source_wait_expiry_us = t + self.c.b_src
-            return
-        self._start_backoff(node, t)
-
-    def _process(self, event) -> None:
-        t, _, kind, node, token = event
-        self.now = t
-        if kind == "deliver":
-            self._handle_reception(node, t)
-        elif kind == "tx_end":
-            for v in self.topology.adjacency[node]:
-                if self.state[v] == IDLE and not self._lost_to_collision(
-                    v, t - self.c.d_brp, t
-                ):
-                    self._handle_reception(v, t)
-        elif kind == "resume":
-            if self.state[node] == DEFER and token == self.token[node]:
-                self._start_backoff(node, t)
-        elif kind == "expiry":
-            if self.state[node] == BACKOFF and token == self.token[node]:
-                self.transmit(node, t)
+        heapq.heappush(self._queue, (rx_complete_us, next(self._seq), DELIVER, node, 0))
 
     def run_until(self, t_limit: float) -> None:
-        """Process every pending event at or before `t_limit`."""
-        while self._queue and self._queue[0][0] <= t_limit:
-            self._process(heapq.heappop(self._queue))
+        """Process every pending event at or before `t_limit`, in the order
+        the module docstring states."""
+        queue = self._queue
+        if not queue or queue[0][0] > t_limit:
+            return
+        pop, push, seq = heapq.heappop, heapq.heappush, self._seq
+        state, busy_until, expiry, token = self.state, self.busy_until, self.expiry, self.token
+        adjacency = self.topology.adjacency
+        report = self.report
+        first_rx, reached = report.first_rx_us, report.reached
+        source, d_brp, b_src = self.source, self.c.d_brp, self.c.b_src
+        draw, window = self.rng.randrange, self.c.w_br + 1
+        lost = self._lost_to_collision if self.collisions else None
+        transmit = self.transmit
+        while queue and queue[0][0] <= t_limit:
+            t, _, kind, node, tok = pop(queue)
+            if kind == EXPIRY:
+                if state[node] == BACKOFF and tok == token[node]:
+                    transmit(node, t)
+                continue
+            if kind == RESUME:
+                if state[node] != DEFER or tok != token[node]:
+                    continue
+                starting = (node,)
+            else:
+                # a delivery reaches its node, a relay's end the neighbors
+                # whose copy survives; only an idle node takes it in
+                if kind == DELIVER:
+                    receivers = (node,)
+                elif lost is None:
+                    receivers = adjacency[node]
+                else:
+                    receivers = [
+                        v for v in adjacency[node] if state[v] == IDLE and not lost(v, t - d_brp, t)
+                    ]
+                starting = []
+                for v in receivers:
+                    if state[v] != IDLE:
+                        continue
+                    first_rx[v] = t
+                    reached.add(v)
+                    if v == source:
+                        state[v] = SOURCE_WAIT
+                        report.source_wait_expiry_us = t + b_src
+                    else:
+                        starting.append(v)
+            # start a backoff, or defer its draw while a neighbor is on the air
+            for v in starting:
+                if busy_until[v] > t:
+                    state[v] = DEFER
+                    push(queue, (busy_until[v], next(seq), RESUME, v, token[v]))
+                else:
+                    state[v] = BACKOFF
+                    expiry[v] = e = t + draw(window)
+                    token[v] = k = token[v] + 1
+                    push(queue, (e, next(seq), EXPIRY, v, k))
+        self.now = t
 
     def run(self) -> FloodReport:
         self.run_until(float("inf"))

@@ -24,7 +24,7 @@ state) spans; un-involved stretches are the idle sampling state.  Hop
 exchanges hand each node's spans to the rotation, and `_fill_gaps`, the one
 routine that fills gaps and clips overlaps, fills each node once.  A rotation
 keeps its timelines as a :class:`~sinksim.radio.Timeline` view: each node's
-microseconds per state, added up from the filled spans, with the base
+microseconds per state, added up while its spans are filled, with the base
 station's request train priced in closed form.  Segments are built only when
 the view is iterated.
 """
@@ -42,7 +42,7 @@ from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
 from .flood import FloodEngine, FloodReport
 from .forkmap import split_map
 from .mac import ack_backoff
-from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_topology, state_totals
+from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_topology
 from .routing import (  # noqa: F401  next_hop_3rule stays bound for bench/tracer.py
     RouteResult,
     Tour,
@@ -216,16 +216,20 @@ class WaypointTrack:
 # ---------------------------------------------------------------------------
 
 
-def _fill_gaps(active: List[Span], start: int, end: int, idle: str) -> Tuple[List[Span], int]:
-    """Spans covering [start, end], the idle state in the gaps, and the
-    active microseconds clipped where spans overlap.
+def _fill_gaps(
+    active: List[Span], start: int, end: int, idle: str
+) -> Tuple[List[Span], Dict[str, int], int]:
+    """Spans covering [start, end], the idle state in the gaps, each state's
+    microseconds, and the active microseconds clipped where spans overlap.
 
     Active (start, end, state) spans are taken in sorted order and clipped to
     [start, end]; one left empty is skipped, and one that starts before the
     span before it ends keeps only its part after that end; the part cut off
-    counts as clipped.
+    counts as clipped.  The totals are added up in the same pass, each state
+    keyed in order of first appearance, as `radio.state_totals` keys them.
     """
     out: List[Span] = []
+    totals: Dict[str, int] = {}
     clipped = 0
     t = start
     for s, e, state in sorted(active):
@@ -243,11 +247,14 @@ def _fill_gaps(active: List[Span], start: int, end: int, idle: str) -> Tuple[Lis
             s = t
         elif s > t:
             out.append((t, s, idle))
+            totals[idle] = totals.get(idle, 0) + (s - t)
         out.append((s, e, state))
+        totals[state] = totals.get(state, 0) + (e - s)
         t = e
     if t < end:
         out.append((t, end, idle))
-    return out, clipped
+        totals[idle] = totals.get(idle, 0) + (end - t)
+    return out, totals, clipped
 
 
 def _base_station_totals(c: ProtocolConstants, horizon: int) -> Tuple[Dict[str, int], int]:
@@ -440,6 +447,35 @@ def _hearers(
     return [nid for nid, (x, y) in nodes if (x - px) ** 2 + (y - py) ** 2 <= r2]
 
 
+def _quiet_passes(
+    track: WaypointTrack,
+    bbox: Tuple[float, float, float, float],
+    range_m: float,
+    exit_dist: float,
+    t_brp: int,
+    d_brp: int,
+) -> int:
+    """How many of the sink's first request preambles no node can hear.
+
+    Preamble k ends k*t_brp + d_brp after the sink sets off from the track's
+    first point, and the sink is never farther from that point than the path
+    it has flown.  So while the path is shorter than the point's distance
+    from the network's box `bbox` less the range, no node is in range, and
+    while it is shorter than `exit_dist`, the sink has not left.  The margin
+    is far above the rounding of the positions and of this bound.
+    """
+    (px, py), (x0, y0, x1, y1) = track.points[0], bbox
+    gap = math.hypot(
+        x0 - px if px < x0 else (px - x1 if px > x1 else 0.0),
+        y0 - py if py < y0 else (py - y1 if py > y1 else 0.0),
+    )
+    scale = max(abs(v) for v in (*bbox, *(v for p in track.points for v in p)))
+    reach = min(gap - range_m, exit_dist) - 1e-9 * (scale + exit_dist + range_m)
+    if not reach > 0:
+        return 0
+    return max(0, math.ceil((reach / track.speed_mps * 1e6 - d_brp) / t_brp))
+
+
 def _first_cca_catch(c: ProtocolConstants, cca_offset: int, not_before: int) -> int:
     """End time of the first request preamble whose transmission fully
     contains one of the sink's channel checks at or after `not_before`.
@@ -499,6 +535,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         cfg.virtual_coords is None or cfg.ms_virtual_coord is None
     ):
         raise ConfigError("virtual mode needs virtual_coords and ms_virtual_coord")
+    # timers the rotation divides by or draws offsets within
+    for name in ("t_dr", "t_cca", "t_brp"):
+        if getattr(c, name) <= 0:
+            raise ConfigError(f"{name} must be > 0, got {getattr(c, name)}")
+    if c.d_rrp < c.d_cca:
+        raise ConfigError(f"d_rrp ({c.d_rrp}) must be >= d_cca ({c.d_cca})")
 
     bbox = x0, y0, x1, y1 = _network_bbox(topo)
     entry = cfg.entry if cfg.entry is not None else (x0, (y0 + y1) / 2)
@@ -511,15 +553,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     exit_dist = euclid(cfg.bs_position, entry) + euclid(entry, exit_)
 
     phase_times: Dict[int, int] = {}
-    # Active (start, end, state) spans per node, in the timeline's node order;
-    # the base station's train is built apart, after the horizon is known.
+    # Active (start, end, state) spans per node, in the timeline's node order
+    # (ascending ids, the sink's among them); the base station's train is
+    # built apart, after the horizon is known.
+    ids = sorted(topo.positions)
+    ms_at = bisect_left(ids, MS_ID)
     active: Dict[NodeId, List[Tuple[int, int, str]]] = {
-        nid: [] for nid in sorted([MS_ID, *topo.positions])
+        nid: [] for nid in [*ids[:ms_at], MS_ID, *ids[ms_at:]]
     }
     ms_active = active[MS_ID]
 
     # Phase 1: query handed from base station to sink.
-    cca_offset = rng.randint(0, c.t_cca - 1)
+    cca_offset = rng.randrange(c.t_cca)
     drp_end = _first_cca_catch(c, cca_offset, 0)
     phase_times[1] = drp_end + c.d_ack
     ms_active.append((drp_end, drp_end + c.d_ack, "tx"))
@@ -542,11 +587,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     relay_heard: Optional[int] = None
     seeded = False
     scanned = 0
-    nodes = sorted(topo.positions.items())  # ascending ids: injection order sets the event order
+    # ascending ids: injection order sets the event order
+    nodes = [(nid, topo.positions[nid]) for nid in ids]
     r2 = topo.range_m**2
-    for i in range(1_000_000):
-        brp_start = fly_start + i * c.t_brp
-        brp_end = brp_start + c.d_brp
+    inject, run_until = engine.inject_reception, engine.run_until
+    transmissions = engine.report.transmissions
+    t_brp, d_brp = c.t_brp, c.d_brp
+    retries = 1_000_000
+    # the passes before the sink can be heard only poll
+    quiet = min(_quiet_passes(track, bbox, topo.range_m, exit_dist, t_brp, d_brp), retries)
+    ms_active += [
+        (fly_start + i * t_brp, fly_start + i * t_brp + d_brp, "poll") for i in range(quiet)
+    ]
+    for i in range(quiet, retries):
+        brp_start = fly_start + i * t_brp
+        brp_end = brp_start + d_brp
         if ms_departed(brp_end):
             if seeded:
                 break  # query handed off; the sink flies on without hearing back
@@ -557,14 +612,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
                 phase_times[2] = brp_end
             seeded = True
             for nid in hearers:
-                engine.inject_reception(nid, brp_end)
+                inject(nid, brp_end)
         ms_active.append((brp_start, brp_end, "poll"))
-        engine.run_until(brp_start + c.t_brp)
-        while scanned < len(engine.report.transmissions):
-            nid, ts = engine.report.transmissions[scanned]
+        run_until(brp_start + t_brp)
+        while scanned < len(transmissions):
+            nid, ts = transmissions[scanned]
             scanned += 1
             if topo.in_range(nid, ms_pos(ts)):
-                relay_heard = ts + c.d_brp
+                relay_heard = ts + d_brp
                 break
         if relay_heard is not None:
             break
@@ -581,6 +636,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     # exchange per round of the routing walk.
     coords = topo.positions if cfg.coord_mode == "physical" else cfg.virtual_coords.coords
     metric_max = max(euclid((x0, y0), (x1, y1)), 1.0) * 2
+    cca_window = c.d_rrp - c.d_cca + 1
     sink = _FlyingSink(ms_pos, ms_departed, flood_report.source_wait_expiry_us, c)
 
     def hop_exchange(current: NodeId, action, header) -> None:
@@ -595,7 +651,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         if action.kind == "deliver":
             responders.append((MS_ID, 0))
             target = MS_ID
-        cca = {nid: rng.randint(0, c.d_rrp - c.d_cca) for nid, _ in sorted(responders)}
+        cca = {nid: rng.randrange(cca_window) for nid, _ in sorted(responders)}
         exchange = hop_exchange_timeline(c, current, responders, target, sink.t, cca)
         for nid, spans in exchange.items():
             active[nid] += spans
@@ -633,8 +689,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     clipped: Dict[NodeId, int] = {}
     filled: Dict[NodeId, List[Span]] = {}
     for nid, spans in active.items():
-        filled[nid], cut = _fill_gaps(spans, 0, horizon, "poll")
-        totals[nid] = state_totals(filled[nid])
+        filled[nid], totals[nid], cut = _fill_gaps(spans, 0, horizon, "poll")
         length += len(filled[nid])
         if cut:
             clipped[nid] = cut

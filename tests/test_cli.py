@@ -274,6 +274,17 @@ def test_missing_config_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_zero_request_period_is_a_one_line_error(tmp_path, capsys):
+    # t_dr = 0 once ended the rotation in a ZeroDivisionError traceback
+    cfg = tmp_path / "constants.ini"
+    cfg.write_text("[constants]\nt_dr = 0\n")
+    out = tmp_path / "out"
+    assert run_cli("demo", "--grid", "4", "--rotations", "1", "--config", str(cfg), "--out", str(out)) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: t_dr must be > 0, got 0"]
+    assert not out.exists()
+
+
 INPUT_FILES = {
     "sweep_runz.ini": "[sweep]\nrunz = 5\n",
     "sweep_runs_abc.ini": "[sweep]\nruns = abc\n",

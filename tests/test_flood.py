@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter, deque
 
 import pytest
@@ -175,3 +176,63 @@ def test_lossy_flood_is_pinned(seed):
     assert hashlib.sha256(repr(report.transmissions).encode()).hexdigest() == tx_digest
     first_rx = sorted(report.first_rx_us.items())
     assert hashlib.sha256(repr(first_rx).encode()).hexdigest() == rx_digest
+
+
+def sparse_udg():
+    # 90 nodes with ids scattered over 10..4999, inserted in no id order
+    rng = random.Random(2024)
+    ids = rng.sample(range(10, 5000), 90)
+    return build_udg({nid: (rng.uniform(0, 140), rng.uniform(0, 140)) for nid in ids}, 30.0)
+
+
+def flood_digest(report):
+    first_rx = sorted(report.first_rx_us.items())
+    return (
+        len(report.transmissions),
+        len(report.reached),
+        report.completion_us,
+        hashlib.sha256(repr(report.transmissions).encode()).hexdigest(),
+        hashlib.sha256(repr(first_rx).encode()).hexdigest(),
+    )
+
+
+# Recorded before the flood's event loop was folded into run_until, in the
+# layout of PINNED_LOSSY_FLOODS: keyed by (collisions, seed), the initiator
+# is node 1027 (degree 17) and the source node 1882.
+PINNED_UDG_FLOODS = {
+    (False, 0): (89, 90, 2_341_662, "12dee5dd63e0e2212962752dd7252b8939b126587005e831d518d3848a139fa8",
+                 "90142628efa8576ccb3d161acf14f152a74e168a390e8297abea645c3dda0a6e"),
+    (False, 2): (89, 90, 2_196_852, "aba17a8dbc038a56209a09f188e68ec2ff0f6ac3af89e4d26e1b36bc24473aaf",
+                 "902f380e7a95b2090cb48813949196b4fc2cc9c3dafb8e22f15fcf8c54537047"),
+    (True, 0): (83, 84, 1_755_267, "037e55e577ee64e4421a9ae99d1b70286f1e2d960fda0c9e5274ff78ff8caada",
+                "b01230bde8046cf483624460f7b43cb8ba17c7cabf3f8eb2358e04c6324dbdb0"),
+    (True, 2): (88, 89, 1_912_892, "fb9517f585f09ca1fef3ba1cacf813f9deee1735812d4953b4c80ce00e0fe86d",
+                "5579e01a5cc97c1e7772bfd704a09b12c746020a2cbbf031c254f8f297ed298a"),
+}
+
+
+@pytest.mark.parametrize("collisions, seed", sorted(PINNED_UDG_FLOODS))
+def test_flood_on_a_sparse_id_udg_is_pinned(collisions, seed):
+    report = simulate_flood(sparse_udg(), 1027, source=1882, seed=seed, collisions=collisions)
+    assert flood_digest(report) == PINNED_UDG_FLOODS[collisions, seed]
+
+
+# Same topology, no initiator: two external receptions (nodes 677 and 4051,
+# half a preamble apart) start the flood, which runs to 50 ms, then to the end.
+PINNED_INJECTED_FLOODS = {
+    False: (89, 90, 2_076_668, "096f67113c28d9b7ce237e21fa0573ddde0c9d3c4fe685ef030008f0824e5907",
+            "2b1ae19310475e287e5db68bc589f2f59a899a18c99a3f16f621cd1680f4cd89"),
+    True: (88, 89, 1_922_553, "e55331e515b508124fd77d4aae0c6128c740f27ea29a1e44fcea31f0306316f2",
+           "4b35ab023f353d6731a65e8f6c38412723ad185c78b9109007ff779c7f470b3b"),
+}
+
+
+@pytest.mark.parametrize("collisions", [False, True])
+def test_flood_seeded_by_injected_receptions_is_pinned(collisions):
+    engine = FloodEngine(sparse_udg(), C, source=1882, seed=3, collisions=collisions)
+    engine.inject_reception(677, 1_000)
+    engine.inject_reception(4051, 1_000 + C.d_brp // 2)
+    engine.run_until(50_000)
+    report = engine.run()
+    assert report.source_wait_expiry_us == 1_148_898
+    assert flood_digest(report) == PINNED_INJECTED_FLOODS[collisions]

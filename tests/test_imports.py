@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +55,19 @@ def test_energy_does_not_import_the_scenario():
         check=True,
     )
     assert proc.stdout.split() == ["sinksim.core", "sinksim.energy", "sinksim.radio"]
+
+
+def test_every_bench_trace_target_is_an_attribute_of_its_owner():
+    # The traced bench run replaces these attributes; one that a kernel
+    # inlined or renamed fails here, not only in that run.
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", SRC.parent / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _ in tracer.TARGETS
+        if attr not in vars(owner)
+    ]
+    assert tracer.TARGETS and missing == []

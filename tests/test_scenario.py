@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sinksim import energy, radio, scenario
 from sinksim.core import DEFAULT_CONSTANTS, replace_constants
 from sinksim.energy import integrate_timeline
-from sinksim.radio import RADIO_STATES, Timeline, build_udg, grid_topology, power_table
+from sinksim.radio import RADIO_STATES, Timeline, build_udg, euclid, grid_topology, power_table
 from sinksim.routing import HeaderOverflow, RoutingError, Tour, init_virtual_coords
 from sinksim.scenario import (
     BS_ID,
@@ -31,6 +31,7 @@ from sinksim.scenario import (
     _fill_gaps,
     _hearers,
     _network_bbox,
+    _quiet_passes,
     _t_quantile,
     diagonal_line,
     discovered_graph,
@@ -604,8 +605,10 @@ SPAN = st.tuples(st.integers(-50, 450), st.integers(0, 120), st.sampled_from(RAD
 def test_fill_gaps_covers_the_window_and_counts_what_it_clips(spans, start, length):
     end = start + length
     active = [(s, s + d, state) for s, d, state in spans]
-    filled, clipped = _fill_gaps(active, start, end, "idle")  # an idle state no span has
+    filled, totals, clipped = _fill_gaps(active, start, end, "idle")  # an idle state no span has
     assert all(e > s for s, e, _ in filled)
+    # the totals added up during the fill, keyed in the same order
+    assert list(totals.items()) == list(radio.state_totals(filled).items())
     # contiguous, from start to end
     edges = [start] + [e for _, e, _ in filled]
     assert [s for s, _, _ in filled] == edges[:-1] and edges[-1] == end
@@ -646,6 +649,49 @@ def test_prefiltered_hearers_equal_the_in_range_scan(positions, range_m, point):
     assert _hearers(nodes, _network_bbox(topo), topo.range_m**2, point) == expected
 
 
+def quiet_pass_positions(track, quiet, t_brp, d_brp):
+    """Sink positions at the ends of the last 40 and the first 5 quiet passes."""
+    for k in sorted(set(range(max(0, quiet - 40), quiet)) | set(range(min(quiet, 5)))):
+        dt = k * t_brp + d_brp
+        yield dt, track.position_at(dt) if dt > 0 else track.points[0]
+
+
+@given(
+    positions=st.dictionaries(st.integers(0, 40), st.tuples(COORD, COORD), min_size=1, max_size=8),
+    range_m=st.integers(0, 40).map(float) | st.floats(0.0, 40.0),
+    points=st.lists(st.tuples(POINT, POINT), min_size=3, max_size=3),
+    speed=st.floats(0.5, 60.0),
+    t_brp=st.integers(1_000, 400_000),
+    d_brp=st.integers(0, 200_000),
+)
+def test_quiet_passes_are_unheard_and_before_the_exit(
+    positions, range_m, points, speed, t_brp, d_brp
+):
+    topo = build_udg(positions, range_m)
+    bbox = _network_bbox(topo)
+    start, entry, exit_ = points
+    track = WaypointTrack([start, entry, exit_, start], speed)
+    exit_dist = euclid(start, entry) + euclid(entry, exit_)
+    quiet = _quiet_passes(track, bbox, topo.range_m, exit_dist, t_brp, d_brp)
+    nodes = sorted(topo.positions.items())
+    for dt, position in quiet_pass_positions(track, quiet, t_brp, d_brp):
+        assert track.distance_at(dt) < exit_dist
+        assert _hearers(nodes, bbox, topo.range_m**2, position) == []
+
+
+def test_quiet_passes_end_where_the_sink_can_first_be_heard():
+    # straight at a lone node: at 1 m per pass, pass 75 is the first in range
+    topo = build_udg({0: (0.0, 0.0)}, 25.0)
+    track = WaypointTrack([(-100.0, 0.0), (0.0, 0.0), (0.0, 10.0), (-100.0, 0.0)], 1.0)
+    quiet = _quiet_passes(track, _network_bbox(topo), 25.0, 110.0, 1_000_000, 0)
+    assert quiet == 75 and topo.in_range(0, track.position_at(75 * 1_000_000))
+    # the benchmark grid skips 26 of the 43 passes before the sink is heard
+    g = grid_topology(12, 25.0)
+    track = WaypointTrack([(-80.0, 37.5), (0.0, 137.5), (275.0, 137.5), (-80.0, 37.5)], 7.0)
+    exit_dist = euclid((-80.0, 37.5), (0.0, 137.5)) + 275.0
+    assert _quiet_passes(track, _network_bbox(g), 25.0, exit_dist, C.t_brp, C.d_brp) == 26
+
+
 def test_scenario_config_errors():
     with pytest.raises(ConfigError):
         run_scenario(scenario_config(query_node=99))
@@ -653,6 +699,30 @@ def test_scenario_config_errors():
         run_scenario(scenario_config(coord_mode="virtual"))
     with pytest.raises(ConfigError):
         run_scenario(scenario_config(coord_mode="warp"))
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"t_dr": 0}, "t_dr must be > 0, got 0"),
+        ({"t_dr": -1}, "t_dr must be > 0, got -1"),
+        ({"t_cca": 0}, "t_cca must be > 0, got 0"),
+        ({"t_brp": 0}, "t_brp must be > 0, got 0"),
+        ({"d_rrp": 1_000}, "d_rrp (1000) must be >= d_cca (1442)"),
+    ],
+)
+def test_degenerate_timers_are_config_errors(override, message):
+    # each once crashed or stalled the rotation: a division by t_dr, an empty
+    # draw range for the channel-check offsets, a million retries at t_brp = 0
+    c = replace_constants(DEFAULT_CONSTANTS, **override)
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(scenario_config(constants=c))
+    assert str(excinfo.value) == message
+
+
+def test_a_channel_check_as_long_as_the_request_preamble_runs():
+    c = replace_constants(DEFAULT_CONSTANTS, d_rrp=DEFAULT_CONSTANTS.d_cca)
+    assert run_scenario(scenario_config(constants=c)).horizon_us > 0
 
 
 def test_a_round_trip_longer_than_the_bound_is_a_config_error():
