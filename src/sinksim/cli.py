@@ -91,11 +91,26 @@ def load_constants(config: configparser.ConfigParser) -> ProtocolConstants:
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in [constants]")
             overrides[key] = _convert("constants", key, value, int)
-    c = replace_constants(DEFAULT_CONSTANTS, **overrides)
-    violations = validate_constants(c)
-    if violations:
-        print(f"warning: constants violate: {', '.join(violations)}", file=sys.stderr)
-    return c
+    return replace_constants(DEFAULT_CONSTANTS, **overrides)
+
+
+def _check_analyze_divisors(c: ProtocolConstants) -> None:
+    """Raise ValueError naming the first constant, or sum of constants, that
+    `analyze`'s calculators divide by and that is not > 0."""
+    p = RealTimeParams()
+    network = (
+        p.flood_hops * (c.w_br + c.d_brp) + c.b_src + p.worst_hops * (c.d_rrp + c.w_rr + c.d_data)
+    )
+    for name, value in (
+        ("t_cca", c.t_cca),  # duty_cycle
+        ("t_dr + d_drp + d_data", c.t_dr + c.d_drp + c.d_data),  # v_max_bs
+        (
+            f"{p.flood_hops} (w_br + d_brp) + b_src + {p.worst_hops} (d_rrp + w_rr + d_data)",
+            network,
+        ),  # v_max_network
+    ):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
 
 
 def _fill_from_section(parser, argv, args, config) -> argparse.Namespace:
@@ -600,7 +615,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = read_config(getattr(args, "config", None))
         args = _fill_from_section(parser, argv, args, config)
-        return args.func(args, load_constants(config))
+        c = load_constants(config)
+        if args.func is cmd_analyze:
+            _check_analyze_divisors(c)  # before the warning: nothing is printed yet
+        violations = validate_constants(c)
+        if violations:
+            print(f"warning: constants violate: {', '.join(violations)}", file=sys.stderr)
+        return args.func(args, c)
     except (ValueError, OverflowError, RoutingError, UnknownConfiguration, configparser.Error,
             OSError) as exc:
         # a KeyError's str() is the repr of its message

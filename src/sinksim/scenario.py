@@ -20,13 +20,16 @@ acknowledges the data; (6) back at the base station the sink answers the next
 data-request preamble with the data.
 
 Radio activity partitions each node's simulated time into (start, end,
-state) spans; un-involved stretches are the idle sampling state.  Hop
-exchanges hand each node's spans to the rotation, and `_fill_gaps`, the one
-routine that fills gaps and clips overlaps, fills each node once.  A rotation
-keeps its timelines as a :class:`~sinksim.radio.Timeline` view: each node's
-microseconds per state, added up while its spans are filled, with the base
-station's request train priced in closed form.  Segments are built only when
-the view is iterated.
+state) spans; un-involved stretches are the idle sampling state.  A hop
+exchange writes each node's spans already filled, in time order, and hands
+them to the rotation; `_fill_gaps`, the one routine that fills gaps and
+clips overlaps, then fills each node that took part in an exchange once.  A
+node that took part in none holds at most its flood relay, in the idle
+state: it polls all along, and its totals and segment count are closed
+forms.  A rotation keeps its timelines as a
+:class:`~sinksim.radio.Timeline` view: each node's microseconds per state,
+added up while its spans are filled, with the base station's request train
+priced in closed form.  Segments are built only when the view is iterated.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
@@ -51,6 +53,7 @@ from .routing import (  # noqa: F401  next_hop_3rule stays bound for bench/trace
     next_hop_3rule,
     route,
 )
+from .stats import mean_ci
 
 MS_ID = -1  # mobile sink pseudo node in timelines
 BS_ID = -2  # base station pseudo node in timelines
@@ -304,40 +307,84 @@ def hop_exchange_timeline(
     responder wakes once during the preamble for a d_cca channel check and
     otherwise sleeps through the exchange apart from its own ACK.  Returns
     each node's spans, the sender's first.
+
+    The spans are written filled, in time order, as `_fill_gaps` would fill
+    them: no span is empty and each starts where the one before it ends.  A
+    node whose spans could overlap or leave the exchange (a negative
+    duration, a backoff below 0 or above w_rr - d_ack, or d_rrp < d_cca) is
+    handed to `_fill_gaps` instead, so that its clip rule stays in one place.
     """
     cca_offsets = cca_offsets or {}
+    d_cca, d_ack = c.d_cca, c.d_ack
     t_win = t0 + c.d_rrp
     t_data = t_win + c.w_rr
     t_end = t_data + (c.d_data if data_target is not None else 0)
+    # every span below stays inside its own stretch of the exchange
+    plain = min(d_cca, d_ack, c.d_rrp - d_cca, c.w_rr, c.d_data) >= 0
 
-    ack_spans = []
-    for node, backoff in responders:
-        ack_spans.append((t_win + int(backoff), t_win + int(backoff) + c.d_ack, node))
-
+    acks = sorted(t_win + int(backoff) for _, backoff in responders)
     # sender: preamble train, then listen with rx during each (merged) ACK
     rx_spans: List[Tuple[int, int]] = []
-    for s, e, _ in sorted(ack_spans):
-        e = min(e, t_data)
+    for s in acks:
         if s >= t_data:
-            continue
+            break
+        e = min(s + d_ack, t_data)
         if rx_spans and s <= rx_spans[-1][1]:
             rx_spans[-1] = (rx_spans[-1][0], max(rx_spans[-1][1], e))
         else:
             rx_spans.append((s, e))
-    active = [(t0, t_win, "poll")] + [(s, e, "rx") for s, e in rx_spans]
-    if data_target is not None:
-        active.append((t_data, t_end, "tx"))
-    timeline = {sender: _fill_gaps(active, t0, t_end, "listen")[0]}
+    if plain and (not acks or acks[0] >= t_win):
+        spans = [(t0, t_win, "poll")] if t_win > t0 else []
+        t = t_win
+        for s, e in rx_spans:
+            if e > s:
+                if s > t:
+                    spans.append((t, s, "listen"))
+                spans.append((s, e, "rx"))
+                t = e
+        if t_data > t:
+            spans.append((t, t_data, "listen"))
+        if t_end > t_data:
+            spans.append((t_data, t_end, "tx"))
+    else:
+        active = [(t0, t_win, "poll")] + [(s, e, "rx") for s, e in rx_spans]
+        if data_target is not None:
+            active.append((t_data, t_end, "tx"))
+        spans = _fill_gaps(active, t0, t_end, "listen")[0]
+    timeline = {sender: spans}
 
+    last_ack = t_data - d_ack
     for node, backoff in responders:
         offset = cca_offsets.get(node, 0)
-        offset = min(max(offset, 0), c.d_rrp - c.d_cca)
-        active = [(t0 + offset, t0 + offset + c.d_cca, "rx")]
-        ack_start = t_win + int(backoff)
-        active.append((ack_start, ack_start + c.d_ack, "tx"))
-        if node == data_target:
-            active.append((t_data, t_end, "rx"))
-        timeline.setdefault(node, []).extend(_fill_gaps(active, t0, t_end, "sleep")[0])
+        offset = min(max(offset, 0), c.d_rrp - d_cca)
+        cca = t0 + offset
+        ack = t_win + int(backoff)
+        if plain and offset >= 0 and t_win <= ack <= last_ack:
+            # channel check, ACK and data in order, sleep in the gaps
+            spans = []
+            t = t0
+            if d_cca:
+                if cca > t:
+                    spans.append((t, cca, "sleep"))
+                t = cca + d_cca
+                spans.append((cca, t, "rx"))
+            if d_ack:
+                if ack > t:
+                    spans.append((t, ack, "sleep"))
+                t = ack + d_ack
+                spans.append((ack, t, "tx"))
+            if node == data_target and t_end > t_data:
+                if t_data > t:
+                    spans.append((t, t_data, "sleep"))
+                spans.append((t_data, t_end, "rx"))
+            elif t_end > t:
+                spans.append((t, t_end, "sleep"))
+        else:
+            active = [(cca, cca + d_cca, "rx"), (ack, ack + d_ack, "tx")]
+            if node == data_target:
+                active.append((t_data, t_end, "rx"))
+            spans = _fill_gaps(active, t0, t_end, "sleep")[0]
+        timeline.setdefault(node, []).extend(spans)
     return timeline
 
 
@@ -553,15 +600,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     exit_dist = euclid(cfg.bs_position, entry) + euclid(entry, exit_)
 
     phase_times: Dict[int, int] = {}
-    # Active (start, end, state) spans per node, in the timeline's node order
-    # (ascending ids, the sink's among them); the base station's train is
-    # built apart, after the horizon is known.
+    # Active (start, end, state) spans of the sink and of each node a hop
+    # exchange involves; the flood relays stay in the flood report, and the
+    # base station's train is built apart, after the horizon is known.
     ids = sorted(topo.positions)
-    ms_at = bisect_left(ids, MS_ID)
-    active: Dict[NodeId, List[Tuple[int, int, str]]] = {
-        nid: [] for nid in [*ids[:ms_at], MS_ID, *ids[ms_at:]]
-    }
-    ms_active = active[MS_ID]
+    ms_active: List[Span] = []
+    active: Dict[NodeId, List[Span]] = {MS_ID: ms_active}
 
     # Phase 1: query handed from base station to sink.
     cca_offset = rng.randrange(c.t_cca)
@@ -629,8 +673,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     if cfg.query_node not in flood_report.reached:
         raise ConfigError("flood never reached the queried node")
     phase_times[3] = max(flood_report.tx_end_us.values(), default=phase_times[2])
-    for nid, ts in flood_report.tx_start_us.items():
-        active[nid].append((ts, flood_report.tx_end_us[nid], "poll"))
 
     # Phase 4: source routes the answer toward the moving sink, one hop
     # exchange per round of the routing walk.
@@ -654,7 +696,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         cca = {nid: rng.randrange(cca_window) for nid, _ in sorted(responders)}
         exchange = hop_exchange_timeline(c, current, responders, target, sink.t, cca)
         for nid, spans in exchange.items():
-            active[nid] += spans
+            active.setdefault(nid, []).extend(spans)
 
     route_result = route(
         topo,
@@ -681,14 +723,35 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         horizon = phase_times[6]
 
     # Base station: request preambles all along, listening in between, its
-    # totals in closed form.  Then every other node, its untracked stretches
-    # in the idle sampling state, filled once: its spans are added up here and
-    # kept for the segments, which are built when the view is iterated.
+    # totals in closed form.  Then every node in ascending id order, the
+    # sink's among them, its untracked stretches in the idle sampling state.
+    # A node that took part in no hop exchange holds at most its flood relay,
+    # in that state too: it polls all along, its totals and segment count are
+    # closed forms, and its spans are filled only when the view is iterated.
+    # Every other node is filled once: its spans are added up here and kept
+    # for the segments.
     bs_totals, length = _base_station_totals(c, horizon)
     totals = {BS_ID: bs_totals}
     clipped: Dict[NodeId, int] = {}
     filled: Dict[NodeId, List[Span]] = {}
-    for nid, spans in active.items():
+    relay_start, relay_end = flood_report.tx_start_us, flood_report.tx_end_us
+    ms_at = bisect_left(ids, MS_ID)
+    order = [*ids[:ms_at], MS_ID, *ids[ms_at:]]
+    for nid in order:
+        spans = active.get(nid)
+        if spans is None:
+            if horizon > 0:
+                totals[nid] = {"poll": horizon}
+                length += 1
+                if nid in relay_start:  # relays start at 0 or later
+                    s, e = relay_start[nid], min(relay_end[nid], horizon)
+                    if s < e:  # the polling before and after the relay
+                        length += (s > 0) + (e < horizon)
+            else:
+                totals[nid] = {}
+            continue
+        if nid in relay_start:
+            spans.append((relay_start[nid], relay_end[nid], "poll"))
         filled[nid], totals[nid], cut = _fill_gaps(spans, 0, horizon, "poll")
         length += len(filled[nid])
         if cut:
@@ -696,7 +759,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 
     def segments() -> List[Segment]:
         polls = [(k, k + c.d_drp, "poll") for k in range(0, horizon, c.t_dr)]
-        spans = {BS_ID: _fill_gaps(polls, 0, horizon, "listen")[0], **filled}
+        spans = {BS_ID: _fill_gaps(polls, 0, horizon, "listen")[0]}
+        for nid in order:
+            if nid in filled:
+                spans[nid] = filled[nid]
+            else:
+                relay = [(relay_start[nid], relay_end[nid], "poll")] if nid in relay_start else []
+                spans[nid] = _fill_gaps(relay, 0, horizon, "poll")[0]
         return [Segment(nid, state, s, e) for nid, ss in spans.items() for s, e, state in ss]
 
     return ScenarioReport(
@@ -725,156 +794,8 @@ def discovered_graph(reports: Sequence[ScenarioReport]) -> Dict[NodeId, Tuple[No
 
 
 # ---------------------------------------------------------------------------
-# Replication statistics and sweep presets
+# Sweep presets
 # ---------------------------------------------------------------------------
-
-
-_LOG_SQRT_PI = 0.5 * math.log(math.pi)
-_EPS = 2.0**-52
-_TINY = 1e-300
-
-
-def _log_beta_half(a: float) -> float:
-    """ln B(a, 1/2).
-
-    For large `a` the lgamma difference would cancel, so ln(Gamma(a + 1/2) /
-    Gamma(a)) comes from its Stirling series instead (coefficients
-    (2^(1-2k) - 2) B_2k / (2k (2k-1)); the first term left out is 4e-16 at
-    a = 15).
-    """
-    if a < 15.0:
-        return math.lgamma(a) + _LOG_SQRT_PI - math.lgamma(a + 0.5)
-    r = 1.0 / a
-    r2 = r * r
-    series = r * (1 / 8 - r2 * (1 / 192 - r2 * (1 / 640 - r2 * (17 / 14336 - r2 * 31 / 18432))))
-    return _LOG_SQRT_PI - 0.5 * math.log(a) + series
-
-
-def _beta_cf(a: float, x: float) -> float:
-    """Continued fraction of I_x(a, 1/2) a B(a, 1/2) / (x^a (1-x)^(1/2)) (DLMF 8.17.22).
-
-    Modified Lentz evaluation; converges fast for x < (a + 1) / (a + 5/2).
-    """
-    c = 1.0
-    d = 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
-    h = d
-    for m in range(1, 1000):
-        num = m * (0.5 - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
-        d = 1.0 / ((1.0 + num * d) or _TINY)
-        c = (1.0 + num / c) or _TINY
-        h *= d * c
-        num = -(a + m) * (a + 0.5 + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
-        d = 1.0 / ((1.0 + num * d) or _TINY)
-        c = (1.0 + num / c) or _TINY
-        h *= d * c
-        if abs(d * c - 1.0) < _EPS:
-            break
-    return h
-
-
-def _t_excess(t: float, df: float, u: float, c: float) -> float:
-    """P(0 < T < t) - c for t > 0, where c = 1/2 - u is the target's central mass.
-
-    The central mass is I_y(1/2, df/2) / 2 and the tail mass 1/2 minus it,
-    I_x(df/2, 1/2) / 2, with x = df / (df + t^2) and y = 1 - x.  Each branch
-    subtracts the target from the mass it computes (central c or tail u), so
-    no branch takes a small difference of its own result.  Near the centre of
-    a large-df distribution the continued fraction needs O(sqrt(df)) terms;
-    the power series (DLMF 8.17.8) needs a few dozen there, and its bound
-    (a + 1/2) y <= 5 keeps the tail it leaves to the subtraction above 1e-3.
-    """
-    a = 0.5 * df
-    tt = t * t
-    y = tt / (df + tt)
-    front = math.exp(0.5 * math.log(y) - a * math.log1p(tt / df) - _log_beta_half(a))
-    if y <= 0.5 and (a + 0.5) * y <= 5.0:
-        term = total = 1.0
-        k = 0.0
-        while term > _EPS * total:
-            term *= (a + 0.5 + k) / (1.5 + k) * y
-            total += term
-            k += 1.0
-        return front * total - c
-    # Outside the series' range y > 3 / (2a + 5), so the fraction converges fast.
-    return u - 0.5 * front * _beta_cf(a, df / (df + tt)) / a
-
-
-def _hill_guess(df: float, u: float, c: float) -> float:
-    """Upper-tail-u quantile of Student's t after Hill, Algorithm 396 (CACM 1970).
-
-    Exact for df = 1 and 2; otherwise a Cornish-Fisher expansion around the
-    normal quantile, or a small-tail series, good to about 1e-5 relative.
-    """
-    if df == 1:
-        return 1.0 / math.tan(math.pi * u)
-    if df == 2:
-        return 2.0 * c / math.sqrt(2.0 * u * (1.0 - u))
-    a = 1.0 / (df - 0.5)
-    b = 48.0 / (a * a)
-    g = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
-    d = ((94.5 / (b + g) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
-    y = (d * 2.0 * u) ** (2.0 / df)
-    if y > 0.05 + a:
-        x = NormalDist().inv_cdf(u)
-        y = x * x
-        if df < 5:
-            g += 0.3 * (df - 4.5) * (x + 0.6)
-        g += (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b
-        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / g - y - 3.0) / b + 1.0) * x
-        y = math.expm1(a * y * y)
-    else:
-        y = (
-            (1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0) + 0.5 / (df + 4.0)) * y
-            - 1.0
-        ) * (df + 1.0) / (df + 2.0) + 1.0 / y
-    return math.sqrt(df * y)
-
-
-def _t_quantile(p: float, df: float) -> float:
-    """Quantile of Student's t with `df` degrees of freedom at probability `p`.
-
-    Hill's guess, then Newton steps on the CDF until a step no longer shrinks
-    or falls to rounding level.  Agrees with scipy.stats.t.ppf to 1e-13
-    relative for p in [0.95, 0.995] and df up to 1e5.  Beyond df = 1e6, tail
-    probabilities under 1e-3 lose digits as x = df / (df + t^2) rounds near 1:
-    up to 3e-12 relative at df = 1e7 and 2e-9 at df = 1e9.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p!r}")
-    if not df >= 1:
-        raise ValueError(f"df must be >= 1, got {df!r}")
-    u = min(p, 1.0 - p)  # exact, and the same for p and 1 - p when p > 1/2
-    c = 0.5 - u
-    if c == 0.0:
-        return 0.0
-    t = _hill_guess(df, u, c)
-    log_norm = -0.5 * math.log(df) - _log_beta_half(0.5 * df)
-    last = math.inf
-    for _ in range(50):
-        density = math.exp(log_norm - 0.5 * (df + 1.0) * math.log1p(t * t / df))
-        if density == 0.0:
-            break
-        step = _t_excess(t, df, u, c) / density
-        if not abs(step) < abs(last):  # also stops on nan from an overflowed t^2
-            break
-        t -= step
-        last = step
-        if abs(step) <= 4.0 * _EPS * t:
-            break
-    return t if p > 0.5 else -t
-
-
-def mean_ci(values: Sequence[float], confidence: float = 0.95) -> Tuple[float, float]:
-    """Sample mean and Student-t confidence half-width."""
-    n = len(values)
-    if n == 0:
-        return float("nan"), float("nan")
-    mean = sum(values) / n
-    if n == 1:
-        return mean, float("inf")
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half = _t_quantile(0.5 + confidence / 2, n - 1) * math.sqrt(var / n)
-    return mean, half
 
 
 @dataclass

@@ -274,6 +274,27 @@ def test_missing_config_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "constants, message",
+    [
+        ("t_cca = 0", "t_cca must be > 0, got 0"),
+        ("t_cca = -5", "t_cca must be > 0, got -5"),
+        ("t_dr = 0\nd_drp = 0\nd_data = 0", "t_dr + d_drp + d_data must be > 0, got 0"),
+        (
+            "w_br = 0\nd_brp = 0\nb_src = 0\nd_rrp = 0\nw_rr = 0\nd_ack = 0\nd_data = 0",
+            "8 (w_br + d_brp) + b_src + 10 (d_rrp + w_rr + d_data) must be > 0, got 0",
+        ),
+    ],
+)
+def test_analyze_names_a_constant_it_would_divide_by_zero(tmp_path, capsys, constants, message):
+    # each ended in a ZeroDivisionError traceback after the warning line
+    cfg = tmp_path / "constants.ini"
+    cfg.write_text(f"[constants]\n{constants}\n")
+    assert run_cli("analyze", "--config", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_a_zero_request_period_is_a_one_line_error(tmp_path, capsys):
     # t_dr = 0 once ended the rotation in a ZeroDivisionError traceback
     cfg = tmp_path / "constants.ini"
@@ -292,6 +313,8 @@ INPUT_FILES = {
     "no_section.ini": "runs = 5\n",
     "scenario_out.ini": "[scenario]\nout = elsewhere\n",
     "constants_float.ini": "[constants]\nw_rr = 2.5\n",
+    "t_cca_0.ini": "[constants]\nt_cca = 0\n",
+    "t_dr_d_drp_d_data_0.ini": "[constants]\nt_dr = 0\nd_drp = 0\nd_data = 0\n",
     "no_nodes.csv": "id,x,y\n",
     "short_row.csv": "id,x,y\n0,0,0\n1,10\n",
 }
@@ -333,6 +356,10 @@ INPUT_FILES = {
         ["demo", "--config", "scenario_out.ini"],  # a key that is no [scenario] key
         ["analyze", "--config", "constants_float.ini"],
         ["analyze", "--config", "missing.ini"],
+        # analyze divides by these: each once ended in a ZeroDivisionError
+        # traceback after the warning line
+        ["analyze", "--config", "t_cca_0.ini"],
+        ["analyze", "--config", "t_dr_d_drp_d_data_0.ini"],
         ["demo", "--speed-mps", "0"],
         ["demo", "--grid", "0"],
         ["demo", "--rotations", "0"],

@@ -35,26 +35,37 @@ def test_import_loads_neither_numpy_nor_scipy():
 
 
 # sinksim/__init__.py imports the scenario for its own public names, so a bare
-# package object stands in for it: what loads is what energy itself imports.
-ENERGY_PROBE = """
-import sys, types
+# package object stands in for it: what loads is what the named module itself
+# imports.
+PACKAGE_PROBE = """
+import importlib, sys, types
 package = types.ModuleType("sinksim")
 package.__path__ = [sys.argv[1]]
 sys.modules["sinksim"] = package
-import sinksim.energy
+importlib.import_module(sys.argv[2])
 print(" ".join(sorted(m for m in sys.modules if m.startswith("sinksim."))))
 """
 
 
-def test_energy_does_not_import_the_scenario():
+def sinksim_modules_loaded_by(module):
     proc = subprocess.run(
-        [sys.executable, "-c", ENERGY_PROBE, str(SRC / "sinksim")],
+        [sys.executable, "-c", PACKAGE_PROBE, str(SRC / "sinksim"), module],
         env={"PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout.split() == ["sinksim.core", "sinksim.energy", "sinksim.radio"]
+    return proc.stdout.split()
+
+
+def test_energy_does_not_import_the_scenario():
+    assert sinksim_modules_loaded_by("sinksim.energy") == [
+        "sinksim.core", "sinksim.energy", "sinksim.radio"
+    ]
+
+
+def test_stats_imports_nothing_from_sinksim():
+    assert sinksim_modules_loaded_by("sinksim.stats") == ["sinksim.stats"]
 
 
 def test_every_bench_trace_target_is_an_attribute_of_its_owner():

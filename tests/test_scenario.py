@@ -32,19 +32,18 @@ from sinksim.scenario import (
     _hearers,
     _network_bbox,
     _quiet_passes,
-    _t_quantile,
     diagonal_line,
     discovered_graph,
     edge_line,
     grid_crossing_hops,
     grid_point,
     hop_exchange_timeline,
-    mean_ci,
     nodes_for_degree,
     random_graph_point,
     run_scenario,
     timeline_coverage,
 )
+from sinksim.stats import _t_quantile, mean_ci
 
 C = DEFAULT_CONSTANTS
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -225,6 +224,76 @@ def test_hop_timeline_without_ack_time_has_no_empty_segments():
     assert not any(state == "tx" for node in (1, 2) for _, _, state in spans[node])
     window = c.d_rrp + c.w_rr + c.d_data
     assert timeline_coverage(spans) == {0: window, 1: window, 2: window}
+
+
+def gap_filled_exchange(c, sender, responders, data_target, t0, cca_offsets):
+    """A hop exchange as it was built before its spans were written filled:
+    each node's active spans through `_fill_gaps`."""
+    t_win = t0 + c.d_rrp
+    t_data = t_win + c.w_rr
+    t_end = t_data + (c.d_data if data_target is not None else 0)
+    rx_spans = []
+    for s, e in sorted((t_win + b, t_win + b + c.d_ack) for _, b in responders):
+        e = min(e, t_data)
+        if s >= t_data:
+            continue
+        if rx_spans and s <= rx_spans[-1][1]:
+            rx_spans[-1] = (rx_spans[-1][0], max(rx_spans[-1][1], e))
+        else:
+            rx_spans.append((s, e))
+    active = [(t0, t_win, "poll")] + [(s, e, "rx") for s, e in rx_spans]
+    if data_target is not None:
+        active.append((t_data, t_end, "tx"))
+    timeline = {sender: _fill_gaps(active, t0, t_end, "listen")[0]}
+    for node, backoff in responders:
+        offset = min(max(cca_offsets.get(node, 0), 0), c.d_rrp - c.d_cca)
+        active = [(t0 + offset, t0 + offset + c.d_cca, "rx")]
+        active.append((t_win + backoff, t_win + backoff + c.d_ack, "tx"))
+        if node == data_target:
+            active.append((t_data, t_end, "rx"))
+        timeline.setdefault(node, []).extend(_fill_gaps(active, t0, t_end, "sleep")[0])
+    return timeline
+
+
+EXCHANGE_CONSTANTS = st.fixed_dictionaries({
+    "d_rrp": st.integers(0, 3_000),
+    "d_cca": st.integers(0, 3_000),
+    "w_rr": st.integers(0, 3_000),
+    "d_ack": st.integers(0, 1_000),
+    "d_data": st.integers(0, 2_000),
+})
+
+
+@given(constants=EXCHANGE_CONSTANTS, data=st.data())
+@example(constants=dict(d_rrp=1_000, d_cca=200, w_rr=3_000, d_ack=0, d_data=500), data=None)
+@example(constants=dict(d_rrp=1_000, d_cca=200, w_rr=0, d_ack=100, d_data=500), data=None)
+@example(constants=dict(d_rrp=1_000, d_cca=200, w_rr=300, d_ack=480, d_data=500), data=None)
+@example(constants=dict(d_rrp=1_000, d_cca=1_000, w_rr=3_000, d_ack=100, d_data=500), data=None)
+@example(constants=dict(d_rrp=0, d_cca=0, w_rr=0, d_ack=0, d_data=0), data=None)
+def test_written_exchange_spans_equal_the_gap_filled_ones(constants, data):
+    c = replace_constants(C, **constants)
+    if data is None:
+        # an explicit example: responders at each end of the window and one
+        # before it, which no metric gives
+        t0, target_kind = 5_000, "neighbor"
+        responders = [(1, 0), (2, c.w_rr), (3, c.w_rr // 2), (4, max(0, c.w_rr - c.d_ack)), (5, -50)]
+        cca = {1: 0, 2: c.d_rrp - c.d_cca, 3: c.d_rrp, 4: -1}
+    else:
+        t0 = data.draw(st.integers(0, 10**7), label="t0")
+        nodes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=6, unique=True), label="nodes")
+        responders = [(n, data.draw(st.integers(0, c.w_rr), label=f"backoff {n}")) for n in nodes]
+        cca = {
+            n: data.draw(st.integers(-10, c.d_rrp + 10), label=f"cca {n}")
+            for n in nodes
+            if data.draw(st.booleans(), label=f"has cca {n}")
+        }
+        target_kind = data.draw(st.sampled_from(["none", "neighbor", "sink"]), label="target")
+    target = {"none": None, "neighbor": responders[0][0], "sink": MS_ID}[target_kind]
+    if target == MS_ID:  # the sink answers at once, as in the delivering exchange
+        responders.append((MS_ID, 0))
+    written = hop_exchange_timeline(c, 0, list(responders), target, t0, dict(cca))
+    expected = gap_filled_exchange(c, 0, responders, target, t0, cca)
+    assert list(written.items()) == list(expected.items())
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +592,91 @@ def test_overlapping_active_spans_are_counted(query, seed, clipped):
     assert set(coverage.values()) == {report.horizon_us}
 
 
+def exchange_nodes(monkeypatch):
+    """The set that collects every node a hop exchange involves, once
+    `scenario.hop_exchange_timeline` is wrapped to fill it."""
+    involved = set()
+    exchange = scenario.hop_exchange_timeline
+
+    def recording(*args, **kwargs):
+        timeline = exchange(*args, **kwargs)
+        involved.update(timeline)
+        return timeline
+
+    monkeypatch.setattr(scenario, "hop_exchange_timeline", recording)
+    return involved
+
+
+@pytest.mark.parametrize(
+    "overrides, kinds",
+    [
+        # a sink too fast to be caught: the horizon is where the walk gave up
+        (dict(query_node=0, ms_speed_mps=45.0), {"missed", "relay"}),
+        # one round only: the horizon falls inside some relays and before others
+        (
+            dict(query_node=0, collisions=True, hop_limit=1),
+            {"missed", "relay", "relay crosses the horizon", "relay after the horizon", "no span"},
+        ),
+        # nodes that lost every copy of the query to collisions hold no span
+        (dict(query_node=1, collisions=True), {"relay", "no span"}),
+    ],
+)
+def test_relay_only_nodes_in_closed_form_equal_their_fill(monkeypatch, overrides, kinds):
+    g = grid_topology(12, 25.0)
+    involved = exchange_nodes(monkeypatch)
+    overrides = dict(overrides)
+    report = run_scenario(ScenarioConfig(topology=g, seed=overrides["query_node"], **overrides))
+    horizon, view, flood = report.horizon_us, report.timeline, report.flood
+    segments = {}
+    for s in view:
+        segments.setdefault(s.node, []).append((s.start_us, s.end_us, s.state))
+    assert len(view) == sum(map(len, segments.values()))
+    seen = {"missed"} if report.miss else set()
+    for nid in set(g.positions) - involved:
+        relay = []
+        if nid in flood.tx_start_us:
+            start, end = flood.tx_start_us[nid], flood.tx_end_us[nid]
+            relay = [(start, end, "poll")]
+            seen.add("relay")
+            if start < horizon < end:
+                seen.add("relay crosses the horizon")
+            if start >= horizon:
+                seen.add("relay after the horizon")
+        else:
+            seen.add("no span")
+        filled, totals, clipped = _fill_gaps(relay, 0, horizon, "poll")
+        assert list(view.totals[nid].items()) == list(totals.items())
+        assert segments[nid] == filled
+        assert nid not in view.clipped_us and clipped == 0
+    assert seen == kinds
+
+
+def test_each_exchange_and_each_backoff_goes_through_its_traced_name(monkeypatch):
+    # The traced benchmark wraps these two module attributes; a kernel that
+    # stopped calling them there would leave its layers empty.
+    g = grid_topology(12, 25.0)
+    senders, backoffs = [], []
+    exchange, backoff = scenario.hop_exchange_timeline, scenario.ack_backoff
+
+    def counting_exchange(c, sender, *args, **kwargs):
+        senders.append(sender)
+        return exchange(c, sender, *args, **kwargs)
+
+    def counting_backoff(*args, **kwargs):
+        backoffs.append(args)
+        return backoff(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "hop_exchange_timeline", counting_exchange)
+    monkeypatch.setattr(scenario, "ack_backoff", counting_backoff)
+    report = run_scenario(ScenarioConfig(topology=g, query_node=40, seed=40))
+    route = report.route
+    assert route.delivered and route.hops > 1
+    # one exchange per moving round, forward, backtrack or the delivery, sent
+    # by the node that holds the packet; one backoff per neighbor answering it
+    assert senders == route.path
+    assert len(backoffs) == sum(len(g.adjacency[nid]) for nid in route.path)
+
+
 def base_station_train(c, horizon):
     """The base station's train as a rotation's timeline view builds it: a
     preamble every t_dr through `_fill_gaps`, listening in the gaps."""
@@ -750,7 +904,7 @@ def test_discovered_graph_single_report():
 
 
 # ---------------------------------------------------------------------------
-# statistics and sweep points
+# statistics (sinksim.stats) and sweep points
 # ---------------------------------------------------------------------------
 
 
