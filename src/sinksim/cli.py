@@ -288,16 +288,30 @@ def _parse_number_list(text: str, cast=float) -> List:
         raise ValueError(f"bad number list {text!r}") from None
 
 
+def _option_list(args, name: str, default: List[float]) -> List[float]:
+    """The numbers of the list option `name`, or `default` when it is unset.
+    A list that is given but holds no number is an error, not the default."""
+    text = getattr(args, name)
+    if text is None:
+        return default
+    numbers = _parse_number_list(text)
+    if not numbers:
+        raise ValueError(f"--{name} holds no number: {text!r}")
+    return numbers
+
+
 def cmd_route_sim(args, c: ProtocolConstants) -> int:
     presets = ("random-graph", "grid25")
     if args.preset not in presets:
         raise ValueError(f"unknown preset {args.preset!r}; choose from {presets}")
     _at_least_one(args, "runs")
     if args.preset == "random-graph":
-        degrees = _parse_number_list(args.degrees) if args.degrees else [4, 5, 6, 7, 8, 9, 10]
-        speeds = _parse_number_list(args.speeds) if args.speeds else [0, 10, 25, 50]
+        degrees = _option_list(args, "degrees", [4, 5, 6, 7, 8, 9, 10])
+        speeds = _option_list(args, "speeds", [0, 10, 25, 50])
     else:
-        speeds = _parse_number_list(args.speeds) if args.speeds else [1, 2, 3, 4, 6, 8]
+        if args.degrees is not None:
+            raise ValueError("--degrees applies only to the random-graph preset")
+        speeds = _option_list(args, "speeds", [1, 2, 3, 4, 6, 8])
         degrees = []
     for speed in speeds:
         if not 0 <= speed < math.inf:

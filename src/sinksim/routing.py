@@ -86,13 +86,12 @@ def init_virtual_coords(
     (x0, x1), (y0, y1) = bounds
     # rng.uniform(a, b) is a + (b - a) * rng.random(), written out here.
     wx, wy = x1 - x0, y1 - y0
-    fixed_coords = dict(fixed_coords or {})
-    coords: Dict[NodeId, Position] = {}
-    for nid in sorted(topology.positions):
-        if nid in fixed_coords:
-            coords[nid] = fixed_coords[nid]
-        else:
-            coords[nid] = (x0 + wx * draw(), y0 + wy * draw())
+    fixed_coords = fixed_coords or {}
+    # Ids ascending, x drawn before y: a tuple display evaluates left to right.
+    coords = {
+        nid: fixed_coords[nid] if nid in fixed_coords else (x0 + wx * draw(), y0 + wy * draw())
+        for nid in sorted(topology.positions)
+    }
     return VirtualCoords(coords, frozenset(fixed_coords))
 
 
@@ -121,8 +120,15 @@ def centroid_round(topology: Topology, vc: VirtualCoords) -> VirtualCoords:
     return VirtualCoords(new_coords, vc.fixed)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Action:
+    """One decision of the rule, compared by value.
+
+    Not frozen: the rule builds one per decision, and a frozen dataclass
+    takes about twice as long to build.  So an action is not hashable, and
+    callers only read it; `_DELIVER`, `_RESTART` and `_FAIL` are shared.
+    """
+
     kind: str  # deliver | forward | backtrack | restart | fail
     target: Optional[NodeId] = None
 
@@ -282,10 +288,10 @@ def route(
     end, overflow = len(entries) - 1, tour.overflow
     # The search behind the tour (header, id set, coordinates), made when the
     # tour first has to grow.
-    search_header = visited = made = None
+    search_header = traversed = visited = made = None
     # The header and its id set are kept only for `on_round`; the tour
     # already knows where the packet goes.
-    header = RouteHeader([], dest)
+    header = RouteHeader([], dest) if on_round is not None else None
     seen: set = set()
     node = source
     k = 0  # the packet's index in the tour
@@ -309,6 +315,7 @@ def route(
             # so a wrapped rule sees every decision.
             if search_header is None:
                 search_header, visited = _search_state(entries, dest)
+                traversed = search_header.traversed
                 made = coords() if callable(coords) else coords
             action = next_hop_3rule(
                 node,
@@ -324,11 +331,11 @@ def route(
                 tour.complete = True
             else:
                 if node not in visited:
-                    if len(search_header.traversed) >= MAX_ADDRESS_COUNT:
+                    if len(traversed) >= MAX_ADDRESS_COUNT:
                         tour.overflow = overflow = k  # the search ends here
                     else:
                         visited.add(node)
-                        search_header.traversed.append(node)
+                        traversed.append(node)
                 entries.append(action.target)
                 end += 1
         if k < end:
@@ -353,9 +360,10 @@ def route(
                 entries = tour.entries
                 end, overflow = 0, None
                 search_header = None
-            header.traversed.clear()
-            header.dest_coord = dest
-            seen.clear()
+            if header is not None:
+                header.traversed.clear()
+                header.dest_coord = dest
+                seen.clear()
             # Decide again from the tour's start, in the same round: the sink
             # has not stepped, so the loop top sees it where it was, unmoved.
             continue

@@ -147,14 +147,19 @@ class LineTrack:
         self.traveled = 0.0
         self.position = self.start
         self.departed = self.length == 0.0
+        # The constant parts of a step's position, start + (end - start) * frac.
+        self._x0, self._y0 = self.start
+        self._dx, self._dy = self.end[0] - self._x0, self.end[1] - self._y0
 
     def step(self) -> None:
         self.traveled += self.speed
-        frac = min(self.traveled / self.length, 1.0) if self.length else 1.0
-        self.position = (
-            self.start[0] + (self.end[0] - self.start[0]) * frac,
-            self.start[1] + (self.end[1] - self.start[1]) * frac,
-        )
+        if self.length:
+            frac = self.traveled / self.length
+            if frac > 1.0:  # min(frac, 1.0) without the call
+                frac = 1.0
+        else:
+            frac = 1.0
+        self.position = (self._x0 + self._dx * frac, self._y0 + self._dy * frac)
         if self.traveled >= self.length:
             self.departed = True
 
@@ -472,26 +477,45 @@ def _network_bbox(topology: Topology) -> Tuple[float, float, float, float]:
     return min(xs), min(ys), max(xs), max(ys)
 
 
+def _by_x(positions: Mapping[NodeId, Position]) -> Tuple[List[float], List[Tuple[NodeId, Position]]]:
+    """The (id, position) pairs sorted by x, and their xs, for :func:`_strip`.
+
+    A NaN x fails every pair test and would break the sort order, so such a
+    node is left out, as `build_udg` leaves it out of its sweep.
+    """
+    nodes = [(nid, p) for nid, p in positions.items() if not math.isnan(p[0])]
+    nodes.sort(key=lambda item: item[1][0])
+    return [x for _, (x, _) in nodes], nodes
+
+
+def _strip(xs: Sequence[float], px: float, range_m: float) -> slice:
+    """The slice of the ascending `xs` that can be within `range_m` of a
+    point at x `px`.
+
+    A node further than the range in x, with a margin far above rounding,
+    fails the pair test of Topology.in_range, so only the nodes inside the
+    strip need the test.
+    """
+    reach = range_m + 1e-9 * (abs(px) + range_m)
+    return slice(bisect_left(xs, px - reach), bisect_right(xs, px + reach))
+
+
 def _hearers(
+    xs: Sequence[float],
     nodes: Sequence[Tuple[NodeId, Position]],
-    bbox: Tuple[float, float, float, float],
-    r2: float,
+    range_m: float,
     point: Position,
 ) -> List[NodeId]:
-    """Ids of the `nodes` within range of `point`, in the order given.
+    """Ids of the `nodes` within range of `point`, ascending.
 
-    `nodes` are (id, position) pairs inside `bbox`, `r2` the squared range.
-    The pair test is the expression of Topology.in_range.  Rounding is
-    monotone, so no node's computed squared distance falls below the box's:
-    when the box is out of range, so is every node, and the scan is skipped.
+    `nodes` are (id, position) pairs sorted by x and `xs` their xs, as
+    :func:`_by_x` makes them; only the x strip around `point` is tested,
+    with the pair test of Topology.in_range.
     """
     px, py = point
-    x0, y0, x1, y1 = bbox
-    dx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
-    dy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
-    if dx**2 + dy**2 > r2:
-        return []
-    return [nid for nid, (x, y) in nodes if (x - px) ** 2 + (y - py) ** 2 <= r2]
+    r2 = range_m**2
+    strip = nodes[_strip(xs, px, range_m)]
+    return sorted(nid for nid, (x, y) in strip if (x - px) ** 2 + (y - py) ** 2 <= r2)
 
 
 def _quiet_passes(
@@ -631,9 +655,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     relay_heard: Optional[int] = None
     seeded = False
     scanned = 0
-    # ascending ids: injection order sets the event order
-    nodes = [(nid, topo.positions[nid]) for nid in ids]
-    r2 = topo.range_m**2
+    xs, nodes = _by_x(topo.positions)
     inject, run_until = engine.inject_reception, engine.run_until
     transmissions = engine.report.transmissions
     t_brp, d_brp = c.t_brp, c.d_brp
@@ -650,7 +672,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             if seeded:
                 break  # query handed off; the sink flies on without hearing back
             raise ConfigError("sink crossed the network without being heard")
-        hearers = _hearers(nodes, bbox, r2, ms_pos(brp_end))
+        # ascending ids: injection order sets the event order
+        hearers = _hearers(xs, nodes, topo.range_m, ms_pos(brp_end))
         if hearers:
             if not seeded:
                 phase_times[2] = brp_end
@@ -908,15 +931,13 @@ def _random_graph_setup(
     for i in range(runs):
         topo, xs, points, labels, members = topos[i % topologies]
         # Redraw the sink until some node is in range of it; the source is
-        # then uniform over the components of the nodes in range.  A node
-        # further than the range in x, with a margin far above rounding,
-        # fails the test, so only the nodes inside that strip are tested.
+        # then uniform over the components of the nodes in range.  Only the
+        # nodes in the sink's x strip can be.
         while True:
             sx, sy = field * draw(), field * draw()
-            reach = range_m + 1e-9 * (abs(sx) + range_m)
-            lo, hi = bisect_left(xs, sx - reach), bisect_right(xs, sx + reach)
+            strip = _strip(xs, sx, range_m)
             heard = {
-                lab for (x, y), lab in zip(points[lo:hi], labels[lo:hi]) if (x - sx) ** 2 + (y - sy) ** 2 <= r2
+                lab for (x, y), lab in zip(points[strip], labels[strip]) if (x - sx) ** 2 + (y - sy) ** 2 <= r2
             }
             if heard:
                 break

@@ -349,6 +349,12 @@ INPUT_FILES = {
         ["route-sim", "--preset", "grid25", "--speeds=-inf", "--runs", "2"],
         ["route-sim", "--preset", "grid25", "--speeds", "2,-4", "--runs", "2"],
         ["route-sim", "--speeds", "4,x", "--runs", "2"],
+        # a list with no number once ran the preset's default list, or none
+        ["route-sim", "--speeds", "", "--runs", "2"],
+        ["route-sim", "--degrees", "", "--runs", "2"],
+        ["route-sim", "--speeds", ",", "--runs", "2"],
+        # degrees mean nothing to the grid preset
+        ["route-sim", "--preset", "grid25", "--degrees", "5", "--runs", "2"],
         ["route-sim", "--config", "sweep_runz.ini"],  # a misspelled key
         ["route-sim", "--config", "sweep_runs_abc.ini"],
         ["route-sim", "--config", "sweep_mobility.ini"],  # not one of the choices

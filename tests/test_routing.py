@@ -136,6 +136,50 @@ def test_virtual_coords_fixed_preserved():
     assert vc.fixed == frozenset({8})
 
 
+def reference_virtual_coords(topology, seed, bounds, fixed_coords=None):
+    """The draw loop init_virtual_coords was first written as: ids ascending,
+    two draws per free node, none for a fixed one."""
+    draw = random.Random(seed).random
+    (x0, x1), (y0, y1) = bounds
+    wx, wy = x1 - x0, y1 - y0
+    fixed_coords = dict(fixed_coords or {})
+    coords = {}
+    for nid in sorted(topology.positions):
+        if nid in fixed_coords:
+            coords[nid] = fixed_coords[nid]
+        else:
+            coords[nid] = (x0 + wx * draw(), y0 + wy * draw())
+    return coords, frozenset(fixed_coords)
+
+
+BOUND = st.integers(-100, 100) | st.floats(-1e6, 1e6)
+
+
+@given(
+    data=st.data(),
+    ids=st.sets(st.integers(0, 10**6), min_size=1, max_size=30),
+    fixed=st.sampled_from(["none", "empty", "some", "all"]),
+    seed=st.integers(0, 2**64),
+    bounds=st.tuples(st.tuples(BOUND, BOUND), st.tuples(BOUND, BOUND)),
+)
+def test_virtual_coords_equal_the_reference_loop(data, ids, fixed, seed, bounds):
+    # sparse ids, inserted in an order that is not ascending
+    topo = build_udg({nid: (float(nid % 997), float(nid // 997)) for nid in sorted(ids, reverse=True)}, 1.0)
+    if fixed == "none":
+        fixed_coords = None
+    else:
+        chosen = {"empty": set(), "all": ids}.get(fixed)
+        if chosen is None:
+            chosen = data.draw(st.sets(st.sampled_from(sorted(ids))), label="fixed ids")
+        point = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+        fixed_coords = {nid: data.draw(point, label=f"coordinate of {nid}") for nid in sorted(chosen)}
+    vc = init_virtual_coords(topo, seed, bounds, fixed_coords)
+    coords, frozen = reference_virtual_coords(topo, seed, bounds, fixed_coords)
+    # bit for bit and in the same key order: a float's repr round-trips
+    assert repr(list(vc.coords.items())) == repr(list(coords.items()))
+    assert vc.fixed == frozen
+
+
 def test_ten_centroid_rounds_halve_the_hop_count():
     # anchored smoothing: random coordinates steer the search poorly, ten
     # rounds of neighborhood averaging cut delivered walk length by half
@@ -170,6 +214,16 @@ def test_ten_centroid_rounds_halve_the_hop_count():
 # ---------------------------------------------------------------------------
 # next-hop decisions
 # ---------------------------------------------------------------------------
+
+
+def test_actions_compare_by_value_and_are_unhashable():
+    assert Action("forward", 1) == Action("forward", 1)
+    assert Action("forward", 1) != Action("backtrack", 1)
+    assert Action("forward", 1) != Action("forward", 2)
+    assert Action("deliver") == Action("deliver", None)
+    assert Action("forward", 1) != ("forward", 1)  # not a tuple
+    with pytest.raises(TypeError):
+        hash(Action("forward", 1))
 
 
 def test_deliver_when_source_adjacent():

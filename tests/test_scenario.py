@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sinksim import energy, radio, scenario
+from sinksim import energy, radio, routing, scenario
 from sinksim.core import DEFAULT_CONSTANTS, replace_constants
 from sinksim.energy import integrate_timeline
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, euclid, grid_topology, power_table
@@ -28,6 +28,7 @@ from sinksim.scenario import (
     StaticSink,
     WaypointTrack,
     _base_station_totals,
+    _by_x,
     _fill_gaps,
     _hearers,
     _network_bbox,
@@ -145,6 +146,55 @@ def test_diagonal_line_geometry():
     assert track.length == pytest.approx(100.0 * math.sqrt(2))
     track.step()
     assert track.position[0] == pytest.approx(track.position[1])
+
+
+def reference_line(start, end, speed, steps):
+    """(position, departed) before and after each step, by the formula
+    LineTrack was first written with, deltas taken anew at every step."""
+    start, end, speed = (float(start[0]), float(start[1])), (float(end[0]), float(end[1])), float(speed)
+    length = euclid(start, end)
+    traveled, position, departed = 0.0, start, length == 0.0
+    states = [(position, departed)]
+    for _ in range(steps):
+        traveled += speed
+        frac = min(traveled / length, 1.0) if length else 1.0
+        position = (
+            start[0] + (end[0] - start[0]) * frac,
+            start[1] + (end[1] - start[1]) * frac,
+        )
+        if traveled >= length:
+            departed = True
+        states.append((position, departed))
+    return states
+
+
+LINE_COORD = st.integers(-200, 200) | st.floats(-1e4, 1e4)
+
+
+@given(
+    start=st.tuples(LINE_COORD, LINE_COORD),
+    end=st.tuples(LINE_COORD, LINE_COORD),
+    speed=st.integers(0, 50) | st.floats(0.0, 1e3),
+    steps=st.integers(0, 40),
+)
+@example(start=(0.0, 0.0), end=(100.0, 0.0), speed=4.0, steps=30)  # edge
+@example(start=(0.0, 0.0), end=(100.0, 100.0), speed=3.0, steps=50)  # diagonal
+@example(start=(5.0, -3.0), end=(5.0, -3.0), speed=2.0, steps=3)  # zero length
+@example(start=(0.0, 0.0), end=(100.0, 100.0), speed=0.1, steps=40)  # fractional
+@example(start=(0.0, 0.0), end=(100.0, 0.0), speed=0.7, steps=40)
+@example(start=(0.0, 0.0), end=(10.0, 0.0), speed=3.0, steps=8)  # overshoots the far end
+@example(start=(0.0, 0.0), end=(100.0, 0.0), speed=0.0, steps=5)
+# outside what the sweeps pass, but the clamp still reads as min(frac, 1.0)
+@example(start=(0.0, 0.0), end=(10.0, 0.0), speed=float("nan"), steps=2)
+@example(start=(1.0, 1.0), end=(1.0, 1.0), speed=-1.0, steps=2)
+def test_line_track_steps_equal_the_reference_formula(start, end, speed, steps):
+    track = LineTrack(start, end, speed)
+    states = [(track.position, track.departed)]
+    for _ in range(steps):
+        track.step()
+        states.append((track.position, track.departed))
+    # bit for bit: a float's repr round-trips
+    assert repr(states) == repr(reference_line(start, end, speed, steps))
 
 
 def test_static_sink_never_moves():
@@ -774,14 +824,12 @@ def test_fill_gaps_covers_the_window_and_counts_what_it_clips(spans, start, leng
 
 def test_sink_exactly_at_range_diagonally_off_a_corner_is_heard():
     g = grid_topology(3, 25.0)
-    nodes = sorted(g.positions.items())
-    box = _network_bbox(g)
-    r2 = g.range_m**2
+    xs, nodes = _by_x(g.positions)
     # a 15-20-25 triangle off a corner node, outside the box in x and in y
-    assert _hearers(nodes, box, r2, (-15.0, -20.0)) == [0]
-    assert _hearers(nodes, box, r2, (70.0, 65.0)) == [8]
-    assert _hearers(nodes, box, r2, (-15.0, -20.001)) == []
-    assert _hearers(nodes, box, r2, (25.0, -25.0)) == [1]  # below the box, no x offset
+    assert _hearers(xs, nodes, g.range_m, (-15.0, -20.0)) == [0]
+    assert _hearers(xs, nodes, g.range_m, (70.0, 65.0)) == [8]
+    assert _hearers(xs, nodes, g.range_m, (-15.0, -20.001)) == []
+    assert _hearers(xs, nodes, g.range_m, (25.0, -25.0)) == [1]  # below the box, no x offset
 
 
 # whole numbers make exact-range ties (Pythagorean offsets) likely
@@ -796,11 +844,11 @@ POINT = st.integers(-120, 120).map(float) | st.floats(-120.0, 120.0)
 )
 @example(positions={0: (0.0, 0.0), 1: (10.0, 10.0)}, range_m=5.0, point=(-3.0, -4.0))
 @example(positions={3: (10.0, 10.0), 1: (0.0, 0.0)}, range_m=5.0, point=(14.0, 13.0))
+@example(positions={0: (math.nan, 0.0), 1: (3.0, 0.0), 2: (-1.0, 0.0)}, range_m=5.0, point=(0.0, 0.0))
 def test_prefiltered_hearers_equal_the_in_range_scan(positions, range_m, point):
     topo = build_udg(positions, range_m)
     expected = [nid for nid in sorted(topo.positions) if topo.in_range(nid, point)]
-    nodes = sorted(topo.positions.items())
-    assert _hearers(nodes, _network_bbox(topo), topo.range_m**2, point) == expected
+    assert _hearers(*_by_x(topo.positions), topo.range_m, point) == expected
 
 
 def quiet_pass_positions(track, quiet, t_brp, d_brp):
@@ -827,10 +875,10 @@ def test_quiet_passes_are_unheard_and_before_the_exit(
     track = WaypointTrack([start, entry, exit_, start], speed)
     exit_dist = euclid(start, entry) + euclid(entry, exit_)
     quiet = _quiet_passes(track, bbox, topo.range_m, exit_dist, t_brp, d_brp)
-    nodes = sorted(topo.positions.items())
+    xs, nodes = _by_x(topo.positions)
     for dt, position in quiet_pass_positions(track, quiet, t_brp, d_brp):
         assert track.distance_at(dt) < exit_dist
-        assert _hearers(nodes, bbox, topo.range_m**2, position) == []
+        assert _hearers(xs, nodes, topo.range_m, position) == []
 
 
 def test_quiet_passes_end_where_the_sink_can_first_be_heard():
@@ -977,6 +1025,36 @@ def test_random_graph_point_smoke():
     assert pt.degree == 5
     assert pt.mean_restarts >= 0.0
     assert 0.0 <= pt.miss_ratio <= 1.0
+
+
+def test_the_sweeps_decide_through_the_one_rule(monkeypatch):
+    # Counts of routing.next_hop_3rule calls recorded when every new tour entry
+    # was one call of the module's rule.  A sweep that walked without it, or
+    # called it for entries a tour already holds, would change them.  The
+    # later random-graph speeds rescan the tours that the first one grew.
+    calls = []
+    rule = routing.next_hop_3rule
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(routing, "next_hop_3rule", counted)
+    monkeypatch.setattr(scenario, "_SETUP_CACHE", {})
+    points = [
+        (lambda: grid_point("edge", 2, 150, 5, workers=1), 1902),
+        (lambda: grid_point("diagonal", 8, 150, 6, workers=1), 1286),
+        (lambda: grid_point("diagonal", 3, 100, 7, coord_mode="physical", workers=1), 272),
+        (lambda: random_graph_point(6, 10, 60, 8, workers=1), 793),
+        (lambda: random_graph_point(6, 25, 60, 8, workers=1), 110),
+        (lambda: random_graph_point(6, 0, 60, 8, workers=1), 102),
+    ]
+    counts = []
+    for point, _ in points:
+        calls.clear()
+        point()
+        counts.append(len(calls))
+    assert counts == [count for _, count in points]
 
 
 # Recorded from the all-pairs topology build with a per-replication component
