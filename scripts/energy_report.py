@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Print the analytical energy and real-time report for both power settings."""
 
+import sys
+
 from sinksim.cli import main
 
 if __name__ == "__main__":
-    main(["analyze"])
+    sys.exit(main(["analyze"]))

@@ -14,7 +14,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -23,7 +23,6 @@ from .core import (
     DEFAULT_CONSTANTS,
     ProtocolConstants,
     duty_cycle,
-    replace_constants,
     validate_constants,
 )
 from .energy import RealTimeParams, lifetime_hours, phase_energy, v_max_bs, v_max_network
@@ -91,7 +90,7 @@ def load_constants(config: configparser.ConfigParser) -> ProtocolConstants:
             if key not in known:
                 raise ValueError(f"unknown key {key!r} in [constants]")
             overrides[key] = _convert("constants", key, value, int)
-    return replace_constants(DEFAULT_CONSTANTS, **overrides)
+    return replace(DEFAULT_CONSTANTS, **overrides)
 
 
 def _check_analyze_divisors(c: ProtocolConstants) -> None:
@@ -174,7 +173,9 @@ def _topology(args):
     if not args.topology:
         _at_least_one(args, "grid")
         return grid_topology(args.grid, args.spacing, args.range_m)
-    topo = load_topology_csv(args.topology, args.range_m or 25.0)
+    # 25 m is the range measured at -25 dBm with the antennas 1 m high.
+    range_m = 25.0 if args.range_m is None else args.range_m
+    topo = load_topology_csv(args.topology, range_m)
     if not topo.positions:
         raise ValueError(f"no nodes in {args.topology}")
     return topo
@@ -321,47 +322,39 @@ def cmd_route_sim(args, c: ProtocolConstants) -> int:
             nodes_for_degree(degree)
         except ValueError as exc:
             raise ValueError(f"--degrees: {exc}") from None
-    rows = []
     if args.preset == "random-graph":
-        for degree in degrees:
-            for speed in speeds:
-                # seed by degree only: speeds are compared on paired replications
-                pt = random_graph_point(degree, speed, args.runs, args.seed + int(degree) * 1000)
-                rows.append(
-                    (
-                        pt.mobility,
-                        pt.speed,
-                        pt.degree,
-                        pt.mean_restarts,
-                        pt.restarts_ci95,
-                        pt.mean_hops,
-                        pt.hops_ci95,
-                        pt.miss_ratio,
-                    )
-                )
+        # seed by degree only: speeds are compared on paired replications
+        points = [
+            random_graph_point(degree, speed, args.runs, args.seed + int(degree) * 1000)
+            for degree in degrees
+            for speed in speeds
+        ]
     else:
         mobilities = ("edge", "diagonal") if args.mobility == "both" else (args.mobility,)
-        for mobility in mobilities:
-            for speed in speeds:
-                pt = grid_point(
-                    mobility,
-                    speed,
-                    args.runs,
-                    args.seed + int(speed) * 10 + (0 if mobility == "edge" else 1),
-                    coord_mode=args.coord_mode,
-                )
-                rows.append(
-                    (
-                        pt.mobility,
-                        pt.speed,
-                        "",
-                        pt.mean_restarts,
-                        pt.restarts_ci95,
-                        pt.mean_hops,
-                        pt.hops_ci95,
-                        pt.miss_ratio,
-                    )
-                )
+        points = [
+            grid_point(
+                mobility,
+                speed,
+                args.runs,
+                args.seed + int(speed) * 10 + (0 if mobility == "edge" else 1),
+                coord_mode=args.coord_mode,
+            )
+            for mobility in mobilities
+            for speed in speeds
+        ]
+    rows = [
+        (
+            pt.mobility,
+            pt.speed,
+            "" if pt.degree is None else pt.degree,
+            pt.mean_restarts,
+            pt.restarts_ci95,
+            pt.mean_hops,
+            pt.hops_ci95,
+            pt.miss_ratio,
+        )
+        for pt in points
+    ]
     out = Path(args.out)
     _write_manifest(out, "route-sim", vars(args))
     path = out / "summary.csv"
@@ -391,8 +384,10 @@ def cmd_route_sim(args, c: ProtocolConstants) -> int:
 def cmd_flood_sim(args, c: ProtocolConstants) -> int:
     _at_least_one(args, "runs")
     topo = _topology(args)
-    if args.initiator not in topo.positions:
-        raise ValueError(f"initiator {args.initiator} not in topology")
+    for name in ("initiator", "source"):
+        node = getattr(args, name)
+        if node is not None and node not in topo.positions:
+            raise ValueError(f"{name} {node} not in topology")
     summary = []
     for i in range(args.runs):
         report = simulate_flood(topo, args.initiator, source=args.source, c=c, seed=args.seed + i)

@@ -7,7 +7,7 @@ float drift out of the simulators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 NodeId = int          # one byte is enough to identify each node
@@ -15,7 +15,6 @@ Duration = int        # microseconds
 Position = Tuple[float, float]
 Metric = float        # non-negative virtual distance to the sink
 
-US_PER_MS = 1_000
 US_PER_S = 1_000_000
 
 # Target band for the idle duty cycle D_cca / T_cca.  The nominal rule is
@@ -30,8 +29,8 @@ class ProtocolConstants:
     """Timer and duration table shared by every protocol component.
 
     The defaults are the compiled-in values used on the real nodes.  Pass a
-    modified copy (see :func:`replace_constants`) to perturb a timer; nothing
-    here is global state.
+    modified copy (see :func:`dataclasses.replace`) to perturb a timer;
+    nothing here is global state.
     """
 
     d_mf: Duration = 512          # one micro-frame on air
@@ -55,11 +54,6 @@ class ProtocolConstants:
 
 
 DEFAULT_CONSTANTS = ProtocolConstants()
-
-
-def replace_constants(c: ProtocolConstants, **overrides: int) -> ProtocolConstants:
-    """Copy of `c` with the given fields overridden."""
-    return replace(c, **overrides)
 
 
 def duty_cycle(c: ProtocolConstants) -> float:
@@ -88,11 +82,6 @@ def validate_constants(c: ProtocolConstants) -> list:
     if c.b_src <= 6 * (c.d_brp + c.w_br):
         violations.append("B_SRC > 6·(D_BRp+W_BR)")
     return violations
-
-
-def ms(value: float) -> Duration:
-    """Milliseconds to integer microseconds."""
-    return int(round(value * US_PER_MS))
 
 
 def seconds(value_us: float) -> float:

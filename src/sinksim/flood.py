@@ -222,6 +222,8 @@ def simulate_flood(
     """
     if initiator not in topology.positions:
         raise KeyError(f"initiator {initiator} not in topology")
+    if source is not None and source not in topology.positions:
+        raise KeyError(f"source {source} not in topology")
     engine = FloodEngine(topology, c, source=source, seed=seed, collisions=collisions)
     engine.report.initiator = initiator
     engine.report.reached.add(initiator)

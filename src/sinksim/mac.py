@@ -18,12 +18,10 @@ earliest survivor, which may not carry the minimum metric.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
-from .core import Duration, Metric, NodeId
+from .core import Metric, NodeId
 
 
 @dataclass(frozen=True)
@@ -94,25 +92,6 @@ def simulate_collision(cfg: ContentionConfig, runs: int, rng_seed: int = 0) -> f
     return float(np.count_nonzero(collided)) / runs
 
 
-def min_window(target_p: float, block_us: float, n: int) -> Duration:
-    """Smallest integer-microsecond window keeping the closed form <= target_p."""
-    if not 0 < target_p < 1:
-        raise ValueError("target_p must be in (0, 1)")
-    if n < 1:
-        return int(block_us) + 1
-    w = block_us / (1.0 - (1.0 - target_p) ** (1.0 / n))
-    w_us = max(int(math.ceil(w)), int(block_us) + 1)
-
-    def p(window_us: int) -> float:
-        return collision_probability(ContentionConfig(window_us, block_us, n))
-
-    while p(w_us) > target_p:
-        w_us += 1
-    while w_us - 1 > block_us and p(w_us - 1) <= target_p:
-        w_us -= 1
-    return w_us
-
-
 def ack_backoff(metric: Metric, metric_max: Metric, window_us: float) -> float:
     """Backoff before answering a request, proportional to the node's metric.
 
@@ -141,37 +120,20 @@ class ElectionResult:
     correct: bool = False
 
 
-def elect_next_hop(
-    acks: Sequence[AckEvent],
-    block_us: float,
-    capture_p: float = 0.0,
-    rng: Optional[random.Random] = None,
-) -> ElectionResult:
+def elect_next_hop(acks: Sequence[AckEvent], block_us: float) -> ElectionResult:
     """Resolve a contention round: pairwise losses, then earliest survivor.
 
     Any two answers starting strictly within block_us of each other are both
     lost; answers already flagged lost stay lost.  The winner is the
     surviving answer with the smallest backoff, and the election is `correct`
     when the winner also carries the minimum metric of the whole input.
-
-    Real receivers sometimes decode the earliest of two overlapping answers
-    anyway; `capture_p` is the probability that the earliest answer survives
-    an overlap it would otherwise lose.  No measured distribution backs a
-    default, so it stays off unless explicitly set.
     """
     resolved = [replace(a) for a in acks]
-    pre_lost = {id(a) for a in resolved if a.lost}
     for i, a in enumerate(resolved):
         for b in resolved[i + 1 :]:
             if abs(a.backoff_us - b.backoff_us) < block_us:
                 a.lost = True
                 b.lost = True
-    if capture_p > 0.0 and resolved:
-        earliest = min(resolved, key=lambda a: (a.backoff_us, a.node))
-        if earliest.lost and id(earliest) not in pre_lost:
-            draw = (rng or random).random()
-            if draw < capture_p:
-                earliest.lost = False
     alive = [a for a in resolved if not a.lost]
     if not alive:
         return ElectionResult(winner=None, acks=resolved, correct=False)

@@ -1,10 +1,10 @@
-"""Topology construction, the measured radio tables, and the radio-state
+"""Topology construction, the measured power tables, and the radio-state
 spans and timeline view that per-node timelines are made of.
 
 Connectivity is a plain unit disk graph: two nodes are neighbors iff their
 Euclidean distance is at most the communication range (equality counts, so a
-grid with spacing equal to the range stays connected).  Power draws and
-ranges are measured hardware values, keyed by transmission power setting.
+grid with spacing equal to the range stays connected).  Power draws are
+measured hardware values, keyed by transmission power setting.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class DuplicateId(ValueError):
 
 
 class UnknownConfiguration(KeyError):
-    """No measurement for this (tx power, antenna height) pair."""
+    """No measurement for this transmission power setting."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,11 @@ def build_udg(
     adding the y term never lowers it, so every pruned pair is one the full
     test rejects; a pair at exactly the range still counts as connected.
 
-    Raises DuplicateId when the same node id appears twice.
+    Raises DuplicateId when the same node id appears twice, and ValueError
+    for a range that is negative or not finite.
     """
+    if not 0.0 <= range_m < math.inf:
+        raise ValueError(f"range must be finite and >= 0, got {range_m!r}")
     if isinstance(positions, Mapping):
         items = list(positions.items())
     else:
@@ -91,12 +94,6 @@ def grid_topology(side: int, spacing: float, range_m: float = None) -> Topology:
     return build_udg(positions, range_m)
 
 
-def average_degree(topology: Topology) -> float:
-    if not topology.positions:
-        return 0.0
-    return sum(len(v) for v in topology.adjacency.values()) / len(topology.positions)
-
-
 def load_topology_csv(path: str, range_m: float) -> Topology:
     """Read `id,x,y` rows (header optional) and build the unit disk graph.
 
@@ -130,23 +127,6 @@ def to_dot(adjacency: Mapping[NodeId, Iterable[NodeId]], name: str = "topology")
                 lines.append(f"  {min(a, b)} -- {max(a, b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# Measured communication range by (tx power dBm, antenna height m).
-RANGE_TABLE_M: Dict[Tuple[int, int], float] = {
-    (0, 1): 100.0,
-    (-25, 1): 25.0,
-    (-25, 0): 5.0,
-}
-
-
-def range_for(tx_power_dbm: int, height_m: int) -> float:
-    try:
-        return RANGE_TABLE_M[(tx_power_dbm, height_m)]
-    except KeyError:
-        raise UnknownConfiguration(
-            f"no range measurement for {tx_power_dbm} dBm at {height_m} m"
-        ) from None
 
 
 RADIO_STATES = ("sleep", "poll", "listen", "tx", "rx")
@@ -229,11 +209,6 @@ def power_table(tx_power_dbm: int) -> RadioPowerTable:
         return POWER_TABLES[tx_power_dbm]
     except KeyError:
         raise UnknownConfiguration(f"no power table for {tx_power_dbm} dBm") from None
-
-
-def state_power(state: str, tx_power_dbm: int) -> float:
-    """Milliwatt draw of one radio state at the given transmission power."""
-    return power_table(tx_power_dbm).power_mw(state)
 
 
 def euclid(a: Position, b: Position) -> float:

@@ -137,9 +137,13 @@ class BounceTrack:
 
 
 class LineTrack:
-    """Constant-speed straight line; departed once the far end is reached."""
+    """Constant-speed straight line; departed once the far end is reached.
+
+    A speed that is negative or not finite raises ValueError.
+    """
 
     def __init__(self, start: Position, end: Position, speed: float):
+        _check_speed(speed)
         self.start = (float(start[0]), float(start[1]))
         self.end = (float(end[0]), float(end[1]))
         self.speed = float(speed)
@@ -440,8 +444,6 @@ class ScenarioConfig:
     query_node: NodeId
     constants: ProtocolConstants = DEFAULT_CONSTANTS
     bs_position: Position = (-80.0, 37.5)
-    entry: Optional[Position] = None
-    exit: Optional[Position] = None
     ms_speed_mps: float = 7.0
     seed: int = 0
     coord_mode: str = "physical"  # physical | virtual
@@ -614,8 +616,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         raise ConfigError(f"d_rrp ({c.d_rrp}) must be >= d_cca ({c.d_cca})")
 
     bbox = x0, y0, x1, y1 = _network_bbox(topo)
-    entry = cfg.entry if cfg.entry is not None else (x0, (y0 + y1) / 2)
-    exit_ = cfg.exit if cfg.exit is not None else (x1, (y0 + y1) / 2)
+    entry = (x0, (y0 + y1) / 2)
+    exit_ = (x1, (y0 + y1) / 2)
     track = WaypointTrack([cfg.bs_position, entry, exit_, cfg.bs_position], cfg.ms_speed_mps)
     if track.duration_us() > MAX_ROUND_TRIP_S * 1_000_000:
         raise ConfigError(
@@ -838,6 +840,7 @@ class SweepPoint:
 
 RANDOM_FIELD_M = 1000.0
 RANDOM_RANGE_M = 200.0
+RANDOM_TOPOLOGIES = 50  # a random-graph point's replications cycle over these
 GRID_SIDE = 5
 GRID_SPACING_M = 25.0
 GRID_FIELD_M = GRID_SPACING_M * (GRID_SIDE - 1)
@@ -854,14 +857,15 @@ GRID_CROSSING_SPEED = 4.0  # field units per round, hop-count reference setting
 MAX_NODES = 1_000
 
 
-def nodes_for_degree(degree: float, field: float = RANDOM_FIELD_M, range_m: float = RANDOM_RANGE_M) -> int:
-    """Node count giving the target mean neighbor count on a uniform field.
+def nodes_for_degree(degree: float) -> int:
+    """Node count giving the target mean neighbor count on the random-graph field.
 
     Raises ValueError unless the degree is finite and > 0 and the count, before
     rounding, is at most MAX_NODES.
     """
     if not 0 < degree < math.inf:
         raise ValueError(f"degree must be finite and > 0, got {degree!r}")
+    field, range_m = RANDOM_FIELD_M, RANDOM_RANGE_M
     count = 1 + degree * field * field / (math.pi * range_m * range_m)
     if not count <= MAX_NODES:
         raise ValueError(f"degree {degree!r} needs {count:.4g} nodes, more than {MAX_NODES}")
@@ -975,16 +979,15 @@ def random_graph_point(
     runs: int,
     seed: int,
     *,
-    field: float = RANDOM_FIELD_M,
-    range_m: float = RANDOM_RANGE_M,
-    topologies: int = 50,
     workers: Optional[int] = None,
 ) -> SweepPoint:
     """One point of the random-graph sweep.
 
-    Nodes are placed uniformly on the field, the sink starts at a uniform
-    position in range of at least one node and drifts with the bounce model,
-    and the message leaves a uniformly chosen node of the sink's component.
+    Nodes are placed uniformly on the RANDOM_FIELD_M square with range
+    RANDOM_RANGE_M, and the replications cycle over RANDOM_TOPOLOGIES
+    topologies.  The sink starts at a uniform position in range of at least
+    one node and drifts with the bounce model, and the message leaves a
+    uniformly chosen node of the sink's component.
     Routing runs on per-replication random virtual coordinates aimed at the
     sink's fixed virtual coordinate (the field center); the round limit is
     one round per node, the sweep's simulation horizon.  Restarts average
@@ -993,9 +996,9 @@ def random_graph_point(
     The same `seed` re-draws the same topologies, sources, coordinates and
     sink tracks for every speed, so points that differ only in speed are
     paired: speed scales the per-round drift of an otherwise identical run.
-    Consecutive calls with the same node count, `runs`, `seed`, `field`,
-    `range_m` and `topologies` reuse the set-up the first one drew and only
-    walk again; the results are those of a fresh draw.
+    Consecutive calls with the same node count, `runs` and `seed` reuse the
+    set-up the first one drew and only walk again; the results are those of
+    a fresh draw.
 
     With the sink's virtual coordinate fixed, a replication's depth-first
     tour (:class:`sinksim.routing.Tour`) does not depend on the speed: speed
@@ -1017,15 +1020,10 @@ def random_graph_point(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
-    if topologies < 1:
-        raise ValueError(f"topologies must be >= 1, got {topologies!r}")
-    if not field > 0:
-        raise ValueError(f"field must be > 0, got {field!r}")
-    if not range_m > 0:
-        raise ValueError(f"range_m must be > 0, got {range_m!r}")
     _check_speed(speed)
-    n = nodes_for_degree(degree, field, range_m)
-    setup = _random_graph_setup(n, runs, seed, field, range_m, topologies)
+    field = RANDOM_FIELD_M
+    n = nodes_for_degree(degree)
+    setup = _random_graph_setup(n, runs, seed, field, RANDOM_RANGE_M, RANDOM_TOPOLOGIES)
 
     bounds = ((0, field), (0, field))
     sink_coord = (field / 2, field / 2)

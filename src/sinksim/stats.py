@@ -146,8 +146,8 @@ def _t_quantile(p: float, df: float) -> float:
     return t if p > 0.5 else -t
 
 
-def mean_ci(values: Sequence[float], confidence: float = 0.95) -> Tuple[float, float]:
-    """Sample mean and Student-t confidence half-width."""
+def mean_ci(values: Sequence[float]) -> Tuple[float, float]:
+    """Sample mean and Student-t 95% confidence half-width."""
     n = len(values)
     if n == 0:
         return float("nan"), float("nan")
@@ -155,5 +155,5 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> Tuple[float, f
     if n == 1:
         return mean, float("inf")
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    half = _t_quantile(0.5 + confidence / 2, n - 1) * math.sqrt(var / n)
+    half = _t_quantile(0.975, n - 1) * math.sqrt(var / n)
     return mean, half

@@ -169,6 +169,16 @@ def test_flood_sim_outputs(tmp_path, capsys):
     assert len(summary) == 3
 
 
+@pytest.mark.parametrize("range_args, reached", [([], "2"), (["--range-m", "0"], "1")])
+def test_a_csv_topology_takes_25_m_only_without_a_range(tmp_path, capsys, range_args, reached):
+    csv = tmp_path / "pair.csv"
+    csv.write_text("id,x,y\n0,0,0\n1,20,0\n")
+    out = tmp_path / "fl"
+    assert run_cli("flood-sim", "--topology", str(csv), *range_args, "--runs", "1", "--out", str(out)) == 0
+    summary = (out / "flood_summary.csv").read_text().splitlines()
+    assert summary[1].split(",")[1] == reached
+
+
 def test_demo_runs_and_discovers(tmp_path, capsys):
     out = tmp_path / "demo"
     assert run_cli("demo", "--rotations", "3", "--grid", "3", "--out", str(out)) == 0
@@ -374,6 +384,11 @@ INPUT_FILES = {
         ["demo", "--topology", "no_nodes.csv"],
         ["flood-sim", "--runs", "0"],
         ["flood-sim", "--topology", "short_row.csv"],
+        # a range whose square is positive: it flooded as if it were +25 m
+        ["flood-sim", "--range-m", "-25"],
+        ["flood-sim", "--range-m", "nan"],
+        # a node the topology does not hold, once recorded in the manifest
+        ["flood-sim", "--source", "999"],
         # a length whose square overflows a float
         ["flood-sim", "--range-m", "1e300"],
         ["demo", "--range-m", "1e300"],
@@ -449,7 +464,7 @@ FUZZ_COMMANDS = {
     ),
     "flood-sim": (
         ["--runs", "1", "--grid", "3"],
-        ["--runs", "--grid", "--range-m", "--spacing", "--initiator"],
+        ["--runs", "--grid", "--range-m", "--spacing", "--initiator", "--source"],
     ),
     "demo": (
         ["--rotations", "1", "--grid", "2"],

@@ -10,8 +10,6 @@ from sinksim.core import (
     DUTY_CYCLE_MIN,
     ProtocolConstants,
     duty_cycle,
-    ms,
-    replace_constants,
     validate_constants,
 )
 
@@ -31,13 +29,13 @@ def test_default_values_match_compiled_table():
 
 
 def test_short_cca_period_is_flagged():
-    violations = validate_constants(replace_constants(DEFAULT_CONSTANTS, t_cca=ms(1)))
+    violations = validate_constants(dataclasses.replace(DEFAULT_CONSTANTS, t_cca=1_000))
     assert violations == ["T_cca = 100×D_cca"]
 
 
 def test_short_source_wait_is_flagged():
     # 6 * (144 ms + 10 ms) = 924 ms, so 900 ms is too low
-    violations = validate_constants(replace_constants(DEFAULT_CONSTANTS, b_src=ms(900)))
+    violations = validate_constants(dataclasses.replace(DEFAULT_CONSTANTS, b_src=900_000))
     assert violations == ["B_SRC > 6·(D_BRp+W_BR)"]
 
 
@@ -51,7 +49,7 @@ def test_short_source_wait_is_flagged():
     ],
 )
 def test_single_field_violations(field, value, expected):
-    violations = validate_constants(replace_constants(DEFAULT_CONSTANTS, **{field: value}))
+    violations = validate_constants(dataclasses.replace(DEFAULT_CONSTANTS, **{field: value}))
     assert expected in violations
 
 
@@ -61,9 +59,9 @@ def test_duty_cycle_hits_the_one_percent_target():
 
 def test_duty_cycle_is_cca_over_period():
     assert duty_cycle(DEFAULT_CONSTANTS) == pytest.approx(0.0103, abs=2e-4)
-    c = replace_constants(DEFAULT_CONSTANTS, t_cca=DEFAULT_CONSTANTS.d_cca)
+    c = dataclasses.replace(DEFAULT_CONSTANTS, t_cca=DEFAULT_CONSTANTS.d_cca)
     assert duty_cycle(c) == 1.0
-    c = replace_constants(DEFAULT_CONSTANTS, t_cca=10 * DEFAULT_CONSTANTS.d_cca)
+    c = dataclasses.replace(DEFAULT_CONSTANTS, t_cca=10 * DEFAULT_CONSTANTS.d_cca)
     assert duty_cycle(c) == pytest.approx(0.1)
 
 
@@ -80,11 +78,5 @@ def test_constants_are_immutable():
 
 @given(st.integers(min_value=1, max_value=10**7))
 def test_validate_never_crashes_on_perturbed_windows(w_rr):
-    violations = validate_constants(replace_constants(DEFAULT_CONSTANTS, w_rr=w_rr))
+    violations = validate_constants(dataclasses.replace(DEFAULT_CONSTANTS, w_rr=w_rr))
     assert isinstance(violations, list)
-
-
-def test_ms_helper_rounds_to_integer_microseconds():
-    assert ms(10) == 10_000
-    assert ms(0.5) == 500
-    assert isinstance(ms(1.2), int)

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from sinksim.core import DEFAULT_CONSTANTS, replace_constants
+from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import (
     RealTimeParams,
     WindowTooSmall,
@@ -39,7 +41,7 @@ def test_phase_energy_window_too_small():
 
 def test_phase_energy_listen_term_vanishes_at_the_packing_limit():
     # a window exactly filled by ACKs leaves no listening time
-    c = replace_constants(C, w_rr=5 * C.d_ack)
+    c = dataclasses.replace(C, w_rr=5 * C.d_ack)
     pe = phase_energy(power_table(-25), c, 5, 0.0)
     row = power_table(-25)
     expected = (5 * C.d_ack * row.rx + C.d_data * row.tx) / 1e6
@@ -62,7 +64,7 @@ def test_v_max_base_station_link():
     v = v_max_bs(C)
     assert v == pytest.approx(50.0 / 0.348 * 3.6, rel=1e-9)
     assert 500.0 <= v <= 520.0
-    doubled = replace_constants(C, t_dr=2 * C.t_dr, d_drp=2 * C.d_drp, d_data=2 * C.d_data)
+    doubled = dataclasses.replace(C, t_dr=2 * C.t_dr, d_drp=2 * C.d_drp, d_data=2 * C.d_data)
     assert v_max_bs(doubled) == pytest.approx(v / 2)
     assert v_max_bs(C, chord_m=25.0) == pytest.approx(v / 2)
     with pytest.raises(ValueError):
@@ -88,7 +90,7 @@ def test_v_max_network_degenerate_geometry():
     "field", ["w_br", "d_brp", "b_src", "d_rrp", "w_rr", "d_data"]
 )
 def test_v_max_network_monotone_in_durations(field):
-    slower = replace_constants(C, **{field: getattr(C, field) + 10_000})
+    slower = dataclasses.replace(C, **{field: getattr(C, field) + 10_000})
     assert v_max_network(slower) < v_max_network(C)
 
 

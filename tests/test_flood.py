@@ -118,6 +118,12 @@ def test_unknown_initiator_rejected():
         simulate_flood(g, 99)
 
 
+def test_unknown_source_rejected():
+    g = grid_topology(3, 25.0)
+    with pytest.raises(KeyError, match="source 99"):
+        simulate_flood(g, 0, source=99)
+
+
 def test_injected_receptions_seed_the_flood():
     g = grid_topology(3, 25.0)
     engine = FloodEngine(g, C, seed=4)

@@ -9,13 +9,11 @@ from sinksim.radio import (
     POWER_TABLES,
     DuplicateId,
     UnknownConfiguration,
-    average_degree,
     build_udg,
     euclid,
     grid_topology,
     load_topology_csv,
-    range_for,
-    state_power,
+    power_table,
     to_dot,
 )
 
@@ -42,7 +40,7 @@ def test_boundary_distance_counts_as_connected():
 
 def test_grid_average_neighbor_count():
     g = grid_topology(5, 25.0)
-    assert average_degree(g) == pytest.approx(3.20)
+    assert sum(len(v) for v in g.adjacency.values()) / len(g) == pytest.approx(3.20)
 
 
 def test_adjacency_matches_brute_force_on_random_fields():
@@ -130,20 +128,18 @@ def test_duplicate_id_rejected():
         build_udg([(0, (0.0, 0.0)), (0, (1.0, 1.0))], 10.0)
 
 
-def test_range_table():
-    assert range_for(0, 1) == 100.0
-    assert range_for(-25, 1) == 25.0
-    assert range_for(-25, 0) == 5.0
-    with pytest.raises(UnknownConfiguration):
-        range_for(-10, 1)
+@pytest.mark.parametrize("range_m", [-25.0, -1e-9, float("nan"), float("inf"), -float("inf")])
+def test_a_range_that_is_negative_or_not_finite_is_rejected(range_m):
+    with pytest.raises(ValueError, match="range must be finite and >= 0"):
+        build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, range_m)
 
 
-def test_state_power_values():
-    assert state_power("poll", -25) == pytest.approx(3.300)
-    assert state_power("listen", 0) == pytest.approx(65.833)
-    assert state_power("tx", -25) == pytest.approx(32.807)
-    assert state_power("rx", 0) == pytest.approx(70.686)
-    assert state_power("sleep", -25) == pytest.approx(2.735)
+def test_power_table_state_values():
+    assert power_table(-25).power_mw("poll") == pytest.approx(3.300)
+    assert power_table(0).power_mw("listen") == pytest.approx(65.833)
+    assert power_table(-25).power_mw("tx") == pytest.approx(32.807)
+    assert power_table(0).power_mw("rx") == pytest.approx(70.686)
+    assert power_table(-25).power_mw("sleep") == pytest.approx(2.735)
 
 
 def test_power_table_ordering():
@@ -159,9 +155,9 @@ def test_preamble_cost_inputs_present():
 
 def test_unknown_power_setting():
     with pytest.raises(UnknownConfiguration):
-        state_power("poll", -10)
+        power_table(-10)
     with pytest.raises(KeyError):
-        state_power("warp", 0)
+        power_table(0).power_mw("warp")
 
 
 def test_csv_loader_and_dot_export(tmp_path):
