@@ -11,7 +11,7 @@ calculators (`energy`).
 from .core import DEFAULT_CONSTANTS, ProtocolConstants, validate_constants
 from .flood import simulate_flood
 from .radio import Topology, build_udg, grid_topology
-from .routing import centroid_round, init_virtual_coords, route
+from .routing import init_virtual_coords, route
 from .scenario import ScenarioConfig, run_scenario
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "simulate_flood",
     "route",
     "init_virtual_coords",
-    "centroid_round",
     "ScenarioConfig",
     "run_scenario",
     "__version__",

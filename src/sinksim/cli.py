@@ -187,8 +187,8 @@ def _topology(args):
 
 
 def cmd_analyze(args, c: ProtocolConstants) -> int:
-    if args.battery_j < 0:
-        raise ValueError(f"--battery-j must be at least 0, got {args.battery_j}")
+    if not (math.isfinite(args.battery_j) and args.battery_j >= 0):
+        raise ValueError(f"--battery-j must be finite and at least 0, got {args.battery_j}")
     powers = [args.power] if args.power is not None else [0, -25]
     rows = []
     for dbm in powers:

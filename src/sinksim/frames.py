@@ -114,8 +114,10 @@ def micro_frame(preamble: PreambleKind, remaining: int, src: int, payload_byte: 
     """
     if not 0 <= remaining <= 0x3F:
         raise RemainingOverflow(f"remaining count {remaining} does not fit 6 bits")
+    if not 0 <= payload_byte <= 0xFF:
+        raise FrameError(f"payload byte {payload_byte} does not fit one byte")
     seq = (int(preamble) << 6) | remaining
-    return Frame(FrameKind.MICRO_FRAME, seq=seq, src=src, payload=bytes([payload_byte & 0xFF]))
+    return Frame(FrameKind.MICRO_FRAME, seq=seq, src=src, payload=bytes([payload_byte]))
 
 
 def ack_frame(src: int, seq: int = 0) -> Frame:
@@ -201,10 +203,19 @@ def encode_data_payload(p: DataPayload) -> bytes:
             f"reaches the 119-address bound"
         )
     out = bytearray([len(p.traversed)])
-    out += bytes(nid & 0xFF for nid in p.traversed)
+    out += _id_bytes(p.traversed, "traversed")
     out.append(len(p.neighbors))
-    out += bytes(nid & 0xFF for nid in p.neighbors)
+    out += _id_bytes(p.neighbors, "neighbor")
     return bytes(out)
+
+
+def _id_bytes(ids: List[int], name: str) -> bytes:
+    """One byte per id; an id outside 0..255 is an error, not its low byte."""
+    try:
+        return bytes(ids)
+    except ValueError:
+        bad = next(nid for nid in ids if not 0 <= nid <= 0xFF)
+        raise FrameError(f"{name} id {bad} does not fit one byte") from None
 
 
 def decode_data_payload(data: bytes) -> DataPayload:

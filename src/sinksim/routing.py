@@ -31,16 +31,16 @@ source.  With a fixed destination coordinate a restart replays the same tour,
 so walks that differ only in the sink, such as the paired speeds of a sweep,
 share it.  With a destination snapshot each restart starts a fresh tour.
 
-Coordinates can be the physical positions or virtual ones: random initial
-points smoothed by iterated centroid averaging, with a fixed set (the sink's
-predefined coordinate in particular) never updated.
+Coordinates can be the physical positions or virtual ones: one seeded random
+draw per node inside a box, with the sink's virtual coordinate a fixed point
+the caller chooses.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .core import NodeId, Position
 from .frames import MAX_ADDRESS_COUNT
@@ -49,10 +49,6 @@ from .radio import Topology
 
 class RoutingError(Exception):
     pass
-
-
-class IsolatedNode(RoutingError):
-    """A free node with no neighbors cannot take a centroid step."""
 
 
 class HeaderOverflow(RoutingError):
@@ -65,59 +61,21 @@ class RouteHeader:
     dest_coord: Position = (0.0, 0.0)
 
 
-@dataclass
-class VirtualCoords:
-    coords: Dict[NodeId, Position]
-    fixed: FrozenSet[NodeId] = frozenset()
-
-
 def init_virtual_coords(
     topology: Topology,
     seed: int,
     bounds: Tuple[Tuple[float, float], Tuple[float, float]],
-    fixed_coords: Optional[Mapping[NodeId, Position]] = None,
-) -> VirtualCoords:
-    """Random initial coordinates inside `bounds`, deterministic per seed.
-
-    Nodes listed in `fixed_coords` keep their preset position and are never
-    touched by centroid rounds.
-    """
+) -> Dict[NodeId, Position]:
+    """Random coordinates inside `bounds`, deterministic per seed."""
     draw = random.Random(seed).random
     (x0, x1), (y0, y1) = bounds
     # rng.uniform(a, b) is a + (b - a) * rng.random(), written out here.
     wx, wy = x1 - x0, y1 - y0
-    fixed_coords = fixed_coords or {}
     # Ids ascending, x drawn before y: a tuple display evaluates left to right.
-    coords = {
-        nid: fixed_coords[nid] if nid in fixed_coords else (x0 + wx * draw(), y0 + wy * draw())
+    return {
+        nid: (x0 + wx * draw(), y0 + wy * draw())
         for nid in sorted(topology.positions)
     }
-    return VirtualCoords(coords, frozenset(fixed_coords))
-
-
-def centroid_round(topology: Topology, vc: VirtualCoords) -> VirtualCoords:
-    """One synchronous smoothing step.
-
-    Every free node moves to the mean of its own and its neighbors' previous
-    coordinates; fixed nodes are returned untouched.  The self-inclusive mean
-    keeps poorly anchored graphs from collapsing in a single step.
-    """
-    new_coords: Dict[NodeId, Position] = {}
-    for nid in sorted(topology.positions):
-        if nid in vc.fixed:
-            new_coords[nid] = vc.coords[nid]
-            continue
-        nbrs = topology.adjacency[nid]
-        if not nbrs:
-            raise IsolatedNode(f"node {nid} has no neighbors")
-        sx, sy = vc.coords[nid]
-        for v in nbrs:
-            vx, vy = vc.coords[v]
-            sx += vx
-            sy += vy
-        count = len(nbrs) + 1
-        new_coords[nid] = (sx / count, sy / count)
-    return VirtualCoords(new_coords, vc.fixed)
 
 
 @dataclass(slots=True)

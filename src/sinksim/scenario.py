@@ -48,7 +48,6 @@ from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_to
 from .routing import (  # noqa: F401  next_hop_3rule stays bound for bench/tracer.py
     RouteResult,
     Tour,
-    VirtualCoords,
     init_virtual_coords,
     next_hop_3rule,
     route,
@@ -446,8 +445,9 @@ class ScenarioConfig:
     bs_position: Position = (-80.0, 37.5)
     ms_speed_mps: float = 7.0
     seed: int = 0
-    coord_mode: str = "physical"  # physical | virtual
-    virtual_coords: Optional[VirtualCoords] = None
+    # Set both to route on virtual coordinates toward the sink's fixed one;
+    # with neither set, routing runs on the physical positions.
+    virtual_coords: Optional[Mapping[NodeId, Position]] = None
     ms_virtual_coord: Optional[Position] = None
     hop_limit: Optional[int] = None  # route()'s round_limit: every round counts
     collisions: bool = False
@@ -602,12 +602,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     rng = random.Random(cfg.seed)
     if cfg.query_node not in topo.positions:
         raise ConfigError(f"query node {cfg.query_node} not in topology")
-    if cfg.coord_mode not in ("physical", "virtual"):
-        raise ConfigError(f"unknown coordinate mode {cfg.coord_mode!r}")
-    if cfg.coord_mode == "virtual" and (
-        cfg.virtual_coords is None or cfg.ms_virtual_coord is None
-    ):
-        raise ConfigError("virtual mode needs virtual_coords and ms_virtual_coord")
+    if (cfg.virtual_coords is None) != (cfg.ms_virtual_coord is None):
+        raise ConfigError("virtual_coords and ms_virtual_coord are set together or not at all")
     # timers the rotation divides by or draws offsets within
     for name in ("t_dr", "t_cca", "t_brp"):
         if getattr(c, name) <= 0:
@@ -701,7 +697,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 
     # Phase 4: source routes the answer toward the moving sink, one hop
     # exchange per round of the routing walk.
-    coords = topo.positions if cfg.coord_mode == "physical" else cfg.virtual_coords.coords
+    coords = topo.positions if cfg.virtual_coords is None else cfg.virtual_coords
     metric_max = max(euclid((x0, y0), (x1, y1)), 1.0) * 2
     cca_window = c.d_rrp - c.d_cca + 1
     sink = _FlyingSink(ms_pos, ms_departed, flood_report.source_wait_expiry_us, c)
@@ -728,7 +724,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         coords,
         cfg.query_node,
         sink,
-        sink_coord=cfg.ms_virtual_coord if cfg.coord_mode == "virtual" else None,
+        sink_coord=cfg.ms_virtual_coord,
         round_limit=cfg.hop_limit,
         on_round=hop_exchange,
     )
@@ -1036,7 +1032,7 @@ def random_graph_point(
         track = BounceTrack(start, speed, field, seed=track_seed) if speed else StaticSink(start)
         res = route(
             topo,
-            lambda: init_virtual_coords(topo, vc_seed, bounds).coords,
+            lambda: init_virtual_coords(topo, vc_seed, bounds),
             source,
             track,
             sink_coord=sink_coord,
@@ -1103,7 +1099,7 @@ def grid_point(
         return _outcome(
             route(
                 g,
-                lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS).coords,
+                lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS),
                 source,
                 track,
                 sink_coord=GRID_SINK_VCOORD,
@@ -1134,7 +1130,7 @@ def grid_crossing_hops(
         return _outcome(
             route(
                 g,
-                lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS).coords,
+                lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS),
                 source,
                 track,
                 sink_coord=GRID_SINK_VCOORD,

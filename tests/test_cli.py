@@ -336,12 +336,20 @@ INPUT_FILES = {
         ["analyze", "--neighbors", "100"],  # more ACKs than the contention window holds
         ["analyze", "--neighbors", "0"],
         ["analyze", "--battery-j", "-1"],
+        # a lifetime of nan or inf hours is no answer
+        ["analyze", "--battery-j", "nan"],
+        ["analyze", "--battery-j", "inf"],
         ["collisions", "--runs", "10", "--levels", "1"],
         ["collisions", "--runs", "10", "--n", "-1"],
         ["codec", "decode", "--hex", "zz"],
         ["codec", "decode", "--hex", "00"],  # too short for a frame
         ["codec", "encode", "--remaining", "99"],  # beyond the 6-bit countdown
         ["codec", "encode", "--src", "0x10000"],
+        # ids and the query byte are one byte on air: once encoded as their
+        # low byte
+        ["codec", "encode", "--kind", "data", "--traversed", "70000"],
+        ["codec", "encode", "--kind", "data", "--traversed", "-1"],
+        ["codec", "encode", "--query", "0x10000"],
         ["codec", "encode", "--preamble", "xx"],
         # Non-finite speeds used to hang the sink's drift after the manifest
         # was written; every speed and degree is now checked before.

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter, deque
 
@@ -6,6 +7,7 @@ import pytest
 
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.flood import FloodEngine, b_src_min, simulate_flood
+from sinksim.mac import ContentionConfig, collision_probability
 from sinksim.radio import build_udg, grid_topology
 
 C = DEFAULT_CONSTANTS
@@ -149,6 +151,26 @@ def test_collision_needs_two_overlapping_transmissions_the_node_hears():
     engine.transmit(4, d - 1)  # overlaps both by a microsecond or more
     assert engine._lost_to_collision(1, 0, d)
     assert engine._lost_to_collision(1, d, 2 * d)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_clique_first_copy_loss_is_the_closed_form(n):
+    # Initiator 0 feeds n relays that all hear each other; the relays feed
+    # receiver n + 1, which cannot hear the initiator.  The receiver's first
+    # copy is lost when another relay starts within d_rxtx of the earliest:
+    # the closed form's runner-up within D of the earliest answer.
+    positions = {0: (0.0, 0.0), n + 1: (12.0, 0.0)}
+    positions.update({i: (6.0, 0.1 * i) for i in range(1, n + 1)})
+    topo = build_udg(positions, 10.0)
+    assert n + 1 not in topo.adjacency[0] and len(topo.adjacency[n + 1]) == n
+    runs = 4_000
+    lost = 0
+    for seed in range(runs):
+        report = simulate_flood(topo, 0, seed=seed, collisions=True)
+        first_end = min(report.tx_end_us[i] for i in range(1, n + 1))
+        lost += report.first_rx_us.get(n + 1) != first_end
+    p = collision_probability(ContentionConfig(C.w_br, C.d_rxtx, n))
+    assert abs(lost / runs - p) <= 4 * math.sqrt(p * (1 - p) / runs)
 
 
 def test_collision_flag_smoke():

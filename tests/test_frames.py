@@ -162,6 +162,25 @@ def test_frame_byte_budget():
         encode_frame(data_frame(1, DataPayload(list(range(118)), [])))
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (DataPayload([70000], []), "traversed id 70000"),
+        (DataPayload([1, -1], []), "traversed id -1"),
+        (DataPayload([], [3, 256]), "neighbor id 256"),
+    ],
+)
+def test_data_payload_rejects_ids_beyond_one_byte(payload, message):
+    with pytest.raises(FrameError, match=message):
+        encode_data_payload(payload)
+
+
+@pytest.mark.parametrize("payload_byte", [-1, 0x100, 0x10000])
+def test_micro_frame_rejects_a_payload_beyond_one_byte(payload_byte):
+    with pytest.raises(FrameError, match=f"payload byte {payload_byte} "):
+        micro_frame(PreambleKind.DRP, 0, 1, payload_byte)
+
+
 def test_remaining_overflow():
     with pytest.raises(RemainingOverflow):
         micro_frame(PreambleKind.DRP, 64, 1, 0)

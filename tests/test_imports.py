@@ -82,3 +82,26 @@ def test_every_bench_trace_target_is_an_attribute_of_its_owner():
         if attr not in vars(owner)
     ]
     assert tracer.TARGETS and missing == []
+
+
+def test_star_import_binds_exactly_the_public_names():
+    # An export that is added or removed shows up as a change to this list.
+    import sinksim
+
+    assert sinksim.__all__ == [
+        "DEFAULT_CONSTANTS",
+        "ProtocolConstants",
+        "validate_constants",
+        "Topology",
+        "build_udg",
+        "grid_topology",
+        "simulate_flood",
+        "route",
+        "init_virtual_coords",
+        "ScenarioConfig",
+        "run_scenario",
+        "__version__",
+    ]
+    namespace: dict = {}
+    exec("from sinksim import *", namespace)
+    assert all(namespace[name] is getattr(sinksim, name) for name in sinksim.__all__)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +211,23 @@ def test_election_does_not_mutate_input():
     acks = [AckEvent(1, 10.0, 1_000.0), AckEvent(2, 20.0, 1_200.0)]
     elect_next_hop(acks, 480)
     assert not acks[0].lost and not acks[1].lost
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_election_misses_the_earliest_answer_at_the_closed_form(n):
+    # The earliest answer is destroyed exactly when the runner-up starts
+    # within d_ack of it, so on uniform backoffs the election fails to elect
+    # it at the closed form's rate.
+    c = DEFAULT_CONSTANTS
+    rnd = random.Random(n)
+    runs = 4_000
+    missed = 0
+    for _ in range(runs):
+        backoffs = [rnd.uniform(0, c.w_rr) for _ in range(n)]
+        acks = [AckEvent(i, b, b) for i, b in enumerate(backoffs)]
+        missed += elect_next_hop(acks, c.d_ack).winner != backoffs.index(min(backoffs))
+    p = collision_probability(ContentionConfig(c.w_rr, c.d_ack, n))
+    assert abs(missed / runs - p) <= 4 * math.sqrt(p * (1 - p) / runs)
 
 
 @settings(max_examples=60)

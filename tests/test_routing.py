@@ -10,11 +10,9 @@ from sinksim.radio import build_udg, grid_topology
 from sinksim.routing import (
     Action,
     HeaderOverflow,
-    IsolatedNode,
     RouteHeader,
     RouteResult,
     Tour,
-    centroid_round,
     init_virtual_coords,
     next_hop_3rule,
     route,
@@ -82,133 +80,45 @@ def random_connected_instance(rnd, n_nodes, field=1000.0, range_m=200.0):
 # ---------------------------------------------------------------------------
 
 
-def test_centroid_mean_includes_own_coordinate():
-    topo = build_udg({0: (0.0, 0.0), 1: (1.0, 4.0), 2: (2.0, 0.0)}, 5.0)
-    vc = init_virtual_coords(topo, 0, ((0, 10), (0, 10)))
-    vc.coords.update({0: (0.0, 0.0), 1: (1.0, 4.0), 2: (2.0, 0.0)})
-    after = centroid_round(topo, vc)
-    assert after.coords[1] == pytest.approx((1.0, 4.0 / 3.0))
-
-
-def test_centroid_fixed_point():
-    topo = grid_topology(3, 10.0)
-    vc = init_virtual_coords(topo, 0, ((0, 1), (0, 1)), fixed_coords={4: (5.0, 5.0)})
-    for nid in vc.coords:
-        vc.coords[nid] = (5.0, 5.0)
-    after = centroid_round(topo, vc)
-    assert after.coords == vc.coords
-
-
-def test_centroid_keeps_fixed_nodes_bit_identical():
-    topo = grid_topology(4, 10.0)
-    fixed = {0: (123.456, -7.89)}
-    vc = init_virtual_coords(topo, 3, ((0, 100), (0, 100)), fixed_coords=fixed)
-    out = vc
-    for _ in range(5):
-        out = centroid_round(topo, out)
-    assert out.coords[0] == (123.456, -7.89)
-    assert 0 in out.fixed
-
-
-def test_centroid_isolated_node():
-    topo = build_udg({0: (0.0, 0.0), 1: (100.0, 100.0)}, 10.0)
-    vc = init_virtual_coords(topo, 0, ((0, 1), (0, 1)))
-    with pytest.raises(IsolatedNode):
-        centroid_round(topo, vc)
-
-
 def test_virtual_coords_deterministic_and_bounded():
     topo = grid_topology(4, 10.0)
     bounds = ((2.0, 9.0), (-3.0, 4.0))
     a = init_virtual_coords(topo, 99, bounds)
     b = init_virtual_coords(topo, 99, bounds)
-    assert a.coords == b.coords
-    assert init_virtual_coords(topo, 100, bounds).coords != a.coords
-    for x, y in a.coords.values():
+    assert a == b
+    assert init_virtual_coords(topo, 100, bounds) != a
+    for x, y in a.values():
         assert 2.0 <= x <= 9.0
         assert -3.0 <= y <= 4.0
 
 
-def test_virtual_coords_fixed_preserved():
-    topo = grid_topology(3, 10.0)
-    vc = init_virtual_coords(topo, 1, ((0, 1), (0, 1)), fixed_coords={8: (42.0, 43.0)})
-    assert vc.coords[8] == (42.0, 43.0)
-    assert vc.fixed == frozenset({8})
-
-
-def reference_virtual_coords(topology, seed, bounds, fixed_coords=None):
+def reference_virtual_coords(topology, seed, bounds):
     """The draw loop init_virtual_coords was first written as: ids ascending,
-    two draws per free node, none for a fixed one."""
+    two draws per node, x before y."""
     draw = random.Random(seed).random
     (x0, x1), (y0, y1) = bounds
     wx, wy = x1 - x0, y1 - y0
-    fixed_coords = dict(fixed_coords or {})
     coords = {}
     for nid in sorted(topology.positions):
-        if nid in fixed_coords:
-            coords[nid] = fixed_coords[nid]
-        else:
-            coords[nid] = (x0 + wx * draw(), y0 + wy * draw())
-    return coords, frozenset(fixed_coords)
+        coords[nid] = (x0 + wx * draw(), y0 + wy * draw())
+    return coords
 
 
 BOUND = st.integers(-100, 100) | st.floats(-1e6, 1e6)
 
 
 @given(
-    data=st.data(),
     ids=st.sets(st.integers(0, 10**6), min_size=1, max_size=30),
-    fixed=st.sampled_from(["none", "empty", "some", "all"]),
     seed=st.integers(0, 2**64),
     bounds=st.tuples(st.tuples(BOUND, BOUND), st.tuples(BOUND, BOUND)),
 )
-def test_virtual_coords_equal_the_reference_loop(data, ids, fixed, seed, bounds):
+def test_virtual_coords_equal_the_reference_loop(ids, seed, bounds):
     # sparse ids, inserted in an order that is not ascending
     topo = build_udg({nid: (float(nid % 997), float(nid // 997)) for nid in sorted(ids, reverse=True)}, 1.0)
-    if fixed == "none":
-        fixed_coords = None
-    else:
-        chosen = {"empty": set(), "all": ids}.get(fixed)
-        if chosen is None:
-            chosen = data.draw(st.sets(st.sampled_from(sorted(ids))), label="fixed ids")
-        point = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
-        fixed_coords = {nid: data.draw(point, label=f"coordinate of {nid}") for nid in sorted(chosen)}
-    vc = init_virtual_coords(topo, seed, bounds, fixed_coords)
-    coords, frozen = reference_virtual_coords(topo, seed, bounds, fixed_coords)
+    coords = init_virtual_coords(topo, seed, bounds)
+    reference = reference_virtual_coords(topo, seed, bounds)
     # bit for bit and in the same key order: a float's repr round-trips
-    assert repr(list(vc.coords.items())) == repr(list(coords.items()))
-    assert vc.fixed == frozen
-
-
-def test_ten_centroid_rounds_halve_the_hop_count():
-    # anchored smoothing: random coordinates steer the search poorly, ten
-    # rounds of neighborhood averaging cut delivered walk length by half
-    rnd = random.Random(20)
-    raw_total, smooth_total, runs = 0, 0, 0
-    for _ in range(6):
-        while True:
-            positions = {i: (rnd.uniform(0, 1000), rnd.uniform(0, 1000)) for i in range(50)}
-            topo = build_udg(positions, 200.0)
-            sink = rnd.randrange(50)
-            component = connected_component(topo, [sink])
-            if len(component) == 50:
-                break
-        vc0 = init_virtual_coords(
-            topo, rnd.randrange(2**31), ((0, 1000), (0, 1000)),
-            fixed_coords={sink: positions[sink]},
-        )
-        vc10 = vc0
-        for _ in range(10):
-            vc10 = centroid_round(topo, vc10)
-        for source in sorted(component - {sink}):
-            track = StaticSink(positions[sink])
-            raw = route(topo, vc0.coords, source, track, sink_coord=positions[sink])
-            smooth = route(topo, vc10.coords, source, track, sink_coord=positions[sink])
-            assert raw.delivered and smooth.delivered
-            raw_total += raw.hops
-            smooth_total += smooth.hops
-            runs += 1
-    assert smooth_total <= 0.5 * raw_total
+    assert repr(list(coords.items())) == repr(list(reference.items()))
 
 
 # ---------------------------------------------------------------------------

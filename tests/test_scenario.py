@@ -436,7 +436,6 @@ def test_scenario_enforces_the_header_bound():
         topology=g,
         query_node=0,
         seed=0,
-        coord_mode="virtual",
         virtual_coords=vc,
         ms_virtual_coord=(175.0, 175.0),
     )
@@ -511,7 +510,8 @@ PINNED_ROTATIONS = {
     ),
     "virtual": dict(
         side=6,
-        config=dict(query_node=21, seed=4, coord_mode="virtual"),
+        virtual=True,
+        config=dict(query_node=21, seed=4),
         phases={
             1: 144_480, 2: 8_688_480, 3: 10_043_550,
             4: 11_706_370, 5: 11_706_850, 6: 59_748_000,
@@ -528,7 +528,7 @@ def run_pinned(name):
     pinned = PINNED_ROTATIONS[name]
     g = grid_topology(pinned["side"], 25.0)
     config = dict(pinned["config"])
-    if config.get("coord_mode") == "virtual":
+    if pinned.get("virtual"):
         config["virtual_coords"] = init_virtual_coords(g, config["seed"], ((0, 125), (0, 125)))
         config["ms_virtual_coord"] = (62.5, 62.5)
     return run_scenario(ScenarioConfig(topology=g, **config))
@@ -896,10 +896,12 @@ def test_quiet_passes_end_where_the_sink_can_first_be_heard():
 def test_scenario_config_errors():
     with pytest.raises(ConfigError):
         run_scenario(scenario_config(query_node=99))
-    with pytest.raises(ConfigError):
-        run_scenario(scenario_config(coord_mode="virtual"))
-    with pytest.raises(ConfigError):
-        run_scenario(scenario_config(coord_mode="warp"))
+    # virtual routing needs both the coordinates and the sink's coordinate
+    g = grid_topology(4, 25.0)
+    with pytest.raises(ConfigError, match="set together"):
+        run_scenario(scenario_config(virtual_coords=init_virtual_coords(g, 0, ((0, 75), (0, 75)))))
+    with pytest.raises(ConfigError, match="set together"):
+        run_scenario(scenario_config(ms_virtual_coord=(37.5, 37.5)))
 
 
 @pytest.mark.parametrize(
