@@ -490,15 +490,21 @@ def _by_x(positions: Mapping[NodeId, Position]) -> Tuple[List[float], List[Tuple
     return [x for _, (x, _) in nodes], nodes
 
 
+# Gaps below this square to less than the smallest normal float and can
+# round to 0, so the pair test may pass them whatever the range; the strip
+# and quiet-pass margins never come closer than this.
+_UNDERFLOW_GAP = 1e-150
+
+
 def _strip(xs: Sequence[float], px: float, range_m: float) -> slice:
     """The slice of the ascending `xs` that can be within `range_m` of a
     point at x `px`.
 
-    A node further than the range in x, with a margin far above rounding,
-    fails the pair test of Topology.in_range, so only the nodes inside the
-    strip need the test.
+    A node further than the range in x, with a margin far above rounding
+    and above underflow, fails the pair test of Topology.in_range, so only
+    the nodes inside the strip need the test.
     """
-    reach = range_m + 1e-9 * (abs(px) + range_m)
+    reach = range_m + 1e-9 * (abs(px) + range_m) + _UNDERFLOW_GAP
     return slice(bisect_left(xs, px - reach), bisect_right(xs, px + reach))
 
 
@@ -535,7 +541,8 @@ def _quiet_passes(
     it has flown.  So while the path is shorter than the point's distance
     from the network's box `bbox` less the range, no node is in range, and
     while it is shorter than `exit_dist`, the sink has not left.  The margin
-    is far above the rounding of the positions and of this bound.
+    is far above the rounding of the positions and of this bound, and above
+    the gaps whose squares underflow.
     """
     (px, py), (x0, y0, x1, y1) = track.points[0], bbox
     gap = math.hypot(
@@ -543,7 +550,7 @@ def _quiet_passes(
         y0 - py if py < y0 else (py - y1 if py > y1 else 0.0),
     )
     scale = max(abs(v) for v in (*bbox, *(v for p in track.points for v in p)))
-    reach = min(gap - range_m, exit_dist) - 1e-9 * (scale + exit_dist + range_m)
+    reach = min(gap - range_m, exit_dist) - 1e-9 * (scale + exit_dist + range_m) - _UNDERFLOW_GAP
     if not reach > 0:
         return 0
     return max(0, math.ceil((reach / track.speed_mps * 1e6 - d_brp) / t_brp))

@@ -844,6 +844,8 @@ POINT = st.integers(-120, 120).map(float) | st.floats(-120.0, 120.0)
 @example(positions={0: (0.0, 0.0), 1: (10.0, 10.0)}, range_m=5.0, point=(-3.0, -4.0))
 @example(positions={3: (10.0, 10.0), 1: (0.0, 0.0)}, range_m=5.0, point=(14.0, 13.0))
 @example(positions={0: (math.nan, 0.0), 1: (3.0, 0.0), 2: (-1.0, 0.0)}, range_m=5.0, point=(0.0, 0.0))
+# the gap squares to 0, so the pair test passes it at range 0
+@example(positions={0: (2.2250738585072014e-308, 0.0)}, range_m=0.0, point=(0.0, 0.0))
 def test_prefiltered_hearers_equal_the_in_range_scan(positions, range_m, point):
     topo = build_udg(positions, range_m)
     expected = [nid for nid in sorted(topo.positions) if topo.in_range(nid, point)]
@@ -864,6 +866,15 @@ def quiet_pass_positions(track, quiet, t_brp, d_brp):
     speed=st.floats(0.5, 60.0),
     t_brp=st.integers(1_000, 400_000),
     d_brp=st.integers(0, 200_000),
+)
+# the gap squares to 0, so the node hears the sink at range 0
+@example(
+    positions={0: (1e-200, 0.0)},
+    range_m=0.0,
+    points=[(0.0, 0.0), (1e-200, 0.0), (2e-200, 0.0)],
+    speed=1.0,
+    t_brp=1_000,
+    d_brp=0,
 )
 def test_quiet_passes_are_unheard_and_before_the_exit(
     positions, range_m, points, speed, t_brp, d_brp
