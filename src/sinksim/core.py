@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 from typing import Tuple
 
 NodeId = int          # one byte is enough to identify each node
+MAX_NODE_ID = 0xFF    # a DATA payload carries each id in one byte
 Duration = int        # microseconds
 Position = Tuple[float, float]
 Metric = float        # non-negative virtual distance to the sink

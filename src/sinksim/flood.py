@@ -19,18 +19,18 @@ then does the engine record, per node, the transmissions it hears
 (`heard`); loss-free it stays empty.
 
 Event order: `run_until` is the one event loop.  Events run in time order,
-ties in push order (one counter numbers the pushes of `run_until`,
-`transmit` and `inject_reception`).  Every backoff start and every cancel
+ties in push order (one counter numbers every push: those of `run_until`,
+`inject_reception` and `_relay_at`).  Every backoff start and every cancel
 bumps the node's token; a `resume` or `expiry` that carries an older token,
 or finds the node no longer deferring or backing off, is stale and is
-dropped when it comes up.  `transmit` is the one place a transmission is
-booked.
+dropped when it comes up.  An expiry that is not stale is the one place a
+transmission is booked, even the initiator's, which `simulate_flood` starts
+as a backoff that expires at 0.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -75,10 +75,11 @@ class FloodEngine:
         seed: int = 0,
         collisions: bool = False,
     ):
+        if c.w_br < 0:  # no backoff to draw
+            raise ValueError(f"w_br must be >= 0, got {c.w_br}")
         self.topology = topology
         self.c = c
         self.source = source
-        self.collisions = collisions
         self.rng = random.Random(seed)
         nodes = topology.positions
         self.state: Dict[NodeId, str] = dict.fromkeys(nodes, IDLE)
@@ -93,49 +94,21 @@ class FloodEngine:
         self.report = FloodReport(initiator=-1, source=source)
         # (time, push order, kind, node, token) entries
         self._queue: List[Tuple[int, int, str, NodeId, int]] = []
-        self._seq = itertools.count()
+        self._pushes = 0
         self.now = 0
 
-    def _lost_to_collision(self, node: NodeId, start: int, end: int) -> bool:
-        """Reception is lost when a second neighbor transmission overlaps it."""
-        if not self.collisions:
-            return False
-        overlapping = 0
-        for s, e in self.heard[node]:
-            if s < end and e > start:
-                overlapping += 1
-        return overlapping > 1
-
-    def transmit(self, node: NodeId, t: int) -> None:
-        """Node starts a relay transmission at time t."""
-        c = self.c
-        end = t + c.d_brp
-        self.state[node] = SENT
-        report = self.report
-        report.tx_start_us[node] = t
-        report.tx_end_us[node] = end
-        report.transmissions.append((node, t))
-        neighbors = self.topology.adjacency[node]
-        if self.collisions:
-            heard = self.heard
-            for v in neighbors:
-                heard[v].append((t, end))
-        state, busy_until, expiry, token = self.state, self.busy_until, self.expiry, self.token
-        queue, seq = self._queue, self._seq
-        committed = t + c.d_rxtx
-        for v in neighbors:
-            if busy_until[v] < end:
-                busy_until[v] = end
-            if state[v] == BACKOFF and expiry[v] >= committed:
-                # v detects the preamble before committing to transmit
-                state[v] = DEFER
-                token[v] = k = token[v] + 1
-                heapq.heappush(queue, (end, next(seq), RESUME, v, k))
-        heapq.heappush(queue, (end, next(seq), TX_END, node, 0))
+    def _relay_at(self, node: NodeId, t: int) -> None:
+        """Put `node` in a backoff that expires at `t`, when its relay is booked."""
+        self.state[node] = BACKOFF
+        self.expiry[node] = t
+        self.token[node] = k = self.token[node] + 1
+        self._pushes = n = self._pushes + 1
+        heapq.heappush(self._queue, (t, n, EXPIRY, node, k))
 
     def inject_reception(self, node: NodeId, rx_complete_us: int) -> None:
         """External preamble (e.g. from the mobile sink) finishing at a node."""
-        heapq.heappush(self._queue, (rx_complete_us, next(self._seq), DELIVER, node, 0))
+        self._pushes = n = self._pushes + 1
+        heapq.heappush(self._queue, (rx_complete_us, n, DELIVER, node, 0))
 
     def run_until(self, t_limit: float) -> None:
         """Process every pending event at or before `t_limit`, in the order
@@ -143,57 +116,82 @@ class FloodEngine:
         queue = self._queue
         if not queue or queue[0][0] > t_limit:
             return
-        pop, push, seq = heapq.heappop, heapq.heappush, self._seq
+        pop, push, n = heapq.heappop, heapq.heappush, self._pushes
         state, busy_until, expiry, token = self.state, self.busy_until, self.expiry, self.token
-        adjacency = self.topology.adjacency
+        adjacency, heard = self.topology.adjacency, self.heard
         report = self.report
         first_rx, reached = report.first_rx_us, report.reached
-        source, d_brp, b_src = self.source, self.c.d_brp, self.c.b_src
-        draw, window = self.rng.randrange, self.c.w_br + 1
-        lost = self._lost_to_collision if self.collisions else None
-        transmit = self.transmit
+        tx_start, tx_end, transmissions = report.tx_start_us, report.tx_end_us, report.transmissions
+        c, source = self.c, self.source
+        d_brp, d_rxtx, b_src = c.d_brp, c.d_rxtx, c.b_src
+        # a backoff is uniform in [0, w_br]: randrange(window)'s own rejection
+        # draw, and the same stream
+        getrandbits, window = self.rng.getrandbits, c.w_br + 1
+        bits = window.bit_length()
         while queue and queue[0][0] <= t_limit:
             t, _, kind, node, tok = pop(queue)
             if kind == EXPIRY:
-                if state[node] == BACKOFF and tok == token[node]:
-                    transmit(node, t)
-                continue
-            if kind == RESUME:
-                if state[node] != DEFER or tok != token[node]:
+                if state[node] != BACKOFF or tok != token[node]:
                     continue
-                starting = (node,)
-            else:
-                # a delivery reaches its node, a relay's end the neighbors
-                # whose copy survives; only an idle node takes it in
-                if kind == DELIVER:
-                    receivers = (node,)
-                elif lost is None:
-                    receivers = adjacency[node]
-                else:
-                    receivers = [
-                        v for v in adjacency[node] if state[v] == IDLE and not lost(v, t - d_brp, t)
-                    ]
-                starting = []
-                for v in receivers:
+                # book the relay; every neighbor hears it, and one still
+                # backing off past the switch time defers its draw to its end
+                end = t + d_brp
+                state[node] = SENT
+                tx_start[node] = t
+                tx_end[node] = end
+                transmissions.append((node, t))
+                committed = t + d_rxtx
+                for v in adjacency[node]:
+                    if heard:
+                        heard[v].append((t, end))
+                    if busy_until[v] < end:
+                        busy_until[v] = end
+                    if state[v] == BACKOFF and expiry[v] >= committed:
+                        state[v] = DEFER
+                        token[v] = k = token[v] + 1
+                        n += 1
+                        push(queue, (end, n, RESUME, v, k))
+                n += 1
+                push(queue, (end, n, TX_END, node, 0))
+                continue
+            if kind == RESUME and (state[node] != DEFER or tok != token[node]):
+                continue
+            for v in adjacency[node] if kind == TX_END else (node,):
+                if kind != RESUME:
+                    # a delivery reaches its node, a relay's end the
+                    # neighbors; only an idle node takes it in, and with
+                    # collisions only when no second transmission it hears
+                    # overlaps the relay
                     if state[v] != IDLE:
                         continue
+                    if heard and kind == TX_END:
+                        start, overlapping = t - d_brp, 0
+                        for s, e in heard[v]:
+                            if s < t and e > start:
+                                overlapping += 1
+                        if overlapping > 1:
+                            continue
                     first_rx[v] = t
                     reached.add(v)
                     if v == source:
                         state[v] = SOURCE_WAIT
                         report.source_wait_expiry_us = t + b_src
-                    else:
-                        starting.append(v)
-            # start a backoff, or defer its draw while a neighbor is on the air
-            for v in starting:
+                        continue
+                # start a backoff, or defer its draw while a neighbor is on the air
                 if busy_until[v] > t:
                     state[v] = DEFER
-                    push(queue, (busy_until[v], next(seq), RESUME, v, token[v]))
+                    n += 1
+                    push(queue, (busy_until[v], n, RESUME, v, token[v]))
                 else:
                     state[v] = BACKOFF
-                    expiry[v] = e = t + draw(window)
+                    r = getrandbits(bits)
+                    while r >= window:
+                        r = getrandbits(bits)
+                    expiry[v] = e = t + r
                     token[v] = k = token[v] + 1
-                    push(queue, (e, next(seq), EXPIRY, v, k))
+                    n += 1
+                    push(queue, (e, n, EXPIRY, v, k))
+        self._pushes = n
         self.now = t
 
     def run(self) -> FloodReport:
@@ -227,7 +225,7 @@ def simulate_flood(
     engine = FloodEngine(topology, c, source=source, seed=seed, collisions=collisions)
     engine.report.initiator = initiator
     engine.report.reached.add(initiator)
-    engine.transmit(initiator, 0)
+    engine._relay_at(initiator, 0)
     return engine.run()
 
 

@@ -145,7 +145,15 @@ def crc16(data: bytes) -> int:
 
 
 def encode_frame(f: Frame) -> bytes:
-    """Serialize a frame, appending the check sequence."""
+    """Serialize a frame, appending the check sequence.
+
+    A header field that does not fit its bytes is an error, not its low bytes.
+    """
+    if not 0 <= f.seq <= 0xFF:
+        raise FrameError(f"seq {f.seq} does not fit one byte")
+    for name, value in (("dest", f.dest), ("src", f.src)):
+        if not 0 <= value <= 0xFFFF:
+            raise FrameError(f"{name} {value} does not fit two bytes")
     if f.kind is FrameKind.MICRO_FRAME:
         if len(f.payload) != 1:
             raise PayloadTooLarge("micro-frame payload is exactly one byte")
@@ -155,7 +163,7 @@ def encode_frame(f: Frame) -> bytes:
             raise PayloadTooLarge("ACK frames carry no payload")
     body = bytearray()
     body += MAGIC[f.kind].to_bytes(2, "big")
-    body.append(f.seq & 0xFF)
+    body.append(f.seq)
     body += f.dest.to_bytes(2, "big")
     body += f.src.to_bytes(2, "big")
     body += f.payload

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple, Union
 
-from .core import NodeId, Position
+from .core import MAX_NODE_ID, NodeId, Position
 
 
 class DuplicateId(ValueError):
@@ -97,7 +97,8 @@ def grid_topology(side: int, spacing: float, range_m: float = None) -> Topology:
 def load_topology_csv(path: str, range_m: float) -> Topology:
     """Read `id,x,y` rows (header optional) and build the unit disk graph.
 
-    Raises ValueError, naming the file and line, for a row of fewer fields.
+    Raises ValueError, naming the file and line, for a row of fewer fields
+    and for an id outside 0..MAX_NODE_ID.
     """
     items = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -110,7 +111,10 @@ def load_topology_csv(path: str, range_m: float) -> Topology:
                 continue
             if len(parts) < 3:
                 raise ValueError(f"{path} line {lineno}: need id,x,y, got {line!r}")
-            items.append((int(parts[0]), (float(parts[1]), float(parts[2]))))
+            nid = int(parts[0])
+            if not 0 <= nid <= MAX_NODE_ID:
+                raise ValueError(f"{path} line {lineno}: node id {nid} does not fit one byte")
+            items.append((nid, (float(parts[1]), float(parts[2]))))
     return build_udg(items, range_m)
 
 

@@ -38,9 +38,9 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
+from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
 from .flood import FloodEngine, FloodReport
 from .forkmap import split_map
 from .mac import ack_backoff
@@ -211,15 +211,15 @@ class WaypointTrack:
 
     def position_at(self, dt_us: float) -> Position:
         d = self.distance_at(dt_us)
-        for i in range(len(self.points) - 1):
-            if d <= self.cum[i + 1] or i == len(self.points) - 2:
-                seg = self.cum[i + 1] - self.cum[i]
-                frac = (d - self.cum[i]) / seg if seg else 1.0
-                frac = min(max(frac, 0.0), 1.0)
-                ax, ay = self.points[i]
-                bx, by = self.points[i + 1]
-                return (ax + (bx - ax) * frac, ay + (by - ay) * frac)
-        return self.points[-1]
+        cum = self.cum
+        # the first segment that ends at or past d, else the last one
+        i = bisect_left(cum, d, 1, len(cum) - 1) - 1
+        seg = cum[i + 1] - cum[i]
+        frac = (d - cum[i]) / seg if seg else 1.0
+        frac = min(max(frac, 0.0), 1.0)
+        ax, ay = self.points[i]
+        bx, by = self.points[i + 1]
+        return (ax + (bx - ax) * frac, ay + (by - ay) * frac)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +490,39 @@ def _by_x(positions: Mapping[NodeId, Position]) -> Tuple[List[float], List[Tuple
     return [x for _, (x, _) in nodes], nodes
 
 
+class _NetworkView(NamedTuple):
+    """What a rotation reads of its topology that the topology alone decides."""
+
+    topology: Topology
+    bbox: Tuple[float, float, float, float]
+    xs: List[float]  # the xs and (id, position) pairs of :func:`_by_x`
+    nodes: List[Tuple[NodeId, Position]]
+    order: List[NodeId]  # the timeline's order: the sink, then the ids ascending
+
+
+# The view of the topology the last rotation ran on.  Rotations run on one
+# topology in a row, so one entry serves them.  It holds the topology itself,
+# so no other topology can take on its identity while it is kept.
+_VIEW_CACHE: List[_NetworkView] = []
+
+
+def _network_view(topo: Topology) -> _NetworkView:
+    """The view of the non-empty `topo`, kept from the last call when that
+    was on the same object.
+
+    Raises ConfigError for a node id outside 0..MAX_NODE_ID.
+    """
+    if _VIEW_CACHE and _VIEW_CACHE[0].topology is topo:
+        return _VIEW_CACHE[0]
+    ids = sorted(topo.positions)
+    for nid in (ids[0], ids[-1]):
+        if not 0 <= nid <= MAX_NODE_ID:
+            raise ConfigError(f"node id {nid} does not fit the one byte a DATA payload gives it")
+    view = _NetworkView(topo, _network_bbox(topo), *_by_x(topo.positions), [MS_ID, *ids])
+    _VIEW_CACHE[:] = [view]
+    return view
+
+
 # Gaps below this square to less than the smallest normal float and can
 # round to 0, so the pair test may pass them whatever the range; the strip
 # and quiet-pass margins never come closer than this.
@@ -618,7 +651,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     if c.d_rrp < c.d_cca:
         raise ConfigError(f"d_rrp ({c.d_rrp}) must be >= d_cca ({c.d_cca})")
 
-    bbox = x0, y0, x1, y1 = _network_bbox(topo)
+    view = _network_view(topo)
+    bbox = x0, y0, x1, y1 = view.bbox
     entry = (x0, (y0 + y1) / 2)
     exit_ = (x1, (y0 + y1) / 2)
     track = WaypointTrack([cfg.bs_position, entry, exit_, cfg.bs_position], cfg.ms_speed_mps)
@@ -632,7 +666,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     # Active (start, end, state) spans of the sink and of each node a hop
     # exchange involves; the flood relays stay in the flood report, and the
     # base station's train is built apart, after the horizon is known.
-    ids = sorted(topo.positions)
     ms_active: List[Span] = []
     active: Dict[NodeId, List[Span]] = {MS_ID: ms_active}
 
@@ -660,7 +693,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     relay_heard: Optional[int] = None
     seeded = False
     scanned = 0
-    xs, nodes = _by_x(topo.positions)
+    xs, nodes = view.xs, view.nodes
     inject, run_until = engine.inject_reception, engine.run_until
     transmissions = engine.report.transmissions
     t_brp, d_brp = c.t_brp, c.d_brp
@@ -763,8 +796,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     clipped: Dict[NodeId, int] = {}
     filled: Dict[NodeId, List[Span]] = {}
     relay_start, relay_end = flood_report.tx_start_us, flood_report.tx_end_us
-    ms_at = bisect_left(ids, MS_ID)
-    order = [*ids[:ms_at], MS_ID, *ids[ms_at:]]
+    order = view.order
     for nid in order:
         spans = active.get(nid)
         if spans is None:
@@ -856,7 +888,9 @@ GRID_CROSSING_SPEED = 4.0  # field units per round, hop-count reference setting
 # topologies at once, and their adjacency grows with the square of the node
 # count: at 1,000 nodes (mean degree 125 on the default field) a 50-run point
 # takes about 4 s and 72 MB, at 2,000 nodes 18 s and 216 MB.  The paper's
-# degrees 4-10 need 33-81 nodes.
+# degrees 4-10 need 33-81 nodes.  Ids above 255 do not fit the one byte a
+# DATA payload gives an id, which the six-phase run rejects; the abstract
+# sweeps put no id into a frame, so they may exceed 256 nodes.
 MAX_NODES = 1_000
 
 

@@ -327,6 +327,7 @@ INPUT_FILES = {
     "t_dr_d_drp_d_data_0.ini": "[constants]\nt_dr = 0\nd_drp = 0\nd_data = 0\n",
     "no_nodes.csv": "id,x,y\n",
     "short_row.csv": "id,x,y\n0,0,0\n1,10\n",
+    "big_id.csv": "id,x,y\n0,0,0\n300,20,0\n",
 }
 
 
@@ -392,6 +393,10 @@ INPUT_FILES = {
         ["demo", "--topology", "no_nodes.csv"],
         ["flood-sim", "--runs", "0"],
         ["flood-sim", "--topology", "short_row.csv"],
+        # an id beyond the one byte a DATA payload gives it: from the file,
+        # and from a grid of 289 nodes
+        ["demo", "--topology", "big_id.csv"],
+        ["demo", "--grid", "17"],
         # a range whose square is positive: it flooded as if it were +25 m
         ["flood-sim", "--range-m", "-25"],
         ["flood-sim", "--range-m", "nan"],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.flood import FloodEngine, b_src_min, simulate_flood
 from sinksim.mac import ContentionConfig, collision_probability
-from sinksim.radio import build_udg, grid_topology
+from sinksim.radio import Topology, build_udg, grid_topology
 
 C = DEFAULT_CONSTANTS
 WORST_GRID_DELAY_US = 8 * (C.w_br + C.d_brp)  # opposite-corner budget
@@ -114,6 +115,27 @@ def test_flood_deterministic_per_seed():
     assert simulate_flood(g, 0, seed=12).transmissions != a.transmissions
 
 
+@pytest.mark.parametrize("w_br", [C.w_br, 1_023, 0])
+def test_backoffs_are_the_randrange_stream(w_br):
+    # A star whose 10,000 leaves hear only the center: the center relays at
+    # 0, every leaf draws its backoff as the relay ends, in id order, and
+    # relays when it expires.  The engine draws inline what randrange draws.
+    leaves = range(1, 10_001)
+    adjacency = {0: tuple(leaves), **{v: (0,) for v in leaves}}
+    star = Topology(dict.fromkeys(adjacency, (0.0, 0.0)), 25.0, adjacency)
+    c = dataclasses.replace(C, w_br=w_br)
+    for seed in (0, 1, 7):
+        report = simulate_flood(star, 0, c=c, seed=seed)
+        reference = random.Random(seed)
+        draws = [reference.randrange(w_br + 1) for _ in leaves]
+        assert [report.tx_start_us[v] - c.d_brp for v in leaves] == draws
+
+
+def test_an_empty_backoff_window_is_rejected():
+    with pytest.raises(ValueError, match="w_br must be >= 0, got -1"):
+        FloodEngine(grid_topology(2, 25.0), dataclasses.replace(C, w_br=-1))
+
+
 def test_unknown_initiator_rejected():
     g = grid_topology(3, 25.0)
     with pytest.raises(KeyError):
@@ -135,22 +157,29 @@ def test_injected_receptions_seed_the_flood():
     assert set(report.tx_start_us) == set(g.positions)
 
 
-def test_collision_needs_two_overlapping_transmissions_the_node_hears():
+def first_copy_at_node_1(relays):
+    """When node 1 takes in its first copy, or None, with each listed node
+    relaying at its given time (a backoff that expires then)."""
     # node 1 hears 0, 2 and 4; node 3 is out of its range
     topo = build_udg(
         {0: (0.0, 0.0), 1: (25.0, 0.0), 2: (50.0, 0.0), 3: (75.0, 0.0), 4: (25.0, 25.0)}, 25.0
     )
-    d = C.d_brp
     engine = FloodEngine(topo, C, seed=0, collisions=True)
-    engine.transmit(0, 0)
-    engine.transmit(3, 1_000)
-    assert not engine._lost_to_collision(1, 0, d)
-    engine.transmit(2, d)  # starts exactly as the first one ends
-    assert not engine._lost_to_collision(1, 0, d)
-    assert not engine._lost_to_collision(1, d, 2 * d)
-    engine.transmit(4, d - 1)  # overlaps both by a microsecond or more
-    assert engine._lost_to_collision(1, 0, d)
-    assert engine._lost_to_collision(1, d, 2 * d)
+    for node, t in relays:
+        engine._relay_at(node, t)
+    return engine.run().first_rx_us.get(1)
+
+
+def test_collision_needs_two_overlapping_transmissions_the_node_hears():
+    d = C.d_brp
+    # a transmission node 1 does not hear overlaps the copy, which survives
+    assert first_copy_at_node_1([(0, 0), (3, 1_000)]) == d
+    # touching transmissions survive: the first one's copy ...
+    assert first_copy_at_node_1([(0, 0), (2, d)]) == d
+    # ... and the second one's, once two that overlap each other are lost
+    assert first_copy_at_node_1([(0, 1_000), (4, 1_000), (2, d + 1_000)]) == 2 * d + 1_000
+    # one that overlaps both by a microsecond loses all three copies
+    assert first_copy_at_node_1([(0, 0), (2, d), (4, d - 1)]) is None
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -181,6 +181,24 @@ def test_micro_frame_rejects_a_payload_beyond_one_byte(payload_byte):
         micro_frame(PreambleKind.DRP, 0, 1, payload_byte)
 
 
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        # once encoded as its low byte: decoded, the seq read 44
+        (ack_frame(1, 300), "seq 300 does not fit one byte"),
+        (ack_frame(1, -1), "seq -1 does not fit one byte"),
+        # once a bare OverflowError
+        (ack_frame(0x10000), "src 65536 does not fit two bytes"),
+        (ack_frame(-1), "src -1 does not fit two bytes"),
+        (Frame(FrameKind.ACK, dest=0x10000), "dest 65536 does not fit two bytes"),
+        (Frame(FrameKind.ACK, dest=-1), "dest -1 does not fit two bytes"),
+    ],
+)
+def test_header_fields_beyond_their_bytes_are_rejected(frame, message):
+    with pytest.raises(FrameError, match=message):
+        encode_frame(frame)
+
+
 def test_remaining_overflow():
     with pytest.raises(RemainingOverflow):
         micro_frame(PreambleKind.DRP, 64, 1, 0)

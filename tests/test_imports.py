@@ -68,20 +68,46 @@ def test_stats_imports_nothing_from_sinksim():
     assert sinksim_modules_loaded_by("sinksim.stats") == ["sinksim.stats"]
 
 
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", SRC.parent / "bench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_bench_trace_target_is_an_attribute_of_its_owner():
     # The traced bench run replaces these attributes; one that a kernel
     # inlined or renamed fails here, not only in that run.
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracer", SRC.parent / "bench" / "tracer.py"
-    )
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench_module("tracer")
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
         for owner, attr, _ in tracer.TARGETS
         if attr not in vars(owner)
     ]
     assert tracer.TARGETS and missing == []
+
+
+def test_every_traced_rotation_layer_records_a_call(monkeypatch):
+    # A call that a kernel inlined leaves its attribute in place but records
+    # nothing; the traced bench run fails on that, and so does this.  Two
+    # rotations of the benchmark's grid, as its workload runs them: loss-free
+    # and lossy, each followed by the energy and the coverage.
+    from sinksim import energy, scenario
+    from sinksim.radio import grid_topology, power_table
+
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))  # run.py imports its neighbors
+    traced_layers = load_bench_module("run").TRACED_LAYERS["rotations"]
+    g, powers = grid_topology(12, 25.0), power_table(0)
+    with load_bench_module("tracer").Tracer().installed() as tracer:
+        for collisions in (False, True):
+            cfg = scenario.ScenarioConfig(topology=g, query_node=7, seed=7, collisions=collisions)
+            report = scenario.run_scenario(cfg)
+            energy.integrate_timeline(report.timeline, powers)
+            scenario.timeline_coverage(report.timeline)
+    layers = tracer.layers()
+    assert traced_layers and [name for name in traced_layers if name not in layers] == []
 
 
 def test_star_import_binds_exactly_the_public_names():

@@ -178,6 +178,14 @@ def test_csv_loader_names_the_line_of_a_short_row(tmp_path):
         load_topology_csv(str(csv), 25.0)
 
 
+@pytest.mark.parametrize("nid", [256, -1])
+def test_csv_loader_names_the_line_of_an_id_beyond_one_byte(tmp_path, nid):
+    csv = tmp_path / "ids.csv"
+    csv.write_text(f"id,x,y\n0,0,0\n{nid},20,0\n")
+    with pytest.raises(ValueError, match=rf"ids\.csv line 3: node id {nid} does not fit one byte"):
+        load_topology_csv(str(csv), 25.0)
+
+
 def test_in_range_uses_topology_range():
     g = grid_topology(3, 25.0)
     assert g.in_range(0, (12.0, 0.0))

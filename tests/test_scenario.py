@@ -214,6 +214,44 @@ def test_waypoint_track_positions():
         WaypointTrack([(0.0, 0.0), (1.0, 0.0)], speed_mps=0.0)
 
 
+def position_by_scan(track, dt_us):
+    """WaypointTrack.position_at as it was: a walk from the first segment."""
+    d = track.distance_at(dt_us)
+    for i in range(len(track.points) - 1):
+        if d <= track.cum[i + 1] or i == len(track.points) - 2:
+            seg = track.cum[i + 1] - track.cum[i]
+            frac = (d - track.cum[i]) / seg if seg else 1.0
+            frac = min(max(frac, 0.0), 1.0)
+            ax, ay = track.points[i]
+            bx, by = track.points[i + 1]
+            return (ax + (bx - ax) * frac, ay + (by - ay) * frac)
+    return track.points[-1]
+
+
+def test_waypoint_positions_equal_the_scan_from_the_start():
+    # Zero-length segments first, in the middle and last.  Two segments end
+    # where a + (b - a) * 1.0 rounds away from b, so a scan that takes the
+    # segment after an end instead of the one before reads another float.
+    track = WaypointTrack(
+        [(0.1, 0.7), (0.1, 0.7), (0.3, 0.1), (0.3, 0.1), (0.7, 0.9), (1.3, 0.2), (1.3, 0.2)],
+        speed_mps=7.0,
+    )
+    times = list(range(-10_000, 400_000, 997))
+    for end in track.cum:
+        t = end * 1e6 / 7.0
+        near = [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)]
+        exact = [t for t in near if track.distance_at(t) == end]
+        assert exact  # the end itself is sampled
+        times += near
+    # the six-phase run's track over the benchmark grid
+    flight = WaypointTrack([(-80.0, 37.5), (0.0, 137.5), (275.0, 137.5), (-80.0, 37.5)], 7.0)
+    rng = random.Random(3)
+    samples = [(track, t) for t in times]
+    samples += [(flight, rng.randrange(flight.duration_us() + 10**6)) for _ in range(2_000)]
+    for track, t in samples:
+        assert repr(track.position_at(t)) == repr(position_by_scan(track, t))
+
+
 @pytest.mark.parametrize(
     "points, speed",
     [
@@ -902,6 +940,39 @@ def test_quiet_passes_end_where_the_sink_can_first_be_heard():
     track = WaypointTrack([(-80.0, 37.5), (0.0, 137.5), (275.0, 137.5), (-80.0, 37.5)], 7.0)
     exit_dist = euclid((-80.0, 37.5), (0.0, 137.5)) + 275.0
     assert _quiet_passes(track, _network_bbox(g), 25.0, exit_dist, C.t_brp, C.d_brp) == 26
+
+
+@pytest.mark.parametrize("nid", [256, -1])
+def test_an_id_beyond_the_payload_byte_is_a_config_error(nid):
+    # -1 is also the sink's pseudo node
+    topo = build_udg({0: (0.0, 0.0), nid: (20.0, 0.0)}, 25.0)
+    cfg = ScenarioConfig(topology=topo, query_node=0, seed=2, bs_position=(-60.0, 0.0))
+    with pytest.raises(ConfigError, match=f"node id {nid} does not fit"):
+        run_scenario(cfg)
+
+
+def rotation_outputs(report):
+    segments = [(s.node, s.state, s.start_us, s.end_us) for s in report.timeline]
+    return (
+        sorted(report.phase_times_us.items()), report.route.path, report.neighbors,
+        report.flood.transmissions, sha256(segments),
+    )
+
+
+def test_rotations_on_two_topologies_in_turn_equal_each_alone():
+    # The same ids on a box of another size, then other ids: a view kept from
+    # the topology before would move the sink's track or the timeline order.
+    topologies = [grid_topology(4, 25.0), grid_topology(4, 20.0), grid_topology(3, 25.0)]
+    configs = [
+        ScenarioConfig(topology=topologies[i % 3], query_node=q, seed=s)
+        for i, (q, s) in enumerate([(5, 1), (5, 1), (4, 2), (7, 3), (6, 4), (2, 5)])
+    ]
+    alone = []
+    for cfg in configs:
+        scenario._VIEW_CACHE.clear()
+        alone.append(rotation_outputs(run_scenario(cfg)))
+    assert [rotation_outputs(run_scenario(cfg)) for cfg in configs] == alone
+    assert alone[0] != alone[1]
 
 
 def test_scenario_config_errors():
