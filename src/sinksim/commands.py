@@ -1,0 +1,450 @@
+"""The bodies of the command-line subcommands, one `cmd_*` function each.
+
+Each takes the parsed arguments and the protocol constants, computes
+everything before it creates its output directory, and returns the exit
+status.  Bad input raises ValueError, or another error that
+:func:`sinksim.cli.main` reports as one `error:` line.  :mod:`sinksim.cli`
+is the argparse front end that reads the INI file and dispatches here.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from pathlib import Path
+from typing import List, Sequence
+
+from . import __version__
+from .core import ProtocolConstants, duty_cycle
+from .energy import RealTimeParams, lifetime_hours, phase_energy, v_max_bs, v_max_network
+from .flood import simulate_flood
+from .frames import (
+    DataPayload,
+    Frame,
+    FrameKind,
+    PreambleKind,
+    ack_frame,
+    data_frame,
+    decode_data_payload,
+    decode_frame,
+    encode_frame,
+    micro_frame,
+)
+from .mac import ContentionConfig, collision_probability, simulate_collision
+from .radio import E_PREAMB_MJ, POWER_TABLES, grid_topology, load_topology_csv, to_dot
+from .scenario import (
+    ScenarioConfig,
+    discovered_graph,
+    grid_point,
+    nodes_for_degree,
+    random_graph_point,
+    run_scenario,
+)
+
+
+def _check_analyze_divisors(c: ProtocolConstants) -> None:
+    """Raise ValueError naming the first constant, or sum of constants, that
+    `analyze`'s calculators divide by and that is not > 0."""
+    p = RealTimeParams()
+    network = (
+        p.flood_hops * (c.w_br + c.d_brp) + c.b_src + p.worst_hops * (c.d_rrp + c.w_rr + c.d_data)
+    )
+    for name, value in (
+        ("t_cca", c.t_cca),  # duty_cycle
+        ("t_dr + d_drp + d_data", c.t_dr + c.d_drp + c.d_data),  # v_max_bs
+        (
+            f"{p.flood_hops} (w_br + d_brp) + b_src + {p.worst_hops} (d_rrp + w_rr + d_data)",
+            network,
+        ),  # v_max_network
+    ):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def _write_manifest(out: Path, command: str, args: dict) -> None:
+    manifest = {
+        "tool": "sinksim",
+        "version": __version__,
+        "command": command,
+        "args": {k: v for k, v in sorted(args.items()) if k != "func"},
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for value in row:
+            if isinstance(value, float):
+                cells.append(f"{value:.6g}")
+            else:
+                cells.append(str(value))
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _at_least_one(args, name: str) -> None:
+    value = getattr(args, name)
+    if value < 1:
+        raise ValueError(f"--{name} must be at least 1, got {value}")
+
+
+def _topology(args):
+    """The --topology CSV, or else the --grid square."""
+    if not args.topology:
+        _at_least_one(args, "grid")
+        return grid_topology(args.grid, args.spacing, args.range_m)
+    # 25 m is the range measured at -25 dBm with the antennas 1 m high.
+    range_m = 25.0 if args.range_m is None else args.range_m
+    topo = load_topology_csv(args.topology, range_m)
+    if not topo.positions:
+        raise ValueError(f"no nodes in {args.topology}")
+    return topo
+
+
+# ---------------------------------------------------------------------------
+# analyze
+# ---------------------------------------------------------------------------
+
+
+def cmd_analyze(args, c: ProtocolConstants) -> int:
+    if not (math.isfinite(args.battery_j) and args.battery_j >= 0):
+        raise ValueError(f"--battery-j must be finite and at least 0, got {args.battery_j}")
+    powers = [args.power] if args.power is not None else [0, -25]
+    rows = []
+    for dbm in powers:
+        table = POWER_TABLES[dbm]
+        pe = phase_energy(table, c, args.neighbors, E_PREAMB_MJ[dbm])
+        rows.append(
+            (
+                f"{dbm}dBm",
+                pe.e_preamb_mj,
+                pe.e_tx_mj,
+                pe.e_comp_mj,
+                pe.e_rx_mj,
+                lifetime_hours(args.battery_j, table.poll),
+                lifetime_hours(args.battery_j, table.listen),
+            )
+        )
+    duty = duty_cycle(c)
+    vbs = v_max_bs(c)
+    vnet = v_max_network(c)
+    vnet_diag = v_max_network(c, RealTimeParams(traverse_m=190.0))
+    header = (
+        "power,e_preamb_mj,e_tx_mj,e_comp_mj,e_rx_mj,"
+        "lifetime_sampling_h,lifetime_always_on_h"
+    )
+    if args.csv:
+        print(header)
+        for r in rows:
+            print(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in r))
+        print(f"duty_cycle,{duty:.6g}")
+        print(f"v_max_bs_kmh,{vbs:.6g}")
+        print(f"v_max_network_kmh,{vnet:.6g}")
+        print(f"v_max_network_diagonal_kmh,{vnet_diag:.6g}")
+        return 0
+    print(f"idle duty cycle          : {duty * 100:.2f} %")
+    for r in rows:
+        print(
+            f"{r[0]:>7}: E_preamb {r[1]:.3f} mJ  E_tx {r[2]:.3f} mJ  "
+            f"E_comp {r[3]:.3f} mJ  E_rx {r[4]:.3f} mJ"
+        )
+        print(
+            f"         lifetime {args.battery_j:.0f} J: sampling {r[5]:.0f} h, "
+            f"always-on {r[6]:.1f} h"
+        )
+    print(f"v_max (base station link): {vbs:.1f} km/h")
+    print(f"v_max (network, edge)    : {vnet:.1f} km/h")
+    print(f"v_max (network, diagonal): {vnet_diag:.1f} km/h")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# collisions
+# ---------------------------------------------------------------------------
+
+
+def cmd_collisions(args, c: ProtocolConstants) -> int:
+    if args.w_step_ms <= 0:
+        raise ValueError("empty contention window sweep")
+    _at_least_one(args, "runs")
+    blocks = {"relay": c.d_rxtx, "ack": c.d_ack}
+    if args.block_us is not None:
+        blocks = {"custom": args.block_us}
+    w_values = []
+    w = args.w_min_ms
+    while w <= args.w_max_ms + 1e-9:
+        w_values.append(round(w, 6))
+        w += args.w_step_ms
+    # Each block sweeps only the windows that can hold it; every block needs one.
+    tables = {}
+    for name, block in sorted(blocks.items()):
+        fitting = [w_ms for w_ms in w_values if w_ms * 1000.0 >= block]
+        if not fitting:
+            raise ValueError("empty contention window sweep")
+        rows = tables[name] = []
+        for w_ms in fitting:
+            cfg = ContentionConfig(w_ms * 1000.0, block, args.n, discrete_levels=args.levels)
+            closed = collision_probability(cfg)
+            sim = simulate_collision(cfg, args.runs, rng_seed=args.seed)
+            half = 3.0 * math.sqrt(max(closed * (1 - closed), 1e-12) / args.runs)
+            rows.append((w_ms, closed, sim, max(sim - half, 0.0), min(sim + half, 1.0)))
+    out = Path(args.out)
+    _write_manifest(out, "collisions", vars(args))
+    for name, rows in tables.items():
+        path = out / f"collisions_{name}.csv"
+        _write_csv(path, ["W_ms", "closed_form", "simulated", "ci_low", "ci_high"], rows)
+        print(f"wrote {path}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# route-sim
+# ---------------------------------------------------------------------------
+
+
+def _parse_number_list(text: str, cast=float) -> List:
+    try:
+        return [cast(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ValueError(f"bad number list {text!r}") from None
+
+
+def _option_list(args, name: str, default: List[float]) -> List[float]:
+    """The numbers of the list option `name`, or `default` when it is unset.
+    A list that is given but holds no number is an error, not the default."""
+    text = getattr(args, name)
+    if text is None:
+        return default
+    numbers = _parse_number_list(text)
+    if not numbers:
+        raise ValueError(f"--{name} holds no number: {text!r}")
+    return numbers
+
+
+def cmd_route_sim(args, c: ProtocolConstants) -> int:
+    presets = ("random-graph", "grid25")
+    if args.preset not in presets:
+        raise ValueError(f"unknown preset {args.preset!r}; choose from {presets}")
+    _at_least_one(args, "runs")
+    if args.preset == "random-graph":
+        degrees = _option_list(args, "degrees", [4, 5, 6, 7, 8, 9, 10])
+        speeds = _option_list(args, "speeds", [0, 10, 25, 50])
+    else:
+        if args.degrees is not None:
+            raise ValueError("--degrees applies only to the random-graph preset")
+        speeds = _option_list(args, "speeds", [1, 2, 3, 4, 6, 8])
+        degrees = []
+    for speed in speeds:
+        if not 0 <= speed < math.inf:
+            raise ValueError(f"--speeds must be finite and >= 0, got {speed}")
+    for degree in degrees:
+        try:
+            nodes_for_degree(degree)
+        except ValueError as exc:
+            raise ValueError(f"--degrees: {exc}") from None
+    if args.preset == "random-graph":
+        # seed by degree only: speeds are compared on paired replications
+        points = [
+            random_graph_point(degree, speed, args.runs, args.seed + int(degree) * 1000)
+            for degree in degrees
+            for speed in speeds
+        ]
+    else:
+        mobilities = ("edge", "diagonal") if args.mobility == "both" else (args.mobility,)
+        points = [
+            grid_point(
+                mobility,
+                speed,
+                args.runs,
+                args.seed + int(speed) * 10 + (0 if mobility == "edge" else 1),
+                coord_mode=args.coord_mode,
+            )
+            for mobility in mobilities
+            for speed in speeds
+        ]
+    rows = [
+        (
+            pt.mobility,
+            pt.speed,
+            "" if pt.degree is None else pt.degree,
+            pt.mean_restarts,
+            pt.restarts_ci95,
+            pt.mean_hops,
+            pt.hops_ci95,
+            pt.miss_ratio,
+        )
+        for pt in points
+    ]
+    out = Path(args.out)
+    _write_manifest(out, "route-sim", vars(args))
+    path = out / "summary.csv"
+    _write_csv(
+        path,
+        [
+            "mobility",
+            "speed_per_round",
+            "degree_target",
+            "mean_restarts",
+            "restarts_ci95",
+            "mean_hops_delivered",
+            "hops_ci95",
+            "miss_ratio",
+        ],
+        rows,
+    )
+    print(f"wrote {path}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# flood-sim
+# ---------------------------------------------------------------------------
+
+
+def cmd_flood_sim(args, c: ProtocolConstants) -> int:
+    _at_least_one(args, "runs")
+    topo = _topology(args)
+    for name in ("initiator", "source"):
+        node = getattr(args, name)
+        if node is not None and node not in topo.positions:
+            raise ValueError(f"{name} {node} not in topology")
+    summary = []
+    for i in range(args.runs):
+        report = simulate_flood(topo, args.initiator, source=args.source, c=c, seed=args.seed + i)
+        max_rx = max(report.first_rx_us.values(), default=0)
+        summary.append(
+            (i, len(report.reached), len(report.transmissions), max_rx, report.completion_us)
+        )
+        if i == 0:
+            rows = []
+            for nid in sorted(topo.positions):
+                rows.append(
+                    (
+                        nid,
+                        report.first_rx_us.get(nid, ""),
+                        report.tx_start_us.get(nid, ""),
+                    )
+                )
+    out = Path(args.out)
+    _write_manifest(out, "flood-sim", vars(args))
+    _write_csv(out / "flood_timeline.csv", ["node", "first_rx_us", "tx_us"], rows)
+    _write_csv(
+        out / "flood_summary.csv",
+        ["run", "reached", "transmissions", "max_first_rx_us", "completion_us"],
+        summary,
+    )
+    print(f"wrote {out / 'flood_timeline.csv'} and {out / 'flood_summary.csv'}")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# demo
+# ---------------------------------------------------------------------------
+
+
+def cmd_demo(args, c: ProtocolConstants) -> int:
+    _at_least_one(args, "rotations")
+    topo = _topology(args)
+    node_ids = sorted(topo.positions)
+    reports = []
+    rows = []
+    for rotation in range(args.rotations):
+        query = node_ids[rotation % len(node_ids)]
+        cfg = ScenarioConfig(
+            topology=topo,
+            query_node=query,
+            constants=c,
+            ms_speed_mps=args.speed_mps,
+            seed=args.seed + rotation,
+        )
+        report = run_scenario(cfg)
+        reports.append(report)
+        route = report.route
+        rows.append(
+            (
+                rotation,
+                query,
+                int(not report.miss),
+                route.hops,
+                route.restarts,
+                ";".join(str(n) for n in report.neighbors),
+                report.phase_times_us.get(1, ""),
+                report.phase_times_us.get(4, ""),
+                report.phase_times_us.get(6, ""),
+            )
+        )
+    graph = discovered_graph([r for r in reports if not r.miss])
+    timeline = [(seg.node, seg.state, seg.start_us, seg.end_us) for seg in reports[0].timeline]
+    out = Path(args.out)
+    _write_manifest(out, "demo", vars(args))
+    (out / "graph.dot").write_text(to_dot(graph, name="discovered"))
+    _write_csv(out / "timeline.csv", ["node", "state", "start_us", "end_us"], timeline)
+    _write_csv(
+        out / "rotations.csv",
+        [
+            "rotation",
+            "query_node",
+            "delivered",
+            "hops",
+            "restarts",
+            "neighbors",
+            "phase1_us",
+            "phase4_us",
+            "phase6_us",
+        ],
+        rows,
+    )
+    misses = sum(1 for r in reports if r.miss)
+    print(f"wrote {out / 'rotations.csv'} and {out / 'graph.dot'} ({misses} missed)")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# codec
+# ---------------------------------------------------------------------------
+
+
+def _frame_summary(frame: Frame) -> str:
+    parts = [f"kind={frame.kind.value}", f"seq=0x{frame.seq:02x}"]
+    if frame.kind is FrameKind.MICRO_FRAME:
+        parts.append(f"preamble={frame.preamble_kind().name}")
+        parts.append(f"remaining={frame.remaining()}")
+    parts.append(f"dest=0x{frame.dest:04x}")
+    parts.append(f"src=0x{frame.src:04x}")
+    if frame.kind is FrameKind.DATA:
+        payload = decode_data_payload(frame.payload)
+        parts.append(f"traversed={payload.traversed}")
+        parts.append(f"neighbors={payload.neighbors}")
+    elif frame.payload:
+        parts.append(f"payload={frame.payload.hex()}")
+    return " ".join(parts)
+
+
+def cmd_codec(args, c: ProtocolConstants) -> int:
+    if args.action == "decode":
+        text = args.hex if args.hex else sys.stdin.read()
+        print(_frame_summary(decode_frame(bytes.fromhex("".join(text.split())))))
+        return 0
+    if not 0 <= args.src <= 0xFFFF:
+        raise ValueError(f"--src {args.src:#x} does not fit 16 bits")
+    if args.kind == "micro":
+        preamble = PreambleKind.__members__.get(args.preamble.upper())
+        if preamble is None:
+            raise ValueError(f"unknown preamble {args.preamble!r}; choose drp, brp or rrp")
+        frame = micro_frame(preamble, args.remaining, args.src, args.query)
+    elif args.kind == "ack":
+        frame = ack_frame(args.src)
+    else:
+        payload = DataPayload(
+            _parse_number_list(args.traversed, int) if args.traversed else [],
+            _parse_number_list(args.neighbors, int) if args.neighbors else [],
+        )
+        frame = data_frame(args.src, payload)
+    print(encode_frame(frame).hex())
+    return 0
+

@@ -97,10 +97,12 @@ def grid_topology(side: int, spacing: float, range_m: float = None) -> Topology:
 def load_topology_csv(path: str, range_m: float) -> Topology:
     """Read `id,x,y` rows (header optional) and build the unit disk graph.
 
-    Raises ValueError, naming the file and line, for a row of fewer fields
-    and for an id outside 0..MAX_NODE_ID.
+    Raises ValueError, naming the file and line, for a row of fewer fields,
+    an id that is no integer, lies outside 0..MAX_NODE_ID or repeats an
+    earlier row's (a DuplicateId), and a coordinate that is no finite number.
     """
     items = []
+    first_line: Dict[NodeId, int] = {}  # the line each id was read on
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -109,12 +111,26 @@ def load_topology_csv(path: str, range_m: float) -> Topology:
             parts = [p.strip() for p in line.split(",")]
             if parts[0].lower() in ("id", "node"):
                 continue
+            where = f"{path} line {lineno}"
             if len(parts) < 3:
-                raise ValueError(f"{path} line {lineno}: need id,x,y, got {line!r}")
-            nid = int(parts[0])
+                raise ValueError(f"{where}: need id,x,y, got {line!r}")
+            try:
+                nid = int(parts[0])
+            except ValueError:
+                raise ValueError(f"{where}: node id {parts[0]!r} is not an integer") from None
             if not 0 <= nid <= MAX_NODE_ID:
-                raise ValueError(f"{path} line {lineno}: node id {nid} does not fit one byte")
-            items.append((nid, (float(parts[1]), float(parts[2]))))
+                raise ValueError(f"{where}: node id {nid} does not fit one byte")
+            if nid in first_line:
+                raise DuplicateId(f"{where}: node id {nid} appears twice, first on line {first_line[nid]}")
+            try:
+                x, y = float(parts[1]), float(parts[2])
+            except ValueError:
+                x = y = math.nan
+            # a NaN or infinite coordinate would leave the node connected to nothing
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{where}: x and y must be finite numbers, got {parts[1]!r}, {parts[2]!r}")
+            first_line[nid] = lineno
+            items.append((nid, (x, y)))
     return build_udg(items, range_m)
 
 

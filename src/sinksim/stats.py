@@ -1,14 +1,15 @@
 """Replication statistics: the sample mean and its Student-t confidence
 half-width.
 
-The t quantile is computed here in plain Python, so that a sweep needs
-neither scipy nor numpy.  This module imports nothing from sinksim.
+The t quantile, and the normal quantile behind its first guess, are
+computed here in plain Python, so that a sweep needs neither scipy, numpy
+nor `statistics` (which loads `decimal` and `fractions` to compute one
+number).  This module imports nothing from sinksim.
 """
 
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 from typing import Sequence, Tuple
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -81,6 +82,74 @@ def _t_excess(t: float, df: float, u: float, c: float) -> float:
     return u - 0.5 * front * _beta_cf(a, df / (df + tt)) / a
 
 
+def _normal_quantile(p: float) -> float:
+    """Quantile of the standard normal distribution at `p` in (0, 1).
+
+    Wichura's rational approximations, Algorithm AS241 (Applied Statistics,
+    1988), with the coefficients and the order of operations of CPython's
+    ``statistics.NormalDist().inv_cdf``, which it equals bit for bit.
+    """
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num = (((((((2.5090809287301226727e3 * r +
+                     3.3430575583588128105e4) * r +
+                     6.7265770927008700853e4) * r +
+                     4.5921953931549871457e4) * r +
+                     1.3731693765509461125e4) * r +
+                     1.9715909503065514427e3) * r +
+                     1.3314166789178437745e2) * r +
+                     3.3871328727963666080e0) * q
+        den = (((((((5.2264952788528545610e3 * r +
+                     2.8729085735721942674e4) * r +
+                     3.9307895800092710610e4) * r +
+                     2.1213794301586595867e4) * r +
+                     5.3941960214247511077e3) * r +
+                     6.8718700749205790830e2) * r +
+                     4.2313330701600911252e1) * r +
+                     1.0)
+        return num / den
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    if r <= 5.0:
+        r = r - 1.6
+        num = (((((((7.74545014278341407640e-4 * r +
+                     2.27238449892691845833e-2) * r +
+                     2.41780725177450611770e-1) * r +
+                     1.27045825245236838258e0) * r +
+                     3.64784832476320460504e0) * r +
+                     5.76949722146069140550e0) * r +
+                     4.63033784615654529590e0) * r +
+                     1.42343711074968357734e0)
+        den = (((((((1.05075007164441684324e-9 * r +
+                     5.47593808499534494600e-4) * r +
+                     1.51986665636164571966e-2) * r +
+                     1.48103976427480074590e-1) * r +
+                     6.89767334985100004550e-1) * r +
+                     1.67638483018380384940e0) * r +
+                     2.05319162663775882187e0) * r +
+                     1.0)
+    else:
+        r = r - 5.0
+        num = (((((((2.01033439929228813265e-7 * r +
+                     2.71155556874348757815e-5) * r +
+                     1.24266094738807843860e-3) * r +
+                     2.65321895265761230930e-2) * r +
+                     2.96560571828504891230e-1) * r +
+                     1.78482653991729133580e0) * r +
+                     5.46378491116411436990e0) * r +
+                     6.65790464350110377720e0)
+        den = (((((((2.04426310338993978564e-15 * r +
+                     1.42151175831644588870e-7) * r +
+                     1.84631831751005468180e-5) * r +
+                     7.86869131145613259100e-4) * r +
+                     1.48753612908506148525e-2) * r +
+                     1.36929880922735805310e-1) * r +
+                     5.99832206555887937690e-1) * r +
+                     1.0)
+    x = num / den
+    return -x if q < 0.0 else x
+
+
 def _hill_guess(df: float, u: float, c: float) -> float:
     """Upper-tail-u quantile of Student's t after Hill, Algorithm 396 (CACM 1970).
 
@@ -97,7 +166,7 @@ def _hill_guess(df: float, u: float, c: float) -> float:
     d = ((94.5 / (b + g) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * df
     y = (d * 2.0 * u) ** (2.0 / df)
     if y > 0.05 + a:
-        x = NormalDist().inv_cdf(u)
+        x = _normal_quantile(u)
         y = x * x
         if df < 5:
             g += 0.3 * (df - 4.5) * (x + 0.6)

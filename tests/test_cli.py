@@ -328,6 +328,10 @@ INPUT_FILES = {
     "no_nodes.csv": "id,x,y\n",
     "short_row.csv": "id,x,y\n0,0,0\n1,10\n",
     "big_id.csv": "id,x,y\n0,0,0\n300,20,0\n",
+    "nan_x.csv": "id,x,y\n0,0,0\n1,20,0\n2,nan,0\n",
+    "float_id.csv": "id,x,y\n0,0,0\n1.5,20,0\n",
+    "text_x.csv": "id,x,y\n0,0,0\n2,abc,0\n",
+    "repeated_id.csv": "id,x,y\n0,0,0\n1,20,0\n0,40,0\n",
 }
 
 
@@ -397,6 +401,12 @@ INPUT_FILES = {
         # and from a grid of 289 nodes
         ["demo", "--topology", "big_id.csv"],
         ["demo", "--grid", "17"],
+        # a node at a NaN x once loaded, connected to nothing, and the run exited 0
+        ["demo", "--topology", "nan_x.csv", "--rotations", "2"],
+        # rows that once gave an error without the file and line
+        ["demo", "--topology", "float_id.csv"],
+        ["demo", "--topology", "text_x.csv"],
+        ["demo", "--topology", "repeated_id.csv"],
         # a range whose square is positive: it flooded as if it were +25 m
         ["flood-sim", "--range-m", "-25"],
         ["flood-sim", "--range-m", "nan"],

@@ -3,12 +3,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROBE = """
 import sys
 import sinksim, sinksim.cli
-imported = sorted(m for m in ("multiprocessing", "numpy", "pickle", "scipy") if m in sys.modules)
+imported = sorted(
+    m for m in ("decimal", "fractions", "multiprocessing", "numpy", "pickle", "scipy", "statistics")
+    if m in sys.modules
+)
 from sinksim.scenario import grid_point, random_graph_point
 rg = random_graph_point(4, 10, 20, 1)
 grid = grid_point("edge", 2, 20, 1)
@@ -22,8 +27,10 @@ print(imported, heavy, rg.runs, grid.runs, collision)
 def test_import_loads_neither_numpy_nor_scipy():
     # A fresh interpreter: the test session itself may already hold numpy.
     # Importing loads none of numpy, scipy, pickle (only an error in a sweep
-    # worker needs it) and multiprocessing.  The sweeps run before the second
-    # check, so they must stay free of numpy and scipy too.
+    # worker needs it), multiprocessing, and statistics with its decimal and
+    # fractions (stats computes its one normal quantile itself).  The sweeps
+    # run before the second check, so they must stay free of numpy and scipy
+    # too.
     proc = subprocess.run(
         [sys.executable, "-c", PROBE],
         env={"PYTHONPATH": str(SRC)},
@@ -106,6 +113,26 @@ def test_every_traced_rotation_layer_records_a_call(monkeypatch):
             report = scenario.run_scenario(cfg)
             energy.integrate_timeline(report.timeline, powers)
             scenario.timeline_coverage(report.timeline)
+    layers = tracer.layers()
+    assert traced_layers and [name for name in traced_layers if name not in layers] == []
+
+
+@pytest.mark.parametrize("workload", ["rg-sweep", "grid-sweep"])
+def test_every_traced_sweep_layer_records_a_call(monkeypatch, workload):
+    # The sweep layers are wrapped as `scenario` globals; a call made from
+    # another module records nothing.  One small point each, as the
+    # benchmark's workload calls it: 20 replications stay in this process,
+    # and an empty set-up memo makes the random graph build its topologies.
+    from sinksim import scenario
+
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))  # run.py imports its neighbors
+    monkeypatch.setattr(scenario, "_SETUP_CACHE", {})
+    traced_layers = load_bench_module("run").TRACED_LAYERS[workload]
+    with load_bench_module("tracer").Tracer().installed() as tracer:
+        if workload == "rg-sweep":
+            scenario.random_graph_point(4, 10, 20, 1)
+        else:
+            scenario.grid_point("edge", 2, 20, 1)
     layers = tracer.layers()
     assert traced_layers and [name for name in traced_layers if name not in layers] == []
 

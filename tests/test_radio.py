@@ -186,6 +186,26 @@ def test_csv_loader_names_the_line_of_an_id_beyond_one_byte(tmp_path, nid):
         load_topology_csv(str(csv), 25.0)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # a node that once loaded and connected to nothing
+        ("2,nan,0", r"x and y must be finite numbers, got 'nan', '0'"),
+        ("2,0,-inf", r"x and y must be finite numbers, got '0', '-inf'"),
+        ("2,1e400,0", r"x and y must be finite numbers, got '1e400', '0'"),
+        # each once gave a bare int(), float() or DuplicateId message
+        ("1.5,20,0", r"node id '1\.5' is not an integer"),
+        ("2,abc,0", r"x and y must be finite numbers, got 'abc', '0'"),
+        ("0,40,0", r"node id 0 appears twice, first on line 2"),
+    ],
+)
+def test_csv_loader_names_the_line_of_a_malformed_row(tmp_path, row, message):
+    csv = tmp_path / "rows.csv"
+    csv.write_text(f"id,x,y\n0,0,0\n1,20,0\n{row}\n")
+    with pytest.raises(ValueError, match=rf"rows\.csv line 4: {message}$"):
+        load_topology_csv(str(csv), 25.0)
+
+
 def test_in_range_uses_topology_range():
     g = grid_topology(3, 25.0)
     assert g.in_range(0, (12.0, 0.0))
