@@ -32,15 +32,9 @@ from .frames import (
     micro_frame,
 )
 from .mac import ContentionConfig, collision_probability, simulate_collision
+from .presets import discovered_graph
 from .radio import E_PREAMB_MJ, POWER_TABLES, grid_topology, load_topology_csv, to_dot
-from .scenario import (
-    ScenarioConfig,
-    discovered_graph,
-    grid_point,
-    nodes_for_degree,
-    random_graph_point,
-    run_scenario,
-)
+from .scenario import ScenarioConfig, grid_point, nodes_for_degree, random_graph_point, run_scenario
 
 
 def _check_analyze_divisors(c: ProtocolConstants) -> None:
@@ -169,6 +163,12 @@ def cmd_analyze(args, c: ProtocolConstants) -> int:
 
 
 def cmd_collisions(args, c: ProtocolConstants) -> int:
+    # The window loop below never ends on an infinite bound, and a nan step
+    # ends it after one window.
+    for name in ("w_min_ms", "w_max_ms", "w_step_ms"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
     if args.w_step_ms <= 0:
         raise ValueError("empty contention window sweep")
     _at_least_one(args, "runs")

@@ -31,10 +31,11 @@ the view is iterated.
 
 The pieces that call no traced name live in their own modules: the sink
 tracks (`tracks`), the timeline assembly (`timelines`), the sink's flight
-over the network (`flight`) and the sweep presets (`presets`).  Their names
-are bound here as well, so they still import from `scenario`.  Every
-function that calls a name `bench/tracer.py` wraps in `scenario` stays here,
-so that the wrapper sees each call.
+over the network (`flight`) and the sweep presets (`presets`).  The names
+this module uses, and those `bench/` reads from it, are bound here as well;
+the rest import from their own module.  Every function that calls a name
+`bench/tracer.py` wraps in `scenario` stays here, so that the wrapper sees
+each call.
 """
 
 from __future__ import annotations
@@ -71,13 +72,10 @@ from .stats import mean_ci
 from .timelines import BS_ID, MS_ID, _base_station_totals, _fill_gaps, hop_exchange_timeline
 from .tracks import BounceTrack, StaticSink, WaypointTrack, _check_speed, diagonal_line, edge_line
 
-# Bound here for the callers that import them from `scenario`, and for the
-# names bench/tracer.py wraps here: next_hop_3rule and timeline_coverage.
-from .flight import _VIEW_CACHE, _by_x, _network_bbox  # noqa: F401
-from .presets import MAX_NODES, discovered_graph  # noqa: F401
+# Bound here for the names bench/tracer.py wraps here: next_hop_3rule and
+# timeline_coverage.
 from .routing import next_hop_3rule  # noqa: F401
 from .timelines import timeline_coverage  # noqa: F401
-from .tracks import LineTrack  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # Six-phase scenario

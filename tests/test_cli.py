@@ -418,6 +418,11 @@ INPUT_FILES = {
         ["demo", "--spacing", "1e300"],
         # a round trip whose timeline would hold millions of polls
         ["demo", "--grid", "2", "--spacing", "1e6"],
+        # an infinite window bound once looped until memory ran out, and a
+        # nan step wrote a one-window sweep
+        ["collisions", "--w-max-ms", "inf"],
+        ["collisions", "--w-min-ms=-inf"],
+        ["collisions", "--w-step-ms", "nan"],
         # rejected by argparse
         ["route-sim", "--runs", "x"],
         ["demo", "--bogus"],

@@ -28,9 +28,9 @@ def test_import_loads_neither_numpy_nor_scipy():
     # A fresh interpreter: the test session itself may already hold numpy.
     # Importing loads none of numpy, scipy, pickle (only an error in a sweep
     # worker needs it), multiprocessing, and statistics with its decimal and
-    # fractions (stats computes its one normal quantile itself).  The sweeps
-    # run before the second check, so they must stay free of numpy and scipy
-    # too.
+    # fractions (stats keeps the one normal quantile it needs as a constant).
+    # The sweeps run before the second check, so they must stay free of numpy
+    # and scipy too.
     proc = subprocess.run(
         [sys.executable, "-c", PROBE],
         env={"PYTHONPATH": str(SRC)},
@@ -73,6 +73,13 @@ def test_energy_does_not_import_the_scenario():
 
 def test_stats_imports_nothing_from_sinksim():
     assert sinksim_modules_loaded_by("sinksim.stats") == ["sinksim.stats"]
+
+
+def test_no_sinksim_module_is_over_600_lines():
+    # Compiling a module takes memory that grows faster than its length, and
+    # every benchmark run's peak includes compiling sinksim.
+    sizes = {path.name: len(path.read_text().splitlines()) for path in (SRC / "sinksim").glob("*.py")}
+    assert sizes and {name: n for name, n in sizes.items() if n > 600} == {}
 
 
 def load_bench_module(name):

@@ -17,7 +17,7 @@ from sinksim.routing import (
     next_hop_3rule,
     route,
 )
-from sinksim.scenario import BounceTrack, LineTrack, StaticSink
+from sinksim.tracks import BounceTrack, LineTrack, StaticSink
 
 
 def connected_component(topology, start_nodes):

@@ -6,36 +6,32 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from statistics import NormalDist
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sinksim import energy, radio, routing, scenario
+from sinksim import energy, flight, radio, routing, scenario
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
+from sinksim.flight import _by_x, _network_bbox
+from sinksim.presets import MAX_NODES, discovered_graph
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, euclid, grid_topology, power_table
 from sinksim.routing import HeaderOverflow, RoutingError, Tour, init_virtual_coords
 from sinksim.scenario import (
     BS_ID,
-    MAX_NODES,
     MAX_ROUND_TRIP_S,
     MS_ID,
     BounceTrack,
     ConfigError,
-    LineTrack,
     ScenarioConfig,
     StaticSink,
     WaypointTrack,
     _base_station_totals,
-    _by_x,
     _fill_gaps,
     _hearers,
-    _network_bbox,
     _quiet_passes,
     diagonal_line,
-    discovered_graph,
     edge_line,
     grid_crossing_hops,
     grid_point,
@@ -45,7 +41,7 @@ from sinksim.scenario import (
     run_scenario,
     timeline_coverage,
 )
-from sinksim.stats import _t_quantile, mean_ci
+from sinksim.tracks import LineTrack
 
 C = DEFAULT_CONSTANTS
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -82,7 +78,8 @@ def test_bounce_stays_inside_the_field():
 
 SPEED_PROBE = """
 import sys
-from sinksim.scenario import BounceTrack, LineTrack, grid_point, random_graph_point
+from sinksim.scenario import BounceTrack, grid_point, random_graph_point
+from sinksim.tracks import LineTrack
 
 def bounce(v):
     track = BounceTrack((500.0, 500.0), v, 1000.0, seed=1)
@@ -969,7 +966,7 @@ def test_rotations_on_two_topologies_in_turn_equal_each_alone():
     ]
     alone = []
     for cfg in configs:
-        scenario._VIEW_CACHE.clear()
+        flight._VIEW_CACHE.clear()
         alone.append(rotation_outputs(run_scenario(cfg)))
     assert [rotation_outputs(run_scenario(cfg)) for cfg in configs] == alone
     assert alone[0] != alone[1]
@@ -1035,63 +1032,8 @@ def test_discovered_graph_single_report():
 
 
 # ---------------------------------------------------------------------------
-# statistics (sinksim.stats) and sweep points
+# sweep points
 # ---------------------------------------------------------------------------
-
-
-def test_mean_ci_basics():
-    mean, half = mean_ci([1.0, 1.0, 1.0])
-    assert mean == 1.0
-    assert half == 0.0
-    mean, half = mean_ci([0.0, 2.0])
-    assert mean == 1.0
-    assert half == pytest.approx(12.7062047361747, rel=1e-13)  # t(0.975, 1) * 1
-    assert math.isnan(mean_ci([])[0])
-
-
-@pytest.mark.parametrize("p", (0.01, 0.3, 0.6, 0.9, 0.95, 0.975, 0.995))
-def test_t_quantile_closed_forms(p):
-    # tan(pi (p - 1/2)) itself loses digits as p nears 0 or 1, so p stays inside [0.01, 0.995]
-    assert _t_quantile(p, 1) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-13)
-    assert _t_quantile(p, 2) == pytest.approx((2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-13)
-
-
-@pytest.mark.parametrize("df", [1, 2, 3, 7, 30, 199, 9999, 1e5, 2.5])
-def test_t_quantile_is_odd_about_one_half(df):
-    assert _t_quantile(0.5, df) == 0.0
-    for p in (0.6, 0.9, 0.95, 0.975, 0.995, 0.9999):
-        assert _t_quantile(1 - p, df) == -_t_quantile(p, df)
-        assert _t_quantile(p, df) > 0.0
-
-
-def test_t_quantile_approaches_the_normal_quantile():
-    z = NormalDist().inv_cdf(0.975)
-    df = 1e8  # first Cornish-Fisher term; the next one is below 1e-16
-    assert _t_quantile(0.975, df) == pytest.approx(z + (z**3 + z) / (4 * df), rel=1e-14)
-    assert _t_quantile(0.975, 30) > _t_quantile(0.975, 300) > _t_quantile(0.975, 3000)
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan")])
-def test_t_quantile_rejects_p_outside_the_open_unit_interval(p):
-    with pytest.raises(ValueError):
-        _t_quantile(p, 10)
-
-
-@pytest.mark.parametrize("df", [0, 0.5, -3, float("nan")])
-def test_t_quantile_rejects_df_below_one(df):
-    with pytest.raises(ValueError):
-        _t_quantile(0.975, df)
-
-
-def test_t_quantile_matches_scipy():
-    stats = pytest.importorskip("scipy.stats")
-    dfs = list(range(1, 301)) + sorted({round(10 ** (k / 8)) for k in range(20, 41)})
-    worst = 0.0
-    for p in (0.95, 0.975, 0.995):
-        for df in dfs:
-            expected = float(stats.t.ppf(p, df))
-            worst = max(worst, abs(_t_quantile(p, df) - expected) / expected)
-    assert worst <= 1e-12
 
 
 def test_grid_point_smoke():
