@@ -162,6 +162,13 @@ def cmd_analyze(args, c: ProtocolConstants) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The most contention windows one sweep may hold.  The default sweep holds
+# 20; each window runs `--runs` draws per block, and at the default 100,000
+# a window takes about 0.4 s for both blocks on a 2-core host, so 1,000
+# windows take about 7 minutes.
+MAX_WINDOWS = 1_000
+
+
 def cmd_collisions(args, c: ProtocolConstants) -> int:
     # The window loop below never ends on an infinite bound, and a nan step
     # ends it after one window.
@@ -169,17 +176,25 @@ def cmd_collisions(args, c: ProtocolConstants) -> int:
         value = getattr(args, name)
         if not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
-    if args.w_step_ms <= 0:
+    lo, hi, step = args.w_min_ms, args.w_max_ms, args.w_step_ms
+    if step <= 0:
         raise ValueError("empty contention window sweep")
+    # The window count is bounded before the loop starts, and a step that
+    # rounding loses at some w would keep the loop there.
+    top = hi + 1e-9
+    if (top - lo) / step >= MAX_WINDOWS:
+        raise ValueError(f"the contention window sweep holds more than {MAX_WINDOWS} windows")
     _at_least_one(args, "runs")
     blocks = {"relay": c.d_rxtx, "ack": c.d_ack}
     if args.block_us is not None:
         blocks = {"custom": args.block_us}
     w_values = []
-    w = args.w_min_ms
-    while w <= args.w_max_ms + 1e-9:
+    w = lo
+    while w <= top:
         w_values.append(round(w, 6))
-        w += args.w_step_ms
+        if w + step == w:
+            raise ValueError(f"--w-step-ms {step} is lost to rounding at {w} ms")
+        w += step
     # Each block sweeps only the windows that can hold it; every block needs one.
     tables = {}
     for name, block in sorted(blocks.items()):

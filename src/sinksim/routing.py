@@ -82,18 +82,33 @@ def init_virtual_coords(
 class Action:
     """One decision of the rule, compared by value.
 
-    Not frozen: the rule builds one per decision, and a frozen dataclass
-    takes about twice as long to build.  So an action is not hashable, and
-    callers only read it; `_DELIVER`, `_RESTART` and `_FAIL` are shared.
+    Actions are shared: `_DELIVER`, `_RESTART` and `_FAIL`, and one forward
+    and one backtrack action per target, built on first use.  So callers
+    only read an action.  Not frozen, since a frozen dataclass takes about
+    twice as long to build; so an action is not hashable.
     """
 
     kind: str  # deliver | forward | backtrack | restart | fail
     target: Optional[NodeId] = None
 
 
+class _Shared(dict):
+    """The actions of one kind, keyed by target, each built on first use."""
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, target: NodeId) -> Action:
+        action = self[target] = Action(self.kind, target)
+        return action
+
+
 _DELIVER = Action("deliver")
 _RESTART = Action("restart")
 _FAIL = Action("fail")
+_FORWARD = _Shared("forward")
+_BACKTRACK = _Shared("backtrack")
 
 
 def next_hop_3rule(
@@ -132,7 +147,7 @@ def next_hop_3rule(
         if best is None or d2 < best_d2:
             best, best_d2 = v, d2
     if best is not None:
-        return Action("forward", best)
+        return _FORWARD[best]
     # Exhausted here: return toward the node this one was first reached from.
     entries = header.traversed
     try:
@@ -142,7 +157,7 @@ def next_hop_3rule(
     nbrs = set(topology.adjacency[current])
     for i in range(cut - 1, -1, -1):
         if entries[i] in nbrs:
-            return Action("backtrack", entries[i])
+            return _BACKTRACK[entries[i]]
     # Nothing before us in the header: the search is exhausted at the source.
     if sink_moved and current == source and topology.adjacency[source]:
         return _RESTART
@@ -166,10 +181,12 @@ class Tour:
     `entries[k]` is the node that holds the packet after k moves of a walk
     that the sink never answers; `entries[0]` is the source.  The tour is
     grown lazily, one entry at a time.  `complete` marks a search exhausted
-    at `entries[-1]`.  `overflow` is the index whose move would push a 119th
-    address into the header, the last index a walk can leave.  A tour is only
-    ints, so it can be kept or sent as plain data; the search behind it is
-    rebuilt from its entries when it has to grow.
+    at `entries[-1]`.  `overflow` is the index whose move would push the
+    header past the bound of the walks that grew it (`route`'s
+    `max_traversed`), the last index a walk can leave; walks that share a
+    tour share that bound.  A tour is only ints, so it can be kept or sent
+    as plain data; the search behind it is rebuilt from its entries when it
+    has to grow.
     """
 
     entries: List[NodeId]
@@ -199,6 +216,7 @@ def route(
     round_limit: Optional[int] = None,
     on_round: Optional[Callable[[NodeId, Action, RouteHeader], None]] = None,
     tour: Optional[Tour] = None,
+    max_traversed: int = MAX_ADDRESS_COUNT,
 ) -> RouteResult:
     """Round-based walk of one message from `source` toward the mobile sink.
 
@@ -233,7 +251,10 @@ def route(
 
     Terminates on delivery, on the sink leaving the field (miss), on the
     round limit (miss), or on exhaustion with a sink that never moved (fail).
-    Raises HeaderOverflow when the traversed list outgrows the DATA payload.
+    Raises HeaderOverflow when a move would push the traversed list past
+    `max_traversed` ids.  The DATA payload holds 118 ids in all, which is
+    the default; an answer that also carries the source's neighbor list
+    leaves the traversed list 118 less their count.
     """
     limit = round_limit if round_limit is not None else 4 * len(topology)
     positions = topology.positions
@@ -289,7 +310,7 @@ def route(
                 tour.complete = True
             else:
                 if node not in visited:
-                    if len(traversed) >= MAX_ADDRESS_COUNT:
+                    if len(traversed) >= max_traversed:
                         tour.overflow = overflow = k  # the search ends here
                     else:
                         visited.add(node)
@@ -299,12 +320,12 @@ def route(
         if k < end:
             target = entries[k + 1]
             if on_round is not None:
-                on_round(node, Action("backtrack" if target in seen else "forward", target), header)
+                on_round(node, (_BACKTRACK if target in seen else _FORWARD)[target], header)
                 if node not in seen:
                     seen.add(node)
                     header.traversed.append(node)
             if k == overflow:
-                raise HeaderOverflow(f"traversed list would exceed {MAX_ADDRESS_COUNT} ids")
+                raise HeaderOverflow(f"traversed list would exceed {max_traversed} ids")
             k += 1
             node = target
             path.append(node)

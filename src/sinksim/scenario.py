@@ -48,6 +48,7 @@ from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
 from .flight import ConfigError, _first_cca_catch, _FlyingSink, _hearers, _network_view, _quiet_passes, _strip
 from .flood import FloodEngine, FloodReport
 from .forkmap import split_map
+from .frames import MAX_ADDRESS_COUNT
 from .mac import ack_backoff
 from .presets import (
     GRID_BOUNDS,
@@ -70,7 +71,7 @@ from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_to
 from .routing import RouteResult, Tour, init_virtual_coords, route
 from .stats import mean_ci
 from .timelines import BS_ID, MS_ID, _base_station_totals, _fill_gaps, hop_exchange_timeline
-from .tracks import BounceTrack, StaticSink, WaypointTrack, _check_speed, diagonal_line, edge_line
+from .tracks import BounceTrack, Replay, StaticSink, WaypointTrack, _check_speed, diagonal_line, edge_line, record
 
 # Bound here for the names bench/tracer.py wraps here: next_hop_3rule and
 # timeline_coverage.
@@ -258,6 +259,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         sink_coord=cfg.ms_virtual_coord,
         round_limit=cfg.hop_limit,
         on_round=hop_exchange,
+        # the answer carries the traversed list and the source's neighbors
+        max_traversed=MAX_ADDRESS_COUNT - len(topo.adjacency[cfg.query_node]),
     )
     miss = not route_result.delivered
     horizon = sink.t
@@ -507,7 +510,10 @@ def grid_point(
     Each replication's source and coordinate seed are drawn up front, in the
     order of a serial sweep; the walks then run in `workers` slices as in
     :func:`random_graph_point`, and the point is bit-identical for any
-    worker count.
+    worker count.  The crossing draws nothing, so every walk of a point takes
+    the same sink path: it is recorded once, before the workers fork, as far
+    as the round limit of four rounds per node (:func:`sinksim.tracks.record`),
+    and each walk replays it.
     """
     if mobility not in ("edge", "diagonal"):
         raise ValueError("grid mobility must be 'edge' or 'diagonal'")
@@ -519,6 +525,8 @@ def grid_point(
     rng = random.Random(seed)
     g = grid_topology(GRID_SIDE, GRID_SPACING_M)
     make_track = edge_line if mobility == "edge" else diagonal_line
+    limit = 4 * len(g)
+    path = record(make_track(GRID_FIELD_M, speed), limit)
     virtual = coord_mode == "virtual"
     draws = []  # (source, coordinate seed or None)
     for _ in range(runs):
@@ -527,17 +535,17 @@ def grid_point(
 
     def walk(draw: Tuple[NodeId, Optional[int]]) -> _Outcome:
         source, vc_seed = draw
-        track = make_track(GRID_FIELD_M, speed)
         if vc_seed is None:
-            return _outcome(route(g, g.positions, source, track))
+            return _outcome(route(g, g.positions, source, Replay(path), round_limit=limit))
         # Coordinates are made only if the walk moves at all.
         return _outcome(
             route(
                 g,
                 lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS),
                 source,
-                track,
+                Replay(path),
                 sink_coord=GRID_SINK_VCOORD,
+                round_limit=limit,
             )
         )
 
@@ -551,24 +559,26 @@ def grid_crossing_hops(
 
     Pools edge and diagonal crossings at the reference per-round speed over
     per-replication random virtual coordinates; returns (mean, ci95).  The
-    sources and coordinate seeds are drawn up front and the walks split
-    across `workers` as in :func:`grid_point`, bit-identical for any count.
+    sources and coordinate seeds are drawn up front, the two crossings
+    recorded once, and the walks split across `workers` as in
+    :func:`grid_point`, bit-identical for any count.
     """
     rng = random.Random(seed)
     g = grid_topology(GRID_SIDE, GRID_SPACING_M)
     draws = [(rng.randrange(len(g)), rng.randrange(2**31)) for _ in range(runs)]
+    limit = 4 * len(g)
+    paths = [record(make(GRID_FIELD_M, GRID_CROSSING_SPEED), limit) for make in (edge_line, diagonal_line)]
 
     def walk(i: int) -> _Outcome:
         source, vc_seed = draws[i]
-        make_track = edge_line if i % 2 == 0 else diagonal_line
-        track = make_track(GRID_FIELD_M, GRID_CROSSING_SPEED)
         return _outcome(
             route(
                 g,
                 lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS),
                 source,
-                track,
+                Replay(paths[i % 2]),
                 sink_coord=GRID_SINK_VCOORD,
+                round_limit=limit,
             )
         )
 

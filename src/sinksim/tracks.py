@@ -3,8 +3,12 @@ event-time flight path of the six-phase run.
 
 A round-based track moves by one step per routing round and exposes its
 `position` and whether it has `departed`; :func:`sinksim.routing.route`
-reads both.  :class:`WaypointTrack` is a piecewise-linear path flown at a
-constant ground speed, read as a function of elapsed microseconds.
+reads both.  A track that draws nothing per walk, such as a grid crossing,
+takes the same path in every walk: :func:`record` steps it once, as far as
+a walk's round limit, and each walk steps a :class:`Replay` of that
+recording instead of a track of its own.  :class:`WaypointTrack` is a
+piecewise-linear path flown at a constant ground speed, read as a function
+of elapsed microseconds.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import Position
 from .radio import euclid
@@ -130,6 +134,43 @@ def edge_line(field: float, speed: float) -> LineTrack:
 def diagonal_line(field: float, speed: float) -> LineTrack:
     """Corner-to-corner crossing (longest connected time)."""
     return LineTrack((0.0, 0.0), (field, field), speed)
+
+
+def record(track, steps: int) -> Tuple[List[Position], List[bool]]:
+    """The positions and `departed` flags of a round-based track before its
+    first step and after each of `steps` steps.
+
+    They come from stepping the track itself, not from a closed form: a
+    :class:`LineTrack` adds its speed up step by step, and only that sum
+    gives its floats.  A walk with round limit L reads L + 1 of them.
+    """
+    positions, departed = [track.position], [track.departed]
+    for _ in range(steps):
+        track.step()
+        positions.append(track.position)
+        departed.append(track.departed)
+    return positions, departed
+
+
+class Replay:
+    """A recorded track (:func:`record`) stepped again, state by state.
+
+    Many walks can replay one recording, each with its own `Replay`; the
+    recording is only read.  Stepping past its last state raises IndexError.
+    """
+
+    __slots__ = ("_positions", "_departed", "_i", "position", "departed")
+
+    def __init__(self, recording: Tuple[Sequence[Position], Sequence[bool]]):
+        self._positions, self._departed = recording
+        self._i = 0
+        self.position = self._positions[0]
+        self.departed = self._departed[0]
+
+    def step(self) -> None:
+        i = self._i = self._i + 1
+        self.position = self._positions[i]
+        self.departed = self._departed[i]
 
 
 # ---------------------------------------------------------------------------

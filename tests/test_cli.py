@@ -116,6 +116,20 @@ def test_collisions_block_without_a_window_writes_nothing(tmp_path, capsys, wind
     assert not out.exists()
 
 
+def test_collisions_runs_at_most_max_windows(tmp_path, capsys):
+    from sinksim.commands import MAX_WINDOWS
+
+    out = tmp_path / "out"
+    # Windows 1, 2, ..., MAX_WINDOWS + 1 ms: one too many, and nothing written.
+    argv = ["collisions", "--runs", "1", "--block-us", "1", "--w-min-ms", "1", "--w-step-ms", "1"]
+    assert run_cli(*argv, "--w-max-ms", str(MAX_WINDOWS + 1), "--out", str(out)) == 2
+    assert f"more than {MAX_WINDOWS} windows" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(*argv, "--w-max-ms", str(MAX_WINDOWS), "--out", str(out)) == 0
+    rows = (out / "collisions_custom.csv").read_text().splitlines()
+    assert len(rows) == 1 + MAX_WINDOWS
+
+
 @pytest.mark.parametrize("command", ["collisions", "route-sim", "flood-sim"])
 def test_zero_runs_is_a_usage_error_without_output(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -335,6 +349,14 @@ INPUT_FILES = {
 }
 
 
+def _cap_memory():
+    # Run in the child before exec: input that makes a command allocate
+    # without end runs out of this cap, not of the host's memory.
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -423,6 +445,13 @@ INPUT_FILES = {
         ["collisions", "--w-max-ms", "inf"],
         ["collisions", "--w-min-ms=-inf"],
         ["collisions", "--w-step-ms", "nan"],
+        # finite ranges that once appended windows until killed: w + 2 == w
+        # at -1e300; one window whose step is lost; above 2**52 a half step
+        # that moves an odd w but never an even one; a billion windows
+        ["collisions", "--w-min-ms=-1e300"],
+        ["collisions", "--w-min-ms", "1e20", "--w-max-ms", "1e20"],
+        ["collisions", "--w-min-ms", "4503599627370497", "--w-max-ms", "4503599627370507", "--w-step-ms", "0.5"],
+        ["collisions", "--w-max-ms", "1e6", "--w-step-ms", "0.001"],
         # rejected by argparse
         ["route-sim", "--runs", "x"],
         ["demo", "--bogus"],
@@ -443,6 +472,7 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, tmp_path_factory):
         capture_output=True,
         text=True,
         timeout=60,
+        preexec_fn=_cap_memory,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

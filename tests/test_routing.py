@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinksim.frames import MAX_ADDRESS_COUNT
+from sinksim.frames import MAX_ADDRESS_COUNT, DataPayload, ListOverflow, encode_data_payload
 from sinksim.radio import build_udg, grid_topology
 from sinksim.routing import (
     Action,
@@ -170,6 +170,26 @@ def test_backtrack_targets_the_first_reacher():
         sink_adjacent=False, sink_moved=False, source=0,
     )
     assert action == Action("backtrack", 0)
+
+
+def test_the_rule_hands_out_one_shared_action_per_kind_and_target():
+    # chain 0 - 1 - 2, aimed past node 2
+    topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0), 2: (40.0, 0.0)}, 25.0)
+
+    def decide(current, traversed):
+        header = RouteHeader(traversed=list(traversed), dest_coord=(100.0, 0.0))
+        return next_hop_3rule(
+            current, header, topo, topo.positions, visited=set(traversed),
+            sink_adjacent=False, sink_moved=False, source=0,
+        )
+
+    forward = decide(1, [0])
+    assert forward == Action("forward", 2) and type(forward) is Action
+    assert decide(1, [0]) is forward
+    assert decide(0, []) == Action("forward", 1) and decide(0, []) is not forward
+    backtrack = decide(2, [0, 1])
+    assert backtrack == Action("backtrack", 1) and type(backtrack) is Action
+    assert decide(2, [0, 1]) is backtrack
 
 
 def test_exhausted_static_search_fails():
@@ -512,3 +532,38 @@ def test_header_overflow_on_a_long_chain_matches_the_round_by_round_walk():
         route(topo, topo.positions, 0, StaticSink((129 * 20.0, 0.0)), sink_coord=(2600.0, 0.0), tour=tour)
     assert tour.overflow == MAX_ADDRESS_COUNT and not tour.complete
     assert tour.entries == list(range(MAX_ADDRESS_COUNT + 2))
+
+
+@pytest.mark.parametrize("hops", [115, 116, 117, 118])
+def test_the_answer_fits_the_data_payload_with_the_source_neighbors(hops):
+    # A chain 1 m apart at 1 m range, with two leaves on the source: its
+    # answer carries the traversed list and these 3 neighbors.  A static sink
+    # is in range of node `hops` and of none before it.
+    positions = {i: (float(i), 0.0) for i in range(130)}
+    positions.update({130: (0.0, 1.0), 131: (0.0, -1.0)})
+    topo = build_udg(positions, 1.0)
+    neighbors = list(topo.adjacency[0])
+    assert len(neighbors) == 3
+    sink = (hops + 0.5, 0.5)
+    delivered = []
+
+    def on_round(node, action, header):
+        if action.kind == "deliver":
+            delivered.append(list(header.traversed))
+
+    # Bounded at the 118 ids of the traversed list alone, every walk delivers.
+    res = route(topo, topo.positions, 0, StaticSink(sink), round_limit=1_000, on_round=on_round)
+    assert res.delivered and res.hops == hops
+    assert delivered == [list(range(hops))]
+    payload = DataPayload(delivered[0], neighbors)
+    bound = MAX_ADDRESS_COUNT - len(neighbors)
+    if hops <= bound:
+        encode_data_payload(payload)
+        bounded = route(topo, topo.positions, 0, StaticSink(sink), round_limit=1_000, max_traversed=bound)
+        assert bounded == res
+    else:
+        # 116 to 118 hops: the answer does not fit, and the bounded walk says so.
+        with pytest.raises(ListOverflow):
+            encode_data_payload(payload)
+        with pytest.raises(HeaderOverflow, match=f"exceed {bound} ids"):
+            route(topo, topo.positions, 0, StaticSink(sink), round_limit=1_000, max_traversed=bound)

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sinksim import energy, flight, radio, routing, scenario
+from sinksim import energy, flight, radio, routing, scenario, tracks
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
 from sinksim.flight import _by_x, _network_bbox
-from sinksim.presets import MAX_NODES, discovered_graph
+from sinksim.frames import MAX_ADDRESS_COUNT, DataPayload, ListOverflow, encode_data_payload
+from sinksim.presets import GRID_FIELD_M, GRID_SIDE, MAX_NODES, discovered_graph
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, euclid, grid_topology, power_table
 from sinksim.routing import HeaderOverflow, RoutingError, Tour, init_virtual_coords
 from sinksim.scenario import (
@@ -41,7 +42,7 @@ from sinksim.scenario import (
     run_scenario,
     timeline_coverage,
 )
-from sinksim.tracks import LineTrack
+from sinksim.tracks import LineTrack, Replay, record
 
 C = DEFAULT_CONSTANTS
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -191,6 +192,45 @@ def test_line_track_steps_equal_the_reference_formula(start, end, speed, steps):
         states.append((track.position, track.departed))
     # bit for bit: a float's repr round-trips
     assert repr(states) == repr(reference_line(start, end, speed, steps))
+
+
+@pytest.mark.parametrize("speed", [0.7, 1, 3, 4, 8])
+@pytest.mark.parametrize("make", [edge_line, diagonal_line])
+def test_a_replayed_crossing_is_the_line_track_stepped(make, speed):
+    limit = 4 * GRID_SIDE**2  # the grid sweeps' round limit
+    replay = Replay(record(make(GRID_FIELD_M, speed), limit))
+    track = make(GRID_FIELD_M, speed)
+    got, expected = [(replay.position, replay.departed)], [(track.position, track.departed)]
+    for _ in range(limit):
+        replay.step()
+        track.step()
+        got.append((replay.position, replay.departed))
+        expected.append((track.position, track.departed))
+    assert repr(got) == repr(expected)  # bit for bit
+    with pytest.raises(IndexError):
+        replay.step()
+
+
+def test_the_grid_sweeps_make_one_line_track_per_crossing(monkeypatch):
+    made = []
+
+    class Counted(tracks.LineTrack):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tracks, "LineTrack", Counted)
+    for point in (
+        lambda: grid_point("edge", 3, 250, 1, workers=1),
+        lambda: grid_point("diagonal", 0.7, 120, 2, coord_mode="physical", workers=1),
+        lambda: grid_point("diagonal", 4, 101, 3, workers=2),
+    ):
+        made.clear()
+        point()
+        assert len(made) == 1
+    made.clear()
+    grid_crossing_hops(301, 4, workers=2)
+    assert sorted(end for _, end, _ in made) == [(GRID_FIELD_M, 0.0), (GRID_FIELD_M, GRID_FIELD_M)]
 
 
 def test_static_sink_never_moves():
@@ -476,6 +516,27 @@ def test_scenario_enforces_the_header_bound():
     )
     with pytest.raises(HeaderOverflow):
         run_scenario(cfg)
+
+
+def test_scenario_bounds_the_answer_with_the_source_neighbors(monkeypatch):
+    # From corner node 210 (2 neighbors) on these coordinates the walk
+    # reaches the sink with 117 ids traversed: with the neighbors, one more
+    # than the DATA payload holds.  The bound counts the neighbors, 116 here.
+    g = grid_topology(15, 25.0)
+    vc = init_virtual_coords(g, 10, ((0, 350), (0, 350)))
+    cfg = scenario_config(topology=g, query_node=210, seed=10, virtual_coords=vc, ms_virtual_coord=(175.0, 175.0))
+    with pytest.raises(HeaderOverflow, match="exceed 116 ids"):
+        run_scenario(cfg)
+    # Bounded on the traversed list alone, the walk delivers an answer that
+    # no DATA frame can carry.
+    walk = scenario.route
+    monkeypatch.setattr(scenario, "route", lambda *a, **kw: walk(*a, **{**kw, "max_traversed": MAX_ADDRESS_COUNT}))
+    report = run_scenario(cfg)
+    assert report.route.delivered and report.route.restarts == 0
+    traversed = list(dict.fromkeys(report.route.path[:-1]))
+    assert (len(traversed), len(report.neighbors)) == (117, 2)
+    with pytest.raises(ListOverflow):
+        encode_data_payload(DataPayload(traversed, report.neighbors))
 
 
 def test_isolated_query_node_misses_without_hops():
