@@ -6,16 +6,21 @@ view per topology.  From it: which nodes hear the sink at a point, how many
 of the sink's first request preambles no node can hear, when the sink's
 channel sampling first catches a base-station request preamble, and the
 flying sink as the routing walk sees it in event time.
+
+The sink's flight over a view, and what each of its request passes finds
+(the nodes that hear it, or that the sink has left), draw nothing: they are
+kept as one memo per view and flight, grown pass by pass as far as a
+rotation tests them, and later rotations on the same flight read them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import List, Mapping, NamedTuple, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import MAX_NODE_ID, NodeId, Position, ProtocolConstants
-from .radio import Topology
+from .radio import Topology, euclid
 from .timelines import MS_ID
 from .tracks import WaypointTrack
 
@@ -72,6 +77,74 @@ def _network_view(topo: Topology) -> _NetworkView:
     view = _NetworkView(topo, _network_bbox(topo), *_by_x(topo.positions), [MS_ID, *ids])
     _VIEW_CACHE[:] = [view]
     return view
+
+
+class _Flight:
+    """The sink's flight from the base station across a view's network and
+    back, and what each of its request passes finds.
+
+    `key` is (bs_position, ms_speed_mps, t_brp, d_brp).  Pass i ends
+    dt = i*t_brp + d_brp after the sink sets off, in integer microseconds, so
+    the set-off time drops out.  By then the sink has either flown past the
+    network's exit, or is heard by the nodes in range of its position: the
+    base station's while dt <= 0.  Nothing is drawn, so each pass is tested
+    once, when a rotation first asks for it.
+    """
+
+    __slots__ = ("view", "key", "track", "exit_dist", "quiet", "_passes")
+
+    def __init__(self, view: _NetworkView, key: Tuple[Position, float, int, int]):
+        bs_position, speed_mps, t_brp, d_brp = key
+        x0, y0, x1, y1 = view.bbox
+        entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
+        self.view, self.key = view, key
+        self.track = WaypointTrack([bs_position, entry, exit_, bs_position], speed_mps)
+        self.exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
+        # the passes before the sink can be heard, which are never tested
+        self.quiet = _quiet_passes(self.track, view.bbox, view.topology.range_m, self.exit_dist, t_brp, d_brp)
+        self._passes: List[Optional[List[NodeId]]] = []  # from pass `quiet` on
+
+    def hearers(self, i: int) -> Optional[List[NodeId]]:
+        """The ids that hear pass `i`, at or after `quiet`, ascending; None
+        when the sink has left the network by the pass's end."""
+        passes, quiet = self._passes, self.quiet
+        while len(passes) <= i - quiet:
+            heard = self._test(quiet + len(passes))
+            # passes in a row mostly find the same nodes; sharing one list
+            # keeps a short t_brp's many passes at a pointer each
+            passes.append(passes[-1] if passes and heard == passes[-1] else heard)
+        return passes[i - quiet]
+
+    def _test(self, i: int) -> Optional[List[NodeId]]:
+        bs_position, _, t_brp, d_brp = self.key
+        dt = i * t_brp + d_brp
+        point = bs_position
+        if dt > 0:
+            if self.track.distance_at(dt) >= self.exit_dist:
+                return None
+            point = self.track.position_at(dt)
+        view = self.view
+        return _hearers(view.xs, view.nodes, view.topology.range_m, point)
+
+
+# The flight the last rotation flew.  It holds its view, and through it its
+# topology, so no other topology can take on the view's identity while it is
+# kept; a rotation on another view or flight replaces it.
+_FLIGHT_CACHE: List[_Flight] = []
+
+
+def _flight(view: _NetworkView, bs_position: Position, speed_mps: float, t_brp: int, d_brp: int) -> _Flight:
+    """The flight over `view`, kept from the last call when that was on the
+    same view object and an equal flight.
+
+    Raises ValueError for a speed or a base station that the track rejects.
+    """
+    key = (tuple(bs_position), speed_mps, t_brp, d_brp)
+    if _FLIGHT_CACHE and _FLIGHT_CACHE[0].view is view and _FLIGHT_CACHE[0].key == key:
+        return _FLIGHT_CACHE[0]
+    flight = _Flight(view, key)
+    _FLIGHT_CACHE[:] = [flight]
+    return flight
 
 
 # Gaps below this square to less than the smallest normal float and can

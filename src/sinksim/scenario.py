@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
-from .flight import ConfigError, _first_cca_catch, _FlyingSink, _hearers, _network_view, _quiet_passes, _strip
+from .flight import ConfigError, _first_cca_catch, _flight, _FlyingSink, _network_view, _strip
 from .flood import FloodEngine, FloodReport
 from .forkmap import split_map
 from .frames import MAX_ADDRESS_COUNT
@@ -71,7 +71,7 @@ from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_to
 from .routing import RouteResult, Tour, init_virtual_coords, route
 from .stats import mean_ci
 from .timelines import BS_ID, MS_ID, _base_station_totals, _fill_gaps, hop_exchange_timeline
-from .tracks import BounceTrack, Replay, StaticSink, WaypointTrack, _check_speed, diagonal_line, edge_line, record
+from .tracks import BounceTrack, Replay, StaticSink, _check_speed, diagonal_line, edge_line, record
 
 # Bound here for the names bench/tracer.py wraps here: next_hop_3rule and
 # timeline_coverage.
@@ -144,15 +144,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         raise ConfigError(f"d_rrp ({c.d_rrp}) must be >= d_cca ({c.d_cca})")
 
     view = _network_view(topo)
-    bbox = x0, y0, x1, y1 = view.bbox
-    entry = (x0, (y0 + y1) / 2)
-    exit_ = (x1, (y0 + y1) / 2)
-    track = WaypointTrack([cfg.bs_position, entry, exit_, cfg.bs_position], cfg.ms_speed_mps)
+    x0, y0, x1, y1 = view.bbox
+    flight = _flight(view, cfg.bs_position, cfg.ms_speed_mps, c.t_brp, c.d_brp)
+    track, exit_dist = flight.track, flight.exit_dist
     if track.duration_us() > MAX_ROUND_TRIP_S * 1_000_000:
         raise ConfigError(
             f"the sink's round trip takes {track.duration_us() / 1e6:.4g} s, more than {MAX_ROUND_TRIP_S} s"
         )
-    exit_dist = euclid(cfg.bs_position, entry) + euclid(entry, exit_)
 
     phase_times: Dict[int, int] = {}
     # Active (start, end, state) spans of the sink and of each node a hop
@@ -178,32 +176,32 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 
     # Phases 2 and 3: the sink repeats its request preamble until it hears a
     # relayed copy; every preamble seeds whatever idle nodes are in range at
-    # the time, and the flood runs interleaved with the retries.
+    # the time, and the flood runs interleaved with the retries.  Which nodes
+    # those are, and when the sink has left, the flight keeps.
     engine = FloodEngine(
         topo, c, source=cfg.query_node, seed=rng.randrange(2**31), collisions=cfg.collisions
     )
     relay_heard: Optional[int] = None
     seeded = False
     scanned = 0
-    xs, nodes = view.xs, view.nodes
-    inject, run_until = engine.inject_reception, engine.run_until
+    inject, run_until, heard = engine.inject_reception, engine.run_until, flight.hearers
     transmissions = engine.report.transmissions
     t_brp, d_brp = c.t_brp, c.d_brp
     retries = 1_000_000
     # the passes before the sink can be heard only poll
-    quiet = min(_quiet_passes(track, bbox, topo.range_m, exit_dist, t_brp, d_brp), retries)
+    quiet = min(flight.quiet, retries)
     ms_active += [
         (fly_start + i * t_brp, fly_start + i * t_brp + d_brp, "poll") for i in range(quiet)
     ]
     for i in range(quiet, retries):
         brp_start = fly_start + i * t_brp
         brp_end = brp_start + d_brp
-        if ms_departed(brp_end):
+        # ascending ids: injection order sets the event order
+        hearers = heard(i)
+        if hearers is None:  # the sink has left
             if seeded:
                 break  # query handed off; the sink flies on without hearing back
             raise ConfigError("sink crossed the network without being heard")
-        # ascending ids: injection order sets the event order
-        hearers = _hearers(xs, nodes, topo.range_m, ms_pos(brp_end))
         if hearers:
             if not seeded:
                 phase_times[2] = brp_end
@@ -231,7 +229,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     # exchange per round of the routing walk.
     coords = topo.positions if cfg.virtual_coords is None else cfg.virtual_coords
     metric_max = max(euclid((x0, y0), (x1, y1)), 1.0) * 2
+    # channel-check offsets are uniform in [0, d_rrp - d_cca]: randrange's
+    # own rejection draw, inline, and the same stream
     cca_window = c.d_rrp - c.d_cca + 1
+    getrandbits, cca_bits = rng.getrandbits, cca_window.bit_length()
     sink = _FlyingSink(ms_pos, ms_departed, flood_report.source_wait_expiry_us, c)
 
     def hop_exchange(current: NodeId, action, header) -> None:
@@ -246,7 +247,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         if action.kind == "deliver":
             responders.append((MS_ID, 0))
             target = MS_ID
-        cca = {nid: rng.randrange(cca_window) for nid, _ in sorted(responders)}
+        cca = {}
+        for nid, _ in sorted(responders):
+            r = getrandbits(cca_bits)
+            while r >= cca_window:
+                r = getrandbits(cca_bits)
+            cca[nid] = r
         exchange = hop_exchange_timeline(c, current, responders, target, sink.t, cca)
         for nid, spans in exchange.items():
             active.setdefault(nid, []).extend(spans)

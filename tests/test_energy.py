@@ -12,7 +12,8 @@ from sinksim.energy import (
     v_max_bs,
     v_max_network,
 )
-from sinksim.radio import E_PREAMB_MJ, power_table
+from sinksim.radio import E_PREAMB_MJ, grid_topology, power_table
+from sinksim.scenario import ScenarioConfig, run_scenario
 
 C = DEFAULT_CONSTANTS
 
@@ -116,3 +117,28 @@ def test_integrate_timeline_rejects_an_unknown_state():
     spans = {0: [(0, 1_000, "tx"), (1_000, 2_000, "warp")]}
     with pytest.raises(KeyError, match="warp"):
         integrate_timeline(spans, power_table(0))
+
+
+def test_a_rotation_schedule_is_idle_bound():
+    # A finding, not a gate: one loss-free rotation per query node of a 4x4
+    # grid (seed = query node) at 0 dBm, 713 s of flight.  Every node's
+    # average draw lies 0.03-0.29% above the poll draw, so idle polling is
+    # over 99.7% of its energy and its lifetime is the poll lifetime to 0.3%.
+    g = grid_topology(4, 25.0)
+    powers = power_table(0)
+    poll = powers.power_mw("poll")
+    assert poll == pytest.approx(8.629)
+    energy_mj = dict.fromkeys(g.positions, 0.0)
+    elapsed_us = 0
+    for query in sorted(g.positions):
+        report = run_scenario(ScenarioConfig(topology=g, query_node=query, seed=query))
+        assert not report.miss
+        elapsed_us += report.horizon_us
+        for node, e in integrate_timeline(report.timeline, powers).items():
+            if node in energy_mj:
+                energy_mj[node] += e
+    draws = [e / (elapsed_us / 1e6) for e in energy_mj.values()]
+    assert all(poll <= draw <= 1.003 * poll for draw in draws)
+    poll_lifetime = lifetime_hours(10_000, poll)
+    assert poll_lifetime == pytest.approx(321.9, abs=0.05)
+    assert all(0.997 * poll_lifetime <= lifetime_hours(10_000, draw) <= poll_lifetime for draw in draws)

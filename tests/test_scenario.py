@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sinksim import energy, flight, radio, routing, scenario, tracks
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
-from sinksim.flight import _by_x, _network_bbox
+from sinksim.flight import _by_x, _hearers, _network_bbox, _quiet_passes
 from sinksim.frames import MAX_ADDRESS_COUNT, DataPayload, ListOverflow, encode_data_payload
 from sinksim.presets import GRID_FIELD_M, GRID_SIDE, MAX_NODES, discovered_graph
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, euclid, grid_topology, power_table
@@ -27,11 +27,8 @@ from sinksim.scenario import (
     ConfigError,
     ScenarioConfig,
     StaticSink,
-    WaypointTrack,
     _base_station_totals,
     _fill_gaps,
-    _hearers,
-    _quiet_passes,
     diagonal_line,
     edge_line,
     grid_crossing_hops,
@@ -42,7 +39,7 @@ from sinksim.scenario import (
     run_scenario,
     timeline_coverage,
 )
-from sinksim.tracks import LineTrack, Replay, record
+from sinksim.tracks import LineTrack, Replay, WaypointTrack, record
 
 C = DEFAULT_CONSTANTS
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -822,6 +819,33 @@ def test_each_exchange_and_each_backoff_goes_through_its_traced_name(monkeypatch
     assert len(backoffs) == sum(len(g.adjacency[nid]) for nid in route.path)
 
 
+@pytest.mark.parametrize(
+    "d_rrp", [C.d_rrp, C.d_cca, C.d_cca + 1_023], ids=["default", "window-1", "window-1024"]
+)
+def test_channel_check_offsets_are_the_randrange_stream(monkeypatch, d_rrp):
+    # The rotation's own generator draws phase 1's channel-check offset, the
+    # flood's seed, then one offset per responder of each hop exchange in
+    # ascending id order, each uniform in [0, d_rrp - d_cca].
+    c = dataclasses.replace(C, d_rrp=d_rrp)
+    exchanges = []
+    exchange = scenario.hop_exchange_timeline
+
+    def capturing_exchange(c, sender, responders, target, t0, cca_offsets):
+        exchanges.append(([nid for nid, _ in responders], cca_offsets))
+        return exchange(c, sender, responders, target, t0, cca_offsets)
+
+    monkeypatch.setattr(scenario, "hop_exchange_timeline", capturing_exchange)
+    report = run_scenario(ScenarioConfig(topology=grid_topology(12, 25.0), query_node=40, seed=40, constants=c))
+    # one exchange per hop and the delivering one
+    assert report.route.delivered and len(exchanges) == len(report.route.path) > 2
+    rng = random.Random(40)
+    rng.randrange(c.t_cca)
+    rng.randrange(2**31)
+    for responders, offsets in exchanges:
+        expected = [(nid, rng.randrange(d_rrp - c.d_cca + 1)) for nid in sorted(responders)]
+        assert list(offsets.items()) == expected
+
+
 def base_station_train(c, horizon):
     """The base station's train as a rotation's timeline view builds it: a
     preamble every t_dr through `_fill_gaps`, listening in the gaps."""
@@ -1031,6 +1055,111 @@ def test_rotations_on_two_topologies_in_turn_equal_each_alone():
         alone.append(rotation_outputs(run_scenario(cfg)))
     assert [rotation_outputs(run_scenario(cfg)) for cfg in configs] == alone
     assert alone[0] != alone[1]
+
+
+def clear_rotation_memos():
+    flight._VIEW_CACHE.clear()
+    flight._FLIGHT_CACHE.clear()
+
+
+def fresh_passes(topo, bs_position, speed, t_brp, d_brp, fly_start=144_960):
+    """The quiet count and the hearers of each later pass until the sink has
+    left, as a rotation once tested every pass: at the pass's end time, the
+    departure first, then the nodes in range of the sink's position."""
+    bbox = x0, y0, x1, y1 = _network_bbox(topo)
+    entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
+    track = WaypointTrack([bs_position, entry, exit_, bs_position], speed)
+    exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
+    quiet = _quiet_passes(track, bbox, topo.range_m, exit_dist, t_brp, d_brp)
+    xs, nodes = _by_x(topo.positions)
+    passes = []
+    for i in range(quiet, quiet + 5_000):
+        brp_end = fly_start + i * t_brp + d_brp
+        if brp_end > fly_start and track.distance_at(brp_end - fly_start) >= exit_dist:
+            return exit_dist, quiet, passes
+        position = track.position_at(brp_end - fly_start) if brp_end > fly_start else bs_position
+        passes.append(_hearers(xs, nodes, topo.range_m, position))
+    raise AssertionError("the sink never left")
+
+
+def random_udg(seed, n=40, field=100.0, range_m=25.0):
+    rng = random.Random(seed)
+    return build_udg({i: (field * rng.random(), field * rng.random()) for i in range(n)}, range_m)
+
+
+FLIGHTS = [
+    ((-80.0, 37.5), 7.0, C.t_brp, C.d_brp),
+    ((-80.0, 37.5), 7.0, C.t_brp, 0),  # pass 0 ends at set-off, at the base station
+    ((137.5, -20.0), 20.0, 310_000, 100_000),
+]
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [grid_topology(12, 25.0), random_udg(0), random_udg(1), random_udg(2, n=80)],
+    ids=["grid-12", "udg-0", "udg-1", "udg-2"],
+)
+@pytest.mark.parametrize("bs_position, speed, t_brp, d_brp", FLIGHTS)
+def test_the_flight_memo_equals_a_fresh_computation(topo, bs_position, speed, t_brp, d_brp):
+    clear_rotation_memos()
+    memo = flight._flight(flight._network_view(topo), bs_position, speed, t_brp, d_brp)
+    exit_dist, quiet, passes = fresh_passes(topo, bs_position, speed, t_brp, d_brp)
+    assert (memo.exit_dist, memo.quiet) == (exit_dist, quiet)
+    departed = quiet + len(passes)
+    assert memo.hearers(departed) is None  # grows every pass before it
+    assert [memo.hearers(i) for i in range(quiet, departed)] == passes
+    assert any(passes)
+
+
+@pytest.mark.parametrize("d_brp, passes", [(0, [[0]]), (C.d_brp, [])])
+def test_a_flight_that_starts_on_its_only_node(d_brp, passes):
+    # exit_dist is 0: pass 0 ends at set-off when d_brp is 0, so the sink is
+    # still at the base station and has not left; any later pass has left
+    topo = build_udg({0: (0.0, 0.0)}, 25.0)
+    clear_rotation_memos()
+    memo = flight._flight(flight._network_view(topo), (0.0, 0.0), 7.0, C.t_brp, d_brp)
+    assert fresh_passes(topo, (0.0, 0.0), 7.0, C.t_brp, d_brp) == (0.0, 0, passes)
+    assert (memo.exit_dist, memo.quiet) == (0.0, 0)
+    assert [memo.hearers(i) for i in range(len(passes) + 1)] == passes + [None]
+
+
+def test_the_flight_memo_serves_no_stale_flight():
+    # One topology under flights that differ in one input each, and back.
+    g = grid_topology(4, 25.0)
+    changes = [
+        {},
+        dict(bs_position=(-60.0, 20.0)),
+        dict(ms_speed_mps=11.0),
+        dict(constants=dataclasses.replace(C, t_brp=350_000)),
+        dict(constants=dataclasses.replace(C, d_brp=120_000)),
+        {},
+    ]
+    configs = [ScenarioConfig(topology=g, query_node=5, seed=1, **change) for change in changes]
+    alone = []
+    for cfg in configs:
+        clear_rotation_memos()
+        alone.append(rotation_outputs(run_scenario(cfg)))
+    assert [rotation_outputs(run_scenario(cfg)) for cfg in configs] == alone
+    assert all(outputs != alone[0] for outputs in alone[1:-1])
+
+
+def test_a_rebuilt_topology_never_reads_the_flight_before():
+    # Each grid is built, flown and dropped, and the view memo is emptied, so
+    # only the flight memo can keep the grid before alive.  A grid of the
+    # same ids on another spacing could otherwise take its view's identity.
+    def on_a_new_grid(spacing):
+        flight._VIEW_CACHE.clear()
+        cfg = ScenarioConfig(topology=grid_topology(4, spacing), query_node=5, seed=1)
+        return rotation_outputs(run_scenario(cfg))
+
+    spacings = [25.0, 20.0, 25.0, 22.0]
+    in_turn = [on_a_new_grid(spacing) for spacing in spacings]
+    alone = []
+    for spacing in spacings:
+        clear_rotation_memos()
+        alone.append(on_a_new_grid(spacing))
+    assert in_turn == alone
+    assert len(set(map(repr, alone))) == 3
 
 
 def test_scenario_config_errors():
