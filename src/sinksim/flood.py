@@ -16,7 +16,14 @@ Transmissions are modeled at packet granularity (one interval of d_brp per
 relay) and reception is loss-free by default; the optional collision flag
 drops receptions at nodes covered by two overlapping transmissions.  Only
 then does the engine record, per node, the transmissions it hears
-(`heard`); loss-free it stays empty.
+(`heard`); loss-free `heard` is None.
+
+The engine's state lives in lists indexed by slot: slot i is the i-th node
+id in ascending order.  Each topology's slot view (the ids, the slot of each
+id, and the adjacency as slot tuples in the topology's neighbor order) is
+built once and kept while floods run on that topology.  Events carry slots;
+the report stays keyed by node id, translated as each relay and reception
+is booked.
 
 Event order: `run_until` is the one event loop.  Events run in time order,
 ties in push order (one counter numbers every push: those of `run_until`,
@@ -33,22 +40,23 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .core import DEFAULT_CONSTANTS, NodeId, ProtocolConstants
 from .radio import Topology
 
-IDLE = "idle"
-BACKOFF = "backoff"
-DEFER = "defer"
-SENT = "sent"
-SOURCE_WAIT = "source_wait"
+# node states
+IDLE = 0
+BACKOFF = 1
+DEFER = 2
+SENT = 3
+SOURCE_WAIT = 4
 
 # event kinds
-DELIVER = "deliver"  # an external preamble ends at the node
-TX_END = "tx_end"  # the node's relay ends at each of its neighbors
-RESUME = "resume"  # the channel a deferring node waited on is clear
-EXPIRY = "expiry"  # the node's backoff runs out
+DELIVER = 0  # an external preamble ends at the node
+TX_END = 1  # the node's relay ends at each of its neighbors
+RESUME = 2  # the channel a deferring node waited on is clear
+EXPIRY = 3  # the node's backoff runs out
 
 
 @dataclass
@@ -64,8 +72,43 @@ class FloodReport:
     reached: Set[NodeId] = field(default_factory=set)
 
 
+class _SlotView(NamedTuple):
+    """A topology's nodes numbered by slot: slot i is the i-th id ascending."""
+
+    topology: Topology
+    ids: List[NodeId]  # the id in each slot
+    slot_of: Dict[NodeId, int]  # the slot of each id
+    adjacency: List[Tuple[int, ...]]  # each slot's neighbors, in the topology's order
+
+
+def _build_slot_view(topology: Topology) -> _SlotView:
+    ids = sorted(topology.positions)
+    slot_of = {nid: slot for slot, nid in enumerate(ids)}
+    adjacency = [tuple([slot_of[v] for v in topology.adjacency[nid]]) for nid in ids]
+    return _SlotView(topology, ids, slot_of, adjacency)
+
+
+# The slot view of the topology the last engine ran on.  Floods run on one
+# topology in a row, so one entry serves them.  It holds the topology itself,
+# so no other topology can take on its identity while it is kept.
+_VIEW_CACHE: List[_SlotView] = []
+
+
+def _slot_view(topology: Topology) -> _SlotView:
+    """The slot view of `topology`, kept from the last call when that was on
+    the same object."""
+    if _VIEW_CACHE and _VIEW_CACHE[0].topology is topology:
+        return _VIEW_CACHE[0]
+    view = _build_slot_view(topology)
+    _VIEW_CACHE[:] = [view]
+    return view
+
+
 class FloodEngine:
-    """Event queue for one flood; scenario code injects external receptions."""
+    """Event queue for one flood; scenario code injects external receptions.
+
+    Raises KeyError for a source that is no node of the topology.
+    """
 
     def __init__(
         self,
@@ -77,38 +120,53 @@ class FloodEngine:
     ):
         if c.w_br < 0:  # no backoff to draw
             raise ValueError(f"w_br must be >= 0, got {c.w_br}")
+        view = _slot_view(topology)
+        source_slot = view.slot_of.get(source, -1)
+        if source is not None and source_slot < 0:
+            raise KeyError(f"source {source} not in topology")
         self.topology = topology
         self.c = c
         self.source = source
         self.rng = random.Random(seed)
-        nodes = topology.positions
-        self.state: Dict[NodeId, str] = dict.fromkeys(nodes, IDLE)
-        self.busy_until: Dict[NodeId, int] = dict.fromkeys(nodes, 0)
-        self.expiry: Dict[NodeId, int] = {}
-        self.token: Dict[NodeId, int] = dict.fromkeys(nodes, 0)
-        # (start, end) of every transmission each node hears, in send order;
+        self.view = view
+        self._source_slot = source_slot
+        n = len(view.ids)
+        self.state = [IDLE] * n
+        self.busy_until = [0] * n
+        self.expiry = [0] * n
+        self.token = [0] * n
+        # (start, end) of every transmission each slot hears, in send order;
         # recorded only for the collision check
-        self.heard: Dict[NodeId, List[Tuple[int, int]]] = (
-            {nid: [] for nid in nodes} if collisions else {}
-        )
+        self.heard = [[] for _ in range(n)] if collisions else None
         self.report = FloodReport(initiator=-1, source=source)
-        # (time, push order, kind, node, token) entries
-        self._queue: List[Tuple[int, int, str, NodeId, int]] = []
+        # (time, push order, kind, slot, token) entries
+        self._queue: List[Tuple[int, int, int, int, int]] = []
         self._pushes = 0
         self.now = 0
 
+    def _slot(self, node: NodeId) -> int:
+        try:
+            return self.view.slot_of[node]
+        except KeyError:
+            raise KeyError(f"node {node} not in topology") from None
+
     def _relay_at(self, node: NodeId, t: int) -> None:
         """Put `node` in a backoff that expires at `t`, when its relay is booked."""
-        self.state[node] = BACKOFF
-        self.expiry[node] = t
-        self.token[node] = k = self.token[node] + 1
+        slot = self._slot(node)
+        self.state[slot] = BACKOFF
+        self.expiry[slot] = t
+        self.token[slot] = k = self.token[slot] + 1
         self._pushes = n = self._pushes + 1
-        heapq.heappush(self._queue, (t, n, EXPIRY, node, k))
+        heapq.heappush(self._queue, (t, n, EXPIRY, slot, k))
 
     def inject_reception(self, node: NodeId, rx_complete_us: int) -> None:
-        """External preamble (e.g. from the mobile sink) finishing at a node."""
+        """External preamble (e.g. from the mobile sink) finishing at a node.
+
+        Raises KeyError for a node that is not in the topology.
+        """
+        slot = self._slot(node)
         self._pushes = n = self._pushes + 1
-        heapq.heappush(self._queue, (rx_complete_us, n, DELIVER, node, 0))
+        heapq.heappush(self._queue, (rx_complete_us, n, DELIVER, slot, 0))
 
     def run_until(self, t_limit: float) -> None:
         """Process every pending event at or before `t_limit`, in the order
@@ -118,11 +176,11 @@ class FloodEngine:
             return
         pop, push, n = heapq.heappop, heapq.heappush, self._pushes
         state, busy_until, expiry, token = self.state, self.busy_until, self.expiry, self.token
-        adjacency, heard = self.topology.adjacency, self.heard
+        ids, adjacency, heard = self.view.ids, self.view.adjacency, self.heard
         report = self.report
         first_rx, reached = report.first_rx_us, report.reached
         tx_start, tx_end, transmissions = report.tx_start_us, report.tx_end_us, report.transmissions
-        c, source = self.c, self.source
+        c, source = self.c, self._source_slot
         d_brp, d_rxtx, b_src = c.d_brp, c.d_rxtx, c.b_src
         # a backoff is uniform in [0, w_br]: randrange(window)'s own rejection
         # draw, and the same stream
@@ -137,13 +195,17 @@ class FloodEngine:
                 # backing off past the switch time defers its draw to its end
                 end = t + d_brp
                 state[node] = SENT
-                tx_start[node] = t
-                tx_end[node] = end
-                transmissions.append((node, t))
+                nid = ids[node]
+                tx_start[nid] = t
+                tx_end[nid] = end
+                transmissions.append((nid, t))
                 committed = t + d_rxtx
-                for v in adjacency[node]:
-                    if heard:
-                        heard[v].append((t, end))
+                neighbors = adjacency[node]
+                if heard:
+                    span = (t, end)
+                    for v in neighbors:
+                        heard[v].append(span)
+                for v in neighbors:
                     if busy_until[v] < end:
                         busy_until[v] = end
                     if state[v] == BACKOFF and expiry[v] >= committed:
@@ -171,8 +233,9 @@ class FloodEngine:
                                 overlapping += 1
                         if overlapping > 1:
                             continue
-                    first_rx[v] = t
-                    reached.add(v)
+                    nid = ids[v]
+                    first_rx[nid] = t
+                    reached.add(nid)
                     if v == source:
                         state[v] = SOURCE_WAIT
                         report.source_wait_expiry_us = t + b_src
@@ -220,8 +283,6 @@ def simulate_flood(
     """
     if initiator not in topology.positions:
         raise KeyError(f"initiator {initiator} not in topology")
-    if source is not None and source not in topology.positions:
-        raise KeyError(f"source {source} not in topology")
     engine = FloodEngine(topology, c, source=source, seed=seed, collisions=collisions)
     engine.report.initiator = initiator
     engine.report.reached.add(initiator)

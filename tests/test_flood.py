@@ -5,9 +5,12 @@ import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sinksim import flood
 from sinksim.core import DEFAULT_CONSTANTS
-from sinksim.flood import FloodEngine, b_src_min, simulate_flood
+from sinksim.flood import FloodEngine, FloodReport, b_src_min, simulate_flood
 from sinksim.mac import ContentionConfig, collision_probability
 from sinksim.radio import Topology, build_udg, grid_topology
 
@@ -146,6 +149,15 @@ def test_unknown_source_rejected():
     g = grid_topology(3, 25.0)
     with pytest.raises(KeyError, match="source 99"):
         simulate_flood(g, 0, source=99)
+    with pytest.raises(KeyError, match="source 99"):
+        FloodEngine(g, C, source=99)
+
+
+def test_an_unknown_injected_node_is_rejected_at_the_call():
+    engine = FloodEngine(grid_topology(3, 25.0), C, seed=4)
+    with pytest.raises(KeyError, match="node 42"):
+        engine.inject_reception(42, 1_000)
+    assert engine.run().reached == set()
 
 
 def test_injected_receptions_seed_the_flood():
@@ -293,3 +305,75 @@ def test_flood_seeded_by_injected_receptions_is_pinned(collisions):
     report = engine.run()
     assert report.source_wait_expiry_us == 1_148_898
     assert flood_digest(report) == PINNED_INJECTED_FLOODS[collisions]
+
+
+def relabelled(report, label):
+    """`report` with every node id `v` replaced by `label[v]`."""
+    return FloodReport(
+        initiator=label[report.initiator],
+        source=None if report.source is None else label[report.source],
+        first_rx_us={label[v]: t for v, t in report.first_rx_us.items()},
+        tx_start_us={label[v]: t for v, t in report.tx_start_us.items()},
+        tx_end_us={label[v]: t for v, t in report.tx_end_us.items()},
+        transmissions=[(label[v], t) for v, t in report.transmissions],
+        source_wait_expiry_us=report.source_wait_expiry_us,
+        completion_us=report.completion_us,
+        reached={label[v] for v in report.reached},
+    )
+
+
+@st.composite
+def scattered_udgs(draw):
+    """(ids, positions) of a small UDG: ids negative, at least 2**40 or
+    small, in a drawn insertion order."""
+    n = draw(st.integers(1, 14))
+    ids = draw(
+        st.lists(
+            st.one_of(st.integers(-(2**62), -1), st.integers(2**40, 2**62), st.integers(0, 300)),
+            min_size=n, max_size=n, unique=True,
+        )
+    )
+    coord = st.integers(0, 80).map(float)
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    return ids, positions
+
+
+@given(scattered_udgs(), st.data(), st.integers(0, 2**31 - 1))
+def test_a_flood_does_not_depend_on_the_id_values(udg, data, seed):
+    # The ids numbered 0..n-1 in ascending order keep every neighbor order,
+    # so the relabelled flood draws the same backoffs and maps back exactly.
+    ids, positions = udg
+    initiator = data.draw(st.sampled_from(ids))
+    source = data.draw(st.one_of(st.none(), st.sampled_from(ids)))
+    label = dict(enumerate(sorted(ids)))
+    rank = {nid: r for r, nid in label.items()}
+    topo = build_udg(list(zip(ids, positions)), 25.0)
+    ranked = build_udg({rank[nid]: p for nid, p in sorted(zip(ids, positions))}, 25.0)
+    for collisions in (False, True):
+        report = simulate_flood(topo, initiator, source=source, seed=seed, collisions=collisions)
+        ranked_report = simulate_flood(
+            ranked, rank[initiator], source=None if source is None else rank[source],
+            seed=seed, collisions=collisions,
+        )
+        assert report == relabelled(ranked_report, label)
+
+
+def test_a_rebuilt_topology_never_reads_the_slot_view_before():
+    # Each topology is built, flooded and dropped, so only the slot view memo
+    # can keep the one before alive.  The same nodes at another range could
+    # otherwise take its identity and flood on its adjacency.
+    positions = {nid: ((nid % 4) * 25.0, (nid // 4) * 25.0) for nid in range(16)}
+    adjacency = {range_m: build_udg(positions, range_m).adjacency for range_m in (25.0, 36.0, 51.0)}
+
+    def flood_a_new_topology(range_m):
+        topo = Topology(positions, range_m, adjacency[range_m])
+        return flood_digest(simulate_flood(topo, 0, source=15, seed=3, collisions=True))
+
+    ranges = [25.0, 36.0, 25.0, 51.0]
+    in_turn = [flood_a_new_topology(range_m) for range_m in ranges]
+    alone = []
+    for range_m in ranges:
+        flood._VIEW_CACHE.clear()
+        alone.append(flood_a_new_topology(range_m))
+    assert in_turn == alone
+    assert len(set(alone)) == 3

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sinksim import energy, flight, radio, routing, scenario, tracks
+from sinksim import energy, flight, flood, radio, routing, scenario, tracks
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
 from sinksim.flight import _by_x, _hearers, _network_bbox, _quiet_passes
@@ -1051,7 +1051,7 @@ def test_rotations_on_two_topologies_in_turn_equal_each_alone():
     ]
     alone = []
     for cfg in configs:
-        flight._VIEW_CACHE.clear()
+        clear_rotation_memos()
         alone.append(rotation_outputs(run_scenario(cfg)))
     assert [rotation_outputs(run_scenario(cfg)) for cfg in configs] == alone
     assert alone[0] != alone[1]
@@ -1060,6 +1060,7 @@ def test_rotations_on_two_topologies_in_turn_equal_each_alone():
 def clear_rotation_memos():
     flight._VIEW_CACHE.clear()
     flight._FLIGHT_CACHE.clear()
+    flood._VIEW_CACHE.clear()
 
 
 def fresh_passes(topo, bs_position, speed, t_brp, d_brp, fly_start=144_960):
@@ -1144,11 +1145,12 @@ def test_the_flight_memo_serves_no_stale_flight():
 
 
 def test_a_rebuilt_topology_never_reads_the_flight_before():
-    # Each grid is built, flown and dropped, and the view memo is emptied, so
-    # only the flight memo can keep the grid before alive.  A grid of the
+    # Each grid is built, flown and dropped, and the view memos are emptied,
+    # so only the flight memo can keep the grid before alive.  A grid of the
     # same ids on another spacing could otherwise take its view's identity.
     def on_a_new_grid(spacing):
         flight._VIEW_CACHE.clear()
+        flood._VIEW_CACHE.clear()
         cfg = ScenarioConfig(topology=grid_topology(4, spacing), query_node=5, seed=1)
         return rotation_outputs(run_scenario(cfg))
 
@@ -1160,6 +1162,31 @@ def test_a_rebuilt_topology_never_reads_the_flight_before():
         alone.append(on_a_new_grid(spacing))
     assert in_turn == alone
     assert len(set(map(repr, alone))) == 3
+
+
+def test_the_flood_slot_view_is_built_once_per_topology(monkeypatch):
+    # Rotations on one topology share its slot view; one on another topology
+    # replaces it, and a return to the first builds it again.
+    builds = []
+    build = flood._build_slot_view
+    monkeypatch.setattr(flood, "_build_slot_view", lambda topo: builds.append(topo) or build(topo))
+
+    def rotate(topology, query, collisions=False):
+        cfg = ScenarioConfig(topology=topology, query_node=query, seed=query, collisions=collisions)
+        try:
+            run_scenario(cfg)
+        except ConfigError:  # a lossy flood can miss the queried node
+            assert collisions
+
+    clear_rotation_memos()
+    g, h = grid_topology(4, 25.0), grid_topology(3, 25.0)
+    for q in range(8):
+        rotate(g, q)
+        rotate(g, q, collisions=True)
+    assert builds == [g]
+    rotate(h, 4)
+    rotate(g, 5)
+    assert builds == [g, h, g]
 
 
 def test_scenario_config_errors():
