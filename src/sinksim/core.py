@@ -62,6 +62,12 @@ def duty_cycle(c: ProtocolConstants) -> float:
     return c.d_cca / c.t_cca
 
 
+def b_src_min(max_degree: int, c: ProtocolConstants = DEFAULT_CONSTANTS) -> int:
+    """Strict lower bound for the source wait: the worst case is every one of
+    the source's neighbors holding an un-relayed copy, sent back to back."""
+    return max_degree * (c.w_br + c.d_brp)
+
+
 def validate_constants(c: ProtocolConstants) -> list:
     """Check the cross-field constraints of the timing table.
 
@@ -80,7 +86,7 @@ def validate_constants(c: ProtocolConstants) -> list:
         violations.append("T_DR > D_DATA + D_DRp")
     if c.t_brp <= 2 * c.d_brp + c.w_br:
         violations.append("T_BRp > 2·D_BRp + W_BR")
-    if c.b_src <= 6 * (c.d_brp + c.w_br):
+    if c.b_src <= b_src_min(6, c):
         violations.append("B_SRC > 6·(D_BRp+W_BR)")
     return violations
 

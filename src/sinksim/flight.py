@@ -1,27 +1,26 @@
 """The sink's flight over a network, as a collection rotation reads it.
 
 What a rotation reads of its topology that the topology alone decides (the
-bounding box, the nodes sorted by x and the timeline order) is kept as one
-view per topology.  From it: which nodes hear the sink at a point, how many
+bounding box and the nodes sorted by x) it reads from the topology's view
+(`Topology.view`).  From it: which nodes hear the sink at a point, how many
 of the sink's first request preambles no node can hear, when the sink's
 channel sampling first catches a base-station request preamble, and the
 flying sink as the routing walk sees it in event time.
 
 The sink's flight over a view, and what each of its request passes finds
 (the nodes that hear it, or that the sink has left), draw nothing: they are
-kept as one memo per view and flight, grown pass by pass as far as a
-rotation tests them, and later rotations on the same flight read them.
+kept as one memo of the last view and flight, grown pass by pass as far as
+a rotation tests them, and later rotations on the same flight read them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .core import MAX_NODE_ID, NodeId, Position, ProtocolConstants
-from .radio import Topology, euclid
-from .timelines import MS_ID
+from .core import NodeId, Position, ProtocolConstants
+from .radio import Topology, TopologyView, euclid
 from .tracks import WaypointTrack
 
 
@@ -29,59 +28,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _network_bbox(topology: Topology) -> Tuple[float, float, float, float]:
-    xs = [p[0] for p in topology.positions.values()]
-    ys = [p[1] for p in topology.positions.values()]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def _by_x(positions: Mapping[NodeId, Position]) -> Tuple[List[float], List[Tuple[NodeId, Position]]]:
-    """The (id, position) pairs sorted by x, and their xs, for :func:`_strip`.
-
-    A NaN x fails every pair test and would break the sort order, so such a
-    node is left out, as `build_udg` leaves it out of its sweep.
-    """
-    nodes = [(nid, p) for nid, p in positions.items() if not math.isnan(p[0])]
-    nodes.sort(key=lambda item: item[1][0])
-    return [x for _, (x, _) in nodes], nodes
-
-
-class _NetworkView(NamedTuple):
-    """What a rotation reads of its topology that the topology alone decides."""
-
-    topology: Topology
-    bbox: Tuple[float, float, float, float]
-    xs: List[float]  # the xs and (id, position) pairs of :func:`_by_x`
-    nodes: List[Tuple[NodeId, Position]]
-    order: List[NodeId]  # the timeline's order: the sink, then the ids ascending
-
-
-# The view of the topology the last rotation ran on.  Rotations run on one
-# topology in a row, so one entry serves them.  It holds the topology itself,
-# so no other topology can take on its identity while it is kept.
-_VIEW_CACHE: List[_NetworkView] = []
-
-
-def _network_view(topo: Topology) -> _NetworkView:
-    """The view of the non-empty `topo`, kept from the last call when that
-    was on the same object.
-
-    Raises ConfigError for a node id outside 0..MAX_NODE_ID.
-    """
-    if _VIEW_CACHE and _VIEW_CACHE[0].topology is topo:
-        return _VIEW_CACHE[0]
-    ids = sorted(topo.positions)
-    for nid in (ids[0], ids[-1]):
-        if not 0 <= nid <= MAX_NODE_ID:
-            raise ConfigError(f"node id {nid} does not fit the one byte a DATA payload gives it")
-    view = _NetworkView(topo, _network_bbox(topo), *_by_x(topo.positions), [MS_ID, *ids])
-    _VIEW_CACHE[:] = [view]
-    return view
-
-
 class _Flight:
-    """The sink's flight from the base station across a view's network and
-    back, and what each of its request passes finds.
+    """The sink's flight from the base station across a view's network, of
+    range `range_m`, and back, and what each of its request passes finds.
 
     `key` is (bs_position, ms_speed_mps, t_brp, d_brp).  Pass i ends
     dt = i*t_brp + d_brp after the sink sets off, in integer microseconds, so
@@ -91,17 +40,17 @@ class _Flight:
     once, when a rotation first asks for it.
     """
 
-    __slots__ = ("view", "key", "track", "exit_dist", "quiet", "_passes")
+    __slots__ = ("view", "range_m", "key", "track", "exit_dist", "quiet", "_passes")
 
-    def __init__(self, view: _NetworkView, key: Tuple[Position, float, int, int]):
+    def __init__(self, view: TopologyView, range_m: float, key: Tuple[Position, float, int, int]):
         bs_position, speed_mps, t_brp, d_brp = key
         x0, y0, x1, y1 = view.bbox
         entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
-        self.view, self.key = view, key
+        self.view, self.range_m, self.key = view, range_m, key
         self.track = WaypointTrack([bs_position, entry, exit_, bs_position], speed_mps)
         self.exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
         # the passes before the sink can be heard, which are never tested
-        self.quiet = _quiet_passes(self.track, view.bbox, view.topology.range_m, self.exit_dist, t_brp, d_brp)
+        self.quiet = _quiet_passes(self.track, view.bbox, range_m, self.exit_dist, t_brp, d_brp)
         self._passes: List[Optional[List[NodeId]]] = []  # from pass `quiet` on
 
     def hearers(self, i: int) -> Optional[List[NodeId]]:
@@ -123,26 +72,25 @@ class _Flight:
             if self.track.distance_at(dt) >= self.exit_dist:
                 return None
             point = self.track.position_at(dt)
-        view = self.view
-        return _hearers(view.xs, view.nodes, view.topology.range_m, point)
+        return _hearers(self.view.xs, self.view.nodes, self.range_m, point)
 
 
-# The flight the last rotation flew.  It holds its view, and through it its
-# topology, so no other topology can take on the view's identity while it is
-# kept; a rotation on another view or flight replaces it.
+# The flight the last rotation flew.  It holds its view, so no other view can
+# take on its identity while it is kept; a rotation on another view or flight
+# replaces it.
 _FLIGHT_CACHE: List[_Flight] = []
 
 
-def _flight(view: _NetworkView, bs_position: Position, speed_mps: float, t_brp: int, d_brp: int) -> _Flight:
-    """The flight over `view`, kept from the last call when that was on the
-    same view object and an equal flight.
+def _flight(topo: Topology, bs_position: Position, speed_mps: float, t_brp: int, d_brp: int) -> _Flight:
+    """The flight over the non-empty `topo`, kept from the last call when
+    that was on the same view object and an equal flight.
 
     Raises ValueError for a speed or a base station that the track rejects.
     """
-    key = (tuple(bs_position), speed_mps, t_brp, d_brp)
+    view, key = topo.view, (tuple(bs_position), speed_mps, t_brp, d_brp)
     if _FLIGHT_CACHE and _FLIGHT_CACHE[0].view is view and _FLIGHT_CACHE[0].key == key:
         return _FLIGHT_CACHE[0]
-    flight = _Flight(view, key)
+    flight = _Flight(view, topo.range_m, key)
     _FLIGHT_CACHE[:] = [flight]
     return flight
 
@@ -174,7 +122,7 @@ def _hearers(
     """Ids of the `nodes` within range of `point`, ascending.
 
     `nodes` are (id, position) pairs sorted by x and `xs` their xs, as
-    :func:`_by_x` makes them; only the x strip around `point` is tested,
+    `Topology.view` keeps them; only the x strip around `point` is tested,
     with the pair test of Topology.in_range.
     """
     px, py = point

@@ -19,11 +19,10 @@ then does the engine record, per node, the transmissions it hears
 (`heard`); loss-free `heard` is None.
 
 The engine's state lives in lists indexed by slot: slot i is the i-th node
-id in ascending order.  Each topology's slot view (the ids, the slot of each
-id, and the adjacency as slot tuples in the topology's neighbor order) is
-built once and kept while floods run on that topology.  Events carry slots;
-the report stays keyed by node id, translated as each relay and reception
-is booked.
+id in ascending order.  The ids, the slot of each id, and the adjacency as
+slot tuples in the topology's neighbor order come from the topology's view
+(`Topology.view`), built once per topology.  Events carry slots; the report
+stays keyed by node id, translated as each relay and reception is booked.
 
 Event order: `run_until` is the one event loop.  Events run in time order,
 ties in push order (one counter numbers every push: those of `run_until`,
@@ -40,7 +39,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .core import DEFAULT_CONSTANTS, NodeId, ProtocolConstants
 from .radio import Topology
@@ -72,38 +71,6 @@ class FloodReport:
     reached: Set[NodeId] = field(default_factory=set)
 
 
-class _SlotView(NamedTuple):
-    """A topology's nodes numbered by slot: slot i is the i-th id ascending."""
-
-    topology: Topology
-    ids: List[NodeId]  # the id in each slot
-    slot_of: Dict[NodeId, int]  # the slot of each id
-    adjacency: List[Tuple[int, ...]]  # each slot's neighbors, in the topology's order
-
-
-def _build_slot_view(topology: Topology) -> _SlotView:
-    ids = sorted(topology.positions)
-    slot_of = {nid: slot for slot, nid in enumerate(ids)}
-    adjacency = [tuple([slot_of[v] for v in topology.adjacency[nid]]) for nid in ids]
-    return _SlotView(topology, ids, slot_of, adjacency)
-
-
-# The slot view of the topology the last engine ran on.  Floods run on one
-# topology in a row, so one entry serves them.  It holds the topology itself,
-# so no other topology can take on its identity while it is kept.
-_VIEW_CACHE: List[_SlotView] = []
-
-
-def _slot_view(topology: Topology) -> _SlotView:
-    """The slot view of `topology`, kept from the last call when that was on
-    the same object."""
-    if _VIEW_CACHE and _VIEW_CACHE[0].topology is topology:
-        return _VIEW_CACHE[0]
-    view = _build_slot_view(topology)
-    _VIEW_CACHE[:] = [view]
-    return view
-
-
 class FloodEngine:
     """Event queue for one flood; scenario code injects external receptions.
 
@@ -120,7 +87,7 @@ class FloodEngine:
     ):
         if c.w_br < 0:  # no backoff to draw
             raise ValueError(f"w_br must be >= 0, got {c.w_br}")
-        view = _slot_view(topology)
+        view = topology.view
         source_slot = view.slot_of.get(source, -1)
         if source is not None and source_slot < 0:
             raise KeyError(f"source {source} not in topology")
@@ -289,8 +256,3 @@ def simulate_flood(
     engine._relay_at(initiator, 0)
     return engine.run()
 
-
-def b_src_min(max_degree: int, c: ProtocolConstants = DEFAULT_CONSTANTS) -> int:
-    """Strict lower bound for the source wait: the worst case is every one of
-    the source's neighbors holding an un-relayed copy, sent back to back."""
-    return max_degree * (c.w_br + c.d_brp)

@@ -3,15 +3,19 @@ spans and timeline view that per-node timelines are made of.
 
 Connectivity is a plain unit disk graph: two nodes are neighbors iff their
 Euclidean distance is at most the communication range (equality counts, so a
-grid with spacing equal to the range stays connected).  Power draws are
-measured hardware values, keyed by transmission power setting.
+grid with spacing equal to the range stays connected).  A topology indexes
+its nodes once, on first use, as its `view`: the flood's slots and the
+sink's flight both read it, and it lives exactly as long as the topology.
+Power draws are measured hardware values, keyed by transmission power
+setting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import MAX_NODE_ID, NodeId, Position
 
@@ -37,6 +41,45 @@ class Topology:
         """True when `point` is within communication range of `node`."""
         x, y = self.positions[node]
         return (x - point[0]) ** 2 + (y - point[1]) ** 2 <= self.range_m**2
+
+    @cached_property
+    def view(self) -> "TopologyView":
+        """The nodes indexed once, on first use, and kept on this object.
+
+        It is not a field, so `==`, `repr` and the fields stay as they were.
+        It is valid only while `positions` and `adjacency` are not mutated.
+        The random-graph sweep's set-up keeps its own x-sort of each of its
+        topologies: it needs no slot adjacency, and it builds 50 topologies
+        per point, a set-up the benchmark times.
+        """
+        return _build_view(self)
+
+
+class TopologyView(NamedTuple):
+    """A topology's nodes numbered by slot (slot i is the i-th id ascending),
+    its bounding box, and its nodes sorted by x."""
+
+    ids: List[NodeId]  # the id in each slot
+    slot_of: Dict[NodeId, int]  # the slot of each id
+    adjacency: List[Tuple[int, ...]]  # each slot's neighbors, in the topology's order
+    bbox: Optional[Tuple[float, float, float, float]]  # (x0, y0, x1, y1); None when empty
+    xs: List[float]  # the xs of `nodes`
+    nodes: List[Tuple[NodeId, Position]]  # (id, position) sorted by x, a NaN x left out
+
+
+def _build_view(topology: Topology) -> TopologyView:
+    positions = topology.positions
+    ids = sorted(positions)
+    slot_of = {nid: slot for slot, nid in enumerate(ids)}
+    adjacency = [tuple([slot_of[v] for v in topology.adjacency[nid]]) for nid in ids]
+    xs = [p[0] for p in positions.values()]
+    ys = [p[1] for p in positions.values()]
+    bbox = (min(xs), min(ys), max(xs), max(ys)) if xs else None
+    # A NaN x fails every pair test and would break the sort order, so such a
+    # node is left out, as `build_udg` leaves it out of its sweep.
+    nodes = [(nid, p) for nid, p in positions.items() if not math.isnan(p[0])]
+    nodes.sort(key=lambda item: item[1][0])
+    return TopologyView(ids, slot_of, adjacency, bbox, [x for _, (x, _) in nodes], nodes)
 
 
 def build_udg(

@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .core import DEFAULT_CONSTANTS, NodeId, Position, ProtocolConstants
-from .flight import ConfigError, _first_cca_catch, _flight, _FlyingSink, _network_view, _strip
+from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
+from .flight import ConfigError, _first_cca_catch, _flight, _FlyingSink, _strip
 from .flood import FloodEngine, FloodReport
 from .forkmap import split_map
 from .frames import MAX_ADDRESS_COUNT
@@ -143,9 +143,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     if c.d_rrp < c.d_cca:
         raise ConfigError(f"d_rrp ({c.d_rrp}) must be >= d_cca ({c.d_cca})")
 
-    view = _network_view(topo)
+    view = topo.view
+    for nid in (view.ids[0], view.ids[-1]):
+        if not 0 <= nid <= MAX_NODE_ID:
+            raise ConfigError(f"node id {nid} does not fit the one byte a DATA payload gives it")
     x0, y0, x1, y1 = view.bbox
-    flight = _flight(view, cfg.bs_position, cfg.ms_speed_mps, c.t_brp, c.d_brp)
+    flight = _flight(topo, cfg.bs_position, cfg.ms_speed_mps, c.t_brp, c.d_brp)
     track, exit_dist = flight.track, flight.exit_dist
     if track.duration_us() > MAX_ROUND_TRIP_S * 1_000_000:
         raise ConfigError(
@@ -296,7 +299,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     clipped: Dict[NodeId, int] = {}
     filled: Dict[NodeId, List[Span]] = {}
     relay_start, relay_end = flood_report.tx_start_us, flood_report.tx_end_us
-    order = view.order
+    order = [MS_ID, *view.ids]
     for nid in order:
         spans = active.get(nid)
         if spans is None:
@@ -529,33 +532,11 @@ def grid_point(
         raise ValueError(f"runs must be >= 1, got {runs!r}")
     _check_speed(speed)
     rng = random.Random(seed)
-    g = grid_topology(GRID_SIDE, GRID_SPACING_M)
-    make_track = edge_line if mobility == "edge" else diagonal_line
-    limit = 4 * len(g)
-    path = record(make_track(GRID_FIELD_M, speed), limit)
     virtual = coord_mode == "virtual"
-    draws = []  # (source, coordinate seed or None)
-    for _ in range(runs):
-        source = rng.randrange(len(g))
-        draws.append((source, rng.randrange(2**31) if virtual else None))
-
-    def walk(draw: Tuple[NodeId, Optional[int]]) -> _Outcome:
-        source, vc_seed = draw
-        if vc_seed is None:
-            return _outcome(route(g, g.positions, source, Replay(path), round_limit=limit))
-        # Coordinates are made only if the walk moves at all.
-        return _outcome(
-            route(
-                g,
-                lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS),
-                source,
-                Replay(path),
-                sink_coord=GRID_SINK_VCOORD,
-                round_limit=limit,
-            )
-        )
-
-    return _sweep_point(mobility, speed, None, split_map(walk, draws, workers))
+    # (source, coordinate seed or None)
+    draws = [(rng.randrange(GRID_SIDE**2), rng.randrange(2**31) if virtual else None) for _ in range(runs)]
+    make_track = edge_line if mobility == "edge" else diagonal_line
+    return _sweep_point(mobility, speed, None, _crossing_walks([make_track], speed, draws, workers))
 
 
 def grid_crossing_hops(
@@ -570,23 +551,42 @@ def grid_crossing_hops(
     :func:`grid_point`, bit-identical for any count.
     """
     rng = random.Random(seed)
+    draws = [(rng.randrange(GRID_SIDE**2), rng.randrange(2**31)) for _ in range(runs)]
+    outcomes = _crossing_walks([edge_line, diagonal_line], GRID_CROSSING_SPEED, draws, workers)
+    return mean_ci([h for _, h in outcomes if h is not None])
+
+
+def _crossing_walks(
+    makes: List[Callable], speed: float, draws: List[Tuple[NodeId, Optional[int]]], workers: Optional[int]
+) -> List[_Outcome]:
+    """The outcomes of the walks on the 5x5 grid, one per (source,
+    coordinate seed) of `draws`, walk i against the crossing that
+    `makes[i % len(makes)]` makes at `speed`.
+
+    Each crossing is recorded once, as far as the round limit of four rounds
+    per node, and every walk replays it.  A seed routes on fresh virtual
+    coordinates, made only if the walk moves at all, toward the sink's fixed
+    one; None routes on the true positions.  The walks run in `workers`
+    slices (:func:`sinksim.forkmap.split_map`).
+    """
     g = grid_topology(GRID_SIDE, GRID_SPACING_M)
-    draws = [(rng.randrange(len(g)), rng.randrange(2**31)) for _ in range(runs)]
     limit = 4 * len(g)
-    paths = [record(make(GRID_FIELD_M, GRID_CROSSING_SPEED), limit) for make in (edge_line, diagonal_line)]
+    paths = [record(make(GRID_FIELD_M, speed), limit) for make in makes]
 
     def walk(i: int) -> _Outcome:
         source, vc_seed = draws[i]
+        path = Replay(paths[i % len(paths)])
+        if vc_seed is None:
+            return _outcome(route(g, g.positions, source, path, round_limit=limit))
         return _outcome(
             route(
                 g,
                 lambda: init_virtual_coords(g, vc_seed, GRID_BOUNDS),
                 source,
-                Replay(paths[i % 2]),
+                path,
                 sink_coord=GRID_SINK_VCOORD,
                 round_limit=limit,
             )
         )
 
-    outcomes = split_map(walk, range(runs), workers)
-    return mean_ci([h for _, h in outcomes if h is not None])
+    return split_map(walk, range(len(draws)), workers)

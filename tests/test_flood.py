@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sinksim import flood
-from sinksim.core import DEFAULT_CONSTANTS
-from sinksim.flood import FloodEngine, FloodReport, b_src_min, simulate_flood
+from sinksim.core import DEFAULT_CONSTANTS, b_src_min
+from sinksim.flood import FloodEngine, FloodReport, simulate_flood
 from sinksim.mac import ContentionConfig, collision_probability
 from sinksim.radio import Topology, build_udg, grid_topology
 
@@ -359,9 +358,9 @@ def test_a_flood_does_not_depend_on_the_id_values(udg, data, seed):
 
 
 def test_a_rebuilt_topology_never_reads_the_slot_view_before():
-    # Each topology is built, flooded and dropped, so only the slot view memo
-    # can keep the one before alive.  The same nodes at another range could
-    # otherwise take its identity and flood on its adjacency.
+    # Each topology is built, flooded and dropped.  The same nodes at another
+    # range could take its identity, so a slot view kept by identity would
+    # flood on the adjacency before; each topology keeps its own view.
     positions = {nid: ((nid % 4) * 25.0, (nid // 4) * 25.0) for nid in range(16)}
     adjacency = {range_m: build_udg(positions, range_m).adjacency for range_m in (25.0, 36.0, 51.0)}
 
@@ -373,7 +372,6 @@ def test_a_rebuilt_topology_never_reads_the_slot_view_before():
     in_turn = [flood_a_new_topology(range_m) for range_m in ranges]
     alone = []
     for range_m in ranges:
-        flood._VIEW_CACHE.clear()
         alone.append(flood_a_new_topology(range_m))
     assert in_turn == alone
     assert len(set(alone)) == 3

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sinksim import energy, flight, flood, radio, routing, scenario, tracks
+from sinksim import energy, flight, radio, routing, scenario, tracks
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
-from sinksim.flight import _by_x, _hearers, _network_bbox, _quiet_passes
+from sinksim.flight import _hearers, _quiet_passes
+from sinksim.flood import simulate_flood
 from sinksim.frames import MAX_ADDRESS_COUNT, DataPayload, ListOverflow, encode_data_payload
 from sinksim.presets import GRID_FIELD_M, GRID_SIDE, MAX_NODES, discovered_graph
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, euclid, grid_topology, power_table
@@ -943,7 +944,7 @@ def test_fill_gaps_covers_the_window_and_counts_what_it_clips(spans, start, leng
 
 def test_sink_exactly_at_range_diagonally_off_a_corner_is_heard():
     g = grid_topology(3, 25.0)
-    xs, nodes = _by_x(g.positions)
+    xs, nodes = g.view.xs, g.view.nodes
     # a 15-20-25 triangle off a corner node, outside the box in x and in y
     assert _hearers(xs, nodes, g.range_m, (-15.0, -20.0)) == [0]
     assert _hearers(xs, nodes, g.range_m, (70.0, 65.0)) == [8]
@@ -969,7 +970,7 @@ POINT = st.integers(-120, 120).map(float) | st.floats(-120.0, 120.0)
 def test_prefiltered_hearers_equal_the_in_range_scan(positions, range_m, point):
     topo = build_udg(positions, range_m)
     expected = [nid for nid in sorted(topo.positions) if topo.in_range(nid, point)]
-    assert _hearers(*_by_x(topo.positions), topo.range_m, point) == expected
+    assert _hearers(topo.view.xs, topo.view.nodes, topo.range_m, point) == expected
 
 
 def quiet_pass_positions(track, quiet, t_brp, d_brp):
@@ -1000,12 +1001,12 @@ def test_quiet_passes_are_unheard_and_before_the_exit(
     positions, range_m, points, speed, t_brp, d_brp
 ):
     topo = build_udg(positions, range_m)
-    bbox = _network_bbox(topo)
+    bbox = topo.view.bbox
     start, entry, exit_ = points
     track = WaypointTrack([start, entry, exit_, start], speed)
     exit_dist = euclid(start, entry) + euclid(entry, exit_)
     quiet = _quiet_passes(track, bbox, topo.range_m, exit_dist, t_brp, d_brp)
-    xs, nodes = _by_x(topo.positions)
+    xs, nodes = topo.view.xs, topo.view.nodes
     for dt, position in quiet_pass_positions(track, quiet, t_brp, d_brp):
         assert track.distance_at(dt) < exit_dist
         assert _hearers(xs, nodes, topo.range_m, position) == []
@@ -1015,13 +1016,13 @@ def test_quiet_passes_end_where_the_sink_can_first_be_heard():
     # straight at a lone node: at 1 m per pass, pass 75 is the first in range
     topo = build_udg({0: (0.0, 0.0)}, 25.0)
     track = WaypointTrack([(-100.0, 0.0), (0.0, 0.0), (0.0, 10.0), (-100.0, 0.0)], 1.0)
-    quiet = _quiet_passes(track, _network_bbox(topo), 25.0, 110.0, 1_000_000, 0)
+    quiet = _quiet_passes(track, topo.view.bbox, 25.0, 110.0, 1_000_000, 0)
     assert quiet == 75 and topo.in_range(0, track.position_at(75 * 1_000_000))
     # the benchmark grid skips 26 of the 43 passes before the sink is heard
     g = grid_topology(12, 25.0)
     track = WaypointTrack([(-80.0, 37.5), (0.0, 137.5), (275.0, 137.5), (-80.0, 37.5)], 7.0)
     exit_dist = euclid((-80.0, 37.5), (0.0, 137.5)) + 275.0
-    assert _quiet_passes(track, _network_bbox(g), 25.0, exit_dist, C.t_brp, C.d_brp) == 26
+    assert _quiet_passes(track, g.view.bbox, 25.0, exit_dist, C.t_brp, C.d_brp) == 26
 
 
 @pytest.mark.parametrize("nid", [256, -1])
@@ -1058,21 +1059,19 @@ def test_rotations_on_two_topologies_in_turn_equal_each_alone():
 
 
 def clear_rotation_memos():
-    flight._VIEW_CACHE.clear()
     flight._FLIGHT_CACHE.clear()
-    flood._VIEW_CACHE.clear()
 
 
 def fresh_passes(topo, bs_position, speed, t_brp, d_brp, fly_start=144_960):
     """The quiet count and the hearers of each later pass until the sink has
     left, as a rotation once tested every pass: at the pass's end time, the
     departure first, then the nodes in range of the sink's position."""
-    bbox = x0, y0, x1, y1 = _network_bbox(topo)
+    bbox = x0, y0, x1, y1 = topo.view.bbox
     entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
     track = WaypointTrack([bs_position, entry, exit_, bs_position], speed)
     exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
     quiet = _quiet_passes(track, bbox, topo.range_m, exit_dist, t_brp, d_brp)
-    xs, nodes = _by_x(topo.positions)
+    xs, nodes = topo.view.xs, topo.view.nodes
     passes = []
     for i in range(quiet, quiet + 5_000):
         brp_end = fly_start + i * t_brp + d_brp
@@ -1103,7 +1102,7 @@ FLIGHTS = [
 @pytest.mark.parametrize("bs_position, speed, t_brp, d_brp", FLIGHTS)
 def test_the_flight_memo_equals_a_fresh_computation(topo, bs_position, speed, t_brp, d_brp):
     clear_rotation_memos()
-    memo = flight._flight(flight._network_view(topo), bs_position, speed, t_brp, d_brp)
+    memo = flight._flight(topo, bs_position, speed, t_brp, d_brp)
     exit_dist, quiet, passes = fresh_passes(topo, bs_position, speed, t_brp, d_brp)
     assert (memo.exit_dist, memo.quiet) == (exit_dist, quiet)
     departed = quiet + len(passes)
@@ -1118,7 +1117,7 @@ def test_a_flight_that_starts_on_its_only_node(d_brp, passes):
     # still at the base station and has not left; any later pass has left
     topo = build_udg({0: (0.0, 0.0)}, 25.0)
     clear_rotation_memos()
-    memo = flight._flight(flight._network_view(topo), (0.0, 0.0), 7.0, C.t_brp, d_brp)
+    memo = flight._flight(topo, (0.0, 0.0), 7.0, C.t_brp, d_brp)
     assert fresh_passes(topo, (0.0, 0.0), 7.0, C.t_brp, d_brp) == (0.0, 0, passes)
     assert (memo.exit_dist, memo.quiet) == (0.0, 0)
     assert [memo.hearers(i) for i in range(len(passes) + 1)] == passes + [None]
@@ -1145,12 +1144,10 @@ def test_the_flight_memo_serves_no_stale_flight():
 
 
 def test_a_rebuilt_topology_never_reads_the_flight_before():
-    # Each grid is built, flown and dropped, and the view memos are emptied,
-    # so only the flight memo can keep the grid before alive.  A grid of the
-    # same ids on another spacing could otherwise take its view's identity.
+    # Each grid is built, flown and dropped, so only the flight memo can keep
+    # the grid before alive.  A grid of the same ids on another spacing could
+    # otherwise take its view's identity.
     def on_a_new_grid(spacing):
-        flight._VIEW_CACHE.clear()
-        flood._VIEW_CACHE.clear()
         cfg = ScenarioConfig(topology=grid_topology(4, spacing), query_node=5, seed=1)
         return rotation_outputs(run_scenario(cfg))
 
@@ -1164,12 +1161,12 @@ def test_a_rebuilt_topology_never_reads_the_flight_before():
     assert len(set(map(repr, alone))) == 3
 
 
-def test_the_flood_slot_view_is_built_once_per_topology(monkeypatch):
-    # Rotations on one topology share its slot view; one on another topology
-    # replaces it, and a return to the first builds it again.
+def test_a_topology_builds_its_view_once(monkeypatch):
+    # Rotations and floods on one topology share its view, whatever ran in
+    # between; another topology builds its own.  The view is no field.
     builds = []
-    build = flood._build_slot_view
-    monkeypatch.setattr(flood, "_build_slot_view", lambda topo: builds.append(topo) or build(topo))
+    build = radio._build_view
+    monkeypatch.setattr(radio, "_build_view", lambda topo: builds.append(topo) or build(topo))
 
     def rotate(topology, query, collisions=False):
         cfg = ScenarioConfig(topology=topology, query_node=query, seed=query, collisions=collisions)
@@ -1183,10 +1180,14 @@ def test_the_flood_slot_view_is_built_once_per_topology(monkeypatch):
     for q in range(8):
         rotate(g, q)
         rotate(g, q, collisions=True)
-    assert builds == [g]
+    simulate_flood(g, 0, source=15)
+    assert builds == [g] and builds[0] is g
     rotate(h, 4)
     rotate(g, 5)
-    assert builds == [g, h, g]
+    assert builds == [g, h] and builds[1] is h
+    fresh = grid_topology(4, 25.0)
+    assert g == fresh and repr(g) == repr(fresh)
+    assert builds == [g, h]
 
 
 def test_scenario_config_errors():
