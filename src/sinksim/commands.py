@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import List, Sequence
 
 from . import __version__
-from .core import ProtocolConstants, duty_cycle
+from .core import MAX_NODE_ID, ProtocolConstants, duty_cycle
 from .energy import RealTimeParams, lifetime_hours, phase_energy, v_max_bs, v_max_network
 from .flood import simulate_flood
 from .frames import (
@@ -91,6 +91,9 @@ def _topology(args):
     """The --topology CSV, or else the --grid square."""
     if not args.topology:
         _at_least_one(args, "grid")
+        # before the build, which takes seconds at a side of 300
+        if args.grid**2 - 1 > MAX_NODE_ID:
+            raise ValueError(f"--grid {args.grid} numbers nodes beyond id {MAX_NODE_ID}")
         return grid_topology(args.grid, args.spacing, args.range_m)
     # 25 m is the range measured at -25 dBm with the antennas 1 m high.
     range_m = 25.0 if args.range_m is None else args.range_m
@@ -168,6 +171,10 @@ def cmd_analyze(args, c: ProtocolConstants) -> int:
 # windows take about 7 minutes.
 MAX_WINDOWS = 1_000
 
+# The most backoffs one window may draw, `--runs` x `--n`: they are one matrix
+# of floats and its copies, near 190 MB at this bound (1e8 x 1e8 is 73 TiB).
+MAX_DRAWS = 10_000_000
+
 
 def cmd_collisions(args, c: ProtocolConstants) -> int:
     # The window loop below never ends on an infinite bound, and a nan step
@@ -185,6 +192,10 @@ def cmd_collisions(args, c: ProtocolConstants) -> int:
     if (top - lo) / step >= MAX_WINDOWS:
         raise ValueError(f"the contention window sweep holds more than {MAX_WINDOWS} windows")
     _at_least_one(args, "runs")
+    if args.runs * args.n > MAX_DRAWS:
+        raise ValueError(f"--runs x --n is more than the {MAX_DRAWS:,} draws a window may hold")
+    if args.levels is not None and not 2 <= args.levels <= 2**63:  # numpy draws int64
+        raise ValueError(f"--levels must be from 2 to 2**63, got {args.levels}")
     blocks = {"relay": c.d_rxtx, "ack": c.d_ack}
     if args.block_us is not None:
         blocks = {"custom": args.block_us}

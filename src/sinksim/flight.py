@@ -2,10 +2,11 @@
 
 What a rotation reads of its topology that the topology alone decides (the
 bounding box and the nodes sorted by x) it reads from the topology's view
-(`Topology.view`).  From it: which nodes hear the sink at a point, how many
-of the sink's first request preambles no node can hear, when the sink's
-channel sampling first catches a base-station request preamble, and the
-flying sink as the routing walk sees it in event time.
+(`Topology.view`).  From it: where the sink is and whether it has left the
+network at a time after it sets off, which nodes hear each of its request
+passes, the first pass that some node hears, when the sink's channel
+sampling first catches a base-station request preamble, and the flying sink
+as the routing walk sees it in event time.
 
 The sink's flight over a view, and what each of its request passes finds
 (the nodes that hear it, or that the sink has left), draw nothing: they are
@@ -15,8 +16,8 @@ a rotation tests them, and later rotations on the same flight read them.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .core import NodeId, Position, ProtocolConstants
@@ -28,51 +29,61 @@ class ConfigError(ValueError):
     pass
 
 
+# The most request passes a rotation sends: the sink repeats its preamble
+# every t_brp until a relay answers, or until this many have gone out.
+MAX_PASSES = 1_000_000
+
+
 class _Flight:
     """The sink's flight from the base station across a view's network, of
     range `range_m`, and back, and what each of its request passes finds.
 
-    `key` is (bs_position, ms_speed_mps, t_brp, d_brp).  Pass i ends
-    dt = i*t_brp + d_brp after the sink sets off, in integer microseconds, so
-    the set-off time drops out.  By then the sink has either flown past the
-    network's exit, or is heard by the nodes in range of its position: the
-    base station's while dt <= 0.  Nothing is drawn, so each pass is tested
-    once, when a rotation first asks for it.
+    `key` is (bs_position, ms_speed_mps, t_brp, d_brp).  Times `dt` count
+    from the sink's set-off, in integer microseconds, so the set-off time
+    drops out; pass i ends at dt = i*t_brp + d_brp.  By then the sink has
+    either flown past the network's exit, or is heard by the nodes in range
+    of its position.  Nothing is drawn, so each pass is tested once, when a
+    rotation first asks for it.
     """
 
-    __slots__ = ("view", "range_m", "key", "track", "exit_dist", "quiet", "_passes")
-
     def __init__(self, view: TopologyView, range_m: float, key: Tuple[Position, float, int, int]):
-        bs_position, speed_mps, t_brp, d_brp = key
+        bs_position, speed_mps, _, _ = key
         x0, y0, x1, y1 = view.bbox
         entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
         self.view, self.range_m, self.key = view, range_m, key
         self.track = WaypointTrack([bs_position, entry, exit_, bs_position], speed_mps)
         self.exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
-        # the passes before the sink can be heard, which are never tested
-        self.quiet = _quiet_passes(self.track, view.bbox, range_m, self.exit_dist, t_brp, d_brp)
-        self._passes: List[Optional[List[NodeId]]] = []  # from pass `quiet` on
+        self._passes: List[Optional[List[NodeId]]] = []
+
+    def position(self, dt: int) -> Position:
+        """Where the sink is `dt` after it sets off: at the base station until then."""
+        return self.key[0] if dt <= 0 else self.track.position_at(dt)
+
+    def departed(self, dt: int) -> bool:
+        """Whether the sink has flown past the network's exit `dt` after it sets off."""
+        return dt > 0 and self.track.distance_at(dt) >= self.exit_dist
+
+    @cached_property
+    def quiet(self) -> int:
+        """The first pass whose hearers are not [] (some node hears it, or
+        the sink has left), or MAX_PASSES when none before it is.  Found on
+        first read, so a flight that a rotation rejects first tests no pass."""
+        return next((i for i in range(MAX_PASSES) if self.hearers(i) != []), MAX_PASSES)
 
     def hearers(self, i: int) -> Optional[List[NodeId]]:
-        """The ids that hear pass `i`, at or after `quiet`, ascending; None
-        when the sink has left the network by the pass's end."""
-        passes, quiet = self._passes, self.quiet
-        while len(passes) <= i - quiet:
-            heard = self._test(quiet + len(passes))
+        """The ids that hear pass `i`, ascending; None when the sink has left
+        the network by the pass's end."""
+        passes = self._passes
+        while len(passes) <= i:
+            _, _, t_brp, d_brp = self.key
+            dt = len(passes) * t_brp + d_brp
+            heard = None
+            if not self.departed(dt):
+                heard = _hearers(self.view.xs, self.view.nodes, self.range_m, self.position(dt))
             # passes in a row mostly find the same nodes; sharing one list
             # keeps a short t_brp's many passes at a pointer each
             passes.append(passes[-1] if passes and heard == passes[-1] else heard)
-        return passes[i - quiet]
-
-    def _test(self, i: int) -> Optional[List[NodeId]]:
-        bs_position, _, t_brp, d_brp = self.key
-        dt = i * t_brp + d_brp
-        point = bs_position
-        if dt > 0:
-            if self.track.distance_at(dt) >= self.exit_dist:
-                return None
-            point = self.track.position_at(dt)
-        return _hearers(self.view.xs, self.view.nodes, self.range_m, point)
+        return passes[i]
 
 
 # The flight the last rotation flew.  It holds its view, so no other view can
@@ -96,8 +107,8 @@ def _flight(topo: Topology, bs_position: Position, speed_mps: float, t_brp: int,
 
 
 # Gaps below this square to less than the smallest normal float and can
-# round to 0, so the pair test may pass them whatever the range; the strip
-# and quiet-pass margins never come closer than this.
+# round to 0, so the pair test may pass them whatever the range; the strip's
+# margin never comes closer than this.
 _UNDERFLOW_GAP = 1e-150
 
 
@@ -131,36 +142,6 @@ def _hearers(
     return sorted(nid for nid, (x, y) in strip if (x - px) ** 2 + (y - py) ** 2 <= r2)
 
 
-def _quiet_passes(
-    track: WaypointTrack,
-    bbox: Tuple[float, float, float, float],
-    range_m: float,
-    exit_dist: float,
-    t_brp: int,
-    d_brp: int,
-) -> int:
-    """How many of the sink's first request preambles no node can hear.
-
-    Preamble k ends k*t_brp + d_brp after the sink sets off from the track's
-    first point, and the sink is never farther from that point than the path
-    it has flown.  So while the path is shorter than the point's distance
-    from the network's box `bbox` less the range, no node is in range, and
-    while it is shorter than `exit_dist`, the sink has not left.  The margin
-    is far above the rounding of the positions and of this bound, and above
-    the gaps whose squares underflow.
-    """
-    (px, py), (x0, y0, x1, y1) = track.points[0], bbox
-    gap = math.hypot(
-        x0 - px if px < x0 else (px - x1 if px > x1 else 0.0),
-        y0 - py if py < y0 else (py - y1 if py > y1 else 0.0),
-    )
-    scale = max(abs(v) for v in (*bbox, *(v for p in track.points for v in p)))
-    reach = min(gap - range_m, exit_dist) - 1e-9 * (scale + exit_dist + range_m) - _UNDERFLOW_GAP
-    if not reach > 0:
-        return 0
-    return max(0, math.ceil((reach / track.speed_mps * 1e6 - d_brp) / t_brp))
-
-
 def _first_cca_catch(c: ProtocolConstants, cca_offset: int, not_before: int) -> int:
     """End time of the first request preamble whose transmission fully
     contains one of the sink's channel checks at or after `not_before`.
@@ -184,25 +165,23 @@ def _first_cca_catch(c: ProtocolConstants, cca_offset: int, not_before: int) -> 
 class _FlyingSink:
     """The flying sink as the routing walk sees it in event time.
 
-    A round is the hop exchange starting at `t`; the sink is observed at the
-    exchange's ACK instant, t + d_rrp, and `step()` moves on by one exchange,
-    d_rrp + w_rr + d_data.
+    A round is the hop exchange starting at `t`; the sink, flying `flight`
+    from `set_off` on, is observed at the exchange's ACK instant, t + d_rrp,
+    and `step()` moves on by one exchange, d_rrp + w_rr + d_data.
     """
 
-    def __init__(self, position_at, departed_at, t: int, c: ProtocolConstants):
-        self._position_at = position_at
-        self._departed_at = departed_at
+    def __init__(self, flight: _Flight, set_off: int, t: int, c: ProtocolConstants):
+        self._flight, self._set_off = flight, set_off
         self._ack_us = c.d_rrp
         self.hop_us = c.d_rrp + c.w_rr + c.d_data
         self.t = t
         self._observe()
 
     def _observe(self) -> None:
-        ack_at = self.t + self._ack_us
-        self.position = self._position_at(ack_at)
-        self.departed = self._departed_at(ack_at)
+        dt = self.t + self._ack_us - self._set_off
+        self.position = self._flight.position(dt)
+        self.departed = self._flight.departed(dt)
 
     def step(self) -> None:
         self.t += self.hop_us
         self._observe()
-

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
-from .flight import ConfigError, _first_cca_catch, _flight, _FlyingSink, _strip
+from .flight import MAX_PASSES, ConfigError, _first_cca_catch, _flight, _FlyingSink, _strip
 from .flood import FloodEngine, FloodReport
 from .forkmap import split_map
 from .frames import MAX_ADDRESS_COUNT
@@ -149,7 +149,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             raise ConfigError(f"node id {nid} does not fit the one byte a DATA payload gives it")
     x0, y0, x1, y1 = view.bbox
     flight = _flight(topo, cfg.bs_position, cfg.ms_speed_mps, c.t_brp, c.d_brp)
-    track, exit_dist = flight.track, flight.exit_dist
+    track = flight.track
     if track.duration_us() > MAX_ROUND_TRIP_S * 1_000_000:
         raise ConfigError(
             f"the sink's round trip takes {track.duration_us() / 1e6:.4g} s, more than {MAX_ROUND_TRIP_S} s"
@@ -169,14 +169,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     ms_active.append((drp_end, drp_end + c.d_ack, "tx"))
     fly_start = phase_times[1]
 
-    def ms_pos(t_us: int) -> Position:
-        if t_us <= fly_start:
-            return cfg.bs_position
-        return track.position_at(t_us - fly_start)
-
-    def ms_departed(t_us: int) -> bool:
-        return t_us > fly_start and track.distance_at(t_us - fly_start) >= exit_dist
-
     # Phases 2 and 3: the sink repeats its request preamble until it hears a
     # relayed copy; every preamble seeds whatever idle nodes are in range at
     # the time, and the flood runs interleaved with the retries.  Which nodes
@@ -184,45 +176,35 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     engine = FloodEngine(
         topo, c, source=cfg.query_node, seed=rng.randrange(2**31), collisions=cfg.collisions
     )
-    relay_heard: Optional[int] = None
-    seeded = False
-    scanned = 0
-    inject, run_until, heard = engine.inject_reception, engine.run_until, flight.hearers
-    transmissions = engine.report.transmissions
+    quiet = flight.quiet
+    if quiet == MAX_PASSES:
+        raise ConfigError("sink never came within range of the network")
+    if flight.hearers(quiet) is None:
+        raise ConfigError("sink crossed the network without being heard")
     t_brp, d_brp = c.t_brp, c.d_brp
-    retries = 1_000_000
-    # the passes before the sink can be heard only poll
-    quiet = min(flight.quiet, retries)
+    phase_times[2] = fly_start + quiet * t_brp + d_brp
+    # the passes before the sink is heard only poll
     ms_active += [
         (fly_start + i * t_brp, fly_start + i * t_brp + d_brp, "poll") for i in range(quiet)
     ]
-    for i in range(quiet, retries):
+    scanned = 0
+    inject, run_until, heard = engine.inject_reception, engine.run_until, flight.hearers
+    transmissions, in_range = engine.report.transmissions, topo.in_range
+    for i in range(quiet, MAX_PASSES):
         brp_start = fly_start + i * t_brp
         brp_end = brp_start + d_brp
         # ascending ids: injection order sets the event order
         hearers = heard(i)
-        if hearers is None:  # the sink has left
-            if seeded:
-                break  # query handed off; the sink flies on without hearing back
-            raise ConfigError("sink crossed the network without being heard")
-        if hearers:
-            if not seeded:
-                phase_times[2] = brp_end
-            seeded = True
-            for nid in hearers:
-                inject(nid, brp_end)
+        if hearers is None:
+            break  # query handed off; the sink flies on without hearing back
+        for nid in hearers:
+            inject(nid, brp_end)
         ms_active.append((brp_start, brp_end, "poll"))
         run_until(brp_start + t_brp)
-        while scanned < len(transmissions):
-            nid, ts = transmissions[scanned]
-            scanned += 1
-            if topo.in_range(nid, ms_pos(ts)):
-                relay_heard = ts + d_brp
-                break
-        if relay_heard is not None:
+        # the sink hears the first relay it is in range of, and stops
+        if any(in_range(nid, flight.position(ts - fly_start)) for nid, ts in transmissions[scanned:]):
             break
-    if not seeded:
-        raise ConfigError("sink never came within range of the network")
+        scanned = len(transmissions)
     flood_report = engine.run()
     if cfg.query_node not in flood_report.reached:
         raise ConfigError("flood never reached the queried node")
@@ -236,7 +218,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     # own rejection draw, inline, and the same stream
     cca_window = c.d_rrp - c.d_cca + 1
     getrandbits, cca_bits = rng.getrandbits, cca_window.bit_length()
-    sink = _FlyingSink(ms_pos, ms_departed, flood_report.source_wait_expiry_us, c)
+    sink = _FlyingSink(flight, fly_start, flood_report.source_wait_expiry_us, c)
 
     def hop_exchange(current: NodeId, action, header) -> None:
         if action.kind not in ("deliver", "forward", "backtrack"):

@@ -330,6 +330,18 @@ def test_a_zero_request_period_is_a_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_sink_never_heard_within_the_pass_limit_is_a_one_line_error(tmp_path, capsys):
+    # At t_brp = 1 us the last request pass ends a second after set-off,
+    # before the sink is in range of the grid: every pass is tested.
+    cfg = tmp_path / "constants.ini"
+    cfg.write_text("[constants]\nt_brp = 1\n")
+    out = tmp_path / "out"
+    assert run_cli("demo", "--config", str(cfg), "--out", str(out)) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: sink never came within range of the network"]
+    assert not out.exists()
+
+
 INPUT_FILES = {
     "sweep_runz.ini": "[sweep]\nrunz = 5\n",
     "sweep_runs_abc.ini": "[sweep]\nruns = abc\n",
@@ -368,6 +380,9 @@ def _cap_memory():
         ["analyze", "--battery-j", "inf"],
         ["collisions", "--runs", "10", "--levels", "1"],
         ["collisions", "--runs", "10", "--n", "-1"],
+        # a draw matrix of 73 TiB, and a level count beyond numpy's int64
+        ["collisions", "--n", "100000000", "--w-min-ms", "28", "--w-max-ms", "30"],
+        ["collisions", "--levels", "100000000000000000000"],
         ["codec", "decode", "--hex", "zz"],
         ["codec", "decode", "--hex", "00"],  # too short for a frame
         ["codec", "encode", "--remaining", "99"],  # beyond the 6-bit countdown
@@ -423,6 +438,9 @@ def _cap_memory():
         # and from a grid of 289 nodes
         ["demo", "--topology", "big_id.csv"],
         ["demo", "--grid", "17"],
+        # rejected before the build, which once took 8.8 s at a side of 300
+        ["demo", "--grid", "300"],
+        ["flood-sim", "--grid", "100000"],
         # a node at a NaN x once loaded, connected to nothing, and the run exited 0
         ["demo", "--topology", "nan_x.csv", "--rotations", "2"],
         # rows that once gave an error without the file and line

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sinksim import energy, flight, radio, routing, scenario, tracks
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
-from sinksim.flight import _hearers, _quiet_passes
+from sinksim.flight import _hearers
 from sinksim.flood import simulate_flood
 from sinksim.frames import MAX_ADDRESS_COUNT, DataPayload, ListOverflow, encode_data_payload
 from sinksim.presets import GRID_FIELD_M, GRID_SIDE, MAX_NODES, discovered_graph
@@ -973,58 +973,6 @@ def test_prefiltered_hearers_equal_the_in_range_scan(positions, range_m, point):
     assert _hearers(topo.view.xs, topo.view.nodes, topo.range_m, point) == expected
 
 
-def quiet_pass_positions(track, quiet, t_brp, d_brp):
-    """Sink positions at the ends of the last 40 and the first 5 quiet passes."""
-    for k in sorted(set(range(max(0, quiet - 40), quiet)) | set(range(min(quiet, 5)))):
-        dt = k * t_brp + d_brp
-        yield dt, track.position_at(dt) if dt > 0 else track.points[0]
-
-
-@given(
-    positions=st.dictionaries(st.integers(0, 40), st.tuples(COORD, COORD), min_size=1, max_size=8),
-    range_m=st.integers(0, 40).map(float) | st.floats(0.0, 40.0),
-    points=st.lists(st.tuples(POINT, POINT), min_size=3, max_size=3),
-    speed=st.floats(0.5, 60.0),
-    t_brp=st.integers(1_000, 400_000),
-    d_brp=st.integers(0, 200_000),
-)
-# the gap squares to 0, so the node hears the sink at range 0
-@example(
-    positions={0: (1e-200, 0.0)},
-    range_m=0.0,
-    points=[(0.0, 0.0), (1e-200, 0.0), (2e-200, 0.0)],
-    speed=1.0,
-    t_brp=1_000,
-    d_brp=0,
-)
-def test_quiet_passes_are_unheard_and_before_the_exit(
-    positions, range_m, points, speed, t_brp, d_brp
-):
-    topo = build_udg(positions, range_m)
-    bbox = topo.view.bbox
-    start, entry, exit_ = points
-    track = WaypointTrack([start, entry, exit_, start], speed)
-    exit_dist = euclid(start, entry) + euclid(entry, exit_)
-    quiet = _quiet_passes(track, bbox, topo.range_m, exit_dist, t_brp, d_brp)
-    xs, nodes = topo.view.xs, topo.view.nodes
-    for dt, position in quiet_pass_positions(track, quiet, t_brp, d_brp):
-        assert track.distance_at(dt) < exit_dist
-        assert _hearers(xs, nodes, topo.range_m, position) == []
-
-
-def test_quiet_passes_end_where_the_sink_can_first_be_heard():
-    # straight at a lone node: at 1 m per pass, pass 75 is the first in range
-    topo = build_udg({0: (0.0, 0.0)}, 25.0)
-    track = WaypointTrack([(-100.0, 0.0), (0.0, 0.0), (0.0, 10.0), (-100.0, 0.0)], 1.0)
-    quiet = _quiet_passes(track, topo.view.bbox, 25.0, 110.0, 1_000_000, 0)
-    assert quiet == 75 and topo.in_range(0, track.position_at(75 * 1_000_000))
-    # the benchmark grid skips 26 of the 43 passes before the sink is heard
-    g = grid_topology(12, 25.0)
-    track = WaypointTrack([(-80.0, 37.5), (0.0, 137.5), (275.0, 137.5), (-80.0, 37.5)], 7.0)
-    exit_dist = euclid((-80.0, 37.5), (0.0, 137.5)) + 275.0
-    assert _quiet_passes(track, g.view.bbox, 25.0, exit_dist, C.t_brp, C.d_brp) == 26
-
-
 @pytest.mark.parametrize("nid", [256, -1])
 def test_an_id_beyond_the_payload_byte_is_a_config_error(nid):
     # -1 is also the sink's pseudo node
@@ -1064,22 +1012,62 @@ def clear_rotation_memos():
 
 def fresh_passes(topo, bs_position, speed, t_brp, d_brp, fly_start=144_960):
     """The quiet count and the hearers of each later pass until the sink has
-    left, as a rotation once tested every pass: at the pass's end time, the
-    departure first, then the nodes in range of the sink's position."""
-    bbox = x0, y0, x1, y1 = topo.view.bbox
+    left, as a rotation once tested every pass from pass 0: at the pass's end
+    time, the departure first, then the nodes in range of the sink's position."""
+    x0, y0, x1, y1 = topo.view.bbox
     entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
     track = WaypointTrack([bs_position, entry, exit_, bs_position], speed)
     exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
-    quiet = _quiet_passes(track, bbox, topo.range_m, exit_dist, t_brp, d_brp)
     xs, nodes = topo.view.xs, topo.view.nodes
     passes = []
-    for i in range(quiet, quiet + 5_000):
+    for i in range(5_000):
         brp_end = fly_start + i * t_brp + d_brp
         if brp_end > fly_start and track.distance_at(brp_end - fly_start) >= exit_dist:
-            return exit_dist, quiet, passes
+            quiet = next((k for k, heard in enumerate(passes) if heard), len(passes))
+            return exit_dist, quiet, passes[quiet:]
         position = track.position_at(brp_end - fly_start) if brp_end > fly_start else bs_position
         passes.append(_hearers(xs, nodes, topo.range_m, position))
     raise AssertionError("the sink never left")
+
+
+@given(
+    positions=st.dictionaries(st.integers(0, 40), st.tuples(COORD, COORD), min_size=1, max_size=8),
+    range_m=st.integers(0, 40).map(float) | st.floats(0.0, 40.0),
+    bs_position=st.tuples(POINT, POINT),
+    speed=st.floats(2.0, 60.0),
+    t_brp=st.integers(100_000, 400_000),
+    d_brp=st.integers(0, 200_000),
+)
+# the gap squares to 0, so the node hears the sink at range 0 on pass 0
+@example(
+    positions={0: (1e-200, 0.0)},
+    range_m=0.0,
+    bs_position=(0.0, 0.0),
+    speed=2.0,
+    t_brp=100_000,
+    d_brp=0,
+)
+def test_quiet_passes_are_unheard_and_before_the_exit(
+    positions, range_m, bs_position, speed, t_brp, d_brp
+):
+    # the quiet count is the first pass that a scan from pass 0 finds heard
+    # or past the exit, so every pass before it is unheard and in flight
+    topo = build_udg(positions, range_m)
+    memo = flight._flight(topo, bs_position, speed, t_brp, d_brp)
+    assert memo.quiet == fresh_passes(topo, bs_position, speed, t_brp, d_brp)[1]
+    assert all(memo.hearers(i) == [] for i in range(memo.quiet))
+    assert memo.hearers(memo.quiet) != []
+
+
+def test_quiet_passes_end_where_the_sink_can_first_be_heard():
+    # straight at a lone node: at 1 m per pass, pass 75 is the first in range
+    topo = build_udg({0: (0.0, 0.0)}, 25.0)
+    memo = flight._flight(topo, (-100.0, 0.0), 1.0, 1_000_000, 0)
+    assert memo.quiet == 75 and memo.hearers(75) == [0]
+    # the benchmark grid, whose first 43 passes go unheard
+    g = grid_topology(12, 25.0)
+    memo = flight._flight(g, (-80.0, 37.5), 7.0, C.t_brp, C.d_brp)
+    assert memo.quiet == 43 and memo.hearers(43)
 
 
 def random_udg(seed, n=40, field=100.0, range_m=25.0):
@@ -1225,12 +1213,20 @@ def test_a_channel_check_as_long_as_the_request_preamble_runs():
     assert run_scenario(scenario_config(constants=c)).horizon_us > 0
 
 
-def test_a_round_trip_longer_than_the_bound_is_a_config_error():
+def test_a_round_trip_longer_than_the_bound_is_a_config_error(monkeypatch):
     # 4x4 grid at 25 m: the round trip from (-80, 37.5) is 80 + 75 + 155 m.
+    # At this speed the sink would need thousands of request passes to come
+    # in range; the rejection comes before any of them is tested.
+    tested = []
+    hearers = flight._hearers
+    monkeypatch.setattr(flight, "_hearers", lambda *args: tested.append(args) or hearers(*args))
     slowest = 310 / MAX_ROUND_TRIP_S
-    assert run_scenario(scenario_config(ms_speed_mps=slowest * 1.01)).horizon_us > 0
+    clear_rotation_memos()
     with pytest.raises(ConfigError, match="round trip"):
         run_scenario(scenario_config(ms_speed_mps=slowest * 0.99))
+    assert tested == []
+    assert run_scenario(scenario_config(ms_speed_mps=slowest * 1.01)).horizon_us > 0
+    assert len(tested) > 1_000
 
 
 def test_discovered_graph_union():
