@@ -109,6 +109,7 @@ def _topology(args):
 
 
 def cmd_analyze(args, c: ProtocolConstants) -> int:
+    _at_least_one(args, "neighbors")
     if not (math.isfinite(args.battery_j) and args.battery_j >= 0):
         raise ValueError(f"--battery-j must be finite and at least 0, got {args.battery_j}")
     powers = [args.power] if args.power is not None else [0, -25]
@@ -175,6 +176,14 @@ MAX_WINDOWS = 1_000
 # of floats and its copies, near 190 MB at this bound (1e8 x 1e8 is 73 TiB).
 MAX_DRAWS = 10_000_000
 
+# The most replications one route-sim point may hold.  A point keeps every
+# replication's draws and outcome at once: about 1.1 kB per replication on
+# the random-graph preset (degree 10, speed 50, each tour kept for the paired
+# speeds) and 145-175 B on grid25, measured with tracemalloc.  At this bound
+# a one-point run peaks at 126 MB and 35 MB RSS; 100 million grid25 runs
+# ended in a MemoryError from the draw list under a 600 MB address cap.
+MAX_RUNS = 100_000
+
 
 def cmd_collisions(args, c: ProtocolConstants) -> int:
     # The window loop below never ends on an infinite bound, and a nan step
@@ -192,6 +201,8 @@ def cmd_collisions(args, c: ProtocolConstants) -> int:
     if (top - lo) / step >= MAX_WINDOWS:
         raise ValueError(f"the contention window sweep holds more than {MAX_WINDOWS} windows")
     _at_least_one(args, "runs")
+    if args.n < 0:
+        raise ValueError(f"--n must be at least 0, got {args.n}")
     if args.runs * args.n > MAX_DRAWS:
         raise ValueError(f"--runs x --n is more than the {MAX_DRAWS:,} draws a window may hold")
     if args.levels is not None and not 2 <= args.levels <= 2**63:  # numpy draws int64
@@ -257,6 +268,8 @@ def cmd_route_sim(args, c: ProtocolConstants) -> int:
     if args.preset not in presets:
         raise ValueError(f"unknown preset {args.preset!r}; choose from {presets}")
     _at_least_one(args, "runs")
+    if args.runs > MAX_RUNS:
+        raise ValueError(f"--runs {args.runs} is more than the {MAX_RUNS:,} replications a point may hold")
     if args.preset == "random-graph":
         degrees = _option_list(args, "degrees", [4, 5, 6, 7, 8, 9, 10])
         speeds = _option_list(args, "speeds", [0, 10, 25, 50])

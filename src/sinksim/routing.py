@@ -21,7 +21,9 @@ coordinates are; coordinates only steer the visit order.
 
 Rules 2 and 3 never read the sink, so away from it the walk follows one fixed
 tour: the sequence of nodes the search visits when the sink never answers.
-`route` is a scan of the sink along that tour.  A :class:`Tour` holds its
+`next_hop_3rule` applies them and returns the node the packet moves to, or
+None when the search is exhausted; `route` applies rules 1 and 4, which read
+the sink, and is a scan of the sink along that tour.  A :class:`Tour` holds its
 entries, whether the search is exhausted, and the index at which the header
 would overflow; it grows lazily, one `next_hop_3rule` decision at a time, as
 far as a scan reaches.  Each round checks the sink against the packet's
@@ -78,39 +80,6 @@ def init_virtual_coords(
     }
 
 
-@dataclass(slots=True)
-class Action:
-    """One decision of the rule, compared by value.
-
-    Actions are shared: `_DELIVER`, `_RESTART` and `_FAIL`, and one forward
-    and one backtrack action per target, built on first use.  So callers
-    only read an action.  Not frozen, since a frozen dataclass takes about
-    twice as long to build; so an action is not hashable.
-    """
-
-    kind: str  # deliver | forward | backtrack | restart | fail
-    target: Optional[NodeId] = None
-
-
-class _Shared(dict):
-    """The actions of one kind, keyed by target, each built on first use."""
-
-    def __init__(self, kind: str):
-        super().__init__()
-        self.kind = kind
-
-    def __missing__(self, target: NodeId) -> Action:
-        action = self[target] = Action(self.kind, target)
-        return action
-
-
-_DELIVER = Action("deliver")
-_RESTART = Action("restart")
-_FAIL = Action("fail")
-_FORWARD = _Shared("forward")
-_BACKTRACK = _Shared("backtrack")
-
-
 def next_hop_3rule(
     current: NodeId,
     header: RouteHeader,
@@ -118,24 +87,17 @@ def next_hop_3rule(
     coords: Mapping[NodeId, Position],
     *,
     visited: AbstractSet[NodeId],
-    sink_adjacent: bool,
-    sink_moved: bool,
-    source: NodeId,
-) -> Action:
-    """Pure next-hop decision for the packet sitting at `current`.
+) -> Optional[NodeId]:
+    """Rules 2 and 3 for the packet sitting at `current`: the node it moves
+    to, or None when the search is exhausted there.
 
     Ties in distance go to the smallest id: the adjacency tuples are sorted,
     as `build_udg` builds them, and only a strictly closer neighbor replaces
     the best so far.  `visited` holds the ids in `header.traversed`; the
     caller keeps it next to the header so that no decision has to rebuild
     it.  `current` need not be in it: `build_udg` never lists a node as its
-    own neighbor.
-    `sink_adjacent` and `sink_moved` come from the caller, which knows the
-    sink's physical position (in the live protocol these facts arrive as the
-    metric-0 ACK and the absence of further progress).
+    own neighbor.  Rules 1 and 4 read the sink, so `route` applies them.
     """
-    if sink_adjacent:
-        return _DELIVER
     tx, ty = header.dest_coord
     best = None
     best_d2 = 0.0
@@ -147,7 +109,7 @@ def next_hop_3rule(
         if best is None or d2 < best_d2:
             best, best_d2 = v, d2
     if best is not None:
-        return _FORWARD[best]
+        return best
     # Exhausted here: return toward the node this one was first reached from.
     entries = header.traversed
     try:
@@ -157,11 +119,8 @@ def next_hop_3rule(
     nbrs = set(topology.adjacency[current])
     for i in range(cut - 1, -1, -1):
         if entries[i] in nbrs:
-            return _BACKTRACK[entries[i]]
-    # Nothing before us in the header: the search is exhausted at the source.
-    if sink_moved and current == source and topology.adjacency[source]:
-        return _RESTART
-    return _FAIL
+            return entries[i]
+    return None  # nothing before us in the header
 
 
 @dataclass
@@ -214,17 +173,16 @@ def route(
     *,
     sink_coord: Optional[Position] = None,
     round_limit: Optional[int] = None,
-    on_round: Optional[Callable[[NodeId, Action, RouteHeader], None]] = None,
+    on_round: Optional[Callable[[NodeId, Optional[NodeId], Position], None]] = None,
     tour: Optional[Tour] = None,
     max_traversed: int = MAX_ADDRESS_COUNT,
 ) -> RouteResult:
     """Round-based walk of one message from `source` toward the mobile sink.
 
-    One decision per round; a forward or backtrack moves the packet one hop,
-    any other decision waits the round out.  With `sink_coord` set, greedy
-    decisions aim at that fixed virtual coordinate; otherwise the destination
-    coordinate is a snapshot of the sink's physical position, retaken on
-    every restart.
+    One decision per round: the packet is delivered, moves one hop or waits
+    the round out.  With `sink_coord` set, greedy decisions aim at that fixed
+    virtual coordinate; otherwise the destination coordinate is a snapshot of
+    the sink's physical position, retaken on every restart.
 
     Away from the sink the decisions do not depend on it, so the walk is a
     scan of the sink along a depth-first :class:`Tour`.  Each round checks
@@ -245,9 +203,11 @@ def route(
     that does not end the walk.  The round-based tracks step one unit of
     drift per round; the six-phase scenario observes the sink at the ACK
     instant of the round's hop exchange and steps one exchange duration.
-    `on_round`, when given, is called after each round's decision (and any
-    restart it triggered) with the node holding the packet, the action and
-    the header, before the packet moves or the sink steps.
+    `on_round`, when given, is called in each round that sends a frame,
+    before the packet moves or the sink steps: with the node holding the
+    packet, the node it moves to (None when the sink answers and the packet
+    is delivered) and the destination coordinate.  A round that waits calls
+    nothing.
 
     Terminates on delivery, on the sink leaving the field (miss), on the
     round limit (miss), or on exhaustion with a sink that never moved (fail).
@@ -268,10 +228,6 @@ def route(
     # The search behind the tour (header, id set, coordinates), made when the
     # tour first has to grow.
     search_header = traversed = visited = made = None
-    # The header and its id set are kept only for `on_round`; the tour
-    # already knows where the packet goes.
-    header = RouteHeader([], dest) if on_round is not None else None
-    seen: set = set()
     node = source
     k = 0  # the packet's index in the tour
     path = [source]
@@ -286,27 +242,17 @@ def route(
         x, y = positions[node]
         if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
             if on_round is not None:
-                on_round(node, _DELIVER, header)
+                on_round(node, None, dest)
             return RouteResult(True, len(path) - 1, restarts, path, "delivered", rounds)
         if k == end and not tour.complete:
-            # Grow the tour by one decision of the search, the sink never
-            # adjacent and never moved.  The rule is looked up at call time,
-            # so a wrapped rule sees every decision.
+            # Grow the tour by one decision of rules 2-3.  The rule is looked
+            # up at call time, so a wrapped rule sees every decision.
             if search_header is None:
                 search_header, visited = _search_state(entries, dest)
                 traversed = search_header.traversed
                 made = coords() if callable(coords) else coords
-            action = next_hop_3rule(
-                node,
-                search_header,
-                topology,
-                made,
-                visited=visited,
-                sink_adjacent=False,
-                sink_moved=False,
-                source=source,
-            )
-            if action.kind == "fail":
+            target = next_hop_3rule(node, search_header, topology, made, visited=visited)
+            if target is None:
                 tour.complete = True
             else:
                 if node not in visited:
@@ -315,15 +261,12 @@ def route(
                     else:
                         visited.add(node)
                         traversed.append(node)
-                entries.append(action.target)
+                entries.append(target)
                 end += 1
         if k < end:
             target = entries[k + 1]
             if on_round is not None:
-                on_round(node, (_BACKTRACK if target in seen else _FORWARD)[target], header)
-                if node not in seen:
-                    seen.add(node)
-                    header.traversed.append(node)
+                on_round(node, target, dest)
             if k == overflow:
                 raise HeaderOverflow(f"traversed list would exceed {max_traversed} ids")
             k += 1
@@ -339,19 +282,12 @@ def route(
                 entries = tour.entries
                 end, overflow = 0, None
                 search_header = None
-            if header is not None:
-                header.traversed.clear()
-                header.dest_coord = dest
-                seen.clear()
             # Decide again from the tour's start, in the same round: the sink
             # has not stepped, so the loop top sees it where it was, unmoved.
             continue
-        else:
-            if on_round is not None:
-                on_round(node, _FAIL, header)
-            if not ever_moved:
-                return RouteResult(False, len(path) - 1, restarts, path, "failed", rounds)
-            # stuck but the sink moves: wait this round out
+        elif not ever_moved:
+            return RouteResult(False, len(path) - 1, restarts, path, "failed", rounds)
+        # else stuck but the sink moves: wait this round out
         sink.step()
         if not ever_moved and sink.position != pos:
             ever_moved = True

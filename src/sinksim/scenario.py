@@ -211,7 +211,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     phase_times[3] = max(flood_report.tx_end_us.values(), default=phase_times[2])
 
     # Phase 4: source routes the answer toward the moving sink, one hop
-    # exchange per round of the routing walk.
+    # exchange per round of the routing walk that sends a frame.
     coords = topo.positions if cfg.virtual_coords is None else cfg.virtual_coords
     metric_max = max(euclid((x0, y0), (x1, y1)), 1.0) * 2
     # channel-check offsets are uniform in [0, d_rrp - d_cca]: randrange's
@@ -220,16 +220,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     getrandbits, cca_bits = rng.getrandbits, cca_window.bit_length()
     sink = _FlyingSink(flight, fly_start, flood_report.source_wait_expiry_us, c)
 
-    def hop_exchange(current: NodeId, action, header) -> None:
-        if action.kind not in ("deliver", "forward", "backtrack"):
-            return  # no move: the packet waits the round out
+    def hop_exchange(current: NodeId, target: Optional[NodeId], dest: Position) -> None:
         responders = []
         for nid in topo.adjacency[current]:
             # virtual coordinates live in an unbounded space; clamp the metric
-            metric = min(euclid(coords[nid], header.dest_coord), metric_max)
+            metric = min(euclid(coords[nid], dest), metric_max)
             responders.append((nid, int(round(ack_backoff(metric, metric_max, c.w_rr)))))
-        target = action.target
-        if action.kind == "deliver":
+        if target is None:  # delivery: the sink answers with metric 0
             responders.append((MS_ID, 0))
             target = MS_ID
         cca = {}

@@ -405,6 +405,9 @@ def _cap_memory():
         # a node count that would exhaust memory
         ["route-sim", "--degrees", "1e6", "--runs", "2"],
         ["route-sim", "--degrees", "4,1e300", "--runs", "2"],
+        # a draw list that once ran out of memory before the first walk
+        ["route-sim", "--runs", "100000000"],
+        ["route-sim", "--preset", "grid25", "--runs", "100000000", "--speeds", "1", "--mobility", "edge"],
         ["route-sim", "--preset", "grid25", "--speeds", "nan", "--runs", "2"],
         ["route-sim", "--preset", "grid25", "--speeds=-inf", "--runs", "2"],
         ["route-sim", "--preset", "grid25", "--speeds", "2,-4", "--runs", "2"],
@@ -498,6 +501,20 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, tmp_path_factory):
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert proc.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--n", ["collisions", "--runs", "10", "--n", "-1"]),
+        ("--neighbors", ["analyze", "--neighbors", "0"]),
+        ("--runs", ["route-sim", "--preset", "grid25", "--runs", "100000000"]),
+    ],
+    ids=("collisions --n", "analyze --neighbors", "route-sim --runs"),
+)
+def test_a_bad_count_names_its_option(option, argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} ")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["demo", "--help"], ["--version"]], ids=" ".join)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sinksim.frames import MAX_ADDRESS_COUNT, DataPayload, ListOverflow, encode_data_payload
 from sinksim.radio import build_udg, grid_topology
 from sinksim.routing import (
-    Action,
     HeaderOverflow,
     RouteHeader,
     RouteResult,
@@ -126,16 +125,6 @@ def test_virtual_coords_equal_the_reference_loop(ids, seed, bounds):
 # ---------------------------------------------------------------------------
 
 
-def test_actions_compare_by_value_and_are_unhashable():
-    assert Action("forward", 1) == Action("forward", 1)
-    assert Action("forward", 1) != Action("backtrack", 1)
-    assert Action("forward", 1) != Action("forward", 2)
-    assert Action("deliver") == Action("deliver", None)
-    assert Action("forward", 1) != ("forward", 1)  # not a tuple
-    with pytest.raises(TypeError):
-        hash(Action("forward", 1))
-
-
 def test_deliver_when_source_adjacent():
     g = grid_topology(3, 25.0)
     res = route(g, g.positions, 0, StaticSink((10.0, 10.0)))
@@ -159,37 +148,19 @@ def test_backtrack_targets_the_first_reacher():
     topo = build_udg(positions, 25.0)
     coords = {0: (0.0, 0.0), 1: (100.0, 100.0), 2: (200.0, 200.0)}
     header = RouteHeader(traversed=[], dest_coord=(100.0, 110.0))
-    action = next_hop_3rule(
-        0, header, topo, coords, visited=set(header.traversed),
-        sink_adjacent=False, sink_moved=False, source=0,
-    )
-    assert action == Action("forward", 1)
+
+    def decide(current):
+        return next_hop_3rule(current, header, topo, coords, visited=set(header.traversed))
+
+    assert decide(0) == 1
     header.traversed.append(0)
-    action = next_hop_3rule(
-        1, header, topo, coords, visited=set(header.traversed),
-        sink_adjacent=False, sink_moved=False, source=0,
-    )
-    assert action == Action("backtrack", 0)
-
-
-def test_the_rule_hands_out_one_shared_action_per_kind_and_target():
-    # chain 0 - 1 - 2, aimed past node 2
-    topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0), 2: (40.0, 0.0)}, 25.0)
-
-    def decide(current, traversed):
-        header = RouteHeader(traversed=list(traversed), dest_coord=(100.0, 0.0))
-        return next_hop_3rule(
-            current, header, topo, topo.positions, visited=set(traversed),
-            sink_adjacent=False, sink_moved=False, source=0,
-        )
-
-    forward = decide(1, [0])
-    assert forward == Action("forward", 2) and type(forward) is Action
-    assert decide(1, [0]) is forward
-    assert decide(0, []) == Action("forward", 1) and decide(0, []) is not forward
-    backtrack = decide(2, [0, 1])
-    assert backtrack == Action("backtrack", 1) and type(backtrack) is Action
-    assert decide(2, [0, 1]) is backtrack
+    assert decide(1) == 0
+    header.traversed.append(1)
+    assert decide(0) == 2
+    assert decide(2) == 0
+    header.traversed.append(2)
+    # back at the source with every neighbor visited: the search is exhausted
+    assert decide(0) is None
 
 
 def test_exhausted_static_search_fails():
@@ -222,6 +193,30 @@ def test_exhausted_search_waits_once_the_sink_has_moved():
     assert res.rounds == 10
     assert res.restarts == 1
     assert res.path == [0, 1, 0, 1, 0]
+
+
+def test_on_round_is_called_once_per_frame_round():
+    # The walk above: four moves, then six waiting rounds that send nothing.
+    # Each tour aims at the snapshot it started from.
+    topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, 25.0)
+    calls = []
+    res = route(
+        topo, topo.positions, 0, _MovesOnceSink((500.0, 500.0), (600.0, 600.0)),
+        round_limit=10, on_round=lambda *call: calls.append(call),
+    )
+    assert res.rounds == 10 and res.path == [0, 1, 0, 1, 0]
+    assert calls == [
+        (0, 1, (500.0, 500.0)),
+        (1, 0, (500.0, 500.0)),
+        (0, 1, (600.0, 600.0)),
+        (1, 0, (600.0, 600.0)),
+    ]
+    # A delivering walk ends with one call whose target is None.
+    topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0), 2: (40.0, 0.0)}, 25.0)
+    calls = []
+    res = route(topo, topo.positions, 0, StaticSink((60.0, 0.0)), on_round=lambda *call: calls.append(call))
+    assert res.delivered
+    assert calls == [(0, 1, (60.0, 0.0)), (1, 2, (60.0, 0.0)), (2, None, (60.0, 0.0))]
 
 
 def test_round_limit_counts_as_miss():
@@ -272,14 +267,11 @@ def test_forward_ties_go_to_the_smallest_id():
     header = RouteHeader(traversed=[], dest_coord=g.positions[4])
 
     def decide(visited):
-        return next_hop_3rule(
-            4, header, g, g.positions,
-            visited=visited, sink_adjacent=False, sink_moved=False, source=4,
-        )
+        return next_hop_3rule(4, header, g, g.positions, visited=visited)
 
-    assert decide(set()) == Action("forward", 1)
-    assert decide({1}) == Action("forward", 3)
-    assert decide({1, 3, 5}) == Action("forward", 7)
+    assert decide(set()) == 1
+    assert decide({1}) == 3
+    assert decide({1, 3, 5}) == 7
 
 
 def test_forward_entries_unique_between_restarts():
@@ -291,23 +283,16 @@ def test_forward_entries_unique_between_restarts():
         header = RouteHeader(traversed=[], dest_coord=(rnd.uniform(0, 1000), rnd.uniform(0, 1000)))
         current = source
         for _ in range(4 * len(topo)):
-            action = next_hop_3rule(
-                current,
-                header,
-                topo,
-                coords,
-                visited=set(header.traversed),
-                sink_adjacent=topo.in_range(current, sink_pos),
-                sink_moved=False,
-                source=source,
-            )
-            if action.kind in ("deliver", "fail"):
+            if topo.in_range(current, sink_pos):
                 break
-            assert action.kind in ("forward", "backtrack")
+            target = next_hop_3rule(current, header, topo, coords, visited=set(header.traversed))
+            if target is None:
+                break
+            assert target in topo.adjacency[current]
             if current not in header.traversed:
                 header.traversed.append(current)
             assert len(set(header.traversed)) == len(header.traversed)
-            current = action.target
+            current = target
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,8 +335,10 @@ def test_grid_far_corner_matches_dfs_oracle():
 
 
 def reference_route(topology, coords, source, sink, *, sink_coord=None, round_limit=None, on_round=None):
-    """The walk as it was before the tour: one `next_hop_3rule` decision per
-    round, on a header the walk itself keeps."""
+    """The walk as it was before the tour: one decision per round, on a
+    header the walk itself keeps.  Each round delivers (rule 1), else asks
+    `next_hop_3rule` (rules 2-3), else restarts when the search is exhausted
+    at the source after the sink moved (rule 4)."""
     limit = round_limit if round_limit is not None else 4 * len(topology)
     positions = topology.positions
     r2 = topology.range_m**2
@@ -374,36 +361,27 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
             return RouteResult(False, hops, restarts, path, "missed", rounds)
         pos = sink.position
         x, y = positions[current]
-        adjacent = (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2
-        action = next_hop_3rule(
-            current,
-            header,
-            topology,
-            coords,
-            visited=traversed_set,
-            sink_adjacent=adjacent,
-            sink_moved=pos != snapshot,
-            source=source,
-        )
-        if action.kind == "restart":
+        if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
+            if on_round is not None:
+                on_round(current, None, header.dest_coord)
+            return RouteResult(True, hops, restarts, path, "delivered", rounds)
+        target = next_hop_3rule(current, header, topology, coords, visited=traversed_set)
+        if target is None and pos != snapshot and current == source and topology.adjacency[source]:
             restarts += 1
             traversed.clear()
             traversed_set.clear()
             header.dest_coord = sink_coord or pos
             snapshot = pos
             continue
-        kind = action.kind
-        if on_round is not None:
-            on_round(current, action, header)
-        if kind == "deliver":
-            return RouteResult(True, hops, restarts, path, "delivered", rounds)
-        if kind == "forward" or kind == "backtrack":
+        if target is not None:
+            if on_round is not None:
+                on_round(current, target, header.dest_coord)
             if current not in traversed_set:
                 if len(traversed) >= MAX_ADDRESS_COUNT:
                     raise HeaderOverflow(f"traversed list would exceed {MAX_ADDRESS_COUNT} ids")
                 traversed.append(current)
                 traversed_set.add(current)
-            current = action.target
+            current = target
             path.append(current)
             hops += 1
         elif not ever_moved:
@@ -415,14 +393,10 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
 
 
 def _walked(walk, topology, coords, source, sink, **kwargs):
-    """A walk's result fields, or "overflow", and every round it reported."""
+    """A walk's result fields, or "overflow", and every frame round it reported."""
     seen = []
-
-    def record(node, action, header):
-        seen.append((node, action.kind, action.target, header.dest_coord, list(header.traversed)))
-
     try:
-        res = walk(topology, coords, source, sink, on_round=record, **kwargs)
+        res = walk(topology, coords, source, sink, on_round=lambda *call: seen.append(call), **kwargs)
         fields = (res.delivered, res.path, res.rounds, res.hops, res.restarts, res.outcome)
     except HeaderOverflow:
         fields = "overflow"
@@ -545,17 +519,13 @@ def test_the_answer_fits_the_data_payload_with_the_source_neighbors(hops):
     neighbors = list(topo.adjacency[0])
     assert len(neighbors) == 3
     sink = (hops + 0.5, 0.5)
-    delivered = []
-
-    def on_round(node, action, header):
-        if action.kind == "deliver":
-            delivered.append(list(header.traversed))
-
     # Bounded at the 118 ids of the traversed list alone, every walk delivers.
-    res = route(topo, topo.positions, 0, StaticSink(sink), round_limit=1_000, on_round=on_round)
+    res = route(topo, topo.positions, 0, StaticSink(sink), round_limit=1_000)
     assert res.delivered and res.hops == hops
-    assert delivered == [list(range(hops))]
-    payload = DataPayload(delivered[0], neighbors)
+    # The traversed list: every node the packet left, in first-visit order.
+    traversed = list(dict.fromkeys(res.path[:-1]))
+    assert traversed == list(range(hops))
+    payload = DataPayload(traversed, neighbors)
     bound = MAX_ADDRESS_COUNT - len(neighbors)
     if hops <= bound:
         encode_data_payload(payload)
