@@ -39,21 +39,11 @@ from .scenario import ScenarioConfig, grid_point, nodes_for_degree, random_graph
 
 def _check_analyze_divisors(c: ProtocolConstants) -> None:
     """Raise ValueError naming the first constant, or sum of constants, that
-    `analyze`'s calculators divide by and that is not > 0."""
-    p = RealTimeParams()
-    network = (
-        p.flood_hops * (c.w_br + c.d_brp) + c.b_src + p.worst_hops * (c.d_rrp + c.w_rr + c.d_data)
-    )
-    for name, value in (
-        ("t_cca", c.t_cca),  # duty_cycle
-        ("t_dr + d_drp + d_data", c.t_dr + c.d_drp + c.d_data),  # v_max_bs
-        (
-            f"{p.flood_hops} (w_br + d_brp) + b_src + {p.worst_hops} (d_rrp + w_rr + d_data)",
-            network,
-        ),  # v_max_network
-    ):
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value}")
+    `analyze`'s calculators divide by and that is not > 0: each calculator
+    checks its own divisor."""
+    duty_cycle(c)
+    v_max_bs(c)
+    v_max_network(c)
 
 
 def _write_manifest(out: Path, command: str, args: dict) -> None:
@@ -390,8 +380,11 @@ def cmd_demo(args, c: ProtocolConstants) -> int:
     _at_least_one(args, "rotations")
     topo = _topology(args)
     node_ids = sorted(topo.positions)
-    reports = []
+    # Only what is written is kept, not the rotations' reports: the rows, the
+    # first rotation's timeline and each delivered rotation's answer.
     rows = []
+    first_timeline = None
+    answers = []  # (query node, neighbors) of each delivered rotation
     for rotation in range(args.rotations):
         query = node_ids[rotation % len(node_ids)]
         cfg = ScenarioConfig(
@@ -402,23 +395,26 @@ def cmd_demo(args, c: ProtocolConstants) -> int:
             seed=args.seed + rotation,
         )
         report = run_scenario(cfg)
-        reports.append(report)
-        route = report.route
+        if first_timeline is None:
+            first_timeline = report.timeline
+        if not report.miss:
+            answers.append((query, report.neighbors))
         rows.append(
             (
                 rotation,
                 query,
                 int(not report.miss),
-                route.hops,
-                route.restarts,
+                report.route.hops,
+                report.route.restarts,
                 ";".join(str(n) for n in report.neighbors),
                 report.phase_times_us.get(1, ""),
                 report.phase_times_us.get(4, ""),
                 report.phase_times_us.get(6, ""),
             )
         )
-    graph = discovered_graph([r for r in reports if not r.miss])
-    timeline = [(seg.node, seg.state, seg.start_us, seg.end_us) for seg in reports[0].timeline]
+        del report  # not held through the next rotation
+    graph = discovered_graph(answers)
+    timeline = [(seg.node, seg.state, seg.start_us, seg.end_us) for seg in first_timeline]
     out = Path(args.out)
     _write_manifest(out, "demo", vars(args))
     (out / "graph.dot").write_text(to_dot(graph, name="discovered"))
@@ -438,7 +434,7 @@ def cmd_demo(args, c: ProtocolConstants) -> int:
         ],
         rows,
     )
-    misses = sum(1 for r in reports if r.miss)
+    misses = len(rows) - len(answers)
     print(f"wrote {out / 'rotations.csv'} and {out / 'graph.dot'} ({misses} missed)")
     return 0
 

@@ -58,7 +58,11 @@ DEFAULT_CONSTANTS = ProtocolConstants()
 
 
 def duty_cycle(c: ProtocolConstants) -> float:
-    """Fraction of time the radio is on while the network sits idle."""
+    """Fraction of time the radio is on while the network sits idle.
+
+    Raises ValueError when the sampling period `t_cca` is not > 0."""
+    if not c.t_cca > 0:
+        raise ValueError(f"t_cca must be > 0, got {c.t_cca}")
     return c.d_cca / c.t_cca
 
 

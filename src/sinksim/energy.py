@@ -99,11 +99,14 @@ def v_max_bs(c: ProtocolConstants, chord_m: float = 50.0) -> float:
 
     Worst case is the data return leg: a full request period, the preamble,
     and the longest data packet must fit while the sink crosses the chord.
+    Raises ValueError when the chord or that window is not > 0.
     """
     if chord_m <= 0:
         raise ValueError("chord_m must be > 0")
-    window_s = seconds(c.t_dr + c.d_drp + c.d_data)
-    return chord_m / window_s * MPS_TO_KMH
+    window_us = c.t_dr + c.d_drp + c.d_data
+    if not window_us > 0:
+        raise ValueError(f"t_dr + d_drp + d_data must be > 0, got {window_us}")
+    return chord_m / seconds(window_us) * MPS_TO_KMH
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,18 @@ class RealTimeParams:
 
 def v_max_network(c: ProtocolConstants, p: RealTimeParams = RealTimeParams()) -> float:
     """Top sink speed (km/h) for query broadcast plus answer routing to fit
-    the stretch of path along which the sink is connected to the network."""
+    the stretch of path along which the sink is connected to the network.
+
+    Raises ValueError when the traverse or that window is not > 0."""
     if p.traverse_m <= 0:
         raise ValueError("traverse_m must be > 0")
-    window_s = seconds(
-        p.flood_hops * (c.w_br + c.d_brp)
-        + c.b_src
-        + p.worst_hops * (c.d_rrp + c.w_rr + c.d_data)
-    )
-    return p.traverse_m / window_s * MPS_TO_KMH
+    window_us = p.flood_hops * (c.w_br + c.d_brp) + c.b_src + p.worst_hops * (c.d_rrp + c.w_rr + c.d_data)
+    if not window_us > 0:
+        raise ValueError(
+            f"{p.flood_hops} (w_br + d_brp) + b_src + {p.worst_hops} (d_rrp + w_rr + d_data)"
+            f" must be > 0, got {window_us}"
+        )
+    return p.traverse_m / seconds(window_us) * MPS_TO_KMH
 
 
 def integrate_timeline(

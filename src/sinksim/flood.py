@@ -91,9 +91,7 @@ class FloodEngine:
         source_slot = view.slot_of.get(source, -1)
         if source is not None and source_slot < 0:
             raise KeyError(f"source {source} not in topology")
-        self.topology = topology
         self.c = c
-        self.source = source
         self.rng = random.Random(seed)
         self.view = view
         self._source_slot = source_slot

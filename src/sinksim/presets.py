@@ -7,14 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import NodeId
 from .routing import RouteResult
 from .stats import mean_ci
-
-if TYPE_CHECKING:
-    from .scenario import ScenarioReport
 
 
 @dataclass
@@ -102,14 +99,17 @@ def _component_labels(adjacency: Dict[NodeId, Tuple[NodeId, ...]]) -> List[int]:
     return label
 
 
-def discovered_graph(reports: Sequence[ScenarioReport]) -> Dict[NodeId, Tuple[NodeId, ...]]:
-    """Union of (queried node -> neighbor) edges across successful rotations."""
+def discovered_graph(
+    answers: Iterable[Tuple[NodeId, Sequence[NodeId]]]
+) -> Dict[NodeId, Tuple[NodeId, ...]]:
+    """Union of (queried node -> neighbor) edges across successful rotations,
+    each given as its queried node and the neighbor list it answered."""
     edges: Dict[NodeId, set] = {}
-    for rep in reports:
-        edges.setdefault(rep.query_node, set())
-        for nbr in rep.neighbors:
+    for query, neighbors in answers:
+        edges.setdefault(query, set())
+        for nbr in neighbors:
             edges.setdefault(nbr, set())
-            edges[rep.query_node].add(nbr)
-            edges[nbr].add(rep.query_node)
+            edges[query].add(nbr)
+            edges[nbr].add(query)
     return {nid: tuple(sorted(nbrs)) for nid, nbrs in sorted(edges.items())}
 

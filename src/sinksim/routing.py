@@ -21,17 +21,20 @@ coordinates are; coordinates only steer the visit order.
 
 Rules 2 and 3 never read the sink, so away from it the walk follows one fixed
 tour: the sequence of nodes the search visits when the sink never answers.
-`next_hop_3rule` applies them and returns the node the packet moves to, or
-None when the search is exhausted; `route` applies rules 1 and 4, which read
-the sink, and is a scan of the sink along that tour.  A :class:`Tour` holds its
-entries, whether the search is exhausted, and the index at which the header
-would overflow; it grows lazily, one `next_hop_3rule` decision at a time, as
-far as a scan reaches.  Each round checks the sink against the packet's
-entry: in range it delivers (rule 1), otherwise the packet moves to the next
-entry.  At the end of an exhausted tour, rule 4 restarts the scan from the
-source.  With a fixed destination coordinate a restart replays the same tour,
-so walks that differ only in the sink, such as the paired speeds of a sweep,
-share it.  With a destination snapshot each restart starts a fresh tour.
+`next_hop_3rule` applies them to plain values, the destination coordinate
+and the header's traversed list with its id set, and returns the node the
+packet moves to, or None when the search is exhausted; `route` applies rules
+1 and 4, which read the sink, and is a scan of the sink along that tour.  A
+:class:`Tour` holds its entries, whether the search is exhausted, and the
+index at which the header would overflow; it grows lazily, one
+`next_hop_3rule` decision at a time, as far as a scan reaches, on a
+traversed list rebuilt from its entries.  Each round checks the sink against
+the packet's entry: in range it delivers (rule 1), otherwise the packet moves
+to the next entry.  At the end of an exhausted tour, rule 4 restarts the scan
+from the source.  With a fixed destination coordinate a restart replays the
+same tour, so walks that differ only in the sink, such as the paired speeds
+of a sweep, share it.  With a destination snapshot each restart starts a
+fresh tour.
 
 Coordinates can be the physical positions or virtual ones: one seeded random
 draw per node inside a box, with the sink's virtual coordinate a fixed point
@@ -41,8 +44,8 @@ the caller chooses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core import NodeId, Position
 from .frames import MAX_ADDRESS_COUNT
@@ -55,12 +58,6 @@ class RoutingError(Exception):
 
 class HeaderOverflow(RoutingError):
     """The traversed list no longer fits the data payload bound."""
-
-
-@dataclass
-class RouteHeader:
-    traversed: List[NodeId] = field(default_factory=list)
-    dest_coord: Position = (0.0, 0.0)
 
 
 def init_virtual_coords(
@@ -82,23 +79,25 @@ def init_virtual_coords(
 
 def next_hop_3rule(
     current: NodeId,
-    header: RouteHeader,
+    dest: Position,
+    traversed: Sequence[NodeId],
+    visited: AbstractSet[NodeId],
     topology: Topology,
     coords: Mapping[NodeId, Position],
-    *,
-    visited: AbstractSet[NodeId],
 ) -> Optional[NodeId]:
     """Rules 2 and 3 for the packet sitting at `current`: the node it moves
     to, or None when the search is exhausted there.
 
-    Ties in distance go to the smallest id: the adjacency tuples are sorted,
-    as `build_udg` builds them, and only a strictly closer neighbor replaces
-    the best so far.  `visited` holds the ids in `header.traversed`; the
-    caller keeps it next to the header so that no decision has to rebuild
-    it.  `current` need not be in it: `build_udg` never lists a node as its
-    own neighbor.  Rules 1 and 4 read the sink, so `route` applies them.
+    `dest` is the destination coordinate and `traversed` the header's
+    traversed list, in first-visit order.  Ties in distance go to the
+    smallest id: the adjacency tuples are sorted, as `build_udg` builds them,
+    and only a strictly closer neighbor replaces the best so far.  `visited`
+    holds the ids in `traversed`; the caller keeps it next to the list so
+    that no decision has to rebuild it.  `current` need not be in it:
+    `build_udg` never lists a node as its own neighbor.  Rules 1 and 4 read
+    the sink, so `route` applies them.
     """
-    tx, ty = header.dest_coord
+    tx, ty = dest
     best = None
     best_d2 = 0.0
     for v in topology.adjacency[current]:
@@ -111,15 +110,14 @@ def next_hop_3rule(
     if best is not None:
         return best
     # Exhausted here: return toward the node this one was first reached from.
-    entries = header.traversed
     try:
-        cut = entries.index(current)
+        cut = traversed.index(current)
     except ValueError:
-        cut = len(entries)
+        cut = len(traversed)
     nbrs = set(topology.adjacency[current])
     for i in range(cut - 1, -1, -1):
-        if entries[i] in nbrs:
-            return entries[i]
+        if traversed[i] in nbrs:
+            return traversed[i]
     return None  # nothing before us in the header
 
 
@@ -151,18 +149,6 @@ class Tour:
     entries: List[NodeId]
     complete: bool = False
     overflow: Optional[int] = None
-
-
-def _search_state(entries: List[NodeId], dest: Position) -> Tuple[RouteHeader, set]:
-    """The header and id set of the search that grew a tour to `entries`:
-    every entry it has left, in first-visit order."""
-    header = RouteHeader([], dest)
-    visited: set = set()
-    for node in entries[:-1]:
-        if node not in visited:
-            visited.add(node)
-            header.traversed.append(node)
-    return header, visited
 
 
 def route(
@@ -225,9 +211,9 @@ def route(
         tour = Tour([source])
     entries = tour.entries
     end, overflow = len(entries) - 1, tour.overflow
-    # The search behind the tour (header, id set, coordinates), made when the
-    # tour first has to grow.
-    search_header = traversed = visited = made = None
+    # The search behind the tour (traversed list, id set, coordinates), made
+    # when the tour first has to grow.
+    traversed = visited = made = None
     node = source
     k = 0  # the packet's index in the tour
     path = [source]
@@ -247,11 +233,12 @@ def route(
         if k == end and not tour.complete:
             # Grow the tour by one decision of rules 2-3.  The rule is looked
             # up at call time, so a wrapped rule sees every decision.
-            if search_header is None:
-                search_header, visited = _search_state(entries, dest)
-                traversed = search_header.traversed
+            if traversed is None:
+                # Every entry the tour has left, in first-visit order.
+                traversed = list(dict.fromkeys(entries[:-1]))
+                visited = set(traversed)
                 made = coords() if callable(coords) else coords
-            target = next_hop_3rule(node, search_header, topology, made, visited=visited)
+            target = next_hop_3rule(node, dest, traversed, visited, topology, made)
             if target is None:
                 tour.complete = True
             else:
@@ -281,7 +268,7 @@ def route(
                 tour = Tour([source])
                 entries = tour.entries
                 end, overflow = 0, None
-                search_header = None
+                traversed = None
             # Decide again from the tour's start, in the same round: the sink
             # has not stepped, so the loop top sees it where it was, unmoved.
             continue

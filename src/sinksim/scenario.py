@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
 from .flight import MAX_PASSES, ConfigError, _first_cca_catch, _flight, _FlyingSink, _strip
@@ -71,7 +71,7 @@ from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_to
 from .routing import RouteResult, Tour, init_virtual_coords, route
 from .stats import mean_ci
 from .timelines import BS_ID, MS_ID, _base_station_totals, _fill_gaps, hop_exchange_timeline
-from .tracks import BounceTrack, Replay, StaticSink, _check_speed, diagonal_line, edge_line, record
+from .tracks import BounceTrack, Replay, StaticSink, _check_speed, line_crossing
 
 # Bound here for the names bench/tracer.py wraps here: next_hop_3rule and
 # timeline_coverage.
@@ -477,6 +477,12 @@ def random_graph_point(
     return _sweep_point("bounce", speed, degree, [outcome for outcome, _ in results])
 
 
+# The end of each grid crossing, which starts at the origin: along one side
+# of the square field (the shortest connected time) or corner to corner (the
+# longest).
+_CROSSING_ENDS = {"edge": (GRID_FIELD_M, 0.0), "diagonal": (GRID_FIELD_M, GRID_FIELD_M)}
+
+
 def grid_point(
     mobility: str,
     speed: float,
@@ -500,10 +506,10 @@ def grid_point(
     :func:`random_graph_point`, and the point is bit-identical for any
     worker count.  The crossing draws nothing, so every walk of a point takes
     the same sink path: it is recorded once, before the workers fork, as far
-    as the round limit of four rounds per node (:func:`sinksim.tracks.record`),
-    and each walk replays it.
+    as the round limit of four rounds per node
+    (:func:`sinksim.tracks.line_crossing`), and each walk replays it.
     """
-    if mobility not in ("edge", "diagonal"):
+    if mobility not in _CROSSING_ENDS:
         raise ValueError("grid mobility must be 'edge' or 'diagonal'")
     if coord_mode not in ("physical", "virtual"):
         raise ValueError(f"unknown coordinate mode {coord_mode!r}")
@@ -514,8 +520,8 @@ def grid_point(
     virtual = coord_mode == "virtual"
     # (source, coordinate seed or None)
     draws = [(rng.randrange(GRID_SIDE**2), rng.randrange(2**31) if virtual else None) for _ in range(runs)]
-    make_track = edge_line if mobility == "edge" else diagonal_line
-    return _sweep_point(mobility, speed, None, _crossing_walks([make_track], speed, draws, workers))
+    outcomes = _crossing_walks([_CROSSING_ENDS[mobility]], speed, draws, workers)
+    return _sweep_point(mobility, speed, None, outcomes)
 
 
 def grid_crossing_hops(
@@ -528,19 +534,25 @@ def grid_crossing_hops(
     sources and coordinate seeds are drawn up front, the two crossings
     recorded once, and the walks split across `workers` as in
     :func:`grid_point`, bit-identical for any count.
+
+    No `route-sim` preset writes this figure; it stays a function of its own
+    because it is criterion 9's reference.  That criterion pools the two
+    crossings, alternated walk by walk at `GRID_CROSSING_SPEED`, and reads
+    only the hop count of the delivered walks, which no :class:`SweepPoint`
+    of :func:`grid_point` reports.
     """
     rng = random.Random(seed)
     draws = [(rng.randrange(GRID_SIDE**2), rng.randrange(2**31)) for _ in range(runs)]
-    outcomes = _crossing_walks([edge_line, diagonal_line], GRID_CROSSING_SPEED, draws, workers)
+    outcomes = _crossing_walks(list(_CROSSING_ENDS.values()), GRID_CROSSING_SPEED, draws, workers)
     return mean_ci([h for _, h in outcomes if h is not None])
 
 
 def _crossing_walks(
-    makes: List[Callable], speed: float, draws: List[Tuple[NodeId, Optional[int]]], workers: Optional[int]
+    ends: List[Position], speed: float, draws: List[Tuple[NodeId, Optional[int]]], workers: Optional[int]
 ) -> List[_Outcome]:
     """The outcomes of the walks on the 5x5 grid, one per (source,
-    coordinate seed) of `draws`, walk i against the crossing that
-    `makes[i % len(makes)]` makes at `speed`.
+    coordinate seed) of `draws`, walk i against the crossing from the
+    field's corner at the origin to `ends[i % len(ends)]` at `speed`.
 
     Each crossing is recorded once, as far as the round limit of four rounds
     per node, and every walk replays it.  A seed routes on fresh virtual
@@ -550,7 +562,7 @@ def _crossing_walks(
     """
     g = grid_topology(GRID_SIDE, GRID_SPACING_M)
     limit = 4 * len(g)
-    paths = [record(make(GRID_FIELD_M, speed), limit) for make in makes]
+    paths = [line_crossing((0.0, 0.0), end, speed, limit) for end in ends]
 
     def walk(i: int) -> _Outcome:
         source, vc_seed = draws[i]

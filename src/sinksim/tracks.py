@@ -3,12 +3,11 @@ event-time flight path of the six-phase run.
 
 A round-based track moves by one step per routing round and exposes its
 `position` and whether it has `departed`; :func:`sinksim.routing.route`
-reads both.  A track that draws nothing per walk, such as a grid crossing,
-takes the same path in every walk: :func:`record` steps it once, as far as
-a walk's round limit, and each walk steps a :class:`Replay` of that
-recording instead of a track of its own.  :class:`WaypointTrack` is a
-piecewise-linear path flown at a constant ground speed, read as a function
-of elapsed microseconds.
+reads both.  A grid crossing draws nothing per walk, so it takes the same
+path in every walk: :func:`line_crossing` records that path once, as far as
+a walk's round limit, and each walk steps a :class:`Replay` of the
+recording.  :class:`WaypointTrack` is a piecewise-linear path flown at a
+constant ground speed, read as a function of elapsed microseconds.
 """
 
 from __future__ import annotations
@@ -94,66 +93,41 @@ class BounceTrack:
         self.direction = (sx, sy)
 
 
-class LineTrack:
-    """Constant-speed straight line; departed once the far end is reached.
+def line_crossing(
+    start: Position, end: Position, speed: float, steps: int
+) -> Tuple[List[Position], List[bool]]:
+    """A straight crossing from `start` to `end` at a constant per-round
+    `speed`, recorded for :class:`Replay`: the positions and `departed` flags
+    before the first round and after each of `steps` rounds.
 
-    A speed that is negative or not finite raises ValueError.
+    Each round adds `speed` to the distance traveled; the position is
+    start + (end - start) * frac, with frac that distance over the line's
+    length, capped at 1 (and 1 on a line of length 0).  The sink has departed
+    once the distance reaches the length.  The floats come from that running
+    sum, not from a closed form in the round count.  A walk with round limit
+    L reads L + 1 states.  A speed that is negative or not finite raises
+    ValueError.
     """
-
-    def __init__(self, start: Position, end: Position, speed: float):
-        _check_speed(speed)
-        self.start = (float(start[0]), float(start[1]))
-        self.end = (float(end[0]), float(end[1]))
-        self.speed = float(speed)
-        self.length = euclid(self.start, self.end)
-        self.traveled = 0.0
-        self.position = self.start
-        self.departed = self.length == 0.0
-        # The constant parts of a step's position, start + (end - start) * frac.
-        self._x0, self._y0 = self.start
-        self._dx, self._dy = self.end[0] - self._x0, self.end[1] - self._y0
-
-    def step(self) -> None:
-        self.traveled += self.speed
-        if self.length:
-            frac = self.traveled / self.length
-            if frac > 1.0:  # min(frac, 1.0) without the call
-                frac = 1.0
-        else:
-            frac = 1.0
-        self.position = (self._x0 + self._dx * frac, self._y0 + self._dy * frac)
-        if self.traveled >= self.length:
-            self.departed = True
-
-
-def edge_line(field: float, speed: float) -> LineTrack:
-    """Crossing along one side of the square field (shortest connected time)."""
-    return LineTrack((0.0, 0.0), (field, 0.0), speed)
-
-
-def diagonal_line(field: float, speed: float) -> LineTrack:
-    """Corner-to-corner crossing (longest connected time)."""
-    return LineTrack((0.0, 0.0), (field, field), speed)
-
-
-def record(track, steps: int) -> Tuple[List[Position], List[bool]]:
-    """The positions and `departed` flags of a round-based track before its
-    first step and after each of `steps` steps.
-
-    They come from stepping the track itself, not from a closed form: a
-    :class:`LineTrack` adds its speed up step by step, and only that sum
-    gives its floats.  A walk with round limit L reads L + 1 of them.
-    """
-    positions, departed = [track.position], [track.departed]
+    _check_speed(speed)
+    start = (float(start[0]), float(start[1]))
+    end = (float(end[0]), float(end[1]))
+    speed = float(speed)
+    length = euclid(start, end)
+    (x0, y0), dx, dy = start, end[0] - start[0], end[1] - start[1]
+    traveled, departed = 0.0, length == 0.0
+    positions, flags = [start], [departed]
     for _ in range(steps):
-        track.step()
-        positions.append(track.position)
-        departed.append(track.departed)
-    return positions, departed
+        traveled += speed
+        frac = min(traveled / length, 1.0) if length else 1.0
+        positions.append((x0 + dx * frac, y0 + dy * frac))
+        departed = departed or traveled >= length
+        flags.append(departed)
+    return positions, flags
 
 
 class Replay:
-    """A recorded track (:func:`record`) stepped again, state by state.
+    """A recorded sink path (:func:`line_crossing`) stepped again, state by
+    state.
 
     Many walks can replay one recording, each with its own `Replay`; the
     recording is only read.  Stepping past its last state raises IndexError.

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinksim import commands
 from sinksim.cli import load_constants, main, read_config
 from sinksim.scenario import random_graph_point
 
@@ -221,6 +223,26 @@ def test_demo_timeline_csv_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == (
         "b19bb56e1cb625c687b0e993f7d1b2d0953f76f41f76fe46be5daaa9f3c4093b"
     )
+
+
+def test_demo_holds_no_earlier_rotation_report(tmp_path, monkeypatch, capsys):
+    # demo writes the first rotation's timeline and every rotation's row, so
+    # a report it kept beyond that would only make its memory grow with
+    # --rotations.
+    refs, alive = [], []
+    run_scenario = commands.run_scenario
+
+    def watched(cfg):
+        alive.append([i for i, ref in enumerate(refs) if ref() is not None])
+        report = run_scenario(cfg)
+        refs.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(commands, "run_scenario", watched)
+    out = tmp_path / "demo"
+    assert run_cli("demo", "--grid", "3", "--rotations", "6", "--seed", "7", "--out", str(out)) == 0
+    assert len(alive) == 6
+    assert all(set(earlier) <= {0} for earlier in alive), alive
 
 
 def test_constants_override_via_config(tmp_path):

@@ -63,6 +63,8 @@ def test_duty_cycle_is_cca_over_period():
     assert duty_cycle(c) == 1.0
     c = dataclasses.replace(DEFAULT_CONSTANTS, t_cca=10 * DEFAULT_CONSTANTS.d_cca)
     assert duty_cycle(c) == pytest.approx(0.1)
+    with pytest.raises(ValueError, match=r"^t_cca must be > 0, got 0$"):
+        duty_cycle(dataclasses.replace(DEFAULT_CONSTANTS, t_cca=0))
 
 
 def test_preamble_micro_frame_count_spans_the_preamble():

@@ -70,6 +70,8 @@ def test_v_max_base_station_link():
     assert v_max_bs(C, chord_m=25.0) == pytest.approx(v / 2)
     with pytest.raises(ValueError):
         v_max_bs(C, chord_m=0.0)
+    with pytest.raises(ValueError, match=r"^t_dr \+ d_drp \+ d_data must be > 0, got 0$"):
+        v_max_bs(dataclasses.replace(C, t_dr=0, d_drp=0, d_data=0))
 
 
 def test_v_max_network_traverse():
@@ -85,6 +87,9 @@ def test_v_max_network_traverse():
 def test_v_max_network_degenerate_geometry():
     p = RealTimeParams(traverse_m=150.0, worst_hops=0, flood_hops=0)
     assert v_max_network(C, p) == pytest.approx(150.0 / (C.b_src / 1e6) * 3.6)
+    message = r"^0 \(w_br \+ d_brp\) \+ b_src \+ 0 \(d_rrp \+ w_rr \+ d_data\) must be > 0, got 0$"
+    with pytest.raises(ValueError, match=message):
+        v_max_network(dataclasses.replace(C, b_src=0), p)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -80,6 +81,49 @@ def test_no_sinksim_module_is_over_600_lines():
     # every benchmark run's peak includes compiling sinksim.
     sizes = {path.name: len(path.read_text().splitlines()) for path in (SRC / "sinksim").glob("*.py")}
     assert sizes and {name: n for name, n in sizes.items() if n > 600} == {}
+
+
+# Module-level functions and classes of sinksim that nothing outside the tests
+# calls, each with the reason it stays.
+TEST_FACING = {
+    ("scenario", "grid_crossing_hops"): (
+        "criterion 9's reference: edge and diagonal crossings alternated at "
+        "GRID_CROSSING_SPEED, delivered hop count only, which no route-sim preset writes"
+    ),
+    ("mac", "elect_next_hop"): "the ACK election that the routing walk is to run (ROADMAP item 2)",
+}
+
+
+def test_every_sinksim_definition_has_a_caller_outside_the_tests():
+    # A reference is a name or attribute load in src/sinksim, scripts/ or
+    # bench/, outside the definition's own body; a docstring mention is none.
+    # Names are matched, not resolved, so a name that two modules define
+    # counts as referenced for both.
+    root = SRC.parent
+    paths = [
+        *sorted((SRC / "sinksim").glob("*.py")),
+        *sorted((root / "scripts").glob("*.py")),
+        *sorted((root / "bench").glob("*.py")),
+    ]
+    definitions = []  # (module, name, where)
+    loaded = {}  # name -> every (path, top-level statement index) loading it
+    for path in paths:
+        for i, top in enumerate(ast.parse(path.read_text()).body):
+            where = (path, i)
+            if path.parent.name == "sinksim" and isinstance(
+                top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                definitions.append((path.stem, top.name, where))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.setdefault(node.id, set()).add(where)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.setdefault(node.attr, set()).add(where)
+    assert len(definitions) > 100
+    unreferenced = {
+        (module, name) for module, name, where in definitions if not loaded.get(name, set()) - {where}
+    }
+    assert unreferenced == set(TEST_FACING)
 
 
 def load_bench_module(name):

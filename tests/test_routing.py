@@ -9,14 +9,13 @@ from sinksim.frames import MAX_ADDRESS_COUNT, DataPayload, ListOverflow, encode_
 from sinksim.radio import build_udg, grid_topology
 from sinksim.routing import (
     HeaderOverflow,
-    RouteHeader,
     RouteResult,
     Tour,
     init_virtual_coords,
     next_hop_3rule,
     route,
 )
-from sinksim.tracks import BounceTrack, LineTrack, StaticSink
+from sinksim.tracks import BounceTrack, Replay, StaticSink, line_crossing
 
 
 def connected_component(topology, start_nodes):
@@ -147,18 +146,18 @@ def test_backtrack_targets_the_first_reacher():
     positions = {0: (0.0, 0.0), 1: (0.0, 20.0), 2: (20.0, 0.0)}
     topo = build_udg(positions, 25.0)
     coords = {0: (0.0, 0.0), 1: (100.0, 100.0), 2: (200.0, 200.0)}
-    header = RouteHeader(traversed=[], dest_coord=(100.0, 110.0))
+    dest, traversed = (100.0, 110.0), []
 
     def decide(current):
-        return next_hop_3rule(current, header, topo, coords, visited=set(header.traversed))
+        return next_hop_3rule(current, dest, traversed, set(traversed), topo, coords)
 
     assert decide(0) == 1
-    header.traversed.append(0)
+    traversed.append(0)
     assert decide(1) == 0
-    header.traversed.append(1)
+    traversed.append(1)
     assert decide(0) == 2
     assert decide(2) == 0
-    header.traversed.append(2)
+    traversed.append(2)
     # back at the source with every neighbor visited: the search is exhausted
     assert decide(0) is None
 
@@ -264,10 +263,9 @@ def test_static_delivery_with_adversarial_coordinates():
 def test_forward_ties_go_to_the_smallest_id():
     # The centre of a 3x3 grid: its neighbors 1, 3, 5 and 7 are equally far from it.
     g = grid_topology(3, 10.0)
-    header = RouteHeader(traversed=[], dest_coord=g.positions[4])
 
     def decide(visited):
-        return next_hop_3rule(4, header, g, g.positions, visited=visited)
+        return next_hop_3rule(4, g.positions[4], [], visited, g, g.positions)
 
     assert decide(set()) == 1
     assert decide({1}) == 3
@@ -280,18 +278,18 @@ def test_forward_entries_unique_between_restarts():
     for _ in range(40):
         topo, sink_pos, source = random_connected_instance(rnd, rnd.randrange(6, 25))
         coords = {nid: (rnd.uniform(0, 1000), rnd.uniform(0, 1000)) for nid in topo.positions}
-        header = RouteHeader(traversed=[], dest_coord=(rnd.uniform(0, 1000), rnd.uniform(0, 1000)))
+        dest, traversed = (rnd.uniform(0, 1000), rnd.uniform(0, 1000)), []
         current = source
         for _ in range(4 * len(topo)):
             if topo.in_range(current, sink_pos):
                 break
-            target = next_hop_3rule(current, header, topo, coords, visited=set(header.traversed))
+            target = next_hop_3rule(current, dest, traversed, set(traversed), topo, coords)
             if target is None:
                 break
             assert target in topo.adjacency[current]
-            if current not in header.traversed:
-                header.traversed.append(current)
-            assert len(set(header.traversed)) == len(header.traversed)
+            if current not in traversed:
+                traversed.append(current)
+            assert len(set(traversed)) == len(traversed)
             current = target
 
 
@@ -336,15 +334,15 @@ def test_grid_far_corner_matches_dfs_oracle():
 
 def reference_route(topology, coords, source, sink, *, sink_coord=None, round_limit=None, on_round=None):
     """The walk as it was before the tour: one decision per round, on a
-    header the walk itself keeps.  Each round delivers (rule 1), else asks
+    traversed list the walk itself keeps.  Each round delivers (rule 1), else asks
     `next_hop_3rule` (rules 2-3), else restarts when the search is exhausted
     at the source after the sink moved (rule 4)."""
     limit = round_limit if round_limit is not None else 4 * len(topology)
     positions = topology.positions
     r2 = topology.range_m**2
     pos = sink.position
-    header = RouteHeader(traversed=[], dest_coord=sink_coord or pos)
-    traversed = header.traversed
+    dest = sink_coord or pos
+    traversed = []
     snapshot = pos
     ever_moved = False
     current = source
@@ -363,19 +361,19 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
         x, y = positions[current]
         if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
             if on_round is not None:
-                on_round(current, None, header.dest_coord)
+                on_round(current, None, dest)
             return RouteResult(True, hops, restarts, path, "delivered", rounds)
-        target = next_hop_3rule(current, header, topology, coords, visited=traversed_set)
+        target = next_hop_3rule(current, dest, traversed, traversed_set, topology, coords)
         if target is None and pos != snapshot and current == source and topology.adjacency[source]:
             restarts += 1
             traversed.clear()
             traversed_set.clear()
-            header.dest_coord = sink_coord or pos
+            dest = sink_coord or pos
             snapshot = pos
             continue
         if target is not None:
             if on_round is not None:
-                on_round(current, target, header.dest_coord)
+                on_round(current, target, dest)
             if current not in traversed_set:
                 if len(traversed) >= MAX_ADDRESS_COUNT:
                     raise HeaderOverflow(f"traversed list would exceed {MAX_ADDRESS_COUNT} ids")
@@ -403,6 +401,11 @@ def _walked(walk, topology, coords, source, sink, **kwargs):
     return fields, seen
 
 
+# The largest round limit of `_instances`: four rounds per node of a 44-node
+# topology.  A walk reads at most one more state than its limit.
+LINE_STEPS = 4 * 44
+
+
 def _sinks(rnd, field):
     """One sink of each kind, started somewhere on a `field`-wide square."""
     start = (rnd.uniform(0, field), rnd.uniform(0, field))
@@ -411,7 +414,7 @@ def _sinks(rnd, field):
     seed = rnd.randrange(2**31)
     return {
         "bounce": lambda: BounceTrack(start, speed, field, seed=seed),
-        "line": lambda: LineTrack(start, end, speed or 3.0),
+        "line": lambda: Replay(line_crossing(start, end, speed or 3.0, LINE_STEPS)),
         "static": lambda: StaticSink(start),
         "moves-once": lambda: _MovesOnceSink(start, end),
     }

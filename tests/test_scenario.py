@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sinksim import energy, flight, radio, routing, scenario, tracks
+from sinksim import energy, flight, radio, routing, scenario
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
 from sinksim.flight import _hearers
@@ -30,8 +30,6 @@ from sinksim.scenario import (
     StaticSink,
     _base_station_totals,
     _fill_gaps,
-    diagonal_line,
-    edge_line,
     grid_crossing_hops,
     grid_point,
     hop_exchange_timeline,
@@ -40,7 +38,7 @@ from sinksim.scenario import (
     run_scenario,
     timeline_coverage,
 )
-from sinksim.tracks import LineTrack, Replay, WaypointTrack, record
+from sinksim.tracks import Replay, WaypointTrack, line_crossing
 
 C = DEFAULT_CONSTANTS
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -78,7 +76,7 @@ def test_bounce_stays_inside_the_field():
 SPEED_PROBE = """
 import sys
 from sinksim.scenario import BounceTrack, grid_point, random_graph_point
-from sinksim.tracks import LineTrack
+from sinksim.tracks import line_crossing
 
 def bounce(v):
     track = BounceTrack((500.0, 500.0), v, 1000.0, seed=1)
@@ -91,7 +89,7 @@ calls = {
     "random-graph": lambda v: random_graph_point(4, v, 3, 1),
     "grid-virtual": lambda v: grid_point("edge", v, 3, 1),
     "grid-physical": lambda v: grid_point("diagonal", v, 3, 1, coord_mode="physical"),
-    "line": lambda v: LineTrack((0.0, 0.0), (100.0, 0.0), v).step(),
+    "line": lambda v: line_crossing((0.0, 0.0), (100.0, 0.0), v, 1),
 }
 try:
     calls[sys.argv[1]](float(sys.argv[2]))
@@ -132,23 +130,23 @@ def test_a_huge_finite_speed_ends_inside_the_field(call):
 
 
 def test_edge_line_exits_after_four_rounds():
-    track = edge_line(100.0, 25.0)
-    for expected_departed in (False, False, False, True):
-        track.step()
-        assert track.departed == expected_departed
-    assert track.position == (100.0, 0.0)
+    positions, departed = line_crossing((0.0, 0.0), (100.0, 0.0), 25.0, 4)
+    assert departed == [False, False, False, False, True]
+    assert positions[-1] == (100.0, 0.0)
 
 
 def test_diagonal_line_geometry():
-    track = diagonal_line(100.0, 10.0)
-    assert track.length == pytest.approx(100.0 * math.sqrt(2))
-    track.step()
-    assert track.position[0] == pytest.approx(track.position[1])
+    positions, departed = line_crossing((0.0, 0.0), (100.0, 100.0), 10.0, 15)
+    # 10 of a length of 100 * sqrt(2) per round: the far corner after 15 rounds
+    assert departed.index(True) == math.ceil(100.0 * math.sqrt(2) / 10.0) == 15
+    assert positions[1][0] == pytest.approx(positions[1][1])
+    assert positions[1][0] == pytest.approx(10.0 / math.sqrt(2))
+    assert positions[-1] == (100.0, 100.0)
 
 
 def reference_line(start, end, speed, steps):
-    """(position, departed) before and after each step, by the formula
-    LineTrack was first written with, deltas taken anew at every step."""
+    """(position, departed) before and after each step, by the formula the
+    line track was first written with, deltas taken anew at every step."""
     start, end, speed = (float(start[0]), float(start[1])), (float(end[0]), float(end[1])), float(speed)
     length = euclid(start, end)
     traveled, position, departed = 0.0, start, length == 0.0
@@ -183,28 +181,28 @@ LINE_COORD = st.integers(-200, 200) | st.floats(-1e4, 1e4)
 @example(start=(0.0, 0.0), end=(10.0, 0.0), speed=3.0, steps=8)  # overshoots the far end
 @example(start=(0.0, 0.0), end=(100.0, 0.0), speed=0.0, steps=5)
 def test_line_track_steps_equal_the_reference_formula(start, end, speed, steps):
-    track = LineTrack(start, end, speed)
-    states = [(track.position, track.departed)]
-    for _ in range(steps):
-        track.step()
-        states.append((track.position, track.departed))
+    positions, departed = line_crossing(start, end, speed, steps)
     # bit for bit: a float's repr round-trips
-    assert repr(states) == repr(reference_line(start, end, speed, steps))
+    assert repr(list(zip(positions, departed))) == repr(reference_line(start, end, speed, steps))
+
+
+# The ends of the grid sweeps' two crossings, which start at the origin.
+CROSSING_ENDS = {"edge_line": (GRID_FIELD_M, 0.0), "diagonal_line": (GRID_FIELD_M, GRID_FIELD_M)}
 
 
 @pytest.mark.parametrize("speed", [0.7, 1, 3, 4, 8])
-@pytest.mark.parametrize("make", [edge_line, diagonal_line])
-def test_a_replayed_crossing_is_the_line_track_stepped(make, speed):
+@pytest.mark.parametrize("crossing", CROSSING_ENDS)
+def test_a_replayed_crossing_is_the_line_track_stepped(crossing, speed):
     limit = 4 * GRID_SIDE**2  # the grid sweeps' round limit
-    replay = Replay(record(make(GRID_FIELD_M, speed), limit))
-    track = make(GRID_FIELD_M, speed)
-    got, expected = [(replay.position, replay.departed)], [(track.position, track.departed)]
+    end = CROSSING_ENDS[crossing]
+    recording = line_crossing((0.0, 0.0), end, speed, limit)
+    replay = Replay(recording)
+    got = [(replay.position, replay.departed)]
     for _ in range(limit):
         replay.step()
-        track.step()
         got.append((replay.position, replay.departed))
-        expected.append((track.position, track.departed))
-    assert repr(got) == repr(expected)  # bit for bit
+    assert got == list(zip(*recording))
+    assert repr(got) == repr(reference_line((0.0, 0.0), end, speed, limit))  # bit for bit
     with pytest.raises(IndexError):
         replay.step()
 
@@ -212,12 +210,11 @@ def test_a_replayed_crossing_is_the_line_track_stepped(make, speed):
 def test_the_grid_sweeps_make_one_line_track_per_crossing(monkeypatch):
     made = []
 
-    class Counted(tracks.LineTrack):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
+    def counted(start, end, speed, steps):
+        made.append((start, end, speed))
+        return line_crossing(start, end, speed, steps)
 
-    monkeypatch.setattr(tracks, "LineTrack", Counted)
+    monkeypatch.setattr(scenario, "line_crossing", counted)
     for point in (
         lambda: grid_point("edge", 3, 250, 1, workers=1),
         lambda: grid_point("diagonal", 0.7, 120, 2, coord_mode="physical", workers=1),
@@ -1232,14 +1229,14 @@ def test_a_round_trip_longer_than_the_bound_is_a_config_error(monkeypatch):
 def test_discovered_graph_union():
     assert discovered_graph([]) == {}
     reports = [run_scenario(scenario_config(query_node=q, seed=50 + q)) for q in range(16)]
-    graph = discovered_graph([r for r in reports if not r.miss])
+    graph = discovered_graph([(r.query_node, r.neighbors) for r in reports if not r.miss])
     g = grid_topology(4, 25.0)
     assert graph == {nid: g.adjacency[nid] for nid in sorted(g.positions)}
 
 
 def test_discovered_graph_single_report():
     report = run_scenario(scenario_config(query_node=0, seed=9))
-    graph = discovered_graph([report])
+    graph = discovered_graph([(report.query_node, report.neighbors)])
     assert graph[0] == (1, 4)
     assert graph[1] == (0,)
     assert graph[4] == (0,)
