@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .core import NodeId, Position, ProtocolConstants
 from .radio import Topology, TopologyView, euclid
-from .tracks import WaypointTrack
+from .tracks import State, WaypointTrack
 
 
 class ConfigError(ValueError):
@@ -30,7 +30,8 @@ class ConfigError(ValueError):
 
 
 # The most request passes a rotation sends: the sink repeats its preamble
-# every t_brp until a relay answers, or until this many have gone out.
+# every t_brp until a relay answers or it has left the network, and a flight
+# still in the network at the end of this many is refused.
 MAX_PASSES = 1_000_000
 
 
@@ -66,9 +67,11 @@ class _Flight:
     @cached_property
     def quiet(self) -> int:
         """The first pass whose hearers are not [] (some node hears it, or
-        the sink has left), or MAX_PASSES when none before it is.  Found on
-        first read, so a flight that a rotation rejects first tests no pass."""
-        return next((i for i in range(MAX_PASSES) if self.hearers(i) != []), MAX_PASSES)
+        the sink has left).  There is one below MAX_PASSES when the sink has
+        left by the end of pass MAX_PASSES - 1, which `run_scenario` checks
+        first.  Found on first read, so a flight that a rotation rejects
+        first tests no pass."""
+        return next(i for i in range(MAX_PASSES) if self.hearers(i) != [])
 
     def hearers(self, i: int) -> Optional[List[NodeId]]:
         """The ids that hear pass `i`, ascending; None when the sink has left
@@ -163,25 +166,25 @@ def _first_cca_catch(c: ProtocolConstants, cca_offset: int, not_before: int) -> 
 
 
 class _FlyingSink:
-    """The flying sink as the routing walk sees it in event time.
+    """The flying sink as the routing walk sees it in event time: an
+    iterator of its states, (position, departed), one per round.
 
     A round is the hop exchange starting at `t`; the sink, flying `flight`
-    from `set_off` on, is observed at the exchange's ACK instant, t + d_rrp,
-    and `step()` moves on by one exchange, d_rrp + w_rr + d_data.
+    from `set_off` on, is observed at the exchange's ACK instant, t + d_rrp.
+    The first state is that of the exchange starting at `start`, and each
+    later one moves `t` on by one exchange, `hop_us` = d_rrp + w_rr + d_data.
     """
 
-    def __init__(self, flight: _Flight, set_off: int, t: int, c: ProtocolConstants):
+    def __init__(self, flight: _Flight, set_off: int, start: int, c: ProtocolConstants):
         self._flight, self._set_off = flight, set_off
         self._ack_us = c.d_rrp
         self.hop_us = c.d_rrp + c.w_rr + c.d_data
-        self.t = t
-        self._observe()
+        self.t = start - self.hop_us  # the first state moves it to `start`
 
-    def _observe(self) -> None:
-        dt = self.t + self._ack_us - self._set_off
-        self.position = self._flight.position(dt)
-        self.departed = self._flight.departed(dt)
+    def __iter__(self) -> "_FlyingSink":
+        return self
 
-    def step(self) -> None:
+    def __next__(self) -> State:
         self.t += self.hop_us
-        self._observe()
+        dt = self.t + self._ack_us - self._set_off
+        return self._flight.position(dt), self._flight.departed(dt)

@@ -45,11 +45,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core import NodeId, Position
 from .frames import MAX_ADDRESS_COUNT
 from .radio import Topology
+from .tracks import State
 
 
 class RoutingError(Exception):
@@ -155,7 +156,7 @@ def route(
     topology: Topology,
     coords: Union[Mapping[NodeId, Position], Callable[[], Mapping[NodeId, Position]]],
     source: NodeId,
-    sink,
+    sink: Iterable[State],
     *,
     sink_coord: Optional[Position] = None,
     round_limit: Optional[int] = None,
@@ -183,17 +184,18 @@ def route(
     differ only in the sink share it.  `coords` may be a function that makes
     the coordinates: it is called only if a tour has to grow.
 
-    `sink` is whatever clock drives the walk.  It provides `position`
-    (physical) and `departed`, both read as they stand when the round's
-    decision is taken, and `step()`, called once at the end of every round
-    that does not end the walk.  The round-based tracks step one unit of
-    drift per round; the six-phase scenario observes the sink at the ACK
-    instant of the round's hop exchange and steps one exchange duration.
+    `sink` is whatever clock drives the walk: an iterable of the sink's
+    states, (physical position, departed), one per round.  The walk takes
+    the first before round 0 and the next at the end of every round that
+    does not end the walk, so a walk with round limit L reads at most L + 1.
+    In the sweeps a round is one unit of drift; the six-phase scenario
+    observes the sink at the ACK instant of the round's hop exchange, one
+    exchange later each round.
     `on_round`, when given, is called in each round that sends a frame,
-    before the packet moves or the sink steps: with the node holding the
-    packet, the node it moves to (None when the sink answers and the packet
-    is delivered) and the destination coordinate.  A round that waits calls
-    nothing.
+    before the packet moves or the walk takes the next state: with the node
+    holding the packet, the node it moves to (None when the sink answers and
+    the packet is delivered) and the destination coordinate.  A round that
+    waits calls nothing.
 
     Terminates on delivery, on the sink leaving the field (miss), on the
     round limit (miss), or on exhaustion with a sink that never moved (fail).
@@ -205,7 +207,9 @@ def route(
     limit = round_limit if round_limit is not None else 4 * len(topology)
     positions = topology.positions
     r2 = topology.range_m**2  # the pair test is the expression of Topology.in_range
-    snapshot = sink.position
+    next_state = iter(sink).__next__
+    pos, departed = next_state()
+    snapshot = pos
     dest = sink_coord if sink_coord is not None else snapshot
     if tour is None:
         tour = Tour([source])
@@ -222,9 +226,8 @@ def route(
     ever_moved = False
 
     while True:
-        if sink.departed or rounds >= limit:
+        if departed or rounds >= limit:
             return RouteResult(False, len(path) - 1, restarts, path, "missed", rounds)
-        pos = sink.position
         x, y = positions[node]
         if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
             if on_round is not None:
@@ -269,13 +272,14 @@ def route(
                 entries = tour.entries
                 end, overflow = 0, None
                 traversed = None
-            # Decide again from the tour's start, in the same round: the sink
-            # has not stepped, so the loop top sees it where it was, unmoved.
+            # Decide again from the tour's start, in the same round, on the
+            # same state of the sink.
             continue
         elif not ever_moved:
             return RouteResult(False, len(path) - 1, restarts, path, "failed", rounds)
         # else stuck but the sink moves: wait this round out
-        sink.step()
-        if not ever_moved and sink.position != pos:
+        last = pos
+        pos, departed = next_state()
+        if not ever_moved and pos != last:
             ever_moved = True
         rounds += 1

@@ -3,12 +3,13 @@
 There is one routing walk, :func:`sinksim.routing.route`, driven by two
 clocks:
 
-* in the large routing sweeps one round is one unit of sink drift, and the
-  round-based tracks of :mod:`sinksim.tracks` step once per round;
+* in the large routing sweeps one round is one unit of sink drift: the
+  walk reads one state of a round-based track of :mod:`sinksim.tracks`
+  per round;
 * in the event-time six-phase run of :func:`run_scenario` every duration
   comes from the protocol constant table, one round is one hop exchange, and
-  the sink is observed at the exchange's ACK instant, a function of elapsed
-  microseconds along its flight path.
+  the sink's state is observed at the exchange's ACK instant, a function of
+  elapsed microseconds along its flight path (:mod:`sinksim.flight`).
 
 The six phases of one collection rotation: (1) the base station's periodic
 data-request preamble is caught by the mobile sink's channel sampling and
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
@@ -71,7 +73,7 @@ from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_to
 from .routing import RouteResult, Tour, init_virtual_coords, route
 from .stats import mean_ci
 from .timelines import BS_ID, MS_ID, _base_station_totals, _fill_gaps, hop_exchange_timeline
-from .tracks import BounceTrack, Replay, StaticSink, _check_speed, line_crossing
+from .tracks import _check_speed, bounce, line_crossing
 
 # Bound here for the names bench/tracer.py wraps here: next_hop_3rule and
 # timeline_coverage.
@@ -154,6 +156,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         raise ConfigError(
             f"the sink's round trip takes {track.duration_us() / 1e6:.4g} s, more than {MAX_ROUND_TRIP_S} s"
         )
+    # A sink gone by the end of the last pass it may send finds some pass
+    # before it heard or gone, so phases 2 and 3 end within the cap.
+    if not flight.departed((MAX_PASSES - 1) * c.t_brp + c.d_brp):
+        raise ConfigError(
+            f"t_brp = {c.t_brp} us is too short: the sink's {MAX_PASSES} request passes"
+            " end before it leaves the network"
+        )
 
     phase_times: Dict[int, int] = {}
     # Active (start, end, state) spans of the sink and of each node a hop
@@ -177,8 +186,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         topo, c, source=cfg.query_node, seed=rng.randrange(2**31), collisions=cfg.collisions
     )
     quiet = flight.quiet
-    if quiet == MAX_PASSES:
-        raise ConfigError("sink never came within range of the network")
     if flight.hearers(quiet) is None:
         raise ConfigError("sink crossed the network without being heard")
     t_brp, d_brp = c.t_brp, c.d_brp
@@ -455,12 +462,12 @@ def random_graph_point(
         # A copy, so that the caller's tours change only in the merge below.
         tour = Tour(list(known.entries), known.complete, known.overflow)
         # A bounce at speed 0 never moves: it is a static sink, without the draws.
-        track = BounceTrack(start, speed, field, seed=track_seed) if speed else StaticSink(start)
+        states = bounce(start, speed, field, seed=track_seed) if speed else repeat((start, False))
         res = route(
             topo,
             lambda: init_virtual_coords(topo, vc_seed, bounds),
             source,
-            track,
+            states,
             sink_coord=sink_coord,
             round_limit=n,
             tour=tour,
@@ -507,7 +514,7 @@ def grid_point(
     worker count.  The crossing draws nothing, so every walk of a point takes
     the same sink path: it is recorded once, before the workers fork, as far
     as the round limit of four rounds per node
-    (:func:`sinksim.tracks.line_crossing`), and each walk replays it.
+    (:func:`sinksim.tracks.line_crossing`), and each walk iterates it.
     """
     if mobility not in _CROSSING_ENDS:
         raise ValueError("grid mobility must be 'edge' or 'diagonal'")
@@ -555,7 +562,7 @@ def _crossing_walks(
     field's corner at the origin to `ends[i % len(ends)]` at `speed`.
 
     Each crossing is recorded once, as far as the round limit of four rounds
-    per node, and every walk replays it.  A seed routes on fresh virtual
+    per node, and every walk iterates it.  A seed routes on fresh virtual
     coordinates, made only if the walk moves at all, toward the sink's fixed
     one; None routes on the true positions.  The walks run in `workers`
     slices (:func:`sinksim.forkmap.split_map`).
@@ -566,7 +573,7 @@ def _crossing_walks(
 
     def walk(i: int) -> _Outcome:
         source, vc_seed = draws[i]
-        path = Replay(paths[i % len(paths)])
+        path = paths[i % len(paths)]
         if vc_seed is None:
             return _outcome(route(g, g.positions, source, path, round_limit=limit))
         return _outcome(

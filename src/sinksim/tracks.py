@@ -1,13 +1,16 @@
 """Sink mobility: the round-based tracks of the routing sweeps and the
 event-time flight path of the six-phase run.
 
-A round-based track moves by one step per routing round and exposes its
-`position` and whether it has `departed`; :func:`sinksim.routing.route`
-reads both.  A grid crossing draws nothing per walk, so it takes the same
-path in every walk: :func:`line_crossing` records that path once, as far as
-a walk's round limit, and each walk steps a :class:`Replay` of the
-recording.  :class:`WaypointTrack` is a piecewise-linear path flown at a
-constant ground speed, read as a function of elapsed microseconds.
+A sink, as :func:`sinksim.routing.route` reads it, is an iterator of its
+:data:`State`, (position, departed), one per round: the walk takes the
+first before round 0 and the next at the end of every round that does not
+end the walk.  A static sink is ``itertools.repeat`` of one state.
+:func:`bounce` drifts at random off the field borders.  A grid crossing
+draws nothing per walk, so it takes the same path in every walk:
+:func:`line_crossing` records that path once, as far as a walk's round
+limit, as a list of states that each walk iterates.
+:class:`WaypointTrack` is a piecewise-linear path flown at a constant
+ground speed, read as a function of elapsed microseconds.
 """
 
 from __future__ import annotations
@@ -15,21 +18,14 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from typing import List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .core import Position
 from .radio import euclid
 
-
-class StaticSink:
-    """Sink that never moves; `route` fails instead of restarting against it."""
-
-    def __init__(self, position: Position):
-        self.position = (float(position[0]), float(position[1]))
-        self.departed = False
-
-    def step(self) -> None:
-        pass
+# The sink as one round of a routing walk reads it: its position, and
+# whether it has left the field.
+State = Tuple[Position, bool]
 
 
 def _check_speed(speed: float) -> None:
@@ -37,76 +33,77 @@ def _check_speed(speed: float) -> None:
         raise ValueError(f"speed must be finite and >= 0, got {speed!r}")
 
 
-class BounceTrack:
-    """Random drift bouncing off the field borders like a billiard ball.
+def _fold(value: float, sign: int, field: float) -> Tuple[float, int]:
+    """A coordinate past a border of the `field`-wide square, folded back
+    into it, and its direction sign after the bounces."""
+    while not 0.0 <= value <= field:
+        if not -field <= value <= 2 * field:
+            # The bounce repeats every two widths: drop whole periods at
+            # once, not one width per pass.
+            value = math.fmod(value, 2 * field)
+        if value > field:
+            value = 2 * field - value
+            sign = -1
+        elif value < 0.0:
+            value = -value
+            sign = 1
+    return value, sign
 
-    Each round both coordinates advance by independent uniform draws in
-    [0, speed_max] along the current diagonal direction; hitting a border
-    flips that direction component.  A speed that is negative or not finite
-    raises ValueError.
+
+def bounce(
+    position: Position, speed_max: float, field_size: float = 1000.0, seed: int = 0
+) -> Iterator[State]:
+    """Random drift bouncing off the borders of the `field_size`-wide square
+    like a billiard ball, from `position` on; the sink never departs.
+
+    The direction starts as a random diagonal.  Each round both coordinates
+    advance by independent uniform draws in [0, speed_max] along it, and
+    hitting a border flips that direction component.  A speed that is
+    negative or not finite, a start that is not finite, or a field size
+    that is not finite and > 0 raises ValueError here, before the first
+    state: the fold would never end on them.
     """
+    _check_speed(speed_max)
+    x, y = float(position[0]), float(position[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"start must be finite, got {position!r}")
+    field = float(field_size)
+    if not 0.0 < field < math.inf:
+        raise ValueError(f"field size must be finite and > 0, got {field_size!r}")
+    rng = random.Random(seed)
+    sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
+    return _bouncing(x, y, sx, sy, float(speed_max), field, rng.random)
 
-    def __init__(
-        self,
-        position: Position,
-        speed_max: float,
-        field_size: float = 1000.0,
-        seed: int = 0,
-    ):
-        _check_speed(speed_max)
-        self.position = (float(position[0]), float(position[1]))
-        self.speed_max = float(speed_max)
-        self.field_size = float(field_size)
-        self.rng = random.Random(seed)
-        self.direction = (self.rng.choice((-1, 1)), self.rng.choice((-1, 1)))
-        self.departed = False
 
-    def _reflect(self, value: float, sign: int) -> Tuple[float, int]:
-        """A coordinate past a border, folded back into the field, and its
-        direction sign after the bounces."""
-        while not 0.0 <= value <= self.field_size:
-            if not -self.field_size <= value <= 2 * self.field_size:
-                # The bounce repeats every two widths: drop whole periods at
-                # once, not one width per pass.
-                value = math.fmod(value, 2 * self.field_size)
-            if value > self.field_size:
-                value = 2 * self.field_size - value
-                sign = -1
-            elif value < 0.0:
-                value = -value
-                sign = 1
-        return value, sign
-
-    def step(self) -> None:
+def _bouncing(
+    x: float, y: float, sx: int, sy: int, speed: float, field: float, draw: Callable[[], float]
+) -> Iterator[State]:
+    """The states of :func:`bounce`, from its checked start and drawn direction on."""
+    while True:
+        yield (x, y), False
         # rng.uniform(0.0, s) is 0.0 + (s - 0.0) * rng.random(), i.e. s * rng.random().
-        draw = self.rng.random
-        dx = self.speed_max * draw()
-        dy = self.speed_max * draw()
-        (x, y), (sx, sy) = self.position, self.direction
+        dx = speed * draw()
+        dy = speed * draw()
         x += sx * dx
         y += sy * dy
-        if not 0.0 <= x <= self.field_size:
-            x, sx = self._reflect(x, sx)
-        if not 0.0 <= y <= self.field_size:
-            y, sy = self._reflect(y, sy)
-        self.position = (x, y)
-        self.direction = (sx, sy)
+        if not 0.0 <= x <= field:
+            x, sx = _fold(x, sx, field)
+        if not 0.0 <= y <= field:
+            y, sy = _fold(y, sy, field)
 
 
-def line_crossing(
-    start: Position, end: Position, speed: float, steps: int
-) -> Tuple[List[Position], List[bool]]:
+def line_crossing(start: Position, end: Position, speed: float, steps: int) -> List[State]:
     """A straight crossing from `start` to `end` at a constant per-round
-    `speed`, recorded for :class:`Replay`: the positions and `departed` flags
-    before the first round and after each of `steps` rounds.
+    `speed`, recorded: the states before the first round and after each of
+    `steps` rounds.
 
     Each round adds `speed` to the distance traveled; the position is
     start + (end - start) * frac, with frac that distance over the line's
     length, capped at 1 (and 1 on a line of length 0).  The sink has departed
     once the distance reaches the length.  The floats come from that running
     sum, not from a closed form in the round count.  A walk with round limit
-    L reads L + 1 states.  A speed that is negative or not finite raises
-    ValueError.
+    L reads L + 1 states, and many walks can iterate one recording.  A speed
+    that is negative or not finite raises ValueError.
     """
     _check_speed(speed)
     start = (float(start[0]), float(start[1]))
@@ -115,36 +112,13 @@ def line_crossing(
     length = euclid(start, end)
     (x0, y0), dx, dy = start, end[0] - start[0], end[1] - start[1]
     traveled, departed = 0.0, length == 0.0
-    positions, flags = [start], [departed]
+    states = [(start, departed)]
     for _ in range(steps):
         traveled += speed
         frac = min(traveled / length, 1.0) if length else 1.0
-        positions.append((x0 + dx * frac, y0 + dy * frac))
         departed = departed or traveled >= length
-        flags.append(departed)
-    return positions, flags
-
-
-class Replay:
-    """A recorded sink path (:func:`line_crossing`) stepped again, state by
-    state.
-
-    Many walks can replay one recording, each with its own `Replay`; the
-    recording is only read.  Stepping past its last state raises IndexError.
-    """
-
-    __slots__ = ("_positions", "_departed", "_i", "position", "departed")
-
-    def __init__(self, recording: Tuple[Sequence[Position], Sequence[bool]]):
-        self._positions, self._departed = recording
-        self._i = 0
-        self.position = self._positions[0]
-        self.departed = self._departed[0]
-
-    def step(self) -> None:
-        i = self._i = self._i + 1
-        self.position = self._positions[i]
-        self.departed = self._departed[i]
+        states.append(((x0 + dx * frac, y0 + dy * frac), departed))
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import random
 import time
 from collections import Counter, deque
+from itertools import repeat
 
 import pytest
 
@@ -31,7 +32,6 @@ from sinksim.mac import ContentionConfig, collision_probability, simulate_collis
 from sinksim.radio import E_PREAMB_MJ, build_udg, grid_topology, power_table
 from sinksim.routing import route
 from sinksim.scenario import (
-    StaticSink,
     grid_crossing_hops,
     grid_point,
     hop_exchange_timeline,
@@ -199,7 +199,7 @@ def test_criterion_07_delivery_guarantee():
         topo, sink_pos, source, component = _connected_instance(rnd)
         # adversarial coordinates: uniform noise, unrelated to the geometry
         coords = {nid: (rnd.uniform(0, 1000), rnd.uniform(0, 1000)) for nid in topo.positions}
-        res = route(topo, coords, source, StaticSink(sink_pos))
+        res = route(topo, coords, source, repeat((sink_pos, False)))  # a static sink
         # the reachability oracle already held by construction of `component`
         assert source in component
         if res.delivered:

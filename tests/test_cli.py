@@ -1,8 +1,6 @@
 import hashlib
 import io
 import json
-import subprocess
-import sys
 import tempfile
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fresh_python import run_python
 from sinksim import commands
 from sinksim.cli import load_constants, main, read_config
 from sinksim.scenario import random_graph_point
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -354,13 +351,16 @@ def test_a_zero_request_period_is_a_one_line_error(tmp_path, capsys):
 
 def test_a_sink_never_heard_within_the_pass_limit_is_a_one_line_error(tmp_path, capsys):
     # At t_brp = 1 us the last request pass ends a second after set-off,
-    # before the sink is in range of the grid: every pass is tested.
+    # long before the sink leaves the grid: the run is refused before any
+    # pass is tested.
     cfg = tmp_path / "constants.ini"
     cfg.write_text("[constants]\nt_brp = 1\n")
     out = tmp_path / "out"
     assert run_cli("demo", "--config", str(cfg), "--out", str(out)) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert errors == ["error: sink never came within range of the network"]
+    assert errors == [
+        "error: t_brp = 1 us is too short: the sink's 1000000 request passes end before it leaves the network"
+    ]
     assert not out.exists()
 
 
@@ -508,10 +508,9 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, tmp_path_factory):
         (inputs / name).write_text(text)
     argv = [str(inputs / arg) if arg in INPUT_FILES else arg for arg in argv]
     # Run where the default output directories would land, to see none made.
-    proc = subprocess.run(
-        [sys.executable, "-m", "sinksim.cli", *argv],
+    proc = run_python(
+        ["-m", "sinksim.cli", *argv],
         cwd=tmp_path,
-        env={"PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,
@@ -552,11 +551,9 @@ def test_help_and_version_print_to_stdout_and_exit_0(argv, capsys):
 def test_route_sim_ends_at_a_huge_finite_speed(tmp_path):
     # The sink's bounce reflected one field width per pass and never ended
     # at 1e300; a fresh interpreter under a timeout.
-    proc = subprocess.run(
-        [sys.executable, "-m", "sinksim.cli", "route-sim", "--degrees", "4", "--speeds", "1e300",
-         "--runs", "2", "--out", "out"],
+    proc = run_python(
+        ["-m", "sinksim.cli", "route-sim", "--degrees", "4", "--speeds", "1e300", "--runs", "2", "--out", "out"],
         cwd=tmp_path,
-        env={"PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,

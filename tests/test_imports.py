@@ -1,12 +1,9 @@
 import ast
 import importlib.util
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from fresh_python import SRC, run_python
 
 PROBE = """
 import sys
@@ -32,9 +29,8 @@ def test_import_loads_neither_numpy_nor_scipy():
     # fractions (stats keeps the one normal quantile it needs as a constant).
     # The sweeps run before the second check, so they must stay free of numpy
     # and scipy too.
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
-        env={"PYTHONPATH": str(SRC)},
+    proc = run_python(
+        ["-c", PROBE],
         capture_output=True,
         text=True,
         check=True,
@@ -56,9 +52,8 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("sinksim."))))
 
 
 def sinksim_modules_loaded_by(module):
-    proc = subprocess.run(
-        [sys.executable, "-c", PACKAGE_PROBE, str(SRC / "sinksim"), module],
-        env={"PYTHONPATH": str(SRC)},
+    proc = run_python(
+        ["-c", PACKAGE_PROBE, str(SRC / "sinksim"), module],
         capture_output=True,
         text=True,
         check=True,

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,12 @@ from sinksim.routing import (
     next_hop_3rule,
     route,
 )
-from sinksim.tracks import BounceTrack, Replay, StaticSink, line_crossing
+from sinksim.tracks import bounce, line_crossing
+
+
+def static(position):
+    """A sink that stays at `position` and never departs."""
+    return repeat((position, False))
 
 
 def connected_component(topology, start_nodes):
@@ -126,7 +132,7 @@ def test_virtual_coords_equal_the_reference_loop(ids, seed, bounds):
 
 def test_deliver_when_source_adjacent():
     g = grid_topology(3, 25.0)
-    res = route(g, g.positions, 0, StaticSink((10.0, 10.0)))
+    res = route(g, g.positions, 0, static((10.0, 10.0)))
     assert res.delivered
     assert res.hops == 0
     assert res.path == [0]
@@ -135,7 +141,7 @@ def test_deliver_when_source_adjacent():
 
 def test_greedy_forward_on_a_chain():
     topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0), 2: (40.0, 0.0)}, 25.0)
-    res = route(topo, topo.positions, 0, StaticSink((60.0, 0.0)))
+    res = route(topo, topo.positions, 0, static((60.0, 0.0)))
     assert res.delivered
     assert res.path == [0, 1, 2]
     assert res.hops == 2
@@ -164,21 +170,15 @@ def test_backtrack_targets_the_first_reacher():
 
 def test_exhausted_static_search_fails():
     topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, 25.0)
-    res = route(topo, topo.positions, 0, StaticSink((500.0, 500.0)))
+    res = route(topo, topo.positions, 0, static((500.0, 500.0)))
     assert not res.delivered
     assert res.outcome == "failed"
 
 
-class _MovesOnceSink:
-    """Steps once from its first position to its second, then stays."""
-
-    def __init__(self, first, second):
-        self.position = first
-        self._second = second
-        self.departed = False
-
-    def step(self):
-        self.position = self._second
+def moves_once(first, second):
+    """A sink at `first` before round 0, then at `second` from the end of
+    round 0 on."""
+    return chain([(first, False)], static(second))
 
 
 def test_exhausted_search_waits_once_the_sink_has_moved():
@@ -186,7 +186,7 @@ def test_exhausted_search_waits_once_the_sink_has_moved():
     # exhausts the chain again against the new snapshot and then waits the
     # remaining rounds out instead of failing.
     topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, 25.0)
-    sink = _MovesOnceSink((500.0, 500.0), (600.0, 600.0))
+    sink = moves_once((500.0, 500.0), (600.0, 600.0))
     res = route(topo, topo.positions, 0, sink, round_limit=10)
     assert res.outcome == "missed"
     assert res.rounds == 10
@@ -200,7 +200,7 @@ def test_on_round_is_called_once_per_frame_round():
     topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, 25.0)
     calls = []
     res = route(
-        topo, topo.positions, 0, _MovesOnceSink((500.0, 500.0), (600.0, 600.0)),
+        topo, topo.positions, 0, moves_once((500.0, 500.0), (600.0, 600.0)),
         round_limit=10, on_round=lambda *call: calls.append(call),
     )
     assert res.rounds == 10 and res.path == [0, 1, 0, 1, 0]
@@ -213,14 +213,14 @@ def test_on_round_is_called_once_per_frame_round():
     # A delivering walk ends with one call whose target is None.
     topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0), 2: (40.0, 0.0)}, 25.0)
     calls = []
-    res = route(topo, topo.positions, 0, StaticSink((60.0, 0.0)), on_round=lambda *call: calls.append(call))
+    res = route(topo, topo.positions, 0, static((60.0, 0.0)), on_round=lambda *call: calls.append(call))
     assert res.delivered
     assert calls == [(0, 1, (60.0, 0.0)), (1, 2, (60.0, 0.0)), (2, None, (60.0, 0.0))]
 
 
 def test_round_limit_counts_as_miss():
     g = grid_topology(5, 25.0)
-    track = BounceTrack((500.0, 500.0), 5.0, 1000.0, seed=3)  # far away, roams
+    track = bounce((500.0, 500.0), 5.0, 1000.0, seed=3)  # far away, roams
     res = route(g, g.positions, 0, track, round_limit=10)
     assert not res.delivered
     assert res.outcome == "missed"
@@ -231,7 +231,7 @@ def test_header_overflow_on_long_walks():
     positions = {i: (i * 20.0, 0.0) for i in range(140)}
     topo = build_udg(positions, 25.0)
     with pytest.raises(HeaderOverflow):
-        route(topo, topo.positions, 0, StaticSink((139 * 20.0, 0.0)), round_limit=10_000)
+        route(topo, topo.positions, 0, static((139 * 20.0, 0.0)), round_limit=10_000)
 
 
 def test_walk_matches_centralized_dfs():
@@ -243,7 +243,7 @@ def test_walk_matches_centralized_dfs():
         expected_walk, expected_delivered = reference_dfs_walk(
             topo, coords, source, dest, sink_pos
         )
-        res = route(topo, coords, source, StaticSink(sink_pos), sink_coord=dest)
+        res = route(topo, coords, source, static(sink_pos), sink_coord=dest)
         assert res.delivered == expected_delivered
         if expected_delivered:
             assert res.path == expected_walk
@@ -254,7 +254,7 @@ def test_static_delivery_with_adversarial_coordinates():
     for _ in range(80):
         topo, sink_pos, source = random_connected_instance(rnd, rnd.randrange(5, 35))
         coords = {nid: (rnd.uniform(0, 1000), rnd.uniform(0, 1000)) for nid in topo.positions}
-        res = route(topo, coords, source, StaticSink(sink_pos))
+        res = route(topo, coords, source, static(sink_pos))
         assert res.delivered
         assert res.restarts == 0
         assert res.hops <= 2 * len(topo)
@@ -299,13 +299,13 @@ def test_delivery_on_random_instances(seed):
     rnd = random.Random(seed)
     topo, sink_pos, source = random_connected_instance(rnd, rnd.randrange(4, 25))
     coords = {nid: (rnd.uniform(0, 1000), rnd.uniform(0, 1000)) for nid in topo.positions}
-    res = route(topo, coords, source, StaticSink(sink_pos))
+    res = route(topo, coords, source, static(sink_pos))
     assert res.delivered
 
 
 def test_route_result_path_consistency():
     g = grid_topology(5, 25.0)
-    res = route(g, g.positions, 0, StaticSink((100.0, 100.0)))
+    res = route(g, g.positions, 0, static((100.0, 100.0)))
     assert res.delivered
     assert res.hops == len(res.path) - 1
     for a, b in zip(res.path, res.path[1:]):
@@ -321,7 +321,7 @@ def test_grid_far_corner_matches_dfs_oracle():
         coords = {nid: (rnd.uniform(0, 100), rnd.uniform(0, 100)) for nid in g.positions}
         dest = (rnd.uniform(0, 100), rnd.uniform(0, 100))
         walk, delivered = reference_dfs_walk(g, coords, 24, dest, sink_pos)
-        res = route(g, coords, 24, StaticSink(sink_pos), sink_coord=dest)
+        res = route(g, coords, 24, static(sink_pos), sink_coord=dest)
         assert delivered and res.delivered
         assert res.path == walk
         assert res.hops == len(walk) - 1
@@ -336,11 +336,14 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
     """The walk as it was before the tour: one decision per round, on a
     traversed list the walk itself keeps.  Each round delivers (rule 1), else asks
     `next_hop_3rule` (rules 2-3), else restarts when the search is exhausted
-    at the source after the sink moved (rule 4)."""
+    at the source after the sink moved (rule 4).  The sink's first state is
+    read before round 0 and the next at the end of each round that does not
+    end the walk."""
     limit = round_limit if round_limit is not None else 4 * len(topology)
     positions = topology.positions
     r2 = topology.range_m**2
-    pos = sink.position
+    states = iter(sink)
+    pos, departed = next(states)
     dest = sink_coord or pos
     traversed = []
     snapshot = pos
@@ -353,11 +356,10 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
     traversed_set = set()
 
     while True:
-        if getattr(sink, "departed", False):
+        if departed:
             return RouteResult(False, hops, restarts, path, "missed", rounds)
         if rounds >= limit:
             return RouteResult(False, hops, restarts, path, "missed", rounds)
-        pos = sink.position
         x, y = positions[current]
         if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
             if on_round is not None:
@@ -384,8 +386,9 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
             hops += 1
         elif not ever_moved:
             return RouteResult(False, hops, restarts, path, "failed", rounds)
-        sink.step()
-        if not ever_moved and sink.position != pos:
+        previous = pos
+        pos, departed = next(states)
+        if pos != previous:
             ever_moved = True
         rounds += 1
 
@@ -413,10 +416,10 @@ def _sinks(rnd, field):
     speed = rnd.choice((0.0, 1.0, 5.0, 20.0, 80.0))
     seed = rnd.randrange(2**31)
     return {
-        "bounce": lambda: BounceTrack(start, speed, field, seed=seed),
-        "line": lambda: Replay(line_crossing(start, end, speed or 3.0, LINE_STEPS)),
-        "static": lambda: StaticSink(start),
-        "moves-once": lambda: _MovesOnceSink(start, end),
+        "bounce": lambda: bounce(start, speed, field, seed=seed),
+        "line": lambda: line_crossing(start, end, speed or 3.0, LINE_STEPS),
+        "static": lambda: static(start),
+        "moves-once": lambda: moves_once(start, end),
     }
 
 
@@ -483,11 +486,11 @@ def test_a_shared_tour_gives_every_sink_the_round_by_round_walk():
             calls = len(made)
             expected = _walked(
                 reference_route, topo, coords, source,
-                BounceTrack(start, speed, 300.0, seed=seed), sink_coord=dest, round_limit=n,
+                bounce(start, speed, 300.0, seed=seed), sink_coord=dest, round_limit=n,
             )
             got = _walked(
                 route, topo, make_coords, source,
-                BounceTrack(start, speed, 300.0, seed=seed), sink_coord=dest, round_limit=n, tour=tour,
+                bounce(start, speed, 300.0, seed=seed), sink_coord=dest, round_limit=n, tour=tour,
             )
             assert got == expected
             grown = (len(tour.entries), tour.complete) != known
@@ -499,14 +502,14 @@ def test_a_shared_tour_gives_every_sink_the_round_by_round_walk():
 def test_header_overflow_on_a_long_chain_matches_the_round_by_round_walk():
     positions = {i: (i * 20.0, 0.0) for i in range(130)}
     topo = build_udg(positions, 25.0)
-    for sink in (lambda: StaticSink((129 * 20.0, 0.0)), lambda: BounceTrack((2500.0, 5.0), 3.0, 2600.0, seed=1)):
+    for sink in (lambda: static((129 * 20.0, 0.0)), lambda: bounce((2500.0, 5.0), 3.0, 2600.0, seed=1)):
         for kwargs in ({}, {"sink_coord": (2600.0, 0.0)}):
             expected = _walked(reference_route, topo, topo.positions, 0, sink(), round_limit=10_000, **kwargs)
             assert expected[0] == "overflow"
             assert _walked(route, topo, topo.positions, 0, sink(), round_limit=10_000, **kwargs) == expected
     tour = Tour([0])
     with pytest.raises(HeaderOverflow):
-        route(topo, topo.positions, 0, StaticSink((129 * 20.0, 0.0)), sink_coord=(2600.0, 0.0), tour=tour)
+        route(topo, topo.positions, 0, static((129 * 20.0, 0.0)), sink_coord=(2600.0, 0.0), tour=tour)
     assert tour.overflow == MAX_ADDRESS_COUNT and not tour.complete
     assert tour.entries == list(range(MAX_ADDRESS_COUNT + 2))
 
@@ -523,7 +526,7 @@ def test_the_answer_fits_the_data_payload_with_the_source_neighbors(hops):
     assert len(neighbors) == 3
     sink = (hops + 0.5, 0.5)
     # Bounded at the 118 ids of the traversed list alone, every walk delivers.
-    res = route(topo, topo.positions, 0, StaticSink(sink), round_limit=1_000)
+    res = route(topo, topo.positions, 0, static(sink), round_limit=1_000)
     assert res.delivered and res.hops == hops
     # The traversed list: every node the packet left, in first-visit order.
     traversed = list(dict.fromkeys(res.path[:-1]))
@@ -532,11 +535,11 @@ def test_the_answer_fits_the_data_payload_with_the_source_neighbors(hops):
     bound = MAX_ADDRESS_COUNT - len(neighbors)
     if hops <= bound:
         encode_data_payload(payload)
-        bounded = route(topo, topo.positions, 0, StaticSink(sink), round_limit=1_000, max_traversed=bound)
+        bounded = route(topo, topo.positions, 0, static(sink), round_limit=1_000, max_traversed=bound)
         assert bounded == res
     else:
         # 116 to 118 hops: the answer does not fit, and the bounded walk says so.
         with pytest.raises(ListOverflow):
             encode_data_payload(payload)
         with pytest.raises(HeaderOverflow, match=f"exceed {bound} ids"):
-            route(topo, topo.positions, 0, StaticSink(sink), round_limit=1_000, max_traversed=bound)
+            route(topo, topo.positions, 0, static(sink), round_limit=1_000, max_traversed=bound)

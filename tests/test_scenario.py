@@ -3,14 +3,13 @@ import hashlib
 import math
 import os
 import random
-import subprocess
-import sys
-from pathlib import Path
+from itertools import islice, repeat
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fresh_python import run_python
 from sinksim import energy, flight, radio, routing, scenario
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
@@ -24,10 +23,8 @@ from sinksim.scenario import (
     BS_ID,
     MAX_ROUND_TRIP_S,
     MS_ID,
-    BounceTrack,
     ConfigError,
     ScenarioConfig,
-    StaticSink,
     _base_station_totals,
     _fill_gaps,
     grid_crossing_hops,
@@ -38,10 +35,9 @@ from sinksim.scenario import (
     run_scenario,
     timeline_coverage,
 )
-from sinksim.tracks import Replay, WaypointTrack, line_crossing
+from sinksim.tracks import WaypointTrack, _fold, bounce, line_crossing
 
 C = DEFAULT_CONSTANTS
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -50,49 +46,116 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_bounce_reflects_at_the_border():
-    track = BounceTrack((1000.0, 500.0), 50.0, 1000.0, seed=8)
-    track.direction = (1, 1)
-    track.step()
-    x, y = track.position
-    assert 0.0 <= x <= 1000.0 and 0.0 <= y <= 1000.0
-    assert track.direction[0] == -1  # positive direction flipped at the wall
+    # past either border the coordinate folds back inside and its direction
+    # flips to point away from that border
+    assert _fold(1020.0, 1, 1000.0) == (980.0, -1)
+    assert _fold(-20.0, -1, 1000.0) == (20.0, 1)
+    # a fold across both borders ends with the direction of the last bounce
+    assert _fold(2030.0, 1, 1000.0) == (30.0, 1)
+    assert _fold(-1030.0, -1, 1000.0) == (970.0, -1)
 
 
 def test_bounce_zero_speed_stays_put():
-    track = BounceTrack((400.0, 600.0), 0.0, 1000.0, seed=1)
-    for _ in range(5):
-        track.step()
-    assert track.position == (400.0, 600.0)
+    states = bounce((400.0, 600.0), 0.0, 1000.0, seed=1)
+    assert list(islice(states, 6)) == [((400.0, 600.0), False)] * 6
 
 
 def test_bounce_stays_inside_the_field():
-    track = BounceTrack((2.0, 998.0), 120.0, 1000.0, seed=5)
-    for _ in range(500):
-        track.step()
-        assert 0.0 <= track.position[0] <= 1000.0
-        assert 0.0 <= track.position[1] <= 1000.0
+    for (x, y), departed in islice(bounce((2.0, 998.0), 120.0, 1000.0, seed=5), 501):
+        assert 0.0 <= x <= 1000.0 and 0.0 <= y <= 1000.0
+        assert not departed
+
+
+class ReferenceBounce:
+    """The bounce as the sweeps stepped it before it became an iterator: a
+    uniform draw of speed * random() per axis along a random diagonal
+    direction, each coordinate past a border folded back with `fmod` and its
+    direction sign flipped."""
+
+    def __init__(self, position, speed_max, field_size, seed):
+        self.position = (float(position[0]), float(position[1]))
+        self.speed_max = float(speed_max)
+        self.field_size = float(field_size)
+        self.rng = random.Random(seed)
+        self.direction = (self.rng.choice((-1, 1)), self.rng.choice((-1, 1)))
+
+    def _reflect(self, value, sign):
+        while not 0.0 <= value <= self.field_size:
+            if not -self.field_size <= value <= 2 * self.field_size:
+                value = math.fmod(value, 2 * self.field_size)
+            if value > self.field_size:
+                value = 2 * self.field_size - value
+                sign = -1
+            elif value < 0.0:
+                value = -value
+                sign = 1
+        return value, sign
+
+    def step(self):
+        dx = self.speed_max * self.rng.random()
+        dy = self.speed_max * self.rng.random()
+        (x, y), (sx, sy) = self.position, self.direction
+        x += sx * dx
+        y += sy * dy
+        if not 0.0 <= x <= self.field_size:
+            x, sx = self._reflect(x, sx)
+        if not 0.0 <= y <= self.field_size:
+            y, sy = self._reflect(y, sy)
+        self.position = (x, y)
+        self.direction = (sx, sy)
+
+    def states(self, rounds):
+        """The position before the first round and after each of `rounds`."""
+        positions = [self.position]
+        for _ in range(rounds):
+            self.step()
+            positions.append(self.position)
+        return [(position, False) for position in positions]
+
+
+@st.composite
+def bounce_cases(draw):
+    field = draw(st.sampled_from([1000.0, 300.0, 100.0]) | st.floats(1e-3, 1e6))
+    # start coordinates on a border, inside the field or outside it
+    coord = st.sampled_from([0.0, field]) | st.floats(0.0, field) | st.floats(-3 * field, 4 * field)
+    start = (draw(coord), draw(coord))
+    speed = draw(st.sampled_from([0.0, 120.0, 1e300]) | st.floats(0.0, 1.0) | st.floats(0.0, 1e3))
+    return start, speed, field, draw(st.integers(0, 2**31 - 1)), draw(st.integers(0, 60))
+
+
+@given(bounce_cases())
+@example(((1000.0, 500.0), 50.0, 1000.0, 8, 20))  # starts on a border
+@example(((0.0, 0.0), 120.0, 1000.0, 3, 60))  # in a corner
+@example(((500.0, 500.0), 1e300, 1000.0, 1, 40))  # folds whole periods at once
+@example(((2.0, 998.0), 0.5, 1000.0, 5, 60))  # fractional
+@example(((400.0, 600.0), 0.0, 1000.0, 1, 10))  # still
+@example(((-2500.0, 4100.0), 7.0, 1000.0, 2, 10))  # off the field
+def test_bounce_states_equal_the_reference_stepper(case):
+    start, speed, field, seed, rounds = case
+    got = list(islice(bounce(start, speed, field, seed=seed), rounds + 1))
+    # bit for bit: a float's repr round-trips and tells -0.0 from 0.0
+    assert repr(got) == repr(ReferenceBounce(start, speed, field, seed).states(rounds))
 
 
 SPEED_PROBE = """
 import sys
-from sinksim.scenario import BounceTrack, grid_point, random_graph_point
-from sinksim.tracks import line_crossing
+from itertools import islice
+from sinksim.scenario import grid_point, random_graph_point
+from sinksim.tracks import bounce, line_crossing
 
-def bounce(v):
-    track = BounceTrack((500.0, 500.0), v, 1000.0, seed=1)
-    for _ in range(100):
-        track.step()
-        assert all(0.0 <= p <= 1000.0 for p in track.position), track.position
+def bounced(v, x=500.0, field=1000.0):
+    for position, _ in islice(bounce((x, 500.0), v, field, seed=1), 101):
+        assert all(0.0 <= p <= field for p in position), position
 
 calls = {
-    "bounce": bounce,
+    "bounce": bounced,
     "random-graph": lambda v: random_graph_point(4, v, 3, 1),
     "grid-virtual": lambda v: grid_point("edge", v, 3, 1),
     "grid-physical": lambda v: grid_point("diagonal", v, 3, 1, coord_mode="physical"),
     "line": lambda v: line_crossing((0.0, 0.0), (100.0, 0.0), v, 1),
 }
 try:
-    calls[sys.argv[1]](float(sys.argv[2]))
+    calls[sys.argv[1]](*map(float, sys.argv[2:]))
 except ValueError as exc:
     print(exc)
 """
@@ -103,9 +166,8 @@ except ValueError as exc:
 def test_speeds_that_are_negative_or_not_finite_are_rejected(call, speed):
     # A fresh interpreter under a timeout: a non-finite drift used to bounce
     # off the borders forever.
-    proc = subprocess.run(
-        [sys.executable, "-c", SPEED_PROBE, call, speed],
-        env={"PYTHONPATH": str(SRC)},
+    proc = run_python(
+        ["-c", SPEED_PROBE, call, speed],
         capture_output=True,
         text=True,
         check=True,
@@ -118,9 +180,8 @@ def test_speeds_that_are_negative_or_not_finite_are_rejected(call, speed):
 def test_a_huge_finite_speed_ends_inside_the_field(call):
     # The bounce reflected one field width per pass, and at 1e300, where
     # 2 * field - value rounds to -value, it never came back inside.
-    proc = subprocess.run(
-        [sys.executable, "-c", SPEED_PROBE, call, "1e300"],
-        env={"PYTHONPATH": str(SRC)},
+    proc = run_python(
+        ["-c", SPEED_PROBE, call, "1e300"],
         capture_output=True,
         text=True,
         check=True,
@@ -129,14 +190,38 @@ def test_a_huge_finite_speed_ends_inside_the_field(call):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "x, field, message",
+    [
+        ("nan", "1000", "start must be finite"),
+        ("inf", "1000", "start must be finite"),
+        ("500", "nan", "field size must be finite and > 0"),
+        ("500", "-5", "field size must be finite and > 0"),
+        ("500", "0", "field size must be finite and > 0"),
+        ("500", "inf", "field size must be finite and > 0"),
+    ],
+)
+def test_a_bounce_that_would_never_fold_back_is_rejected(x, field, message):
+    # A start or a field size that is not finite, or a field that is not
+    # > 0, kept the fold looping forever; a fresh interpreter under a timeout.
+    proc = run_python(
+        ["-c", SPEED_PROBE, "bounce", "1", x, field],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert proc.stdout.startswith(message)
+
+
 def test_edge_line_exits_after_four_rounds():
-    positions, departed = line_crossing((0.0, 0.0), (100.0, 0.0), 25.0, 4)
+    positions, departed = map(list, zip(*line_crossing((0.0, 0.0), (100.0, 0.0), 25.0, 4)))
     assert departed == [False, False, False, False, True]
     assert positions[-1] == (100.0, 0.0)
 
 
 def test_diagonal_line_geometry():
-    positions, departed = line_crossing((0.0, 0.0), (100.0, 100.0), 10.0, 15)
+    positions, departed = map(list, zip(*line_crossing((0.0, 0.0), (100.0, 100.0), 10.0, 15)))
     # 10 of a length of 100 * sqrt(2) per round: the far corner after 15 rounds
     assert departed.index(True) == math.ceil(100.0 * math.sqrt(2) / 10.0) == 15
     assert positions[1][0] == pytest.approx(positions[1][1])
@@ -181,9 +266,8 @@ LINE_COORD = st.integers(-200, 200) | st.floats(-1e4, 1e4)
 @example(start=(0.0, 0.0), end=(10.0, 0.0), speed=3.0, steps=8)  # overshoots the far end
 @example(start=(0.0, 0.0), end=(100.0, 0.0), speed=0.0, steps=5)
 def test_line_track_steps_equal_the_reference_formula(start, end, speed, steps):
-    positions, departed = line_crossing(start, end, speed, steps)
     # bit for bit: a float's repr round-trips
-    assert repr(list(zip(positions, departed))) == repr(reference_line(start, end, speed, steps))
+    assert repr(line_crossing(start, end, speed, steps)) == repr(reference_line(start, end, speed, steps))
 
 
 # The ends of the grid sweeps' two crossings, which start at the origin.
@@ -193,18 +277,18 @@ CROSSING_ENDS = {"edge_line": (GRID_FIELD_M, 0.0), "diagonal_line": (GRID_FIELD_
 @pytest.mark.parametrize("speed", [0.7, 1, 3, 4, 8])
 @pytest.mark.parametrize("crossing", CROSSING_ENDS)
 def test_a_replayed_crossing_is_the_line_track_stepped(crossing, speed):
+    # Every walk of a grid point iterates the one recording: each iteration
+    # reads the line track stepped, bit for bit, and ends after the round
+    # limit's last state.
     limit = 4 * GRID_SIDE**2  # the grid sweeps' round limit
     end = CROSSING_ENDS[crossing]
     recording = line_crossing((0.0, 0.0), end, speed, limit)
-    replay = Replay(recording)
-    got = [(replay.position, replay.departed)]
-    for _ in range(limit):
-        replay.step()
-        got.append((replay.position, replay.departed))
-    assert got == list(zip(*recording))
-    assert repr(got) == repr(reference_line((0.0, 0.0), end, speed, limit))  # bit for bit
-    with pytest.raises(IndexError):
-        replay.step()
+    expected = repr(reference_line((0.0, 0.0), end, speed, limit))
+    for _ in range(2):
+        states = iter(recording)
+        assert repr(list(islice(states, limit + 1))) == expected
+        with pytest.raises(StopIteration):
+            next(states)
 
 
 def test_the_grid_sweeps_make_one_line_track_per_crossing(monkeypatch):
@@ -229,10 +313,18 @@ def test_the_grid_sweeps_make_one_line_track_per_crossing(monkeypatch):
 
 
 def test_static_sink_never_moves():
-    sink = StaticSink((3.0, 4.0))
-    sink.step()
-    assert sink.position == (3.0, 4.0)
-    assert not sink.departed
+    # The random-graph sweep walks against one repeated state at speed 0
+    # instead of a bounce that draws and stays put: the walks are the same.
+    rnd = random.Random(4)
+    for _ in range(30):
+        n = rnd.randrange(2, 40)
+        topo = build_udg({i: (rnd.uniform(0, 300), rnd.uniform(0, 300)) for i in range(n)}, 60.0)
+        start = (rnd.uniform(0, 300), rnd.uniform(0, 300))
+        source, dest = rnd.randrange(n), (150.0, 150.0)
+        still = bounce(start, 0.0, 300.0, seed=rnd.randrange(100))
+        static = repeat((start, False))
+        walks = [routing.route(topo, topo.positions, source, sink, sink_coord=dest) for sink in (still, static)]
+        assert walks[0] == walks[1]
 
 
 def test_waypoint_track_positions():
@@ -1224,6 +1316,28 @@ def test_a_round_trip_longer_than_the_bound_is_a_config_error(monkeypatch):
     assert tested == []
     assert run_scenario(scenario_config(ms_speed_mps=slowest * 1.01)).horizon_us > 0
     assert len(tested) > 1_000
+
+
+def test_a_sink_still_in_flight_after_the_last_pass_is_a_config_error(monkeypatch):
+    # At a cap of 1,000 passes: the shortest t_brp whose last pass ends with
+    # the sink gone runs; 1 us shorter is refused before any pass is tested.
+    monkeypatch.setattr(scenario, "MAX_PASSES", 1_000)
+    monkeypatch.setattr(flight, "MAX_PASSES", 1_000)
+    departed = flight._flight(grid_topology(4, 25.0), (-80.0, 37.5), 7.0, C.t_brp, C.d_brp).departed
+    lo, hi = 1, C.t_brp  # the sink is gone by pass 999 at the default t_brp
+    assert departed(999 * hi + C.d_brp) and not departed(999 * lo + C.d_brp)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if departed(999 * mid + C.d_brp) else (mid, hi)
+    tested = []
+    hearers = flight._hearers
+    monkeypatch.setattr(flight, "_hearers", lambda *args: tested.append(args) or hearers(*args))
+    clear_rotation_memos()
+    with pytest.raises(ConfigError, match=f"t_brp = {lo} us is too short: the sink's 1000 request passes"):
+        run_scenario(scenario_config(constants=dataclasses.replace(C, t_brp=lo)))
+    assert tested == []
+    assert run_scenario(scenario_config(constants=dataclasses.replace(C, t_brp=hi))).horizon_us > 0
+    assert tested
 
 
 def test_discovered_graph_union():

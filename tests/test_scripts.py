@@ -1,8 +1,8 @@
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from fresh_python import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -27,10 +27,9 @@ RUNS = {
 
 
 def run_script(name, args, cwd):
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
+    return run_python(
+        [str(SCRIPTS / name), *args],
         cwd=cwd,
-        env={"PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=120,
