@@ -78,7 +78,11 @@ def _at_least_one(args, name: str) -> None:
 
 
 def _topology(args):
-    """The --topology CSV, or else the --grid square."""
+    """The --topology CSV, or else the --grid square.  A grid's --spacing and
+    the --range-m are checked as `build_udg` checks a range, naming the option."""
+    for option, value in (("--spacing", None if args.topology else args.spacing), ("--range-m", args.range_m)):
+        if value is not None and not (0 <= value and value * value < math.inf):
+            raise ValueError(f"{option} must be finite and >= 0 with a finite square, got {value}")
     if not args.topology:
         _at_least_one(args, "grid")
         # before the build, which takes seconds at a side of 300
@@ -414,7 +418,7 @@ def cmd_demo(args, c: ProtocolConstants) -> int:
         )
         del report  # not held through the next rotation
     graph = discovered_graph(answers)
-    timeline = [(seg.node, seg.state, seg.start_us, seg.end_us) for seg in first_timeline]
+    timeline = [(nid, state, s, e) for nid, spans in first_timeline.spans().items() for s, e, state in spans]
     out = Path(args.out)
     _write_manifest(out, "demo", vars(args))
     (out / "graph.dot").write_text(to_dot(graph, name="discovered"))

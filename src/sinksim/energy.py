@@ -113,7 +113,6 @@ def v_max_bs(c: ProtocolConstants, chord_m: float = 50.0) -> float:
 class RealTimeParams:
     """Geometry and worst-case hop counts for the network-side speed bound."""
 
-    chord_m: float = 50.0
     traverse_m: float = 150.0     # 190.0 on the diagonal crossing
     worst_hops: int = 10
     flood_hops: int = 8

@@ -12,11 +12,11 @@ of the first.
 The designated source node does not relay: its first reception starts the
 long source wait instead, giving the broadcast storm time to die out.
 
-Transmissions are modeled at packet granularity (one interval of d_brp per
-relay) and reception is loss-free by default; the optional collision flag
-drops receptions at nodes covered by two overlapping transmissions.  Only
-then does the engine record, per node, the transmissions it hears
-(`heard`); loss-free `heard` is None.
+Transmissions are modeled at packet granularity, one interval of d_brp per
+relay (the report keeps each relay's start), and reception is loss-free by
+default; the optional collision flag drops receptions at nodes covered by
+two overlapping transmissions.  Only then does the engine record, per node,
+the transmissions it hears (`heard`); loss-free `heard` is None.
 
 The engine's state lives in lists indexed by slot: slot i is the i-th node
 id in ascending order.  The ids, the slot of each id, and the adjacency as
@@ -64,7 +64,6 @@ class FloodReport:
     source: Optional[NodeId]
     first_rx_us: Dict[NodeId, int] = field(default_factory=dict)
     tx_start_us: Dict[NodeId, int] = field(default_factory=dict)
-    tx_end_us: Dict[NodeId, int] = field(default_factory=dict)
     transmissions: List[Tuple[NodeId, int]] = field(default_factory=list)
     source_wait_expiry_us: Optional[int] = None
     completion_us: int = 0
@@ -144,7 +143,7 @@ class FloodEngine:
         ids, adjacency, heard = self.view.ids, self.view.adjacency, self.heard
         report = self.report
         first_rx, reached = report.first_rx_us, report.reached
-        tx_start, tx_end, transmissions = report.tx_start_us, report.tx_end_us, report.transmissions
+        tx_start, transmissions = report.tx_start_us, report.transmissions
         c, source = self.c, self._source_slot
         d_brp, d_rxtx, b_src = c.d_brp, c.d_rxtx, c.b_src
         # a backoff is uniform in [0, w_br]: randrange(window)'s own rejection
@@ -162,7 +161,6 @@ class FloodEngine:
                 state[node] = SENT
                 nid = ids[node]
                 tx_start[nid] = t
-                tx_end[nid] = end
                 transmissions.append((nid, t))
                 committed = t + d_rxtx
                 neighbors = adjacency[node]
@@ -224,12 +222,10 @@ class FloodEngine:
 
     def run(self) -> FloodReport:
         self.run_until(float("inf"))
-        self.report.completion_us = max(
-            [self.now]
-            + list(self.report.tx_end_us.values())
-            + ([self.report.source_wait_expiry_us] if self.report.source_wait_expiry_us else [])
-        )
-        return self.report
+        report = self.report
+        # every relay's end is a TX_END event, so `now` is at or past it
+        report.completion_us = max(self.now, report.source_wait_expiry_us or self.now)
+        return report
 
 
 def simulate_flood(

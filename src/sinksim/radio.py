@@ -7,7 +7,8 @@ grid with spacing equal to the range stays connected).  A topology indexes
 its nodes once, on first use, as its `view`: the flood's slots and the
 sink's flight both read it, and it lives exactly as long as the topology.
 Power draws are measured hardware values, keyed by transmission power
-setting.
+setting.  A `Timeline` keeps each node's microseconds per state and builds
+the per-node spans only when asked (:mod:`sinksim.timelines` assembles it).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .core import MAX_NODE_ID, NodeId, Position
 
@@ -95,10 +96,10 @@ def build_udg(
     test rejects; a pair at exactly the range still counts as connected.
 
     Raises DuplicateId when the same node id appears twice, and ValueError
-    for a range that is negative or not finite.
+    for a range that is negative or whose square is not finite.
     """
-    if not 0.0 <= range_m < math.inf:
-        raise ValueError(f"range must be finite and >= 0, got {range_m!r}")
+    if not (0.0 <= range_m and range_m * range_m < math.inf):
+        raise ValueError(f"range must be finite and >= 0 with a finite square, got {range_m!r}")
     if isinstance(positions, Mapping):
         items = list(positions.items())
     else:
@@ -207,37 +208,24 @@ def state_totals(spans: Iterable[Span]) -> Dict[str, int]:
     return totals
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One stretch of a node's radio timeline, as iterating a `Timeline`
-    yields it: `state` over [start_us, end_us)."""
-
-    node: NodeId
-    state: str
-    start_us: int
-    end_us: int
-
-
 @dataclass(frozen=True, eq=False)
 class Timeline:
     """Read-only view of assembled radio timelines, kept as per-state totals.
 
     `totals` holds each node's microseconds per state and `clipped_us` the
     active microseconds cut from a node where its spans overlapped (nodes
-    without any are left out).  `len()` is the number of segments, counted
-    during assembly; iterating calls `build` for the segments themselves.
+    without any are left out).  `len()` is the number of spans, counted
+    during assembly; `spans()` builds each node's spans, filled and in time
+    order.
     """
 
     totals: Dict[NodeId, Dict[str, int]]
     clipped_us: Dict[NodeId, int]
     length: int
-    build: Callable[[], Iterable[Segment]] = field(repr=False)
+    spans: Callable[[], Dict[NodeId, List[Span]]] = field(repr=False)
 
     def __len__(self) -> int:
         return self.length
-
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.build())
 
 
 @dataclass(frozen=True)

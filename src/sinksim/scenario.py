@@ -20,15 +20,8 @@ source routes its answer hop by hop toward the sink; (5) the sink
 acknowledges the data; (6) back at the base station the sink answers the next
 data-request preamble with the data.
 
-A hop exchange writes each node's spans already filled, in time order, and
-hands them to the rotation (:mod:`sinksim.timelines`); `_fill_gaps` then
-fills each node that took part in an exchange once.  A node that took part
-in none holds at most its flood relay, in the idle state: it polls all
-along, and its totals and segment count are closed forms.  A rotation keeps
-its timelines as a :class:`~sinksim.radio.Timeline` view: each node's
-microseconds per state, added up while its spans are filled, with the base
-station's request train priced in closed form.  Segments are built only when
-the view is iterated.
+Each node's radio states over the rotation are assembled into one
+:class:`~sinksim.radio.Timeline` view (:mod:`sinksim.timelines`).
 
 The pieces that call no traced name live in their own modules: the sink
 tracks (`tracks`), the timeline assembly (`timelines`), the sink's flight
@@ -69,10 +62,10 @@ from .presets import (
     _sweep_point,
     nodes_for_degree,
 )
-from .radio import Segment, Span, Timeline, Topology, build_udg, euclid, grid_topology
+from .radio import Span, Topology, build_udg, euclid, grid_topology
 from .routing import RouteResult, Tour, init_virtual_coords, route
 from .stats import mean_ci
-from .timelines import BS_ID, MS_ID, _base_station_totals, _fill_gaps, hop_exchange_timeline
+from .timelines import BS_ID, MS_ID, hop_exchange_timeline, rotation_timeline
 from .tracks import _check_speed, bounce, line_crossing
 
 # Bound here for the names bench/tracer.py wraps here: next_hop_3rule and
@@ -113,9 +106,8 @@ class ScenarioConfig:
 class ScenarioReport:
     """Outcome of one rotation over [0, horizon_us].
 
-    `timeline` is a read-only view: each node's microseconds per state and
-    the active time clipped where its spans overlapped, both counted during
-    assembly, and the segment count; iterating it builds the segments.
+    `timeline` is the rotation's :class:`sinksim.radio.Timeline` view, made
+    by :func:`sinksim.timelines.rotation_timeline`.
     """
 
     config_seed: int
@@ -125,7 +117,7 @@ class ScenarioReport:
     miss: bool
     neighbors: List[NodeId]
     flood: Optional[FloodReport]
-    timeline: Timeline
+    timeline: "Timeline"
     horizon_us: int = 0
 
 
@@ -215,7 +207,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     flood_report = engine.run()
     if cfg.query_node not in flood_report.reached:
         raise ConfigError("flood never reached the queried node")
-    phase_times[3] = max(flood_report.tx_end_us.values(), default=phase_times[2])
+    # the end of the last relay; every relay lasts d_brp
+    phase_times[3] = max((s + d_brp for s in flood_report.tx_start_us.values()), default=phase_times[2])
 
     # Phase 4: source routes the answer toward the moving sink, one hop
     # exchange per round of the routing walk that sends a frame.
@@ -272,51 +265,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         phase_times[6] = drp_end + c.d_data
         horizon = phase_times[6]
 
-    # Base station: request preambles all along, listening in between, its
-    # totals in closed form.  Then every node in ascending id order, the
-    # sink's among them, its untracked stretches in the idle sampling state.
-    # A node that took part in no hop exchange holds at most its flood relay,
-    # in that state too: it polls all along, its totals and segment count are
-    # closed forms, and its spans are filled only when the view is iterated.
-    # Every other node is filled once: its spans are added up here and kept
-    # for the segments.
-    bs_totals, length = _base_station_totals(c, horizon)
-    totals = {BS_ID: bs_totals}
-    clipped: Dict[NodeId, int] = {}
-    filled: Dict[NodeId, List[Span]] = {}
-    relay_start, relay_end = flood_report.tx_start_us, flood_report.tx_end_us
-    order = [MS_ID, *view.ids]
-    for nid in order:
-        spans = active.get(nid)
-        if spans is None:
-            if horizon > 0:
-                totals[nid] = {"poll": horizon}
-                length += 1
-                if nid in relay_start:  # relays start at 0 or later
-                    s, e = relay_start[nid], min(relay_end[nid], horizon)
-                    if s < e:  # the polling before and after the relay
-                        length += (s > 0) + (e < horizon)
-            else:
-                totals[nid] = {}
-            continue
-        if nid in relay_start:
-            spans.append((relay_start[nid], relay_end[nid], "poll"))
-        filled[nid], totals[nid], cut = _fill_gaps(spans, 0, horizon, "poll")
-        length += len(filled[nid])
-        if cut:
-            clipped[nid] = cut
-
-    def segments() -> List[Segment]:
-        polls = [(k, k + c.d_drp, "poll") for k in range(0, horizon, c.t_dr)]
-        spans = {BS_ID: _fill_gaps(polls, 0, horizon, "listen")[0]}
-        for nid in order:
-            if nid in filled:
-                spans[nid] = filled[nid]
-            else:
-                relay = [(relay_start[nid], relay_end[nid], "poll")] if nid in relay_start else []
-                spans[nid] = _fill_gaps(relay, 0, horizon, "poll")[0]
-        return [Segment(nid, state, s, e) for nid, ss in spans.items() for s, e, state in ss]
-
     return ScenarioReport(
         config_seed=cfg.seed,
         query_node=cfg.query_node,
@@ -325,7 +273,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         miss=miss,
         neighbors=list(topo.adjacency[cfg.query_node]),
         flood=flood_report,
-        timeline=Timeline(totals, clipped, length, segments),
+        timeline=rotation_timeline(c, horizon, active, flood_report.tx_start_us, view.ids),
         horizon_us=horizon,
     )
 

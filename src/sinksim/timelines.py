@@ -3,9 +3,14 @@
 Radio activity partitions each node's simulated time into (start, end,
 state) spans; un-involved stretches are the idle sampling state.  A hop
 exchange (:func:`hop_exchange_timeline`) writes each node's spans already
-filled, in time order; `_fill_gaps`, the one routine that fills gaps and
-clips overlaps, fills the rest.  The base station's request train is priced
-in closed form (`_base_station_totals`).
+filled, in time order; :func:`rotation_timeline` assembles a rotation's
+view (:class:`~sinksim.radio.Timeline`).  It fills each node that took part
+in an exchange once with `_fill_gaps`, the one routine that fills gaps and
+clips overlaps.  A node that took part in none holds at most its flood
+relay, in the idle state too, and the base station's request train is
+priced in closed form (`_base_station_totals`): their totals and span
+counts need no spans, which are filled only when the view's `spans()` is
+called.
 """
 
 from __future__ import annotations
@@ -88,6 +93,55 @@ def _base_station_totals(c: ProtocolConstants, horizon: int) -> Tuple[Dict[str, 
     )
     totals = {"listen": horizon - poll, "poll": poll}
     return {state: us for state, us in totals.items() if us}, polls + listens
+
+
+def rotation_timeline(
+    c: ProtocolConstants,
+    horizon: int,
+    active: Dict[NodeId, List[Span]],
+    relay_start: Mapping[NodeId, int],
+    ids: Sequence[NodeId],
+) -> Timeline:
+    """The view of a rotation's timelines over [0, horizon]: the base
+    station's request train, then the sink and each of `ids` in the idle
+    `poll` around its spans in `active` and its relay of d_brp from
+    `relay_start`.
+    """
+    d_brp = c.d_brp
+    bs_totals, length = _base_station_totals(c, horizon)
+    totals = {BS_ID: bs_totals}
+    clipped: Dict[NodeId, int] = {}
+    filled = {}
+    order = [MS_ID, *ids]
+    for nid in order:
+        s = relay_start.get(nid)  # relays start at 0 or later
+        spans = active.get(nid)
+        if spans is None:  # polls all along, before and after its relay
+            totals[nid] = {"poll": horizon} if horizon > 0 else {}
+            length += horizon > 0
+            if s is not None and 0 < d_brp and s < horizon:
+                length += (s > 0) + (s + d_brp < horizon)
+            continue
+        if s is not None:
+            spans = spans + [(s, s + d_brp, "poll")]
+        filled[nid], totals[nid], cut = _fill_gaps(spans, 0, horizon, "poll")
+        length += len(filled[nid])
+        if cut:
+            clipped[nid] = cut
+
+    def build() -> Dict[NodeId, List[Span]]:
+        polls = [(k, k + c.d_drp, "poll") for k in range(0, horizon, c.t_dr)]
+        out = {BS_ID: _fill_gaps(polls, 0, horizon, "listen")[0]}
+        for nid in order:
+            if nid in filled:
+                out[nid] = filled[nid]
+            else:
+                s = relay_start.get(nid)
+                relay = [] if s is None else [(s, s + d_brp, "poll")]
+                out[nid] = _fill_gaps(relay, 0, horizon, "poll")[0]
+        return out
+
+    return Timeline(totals, clipped, length, build)
 
 
 def hop_exchange_timeline(

@@ -530,8 +530,13 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, tmp_path_factory):
         ("--n", ["collisions", "--runs", "10", "--n", "-1"]),
         ("--neighbors", ["analyze", "--neighbors", "0"]),
         ("--runs", ["route-sim", "--preset", "grid25", "--runs", "100000000"]),
+        # once the range check of the build or an OverflowError, neither naming the option
+        ("--spacing", ["demo", "--spacing", "-5"]),
+        ("--spacing", ["demo", "--grid", "2", "--spacing", "1e300"]),
+        ("--range-m", ["flood-sim", "--range-m", "1e300"]),
     ],
-    ids=("collisions --n", "analyze --neighbors", "route-sim --runs"),
+    ids=("collisions --n", "analyze --neighbors", "route-sim --runs", "demo --spacing -5",
+         "demo --spacing 1e300", "flood-sim --range-m 1e300"),
 )
 def test_a_bad_count_names_its_option(option, argv, capsys):
     assert main(argv) == 2

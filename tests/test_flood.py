@@ -79,8 +79,8 @@ def test_adjacent_transmissions_only_overlap_within_switch_window():
             for b in g.adjacency[a]:
                 if b < a or a not in report.tx_start_us or b not in report.tx_start_us:
                     continue
-                sa, ea = report.tx_start_us[a], report.tx_end_us[a]
-                sb, eb = report.tx_start_us[b], report.tx_end_us[b]
+                sa, sb = report.tx_start_us[a], report.tx_start_us[b]
+                ea, eb = sa + C.d_brp, sb + C.d_brp
                 if sa < eb and sb < ea:  # overlapping intervals
                     assert abs(sa - sb) < C.d_rxtx
 
@@ -95,7 +95,7 @@ def test_source_waits_out_the_storm():
         expiry = report.source_wait_expiry_us
         for v in g.adjacency[24]:
             if v in report.tx_start_us:
-                assert not (report.tx_start_us[v] <= expiry < report.tx_end_us[v])
+                assert not (report.tx_start_us[v] <= expiry < report.tx_start_us[v] + C.d_brp)
         # everyone else still relays exactly once
         counts = Counter(node for node, _ in report.transmissions)
         assert set(counts) == set(g.positions) - {24}
@@ -207,7 +207,7 @@ def test_clique_first_copy_loss_is_the_closed_form(n):
     lost = 0
     for seed in range(runs):
         report = simulate_flood(topo, 0, seed=seed, collisions=True)
-        first_end = min(report.tx_end_us[i] for i in range(1, n + 1))
+        first_end = min(report.tx_start_us[i] for i in range(1, n + 1)) + C.d_brp
         lost += report.first_rx_us.get(n + 1) != first_end
     p = collision_probability(ContentionConfig(C.w_br, C.d_rxtx, n))
     assert abs(lost / runs - p) <= 4 * math.sqrt(p * (1 - p) / runs)
@@ -313,7 +313,6 @@ def relabelled(report, label):
         source=None if report.source is None else label[report.source],
         first_rx_us={label[v]: t for v, t in report.first_rx_us.items()},
         tx_start_us={label[v]: t for v, t in report.tx_start_us.items()},
-        tx_end_us={label[v]: t for v, t in report.tx_end_us.items()},
         transmissions=[(label[v], t) for v, t in report.transmissions],
         source_wait_expiry_us=report.source_wait_expiry_us,
         completion_us=report.completion_us,

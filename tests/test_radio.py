@@ -134,6 +134,14 @@ def test_a_range_that_is_negative_or_not_finite_is_rejected(range_m):
         build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, range_m)
 
 
+@pytest.mark.parametrize("range_m", [1e200, 1.35e154])
+def test_a_range_whose_square_overflows_is_rejected(range_m):
+    # once an OverflowError from squaring it
+    with pytest.raises(ValueError, match="range must be finite and >= 0 with a finite square"):
+        build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, range_m)
+    assert build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, 1.34e154).adjacency == {0: (1,), 1: (0,)}
+
+
 def test_power_table_state_values():
     assert power_table(-25).power_mw("poll") == pytest.approx(3.300)
     assert power_table(0).power_mw("listen") == pytest.approx(65.833)

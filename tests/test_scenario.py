@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fresh_python import run_python
-from sinksim import energy, flight, radio, routing, scenario
+from sinksim import flight, radio, routing, scenario, timelines
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
 from sinksim.flight import _hearers
@@ -25,8 +25,6 @@ from sinksim.scenario import (
     MS_ID,
     ConfigError,
     ScenarioConfig,
-    _base_station_totals,
-    _fill_gaps,
     grid_crossing_hops,
     grid_point,
     hop_exchange_timeline,
@@ -35,6 +33,7 @@ from sinksim.scenario import (
     run_scenario,
     timeline_coverage,
 )
+from sinksim.timelines import _base_station_totals, _fill_gaps
 from sinksim.tracks import WaypointTrack, _fold, bounce, line_crossing
 
 C = DEFAULT_CONSTANTS
@@ -568,9 +567,7 @@ def test_scenario_delivers_exactly_one_data_to_the_sink():
     # conservation: one query, one data reception at the sink, no duplicates
     report = run_scenario(scenario_config())
     data_rx = [
-        seg
-        for seg in report.timeline
-        if seg.node == MS_ID and seg.state == "rx" and seg.end_us - seg.start_us == C.d_data
+        (s, e) for s, e, state in report.timeline.spans()[MS_ID] if state == "rx" and e - s == C.d_data
     ]
     assert len(data_rx) == 1
 
@@ -643,6 +640,12 @@ def test_isolated_query_node_misses_without_hops():
 
 def sha256(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def segments(view):
+    """A timeline view's spans as the (node, state, start, end) rows that
+    the pins were recorded from."""
+    return [(nid, state, s, e) for nid, spans in view.spans().items() for s, e, state in spans]
 
 
 # Recorded before the timeline was assembled from per-node buckets with the
@@ -725,56 +728,66 @@ def test_rotation_outputs_are_pinned(name):
     assert report.phase_times_us == pinned["phases"]
     assert report.horizon_us == pinned["phases"][6]
     assert report.route.path == pinned["path"]
-    segments = [(s.node, s.state, s.start_us, s.end_us) for s in report.timeline]
-    assert (len(segments), sha256(segments)) == pinned["segments"]
+    rows = segments(report.timeline)
+    assert (len(rows), sha256(rows)) == pinned["segments"]
     transmissions = report.flood.transmissions
     assert (len(transmissions), sha256(transmissions)) == pinned["transmissions"]
     energy = integrate_timeline(report.timeline, power_table(-25))
     assert sha256(sorted(energy.items())) == pinned["energy"]
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_ROTATIONS))
+def clipping_rotation():
+    """The rotation of the benchmark grid whose node 49 clips 53,707 us (see
+    test_overlapping_active_spans_are_counted)."""
+    return run_scenario(ScenarioConfig(topology=grid_topology(12, 25.0), query_node=48, seed=48))
+
+
+@pytest.mark.parametrize("name", [*sorted(PINNED_ROTATIONS), "clipping"])
 def test_timeline_view_agrees_with_its_segments(name):
-    report = run_pinned(name)
+    report = clipping_rotation() if name == "clipping" else run_pinned(name)
+    side = 12 if name == "clipping" else PINNED_ROTATIONS[name]["side"]
     view = report.timeline
     assert isinstance(view, Timeline)
-    segments = list(view)
-    assert len(view) == len(segments)
-    assert view.clipped_us == {}
-    spans = {}
-    for s in segments:
-        spans.setdefault(s.node, []).append((s.start_us, s.end_us, s.state))
+    spans = view.spans()
+    # the base station, the sink, then the node ids ascending
+    assert list(spans) == [BS_ID, MS_ID, *range(side**2)]
+    assert sum(map(len, spans.values())) == len(view)
+    for nid, node_spans in spans.items():
+        assert radio.state_totals(node_spans) == view.totals[nid]
+    assert view.clipped_us == ({49: 53_707} if name == "clipping" else {})
     assert timeline_coverage(view) == timeline_coverage(spans)
     for dbm in (0, -25):
         powers = power_table(dbm)
-        by_segment = {}
-        for s in segments:
-            by_segment[s.node] = by_segment.get(s.node, 0.0) + (
-                (s.end_us - s.start_us) / 1e6 * powers.power_mw(s.state)
-            )
+        by_span = {
+            nid: sum((e - s) / 1e6 * powers.power_mw(state) for s, e, state in node_spans)
+            for nid, node_spans in spans.items()
+        }
         energy = integrate_timeline(view, powers)
-        assert energy.keys() == by_segment.keys()
+        assert energy.keys() == by_span.keys()
         for node, e in energy.items():
-            assert e == pytest.approx(by_segment[node], rel=1e-12, abs=0)
+            assert e == pytest.approx(by_span[node], rel=1e-12, abs=0)
 
 
-def test_a_rotation_builds_segments_only_when_its_view_is_iterated(monkeypatch):
-    built = []
-
-    def counting_segment(*args, **kwargs):
-        built.append(args)
-        return radio.Segment(*args, **kwargs)
-
-    monkeypatch.setattr(scenario, "Segment", counting_segment)
-    assert not hasattr(energy, "Segment")
+def test_a_rotation_fills_spans_only_when_they_are_asked_for(monkeypatch):
+    involved = exchange_nodes(monkeypatch)
     report = run_pinned("collisions")
+    calls = []
+    fill = timelines._fill_gaps
+
+    def counting_fill(*args, **kwargs):
+        calls.append(args)
+        return fill(*args, **kwargs)
+
+    monkeypatch.setattr(timelines, "_fill_gaps", counting_fill)
     view = report.timeline
     integrate_timeline(view, power_table(0))
     timeline_coverage(view)
     assert len(view) == PINNED_ROTATIONS["collisions"]["segments"][0]
-    assert built == []
-    segments = list(view)
-    assert len(built) == len(view) == len(segments)
+    assert calls == []
+    spans = view.spans()
+    outside = set(range(PINNED_ROTATIONS["collisions"]["side"] ** 2)) - involved
+    assert 0 < len(outside) and len(calls) == 1 + len(outside)
+    assert sum(map(len, spans.values())) == len(view)
 
 
 # Recorded before timelines were assembled from per-node spans: every
@@ -859,15 +872,14 @@ def test_relay_only_nodes_in_closed_form_equal_their_fill(monkeypatch, overrides
     overrides = dict(overrides)
     report = run_scenario(ScenarioConfig(topology=g, seed=overrides["query_node"], **overrides))
     horizon, view, flood = report.horizon_us, report.timeline, report.flood
-    segments = {}
-    for s in view:
-        segments.setdefault(s.node, []).append((s.start_us, s.end_us, s.state))
-    assert len(view) == sum(map(len, segments.values()))
+    spans = view.spans()
+    assert len(view) == sum(map(len, spans.values()))
     seen = {"missed"} if report.miss else set()
     for nid in set(g.positions) - involved:
         relay = []
         if nid in flood.tx_start_us:
-            start, end = flood.tx_start_us[nid], flood.tx_end_us[nid]
+            start = flood.tx_start_us[nid]
+            end = start + C.d_brp
             relay = [(start, end, "poll")]
             seen.add("relay")
             if start < horizon < end:
@@ -878,7 +890,7 @@ def test_relay_only_nodes_in_closed_form_equal_their_fill(monkeypatch, overrides
             seen.add("no span")
         filled, totals, clipped = _fill_gaps(relay, 0, horizon, "poll")
         assert list(view.totals[nid].items()) == list(totals.items())
-        assert segments[nid] == filled
+        assert spans[nid] == filled
         assert nid not in view.clipped_us and clipped == 0
     assert seen == kinds
 
@@ -1072,10 +1084,9 @@ def test_an_id_beyond_the_payload_byte_is_a_config_error(nid):
 
 
 def rotation_outputs(report):
-    segments = [(s.node, s.state, s.start_us, s.end_us) for s in report.timeline]
     return (
         sorted(report.phase_times_us.items()), report.route.path, report.neighbors,
-        report.flood.transmissions, sha256(segments),
+        report.flood.transmissions, sha256(segments(report.timeline)),
     )
 
 
