@@ -79,7 +79,8 @@ def _at_least_one(args, name: str) -> None:
 
 def _topology(args):
     """The --topology CSV, or else the --grid square.  A grid's --spacing and
-    the --range-m are checked as `build_udg` checks a range, naming the option."""
+    the --range-m are checked as `build_udg` checks a range, naming the option,
+    and so is the grid's extent, which the pair test squares."""
     for option, value in (("--spacing", None if args.topology else args.spacing), ("--range-m", args.range_m)):
         if value is not None and not (0 <= value and value * value < math.inf):
             raise ValueError(f"{option} must be finite and >= 0 with a finite square, got {value}")
@@ -88,6 +89,11 @@ def _topology(args):
         # before the build, which takes seconds at a side of 300
         if args.grid**2 - 1 > MAX_NODE_ID:
             raise ValueError(f"--grid {args.grid} numbers nodes beyond id {MAX_NODE_ID}")
+        extent = (args.grid - 1) * args.spacing
+        if not extent * extent < math.inf:
+            raise ValueError(
+                f"--spacing {args.spacing} spreads --grid {args.grid} over {extent} m, whose square is not finite"
+            )
         return grid_topology(args.grid, args.spacing, args.range_m)
     # 25 m is the range measured at -25 dBm with the antennas 1 m high.
     range_m = 25.0 if args.range_m is None else args.range_m
@@ -354,15 +360,10 @@ def cmd_flood_sim(args, c: ProtocolConstants) -> int:
             (i, len(report.reached), len(report.transmissions), max_rx, report.completion_us)
         )
         if i == 0:
-            rows = []
-            for nid in sorted(topo.positions):
-                rows.append(
-                    (
-                        nid,
-                        report.first_rx_us.get(nid, ""),
-                        report.tx_start_us.get(nid, ""),
-                    )
-                )
+            tx_start = dict(report.transmissions)
+            rows = [
+                (nid, report.first_rx_us.get(nid, ""), tx_start.get(nid, "")) for nid in sorted(topo.positions)
+            ]
     out = Path(args.out)
     _write_manifest(out, "flood-sim", vars(args))
     _write_csv(out / "flood_timeline.csv", ["node", "first_rx_us", "tx_us"], rows)

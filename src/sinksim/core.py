@@ -48,10 +48,7 @@ class ProtocolConstants:
     b_src: Duration = 1_000_000   # source node wait for the flood to pass
     d_rrp: Duration = 144_000     # route-request preamble
     w_rr: Duration = 30_000       # ACK contention window
-    b_rr: Duration = 500          # relay watchdog listen time
     d_rxtx: Duration = 192        # radio reception->transmission switch
-    mf_count: int = 155           # micro-frames per preamble
-    bitrate: int = 250_000        # bits per second on air
 
 
 DEFAULT_CONSTANTS = ProtocolConstants()

@@ -4,9 +4,10 @@ What a rotation reads of its topology that the topology alone decides (the
 bounding box and the nodes sorted by x) it reads from the topology's view
 (`Topology.view`).  From it: where the sink is and whether it has left the
 network at a time after it sets off, which nodes hear each of its request
-passes, the first pass that some node hears, when the sink's channel
-sampling first catches a base-station request preamble, and the flying sink
-as the routing walk sees it in event time.
+passes, the first pass that some node hears, and when the sink's channel
+sampling first catches a base-station request preamble.  The routing walk
+reads the sink's position and departure at each hop exchange's ACK instant
+(`run_scenario` makes those states).
 
 The sink's flight over a view, and what each of its request passes finds
 (the nodes that hear it, or that the sink has left), draw nothing: they are
@@ -22,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .core import NodeId, Position, ProtocolConstants
 from .radio import Topology, TopologyView, euclid
-from .tracks import State, WaypointTrack
+from .tracks import WaypointTrack
 
 
 class ConfigError(ValueError):
@@ -163,28 +164,3 @@ def _first_cca_catch(c: ProtocolConstants, cca_offset: int, not_before: int) -> 
                 return drp_start + c.d_drp
         j += 1
     raise ConfigError("sink channel sampling never catches a request preamble")
-
-
-class _FlyingSink:
-    """The flying sink as the routing walk sees it in event time: an
-    iterator of its states, (position, departed), one per round.
-
-    A round is the hop exchange starting at `t`; the sink, flying `flight`
-    from `set_off` on, is observed at the exchange's ACK instant, t + d_rrp.
-    The first state is that of the exchange starting at `start`, and each
-    later one moves `t` on by one exchange, `hop_us` = d_rrp + w_rr + d_data.
-    """
-
-    def __init__(self, flight: _Flight, set_off: int, start: int, c: ProtocolConstants):
-        self._flight, self._set_off = flight, set_off
-        self._ack_us = c.d_rrp
-        self.hop_us = c.d_rrp + c.w_rr + c.d_data
-        self.t = start - self.hop_us  # the first state moves it to `start`
-
-    def __iter__(self) -> "_FlyingSink":
-        return self
-
-    def __next__(self) -> State:
-        self.t += self.hop_us
-        dt = self.t + self._ack_us - self._set_off
-        return self._flight.position(dt), self._flight.departed(dt)

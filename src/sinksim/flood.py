@@ -13,10 +13,11 @@ The designated source node does not relay: its first reception starts the
 long source wait instead, giving the broadcast storm time to die out.
 
 Transmissions are modeled at packet granularity, one interval of d_brp per
-relay (the report keeps each relay's start), and reception is loss-free by
-default; the optional collision flag drops receptions at nodes covered by
-two overlapping transmissions.  Only then does the engine record, per node,
-the transmissions it hears (`heard`); loss-free `heard` is None.
+relay (the report lists each relay's node and start, in start order), and
+reception is loss-free by default; the optional collision flag drops
+receptions at nodes covered by two overlapping transmissions.  Only then
+does the engine record, per node, the transmissions it hears (`heard`);
+loss-free `heard` is None.
 
 The engine's state lives in lists indexed by slot: slot i is the i-th node
 id in ascending order.  The ids, the slot of each id, and the adjacency as
@@ -60,10 +61,7 @@ EXPIRY = 3  # the node's backoff runs out
 
 @dataclass
 class FloodReport:
-    initiator: NodeId
-    source: Optional[NodeId]
     first_rx_us: Dict[NodeId, int] = field(default_factory=dict)
-    tx_start_us: Dict[NodeId, int] = field(default_factory=dict)
     transmissions: List[Tuple[NodeId, int]] = field(default_factory=list)
     source_wait_expiry_us: Optional[int] = None
     completion_us: int = 0
@@ -102,7 +100,7 @@ class FloodEngine:
         # (start, end) of every transmission each slot hears, in send order;
         # recorded only for the collision check
         self.heard = [[] for _ in range(n)] if collisions else None
-        self.report = FloodReport(initiator=-1, source=source)
+        self.report = FloodReport()
         # (time, push order, kind, slot, token) entries
         self._queue: List[Tuple[int, int, int, int, int]] = []
         self._pushes = 0
@@ -143,7 +141,7 @@ class FloodEngine:
         ids, adjacency, heard = self.view.ids, self.view.adjacency, self.heard
         report = self.report
         first_rx, reached = report.first_rx_us, report.reached
-        tx_start, transmissions = report.tx_start_us, report.transmissions
+        transmissions = report.transmissions
         c, source = self.c, self._source_slot
         d_brp, d_rxtx, b_src = c.d_brp, c.d_rxtx, c.b_src
         # a backoff is uniform in [0, w_br]: randrange(window)'s own rejection
@@ -159,9 +157,7 @@ class FloodEngine:
                 # backing off past the switch time defers its draw to its end
                 end = t + d_brp
                 state[node] = SENT
-                nid = ids[node]
-                tx_start[nid] = t
-                transmissions.append((nid, t))
+                transmissions.append((ids[node], t))
                 committed = t + d_rxtx
                 neighbors = adjacency[node]
                 if heard:
@@ -245,7 +241,6 @@ def simulate_flood(
     if initiator not in topology.positions:
         raise KeyError(f"initiator {initiator} not in topology")
     engine = FloodEngine(topology, c, source=source, seed=seed, collisions=collisions)
-    engine.report.initiator = initiator
     engine.report.reached.add(initiator)
     engine._relay_at(initiator, 0)
     return engine.run()

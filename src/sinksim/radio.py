@@ -143,7 +143,8 @@ def load_topology_csv(path: str, range_m: float) -> Topology:
 
     Raises ValueError, naming the file and line, for a row of fewer fields,
     an id that is no integer, lies outside 0..MAX_NODE_ID or repeats an
-    earlier row's (a DuplicateId), and a coordinate that is no finite number.
+    earlier row's (a DuplicateId), and a coordinate that is no finite number
+    or exceeds 1e150 in magnitude.
     """
     items = []
     first_line: Dict[NodeId, int] = {}  # the line each id was read on
@@ -173,6 +174,9 @@ def load_topology_csv(path: str, range_m: float) -> Topology:
             # a NaN or infinite coordinate would leave the node connected to nothing
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{where}: x and y must be finite numbers, got {parts[1]!r}, {parts[2]!r}")
+            # any gap between coordinates within 1e150 squares to a finite float
+            if max(abs(x), abs(y)) > 1e150:
+                raise ValueError(f"{where}: x and y must be at most 1e150 in magnitude, got {parts[1]!r}, {parts[2]!r}")
             first_line[nid] = lineno
             items.append((nid, (x, y)))
     return build_udg(items, range_m)

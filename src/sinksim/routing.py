@@ -160,7 +160,7 @@ def route(
     *,
     sink_coord: Optional[Position] = None,
     round_limit: Optional[int] = None,
-    on_round: Optional[Callable[[NodeId, Optional[NodeId], Position], None]] = None,
+    on_round: Optional[Callable[[int, NodeId, Optional[NodeId], Position], None]] = None,
     tour: Optional[Tour] = None,
     max_traversed: int = MAX_ADDRESS_COUNT,
 ) -> RouteResult:
@@ -192,10 +192,11 @@ def route(
     observes the sink at the ACK instant of the round's hop exchange, one
     exchange later each round.
     `on_round`, when given, is called in each round that sends a frame,
-    before the packet moves or the walk takes the next state: with the node
-    holding the packet, the node it moves to (None when the sink answers and
-    the packet is delivered) and the destination coordinate.  A round that
-    waits calls nothing.
+    before the packet moves or the walk takes the next state: with the
+    round's number (rounds count from 0, and a round that waits counts too),
+    the node holding the packet, the node it moves to (None when the sink
+    answers and the packet is delivered) and the destination coordinate.  A
+    round that waits calls nothing.
 
     Terminates on delivery, on the sink leaving the field (miss), on the
     round limit (miss), or on exhaustion with a sink that never moved (fail).
@@ -231,7 +232,7 @@ def route(
         x, y = positions[node]
         if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
             if on_round is not None:
-                on_round(node, None, dest)
+                on_round(rounds, node, None, dest)
             return RouteResult(True, len(path) - 1, restarts, path, "delivered", rounds)
         if k == end and not tour.complete:
             # Grow the tour by one decision of rules 2-3.  The rule is looked
@@ -256,7 +257,7 @@ def route(
         if k < end:
             target = entries[k + 1]
             if on_round is not None:
-                on_round(node, target, dest)
+                on_round(rounds, node, target, dest)
             if k == overflow:
                 raise HeaderOverflow(f"traversed list would exceed {max_traversed} ids")
             k += 1

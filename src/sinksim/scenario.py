@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
-from .flight import MAX_PASSES, ConfigError, _first_cca_catch, _flight, _FlyingSink, _strip
+from .flight import MAX_PASSES, ConfigError, _first_cca_catch, _flight, _strip
 from .flood import FloodEngine, FloodReport
 from .forkmap import split_map
 from .frames import MAX_ADDRESS_COUNT
@@ -98,7 +98,6 @@ class ScenarioConfig:
     # with neither set, routing runs on the physical positions.
     virtual_coords: Optional[Mapping[NodeId, Position]] = None
     ms_virtual_coord: Optional[Position] = None
-    hop_limit: Optional[int] = None  # route()'s round_limit: every round counts
     collisions: bool = False
 
 
@@ -208,19 +207,23 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     if cfg.query_node not in flood_report.reached:
         raise ConfigError("flood never reached the queried node")
     # the end of the last relay; every relay lasts d_brp
-    phase_times[3] = max((s + d_brp for s in flood_report.tx_start_us.values()), default=phase_times[2])
+    phase_times[3] = max((s + d_brp for _, s in flood_report.transmissions), default=phase_times[2])
 
-    # Phase 4: source routes the answer toward the moving sink, one hop
-    # exchange per round of the routing walk that sends a frame.
+    # Phase 4: source routes the answer toward the moving sink.  Round k of
+    # the routing walk is the hop exchange starting at start + k * hop_us,
+    # whether or not it sends a frame, and the walk observes the sink at the
+    # exchange's ACK instant, d_rrp after its start.
+    start, hop_us = flood_report.source_wait_expiry_us, c.d_rrp + c.w_rr + c.d_data
+    ack_dts = count(start + c.d_rrp - fly_start, hop_us)  # from the sink's set-off
+    sink = ((flight.position(dt), flight.departed(dt)) for dt in ack_dts)
     coords = topo.positions if cfg.virtual_coords is None else cfg.virtual_coords
     metric_max = max(euclid((x0, y0), (x1, y1)), 1.0) * 2
     # channel-check offsets are uniform in [0, d_rrp - d_cca]: randrange's
     # own rejection draw, inline, and the same stream
     cca_window = c.d_rrp - c.d_cca + 1
     getrandbits, cca_bits = rng.getrandbits, cca_window.bit_length()
-    sink = _FlyingSink(flight, fly_start, flood_report.source_wait_expiry_us, c)
 
-    def hop_exchange(current: NodeId, target: Optional[NodeId], dest: Position) -> None:
+    def hop_exchange(k: int, current: NodeId, target: Optional[NodeId], dest: Position) -> None:
         responders = []
         for nid in topo.adjacency[current]:
             # virtual coordinates live in an unbounded space; clamp the metric
@@ -235,7 +238,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             while r >= cca_window:
                 r = getrandbits(cca_bits)
             cca[nid] = r
-        exchange = hop_exchange_timeline(c, current, responders, target, sink.t, cca)
+        exchange = hop_exchange_timeline(c, current, responders, target, start + k * hop_us, cca)
         for nid, spans in exchange.items():
             active.setdefault(nid, []).extend(spans)
 
@@ -245,15 +248,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         cfg.query_node,
         sink,
         sink_coord=cfg.ms_virtual_coord,
-        round_limit=cfg.hop_limit,
         on_round=hop_exchange,
         # the answer carries the traversed list and the source's neighbors
         max_traversed=MAX_ADDRESS_COUNT - len(topo.adjacency[cfg.query_node]),
     )
     miss = not route_result.delivered
-    horizon = sink.t
+    horizon = start + route_result.rounds * hop_us
     if not miss:
-        t = sink.t + sink.hop_us  # end of the delivering exchange
+        t = horizon + hop_us  # end of the delivering exchange
         phase_times[4] = t
         # Phase 5: sink acknowledges the data.
         ms_active.append((t, t + c.d_ack, "tx"))
@@ -273,7 +275,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         miss=miss,
         neighbors=list(topo.adjacency[cfg.query_node]),
         flood=flood_report,
-        timeline=rotation_timeline(c, horizon, active, flood_report.tx_start_us, view.ids),
+        timeline=rotation_timeline(c, horizon, active, dict(flood_report.transmissions), view.ids),
         horizon_us=horizon,
     )
 

@@ -192,6 +192,16 @@ def test_a_csv_topology_takes_25_m_only_without_a_range(tmp_path, capsys, range_
     assert summary[1].split(",")[1] == reached
 
 
+def test_a_csv_topology_at_the_coordinate_bound_floods(tmp_path, capsys):
+    # 1e150 is the largest magnitude a row may give: the gap between these
+    # two squares to 8e300, still a finite float.
+    csv = tmp_path / "far.csv"
+    csv.write_text("id,x,y\n0,-1e150,-1e150\n1,1e150,1e150\n")
+    out = tmp_path / "fl"
+    assert run_cli("flood-sim", "--topology", str(csv), "--runs", "1", "--out", str(out)) == 0
+    assert (out / "flood_timeline.csv").read_text() == "node,first_rx_us,tx_us\n0,,0\n1,,\n"
+
+
 def test_demo_runs_and_discovers(tmp_path, capsys):
     out = tmp_path / "demo"
     assert run_cli("demo", "--rotations", "3", "--grid", "3", "--out", str(out)) == 0
@@ -380,6 +390,7 @@ INPUT_FILES = {
     "float_id.csv": "id,x,y\n0,0,0\n1.5,20,0\n",
     "text_x.csv": "id,x,y\n0,0,0\n2,abc,0\n",
     "repeated_id.csv": "id,x,y\n0,0,0\n1,20,0\n0,40,0\n",
+    "huge_x.csv": "id,x,y\n0,0,0\n1,1e200,0\n",
 }
 
 
@@ -481,6 +492,11 @@ def _cap_memory():
         ["flood-sim", "--range-m", "1e300"],
         ["demo", "--range-m", "1e300"],
         ["demo", "--spacing", "1e300"],
+        # a gap between nodes whose square overflows, once a bare "number too
+        # large" naming neither the file and line nor the option
+        ["flood-sim", "--topology", "huge_x.csv"],
+        ["demo", "--topology", "huge_x.csv"],
+        ["flood-sim", "--grid", "3", "--spacing", "1.3e154"],
         # a round trip whose timeline would hold millions of polls
         ["demo", "--grid", "2", "--spacing", "1e6"],
         # an infinite window bound once looped until memory ran out, and a
@@ -534,9 +550,11 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, tmp_path_factory):
         ("--spacing", ["demo", "--spacing", "-5"]),
         ("--spacing", ["demo", "--grid", "2", "--spacing", "1e300"]),
         ("--range-m", ["flood-sim", "--range-m", "1e300"]),
+        # the spacing squares to a finite number, the grid's extent does not
+        ("--spacing", ["flood-sim", "--grid", "3", "--spacing", "1.3e154"]),
     ],
     ids=("collisions --n", "analyze --neighbors", "route-sim --runs", "demo --spacing -5",
-         "demo --spacing 1e300", "flood-sim --range-m 1e300"),
+         "demo --spacing 1e300", "flood-sim --range-m 1e300", "flood-sim --grid 3 --spacing 1.3e154"),
 )
 def test_a_bad_count_names_its_option(option, argv, capsys):
     assert main(argv) == 2

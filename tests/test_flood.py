@@ -65,9 +65,10 @@ def test_opposite_corner_bound_on_sample_seeds():
 def test_first_receptions_are_ordered_by_wavefront():
     g = grid_topology(5, 25.0)
     report = simulate_flood(g, 0, seed=5)
+    relay_start = dict(report.transmissions)
     # a node is only reached after one of its neighbors transmitted
     for nid, rx in report.first_rx_us.items():
-        starts = [report.tx_start_us[v] for v in g.adjacency[nid] if v in report.tx_start_us]
+        starts = [relay_start[v] for v in g.adjacency[nid] if v in relay_start]
         assert min(starts) + C.d_brp <= rx
 
 
@@ -75,11 +76,15 @@ def test_adjacent_transmissions_only_overlap_within_switch_window():
     g = grid_topology(5, 25.0)
     for seed in range(60):
         report = simulate_flood(g, 0, seed=seed)
+        relay_start = dict(report.transmissions)
+        # one relay per node, listed in start order
+        assert len(relay_start) == len(report.transmissions)
+        assert [t for _, t in report.transmissions] == sorted(relay_start.values())
         for a in sorted(g.positions):
             for b in g.adjacency[a]:
-                if b < a or a not in report.tx_start_us or b not in report.tx_start_us:
+                if b < a or a not in relay_start or b not in relay_start:
                     continue
-                sa, sb = report.tx_start_us[a], report.tx_start_us[b]
+                sa, sb = relay_start[a], relay_start[b]
                 ea, eb = sa + C.d_brp, sb + C.d_brp
                 if sa < eb and sb < ea:  # overlapping intervals
                     assert abs(sa - sb) < C.d_rxtx
@@ -89,13 +94,14 @@ def test_source_waits_out_the_storm():
     g = grid_topology(5, 25.0)
     for seed in range(40):
         report = simulate_flood(g, 0, source=24, seed=seed)
-        assert 24 not in report.tx_start_us
+        relay_start = dict(report.transmissions)
+        assert 24 not in relay_start
         assert report.source_wait_expiry_us == report.first_rx_us[24] + C.b_src
         # no neighbor transmission may be in flight when the wait expires
         expiry = report.source_wait_expiry_us
         for v in g.adjacency[24]:
-            if v in report.tx_start_us:
-                assert not (report.tx_start_us[v] <= expiry < report.tx_start_us[v] + C.d_brp)
+            if v in relay_start:
+                assert not (relay_start[v] <= expiry < relay_start[v] + C.d_brp)
         # everyone else still relays exactly once
         counts = Counter(node for node, _ in report.transmissions)
         assert set(counts) == set(g.positions) - {24}
@@ -130,7 +136,8 @@ def test_backoffs_are_the_randrange_stream(w_br):
         report = simulate_flood(star, 0, c=c, seed=seed)
         reference = random.Random(seed)
         draws = [reference.randrange(w_br + 1) for _ in leaves]
-        assert [report.tx_start_us[v] - c.d_brp for v in leaves] == draws
+        relay_start = dict(report.transmissions)
+        assert [relay_start[v] - c.d_brp for v in leaves] == draws
 
 
 def test_an_empty_backoff_window_is_rejected():
@@ -165,7 +172,7 @@ def test_injected_receptions_seed_the_flood():
     engine.inject_reception(4, 1_000)  # center node hears an external preamble
     report = engine.run()
     assert report.first_rx_us[4] == 1_000
-    assert set(report.tx_start_us) == set(g.positions)
+    assert {nid for nid, _ in report.transmissions} == set(g.positions)
 
 
 def first_copy_at_node_1(relays):
@@ -207,7 +214,7 @@ def test_clique_first_copy_loss_is_the_closed_form(n):
     lost = 0
     for seed in range(runs):
         report = simulate_flood(topo, 0, seed=seed, collisions=True)
-        first_end = min(report.tx_start_us[i] for i in range(1, n + 1)) + C.d_brp
+        first_end = min(t for nid, t in report.transmissions if 1 <= nid <= n) + C.d_brp
         lost += report.first_rx_us.get(n + 1) != first_end
     p = collision_probability(ContentionConfig(C.w_br, C.d_rxtx, n))
     assert abs(lost / runs - p) <= 4 * math.sqrt(p * (1 - p) / runs)
@@ -309,10 +316,7 @@ def test_flood_seeded_by_injected_receptions_is_pinned(collisions):
 def relabelled(report, label):
     """`report` with every node id `v` replaced by `label[v]`."""
     return FloodReport(
-        initiator=label[report.initiator],
-        source=None if report.source is None else label[report.source],
         first_rx_us={label[v]: t for v, t in report.first_rx_us.items()},
-        tx_start_us={label[v]: t for v, t in report.tx_start_us.items()},
         transmissions=[(label[v], t) for v, t in report.transmissions],
         source_wait_expiry_us=report.source_wait_expiry_us,
         completion_us=report.completion_us,

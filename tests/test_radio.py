@@ -205,6 +205,9 @@ def test_csv_loader_names_the_line_of_an_id_beyond_one_byte(tmp_path, nid):
         ("1.5,20,0", r"node id '1\.5' is not an integer"),
         ("2,abc,0", r"x and y must be finite numbers, got 'abc', '0'"),
         ("0,40,0", r"node id 0 appears twice, first on line 2"),
+        # a gap that squares past the float maximum once raised a bare OverflowError
+        ("2,1e200,0", r"x and y must be at most 1e150 in magnitude, got '1e200', '0'"),
+        ("2,0,-1.0000001e150", r"x and y must be at most 1e150 in magnitude, got '0', '-1\.0000001e150'"),
     ],
 )
 def test_csv_loader_names_the_line_of_a_malformed_row(tmp_path, row, message):
@@ -212,6 +215,15 @@ def test_csv_loader_names_the_line_of_a_malformed_row(tmp_path, row, message):
     csv.write_text(f"id,x,y\n0,0,0\n1,20,0\n{row}\n")
     with pytest.raises(ValueError, match=rf"rows\.csv line 4: {message}$"):
         load_topology_csv(str(csv), 25.0)
+
+
+def test_csv_loader_takes_coordinates_at_the_bound(tmp_path):
+    csv = tmp_path / "far.csv"
+    csv.write_text("id,x,y\n0,-1e150,-1e150\n1,1e150,1e150\n2,1e150,-1e150\n")
+    topo = load_topology_csv(str(csv), 25.0)
+    assert topo.positions[1] == (1e150, 1e150)
+    assert topo.adjacency == {0: (), 1: (), 2: ()}
+    assert not topo.in_range(0, (1e150, 1e150))
 
 
 def test_in_range_uses_topology_range():

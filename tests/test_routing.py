@@ -196,7 +196,8 @@ def test_exhausted_search_waits_once_the_sink_has_moved():
 
 def test_on_round_is_called_once_per_frame_round():
     # The walk above: four moves, then six waiting rounds that send nothing.
-    # Each tour aims at the snapshot it started from.
+    # Each tour aims at the snapshot it started from; the restart decides
+    # again in round 2, so it takes no round of its own.
     topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0)}, 25.0)
     calls = []
     res = route(
@@ -205,17 +206,24 @@ def test_on_round_is_called_once_per_frame_round():
     )
     assert res.rounds == 10 and res.path == [0, 1, 0, 1, 0]
     assert calls == [
-        (0, 1, (500.0, 500.0)),
-        (1, 0, (500.0, 500.0)),
-        (0, 1, (600.0, 600.0)),
-        (1, 0, (600.0, 600.0)),
+        (0, 0, 1, (500.0, 500.0)),
+        (1, 1, 0, (500.0, 500.0)),
+        (2, 0, 1, (600.0, 600.0)),
+        (3, 1, 0, (600.0, 600.0)),
     ]
+    # The same four moves, then three waiting rounds: they count toward the
+    # round number, so the sink that comes into range answers in round 7.
+    sink = chain([((500.0, 500.0), False)], repeat(((600.0, 600.0), False), 6), static((10.0, 0.0)))
+    calls = []
+    res = route(topo, topo.positions, 0, sink, on_round=lambda *call: calls.append(call))
+    assert res.delivered and res.rounds == 7 and res.path == [0, 1, 0, 1, 0]
+    assert [call[:3] for call in calls] == [(0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 1, 0), (7, 0, None)]
     # A delivering walk ends with one call whose target is None.
     topo = build_udg({0: (0.0, 0.0), 1: (20.0, 0.0), 2: (40.0, 0.0)}, 25.0)
     calls = []
     res = route(topo, topo.positions, 0, static((60.0, 0.0)), on_round=lambda *call: calls.append(call))
     assert res.delivered
-    assert calls == [(0, 1, (60.0, 0.0)), (1, 2, (60.0, 0.0)), (2, None, (60.0, 0.0))]
+    assert calls == [(0, 0, 1, (60.0, 0.0)), (1, 1, 2, (60.0, 0.0)), (2, 2, None, (60.0, 0.0))]
 
 
 def test_round_limit_counts_as_miss():
@@ -363,7 +371,7 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
         x, y = positions[current]
         if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
             if on_round is not None:
-                on_round(current, None, dest)
+                on_round(rounds, current, None, dest)
             return RouteResult(True, hops, restarts, path, "delivered", rounds)
         target = next_hop_3rule(current, dest, traversed, traversed_set, topology, coords)
         if target is None and pos != snapshot and current == source and topology.adjacency[source]:
@@ -375,7 +383,7 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
             continue
         if target is not None:
             if on_round is not None:
-                on_round(current, target, dest)
+                on_round(rounds, current, target, dest)
             if current not in traversed_set:
                 if len(traversed) >= MAX_ADDRESS_COUNT:
                     raise HeaderOverflow(f"traversed list would exceed {MAX_ADDRESS_COUNT} ids")

@@ -857,9 +857,10 @@ def exchange_nodes(monkeypatch):
     [
         # a sink too fast to be caught: the horizon is where the walk gave up
         (dict(query_node=0, ms_speed_mps=45.0), {"missed", "relay"}),
-        # one round only: the horizon falls inside some relays and before others
+        # one round only (the walk's round_limit): the horizon falls inside
+        # some relays and before others
         (
-            dict(query_node=0, collisions=True, hop_limit=1),
+            dict(query_node=0, collisions=True, round_limit=1),
             {"missed", "relay", "relay crosses the horizon", "relay after the horizon", "no span"},
         ),
         # nodes that lost every copy of the query to collisions hold no span
@@ -870,15 +871,19 @@ def test_relay_only_nodes_in_closed_form_equal_their_fill(monkeypatch, overrides
     g = grid_topology(12, 25.0)
     involved = exchange_nodes(monkeypatch)
     overrides = dict(overrides)
+    if "round_limit" in overrides:
+        walk, limit = scenario.route, overrides.pop("round_limit")
+        monkeypatch.setattr(scenario, "route", lambda *a, **kw: walk(*a, **{**kw, "round_limit": limit}))
     report = run_scenario(ScenarioConfig(topology=g, seed=overrides["query_node"], **overrides))
     horizon, view, flood = report.horizon_us, report.timeline, report.flood
+    relay_start = dict(flood.transmissions)
     spans = view.spans()
     assert len(view) == sum(map(len, spans.values()))
     seen = {"missed"} if report.miss else set()
     for nid in set(g.positions) - involved:
         relay = []
-        if nid in flood.tx_start_us:
-            start = flood.tx_start_us[nid]
+        if nid in relay_start:
+            start = relay_start[nid]
             end = start + C.d_brp
             relay = [(start, end, "poll")]
             seen.add("relay")
