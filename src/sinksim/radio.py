@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .core import MAX_NODE_ID, NodeId, Position
 
@@ -83,10 +83,7 @@ def _build_view(topology: Topology) -> TopologyView:
     return TopologyView(ids, slot_of, adjacency, bbox, [x for _, (x, _) in nodes], nodes)
 
 
-def build_udg(
-    positions: Union[Mapping[NodeId, Position], Iterable[Tuple[NodeId, Position]]],
-    range_m: float,
-) -> Topology:
+def build_udg(positions: Mapping[NodeId, Position], range_m: float) -> Topology:
     """Unit-disk topology over the given node positions.
 
     Sweeps the nodes in (x, id) order and stops pairing a node once the
@@ -95,20 +92,12 @@ def build_udg(
     adding the y term never lowers it, so every pruned pair is one the full
     test rejects; a pair at exactly the range still counts as connected.
 
-    Raises DuplicateId when the same node id appears twice, and ValueError
-    for a range that is negative or whose square is not finite.
+    Raises ValueError for a range that is negative or whose square is not
+    finite.
     """
     if not (0.0 <= range_m and range_m * range_m < math.inf):
         raise ValueError(f"range must be finite and >= 0 with a finite square, got {range_m!r}")
-    if isinstance(positions, Mapping):
-        items = list(positions.items())
-    else:
-        items = list(positions)
-    pos: Dict[NodeId, Position] = {}
-    for nid, p in items:
-        if nid in pos:
-            raise DuplicateId(f"node id {nid} appears twice")
-        pos[nid] = (float(p[0]), float(p[1]))
+    pos = {nid: (float(p[0]), float(p[1])) for nid, p in positions.items()}
 
     r2 = float(range_m) ** 2
     # A NaN x fails every pair test and would break the sort order: leave it out.
@@ -146,7 +135,7 @@ def load_topology_csv(path: str, range_m: float) -> Topology:
     earlier row's (a DuplicateId), and a coordinate that is no finite number
     or exceeds 1e150 in magnitude.
     """
-    items = []
+    positions: Dict[NodeId, Position] = {}
     first_line: Dict[NodeId, int] = {}  # the line each id was read on
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -178,8 +167,8 @@ def load_topology_csv(path: str, range_m: float) -> Topology:
             if max(abs(x), abs(y)) > 1e150:
                 raise ValueError(f"{where}: x and y must be at most 1e150 in magnitude, got {parts[1]!r}, {parts[2]!r}")
             first_line[nid] = lineno
-            items.append((nid, (x, y)))
-    return build_udg(items, range_m)
+            positions[nid] = (x, y)
+    return build_udg(positions, range_m)
 
 
 def to_dot(adjacency: Mapping[NodeId, Iterable[NodeId]], name: str = "topology") -> str:
@@ -236,7 +225,6 @@ class Timeline:
 class RadioPowerTable:
     """Per-state power draw in milliwatts for one transmission power setting."""
 
-    tx_power_dbm: int
     sleep: float
     poll: float
     listen: float
@@ -250,8 +238,8 @@ class RadioPowerTable:
 
 
 POWER_TABLES: Dict[int, RadioPowerTable] = {
-    0: RadioPowerTable(0, sleep=8.018, poll=8.629, listen=65.833, tx=66.156, rx=70.686),
-    -25: RadioPowerTable(-25, sleep=2.735, poll=3.300, listen=61.030, tx=32.807, rx=65.444),
+    0: RadioPowerTable(sleep=8.018, poll=8.629, listen=65.833, tx=66.156, rx=70.686),
+    -25: RadioPowerTable(sleep=2.735, poll=3.300, listen=61.030, tx=32.807, rx=65.444),
 }
 
 # Measured cost of sending one full preamble (mJ).  The per-state table does

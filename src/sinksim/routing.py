@@ -25,16 +25,16 @@ tour: the sequence of nodes the search visits when the sink never answers.
 and the header's traversed list with its id set, and returns the node the
 packet moves to, or None when the search is exhausted; `route` applies rules
 1 and 4, which read the sink, and is a scan of the sink along that tour.  A
-:class:`Tour` holds its entries, whether the search is exhausted, and the
-index at which the header would overflow; it grows lazily, one
-`next_hop_3rule` decision at a time, as far as a scan reaches, on a
-traversed list rebuilt from its entries.  Each round checks the sink against
-the packet's entry: in range it delivers (rule 1), otherwise the packet moves
-to the next entry.  At the end of an exhausted tour, rule 4 restarts the scan
-from the source.  With a fixed destination coordinate a restart replays the
-same tour, so walks that differ only in the sink, such as the paired speeds
-of a sweep, share it.  With a destination snapshot each restart starts a
-fresh tour.
+:class:`Tour` holds its entries and whether the search is exhausted; it grows
+lazily, one `next_hop_3rule` decision at a time, as far as a scan reaches, on
+a traversed list rebuilt from its entries.  It holds only moves the header
+can carry: a move that would overflow it is decided again by every walk that
+reaches it.  Each round checks the sink against the packet's entry: in range
+it delivers (rule 1), otherwise the packet moves to the next entry.  At the
+end of an exhausted tour, rule 4 restarts the scan from the source.  With a
+fixed destination coordinate a restart replays the same tour, so walks that
+differ only in the sink, such as the paired speeds of a sweep, share it.
+With a destination snapshot each restart starts a fresh tour.
 
 Coordinates can be the physical positions or virtual ones: one seeded random
 draw per node inside a box, with the sink's virtual coordinate a fixed point
@@ -139,17 +139,15 @@ class Tour:
     `entries[k]` is the node that holds the packet after k moves of a walk
     that the sink never answers; `entries[0]` is the source.  The tour is
     grown lazily, one entry at a time.  `complete` marks a search exhausted
-    at `entries[-1]`.  `overflow` is the index whose move would push the
-    header past the bound of the walks that grew it (`route`'s
-    `max_traversed`), the last index a walk can leave; walks that share a
-    tour share that bound.  A tour is only ints, so it can be kept or sent
-    as plain data; the search behind it is rebuilt from its entries when it
+    at `entries[-1]`.  Every move it holds fits the header bound of the
+    walks that grew it (`route`'s `max_traversed`); walks that share a tour
+    share that bound.  A tour is only ints, so it can be kept or sent as
+    plain data; the search behind it is rebuilt from its entries when it
     has to grow.
     """
 
     entries: List[NodeId]
     complete: bool = False
-    overflow: Optional[int] = None
 
 
 def route(
@@ -201,7 +199,8 @@ def route(
     Terminates on delivery, on the sink leaving the field (miss), on the
     round limit (miss), or on exhaustion with a sink that never moved (fail).
     Raises HeaderOverflow when a move would push the traversed list past
-    `max_traversed` ids.  The DATA payload holds 118 ids in all, which is
+    `max_traversed` ids, after `on_round` has seen that move; the move is
+    not added to the tour.  The DATA payload holds 118 ids in all, which is
     the default; an answer that also carries the source's neighbor list
     leaves the traversed list 118 less their count.
     """
@@ -215,7 +214,7 @@ def route(
     if tour is None:
         tour = Tour([source])
     entries = tour.entries
-    end, overflow = len(entries) - 1, tour.overflow
+    end = len(entries) - 1
     # The search behind the tour (traversed list, id set, coordinates), made
     # when the tour first has to grow.
     traversed = visited = made = None
@@ -248,18 +247,17 @@ def route(
             else:
                 if node not in visited:
                     if len(traversed) >= max_traversed:
-                        tour.overflow = overflow = k  # the search ends here
-                    else:
-                        visited.add(node)
-                        traversed.append(node)
+                        if on_round is not None:
+                            on_round(rounds, node, target, dest)
+                        raise HeaderOverflow(f"traversed list would exceed {max_traversed} ids")
+                    visited.add(node)
+                    traversed.append(node)
                 entries.append(target)
                 end += 1
         if k < end:
             target = entries[k + 1]
             if on_round is not None:
                 on_round(rounds, node, target, dest)
-            if k == overflow:
-                raise HeaderOverflow(f"traversed list would exceed {max_traversed} ids")
             k += 1
             node = target
             path.append(node)
@@ -271,7 +269,7 @@ def route(
                 dest = pos
                 tour = Tour([source])
                 entries = tour.entries
-                end, overflow = 0, None
+                end = 0
                 traversed = None
             # Decide again from the tour's start, in the same round, on the
             # same state of the sink.

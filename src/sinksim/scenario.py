@@ -112,10 +112,10 @@ class ScenarioReport:
     config_seed: int
     query_node: NodeId
     phase_times_us: Dict[int, int]
-    route: Optional[RouteResult]
+    route: RouteResult
     miss: bool
     neighbors: List[NodeId]
-    flood: Optional[FloodReport]
+    flood: FloodReport
     timeline: "Timeline"
     horizon_us: int = 0
 
@@ -393,9 +393,10 @@ def random_graph_point(
     contiguous slices over `workers` processes, all but the first forked
     (:func:`sinksim.forkmap.split_map`).  ``None`` takes the CPUs available,
     with at least 100 replications per worker.  Each walk sends back its
-    outcome and the entries its tour grew, and the caller merges them into
-    the memo in slice order.  The point is bit-identical for any worker
-    count and any order of the speeds.
+    outcome, the entries its tour grew (often none) and whether the tour is
+    complete, and the caller extends every tour in the memo with them, in
+    slice order.  The point is bit-identical for any worker count and any
+    order of the speeds.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
@@ -407,10 +408,10 @@ def random_graph_point(
     bounds = ((0, field), (0, field))
     sink_coord = (field / 2, field / 2)
 
-    def walk(item: Tuple[_Replication, Tour]) -> Tuple[_Outcome, Optional[tuple]]:
+    def walk(item: Tuple[_Replication, Tour]) -> Tuple[_Outcome, List[NodeId], bool]:
         (topo, source, start, track_seed, vc_seed), known = item
         # A copy, so that the caller's tours change only in the merge below.
-        tour = Tour(list(known.entries), known.complete, known.overflow)
+        tour = Tour(list(known.entries), known.complete)
         # A bounce at speed 0 never moves: it is a static sink, without the draws.
         states = bounce(start, speed, field, seed=track_seed) if speed else repeat((start, False))
         res = route(
@@ -422,16 +423,13 @@ def random_graph_point(
             round_limit=n,
             tour=tour,
         )
-        grown = len(tour.entries) > len(known.entries) or tour.complete != known.complete
-        added = (tour.entries[len(known.entries) :], tour.complete, tour.overflow)
-        return _outcome(res), added if grown else None
+        return _outcome(res), tour.entries[len(known.entries) :], tour.complete
 
     results = split_map(walk, setup, workers)
-    for (_, tour), (_, grown) in zip(setup, results):
-        if grown is not None:
-            added, tour.complete, tour.overflow = grown
-            tour.entries += added
-    return _sweep_point("bounce", speed, degree, [outcome for outcome, _ in results])
+    for (_, tour), (_, added, complete) in zip(setup, results):
+        tour.entries += added
+        tour.complete = complete
+    return _sweep_point("bounce", speed, degree, [outcome for outcome, _, _ in results])
 
 
 # The end of each grid crossing, which starts at the origin: along one side
@@ -498,6 +496,8 @@ def grid_crossing_hops(
     only the hop count of the delivered walks, which no :class:`SweepPoint`
     of :func:`grid_point` reports.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs!r}")
     rng = random.Random(seed)
     draws = [(rng.randrange(GRID_SIDE**2), rng.randrange(2**31)) for _ in range(runs)]
     outcomes = _crossing_walks(list(_CROSSING_ENDS.values()), GRID_CROSSING_SPEED, draws, workers)

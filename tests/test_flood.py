@@ -349,7 +349,7 @@ def test_a_flood_does_not_depend_on_the_id_values(udg, data, seed):
     source = data.draw(st.one_of(st.none(), st.sampled_from(ids)))
     label = dict(enumerate(sorted(ids)))
     rank = {nid: r for r, nid in label.items()}
-    topo = build_udg(list(zip(ids, positions)), 25.0)
+    topo = build_udg(dict(zip(ids, positions)), 25.0)
     ranked = build_udg({rank[nid]: p for nid, p in sorted(zip(ids, positions))}, 25.0)
     for collisions in (False, True):
         report = simulate_flood(topo, initiator, source=source, seed=seed, collisions=collisions)

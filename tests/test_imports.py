@@ -95,6 +95,14 @@ TEST_FACING_FIELDS = {
         "the overlap record of ROADMAP item 3: active time clipped where one node's "
         "spans overlap, which only the tests read until each node has one radio"
     ),
+    **{
+        ("mac", "ElectionResult", name): "the ACK election that the routing walk is to run (ROADMAP item 2)"
+        for name in ("winner", "acks", "correct")
+    },
+    ("routing", "RouteResult", "outcome"): (
+        "the split between missed and failed walks that the README states; the sweeps "
+        "and the scenario tell only delivered walks from the rest"
+    ),
 }
 
 
@@ -102,8 +110,9 @@ def test_every_sinksim_definition_has_a_caller_outside_the_tests():
     # A reference is a name or attribute load in src/sinksim, scripts/ or
     # bench/, outside the definition's own body; a docstring mention is none.
     # Names are matched, not resolved, so a name that two modules define
-    # counts as referenced for both.  An annotated class field needs a load
-    # of its name anywhere in those files, its own class included.
+    # counts as referenced for both.  An annotated class field needs an
+    # `obj.field` load of its name anywhere in those files, its own class
+    # included; a local or a parameter of the same name reads no field.
     root = SRC.parent
     paths = [
         *sorted((SRC / "sinksim").glob("*.py")),
@@ -113,6 +122,7 @@ def test_every_sinksim_definition_has_a_caller_outside_the_tests():
     definitions = []  # (module, name, where)
     fields = []  # (module, class, field)
     loaded = {}  # name -> every (path, top-level statement index) loading it
+    read_fields = set()  # every attribute name loaded as obj.name
     for path in paths:
         for i, top in enumerate(ast.parse(path.read_text()).body):
             where = (path, i)
@@ -131,13 +141,14 @@ def test_every_sinksim_definition_has_a_caller_outside_the_tests():
                     loaded.setdefault(node.id, set()).add(where)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     loaded.setdefault(node.attr, set()).add(where)
+                    read_fields.add(node.attr)
     assert len(definitions) > 100
     unreferenced = {
         (module, name) for module, name, where in definitions if not loaded.get(name, set()) - {where}
     }
     assert unreferenced == set(TEST_FACING)
     assert len(fields) > 90
-    assert {f for f in fields if f[2] not in loaded} == set(TEST_FACING_FIELDS)
+    assert {f for f in fields if f[2] not in read_fields} == set(TEST_FACING_FIELDS)
 
 
 def load_bench_module(name):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sinksim.radio import (
     E_PREAMB_MJ,
     POWER_TABLES,
-    DuplicateId,
     UnknownConfiguration,
     build_udg,
     euclid,
@@ -121,11 +120,6 @@ def test_adjacency_equals_brute_force(points, range_m):
         assert a not in nbrs
         for b in nbrs:
             assert a in topo.adjacency[b]
-
-
-def test_duplicate_id_rejected():
-    with pytest.raises(DuplicateId):
-        build_udg([(0, (0.0, 0.0)), (0, (1.0, 1.0))], 10.0)
 
 
 @pytest.mark.parametrize("range_m", [-25.0, -1e-9, float("nan"), float("inf"), -float("inf")])

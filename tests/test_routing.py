@@ -515,11 +515,22 @@ def test_header_overflow_on_a_long_chain_matches_the_round_by_round_walk():
             expected = _walked(reference_route, topo, topo.positions, 0, sink(), round_limit=10_000, **kwargs)
             assert expected[0] == "overflow"
             assert _walked(route, topo, topo.positions, 0, sink(), round_limit=10_000, **kwargs) == expected
+    # A shared tour holds only the moves the header can carry: the move that
+    # overflows is reported, not kept, and a second walk decides it again.
+    sink, sink_coord = (129 * 20.0, 0.0), (2600.0, 0.0)
+    _, expected_rounds = _walked(reference_route, topo, topo.positions, 0, static(sink), sink_coord=sink_coord)
+    assert expected_rounds[-1][1:3] == (MAX_ADDRESS_COUNT, MAX_ADDRESS_COUNT + 1)
     tour = Tour([0])
-    with pytest.raises(HeaderOverflow):
-        route(topo, topo.positions, 0, static((129 * 20.0, 0.0)), sink_coord=(2600.0, 0.0), tour=tour)
-    assert tour.overflow == MAX_ADDRESS_COUNT and not tour.complete
-    assert tour.entries == list(range(MAX_ADDRESS_COUNT + 2))
+    for _ in range(2):
+        seen = []
+        with pytest.raises(HeaderOverflow, match=f"^traversed list would exceed {MAX_ADDRESS_COUNT} ids$"):
+            route(
+                topo, topo.positions, 0, static(sink), sink_coord=sink_coord, tour=tour,
+                on_round=lambda *call: seen.append(call),
+            )
+        assert seen == expected_rounds
+        assert len(dict.fromkeys(tour.entries[:-1])) <= MAX_ADDRESS_COUNT and not tour.complete
+        assert tour.entries == list(range(MAX_ADDRESS_COUNT + 1))
 
 
 @pytest.mark.parametrize("hops", [115, 116, 117, 118])

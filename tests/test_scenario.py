@@ -1626,9 +1626,9 @@ def _memo_tours():
         assert isinstance(topo, radio.Topology) and isinstance(tour, Tour)
         assert all(type(v) is int for v in (source, track_seed, vc_seed, *tour.entries))
         assert type(start) is tuple and type(tour.complete) is bool
-        assert tour.overflow is None or type(tour.overflow) is int
-        assert not hasattr(tour, "__dict__")  # entries, complete and overflow only
-        tours.append((tuple(tour.entries), tour.complete, tour.overflow))
+        assert not hasattr(tour, "__dict__")  # entries and complete only
+        assert [f.name for f in dataclasses.fields(tour)] == ["entries", "complete"]
+        tours.append((tuple(tour.entries), tour.complete))
     return tours
 
 
@@ -1644,7 +1644,7 @@ def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers):
     for speed in PAIRED_SPEEDS:
         random_graph_point(degree, speed, runs, seed, workers=1)
     serial_tours = _memo_tours()
-    assert any(len(entries) > 1 for entries, _, _ in serial_tours)
+    assert any(len(entries) > 1 for entries, _ in serial_tours)
     for speeds in (PAIRED_SPEEDS, PAIRED_SPEEDS[::-1]):
         scenario._SETUP_CACHE.clear()
         for speed in speeds:
@@ -1683,11 +1683,15 @@ def test_grid_point_rejects_an_unknown_coordinate_mode():
         (lambda: random_graph_point(4, 10, 0, 1), "runs"),
         (lambda: grid_point("edge", 2, 0, 1), "runs"),
         (lambda: grid_point("edge", 2, 10, 1, workers=0), "workers"),
+        (lambda: grid_crossing_hops(0, 1), "runs"),
+        (lambda: grid_crossing_hops(-3, 1), "runs"),
     ],
     ids=[
         "random-graph-runs",
         "grid-runs",
         "grid-workers",
+        "crossing-runs",
+        "crossing-negative-runs",
     ],
 )
 def test_sweep_points_reject_an_empty_count(call, argument):
