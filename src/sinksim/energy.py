@@ -141,9 +141,10 @@ def integrate_timeline(
 
     Energy is time in each state times that state's draw.  A `Timeline` view
     already carries each node's microseconds per state; plain per-node spans
-    are first folded into those integer totals.  Each (node, state) total is
-    then priced once.  Raises KeyError for a state the power table does not
-    know.
+    are first folded into those integer totals.  Each distinct totals
+    mapping is then priced once, its states added in key order, so nodes
+    that share one mapping share its energy.  Raises KeyError for a state
+    the power table does not know.
     """
     if isinstance(timeline, Timeline):
         totals = timeline.totals
@@ -151,12 +152,18 @@ def integrate_timeline(
         totals = {node: state_totals(spans) for node, spans in timeline.items()}
     energy: Dict[int, float] = {}
     power: Dict[str, float] = {}  # each state's draw, looked up once
+    # each mapping's energy by its id(), which stays unique while `totals`
+    # holds every mapping
+    priced: Dict[int, float] = {}
     for node, states in totals.items():
-        e = 0.0
-        for state, us in states.items():
-            p = power.get(state)
-            if p is None:
-                p = power[state] = powers.power_mw(state)
-            e += us / US_PER_S * p  # the same float as seconds(us) * p
+        e = priced.get(id(states))
+        if e is None:
+            e = 0.0
+            for state, us in states.items():
+                p = power.get(state)
+                if p is None:
+                    p = power[state] = powers.power_mw(state)
+                e += us / US_PER_S * p  # the same float as seconds(us) * p
+            priced[id(states)] = e
         energy[node] = e
     return energy

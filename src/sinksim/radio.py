@@ -205,7 +205,8 @@ def state_totals(spans: Iterable[Span]) -> Dict[str, int]:
 class Timeline:
     """Read-only view of assembled radio timelines, kept as per-state totals.
 
-    `totals` holds each node's microseconds per state and `clipped_us` the
+    `totals` holds each node's microseconds per state, read-only: nodes
+    with the same totals may share one mapping.  `clipped_us` holds the
     active microseconds cut from a node where its spans overlapped (nodes
     without any are left out).  `len()` is the number of spans, counted
     during assembly; `spans()` builds each node's spans, filled and in time

@@ -206,8 +206,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     flood_report = engine.run()
     if cfg.query_node not in flood_report.reached:
         raise ConfigError("flood never reached the queried node")
-    # the end of the last relay; every relay lasts d_brp
-    phase_times[3] = max((s + d_brp for _, s in flood_report.transmissions), default=phase_times[2])
+    # the end of the last relay: relays are booked in start order, and every
+    # one lasts d_brp
+    phase_times[3] = transmissions[-1][1] + d_brp if transmissions else phase_times[2]
 
     # Phase 4: source routes the answer toward the moving sink.  Round k of
     # the routing walk is the hop exchange starting at start + k * hop_us,

@@ -142,13 +142,24 @@ def _t975(df: int) -> float:
 
 
 def mean_ci(values: Sequence[float]) -> Tuple[float, float]:
-    """Sample mean and Student-t 95% confidence half-width."""
+    """Sample mean and Student-t 95% confidence half-width.
+
+    Both sums add left to right in plain floats, so the result has the same
+    bits on every Python: from 3.12 on, the builtin `sum()` of floats is
+    compensated.
+    """
     n = len(values)
     if n == 0:
         return float("nan"), float("nan")
-    mean = sum(values) / n
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
     if n == 1:
         return mean, float("inf")
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = 0.0
+    for v in values:
+        var += (v - mean) ** 2
+    var /= n - 1
     half = _t975(n - 1) * math.sqrt(var / n)
     return mean, half

@@ -7,14 +7,16 @@ filled, in time order; :func:`rotation_timeline` assembles a rotation's
 view (:class:`~sinksim.radio.Timeline`).  It fills each node that took part
 in an exchange once with `_fill_gaps`, the one routine that fills gaps and
 clips overlaps.  A node that took part in none holds at most its flood
-relay, in the idle state too, and the base station's request train is
-priced in closed form (`_base_station_totals`): their totals and span
-counts need no spans, which are filled only when the view's `spans()` is
-called.
+relay, in the idle state too, so every such node shares one read-only
+totals mapping, and their span count comes from the sorted relay starts by
+bisection.  The base station's request train is priced in closed form
+(`_base_station_totals`).  None of these totals and counts needs spans,
+which are filled only when the view's `spans()` is called.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core import NodeId, ProtocolConstants
@@ -68,7 +70,7 @@ def _fill_gaps(
 def _base_station_totals(c: ProtocolConstants, horizon: int) -> Tuple[Dict[str, int], int]:
     """Microseconds per state and segment count of the base station's train,
     a data-request preamble (`poll`) every t_dr with listening in between, as
-    `_fill_gaps` fills it, in closed form.
+    `_fill_gaps` fills it and keys it, in closed form.
 
     Each full request period polls for min(d_drp, t_dr), the part before the
     horizon for min(d_drp, rest), and the base station listens for the
@@ -91,7 +93,7 @@ def _base_station_totals(c: ProtocolConstants, horizon: int) -> Tuple[Dict[str, 
     listens = (preambles - 1 if d_drp < period else 0) + (
         (preambles - 1) * period + d_drp < horizon
     )
-    totals = {"listen": horizon - poll, "poll": poll}
+    totals = {"poll": poll, "listen": horizon - poll}  # the train starts with a preamble
     return {state: us for state, us in totals.items() if us}, polls + listens
 
 
@@ -105,27 +107,35 @@ def rotation_timeline(
     """The view of a rotation's timelines over [0, horizon]: the base
     station's request train, then the sink and each of `ids` in the idle
     `poll` around its spans in `active` and its relay of d_brp from
-    `relay_start`.
+    `relay_start`.  Both mappings are keyed by the sink and `ids` only.
+
+    Every node outside `active` polls all along, before and after its relay,
+    so all of them share one totals mapping; a relay inside the horizon adds
+    a span to its node if it starts after 0 and another if it ends before
+    the horizon.
     """
     d_brp = c.d_brp
     bs_totals, length = _base_station_totals(c, horizon)
-    totals = {BS_ID: bs_totals}
+    order = [MS_ID, *ids]
+    # the sink and the exchange nodes overwrite their entries below, in place
+    totals = {BS_ID: bs_totals, **dict.fromkeys(order, {"poll": horizon} if horizon > 0 else {})}
+    length += len(order) * (horizon > 0)
+    if 0 < d_brp:
+        # the relays before the horizon that start after 0, then those that
+        # end before the horizon
+        starts = sorted(relay_start.values())
+        before = bisect_left(starts, horizon)
+        length += before - bisect_right(starts, 0, 0, before) + bisect_left(starts, horizon - d_brp)
     clipped: Dict[NodeId, int] = {}
     filled = {}
-    order = [MS_ID, *ids]
-    for nid in order:
-        s = relay_start.get(nid)  # relays start at 0 or later
-        spans = active.get(nid)
-        if spans is None:  # polls all along, before and after its relay
-            totals[nid] = {"poll": horizon} if horizon > 0 else {}
-            length += horizon > 0
-            if s is not None and 0 < d_brp and s < horizon:
-                length += (s > 0) + (s + d_brp < horizon)
-            continue
+    for nid, spans in active.items():
+        s = relay_start.get(nid)
         if s is not None:
+            if 0 < d_brp and s < horizon:  # counted above as a relay-only node's
+                length -= (s > 0) + (s + d_brp < horizon)
             spans = spans + [(s, s + d_brp, "poll")]
         filled[nid], totals[nid], cut = _fill_gaps(spans, 0, horizon, "poll")
-        length += len(filled[nid])
+        length += len(filled[nid]) - (horizon > 0)
         if cut:
             clipped[nid] = cut
 

@@ -753,7 +753,8 @@ def test_timeline_view_agrees_with_its_segments(name):
     assert list(spans) == [BS_ID, MS_ID, *range(side**2)]
     assert sum(map(len, spans.values())) == len(view)
     for nid, node_spans in spans.items():
-        assert radio.state_totals(node_spans) == view.totals[nid]
+        # in key order too: the energy adds the states in that order
+        assert list(view.totals[nid].items()) == list(radio.state_totals(node_spans).items())
     assert view.clipped_us == ({49: 53_707} if name == "clipping" else {})
     assert timeline_coverage(view) == timeline_coverage(spans)
     for dbm in (0, -25):
@@ -900,6 +901,72 @@ def test_relay_only_nodes_in_closed_form_equal_their_fill(monkeypatch, overrides
     assert seen == kinds
 
 
+@st.composite
+def synthetic_rotations(draw):
+    """(d_brp, horizon, active, relay_start, ids) of a made-up rotation: relay
+    starts from 0 to past the horizon, in any order, and some nodes with
+    active spans of their own."""
+    d_brp = draw(st.integers(0, 300_000))
+    horizon = draw(st.integers(0, 1_000_000))
+    ids = list(range(draw(st.integers(0, 8))))
+    edges = sorted({0, max(0, horizon - d_brp), horizon, horizon + 1})
+    start = st.integers(0, 1_300_000) | st.sampled_from(edges)
+    relay_start = draw(st.dictionaries(st.sampled_from(ids), start)) if ids else {}
+    span = st.tuples(st.integers(-1_000, 1_100_000), st.integers(0, 200_000), st.sampled_from(RADIO_STATES))
+    active = draw(st.dictionaries(st.sampled_from([MS_ID, *ids]), st.lists(span, max_size=4)))
+    active = {nid: [(s, s + d, state) for s, d, state in spans] for nid, spans in active.items()}
+    return d_brp, horizon, active, relay_start, ids
+
+
+EDGE_RELAYS = (
+    # relays at 0, ending exactly at the horizon, crossing it, after it and
+    # at it; node 1 also takes part in an exchange
+    500_000,
+    {MS_ID: [(100, 580, "tx")], 1: [(300_000, 310_000, "rx")]},
+    {0: 0, 1: 356_000, 2: 400_000, 3: 500_001, 4: 500_000, 5: 0},
+    list(range(7)),
+)
+
+
+@given(case=synthetic_rotations())
+@example(case=(C.d_brp, *EDGE_RELAYS))
+@example(case=(0, *EDGE_RELAYS))
+@example(case=(C.d_brp, 0, {MS_ID: []}, {0: 0, 1: 5}, [0, 1, 2]))
+def test_a_rotation_counts_the_spans_it_builds(case):
+    d_brp, horizon, active, relay_start, ids = case
+    view = timelines.rotation_timeline(
+        dataclasses.replace(C, d_brp=d_brp), horizon, active, relay_start, ids
+    )
+    spans = view.spans()
+    assert list(view.totals) == list(spans) == [BS_ID, MS_ID, *ids]
+    assert len(view) == sum(map(len, spans.values()))
+    for nid, node_spans in spans.items():
+        assert list(view.totals[nid].items()) == list(radio.state_totals(node_spans).items())
+
+
+def shared_totals_view():
+    """A view whose nodes 0, 2 and 3 share one mapping of three states."""
+    shared = {"sleep": 123_457, "poll": 987_654_321, "rx": 7}
+    totals = {BS_ID: {"listen": 5, "poll": 3}, 0: shared, 1: {"rx": 5, "poll": 9}, 2: shared, 3: shared}
+    return Timeline(totals, {}, 5, dict)
+
+
+@pytest.mark.parametrize("name", ["loss-free", "synthetic"])
+def test_nodes_sharing_one_totals_mapping_price_as_their_copies(name):
+    view = run_pinned(name).timeline if name == "loss-free" else shared_totals_view()
+    assert len({id(states) for states in view.totals.values()}) < len(view.totals)
+    before = {nid: list(states.items()) for nid, states in view.totals.items()}
+    copies = Timeline(
+        {nid: dict(states) for nid, states in view.totals.items()}, view.clipped_us, len(view), view.spans
+    )
+    for dbm in (0, -25):
+        powers = power_table(dbm)
+        energy = integrate_timeline(view, powers)
+        assert list(energy.items()) == list(integrate_timeline(copies, powers).items())
+    assert list(timeline_coverage(view).items()) == list(timeline_coverage(copies).items())
+    assert {nid: list(states.items()) for nid, states in view.totals.items()} == before
+
+
 def test_each_exchange_and_each_backoff_goes_through_its_traced_name(monkeypatch):
     # The traced benchmark wraps these two module attributes; a kernel that
     # stopped calling them there would leave its layers empty.
@@ -1018,7 +1085,8 @@ def state_totals(spans):
 @TRAIN_CONSTANTS
 def test_base_station_totals_equal_the_built_train(constants, horizon):
     train = base_station_train(constants, horizon)
-    assert _base_station_totals(constants, horizon) == (state_totals(train), len(train))
+    totals, length = _base_station_totals(constants, horizon)
+    assert (list(totals.items()), length) == (list(state_totals(train).items()), len(train))
 
 
 SPAN = st.tuples(st.integers(-50, 450), st.integers(0, 120), st.sampled_from(RADIO_STATES))
@@ -1109,6 +1177,62 @@ def test_rotations_on_two_topologies_in_turn_equal_each_alone():
         alone.append(rotation_outputs(run_scenario(cfg)))
     assert [rotation_outputs(run_scenario(cfg)) for cfg in configs] == alone
     assert alone[0] != alone[1]
+
+
+# Changes that must not move a rotation under any model: relabellings that
+# keep the id order (draws and injections follow ascending ids), and a
+# translation of the nodes and the base station.
+ROTATION_CHANGES = {
+    "id + 100": (lambda nid: nid + 100, (0.0, 0.0)),
+    "3 id + 7": (lambda nid: 3 * nid + 7, (0.0, 0.0)),
+    "translated": (lambda nid: nid, (1024.0, -512.0)),
+}
+
+
+def changed_grid_rotations(label=lambda nid: nid, shift=(0.0, 0.0)):
+    """Every rotation of the 6x6 grid at 25 m (each query node, seed = query
+    node, without and with collisions), on the grid relabelled by `label` and
+    moved by `shift`: its outputs with the ids mapped back, or the
+    ConfigError's message."""
+    g = grid_topology(6, 25.0)
+    dx, dy = shift
+    topo = build_udg({label(nid): (x + dx, y + dy) for nid, (x, y) in g.positions.items()}, 25.0)
+    back = {label(nid): nid for nid in g.positions}
+    back.update({BS_ID: BS_ID, MS_ID: MS_ID})
+    bs_x, bs_y = ScenarioConfig(topology=g, query_node=0).bs_position
+    rows = []
+    for query in sorted(g.positions):
+        for collisions in (False, True):
+            cfg = ScenarioConfig(
+                topology=topo, query_node=label(query), seed=query, collisions=collisions,
+                bs_position=(bs_x + dx, bs_y + dy),
+            )
+            try:
+                report = run_scenario(cfg)
+            except ConfigError as exc:
+                rows.append(str(exc))
+                continue
+            view = report.timeline
+            rows.append((
+                report.phase_times_us, [back[nid] for nid in report.route.path],
+                [(back[nid], t) for nid, t in report.flood.transmissions], report.horizon_us,
+                {back[nid]: us for nid, us in view.clipped_us.items()},
+                [(back[nid], list(states.items())) for nid, states in view.totals.items()],
+            ))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def unchanged_grid_rotations():
+    rows = changed_grid_rotations()
+    assert 0 < sum(isinstance(row, str) for row in rows) < len(rows)
+    return rows
+
+
+@pytest.mark.parametrize("change", sorted(ROTATION_CHANGES))
+def test_a_rotation_does_not_depend_on_the_id_values_or_the_place(change, unchanged_grid_rotations):
+    label, shift = ROTATION_CHANGES[change]
+    assert changed_grid_rotations(label, shift) == unchanged_grid_rotations
 
 
 def clear_rotation_memos():

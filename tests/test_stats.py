@@ -1,4 +1,5 @@
 import math
+import random
 from statistics import NormalDist
 
 import pytest
@@ -14,6 +15,14 @@ def test_mean_ci_basics():
     assert mean == 1.0
     assert half == pytest.approx(12.7062047361747, rel=1e-13)  # t(0.975, 1) * 1
     assert math.isnan(mean_ci([])[0])
+
+
+def test_mean_ci_adds_left_to_right():
+    # On this sample a compensated sum, as the builtin sum() of floats is
+    # from Python 3.12 on, gives 4.962471439702336 and 0.17972299787771526.
+    rng = random.Random(3)
+    values = [rng.random() * 10 for _ in range(1001)]
+    assert mean_ci(values) == (4.962471439702335, 0.17972299787771523)
 
 
 def test_z_u_is_the_standard_library_s_normal_quantile():
