@@ -194,6 +194,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = read_config(getattr(args, "config", None))
         args = _fill_from_section(parser, argv, args, config)
+        # random.Random(-s) is seeded as Random(s), so a negative seed and its
+        # offsets per run would repeat runs.
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         c = load_constants(config)
         if args.func is cmd_analyze:
             _check_analyze_divisors(c)  # before the warning: nothing is printed yet

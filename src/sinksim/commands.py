@@ -168,12 +168,14 @@ def cmd_analyze(args, c: ProtocolConstants) -> int:
 
 # The most contention windows one sweep may hold.  The default sweep holds
 # 20; each window runs `--runs` draws per block, and at the default 100,000
-# a window takes about 0.4 s for both blocks on a 2-core host, so 1,000
-# windows take about 7 minutes.
+# a window takes about 0.08 s for both blocks on a 2-core host (0.16 s with
+# `--levels`), so 1,000 windows take 80 to 160 s.
 MAX_WINDOWS = 1_000
 
-# The most backoffs one window may draw, `--runs` x `--n`: they are one matrix
-# of floats and its copies, near 190 MB at this bound (1e8 x 1e8 is 73 TiB).
+# The most backoffs one window may draw per block, `--runs` x `--n`.  They are
+# a stream, so the bound is one of time: at this bound one block of one window
+# takes about 1.3 s on a 2-core host (1.7 s with `--levels`), and the 1e13
+# backoffs of 100,000 runs of 1e8 contenders would take some two weeks.
 MAX_DRAWS = 10_000_000
 
 # The most replications one route-sim point may hold.  A point keeps every
@@ -204,9 +206,13 @@ def cmd_collisions(args, c: ProtocolConstants) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be at least 0, got {args.n}")
     if args.runs * args.n > MAX_DRAWS:
-        raise ValueError(f"--runs x --n is more than the {MAX_DRAWS:,} draws a window may hold")
-    if args.levels is not None and not 2 <= args.levels <= 2**63:  # numpy draws int64
-        raise ValueError(f"--levels must be from 2 to 2**63, got {args.levels}")
+        raise ValueError(f"--runs x --n is more than the {MAX_DRAWS:,} backoffs a window may draw")
+    # ContentionConfig's bound, checked here to name the option: the step
+    # W / (levels - 1) must be a float.
+    if args.levels is not None and not 2 <= args.levels <= sys.float_info.max:
+        raise ValueError(f"--levels must be from 2 to the largest float, about 1.8e308, got {args.levels}")
+    if args.block_us is not None and not 0 < args.block_us < math.inf:
+        raise ValueError(f"--block-us must be finite and > 0, got {args.block_us}")
     blocks = {"relay": c.d_rxtx, "ack": c.d_ack}
     if args.block_us is not None:
         blocks = {"custom": args.block_us}

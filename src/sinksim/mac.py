@@ -9,7 +9,9 @@ probability that the runner-up lands within D of the earliest is
     P = 1 - ((W - D) / W) ** N
 
 which the Monte-Carlo simulator reproduces, in continuous backoff mode and in
-the discrete mode of the node hardware's 362-level random generator.
+the discrete mode of the node hardware's 362-level random generator.  It
+draws one stream per seed from the standard library's random.Random and keeps
+the two smallest backoffs of each run.
 
 Election is harsher than the closed form on purpose: any pair of answers that
 start within D of each other destroy each other, and the requester picks the
@@ -18,6 +20,8 @@ earliest survivor, which may not carry the minimum metric.
 
 from __future__ import annotations
 
+import random
+import sys
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
@@ -45,8 +49,9 @@ class ContentionConfig:
             raise ValueError("need W >= D > 0")
         if self.n < 0:
             raise ValueError("n must be >= 0")
-        if self.discrete_levels is not None and self.discrete_levels < 2:
-            raise ValueError("discrete_levels must be >= 2")
+        # the discrete draws compare in units of the step W / (levels - 1), a float
+        if self.discrete_levels is not None and not 2 <= self.discrete_levels <= sys.float_info.max:
+            raise ValueError("discrete_levels must be from 2 to the largest float")
 
 
 def collision_probability(cfg: ContentionConfig) -> float:
@@ -65,9 +70,12 @@ def collision_probability(cfg: ContentionConfig) -> float:
 def simulate_collision(cfg: ContentionConfig, runs: int, rng_seed: int = 0) -> float:
     """Monte-Carlo estimate of the earliest-answer collision probability.
 
-    Each run draws one backoff per contender (n draws); a collision is any
-    other draw strictly within block_us of the minimum.  Deterministic for a
-    given seed.
+    Each run draws one backoff per contender, n in order from one
+    random.Random(rng_seed) stream, and keeps only the two smallest; a
+    collision is the runner-up strictly within block_us of the minimum.
+    Continuous backoffs are random() in units of the window, discrete ones
+    randrange(levels) in units of the step window_us / (levels - 1).
+    Deterministic for a given seed.
 
     With a single contender there is no pair, so the estimate is exactly 0;
     the closed form instead degenerates to D/W there (it prices one contender
@@ -78,18 +86,35 @@ def simulate_collision(cfg: ContentionConfig, runs: int, rng_seed: int = 0) -> f
         raise ValueError("runs must be >= 1")
     if cfg.n < 2:
         return 0.0
-    import numpy as np  # imported here so that `import sinksim` does not load numpy
-
-    rng = np.random.default_rng(rng_seed)
-    if cfg.discrete_levels is None:
-        backoffs = rng.random((runs, cfg.n)) * cfg.window_us
+    rng = random.Random(rng_seed)
+    levels = cfg.discrete_levels
+    if levels is None:
+        draw, top, limit = rng.random, 1.0, cfg.block_us / cfg.window_us
     else:
-        levels = cfg.discrete_levels
-        step = cfg.window_us / (levels - 1)
-        backoffs = rng.integers(0, levels, size=(runs, cfg.n)) * step
-    two_smallest = np.partition(backoffs, 1, axis=1)
-    collided = (two_smallest[:, 1] - two_smallest[:, 0]) < cfg.block_us
-    return float(np.count_nonzero(collided)) / runs
+        getrandbits, bits = rng.getrandbits, levels.bit_length()
+
+        def draw() -> int:
+            # randrange(levels)'s own rejection draw and stream, at less cost
+            r = getrandbits(bits)
+            while r >= levels:
+                r = getrandbits(bits)
+            return r
+
+        top, limit = levels, (levels - 1) * (cfg.block_us / cfg.window_us)
+    contenders = range(cfg.n)
+    collided = 0
+    for _ in range(runs):
+        first = second = top  # above every draw
+        for _ in contenders:
+            x = draw()
+            if x < second:
+                if x < first:
+                    first, second = x, first
+                else:
+                    second = x
+        if second - first < limit:
+            collided += 1
+    return collided / runs
 
 
 def ack_backoff(metric: Metric, metric_max: Metric, window_us: float) -> float:

@@ -115,6 +115,14 @@ def test_collisions_block_without_a_window_writes_nothing(tmp_path, capsys, wind
     assert not out.exists()
 
 
+def test_collisions_draws_a_level_count_beyond_64_bits(tmp_path, capsys):
+    # once refused above 2**63, the most that numpy's int64 draws held
+    out = tmp_path / "out"
+    assert run_cli("collisions", "--levels", "100000000000000000000", "--runs", "10", "--out", str(out)) == 0
+    for name in ("ack", "relay"):
+        assert (out / f"collisions_{name}.csv").read_text().startswith("W_ms,closed_form,simulated,")
+
+
 def test_collisions_runs_at_most_max_windows(tmp_path, capsys):
     from sinksim.commands import MAX_WINDOWS
 
@@ -299,6 +307,7 @@ def test_flags_beat_the_ini_and_the_ini_fills_unset_flags(tmp_path):
         ("[sweep]\nruns = abc\n", "[sweep] runs: invalid int value 'abc'"),
         ("[sweep]\nrunz = 5\n", "unknown key 'runz' in [sweep]"),
         ("[constants]\nw_rr = 2.5\n", "[constants] w_rr: invalid int value '2.5'"),
+        ("[sweep]\nseed = -2\n", "--seed must be at least 0, got -2"),
     ],
 )
 def test_a_bad_ini_value_is_named_in_the_error(tmp_path, capsys, text, message):
@@ -380,6 +389,8 @@ INPUT_FILES = {
     "sweep_mobility.ini": "[sweep]\npreset = grid25\nmobility = sideways\n",
     "no_section.ini": "runs = 5\n",
     "scenario_out.ini": "[scenario]\nout = elsewhere\n",
+    "sweep_seed.ini": "[sweep]\nseed = -1\n",
+    "scenario_seed.ini": "[scenario]\nseed = -1\n",
     "constants_float.ini": "[constants]\nw_rr = 2.5\n",
     "t_cca_0.ini": "[constants]\nt_cca = 0\n",
     "t_dr_d_drp_d_data_0.ini": "[constants]\nt_dr = 0\nd_drp = 0\nd_data = 0\n",
@@ -413,9 +424,23 @@ def _cap_memory():
         ["analyze", "--battery-j", "inf"],
         ["collisions", "--runs", "10", "--levels", "1"],
         ["collisions", "--runs", "10", "--n", "-1"],
-        # a draw matrix of 73 TiB, and a level count beyond numpy's int64
+        # 1e13 backoffs a block, some two weeks of drawing, and a level count
+        # whose step W / (levels - 1) no float holds
         ["collisions", "--n", "100000000", "--w-min-ms", "28", "--w-max-ms", "30"],
-        ["collisions", "--levels", "100000000000000000000"],
+        pytest.param(["collisions", "--levels", str(10**309)], id="collisions --levels 10**309"),
+        # a blocking width once named only as "W >= D > 0", or read as an
+        # empty sweep
+        ["collisions", "--block-us", "-1"],
+        ["collisions", "--block-us", "nan"],
+        ["collisions", "--block-us", "inf"],
+        # random.Random(-s) is seeded as Random(s): runs repeated, or numpy's
+        # message named no option
+        ["collisions", "--seed", "-1"],
+        ["route-sim", "--seed", "-1"],
+        ["flood-sim", "--seed", "-2"],
+        ["demo", "--seed", "-1"],
+        ["route-sim", "--config", "sweep_seed.ini"],
+        ["demo", "--config", "scenario_seed.ini"],
         ["codec", "decode", "--hex", "zz"],
         ["codec", "decode", "--hex", "00"],  # too short for a frame
         ["codec", "encode", "--remaining", "99"],  # beyond the 6-bit countdown
@@ -552,9 +577,20 @@ def test_bad_input_is_a_one_line_error(argv, tmp_path, tmp_path_factory):
         ("--range-m", ["flood-sim", "--range-m", "1e300"]),
         # the spacing squares to a finite number, the grid's extent does not
         ("--spacing", ["flood-sim", "--grid", "3", "--spacing", "1.3e154"]),
+        ("--levels", ["collisions", "--levels", str(10**309)]),
+        ("--block-us", ["collisions", "--block-us", "-1"]),
+        ("--block-us", ["collisions", "--block-us", "nan"]),
+        ("--block-us", ["collisions", "--block-us", "inf"]),
+        ("--seed", ["collisions", "--seed", "-1"]),
+        ("--seed", ["route-sim", "--seed", "-1"]),
+        ("--seed", ["flood-sim", "--seed", "-2"]),
+        ("--seed", ["demo", "--seed", "-1"]),
     ],
     ids=("collisions --n", "analyze --neighbors", "route-sim --runs", "demo --spacing -5",
-         "demo --spacing 1e300", "flood-sim --range-m 1e300", "flood-sim --grid 3 --spacing 1.3e154"),
+         "demo --spacing 1e300", "flood-sim --range-m 1e300", "flood-sim --grid 3 --spacing 1.3e154",
+         "collisions --levels 10**309", "collisions --block-us -1", "collisions --block-us nan",
+         "collisions --block-us inf", "collisions --seed", "route-sim --seed", "flood-sim --seed",
+         "demo --seed"),
 )
 def test_a_bad_count_names_its_option(option, argv, capsys):
     assert main(argv) == 2
@@ -591,19 +627,19 @@ FUZZ_COMMANDS = {
     "analyze": ([], ["--neighbors", "--battery-j", "--power"]),
     "collisions": (
         ["--runs", "20", "--w-min-ms", "28", "--w-max-ms", "30"],
-        ["--runs", "--n", "--levels", "--block-us", "--w-min-ms", "--w-step-ms"],
+        ["--runs", "--n", "--levels", "--block-us", "--w-min-ms", "--w-step-ms", "--seed"],
     ),
     "route-sim": (
         ["--runs", "2", "--degrees", "4", "--speeds", "0"],
-        ["--runs", "--preset", "--speeds", "--degrees", "--coord-mode"],
+        ["--runs", "--preset", "--speeds", "--degrees", "--coord-mode", "--seed"],
     ),
     "flood-sim": (
         ["--runs", "1", "--grid", "3"],
-        ["--runs", "--grid", "--range-m", "--spacing", "--initiator", "--source"],
+        ["--runs", "--grid", "--range-m", "--spacing", "--initiator", "--source", "--seed"],
     ),
     "demo": (
         ["--rotations", "1", "--grid", "2"],
-        ["--rotations", "--grid", "--speed-mps", "--range-m", "--spacing"],
+        ["--rotations", "--grid", "--speed-mps", "--range-m", "--spacing", "--seed"],
     ),
     "codec": (["encode"], ["--kind", "--src", "--remaining", "--preamble", "--traversed"]),
 }

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import sys
 
 import pytest
 
@@ -15,9 +16,9 @@ imported = sorted(
 from sinksim.scenario import grid_point, random_graph_point
 rg = random_graph_point(4, 10, 20, 1)
 grid = grid_point("edge", 2, 20, 1)
-heavy = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 from sinksim.mac import ContentionConfig, simulate_collision
 collision = simulate_collision(ContentionConfig(30_000, 480, 5), 10_000, 3)
+heavy = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
 print(imported, heavy, rg.runs, grid.runs, collision)
 """
 
@@ -27,15 +28,66 @@ def test_import_loads_neither_numpy_nor_scipy():
     # Importing loads none of numpy, scipy, pickle (only an error in a sweep
     # worker needs it), multiprocessing, and statistics with its decimal and
     # fractions (stats keeps the one normal quantile it needs as a constant).
-    # The sweeps run before the second check, so they must stay free of numpy
-    # and scipy too.
+    # The sweeps and the MAC Monte Carlo run before the second check, so they
+    # must stay free of numpy and scipy too.
     proc = run_python(
         ["-c", PROBE],
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout.split() == ["[]", "[]", "20", "20", "0.0789"]
+    assert proc.stdout.split() == ["[]", "[]", "20", "20", "0.0745"]
+
+
+# numpy blocked: importing it raises ImportError.  The Monte Carlo in both
+# modes, and the command in both, run without it.
+NO_NUMPY_PROBE = """
+import sys
+sys.modules["numpy"] = None
+from sinksim.cli import main
+from sinksim.mac import ContentionConfig, simulate_collision
+for levels in (None, 362):
+    print(simulate_collision(ContentionConfig(30_000, 480, 5, discrete_levels=levels), 10_000, 3))
+for levels in ([], ["--levels", "362"]):
+    assert main(["collisions", "--runs", "200", "--out", f"out{len(levels)}", *levels]) == 0
+"""
+
+
+def test_the_monte_carlo_runs_without_numpy(tmp_path):
+    proc = run_python(
+        ["-c", NO_NUMPY_PROBE],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["0.0745", "0.0722"]
+    assert lines[2:] == [f"wrote out{k}/collisions_{name}.csv" for k in (0, 2) for name in ("ack", "relay")]
+
+
+def test_sinksim_imports_only_the_standard_library():
+    # Every import in src/sinksim names a standard-library module or sinksim
+    # itself, and the project declares no runtime dependency: numpy was the
+    # last one, for the MAC Monte Carlo alone.
+    outside = []
+    for path in sorted((SRC / "sinksim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, name)
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"sinksim"}
+            ]
+    assert outside == []
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
 
 
 # sinksim/__init__.py imports the scenario for its own public names, so a bare

@@ -58,6 +58,8 @@ def test_config_validation():
         ContentionConfig(100, 50, -1)
     with pytest.raises(ValueError):
         ContentionConfig(100, 50, 5, discrete_levels=1)
+    with pytest.raises(ValueError):  # its step W / (levels - 1) is no float
+        ContentionConfig(100, 50, 5, discrete_levels=10**309)
 
 
 @pytest.mark.parametrize(
