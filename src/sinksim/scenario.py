@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
 from .flight import MAX_PASSES, ConfigError, _first_cca_catch, _flight, _strip
 from .flood import FloodEngine, FloodReport
-from .forkmap import split_map
+from .forkmap import check_workers, split_call
 from .frames import MAX_ADDRESS_COUNT
 from .mac import ack_backoff
 from .presets import (
@@ -384,35 +384,40 @@ def random_graph_point(
     tour (:class:`sinksim.routing.Tour`) does not depend on the speed: speed
     decides only the round in which the scan along it delivers, restarts or
     runs out.  So the set-up memo keeps each replication's tour, grown as far
-    as any call has walked it, and a later speed scans it again.  Its
+    as any walk of it has gone, and a later speed scans it again.  Its
     coordinates are made from the stored seed only when the tour has to grow
     further.  The degree must be finite and > 0, and its node count at most
     MAX_NODES (see :func:`nodes_for_degree`); a speed of 0 walks against a
     static sink, which a bounce at speed 0 is.
 
-    The set-up is drawn in the calling process; the walks then run in
-    contiguous slices over `workers` processes, all but the first forked
-    (:func:`sinksim.forkmap.split_map`).  ``None`` takes the CPUs available,
-    with at least 100 replications per worker.  Each walk sends back its
-    outcome, the entries its tour grew (often none) and whether the tour is
-    complete, and the caller extends every tour in the memo with them, in
-    slice order.  The point is bit-identical for any worker count and any
-    order of the speeds.
+    The walks run in contiguous slices over `workers` processes: the caller
+    walks the first, and each persistent forked worker is sent the point's
+    arguments and its slice (:func:`sinksim.forkmap.split_call`).  ``None``
+    takes the CPUs available, with at least MIN_SLICE replications per
+    worker.  Every process draws the set-up into its own memo and grows the
+    tours of the replications it walks there, so the caller's memo holds
+    the tours of its own slice.  The point is bit-identical for any worker
+    count and any order of the speeds.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
+    check_workers(workers)
     _check_speed(speed)
-    field = RANDOM_FIELD_M
     n = nodes_for_degree(degree)
-    setup = _random_graph_setup(n, runs, seed, field, RANDOM_RANGE_M, RANDOM_TOPOLOGIES)
+    outcomes = split_call(_random_graph_walks, (n, speed, runs, seed), runs, workers)
+    return _sweep_point("bounce", speed, degree, outcomes)
 
+
+def _random_graph_walks(n: int, speed: float, runs: int, seed: int, lo: int, hi: int) -> List[_Outcome]:
+    """The outcomes of replications `lo` to `hi` of the random-graph point
+    with `n` nodes, each walk growing its tour in this process's memo."""
+    field = RANDOM_FIELD_M
+    setup = _random_graph_setup(n, runs, seed, field, RANDOM_RANGE_M, RANDOM_TOPOLOGIES)
     bounds = ((0, field), (0, field))
     sink_coord = (field / 2, field / 2)
 
-    def walk(item: Tuple[_Replication, Tour]) -> Tuple[_Outcome, List[NodeId], bool]:
-        (topo, source, start, track_seed, vc_seed), known = item
-        # A copy, so that the caller's tours change only in the merge below.
-        tour = Tour(list(known.entries), known.complete)
+    def walk(rep: _Replication, tour: Tour) -> _Outcome:
+        topo, source, start, track_seed, vc_seed = rep
         # A bounce at speed 0 never moves: it is a static sink, without the draws.
         states = bounce(start, speed, field, seed=track_seed) if speed else repeat((start, False))
         res = route(
@@ -424,13 +429,9 @@ def random_graph_point(
             round_limit=n,
             tour=tour,
         )
-        return _outcome(res), tour.entries[len(known.entries) :], tour.complete
+        return _outcome(res)
 
-    results = split_map(walk, setup, workers)
-    for (_, tour), (_, added, complete) in zip(setup, results):
-        tour.entries += added
-        tour.complete = complete
-    return _sweep_point("bounce", speed, degree, [outcome for outcome, _, _ in results])
+    return [walk(rep, tour) for rep, tour in setup[lo:hi]]
 
 
 # The end of each grid crossing, which starts at the origin: along one side
@@ -457,13 +458,10 @@ def grid_point(
     center; physical mode routes on the true positions with a snapshot of the
     sink's position as destination.
 
-    Each replication's source and coordinate seed are drawn up front, in the
-    order of a serial sweep; the walks then run in `workers` slices as in
-    :func:`random_graph_point`, and the point is bit-identical for any
-    worker count.  The crossing draws nothing, so every walk of a point takes
-    the same sink path: it is recorded once, before the workers fork, as far
-    as the round limit of four rounds per node
-    (:func:`sinksim.tracks.line_crossing`), and each walk iterates it.
+    Each replication's source and coordinate seed are drawn in the order of
+    a serial sweep, and the walks run in `workers` slices as in
+    :func:`random_graph_point` (:func:`_crossing_walks`): the point is
+    bit-identical for any worker count.
     """
     if mobility not in _CROSSING_ENDS:
         raise ValueError("grid mobility must be 'edge' or 'diagonal'")
@@ -471,13 +469,10 @@ def grid_point(
         raise ValueError(f"unknown coordinate mode {coord_mode!r}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
+    check_workers(workers)
     _check_speed(speed)
-    rng = random.Random(seed)
-    virtual = coord_mode == "virtual"
-    # (source, coordinate seed or None)
-    draws = [(rng.randrange(GRID_SIDE**2), rng.randrange(2**31) if virtual else None) for _ in range(runs)]
-    outcomes = _crossing_walks([_CROSSING_ENDS[mobility]], speed, draws, workers)
-    return _sweep_point(mobility, speed, None, outcomes)
+    args = ((mobility,), speed, seed, coord_mode == "virtual")
+    return _sweep_point(mobility, speed, None, split_call(_crossing_walks, args, runs, workers))
 
 
 def grid_crossing_hops(
@@ -487,9 +482,8 @@ def grid_crossing_hops(
 
     Pools edge and diagonal crossings at the reference per-round speed over
     per-replication random virtual coordinates; returns (mean, ci95).  The
-    sources and coordinate seeds are drawn up front, the two crossings
-    recorded once, and the walks split across `workers` as in
-    :func:`grid_point`, bit-identical for any count.
+    sources and coordinate seeds are drawn, and the walks split across
+    `workers`, as in :func:`grid_point`, bit-identical for any count.
 
     No `route-sim` preset writes this figure; it stays a function of its own
     because it is criterion 9's reference.  That criterion pools the two
@@ -499,28 +493,34 @@ def grid_crossing_hops(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
-    rng = random.Random(seed)
-    draws = [(rng.randrange(GRID_SIDE**2), rng.randrange(2**31)) for _ in range(runs)]
-    outcomes = _crossing_walks(list(_CROSSING_ENDS.values()), GRID_CROSSING_SPEED, draws, workers)
+    check_workers(workers)
+    args = (tuple(_CROSSING_ENDS), GRID_CROSSING_SPEED, seed, True)
+    outcomes = split_call(_crossing_walks, args, runs, workers)
     return mean_ci([h for _, h in outcomes if h is not None])
 
 
 def _crossing_walks(
-    ends: List[Position], speed: float, draws: List[Tuple[NodeId, Optional[int]]], workers: Optional[int]
+    crossings: Tuple[str, ...], speed: float, seed: int, virtual: bool, lo: int, hi: int
 ) -> List[_Outcome]:
-    """The outcomes of the walks on the 5x5 grid, one per (source,
-    coordinate seed) of `draws`, walk i against the crossing from the
-    field's corner at the origin to `ends[i % len(ends)]` at `speed`.
+    """The outcomes of walks `lo` to `hi` on the 5x5 grid, walk i against
+    the crossing `crossings[i % len(crossings)]` (a key of `_CROSSING_ENDS`)
+    from the field's corner at the origin at `speed`.
 
-    Each crossing is recorded once, as far as the round limit of four rounds
-    per node, and every walk iterates it.  A seed routes on fresh virtual
-    coordinates, made only if the walk moves at all, toward the sink's fixed
-    one; None routes on the true positions.  The walks run in `workers`
-    slices (:func:`sinksim.forkmap.split_map`).
+    Walk i's source and, if `virtual`, coordinate seed are the i-th of the
+    draws that `seed` gives in the order of a serial sweep; this process
+    draws them as far as `hi`.  Each crossing is recorded once per call, as
+    far as the round limit of four rounds per node
+    (:func:`sinksim.tracks.line_crossing`), and every walk iterates it.  A
+    seed routes on fresh virtual coordinates, made only if the walk moves at
+    all, toward the sink's fixed one; without one the walk routes on the
+    true positions.
     """
+    rng = random.Random(seed)
+    # (source, coordinate seed or None)
+    draws = [(rng.randrange(GRID_SIDE**2), rng.randrange(2**31) if virtual else None) for _ in range(hi)]
     g = grid_topology(GRID_SIDE, GRID_SPACING_M)
     limit = 4 * len(g)
-    paths = [line_crossing((0.0, 0.0), end, speed, limit) for end in ends]
+    paths = [line_crossing((0.0, 0.0), _CROSSING_ENDS[name], speed, limit) for name in crossings]
 
     def walk(i: int) -> _Outcome:
         source, vc_seed = draws[i]
@@ -538,4 +538,4 @@ def _crossing_walks(
             )
         )
 
-    return split_map(walk, range(len(draws)), workers)
+    return [walk(i) for i in range(lo, hi)]

@@ -90,6 +90,20 @@ def test_sinksim_imports_only_the_standard_library():
     assert project["dependencies"] == []
 
 
+def test_only_forkmap_forks():
+    # The sweeps' workers are forked in one place, so that no second
+    # parallel path grows beside it.
+    forks = {"fork", "forkpty"}
+    forking = set()
+    for path in sorted((SRC / "sinksim").glob("*.py")) + sorted((SRC.parent / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in forks:
+                forking.add((path.name, ast.unparse(node)))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                forking |= {(path.name, f"os.{a.name}") for a in node.names if a.name in forks}
+    assert forking == {("forkmap.py", "os.fork")}
+
+
 # sinksim/__init__.py imports the scenario for its own public names, so a bare
 # package object stands in for it: what loads is what the named module itself
 # imports.

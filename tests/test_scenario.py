@@ -15,6 +15,7 @@ from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
 from sinksim.flight import _hearers
 from sinksim.flood import simulate_flood
+from sinksim.forkmap import close_workers, default_workers
 from sinksim.frames import MAX_ADDRESS_COUNT, DataPayload, ListOverflow, encode_data_payload
 from sinksim.presets import GRID_FIELD_M, GRID_SIDE, MAX_NODES, discovered_graph
 from sinksim.radio import RADIO_STATES, Timeline, build_udg, euclid, grid_topology, power_table
@@ -37,6 +38,15 @@ from sinksim.timelines import _base_station_totals, _fill_gaps
 from sinksim.tracks import WaypointTrack, _fold, bounce, line_crossing
 
 C = DEFAULT_CONSTANTS
+
+
+@pytest.fixture
+def fresh_workers():
+    """End the sweep workers before the test patches a name they look up,
+    and after it: a worker runs the code as it stood when it was forked."""
+    close_workers()
+    yield
+    close_workers()
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +300,7 @@ def test_a_replayed_crossing_is_the_line_track_stepped(crossing, speed):
             next(states)
 
 
-def test_the_grid_sweeps_make_one_line_track_per_crossing(monkeypatch):
+def test_the_grid_sweeps_make_one_line_track_per_crossing(fresh_workers, monkeypatch):
     made = []
 
     def counted(start, end, speed, steps):
@@ -602,7 +612,7 @@ def test_scenario_enforces_the_header_bound():
         run_scenario(cfg)
 
 
-def test_scenario_bounds_the_answer_with_the_source_neighbors(monkeypatch):
+def test_scenario_bounds_the_answer_with_the_source_neighbors(fresh_workers, monkeypatch):
     # From corner node 210 (2 neighbors) on these coordinates the walk
     # reaches the sink with 117 ids traversed: with the neighbors, one more
     # than the DATA payload holds.  The bound counts the neighbors, 116 here.
@@ -868,7 +878,7 @@ def exchange_nodes(monkeypatch):
         (dict(query_node=1, collisions=True), {"relay", "no span"}),
     ],
 )
-def test_relay_only_nodes_in_closed_form_equal_their_fill(monkeypatch, overrides, kinds):
+def test_relay_only_nodes_in_closed_form_equal_their_fill(fresh_workers, monkeypatch, overrides, kinds):
     g = grid_topology(12, 25.0)
     involved = exchange_nodes(monkeypatch)
     overrides = dict(overrides)
@@ -1656,7 +1666,8 @@ WORKER_COUNT_CALLS = {
 
 
 def _no_child_left():
-    # Every worker was reaped: this process has no child at all.
+    # Ending the workers reaps every one: this process has no child left.
+    close_workers()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return True
@@ -1704,7 +1715,7 @@ def test_pinned_points_hold_on_the_parallel_path_from_a_cold_cache(workers):
         assert fields == PINNED_RANDOM_GRAPH_POINTS[args]
 
 
-def test_a_child_error_is_raised_in_the_caller(monkeypatch):
+def test_a_child_error_is_raised_in_the_caller(fresh_workers, monkeypatch):
     parent = os.getpid()
     real_route = scenario.route
 
@@ -1719,7 +1730,7 @@ def test_a_child_error_is_raised_in_the_caller(monkeypatch):
     assert _no_child_left()
 
 
-def test_a_caller_error_ends_the_children(monkeypatch):
+def test_a_caller_error_ends_the_children(fresh_workers, monkeypatch):
     parent = os.getpid()
     real_route = scenario.route
 
@@ -1769,14 +1780,17 @@ def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers):
         random_graph_point(degree, speed, runs, seed, workers=1)
     serial_tours = _memo_tours()
     assert any(len(entries) > 1 for entries, _ in serial_tours)
+    # The caller walks the first slice, and its memo grows those tours only.
+    mine = runs // min(workers or default_workers(runs), runs)
     for speeds in (PAIRED_SPEEDS, PAIRED_SPEEDS[::-1]):
         scenario._SETUP_CACHE.clear()
         for speed in speeds:
             pt = random_graph_point(degree, speed, runs, seed, workers=workers)
             assert _point_fields(pt) == single[speed]
             assert len(scenario._SETUP_CACHE) == 1
-        # The tours grown in every worker were merged into the memo.
-        assert _memo_tours() == serial_tours
+        tours = _memo_tours()
+        assert tours[:mine] == serial_tours[:mine]
+        assert all(tour == (entries[:1], False) for tour, (entries, _) in zip(tours[mine:], serial_tours[mine:]))
     assert _no_child_left()
 
 
@@ -1806,21 +1820,34 @@ def test_grid_point_rejects_an_unknown_coordinate_mode():
     [
         (lambda: random_graph_point(4, 10, 0, 1), "runs"),
         (lambda: grid_point("edge", 2, 0, 1), "runs"),
+        (lambda: random_graph_point(10, 10, 200, 1, workers=0), "workers"),
+        (lambda: random_graph_point(10, 10, 200, 1, workers=True), "workers"),
         (lambda: grid_point("edge", 2, 10, 1, workers=0), "workers"),
+        (lambda: grid_point("edge", 2, 10, 1, workers=2.5), "workers"),
         (lambda: grid_crossing_hops(0, 1), "runs"),
         (lambda: grid_crossing_hops(-3, 1), "runs"),
+        (lambda: grid_crossing_hops(10, 1, workers=-2), "workers"),
     ],
     ids=[
         "random-graph-runs",
         "grid-runs",
+        "random-graph-workers",
+        "random-graph-bool-workers",
         "grid-workers",
+        "grid-float-workers",
         "crossing-runs",
         "crossing-negative-runs",
+        "crossing-workers",
     ],
 )
 def test_sweep_points_reject_an_empty_count(call, argument):
+    # Before any draw: the set-up memo keeps the entry it held.
+    random_graph_point(4, 10, 5, 1, workers=1)
+    memo = dict(scenario._SETUP_CACHE)
     with pytest.raises(ValueError, match=argument):
         call()
+    assert scenario._SETUP_CACHE.keys() == memo.keys()
+    assert all(scenario._SETUP_CACHE[key] is setup for key, setup in memo.items())
 
 
 def test_grid_crossing_reference_band():
