@@ -15,9 +15,9 @@ long source wait instead, giving the broadcast storm time to die out.
 Transmissions are modeled at packet granularity, one interval of d_brp per
 relay (the report lists each relay's node and start, in start order), and
 reception is loss-free by default; the optional collision flag drops
-receptions at nodes covered by two overlapping transmissions.  Only then
-does the engine record, per node, the transmissions it hears (`heard`);
-loss-free `heard` is None.
+receptions at nodes covered by two overlapping transmissions, by the MAC's
+one reception rule (`sinksim.mac.lost`).  Only then does the engine record,
+per node, the transmissions it hears (`heard`); loss-free `heard` is None.
 
 The engine's state lives in lists indexed by slot: slot i is the i-th node
 id in ascending order.  The ids, the slot of each id, and the adjacency as
@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .core import DEFAULT_CONSTANTS, NodeId, ProtocolConstants
+from .mac import lost
 from .radio import Topology
 
 # node states
@@ -185,13 +186,8 @@ class FloodEngine:
                     # overlaps the relay
                     if state[v] != IDLE:
                         continue
-                    if heard and kind == TX_END:
-                        start, overlapping = t - d_brp, 0
-                        for s, e in heard[v]:
-                            if s < t and e > start:
-                                overlapping += 1
-                        if overlapping > 1:
-                            continue
+                    if heard and kind == TX_END and lost(heard[v], t - d_brp, t):
+                        continue
                     nid = ids[v]
                     first_rx[nid] = t
                     reached.add(nid)

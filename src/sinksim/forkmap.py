@@ -31,7 +31,7 @@ import marshal
 import os
 import sys
 import threading
-from typing import BinaryIO, Callable, List, Optional, Tuple
+from typing import BinaryIO, Callable, List, Tuple
 
 # On a 2-core host the round trip of a call to one persistent worker, with
 # an empty slice, took 0.03-0.04 ms (median of 2,000 calls in each of two
@@ -39,8 +39,7 @@ from typing import BinaryIO, Callable, List, Optional, Tuple
 # random graph whose set-up is drawn.  Each process also makes what a point
 # walks against (0.09 ms for a grid slice).  Against one process, 2 workers
 # broke even at 20 replications each and took 1.1 ms for 40 grid
-# replications against 1.9 ms.  Without an explicit worker count no worker
-# gets fewer items than this.
+# replications against 1.9 ms.  No worker gets fewer items than this.
 MIN_SLICE = 20
 
 # (pid, write end of its request pipe, read end of its reply pipe), in
@@ -59,13 +58,7 @@ def default_workers(items: int) -> int:
     return max(1, min(cpus, items // MIN_SLICE))
 
 
-def check_workers(workers: Optional[int]) -> None:
-    """Raise ValueError unless `workers` is None or an int >= 1 (not a bool)."""
-    if workers is not None and (type(workers) is not int or workers < 1):
-        raise ValueError(f"workers must be None or an int >= 1, got {workers!r}")
-
-
-def split_call(fn: Callable[..., list], args: tuple, n: int, workers: Optional[int] = None) -> list:
+def split_call(fn: Callable[..., list], args: tuple, n: int) -> list:
     """``fn(*args, 0, n)``, computed as ``fn(*args, lo, hi)`` over
     contiguous slices of ``range(n)`` and joined in order.
 
@@ -73,16 +66,13 @@ def split_call(fn: Callable[..., list], args: tuple, n: int, workers: Optional[i
     first slice, and each other slice runs in a persistent worker that looks
     `fn` up by module and qualified name.  `args` and the results must be
     values ``marshal`` can write (numbers, strings, None, and tuples or
-    lists of them).  ``workers=None`` takes :func:`default_workers`; an
-    explicit count is capped only by `n`.  An error in a worker is raised
-    again here with its type and message.  After any error every worker is
-    killed and reaped.  Runs serially where ``os.fork`` is missing, in a
-    worker, or while other threads run, since forking is unsafe then.
+    lists of them).  The worker count is :func:`default_workers` of `n`,
+    capped by `n`.  An error in a worker is raised again here with its type
+    and message.  After any error every worker is killed and reaped.  Runs
+    serially where ``os.fork`` is missing, in a worker, or while other
+    threads run, since forking is unsafe then.
     """
-    check_workers(workers)
-    if workers is None:
-        workers = default_workers(n)
-    workers = min(workers, n)
+    workers = min(default_workers(n), n)
     if workers <= 1 or _in_worker or not hasattr(os, "fork") or threading.active_count() > 1:
         return fn(*args, 0, n)
 

@@ -13,17 +13,21 @@ the discrete mode of the node hardware's 362-level random generator.  It
 draws one stream per seed from the standard library's random.Random and keeps
 the two smallest backoffs of each run.
 
-Election is harsher than the closed form on purpose: any pair of answers that
-start within D of each other destroy each other, and the requester picks the
-earliest survivor, which may not carry the minimum metric.
+One reception rule serves the flood and the ACK election (`lost`): a
+reception is lost when another transmission the receiver hears overlaps it.
+The election applies it at the requester, which hears every answer for one
+ACK duration from its backoff.  So any two answers that start within D of
+each other are both lost, and the requester picks the earliest answer it
+keeps, which may not carry the minimum metric; the closed form prices the
+earliest answer only.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .core import Metric, NodeId
 
@@ -130,38 +134,28 @@ def ack_backoff(metric: Metric, metric_max: Metric, window_us: float) -> float:
     return window_us * metric / metric_max
 
 
-@dataclass
-class AckEvent:
-    node: NodeId
-    metric: Metric
-    backoff_us: float
-    lost: bool = False
+def lost(heard: Iterable[Tuple[float, float]], start: float, end: float) -> bool:
+    """Whether a reception of [start, end) is lost.
 
-
-@dataclass
-class ElectionResult:
-    winner: Optional[NodeId]
-    acks: List[AckEvent] = field(default_factory=list)
-    correct: bool = False
-
-
-def elect_next_hop(acks: Sequence[AckEvent], block_us: float) -> ElectionResult:
-    """Resolve a contention round: pairwise losses, then earliest survivor.
-
-    Any two answers starting strictly within block_us of each other are both
-    lost; answers already flagged lost stay lost.  The winner is the
-    surviving answer with the smallest backoff, and the election is `correct`
-    when the winner also carries the minimum metric of the whole input.
+    `heard` holds the (start, end) of every transmission the receiver hears,
+    the received one included; the reception is lost when a second one
+    overlaps it.  Spans that only touch do not overlap.
     """
-    resolved = [replace(a) for a in acks]
-    for i, a in enumerate(resolved):
-        for b in resolved[i + 1 :]:
-            if abs(a.backoff_us - b.backoff_us) < block_us:
-                a.lost = True
-                b.lost = True
-    alive = [a for a in resolved if not a.lost]
-    if not alive:
-        return ElectionResult(winner=None, acks=resolved, correct=False)
-    winner = min(alive, key=lambda a: (a.backoff_us, a.node))
-    best_metric = min(a.metric for a in resolved)
-    return ElectionResult(winner=winner.node, acks=resolved, correct=winner.metric == best_metric)
+    overlapping = 0
+    for s, e in heard:
+        if s < end and e > start:
+            overlapping += 1
+    return overlapping > 1
+
+
+def elect_next_hop(answers: Sequence[Tuple[NodeId, float]], ack_us: float) -> Optional[NodeId]:
+    """Resolve a contention round at the requester; the winner or None.
+
+    `answers` are (node, backoff_us) pairs, and the requester hears each
+    answer from its backoff for `ack_us`.  The winner is the answer with the
+    smallest (backoff, node) among those that `lost` keeps; None when every
+    answer is lost.
+    """
+    heard = [(b, b + ack_us) for _, b in answers]
+    kept = [(b, node) for node, b in answers if not lost(heard, b, b + ack_us)]
+    return min(kept)[1] if kept else None

@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
 from .flight import MAX_PASSES, ConfigError, _first_cca_catch, _flight, _strip
 from .flood import FloodEngine, FloodReport
-from .forkmap import check_workers, split_call
+from .forkmap import split_call
 from .frames import MAX_ADDRESS_COUNT
 from .mac import ack_backoff
 from .presets import (
@@ -353,14 +353,7 @@ def _random_graph_setup(
     return setup
 
 
-def random_graph_point(
-    degree: float,
-    speed: float,
-    runs: int,
-    seed: int,
-    *,
-    workers: Optional[int] = None,
-) -> SweepPoint:
+def random_graph_point(degree: float, speed: float, runs: int, seed: int) -> SweepPoint:
     """One point of the random-graph sweep.
 
     Nodes are placed uniformly on the RANDOM_FIELD_M square with range
@@ -390,21 +383,20 @@ def random_graph_point(
     MAX_NODES (see :func:`nodes_for_degree`); a speed of 0 walks against a
     static sink, which a bounce at speed 0 is.
 
-    The walks run in contiguous slices over `workers` processes: the caller
-    walks the first, and each persistent forked worker is sent the point's
-    arguments and its slice (:func:`sinksim.forkmap.split_call`).  ``None``
-    takes the CPUs available, with at least MIN_SLICE replications per
-    worker.  Every process draws the set-up into its own memo and grows the
-    tours of the replications it walks there, so the caller's memo holds
-    the tours of its own slice.  The point is bit-identical for any worker
+    The walks run in contiguous slices, one per process: the caller walks
+    the first, and each persistent forked worker is sent the point's
+    arguments and its slice (:func:`sinksim.forkmap.split_call`).  There is
+    a process for each CPU available, with at least MIN_SLICE replications
+    per worker.  Every process draws the set-up into its own memo and grows
+    the tours of the replications it walks there, so the caller's memo
+    holds the tours of its own slice.  The point is bit-identical for any worker
     count and any order of the speeds.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
-    check_workers(workers)
     _check_speed(speed)
     n = nodes_for_degree(degree)
-    outcomes = split_call(_random_graph_walks, (n, speed, runs, seed), runs, workers)
+    outcomes = split_call(_random_graph_walks, (n, speed, runs, seed), runs)
     return _sweep_point("bounce", speed, degree, outcomes)
 
 
@@ -447,7 +439,6 @@ def grid_point(
     seed: int,
     *,
     coord_mode: str = "virtual",
-    workers: Optional[int] = None,
 ) -> SweepPoint:
     """One point of the regular-grid crossing sweep.
 
@@ -459,7 +450,7 @@ def grid_point(
     sink's position as destination.
 
     Each replication's source and coordinate seed are drawn in the order of
-    a serial sweep, and the walks run in `workers` slices as in
+    a serial sweep, and the walks run in slices as in
     :func:`random_graph_point` (:func:`_crossing_walks`): the point is
     bit-identical for any worker count.
     """
@@ -469,21 +460,18 @@ def grid_point(
         raise ValueError(f"unknown coordinate mode {coord_mode!r}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
-    check_workers(workers)
     _check_speed(speed)
     args = ((mobility,), speed, seed, coord_mode == "virtual")
-    return _sweep_point(mobility, speed, None, split_call(_crossing_walks, args, runs, workers))
+    return _sweep_point(mobility, speed, None, split_call(_crossing_walks, args, runs))
 
 
-def grid_crossing_hops(
-    runs: int, seed: int, *, workers: Optional[int] = None
-) -> Tuple[float, float]:
+def grid_crossing_hops(runs: int, seed: int) -> Tuple[float, float]:
     """Delivered-only mean hop count of the reference grid crossing.
 
     Pools edge and diagonal crossings at the reference per-round speed over
     per-replication random virtual coordinates; returns (mean, ci95).  The
     sources and coordinate seeds are drawn, and the walks split across
-    `workers`, as in :func:`grid_point`, bit-identical for any count.
+    processes, as in :func:`grid_point`, bit-identical for any count.
 
     No `route-sim` preset writes this figure; it stays a function of its own
     because it is criterion 9's reference.  That criterion pools the two
@@ -493,9 +481,8 @@ def grid_crossing_hops(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs!r}")
-    check_workers(workers)
     args = (tuple(_CROSSING_ENDS), GRID_CROSSING_SPEED, seed, True)
-    outcomes = split_call(_crossing_walks, args, runs, workers)
+    outcomes = split_call(_crossing_walks, args, runs)
     return mean_ci([h for _, h in outcomes if h is not None])
 
 

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from fresh_python import run_python
+from sinksim import forkmap
 from sinksim.forkmap import MIN_SLICE, close_workers, default_workers, split_call
 
 CALLER = os.getpid()
@@ -16,6 +17,16 @@ def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return True
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the worker count that split_call takes in place of the default."""
+
+    def use(count):
+        monkeypatch.setattr(forkmap, "default_workers", lambda items: count)
+
+    return use
 
 
 def _gone(pid):
@@ -59,8 +70,9 @@ def _fail_in_the_caller(lo, hi):
     return [os.getpid()]
 
 
-def test_the_first_slice_runs_here_and_the_rest_in_children():
-    out = split_call(_pids, (), 8, 3)
+def test_the_first_slice_runs_here_and_the_rest_in_children(workers):
+    workers(3)
+    out = split_call(_pids, (), 8)
     assert [i for i, _ in out] == list(range(8))
     pids = [pid for _, pid in out]
     assert pids[:2] == [CALLER] * 2  # slices 0-1, 2-4 and 5-7
@@ -70,18 +82,22 @@ def test_the_first_slice_runs_here_and_the_rest_in_children():
 
 
 @pytest.mark.parametrize("items", [0, 1, 2, 5, 7, 300])
-@pytest.mark.parametrize("workers", [1, 2, 3, 4, None])
-def test_the_result_is_the_serial_map(items, workers):
-    assert split_call(_rows, (), items, workers) == _rows(0, items)
+@pytest.mark.parametrize("count", [1, 2, 3, 4, None])
+def test_the_result_is_the_serial_map(workers, items, count):
+    if count is not None:
+        workers(count)
+    assert split_call(_rows, (), items) == _rows(0, items)
 
 
-def test_consecutive_calls_are_served_by_the_same_workers():
-    first = split_call(_pids, (), 6, 3)
-    second = split_call(_pids, (), 6, 3)
+def test_consecutive_calls_are_served_by_the_same_workers(workers):
+    workers(3)
+    first = split_call(_pids, (), 6)
+    second = split_call(_pids, (), 6)
     assert first == second
     assert len({pid for _, pid in first} - {CALLER}) == 2
     # A smaller call is served by the first of them.
-    assert split_call(_pids, (), 4, 2)[2:] == first[2:4]
+    workers(2)
+    assert split_call(_pids, (), 4)[2:] == first[2:4]
     assert _no_child_left()
 
 
@@ -92,13 +108,14 @@ def test_the_default_count_keeps_every_slice_at_the_minimum():
     assert default_workers(1000 * MIN_SLICE) == cpus
 
 
-def test_it_runs_serially_while_other_threads_run():
+def test_it_runs_serially_while_other_threads_run(workers):
     close_workers()
+    workers(2)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        out = split_call(_pids, (), 4, 2)
+        out = split_call(_pids, (), 4)
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -107,43 +124,41 @@ def test_it_runs_serially_while_other_threads_run():
     assert _no_child_left()
 
 
-def test_a_worker_count_below_one_is_an_error():
-    # so is any count that is not an int, a bool included
-    for workers in (0, -1, 2.5, True, "2"):
-        with pytest.raises(ValueError, match="workers"):
-            split_call(_pids, (), 2, workers)
-
-
-def test_errors_that_cannot_be_rebuilt_and_silent_exits_are_reported():
+def test_errors_that_cannot_be_rebuilt_and_silent_exits_are_reported(workers):
+    workers(2)
     with pytest.raises(RuntimeError, match="^_NotRebuilt: 1 and 2$"):
-        split_call(_fail_in_a_worker, ("not rebuilt",), 2, 2)
+        split_call(_fail_in_a_worker, ("not rebuilt",), 2)
     with pytest.raises(RuntimeError, match="ended with status 768 and no result"):
-        split_call(_fail_in_a_worker, ("exit",), 2, 2)
+        split_call(_fail_in_a_worker, ("exit",), 2)
     assert _no_child_left()
 
 
-def test_a_result_marshal_cannot_write_is_an_error_in_the_caller():
+def test_a_result_marshal_cannot_write_is_an_error_in_the_caller(workers):
+    workers(2)
     with pytest.raises(ValueError, match="unmarshallable"):
-        split_call(_fail_in_a_worker, ("unwritable",), 2, 2)
+        split_call(_fail_in_a_worker, ("unwritable",), 2)
     assert _no_child_left()
 
 
-def test_a_worker_error_ends_the_workers_and_the_next_call_forks_fresh_ones():
-    pids = {pid for _, pid in split_call(_pids, (), 2, 2)} - {CALLER}
+def test_a_worker_error_ends_the_workers_and_the_next_call_forks_fresh_ones(workers):
+    workers(2)
+    pids = {pid for _, pid in split_call(_pids, (), 2)} - {CALLER}
     with pytest.raises(ValueError, match="^slice 1-2 failed$"):
-        split_call(_fail_in_a_worker, ("value",), 2, 2)
+        split_call(_fail_in_a_worker, ("value",), 2)
     assert all(_gone(pid) for pid in pids)
-    assert split_call(_pids, (), 2, 2)[0] == (0, CALLER)
-    assert split_call(_rows, (), 9, 2) == _rows(0, 9)
+    assert split_call(_pids, (), 2)[0] == (0, CALLER)
+    assert split_call(_rows, (), 9) == _rows(0, 9)
     assert _no_child_left()
 
 
-def test_a_caller_error_ends_the_workers_and_the_next_call_forks_fresh_ones():
-    pids = {pid for _, pid in split_call(_pids, (), 2, 2)} - {CALLER}
+def test_a_caller_error_ends_the_workers_and_the_next_call_forks_fresh_ones(workers):
+    workers(2)
+    pids = {pid for _, pid in split_call(_pids, (), 2)} - {CALLER}
     with pytest.raises(ValueError, match="^the caller's slice failed$"):
-        split_call(_fail_in_the_caller, (), 2, 2)
+        split_call(_fail_in_the_caller, (), 2)
     assert all(_gone(pid) for pid in pids)
-    assert split_call(_rows, (), 9, 3) == _rows(0, 9)
+    workers(3)
+    assert split_call(_rows, (), 9) == _rows(0, 9)
     assert _no_child_left()
 
 
@@ -154,7 +169,8 @@ EXIT_PROBE = """
 import os, sys
 from sinksim import forkmap
 from sinksim.scenario import grid_point
-grid_point("edge", 4, 60, 1, workers=3)
+forkmap.default_workers = lambda items: 3
+grid_point("edge", 4, 60, 1)
 print(*(pid for pid, _, _ in forkmap._workers), flush=True)
 if sys.argv[1] == "os._exit":
     os._exit(0)

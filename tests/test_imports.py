@@ -161,15 +161,21 @@ TEST_FACING_FIELDS = {
         "the overlap record of ROADMAP item 3: active time clipped where one node's "
         "spans overlap, which only the tests read until each node has one radio"
     ),
-    **{
-        ("mac", "ElectionResult", name): "the ACK election that the routing walk is to run (ROADMAP item 2)"
-        for name in ("winner", "acks", "correct")
-    },
     ("routing", "RouteResult", "outcome"): (
         "the split between missed and failed walks that the README states; the sweeps "
         "and the scenario tell only delivered walks from the rest"
     ),
 }
+
+
+def non_test_sources():
+    """The Python files of src/sinksim, scripts/ and bench/."""
+    root = SRC.parent
+    return [
+        *sorted((SRC / "sinksim").glob("*.py")),
+        *sorted((root / "scripts").glob("*.py")),
+        *sorted((root / "bench").glob("*.py")),
+    ]
 
 
 def test_every_sinksim_definition_has_a_caller_outside_the_tests():
@@ -179,12 +185,7 @@ def test_every_sinksim_definition_has_a_caller_outside_the_tests():
     # counts as referenced for both.  An annotated class field needs an
     # `obj.field` load of its name anywhere in those files, its own class
     # included; a local or a parameter of the same name reads no field.
-    root = SRC.parent
-    paths = [
-        *sorted((SRC / "sinksim").glob("*.py")),
-        *sorted((root / "scripts").glob("*.py")),
-        *sorted((root / "bench").glob("*.py")),
-    ]
+    paths = non_test_sources()
     definitions = []  # (module, name, where)
     fields = []  # (module, class, field)
     loaded = {}  # name -> every (path, top-level statement index) loading it
@@ -215,6 +216,31 @@ def test_every_sinksim_definition_has_a_caller_outside_the_tests():
     assert unreferenced == set(TEST_FACING)
     assert len(fields) > 90
     assert {f for f in fields if f[2] not in read_fields} == set(TEST_FACING_FIELDS)
+
+
+# Keyword-only parameters of sinksim functions that no call outside the tests
+# passes, each with the reason it stays.
+TEST_ONLY_KEYWORDS = {}
+
+
+def test_every_keyword_only_parameter_is_passed_outside_the_tests():
+    # A keyword-only parameter is passed when a call in src/sinksim, scripts/
+    # or bench/ names it as a keyword and calls a name or attribute of the
+    # function's own name; names are matched, not resolved.  A knob that
+    # only tests turn shows up here.
+    parameters = []  # (module, function, parameter)
+    passed = set()  # (called name, keyword)
+    for path in non_test_sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if path.parent.name == "sinksim" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                parameters += [(path.stem, node.name, arg.arg) for arg in node.args.kwonlyargs]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed |= {(called, keyword.arg) for keyword in node.keywords}
+    assert len(parameters) >= 6
+    unpassed = {(module, name, arg) for module, name, arg in parameters if (name, arg) not in passed}
+    assert unpassed == set(TEST_ONLY_KEYWORDS)
 
 
 def load_bench_module(name):

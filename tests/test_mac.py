@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.mac import (
-    AckEvent,
     ContentionConfig,
     ack_backoff,
     collision_probability,
     elect_next_hop,
+    lost,
     simulate_collision,
 )
 
@@ -165,54 +165,95 @@ def test_ack_backoff_monotone_in_metric(metrics):
     assert all(a <= b + 1e-9 for a, b in zip(backoffs, backoffs[1:]))
 
 
+def losses(answers, ack_us):
+    """Which answers the requester loses, hearing each for ack_us."""
+    heard = [(b, b + ack_us) for _, b in answers]
+    return [lost(heard, b, b + ack_us) for _, b in answers]
+
+
 def test_election_well_separated():
-    acks = [
-        AckEvent(1, 10.0, 1_000.0),
-        AckEvent(2, 50.0, 5_000.0),
-        AckEvent(3, 90.0, 9_000.0),
-    ]
-    result = elect_next_hop(acks, 480)
-    assert result.winner == 1
-    assert result.correct
-    assert not any(a.lost for a in result.acks)
+    metrics = {1: 10.0, 2: 50.0, 3: 90.0}
+    answers = [(1, 1_000.0), (2, 5_000.0), (3, 9_000.0)]
+    winner = elect_next_hop(answers, 480)
+    assert winner == 1
+    assert winner == min(metrics, key=metrics.get)
+    assert losses(answers, 480) == [False] * 3
 
 
 def test_election_pairwise_destruction():
-    acks = [AckEvent(1, 10.0, 1_000.0), AckEvent(2, 20.0, 1_200.0)]
-    result = elect_next_hop(acks, 480)
-    assert result.winner is None
-    assert all(a.lost for a in result.acks)
-    assert not result.correct
+    answers = [(1, 1_000.0), (2, 1_200.0)]
+    assert elect_next_hop(answers, 480) is None
+    assert losses(answers, 480) == [True, True]
 
 
 def test_election_single_ack_wins():
-    result = elect_next_hop([AckEvent(9, 42.0, 2_000.0)], 480)
-    assert result.winner == 9
-    assert result.correct
+    assert elect_next_hop([(9, 2_000.0)], 480) == 9
 
 
 def test_election_third_survivor_is_incorrect():
-    acks = [
-        AckEvent(1, 10.0, 1_000.0),
-        AckEvent(2, 11.0, 1_100.0),
-        AckEvent(3, 99.0, 9_000.0),
-    ]
-    result = elect_next_hop(acks, 480)
-    assert result.winner == 3
-    assert not result.correct
+    metrics = {1: 10.0, 2: 11.0, 3: 99.0}
+    winner = elect_next_hop([(1, 1_000.0), (2, 1_100.0), (3, 9_000.0)], 480)
+    assert winner == 3
+    assert winner != min(metrics, key=metrics.get)
 
 
-def test_election_keeps_preexisting_losses():
-    acks = [AckEvent(1, 10.0, 1_000.0, lost=True), AckEvent(2, 20.0, 9_000.0)]
-    result = elect_next_hop(acks, 480)
-    assert result.winner == 2
-    assert result.acks[0].lost
+def test_a_reception_alone_is_kept():
+    assert not lost([(0, 480)], 0, 480)
+    assert not lost([], 0, 480)
+    assert elect_next_hop([(5, 0)], 480) == 5
 
 
-def test_election_does_not_mutate_input():
-    acks = [AckEvent(1, 10.0, 1_000.0), AckEvent(2, 20.0, 1_200.0)]
-    elect_next_hop(acks, 480)
-    assert not acks[0].lost and not acks[1].lost
+def test_spans_that_only_touch_do_not_overlap():
+    heard = [(0, 480), (480, 960)]
+    assert not lost(heard, 0, 480)
+    assert not lost(heard, 480, 960)
+    assert lost(heard + [(479, 959)], 480, 960)
+
+
+def test_answers_one_ack_apart_both_survive():
+    answers = [(2, 1_000), (1, 1_480)]
+    assert losses(answers, 480) == [False, False]
+    assert elect_next_hop(answers, 480) == 2
+
+
+def test_answers_just_under_one_ack_apart_are_both_lost():
+    answers = [(2, 1_000), (1, 1_479)]
+    assert losses(answers, 480) == [True, True]
+    assert elect_next_hop(answers, 480) is None
+    # a third answer well apart wins, whatever its id
+    assert elect_next_hop(answers + [(7, 5_000)], 480) == 7
+
+
+def pairwise_election(answers, ack_us):
+    """Both answers of any pair that start strictly within ack_us of each
+    other are lost; the earliest survivor wins, ties to the smaller id."""
+    destroyed = set()
+    for i, (_, a) in enumerate(answers):
+        for j, (_, b) in enumerate(answers[:i]):
+            if abs(a - b) < ack_us:
+                destroyed |= {i, j}
+    survivors = [(b, node) for k, (node, b) in enumerate(answers) if k not in destroyed]
+    return min(survivors)[1] if survivors else None
+
+
+@st.composite
+def contention_rounds(draw):
+    # 1-7 answers with distinct ids, their backoffs drawn from a pool no
+    # larger than the round, so that exact ties are frequent
+    n = draw(st.integers(1, 7))
+    ids = draw(st.lists(st.integers(-2, 400), min_size=n, max_size=n, unique=True))
+    pool = draw(st.lists(st.integers(0, 3_000), min_size=1, max_size=n))
+    answers = [(node, draw(st.sampled_from(pool))) for node in ids]
+    # at ack_us = 0 (d_ack = 0 passes validate_constants) nothing is lost,
+    # and only there can two answers kept tie
+    return answers, draw(st.integers(0, 1_000))
+
+
+@settings(max_examples=300)
+@given(contention_rounds())
+def test_the_election_is_the_pairwise_rule(round_):
+    answers, ack_us = round_
+    assert elect_next_hop(answers, ack_us) == pairwise_election(answers, ack_us)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -226,8 +267,8 @@ def test_election_misses_the_earliest_answer_at_the_closed_form(n):
     missed = 0
     for _ in range(runs):
         backoffs = [rnd.uniform(0, c.w_rr) for _ in range(n)]
-        acks = [AckEvent(i, b, b) for i, b in enumerate(backoffs)]
-        missed += elect_next_hop(acks, c.d_ack).winner != backoffs.index(min(backoffs))
+        answers = list(enumerate(backoffs))
+        missed += elect_next_hop(answers, c.d_ack) != backoffs.index(min(backoffs))
     p = collision_probability(ContentionConfig(c.w_rr, c.d_ack, n))
     assert abs(missed / runs - p) <= 4 * math.sqrt(p * (1 - p) / runs)
 
@@ -238,8 +279,5 @@ def test_metric_order_preserved_when_no_overlap(metrics):
     # unique integer metrics map to backoffs at least one 83 us slot apart,
     # so with a smaller blocking width nothing is lost and the metric argmin
     # must win
-    acks = [AckEvent(i, m, ack_backoff(m, 361, 30_000)) for i, m in enumerate(metrics)]
-    result = elect_next_hop(acks, block_us=50.0)
-    assert result.winner is not None
-    assert result.correct
-
+    answers = [(i, ack_backoff(m, 361, 30_000)) for i, m in enumerate(metrics)]
+    assert elect_next_hop(answers, 50.0) == metrics.index(min(metrics))

@@ -6,11 +6,11 @@ import random
 from itertools import islice, repeat
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fresh_python import run_python
-from sinksim import flight, radio, routing, scenario, timelines
+from sinksim import flight, forkmap, radio, routing, scenario, timelines
 from sinksim.core import DEFAULT_CONSTANTS
 from sinksim.energy import integrate_timeline
 from sinksim.flight import _hearers
@@ -47,6 +47,17 @@ def fresh_workers():
     close_workers()
     yield
     close_workers()
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the count of processes a sweep point splits over; None restores
+    the default."""
+
+    def use(count):
+        monkeypatch.setattr(forkmap, "default_workers", default_workers if count is None else lambda items: count)
+
+    return use
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +311,7 @@ def test_a_replayed_crossing_is_the_line_track_stepped(crossing, speed):
             next(states)
 
 
-def test_the_grid_sweeps_make_one_line_track_per_crossing(fresh_workers, monkeypatch):
+def test_the_grid_sweeps_make_one_line_track_per_crossing(fresh_workers, monkeypatch, workers):
     made = []
 
     def counted(start, end, speed, steps):
@@ -308,16 +319,17 @@ def test_the_grid_sweeps_make_one_line_track_per_crossing(fresh_workers, monkeyp
         return line_crossing(start, end, speed, steps)
 
     monkeypatch.setattr(scenario, "line_crossing", counted)
-    for point in (
-        lambda: grid_point("edge", 3, 250, 1, workers=1),
-        lambda: grid_point("diagonal", 0.7, 120, 2, coord_mode="physical", workers=1),
-        lambda: grid_point("diagonal", 4, 101, 3, workers=2),
+    for count, point in (
+        (1, lambda: grid_point("edge", 3, 250, 1)),
+        (1, lambda: grid_point("diagonal", 0.7, 120, 2, coord_mode="physical")),
+        (2, lambda: grid_point("diagonal", 4, 101, 3)),
     ):
+        workers(count)
         made.clear()
         point()
         assert len(made) == 1
     made.clear()
-    grid_crossing_hops(301, 4, workers=2)
+    grid_crossing_hops(301, 4)
     assert sorted(end for _, end, _ in made) == [(GRID_FIELD_M, 0.0), (GRID_FIELD_M, GRID_FIELD_M)]
 
 
@@ -1199,22 +1211,22 @@ ROTATION_CHANGES = {
 }
 
 
-def changed_grid_rotations(label=lambda nid: nid, shift=(0.0, 0.0)):
-    """Every rotation of the 6x6 grid at 25 m (each query node, seed = query
-    node, without and with collisions), on the grid relabelled by `label` and
-    moved by `shift`: its outputs with the ids mapped back, or the
-    ConfigError's message."""
-    g = grid_topology(6, 25.0)
+def changed_rotations(positions, range_m, runs, bs_position, label=lambda nid: nid, shift=(0, 0)):
+    """The rotations of `runs`, (query node, seed) pairs, each without and
+    with collisions, on the UDG of `positions` relabelled by `label` and
+    moved with its base station by `shift`: each one's phase stamps, path,
+    relays, horizon, clipped time, totals and a hash of every span with the
+    ids mapped back, or the ConfigError's message."""
     dx, dy = shift
-    topo = build_udg({label(nid): (x + dx, y + dy) for nid, (x, y) in g.positions.items()}, 25.0)
-    back = {label(nid): nid for nid in g.positions}
+    topo = build_udg({label(nid): (x + dx, y + dy) for nid, (x, y) in positions.items()}, range_m)
+    back = {label(nid): nid for nid in positions}
     back.update({BS_ID: BS_ID, MS_ID: MS_ID})
-    bs_x, bs_y = ScenarioConfig(topology=g, query_node=0).bs_position
+    bs_x, bs_y = bs_position
     rows = []
-    for query in sorted(g.positions):
+    for query, seed in runs:
         for collisions in (False, True):
             cfg = ScenarioConfig(
-                topology=topo, query_node=label(query), seed=query, collisions=collisions,
+                topology=topo, query_node=label(query), seed=seed, collisions=collisions,
                 bs_position=(bs_x + dx, bs_y + dy),
             )
             try:
@@ -1223,13 +1235,24 @@ def changed_grid_rotations(label=lambda nid: nid, shift=(0.0, 0.0)):
                 rows.append(str(exc))
                 continue
             view = report.timeline
+            spans = sorted((back[nid], node_spans) for nid, node_spans in view.spans().items())
             rows.append((
                 report.phase_times_us, [back[nid] for nid in report.route.path],
                 [(back[nid], t) for nid, t in report.flood.transmissions], report.horizon_us,
                 {back[nid]: us for nid, us in view.clipped_us.items()},
                 [(back[nid], list(states.items())) for nid, states in view.totals.items()],
+                hashlib.sha256(repr(spans).encode()).hexdigest(),
             ))
     return rows
+
+
+def changed_grid_rotations(label=lambda nid: nid, shift=(0.0, 0.0)):
+    """Every rotation of the 6x6 grid at 25 m, each query node with seed =
+    query node, changed as :func:`changed_rotations` states."""
+    g = grid_topology(6, 25.0)
+    runs = [(query, query) for query in sorted(g.positions)]
+    bs_position = ScenarioConfig(topology=g, query_node=0).bs_position
+    return changed_rotations(g.positions, 25.0, runs, bs_position, label, shift)
 
 
 @pytest.fixture(scope="module")
@@ -1243,6 +1266,27 @@ def unchanged_grid_rotations():
 def test_a_rotation_does_not_depend_on_the_id_values_or_the_place(change, unchanged_grid_rotations):
     label, shift = ROTATION_CHANGES[change]
     assert changed_grid_rotations(label, shift) == unchanged_grid_rotations
+
+
+@st.composite
+def udg_rotation_cases(draw):
+    # 3-30 nodes at integer coordinates of a 120 m square, ids spread over
+    # 0-60, an integer range, a query node and a seed
+    n = draw(st.integers(3, 30))
+    ids = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))
+    xy = st.tuples(st.integers(0, 120), st.integers(0, 120))
+    positions = {nid: draw(xy) for nid in ids}
+    return positions, draw(st.integers(15, 60)), draw(st.sampled_from(ids)), draw(st.integers(0, 2**16))
+
+
+@pytest.mark.parametrize("change", sorted(ROTATION_CHANGES))
+@settings(max_examples=60, deadline=None)
+@given(case=udg_rotation_cases())
+def test_a_rotation_on_a_random_udg_does_not_depend_on_the_id_values_or_the_place(change, case):
+    positions, range_m, query, seed = case
+    label, shift = ROTATION_CHANGES[change]
+    unchanged = changed_rotations(positions, range_m, [(query, seed)], (-80, 40))
+    assert changed_rotations(positions, range_m, [(query, seed)], (-80, 40), label, shift) == unchanged
 
 
 def clear_rotation_memos():
@@ -1527,7 +1571,7 @@ def test_random_graph_point_smoke():
     assert 0.0 <= pt.miss_ratio <= 1.0
 
 
-def test_the_sweeps_decide_through_the_one_rule(monkeypatch):
+def test_the_sweeps_decide_through_the_one_rule(monkeypatch, workers):
     # Counts of routing.next_hop_3rule calls recorded when every new tour entry
     # was one call of the module's rule.  A sweep that walked without it, or
     # called it for entries a tour already holds, would change them.  The
@@ -1541,13 +1585,14 @@ def test_the_sweeps_decide_through_the_one_rule(monkeypatch):
 
     monkeypatch.setattr(routing, "next_hop_3rule", counted)
     monkeypatch.setattr(scenario, "_SETUP_CACHE", {})
+    workers(1)
     points = [
-        (lambda: grid_point("edge", 2, 150, 5, workers=1), 1902),
-        (lambda: grid_point("diagonal", 8, 150, 6, workers=1), 1286),
-        (lambda: grid_point("diagonal", 3, 100, 7, coord_mode="physical", workers=1), 272),
-        (lambda: random_graph_point(6, 10, 60, 8, workers=1), 793),
-        (lambda: random_graph_point(6, 25, 60, 8, workers=1), 110),
-        (lambda: random_graph_point(6, 0, 60, 8, workers=1), 102),
+        (lambda: grid_point("edge", 2, 150, 5), 1902),
+        (lambda: grid_point("diagonal", 8, 150, 6), 1286),
+        (lambda: grid_point("diagonal", 3, 100, 7, coord_mode="physical"), 272),
+        (lambda: random_graph_point(6, 10, 60, 8), 793),
+        (lambda: random_graph_point(6, 25, 60, 8), 110),
+        (lambda: random_graph_point(6, 0, 60, 8), 102),
     ]
     counts = []
     for point, _ in points:
@@ -1653,15 +1698,15 @@ def test_the_set_up_tests_only_a_strip_but_draws_as_if_it_tested_every_node(n, f
 # Calls whose replications split unevenly over 2 and 3 workers, and counts
 # below both the worker count and the default minimum slice.
 WORKER_COUNT_CALLS = {
-    "random-graph-37": lambda w: random_graph_point(4, 25, 37, 3, workers=w),
-    "random-graph-2": lambda w: random_graph_point(5, 10, 2, 2, workers=w),
-    "random-graph-static": lambda w: random_graph_point(7, 0, 41, 4, workers=w),
-    "grid-virtual-250": lambda w: grid_point("edge", 4, 250, 9, workers=w),
-    "grid-virtual-1": lambda w: grid_point("diagonal", 2, 1, 9, workers=w),
-    "grid-physical-103": lambda w: grid_point("diagonal", 8, 103, 5, coord_mode="physical", workers=w),
-    "grid-physical-5": lambda w: grid_point("edge", 1, 5, 5, coord_mode="physical", workers=w),
-    "grid-crossing-301": lambda w: grid_crossing_hops(301, 4, workers=w),
-    "grid-crossing-7": lambda w: grid_crossing_hops(7, 4, workers=w),
+    "random-graph-37": lambda: random_graph_point(4, 25, 37, 3),
+    "random-graph-2": lambda: random_graph_point(5, 10, 2, 2),
+    "random-graph-static": lambda: random_graph_point(7, 0, 41, 4),
+    "grid-virtual-250": lambda: grid_point("edge", 4, 250, 9),
+    "grid-virtual-1": lambda: grid_point("diagonal", 2, 1, 9),
+    "grid-physical-103": lambda: grid_point("diagonal", 8, 103, 5, coord_mode="physical"),
+    "grid-physical-5": lambda: grid_point("edge", 1, 5, 5, coord_mode="physical"),
+    "grid-crossing-301": lambda: grid_crossing_hops(301, 4),
+    "grid-crossing-7": lambda: grid_crossing_hops(7, 4),
 }
 
 
@@ -1674,11 +1719,13 @@ def _no_child_left():
 
 
 @pytest.mark.parametrize("name", sorted(WORKER_COUNT_CALLS))
-def test_sweep_points_do_not_depend_on_the_worker_count(name):
+def test_sweep_points_do_not_depend_on_the_worker_count(workers, name):
     call = WORKER_COUNT_CALLS[name]
-    serial = call(1)
-    for workers in (2, 3, None):
-        assert call(workers) == serial
+    workers(1)
+    serial = call()
+    for count in (2, 3, None):
+        workers(count)
+        assert call() == serial
     assert _no_child_left()
 
 
@@ -1697,25 +1744,27 @@ PINNED_GRID_POINTS = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_grid_points_are_pinned(workers):
+@pytest.mark.parametrize("count", [1, 3])
+def test_grid_points_are_pinned(workers, count):
+    workers(count)
     for (mobility, speed, runs, seed, mode), pinned in PINNED_GRID_POINTS.items():
-        pt = grid_point(mobility, speed, runs, seed, coord_mode=mode, workers=workers)
+        pt = grid_point(mobility, speed, runs, seed, coord_mode=mode)
         fields = (pt.mean_restarts, pt.restarts_ci95, pt.mean_hops, pt.hops_ci95, pt.miss_ratio)
         assert fields == pinned
-    assert grid_crossing_hops(301, 4, workers=workers) == (8.643122676579926, 0.858149555686788)
+    assert grid_crossing_hops(301, 4) == (8.643122676579926, 0.858149555686788)
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_pinned_points_hold_on_the_parallel_path_from_a_cold_cache(workers):
+@pytest.mark.parametrize("count", [2, 3])
+def test_pinned_points_hold_on_the_parallel_path_from_a_cold_cache(workers, count):
+    workers(count)
     scenario._SETUP_CACHE.clear()
     for args in sorted(PINNED_RANDOM_GRAPH_POINTS):
-        pt = random_graph_point(*args, workers=workers)
+        pt = random_graph_point(*args)
         fields = (pt.mean_restarts, pt.restarts_ci95, pt.mean_hops, pt.hops_ci95, pt.miss_ratio)
         assert fields == PINNED_RANDOM_GRAPH_POINTS[args]
 
 
-def test_a_child_error_is_raised_in_the_caller(fresh_workers, monkeypatch):
+def test_a_child_error_is_raised_in_the_caller(fresh_workers, monkeypatch, workers):
     parent = os.getpid()
     real_route = scenario.route
 
@@ -1725,12 +1774,13 @@ def test_a_child_error_is_raised_in_the_caller(fresh_workers, monkeypatch):
         return real_route(*args, **kwargs)
 
     monkeypatch.setattr(scenario, "route", route_failing_in_children)
+    workers(3)
     with pytest.raises(RoutingError, match="^walk failed in a worker$"):
-        grid_point("edge", 4, 9, 1, workers=3)
+        grid_point("edge", 4, 9, 1)
     assert _no_child_left()
 
 
-def test_a_caller_error_ends_the_children(fresh_workers, monkeypatch):
+def test_a_caller_error_ends_the_children(fresh_workers, monkeypatch, workers):
     parent = os.getpid()
     real_route = scenario.route
 
@@ -1740,8 +1790,9 @@ def test_a_caller_error_ends_the_children(fresh_workers, monkeypatch):
         return real_route(*args, **kwargs)
 
     monkeypatch.setattr(scenario, "route", route_failing_in_the_caller)
+    workers(2)
     with pytest.raises(RoutingError, match="walk failed in the caller"):
-        random_graph_point(4, 10, 30, 1, workers=2)
+        random_graph_point(4, 10, 30, 1)
     assert _no_child_left()
 
 
@@ -1767,25 +1818,27 @@ def _memo_tours():
     return tours
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, None])
-def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers):
+@pytest.mark.parametrize("count", [1, 2, 3, None])
+def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers, count):
     # 230 replications: the default splits them over 2 workers on 2 CPUs.
     degree, runs, seed = 6, 230, 12
     single = {}
+    workers(1)
     for speed in PAIRED_SPEEDS:
         scenario._SETUP_CACHE.clear()
-        single[speed] = _point_fields(random_graph_point(degree, speed, runs, seed, workers=1))
+        single[speed] = _point_fields(random_graph_point(degree, speed, runs, seed))
     scenario._SETUP_CACHE.clear()
     for speed in PAIRED_SPEEDS:
-        random_graph_point(degree, speed, runs, seed, workers=1)
+        random_graph_point(degree, speed, runs, seed)
     serial_tours = _memo_tours()
     assert any(len(entries) > 1 for entries, _ in serial_tours)
     # The caller walks the first slice, and its memo grows those tours only.
-    mine = runs // min(workers or default_workers(runs), runs)
+    mine = runs // min(count or default_workers(runs), runs)
+    workers(count)
     for speeds in (PAIRED_SPEEDS, PAIRED_SPEEDS[::-1]):
         scenario._SETUP_CACHE.clear()
         for speed in speeds:
-            pt = random_graph_point(degree, speed, runs, seed, workers=workers)
+            pt = random_graph_point(degree, speed, runs, seed)
             assert _point_fields(pt) == single[speed]
             assert len(scenario._SETUP_CACHE) == 1
         tours = _memo_tours()
@@ -1820,29 +1873,19 @@ def test_grid_point_rejects_an_unknown_coordinate_mode():
     [
         (lambda: random_graph_point(4, 10, 0, 1), "runs"),
         (lambda: grid_point("edge", 2, 0, 1), "runs"),
-        (lambda: random_graph_point(10, 10, 200, 1, workers=0), "workers"),
-        (lambda: random_graph_point(10, 10, 200, 1, workers=True), "workers"),
-        (lambda: grid_point("edge", 2, 10, 1, workers=0), "workers"),
-        (lambda: grid_point("edge", 2, 10, 1, workers=2.5), "workers"),
         (lambda: grid_crossing_hops(0, 1), "runs"),
         (lambda: grid_crossing_hops(-3, 1), "runs"),
-        (lambda: grid_crossing_hops(10, 1, workers=-2), "workers"),
     ],
     ids=[
         "random-graph-runs",
         "grid-runs",
-        "random-graph-workers",
-        "random-graph-bool-workers",
-        "grid-workers",
-        "grid-float-workers",
         "crossing-runs",
         "crossing-negative-runs",
-        "crossing-workers",
     ],
 )
 def test_sweep_points_reject_an_empty_count(call, argument):
     # Before any draw: the set-up memo keeps the entry it held.
-    random_graph_point(4, 10, 5, 1, workers=1)
+    random_graph_point(4, 10, 5, 1)
     memo = dict(scenario._SETUP_CACHE)
     with pytest.raises(ValueError, match=argument):
         call()
