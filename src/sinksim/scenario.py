@@ -34,6 +34,7 @@ each call.
 
 from __future__ import annotations
 
+import marshal
 import random
 from dataclasses import dataclass
 from itertools import count, repeat
@@ -286,53 +287,84 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-# One replication's speed-free draws: (topology, source, sink start, track
-# seed, coordinate seed).
-_Replication = Tuple[Topology, NodeId, Position, int, int]
+# A replication's draws past its topology: (source, sink start, track seed, coordinate seed).
+_Placement = Tuple[NodeId, Position, int, int]
+
+
+@dataclass
+class _SetUp:
+    """One random-graph set-up, as far as this process has made it."""
+
+    positions: List[Dict[NodeId, Position]]  # every topology's, in draw order
+    state: tuple  # the set-up's random state past the positions
+    built: Dict[int, Tuple[Topology, List[int]]]  # by index, with component labels
+    placements: Optional[List[_Placement]] = None  # the caller's draw
+    tours: Optional[List[Tour]] = None  # by replication, grown by the walks here
+
 
 # The one set-up kept between calls, keyed by every argument that decides its
-# draws: each replication next to its routing tour, as far as earlier calls
-# grew it.  Sweeps walk all speeds of one degree in a row, so one entry serves
-# them; it is emptied before a new set-up is drawn, so that two set-ups are
-# never alive at once.
-_SETUP_CACHE: Dict[tuple, List[Tuple[_Replication, Tour]]] = {}
+# draws.  Every process keeps its own: each draws every topology's positions,
+# so that the stream stays the same, but builds only the topologies it walks,
+# and grows the tours of the replications it walks.  The caller alone draws
+# the placements and sends them to the workers.  Sweeps walk all speeds of
+# one degree in a row, so one entry serves them; it is emptied before a new
+# set-up is drawn, so that two set-ups are never alive at once.
+_SETUP_CACHE: Dict[tuple, _SetUp] = {}
 
 
-def _random_graph_setup(
-    n: int, runs: int, seed: int, field: float, range_m: float, topologies: int
-) -> List[Tuple[_Replication, Tour]]:
-    """The replications of a point and their tours, drawn or reused from the
-    last call.
-
-    Every topology's positions are drawn, so that the stream stays the same,
-    but only those a replication uses are built.  A fresh tour holds only the
-    source.
-    """
+def _set_up(n: int, runs: int, seed: int, field: float, range_m: float, topologies: int) -> _SetUp:
+    """The memo's set-up of these arguments; a fresh one holds the drawn
+    positions only."""
     key = (n, runs, seed, field, range_m, topologies)
     setup = _SETUP_CACHE.get(key)
-    if setup is not None:
-        return setup
-    _SETUP_CACHE.clear()
-    rng = random.Random(seed)
-    # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
+    if setup is None:
+        _SETUP_CACHE.clear()
+        rng = random.Random(seed)
+        # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
+        draw = rng.random
+        positions = [{i: (field * draw(), field * draw()) for i in range(n)} for _ in range(topologies)]
+        setup = _SETUP_CACHE[key] = _SetUp(positions, rng.getstate(), {})
+    return setup
+
+
+def _topology(setup: _SetUp, t: int, range_m: float) -> Tuple[Topology, List[int]]:
+    """Topology `t` of the set-up and its component labels, built here the
+    first time they are asked for."""
+    built = setup.built.get(t)
+    if built is None:
+        topo = build_udg(setup.positions[t], range_m)
+        built = setup.built[t] = (topo, _component_labels(topo.adjacency))
+    return built
+
+
+def _walk_order(runs: int, topologies: int) -> List[int]:
+    """The replications, those of each topology (i % topologies) in a row,
+    so that contiguous slices of the order share few topologies."""
+    return [i for t in range(min(runs, topologies)) for i in range(t, runs, topologies)]
+
+
+def _place_sinks(
+    setup: _SetUp, labels: List[List[int]], runs: int, field: float, range_m: float
+) -> List[_Placement]:
+    """Each replication's placement, drawn in replication order from the
+    set-up's stream past the positions, given the component labels of every
+    topology a replication uses."""
+    rng = random.Random()
+    rng.setstate(setup.state)
     draw = rng.random
     topos = []
-    for t in range(topologies):
-        positions = {i: (field * draw(), field * draw()) for i in range(n)}
-        if t < runs:  # replication i uses topology i % topologies
-            topo = build_udg(positions, range_m)
-            label = _component_labels(topo.adjacency)
-            members: Dict[int, List[NodeId]] = {}
-            for nid in range(n):
-                members.setdefault(label[nid], []).append(nid)
-            order = sorted(topo.positions, key=topo.positions.__getitem__)
-            points = [topo.positions[nid] for nid in order]
-            topos.append((topo, [x for x, _ in points], points, [label[nid] for nid in order], members))
+    for positions, label in zip(setup.positions, labels):
+        members: Dict[int, List[NodeId]] = {}
+        for nid, lab in enumerate(label):
+            members.setdefault(lab, []).append(nid)
+        order = sorted(positions, key=positions.__getitem__)
+        points = [positions[nid] for nid in order]
+        topos.append(([x for x, _ in points], points, [label[nid] for nid in order], members))
 
     r2 = float(range_m) ** 2
-    setup = []
+    placements = []
     for i in range(runs):
-        topo, xs, points, labels, members = topos[i % topologies]
+        xs, points, labs, members = topos[i % len(setup.positions)]
         # Redraw the sink until some node is in range of it; the source is
         # then uniform over the components of the nodes in range.  Only the
         # nodes in the sink's x strip can be.
@@ -340,17 +372,24 @@ def _random_graph_setup(
             sx, sy = field * draw(), field * draw()
             strip = _strip(xs, sx, range_m)
             heard = {
-                lab for (x, y), lab in zip(points[strip], labels[strip]) if (x - sx) ** 2 + (y - sy) ** 2 <= r2
+                lab for (x, y), lab in zip(points[strip], labs[strip]) if (x - sx) ** 2 + (y - sy) ** 2 <= r2
             }
             if heard:
                 break
         # The ids of the heard components, ascending.
         ids = [members[lab] for lab in heard]
         source = rng.choice(ids[0] if len(ids) == 1 else sorted(nid for c in ids for nid in c))
-        rep = (topo, source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31))
-        setup.append((rep, Tour([source])))
-    _SETUP_CACHE[key] = setup
-    return setup
+        placements.append((source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31)))
+    return placements
+
+
+def _check_runs_and_seed(runs: int, seed: int) -> None:
+    """Reject a count or seed that is not an int (a bool is not), and runs < 1."""
+    for name, value in (("runs", runs), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs!r}")
 
 
 def random_graph_point(degree: float, speed: float, runs: int, seed: int) -> SweepPoint:
@@ -380,36 +419,71 @@ def random_graph_point(degree: float, speed: float, runs: int, seed: int) -> Swe
     as any walk of it has gone, and a later speed scans it again.  Its
     coordinates are made from the stored seed only when the tour has to grow
     further.  The degree must be finite and > 0, and its node count at most
-    MAX_NODES (see :func:`nodes_for_degree`); a speed of 0 walks against a
-    static sink, which a bounce at speed 0 is.
+    MAX_NODES (see :func:`nodes_for_degree`); `runs` and `seed` must be ints
+    and `runs` >= 1.  A speed of 0 walks against a static sink, which a
+    bounce at speed 0 is.
 
-    The walks run in contiguous slices, one per process: the caller walks
-    the first, and each persistent forked worker is sent the point's
-    arguments and its slice (:func:`sinksim.forkmap.split_call`).  There is
-    a process for each CPU available, with at least MIN_SLICE replications
-    per worker.  Every process draws the set-up into its own memo and grows
-    the tours of the replications it walks there, so the caller's memo
-    holds the tours of its own slice.  The point is bit-identical for any worker
-    count and any order of the speeds.
+    The replications are walked grouped by topology (:func:`_walk_order`),
+    in contiguous slices, one per CPU with at least MIN_SLICE per worker:
+    the caller walks the first, and each persistent forked worker is sent
+    the point's arguments and its slice (:func:`sinksim.forkmap.split_call`).
+    For a new set-up, every process first draws all positions from `seed`
+    and builds only the topologies whose first walk is in its slice,
+    returning their component labels (:func:`_random_graph_topologies`);
+    from these the caller alone draws every sink start, source and seed, in
+    replication order, and keeps them for the later speeds.  Then each
+    process walks its slice on the topologies of its memo, building any it
+    lacks, and grows those tours there (:func:`_random_graph_walks`).  The
+    point is bit-identical for any worker count and any order of speeds.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs!r}")
+    _check_runs_and_seed(runs, seed)
     _check_speed(speed)
     n = nodes_for_degree(degree)
-    outcomes = split_call(_random_graph_walks, (n, speed, runs, seed), runs)
+    field, range_m = RANDOM_FIELD_M, RANDOM_RANGE_M
+    setup = _set_up(n, runs, seed, field, range_m, RANDOM_TOPOLOGIES)
+    if setup.placements is None:
+        labels = split_call(_random_graph_topologies, (n, runs, seed), runs)
+        setup.placements = _place_sinks(setup, labels, runs, field, range_m)
+    walked = split_call(_random_graph_walks, (n, speed, runs, seed, marshal.dumps(setup.placements)), runs)
+    outcomes = [outcome for _, outcome in sorted(zip(_walk_order(runs, RANDOM_TOPOLOGIES), walked))]
     return _sweep_point("bounce", speed, degree, outcomes)
 
 
-def _random_graph_walks(n: int, speed: float, runs: int, seed: int, lo: int, hi: int) -> List[_Outcome]:
-    """The outcomes of replications `lo` to `hi` of the random-graph point
-    with `n` nodes, each walk growing its tour in this process's memo."""
-    field = RANDOM_FIELD_M
-    setup = _random_graph_setup(n, runs, seed, field, RANDOM_RANGE_M, RANDOM_TOPOLOGIES)
+def _random_graph_topologies(n: int, runs: int, seed: int, lo: int, hi: int) -> List[List[int]]:
+    """The component labels of the topologies of the random-graph point with
+    `n` nodes whose first replication is among walks `lo` to `hi`, each
+    built in this process's memo; joined over the slices, every topology a
+    replication uses, in order."""
+    topologies = RANDOM_TOPOLOGIES
+    setup = _set_up(n, runs, seed, RANDOM_FIELD_M, RANDOM_RANGE_M, topologies)
+    # replication t < topologies is the first of topology t's walks
+    firsts = [i for i in _walk_order(runs, topologies)[lo:hi] if i < topologies]
+    return [_topology(setup, t, RANDOM_RANGE_M)[1] for t in firsts]
+
+
+def _random_graph_walks(
+    n: int, speed: float, runs: int, seed: int, sent: bytes, lo: int, hi: int
+) -> List[_Outcome]:
+    """The outcomes of walks `lo` to `hi`, in walk order, of the
+    random-graph point with `n` nodes, each walk growing its tour in this
+    process's memo.  `sent` is the placements in marshal form, which a worker
+    reads off its pipe in one piece (a list of tuples is read item by item:
+    1.2 ms at 200 runs on a 2-core host) and decodes once per set-up.
+    """
+    field, topologies = RANDOM_FIELD_M, RANDOM_TOPOLOGIES
+    setup = _set_up(n, runs, seed, field, RANDOM_RANGE_M, topologies)
+    if setup.placements is None:
+        setup.placements = marshal.loads(sent)
+    placements = setup.placements
+    if setup.tours is None:
+        setup.tours = [Tour([source]) for source, _, _, _ in placements]
+    tours = setup.tours
     bounds = ((0, field), (0, field))
     sink_coord = (field / 2, field / 2)
 
-    def walk(rep: _Replication, tour: Tour) -> _Outcome:
-        topo, source, start, track_seed, vc_seed = rep
+    def walk(i: int) -> _Outcome:
+        source, start, track_seed, vc_seed = placements[i]
+        topo = _topology(setup, i % topologies, RANDOM_RANGE_M)[0]
         # A bounce at speed 0 never moves: it is a static sink, without the draws.
         states = bounce(start, speed, field, seed=track_seed) if speed else repeat((start, False))
         res = route(
@@ -419,11 +493,11 @@ def _random_graph_walks(n: int, speed: float, runs: int, seed: int, lo: int, hi:
             states,
             sink_coord=sink_coord,
             round_limit=n,
-            tour=tour,
+            tour=tours[i],
         )
         return _outcome(res)
 
-    return [walk(rep, tour) for rep, tour in setup[lo:hi]]
+    return [walk(i) for i in _walk_order(runs, topologies)[lo:hi]]
 
 
 # The end of each grid crossing, which starts at the origin: along one side
@@ -458,8 +532,7 @@ def grid_point(
         raise ValueError("grid mobility must be 'edge' or 'diagonal'")
     if coord_mode not in ("physical", "virtual"):
         raise ValueError(f"unknown coordinate mode {coord_mode!r}")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs!r}")
+    _check_runs_and_seed(runs, seed)
     _check_speed(speed)
     args = ((mobility,), speed, seed, coord_mode == "virtual")
     return _sweep_point(mobility, speed, None, split_call(_crossing_walks, args, runs))
@@ -479,8 +552,7 @@ def grid_crossing_hops(runs: int, seed: int) -> Tuple[float, float]:
     only the hop count of the delivered walks, which no :class:`SweepPoint`
     of :func:`grid_point` reports.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs!r}")
+    _check_runs_and_seed(runs, seed)
     args = (tuple(_CROSSING_ENDS), GRID_CROSSING_SPEED, seed, True)
     outcomes = split_call(_crossing_walks, args, runs)
     return mean_ci([h for _, h in outcomes if h is not None])

@@ -34,6 +34,7 @@ from sinksim.scenario import (
     run_scenario,
     timeline_coverage,
 )
+from sinksim.stats import mean_ci
 from sinksim.timelines import _base_station_totals, _fill_gaps
 from sinksim.tracks import WaypointTrack, _fold, bounce, line_crossing
 
@@ -1289,6 +1290,60 @@ def test_a_rotation_on_a_random_udg_does_not_depend_on_the_id_values_or_the_plac
     assert changed_rotations(positions, range_m, [(query, seed)], (-80, 40), label, shift) == unchanged
 
 
+def half_grid_outcomes(mirror, collisions, seeds, speed):
+    """Each rotation's hop count, or None for a miss or a flood that never
+    reaches the queried node, for every query node below the sink's line on
+    the 6x6 grid at each seed.  With `mirror`, the grid and the base station
+    are mirrored across that line first and the ids renumbered row-major, so
+    that they follow the place as on any grid: the draws and injections,
+    which follow ascending ids, then meet the nodes in another order."""
+    side = 6
+    g = grid_topology(side, 25.0)
+    bs_x, bs_y = ScenarioConfig(topology=g, query_node=0).bs_position
+    x0, y0, x1, y1 = g.view.bbox
+
+    def label(nid):
+        return (side - 1 - nid // side) * side + nid % side if mirror else nid
+
+    def flip(y):
+        return y0 + y1 - y if mirror else y
+
+    topo = build_udg({label(nid): (x, flip(y)) for nid, (x, y) in g.positions.items()}, 25.0)
+    rows = []
+    for query in range(side * side // 2):
+        for seed in seeds:
+            cfg = ScenarioConfig(
+                topology=topo, query_node=label(query), seed=seed, collisions=collisions,
+                bs_position=(bs_x, flip(bs_y)), ms_speed_mps=speed,
+            )
+            try:
+                report = run_scenario(cfg)
+            except ConfigError as exc:
+                assert str(exc) == "flood never reached the queried node"
+                rows.append(None)
+                continue
+            rows.append(None if report.miss else report.route.hops)
+    return rows
+
+
+@pytest.mark.parametrize("collisions", [False, True])
+def test_a_grid_mirrored_across_the_sink_line_keeps_the_miss_ratio_and_hops(collisions):
+    # At 40 m/s the walk starts to miss on this grid, so the seeds move the
+    # outcomes; the two maps must differ rotation by rotation, yet agree in
+    # their statistics: each pair of 95% intervals overlaps.
+    seeds = range(20)
+    plain = half_grid_outcomes(False, collisions, seeds, 40.0)
+    mirrored = half_grid_outcomes(True, collisions, seeds, 40.0)
+    assert plain != mirrored
+
+    def agree(a, b):
+        (mean_a, half_a), (mean_b, half_b) = mean_ci(a), mean_ci(b)
+        return abs(mean_a - mean_b) <= half_a + half_b
+
+    assert agree([float(h is None) for h in plain], [float(h is None) for h in mirrored])
+    assert agree([h for h in plain if h is not None], [h for h in mirrored if h is not None])
+
+
 def clear_rotation_memos():
     flight._FLIGHT_CACHE.clear()
 
@@ -1690,9 +1745,11 @@ def _naive_set_up(n, runs, seed, field, range_m, topologies):
 )
 def test_the_set_up_tests_only_a_strip_but_draws_as_if_it_tested_every_node(n, field, range_m):
     scenario._SETUP_CACHE.clear()
-    setup = scenario._random_graph_setup(n, 120, 5, field, range_m, 7)
+    setup = scenario._set_up(n, 120, 5, field, range_m, 7)
+    labels = [scenario._topology(setup, t, range_m)[1] for t in range(7)]
+    placements = scenario._place_sinks(setup, labels, 120, field, range_m)
     scenario._SETUP_CACHE.clear()
-    assert [rep[1:] for rep, _ in setup] == _naive_set_up(n, 120, 5, field, range_m, 7)
+    assert placements == _naive_set_up(n, 120, 5, field, range_m, 7)
 
 
 # Calls whose replications split unevenly over 2 and 3 workers, and counts
@@ -1805,11 +1862,12 @@ def _point_fields(pt):
 
 def _memo_tours():
     """The memo's tours as plain data, after checking that the one entry
-    holds replications and tours only: ints, no coordinates."""
+    holds topologies, placements and tours only: ints, no coordinates."""
     (setup,) = scenario._SETUP_CACHE.values()
+    assert all(isinstance(topo, radio.Topology) for topo, _ in setup.built.values())
     tours = []
-    for (topo, source, start, track_seed, vc_seed), tour in setup:
-        assert isinstance(topo, radio.Topology) and isinstance(tour, Tour)
+    for (source, start, track_seed, vc_seed), tour in zip(setup.placements, setup.tours, strict=True):
+        assert isinstance(tour, Tour)
         assert all(type(v) is int for v in (source, track_seed, vc_seed, *tour.entries))
         assert type(start) is tuple and type(tour.complete) is bool
         assert not hasattr(tour, "__dict__")  # entries and complete only
@@ -1832,8 +1890,10 @@ def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers, c
         random_graph_point(degree, speed, runs, seed)
     serial_tours = _memo_tours()
     assert any(len(entries) > 1 for entries, _ in serial_tours)
-    # The caller walks the first slice, and its memo grows those tours only.
-    mine = runs // min(count or default_workers(runs), runs)
+    # The caller walks the first slice of the walk order, and its memo grows
+    # those tours only.
+    first = runs // min(count or default_workers(runs), runs)
+    mine = set(scenario._walk_order(runs, scenario.RANDOM_TOPOLOGIES)[:first])
     workers(count)
     for speeds in (PAIRED_SPEEDS, PAIRED_SPEEDS[::-1]):
         scenario._SETUP_CACHE.clear()
@@ -1842,8 +1902,65 @@ def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers, c
             assert _point_fields(pt) == single[speed]
             assert len(scenario._SETUP_CACHE) == 1
         tours = _memo_tours()
-        assert tours[:mine] == serial_tours[:mine]
-        assert all(tour == (entries[:1], False) for tour, (entries, _) in zip(tours[mine:], serial_tours[mine:]))
+        for i, (tour, (entries, complete)) in enumerate(zip(tours, serial_tours, strict=True)):
+            assert tour == ((entries, complete) if i in mine else (entries[:1], False))
+    assert _no_child_left()
+
+
+def test_each_process_builds_only_the_topologies_its_slice_walks(monkeypatch, workers):
+    # 200 replications on 2 processes: the caller walks the 4 replications
+    # of each of the first 25 topologies, and builds those only, once for
+    # all speeds.
+    built = []
+    build = scenario.build_udg
+
+    def recorded(positions, range_m):
+        built.append(positions)
+        return build(positions, range_m)
+
+    monkeypatch.setattr(scenario, "build_udg", recorded)
+    monkeypatch.setattr(scenario, "_SETUP_CACHE", {})
+    workers(2)
+    for speed in PAIRED_SPEEDS:
+        random_graph_point(6, speed, 200, 3)
+    (setup,) = scenario._SETUP_CACHE.values()
+    assert [next(t for t, p in enumerate(setup.positions) if p is q) for q in built] == list(range(25))
+    assert sorted(setup.built) == list(range(25))
+    assert _no_child_left()
+
+
+# (runs, processes): 230 on 3 and 210 on 2 cut a topology's replications at
+# a slice bound; 37 and 12 runs are fewer than the 50 topologies.
+CUT_SPLITS = [(230, 2), (230, 3), (210, 2), (37, 2), (37, 3), (12, 2), (12, 3)]
+
+
+@pytest.mark.parametrize("runs, count", CUT_SPLITS)
+def test_a_slice_bound_inside_a_topology_keeps_the_serial_point(workers, runs, count):
+    degree, seed = 5, 21
+    workers(1)
+    scenario._SETUP_CACHE.clear()
+    serial = [_point_fields(random_graph_point(degree, speed, runs, seed)) for speed in PAIRED_SPEEDS]
+    workers(count)
+    scenario._SETUP_CACHE.clear()
+    assert [_point_fields(random_graph_point(degree, speed, runs, seed)) for speed in PAIRED_SPEEDS] == serial
+    # The caller built what its slice walks, which starts every topology in it.
+    (setup,) = scenario._SETUP_CACHE.values()
+    topologies = scenario.RANDOM_TOPOLOGIES
+    walked = scenario._walk_order(runs, topologies)[: runs // count]
+    assert sorted(setup.built) == sorted({i % topologies for i in walked})
+    assert _no_child_left()
+
+
+def test_fresh_workers_build_the_topologies_they_walk(workers):
+    # Workers closed between two speeds of one set-up hold no topology, so
+    # the second speed's workers build theirs as they walk.
+    workers(2)
+    scenario._SETUP_CACHE.clear()
+    for speed in (0, 50):
+        close_workers()
+        pt = random_graph_point(4, speed, 60, 3)
+        fields = (pt.mean_restarts, pt.restarts_ci95, pt.mean_hops, pt.hops_ci95, pt.miss_ratio)
+        assert fields == PINNED_RANDOM_GRAPH_POINTS[(4, speed, 60, 3)]
     assert _no_child_left()
 
 
@@ -1875,16 +1992,36 @@ def test_grid_point_rejects_an_unknown_coordinate_mode():
         (lambda: grid_point("edge", 2, 0, 1), "runs"),
         (lambda: grid_crossing_hops(0, 1), "runs"),
         (lambda: grid_crossing_hops(-3, 1), "runs"),
+        (lambda: random_graph_point(4, 10, 2.5, 1), "runs"),
+        (lambda: random_graph_point(4, 10, True, 1), "runs"),
+        (lambda: random_graph_point(4, 10, 5, None), "seed"),
+        (lambda: random_graph_point(4, 10, 5, 1.0), "seed"),
+        (lambda: random_graph_point(4, 10, 5, False), "seed"),
+        (lambda: grid_point("edge", 2, 30.0, 1), "runs"),
+        (lambda: grid_point("edge", 2, 5, None), "seed"),
+        (lambda: grid_crossing_hops(True, 1), "runs"),
+        (lambda: grid_crossing_hops(5, "1"), "seed"),
     ],
     ids=[
         "random-graph-runs",
         "grid-runs",
         "crossing-runs",
         "crossing-negative-runs",
+        "random-graph-float-runs",
+        "random-graph-bool-runs",
+        "random-graph-none-seed",
+        "random-graph-float-seed",
+        "random-graph-bool-seed",
+        "grid-float-runs",
+        "grid-none-seed",
+        "crossing-bool-runs",
+        "crossing-str-seed",
     ],
 )
 def test_sweep_points_reject_an_empty_count(call, argument):
-    # Before any draw: the set-up memo keeps the entry it held.
+    # Before any draw: the set-up memo keeps the entry it held.  A seed or
+    # count that is not an int is refused too: a None seed would draw each
+    # slice from another entropy stream, and a bool count would run as 0 or 1.
     random_graph_point(4, 10, 5, 1)
     memo = dict(scenario._SETUP_CACHE)
     with pytest.raises(ValueError, match=argument):
