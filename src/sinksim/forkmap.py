@@ -9,10 +9,13 @@ serial list for any worker count.
 
 Workers are ``os.fork`` children, forked the first time a call needs them
 and kept for later calls.  A request names ``fn`` by module and qualified
-name and carries only ``args`` and the slice, in ``marshal`` form, which is
-built in, costs no import and reads one value at a time off a pipe; the
-reply is the slice's list, also in ``marshal`` form, and ``pickle`` is
-imported only to carry an error back.
+name and carries only ``args`` and the slice; the reply is the slice's list.
+Each goes as one ``marshal`` value, which is built in and costs no import,
+behind its length in bytes, so that the reader takes it off the pipe whole
+and decodes it with ``marshal.loads``: ``marshal.load`` on a pipe reads a
+list item by item, 594 us for a 500-outcome reply (5.6 KB) on a 2-core
+host, against 25 us to read it whole and decode it.
+``pickle`` is imported only to carry an error back.
 So a worker runs the code, and the module state, as they stood when it was
 forked, together with whatever its own calls grow there since (the sweeps'
 set-up memo and its tours).
@@ -86,7 +89,7 @@ def split_call(fn: Callable[..., list], args: tuple, n: int) -> list:
         results = fn(*args, 0, bounds[1])
         for worker in pool:
             try:
-                ok, value = marshal.load(worker[2])
+                ok, value = _receive(worker[2])
             except EOFError:
                 status = _end(worker, kill=False)
                 raise RuntimeError(f"worker {worker[0]} ended with status {status} and no result") from None
@@ -163,7 +166,7 @@ def _serve(request: int, reply: int, *unused: int) -> None:
         requests = os.fdopen(request, "rb")
         while True:
             try:
-                module, qualname, args, lo, hi = marshal.load(requests)
+                module, qualname, args, lo, hi = _receive(requests)
             except EOFError:
                 break
             try:
@@ -191,8 +194,25 @@ def _pickled(exc: Exception) -> bytes:
     return pickle.dumps(exc)
 
 
+# The bytes of the length that goes before each message.
+_HEADER = 8
+
+
 def _write(fd: int, data: bytes) -> None:
-    """Write all of `data`."""
-    view = memoryview(data)
+    """Write all of `data`, behind its length."""
+    view = memoryview(len(data).to_bytes(_HEADER, "little") + data)
     while view:
         view = view[os.write(fd, view) :]
+
+
+def _receive(stream: BinaryIO) -> object:
+    """Read one message of :func:`_write` whole and decode it with
+    ``marshal.loads``; EOFError if the pipe ends before the message does."""
+    header = stream.read(_HEADER)
+    if len(header) < _HEADER:
+        raise EOFError
+    size = int.from_bytes(header, "little")
+    data = stream.read(size)
+    if len(data) < size:
+        raise EOFError
+    return marshal.loads(data)

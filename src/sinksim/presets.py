@@ -61,15 +61,14 @@ GRID_CROSSING_SPEED = 4.0  # field units per round, hop-count reference setting
 
 # The most nodes a random-graph topology may have.  A set-up holds up to 50
 # topologies at once, and their adjacency grows with the square of the node
-# count.  Every process that walks a slice of a point draws all positions
-# into its own memo but builds only the topologies its slice walks: at 1,000
-# nodes (mean degree 125 on the default field) a 50-run point on 2 workers
-# took 1.3-1.7 s on a 2-core host, and the two processes peaked at 53 and
-# 48 MB (71-74 MB each while every process built all 50).  One process at
-# 2,000 nodes took 18 s and 216 MB.  The paper's degrees 4-10 need 33-81 nodes.  Ids above 255 do not
-# fit the one byte a DATA payload gives an id, which the six-phase run
-# rejects; the abstract sweeps put no id into a frame, so they may exceed
-# 256 nodes.
+# count.  Every process that walks a slice of a point draws and builds in
+# its own memo only the topologies its slice walks: at 1,000 nodes (mean
+# degree 125 on the default field) a 50-run point on 2 processes took
+# 1.4-1.7 s on a 2-core host, and the two peaked at 46 and 44 MB.  One
+# process at 2,000 nodes took 18 s and 216 MB.  The paper's degrees 4-10
+# need 33-81 nodes.  Ids above 255 do not fit the one byte a DATA payload
+# gives an id, which the six-phase run rejects; the abstract sweeps put no
+# id into a frame, so they may exceed 256 nodes.
 MAX_NODES = 1_000
 
 

@@ -34,11 +34,10 @@ each call.
 
 from __future__ import annotations
 
-import marshal
 import random
 from dataclasses import dataclass
 from itertools import count, repeat
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
 from .flight import MAX_PASSES, ConfigError, _first_cca_catch, _flight, _strip
@@ -291,96 +290,73 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 _Placement = Tuple[NodeId, Position, int, int]
 
 
+class _Drawn(NamedTuple):
+    """A random-graph topology and what its placements read: its nodes
+    sorted by x, with their component labels, and each component's ids."""
+
+    topology: Topology
+    xs: List[float]  # the xs of `nodes`
+    nodes: List[Tuple[Position, int]]  # (position, component label), sorted by x
+    members: Dict[int, List[NodeId]]  # each component's ids, ascending
+
+
+def _draw_topology(n: int, seed: int, t: int, field: float, range_m: float) -> _Drawn:
+    """Topology `t` of the random-graph set-up of `n` nodes and `seed`: the
+    nodes uniform on the `field` square, drawn from the topology's own stream."""
+    draw = random.Random(f"{seed}/topology/{t}").random
+    # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
+    topo = build_udg({i: (field * draw(), field * draw()) for i in range(n)}, range_m)
+    positions, labels = topo.positions, _component_labels(topo.adjacency)
+    members: Dict[int, List[NodeId]] = {}
+    for nid, lab in enumerate(labels):
+        members.setdefault(lab, []).append(nid)
+    order = sorted(positions, key=positions.__getitem__)
+    nodes = [(positions[nid], labels[nid]) for nid in order]
+    return _Drawn(topo, [x for (x, _), _ in nodes], nodes, members)
+
+
+def _place_sink(drawn: _Drawn, seed: int, i: int, field: float, range_m: float) -> _Placement:
+    """Replication `i`'s placement on its topology, from the replication's
+    own stream of the set-up of `seed`."""
+    rng = random.Random(f"{seed}/placement/{i}")
+    draw = rng.random
+    r2 = float(range_m) ** 2
+    # Redraw the sink until some node is in range of it; the source is then
+    # uniform over the components of the nodes in range.  Only the nodes in
+    # the sink's x strip can be.
+    while True:
+        sx, sy = field * draw(), field * draw()
+        strip = drawn.nodes[_strip(drawn.xs, sx, range_m)]
+        heard = {lab for (x, y), lab in strip if (x - sx) ** 2 + (y - sy) ** 2 <= r2}
+        if heard:
+            break
+    # The ids of the heard components, ascending.
+    ids = [drawn.members[lab] for lab in heard]
+    source = rng.choice(ids[0] if len(ids) == 1 else sorted(nid for c in ids for nid in c))
+    return source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31)
+
+
 @dataclass
 class _SetUp:
-    """One random-graph set-up, as far as this process has made it."""
+    """What this process has made of one random-graph set-up."""
 
-    positions: List[Dict[NodeId, Position]]  # every topology's, in draw order
-    state: tuple  # the set-up's random state past the positions
-    built: Dict[int, Tuple[Topology, List[int]]]  # by index, with component labels
-    placements: Optional[List[_Placement]] = None  # the caller's draw
-    tours: Optional[List[Tour]] = None  # by replication, grown by the walks here
+    built: Dict[int, _Drawn]  # by topology index
+    replications: Dict[int, Tuple[_Placement, Tour]]  # the tours grown by the walks here
 
 
-# The one set-up kept between calls, keyed by every argument that decides its
-# draws.  Every process keeps its own: each draws every topology's positions,
-# so that the stream stays the same, but builds only the topologies it walks,
-# and grows the tours of the replications it walks.  The caller alone draws
-# the placements and sends them to the workers.  Sweeps walk all speeds of
-# one degree in a row, so one entry serves them; it is emptied before a new
-# set-up is drawn, so that two set-ups are never alive at once.
-_SETUP_CACHE: Dict[tuple, _SetUp] = {}
-
-
-def _set_up(n: int, runs: int, seed: int, field: float, range_m: float, topologies: int) -> _SetUp:
-    """The memo's set-up of these arguments; a fresh one holds the drawn
-    positions only."""
-    key = (n, runs, seed, field, range_m, topologies)
-    setup = _SETUP_CACHE.get(key)
-    if setup is None:
-        _SETUP_CACHE.clear()
-        rng = random.Random(seed)
-        # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
-        draw = rng.random
-        positions = [{i: (field * draw(), field * draw()) for i in range(n)} for _ in range(topologies)]
-        setup = _SETUP_CACHE[key] = _SetUp(positions, rng.getstate(), {})
-    return setup
-
-
-def _topology(setup: _SetUp, t: int, range_m: float) -> Tuple[Topology, List[int]]:
-    """Topology `t` of the set-up and its component labels, built here the
-    first time they are asked for."""
-    built = setup.built.get(t)
-    if built is None:
-        topo = build_udg(setup.positions[t], range_m)
-        built = setup.built[t] = (topo, _component_labels(topo.adjacency))
-    return built
+# The one set-up kept between calls, keyed by the node count and seed, which
+# decide every draw.  Every process keeps its own and makes in it only what
+# its slices walk: their topologies, and their replications' placements and
+# tours.  Sweeps walk all speeds of one degree in a row, so one entry serves
+# them; it is emptied before a new set-up starts, so that two set-ups are
+# never alive at once.
+_SETUP_CACHE: Dict[Tuple[int, int], _SetUp] = {}
 
 
 def _walk_order(runs: int, topologies: int) -> List[int]:
     """The replications, those of each topology (i % topologies) in a row,
     so that contiguous slices of the order share few topologies."""
     return [i for t in range(min(runs, topologies)) for i in range(t, runs, topologies)]
-
-
-def _place_sinks(
-    setup: _SetUp, labels: List[List[int]], runs: int, field: float, range_m: float
-) -> List[_Placement]:
-    """Each replication's placement, drawn in replication order from the
-    set-up's stream past the positions, given the component labels of every
-    topology a replication uses."""
-    rng = random.Random()
-    rng.setstate(setup.state)
-    draw = rng.random
-    topos = []
-    for positions, label in zip(setup.positions, labels):
-        members: Dict[int, List[NodeId]] = {}
-        for nid, lab in enumerate(label):
-            members.setdefault(lab, []).append(nid)
-        order = sorted(positions, key=positions.__getitem__)
-        points = [positions[nid] for nid in order]
-        topos.append(([x for x, _ in points], points, [label[nid] for nid in order], members))
-
-    r2 = float(range_m) ** 2
-    placements = []
-    for i in range(runs):
-        xs, points, labs, members = topos[i % len(setup.positions)]
-        # Redraw the sink until some node is in range of it; the source is
-        # then uniform over the components of the nodes in range.  Only the
-        # nodes in the sink's x strip can be.
-        while True:
-            sx, sy = field * draw(), field * draw()
-            strip = _strip(xs, sx, range_m)
-            heard = {
-                lab for (x, y), lab in zip(points[strip], labs[strip]) if (x - sx) ** 2 + (y - sy) ** 2 <= r2
-            }
-            if heard:
-                break
-        # The ids of the heard components, ascending.
-        ids = [members[lab] for lab in heard]
-        source = rng.choice(ids[0] if len(ids) == 1 else sorted(nid for c in ids for nid in c))
-        placements.append((source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31)))
-    return placements
 
 
 def _check_runs_and_seed(runs: int, seed: int) -> None:
@@ -405,12 +381,16 @@ def random_graph_point(degree: float, speed: float, runs: int, seed: int) -> Swe
     one round per node, the sweep's simulation horizon.  Restarts average
     over all replications, hop counts over delivered ones only.
 
-    The same `seed` re-draws the same topologies, sources, coordinates and
-    sink tracks for every speed, so points that differ only in speed are
-    paired: speed scales the per-round drift of an otherwise identical run.
-    Consecutive calls with the same node count, `runs` and `seed` reuse the
-    set-up the first one drew and only walk again; the results are those of
-    a fresh draw.
+    Each topology's positions, and each replication's placement (sink
+    start, source, track seed and coordinate seed), come from a
+    `random.Random` of their own, keyed by `seed`, the kind and the index
+    (:func:`_draw_topology`, :func:`_place_sink`): a replication's draws
+    depend on the node count, `seed` and its index only.  So the same `seed`
+    re-draws the same topologies, sources, coordinates and sink tracks for
+    every speed, and points that differ only in speed are paired: speed
+    scales the per-round drift of an otherwise identical run.  Consecutive
+    calls with the same node count and `seed` reuse the set-up memo and only
+    walk again; the results are those of a fresh draw.
 
     With the sink's virtual coordinate fixed, a replication's depth-first
     tour (:class:`sinksim.routing.Tour`) does not depend on the speed: speed
@@ -427,63 +407,42 @@ def random_graph_point(degree: float, speed: float, runs: int, seed: int) -> Swe
     in contiguous slices, one per CPU with at least MIN_SLICE per worker:
     the caller walks the first, and each persistent forked worker is sent
     the point's arguments and its slice (:func:`sinksim.forkmap.split_call`).
-    For a new set-up, every process first draws all positions from `seed`
-    and builds only the topologies whose first walk is in its slice,
-    returning their component labels (:func:`_random_graph_topologies`);
-    from these the caller alone draws every sink start, source and seed, in
-    replication order, and keeps them for the later speeds.  Then each
-    process walks its slice on the topologies of its memo, building any it
-    lacks, and grows those tours there (:func:`_random_graph_walks`).  The
-    point is bit-identical for any worker count and any order of speeds.
+    Each process makes in its own memo only the topologies and placements
+    of the replications its slices walk, the first time it walks them, and
+    grows those tours there (:func:`_random_graph_walks`).  The point is
+    bit-identical for any worker count and any order of speeds.
     """
     _check_runs_and_seed(runs, seed)
     _check_speed(speed)
     n = nodes_for_degree(degree)
-    field, range_m = RANDOM_FIELD_M, RANDOM_RANGE_M
-    setup = _set_up(n, runs, seed, field, range_m, RANDOM_TOPOLOGIES)
-    if setup.placements is None:
-        labels = split_call(_random_graph_topologies, (n, runs, seed), runs)
-        setup.placements = _place_sinks(setup, labels, runs, field, range_m)
-    walked = split_call(_random_graph_walks, (n, speed, runs, seed, marshal.dumps(setup.placements)), runs)
+    walked = split_call(_random_graph_walks, (n, speed, runs, seed), runs)
     outcomes = [outcome for _, outcome in sorted(zip(_walk_order(runs, RANDOM_TOPOLOGIES), walked))]
     return _sweep_point("bounce", speed, degree, outcomes)
 
 
-def _random_graph_topologies(n: int, runs: int, seed: int, lo: int, hi: int) -> List[List[int]]:
-    """The component labels of the topologies of the random-graph point with
-    `n` nodes whose first replication is among walks `lo` to `hi`, each
-    built in this process's memo; joined over the slices, every topology a
-    replication uses, in order."""
-    topologies = RANDOM_TOPOLOGIES
-    setup = _set_up(n, runs, seed, RANDOM_FIELD_M, RANDOM_RANGE_M, topologies)
-    # replication t < topologies is the first of topology t's walks
-    firsts = [i for i in _walk_order(runs, topologies)[lo:hi] if i < topologies]
-    return [_topology(setup, t, RANDOM_RANGE_M)[1] for t in firsts]
-
-
-def _random_graph_walks(
-    n: int, speed: float, runs: int, seed: int, sent: bytes, lo: int, hi: int
-) -> List[_Outcome]:
+def _random_graph_walks(n: int, speed: float, runs: int, seed: int, lo: int, hi: int) -> List[_Outcome]:
     """The outcomes of walks `lo` to `hi`, in walk order, of the
-    random-graph point with `n` nodes, each walk growing its tour in this
-    process's memo.  `sent` is the placements in marshal form, which a worker
-    reads off its pipe in one piece (a list of tuples is read item by item:
-    1.2 ms at 200 runs on a 2-core host) and decodes once per set-up.
-    """
-    field, topologies = RANDOM_FIELD_M, RANDOM_TOPOLOGIES
-    setup = _set_up(n, runs, seed, field, RANDOM_RANGE_M, topologies)
-    if setup.placements is None:
-        setup.placements = marshal.loads(sent)
-    placements = setup.placements
-    if setup.tours is None:
-        setup.tours = [Tour([source]) for source, _, _, _ in placements]
-    tours = setup.tours
+    random-graph point with `n` nodes.  A walk draws its topology and its
+    placement into this process's memo the first time a walk here needs
+    them, and grows its tour there."""
+    field, range_m, topologies = RANDOM_FIELD_M, RANDOM_RANGE_M, RANDOM_TOPOLOGIES
+    setup = _SETUP_CACHE.get((n, seed))
+    if setup is None:
+        _SETUP_CACHE.clear()
+        setup = _SETUP_CACHE[(n, seed)] = _SetUp({}, {})
+    built, replications = setup.built, setup.replications
     bounds = ((0, field), (0, field))
     sink_coord = (field / 2, field / 2)
 
     def walk(i: int) -> _Outcome:
-        source, start, track_seed, vc_seed = placements[i]
-        topo = _topology(setup, i % topologies, RANDOM_RANGE_M)[0]
+        t = i % topologies
+        if t not in built:
+            built[t] = _draw_topology(n, seed, t, field, range_m)
+        if i not in replications:
+            placement = _place_sink(built[t], seed, i, field, range_m)
+            replications[i] = (placement, Tour([placement[0]]))
+        topo = built[t].topology
+        (source, start, track_seed, vc_seed), tour = replications[i]
         # A bounce at speed 0 never moves: it is a static sink, without the draws.
         states = bounce(start, speed, field, seed=track_seed) if speed else repeat((start, False))
         res = route(
@@ -493,7 +452,7 @@ def _random_graph_walks(
             states,
             sink_coord=sink_coord,
             round_limit=n,
-            tour=tours[i],
+            tour=tour,
         )
         return _outcome(res)
 

@@ -1,3 +1,4 @@
+import marshal
 import os
 import threading
 import time
@@ -81,12 +82,32 @@ def test_the_first_slice_runs_here_and_the_rest_in_children(workers):
     assert _no_child_left()
 
 
-@pytest.mark.parametrize("items", [0, 1, 2, 5, 7, 300])
+# 5,000 rows make replies of about 100 KB, more than a pipe holds at once.
+@pytest.mark.parametrize("items", [0, 1, 2, 5, 7, 300, 5000])
 @pytest.mark.parametrize("count", [1, 2, 3, 4, None])
 def test_the_result_is_the_serial_map(workers, items, count):
     if count is not None:
         workers(count)
     assert split_call(_rows, (), items) == _rows(0, items)
+
+
+def test_a_message_cut_short_reads_as_the_end_of_the_pipe():
+    value = _rows(0, 50)
+    read, write = os.pipe()
+    forkmap._write(write, marshal.dumps(value))
+    os.close(write)
+    with os.fdopen(read, "rb") as stream:
+        message = stream.read()
+    for cut in (0, 1, forkmap._HEADER, len(message) - 1, len(message)):
+        read, write = os.pipe()
+        os.write(write, message[:cut])
+        os.close(write)
+        with os.fdopen(read, "rb") as stream:
+            if cut == len(message):
+                assert forkmap._receive(stream) == value
+            else:
+                with pytest.raises(EOFError):
+                    forkmap._receive(stream)
 
 
 def test_consecutive_calls_are_served_by_the_same_workers(workers):

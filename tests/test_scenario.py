@@ -1645,9 +1645,9 @@ def test_the_sweeps_decide_through_the_one_rule(monkeypatch, workers):
         (lambda: grid_point("edge", 2, 150, 5), 1902),
         (lambda: grid_point("diagonal", 8, 150, 6), 1286),
         (lambda: grid_point("diagonal", 3, 100, 7, coord_mode="physical"), 272),
-        (lambda: random_graph_point(6, 10, 60, 8), 793),
-        (lambda: random_graph_point(6, 25, 60, 8), 110),
-        (lambda: random_graph_point(6, 0, 60, 8), 102),
+        (lambda: random_graph_point(6, 10, 60, 8), 1198),
+        (lambda: random_graph_point(6, 25, 60, 8), 113),
+        (lambda: random_graph_point(6, 0, 60, 8), 11),
     ]
     counts = []
     for point, _ in points:
@@ -1657,20 +1657,16 @@ def test_the_sweeps_decide_through_the_one_rule(monkeypatch, workers):
     assert counts == [count for _, count in points]
 
 
-# Recorded from the all-pairs topology build with a per-replication component
-# BFS; the sweep must reproduce every field bit for bit.  The 30-run point,
-# fewer runs than the 50 topologies, was recorded while every topology was
-# still built.
+# Recorded in one process from the per-topology and per-replication streams;
+# the sweep must reproduce every field bit for bit.  The 30-run point has
+# fewer runs than the 50 topologies.
 PINNED_RANDOM_GRAPH_POINTS = {
     (4, 50, 30, 1): (
-        0.26666666666666666, 0.5453945712353937, 2.6538461538461537, 1.754814268023123,
-        0.13333333333333333,
+        0.03333333333333333, 0.06817432140442418, 5.84, 2.3762634939497067, 0.16666666666666666,
     ),
-    (7, 25, 60, 3): (0.0, 0.0, 17.107142857142858, 4.26612581848308, 0.06666666666666667),
-    (4, 0, 60, 3): (0.0, 0.0, 4.431034482758621, 1.5777057368664746, 0.03333333333333333),
-    (4, 50, 60, 3): (
-        0.05, 0.07406539166837417, 4.2075471698113205, 1.7577514208941754, 0.11666666666666667
-    ),
+    (7, 25, 60, 3): (0.05, 0.1000497689044132, 18.84313725490196, 4.568589245004173, 0.15),
+    (4, 0, 60, 3): (0.0, 0.0, 6.140350877192983, 1.695598874452089, 0.05),
+    (4, 50, 60, 3): (0.2833333333333333, 0.2777049167934189, 5.791666666666667, 2.179488445913915, 0.2),
 }
 
 
@@ -1717,26 +1713,20 @@ def test_random_graph_set_up_reuse_matches_a_fresh_draw():
         assert random_graph_point(*args) == pt
 
 
-def _naive_set_up(n, runs, seed, field, range_m, topologies):
-    """The set-up's draws with every node tested against every sink start."""
-    rng = random.Random(seed)
-    topos = []
-    for t in range(topologies):
-        positions = {i: (field * rng.random(), field * rng.random()) for i in range(n)}
-        if t < runs:
-            topo = build_udg(positions, range_m)
-            topos.append((topo, scenario._component_labels(topo.adjacency)))
-    draws = []
-    for i in range(runs):
-        topo, label = topos[i % topologies]
-        while True:
-            sx, sy = field * rng.random(), field * rng.random()
-            heard = {label[v] for v in topo.positions if topo.in_range(v, (sx, sy))}
-            if heard:
-                break
-        source = rng.choice([v for v in range(n) if label[v] in heard])
-        draws.append((source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31)))
-    return draws
+def _naive_set_up(n, seed, t, i, field, range_m):
+    """Topology `t` and replication `i`'s placement on it, each drawn from
+    its own stream, with every node tested against every sink start."""
+    rng = random.Random(f"{seed}/topology/{t}")
+    topo = build_udg({v: (field * rng.random(), field * rng.random()) for v in range(n)}, range_m)
+    label = scenario._component_labels(topo.adjacency)
+    rng = random.Random(f"{seed}/placement/{i}")
+    while True:
+        sx, sy = field * rng.random(), field * rng.random()
+        heard = {label[v] for v in topo.positions if topo.in_range(v, (sx, sy))}
+        if heard:
+            break
+    source = rng.choice([v for v in range(n) if label[v] in heard])
+    return topo, (source, (sx, sy), rng.randrange(2**31), rng.randrange(2**31))
 
 
 @pytest.mark.parametrize(
@@ -1744,12 +1734,25 @@ def _naive_set_up(n, runs, seed, field, range_m, topologies):
     [(33, 1000.0, 200.0), (81, 1000.0, 200.0), (12, 1000.0, 60.0), (12, 50.0, 3.0), (40, 1e7, 2e6)],
 )
 def test_the_set_up_tests_only_a_strip_but_draws_as_if_it_tested_every_node(n, field, range_m):
-    scenario._SETUP_CACHE.clear()
-    setup = scenario._set_up(n, 120, 5, field, range_m, 7)
-    labels = [scenario._topology(setup, t, range_m)[1] for t in range(7)]
-    placements = scenario._place_sinks(setup, labels, 120, field, range_m)
-    scenario._SETUP_CACHE.clear()
-    assert placements == _naive_set_up(n, 120, 5, field, range_m, 7)
+    # 120 replications over 7 topologies, replication i on topology i % 7.
+    drawn = [scenario._draw_topology(n, 5, t, field, range_m) for t in range(7)]
+    for i in range(120):
+        topo, placement = _naive_set_up(n, 5, i % 7, i, field, range_m)
+        assert drawn[i % 7].topology == topo
+        assert scenario._place_sink(drawn[i % 7], 5, i, field, range_m) == placement
+
+
+def test_a_replication_draws_from_its_node_count_seed_and_index_alone(workers):
+    # The first 30 replications of a 60-run point are those of a 30-run
+    # point: the same placements, grown into the same tours.
+    workers(1)
+    memos = []
+    for runs in (60, 30):
+        scenario._SETUP_CACHE.clear()
+        random_graph_point(5, 10, runs, 4)
+        memos.append(_memo_tours())
+    assert [memos[0][i] for i in range(30)] == [memos[1][i] for i in range(30)]
+    assert any(len(entries) > 1 for _, (entries, _) in memos[1].values())
 
 
 # Calls whose replications split unevenly over 2 and 3 workers, and counts
@@ -1861,18 +1864,20 @@ def _point_fields(pt):
 
 
 def _memo_tours():
-    """The memo's tours as plain data, after checking that the one entry
-    holds topologies, placements and tours only: ints, no coordinates."""
+    """The memo's placements and tours by replication, as plain data, after
+    checking that the one entry holds topologies, placements and tours only:
+    ints, no coordinates."""
     (setup,) = scenario._SETUP_CACHE.values()
-    assert all(isinstance(topo, radio.Topology) for topo, _ in setup.built.values())
-    tours = []
-    for (source, start, track_seed, vc_seed), tour in zip(setup.placements, setup.tours, strict=True):
+    assert all(isinstance(drawn.topology, radio.Topology) for drawn in setup.built.values())
+    tours = {}
+    for i, (placement, tour) in setup.replications.items():
+        source, start, track_seed, vc_seed = placement
         assert isinstance(tour, Tour)
         assert all(type(v) is int for v in (source, track_seed, vc_seed, *tour.entries))
         assert type(start) is tuple and type(tour.complete) is bool
         assert not hasattr(tour, "__dict__")  # entries and complete only
         assert [f.name for f in dataclasses.fields(tour)] == ["entries", "complete"]
-        tours.append((tuple(tour.entries), tour.complete))
+        tours[i] = (placement, (tuple(tour.entries), tour.complete))
     return tours
 
 
@@ -1889,9 +1894,10 @@ def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers, c
     for speed in PAIRED_SPEEDS:
         random_graph_point(degree, speed, runs, seed)
     serial_tours = _memo_tours()
-    assert any(len(entries) > 1 for entries, _ in serial_tours)
-    # The caller walks the first slice of the walk order, and its memo grows
-    # those tours only.
+    assert sorted(serial_tours) == list(range(runs))
+    assert any(len(entries) > 1 for _, (entries, _) in serial_tours.values())
+    # The caller walks the first slice of the walk order, and its memo holds
+    # those replications only, their placements and tours as in the serial run.
     first = runs // min(count or default_workers(runs), runs)
     mine = set(scenario._walk_order(runs, scenario.RANDOM_TOPOLOGIES)[:first])
     workers(count)
@@ -1901,9 +1907,7 @@ def test_paired_speeds_do_not_depend_on_the_order_or_the_worker_count(workers, c
             pt = random_graph_point(degree, speed, runs, seed)
             assert _point_fields(pt) == single[speed]
             assert len(scenario._SETUP_CACHE) == 1
-        tours = _memo_tours()
-        for i, (tour, (entries, complete)) in enumerate(zip(tours, serial_tours, strict=True)):
-            assert tour == ((entries, complete) if i in mine else (entries[:1], False))
+        assert _memo_tours() == {i: serial_tours[i] for i in mine}
     assert _no_child_left()
 
 
@@ -1915,8 +1919,8 @@ def test_each_process_builds_only_the_topologies_its_slice_walks(monkeypatch, wo
     build = scenario.build_udg
 
     def recorded(positions, range_m):
-        built.append(positions)
-        return build(positions, range_m)
+        built.append(build(positions, range_m))
+        return built[-1]
 
     monkeypatch.setattr(scenario, "build_udg", recorded)
     monkeypatch.setattr(scenario, "_SETUP_CACHE", {})
@@ -1924,7 +1928,7 @@ def test_each_process_builds_only_the_topologies_its_slice_walks(monkeypatch, wo
     for speed in PAIRED_SPEEDS:
         random_graph_point(6, speed, 200, 3)
     (setup,) = scenario._SETUP_CACHE.values()
-    assert [next(t for t, p in enumerate(setup.positions) if p is q) for q in built] == list(range(25))
+    assert [next(t for t, d in setup.built.items() if d.topology is q) for q in built] == list(range(25))
     assert sorted(setup.built) == list(range(25))
     assert _no_child_left()
 
@@ -1943,11 +1947,12 @@ def test_a_slice_bound_inside_a_topology_keeps_the_serial_point(workers, runs, c
     workers(count)
     scenario._SETUP_CACHE.clear()
     assert [_point_fields(random_graph_point(degree, speed, runs, seed)) for speed in PAIRED_SPEEDS] == serial
-    # The caller built what its slice walks, which starts every topology in it.
+    # The caller built the topologies and drew the placements of its slice only.
     (setup,) = scenario._SETUP_CACHE.values()
     topologies = scenario.RANDOM_TOPOLOGIES
     walked = scenario._walk_order(runs, topologies)[: runs // count]
     assert sorted(setup.built) == sorted({i % topologies for i in walked})
+    assert sorted(setup.replications) == sorted(walked)
     assert _no_child_left()
 
 
