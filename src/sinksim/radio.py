@@ -208,18 +208,16 @@ class Timeline:
     `totals` holds each node's microseconds per state, read-only: nodes
     with the same totals may share one mapping.  `clipped_us` holds the
     active microseconds cut from a node where its spans overlapped (nodes
-    without any are left out).  `len()` is the number of spans, counted
-    during assembly; `spans()` builds each node's spans, filled and in time
-    order.
+    without any are left out).  `spans()` builds each node's spans, filled
+    and in time order, and `len()` is the number of spans it builds.
     """
 
     totals: Dict[NodeId, Dict[str, int]]
     clipped_us: Dict[NodeId, int]
-    length: int
     spans: Callable[[], Dict[NodeId, List[Span]]] = field(repr=False)
 
     def __len__(self) -> int:
-        return self.length
+        return sum(map(len, self.spans().values()))
 
 
 @dataclass(frozen=True)

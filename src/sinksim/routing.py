@@ -185,7 +185,8 @@ def route(
     `sink` is whatever clock drives the walk: an iterable of the sink's
     states, (physical position, departed), one per round.  The walk takes
     the first before round 0 and the next at the end of every round that
-    does not end the walk, so a walk with round limit L reads at most L + 1.
+    does not end the walk, so a walk with round limit L reads at most L + 1;
+    a sink that runs out of states before the walk ends raises ValueError.
     In the sweeps a round is one unit of drift; the six-phase scenario
     observes the sink at the ACK instant of the round's hop exchange, one
     exchange later each round.
@@ -208,7 +209,10 @@ def route(
     positions = topology.positions
     r2 = topology.range_m**2  # the pair test is the expression of Topology.in_range
     next_state = iter(sink).__next__
-    pos, departed = next_state()
+    try:
+        pos, departed = next_state()
+    except StopIteration:
+        raise ValueError("the sink has no state for round 0") from None
     snapshot = pos
     dest = sink_coord if sink_coord is not None else snapshot
     if tour is None:
@@ -278,7 +282,10 @@ def route(
             return RouteResult(False, len(path) - 1, restarts, path, "failed", rounds)
         # else stuck but the sink moves: wait this round out
         last = pos
-        pos, departed = next_state()
+        try:
+            pos, departed = next_state()
+        except StopIteration:
+            raise ValueError(f"the sink has no state for round {rounds + 1}") from None
         if not ever_moved and pos != last:
             ever_moved = True
         rounds += 1

@@ -8,15 +8,13 @@ view (:class:`~sinksim.radio.Timeline`).  It fills each node that took part
 in an exchange once with `_fill_gaps`, the one routine that fills gaps and
 clips overlaps.  A node that took part in none holds at most its flood
 relay, in the idle state too, so every such node shares one read-only
-totals mapping, and their span count comes from the sorted relay starts by
-bisection.  The base station's request train is priced in closed form
-(`_base_station_totals`).  None of these totals and counts needs spans,
-which are filled only when the view's `spans()` is called.
+totals mapping.  The base station's request train is priced in closed form
+(`_base_station_totals`).  None of these totals needs spans, which are
+filled only when the view's `spans()` is called.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core import NodeId, ProtocolConstants
@@ -67,34 +65,21 @@ def _fill_gaps(
     return out, totals, clipped
 
 
-def _base_station_totals(c: ProtocolConstants, horizon: int) -> Tuple[Dict[str, int], int]:
-    """Microseconds per state and segment count of the base station's train,
-    a data-request preamble (`poll`) every t_dr with listening in between, as
-    `_fill_gaps` fills it and keys it, in closed form.
+def _base_station_totals(c: ProtocolConstants, horizon: int) -> Dict[str, int]:
+    """Microseconds per state of the base station's train, a data-request
+    preamble (`poll`) every t_dr with listening in between, as `_fill_gaps`
+    fills it and keys it, in closed form.
 
     Each full request period polls for min(d_drp, t_dr), the part before the
     horizon for min(d_drp, rest), and the base station listens for the
-    remainder.  With d_drp = 0 that is one listening stretch.  Otherwise a
-    preamble adds a segment unless the one before it already reached the
-    horizon (with overlapping preambles each ends where the next begins), a
-    listening stretch precedes every later preamble while d_drp < t_dr, and
-    one follows the last preamble if it ends before the horizon.
+    remainder.
     """
     if horizon <= 0:
-        return {}, 0
-    period, d_drp = c.t_dr, c.d_drp
-    if d_drp == 0:
-        return {"listen": horizon}, 1
-    full, rest = divmod(horizon, period)
-    preambles = full + (rest > 0)  # those starting before the horizon
-    poll = full * min(d_drp, period) + min(d_drp, rest)
-    # the first preamble, then those whose predecessor ends before the horizon
-    polls = 1 + min(preambles - 1, max(0, -((d_drp - horizon) // period)))
-    listens = (preambles - 1 if d_drp < period else 0) + (
-        (preambles - 1) * period + d_drp < horizon
-    )
+        return {}
+    full, rest = divmod(horizon, c.t_dr)
+    poll = full * min(c.d_drp, c.t_dr) + min(c.d_drp, rest)
     totals = {"poll": poll, "listen": horizon - poll}  # the train starts with a preamble
-    return {state: us for state, us in totals.items() if us}, polls + listens
+    return {state: us for state, us in totals.items() if us}
 
 
 def rotation_timeline(
@@ -110,32 +95,20 @@ def rotation_timeline(
     `relay_start`.  Both mappings are keyed by the sink and `ids` only.
 
     Every node outside `active` polls all along, before and after its relay,
-    so all of them share one totals mapping; a relay inside the horizon adds
-    a span to its node if it starts after 0 and another if it ends before
-    the horizon.
+    so all of them share one totals mapping.
     """
     d_brp = c.d_brp
-    bs_totals, length = _base_station_totals(c, horizon)
     order = [MS_ID, *ids]
     # the sink and the exchange nodes overwrite their entries below, in place
-    totals = {BS_ID: bs_totals, **dict.fromkeys(order, {"poll": horizon} if horizon > 0 else {})}
-    length += len(order) * (horizon > 0)
-    if 0 < d_brp:
-        # the relays before the horizon that start after 0, then those that
-        # end before the horizon
-        starts = sorted(relay_start.values())
-        before = bisect_left(starts, horizon)
-        length += before - bisect_right(starts, 0, 0, before) + bisect_left(starts, horizon - d_brp)
+    idle = {"poll": horizon} if horizon > 0 else {}
+    totals = {BS_ID: _base_station_totals(c, horizon), **dict.fromkeys(order, idle)}
     clipped: Dict[NodeId, int] = {}
     filled = {}
     for nid, spans in active.items():
         s = relay_start.get(nid)
         if s is not None:
-            if 0 < d_brp and s < horizon:  # counted above as a relay-only node's
-                length -= (s > 0) + (s + d_brp < horizon)
             spans = spans + [(s, s + d_brp, "poll")]
         filled[nid], totals[nid], cut = _fill_gaps(spans, 0, horizon, "poll")
-        length += len(filled[nid]) - (horizon > 0)
         if cut:
             clipped[nid] = cut
 
@@ -151,7 +124,7 @@ def rotation_timeline(
                 out[nid] = _fill_gaps(relay, 0, horizon, "poll")[0]
         return out
 
-    return Timeline(totals, clipped, length, build)
+    return Timeline(totals, clipped, build)
 
 
 def hop_exchange_timeline(

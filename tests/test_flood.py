@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter, deque
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sinksim.core import DEFAULT_CONSTANTS, b_src_min
@@ -378,3 +379,125 @@ def test_a_rebuilt_topology_never_reads_the_slot_view_before():
         alone.append(flood_a_new_topology(range_m))
     assert in_turn == alone
     assert len(set(alone)) == 3
+
+
+def reference_flood(topology, c, seed, collisions, source, initiator, injections):
+    """The flood as the module docstring of `sinksim.flood` states it, kept
+    plain: state in dicts keyed by node id, one event list taken in (time,
+    push order), and a reception lost when a second transmission of the
+    receiver's neighbors overlaps it.  `initiator` sends at 0 (None for
+    none); each (node, time) of `injections` is an external preamble ending
+    at that node."""
+    rng = random.Random(seed)
+    nbrs = topology.adjacency
+    state = dict.fromkeys(nbrs, "idle")
+    busy_until = dict.fromkeys(nbrs, 0)
+    expiry = {}
+    token = dict.fromkeys(nbrs, 0)
+    events = []  # (time, push order, kind, node, token)
+    order = itertools.count()
+    report = FloodReport()
+
+    def push(t, kind, node, tok=0):
+        events.append((t, next(order), kind, node, tok))
+
+    def back_off(v, t):
+        # the draw waits while a neighbor is on the air
+        if busy_until[v] > t:
+            state[v] = "defer"
+            push(busy_until[v], "resume", v, token[v])
+        else:
+            state[v] = "backoff"
+            expiry[v] = t + rng.randrange(c.w_br + 1)
+            token[v] += 1
+            push(expiry[v], "expiry", v, token[v])
+
+    def receive(v, t):
+        report.first_rx_us[v] = t
+        report.reached.add(v)
+        if v == source:
+            state[v] = "source wait"
+            report.source_wait_expiry_us = t + c.b_src
+        else:
+            back_off(v, t)
+
+    def lost(v, t):
+        overlapping = [
+            s for u, s in report.transmissions if u in nbrs[v] and s < t and s + c.d_brp > t - c.d_brp
+        ]
+        return len(overlapping) > 1
+
+    if initiator is not None:
+        report.reached.add(initiator)
+        state[initiator], expiry[initiator], token[initiator] = "backoff", 0, 1
+        push(0, "expiry", initiator, 1)
+    for node, t in injections:
+        push(t, "deliver", node)
+    now = 0
+    while events:
+        event = min(events)
+        events.remove(event)
+        now, _, kind, node, tok = event
+        if kind == "expiry" and state[node] == "backoff" and tok == token[node]:
+            state[node] = "sent"
+            report.transmissions.append((node, now))
+            end = now + c.d_brp
+            for v in nbrs[node]:
+                busy_until[v] = max(busy_until[v], end)
+                # a neighbor backing off to the switch time's end or past it defers
+                if state[v] == "backoff" and expiry[v] >= now + c.d_rxtx:
+                    state[v] = "defer"
+                    token[v] += 1
+                    push(end, "resume", v, token[v])
+            push(end, "tx end", node)
+        elif kind == "resume" and state[node] == "defer" and tok == token[node]:
+            back_off(node, now)
+        elif kind == "deliver" and state[node] == "idle":
+            receive(node, now)
+        elif kind == "tx end":
+            for v in nbrs[node]:
+                if state[v] == "idle" and not (collisions and lost(v, now)):
+                    receive(v, now)
+    report.completion_us = max(now, report.source_wait_expiry_us or now)
+    return report
+
+
+@st.composite
+def flood_cases(draw):
+    """(positions, w_br, seed, collisions, source, initiator, injections) of
+    a flood on a UDG of 1-40 nodes at a 25 m range, ids sparse."""
+    n = draw(st.integers(1, 40))
+    ids = draw(st.lists(st.integers(0, 5_000), min_size=n, max_size=n, unique=True))
+    coord = st.integers(0, 100).map(float)
+    positions = dict(zip(ids, draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))))
+    w_br = draw(st.sampled_from([0, 1, 200, C.w_br, C.d_brp + 6_000]))
+    source = draw(st.one_of(st.none(), st.sampled_from(ids)))
+    if draw(st.booleans()):
+        initiator, injections = draw(st.sampled_from(ids)), []
+    else:
+        initiator = None
+        injection = st.tuples(st.sampled_from(ids), st.integers(0, 2 * C.d_brp))
+        injections = draw(st.lists(injection, min_size=1, max_size=4))
+    return positions, w_br, draw(st.integers(0, 2**31 - 1)), draw(st.booleans()), source, initiator, injections
+
+
+@settings(max_examples=150, deadline=None)
+@given(flood_cases())
+# Node 9 draws its expiry at 84,890; node 5, told at 45,154, sends at 84,698,
+# so 9's expiry is exactly the end of the switch time: it defers.
+@example(({5: (0.0, 0.0), 9: (10.0, 0.0)}, C.d_brp + 6_000, 7, False, None, None, [(9, 0), (5, 45_154)]))
+# Node 70 hears 512 over [0, d_brp) and 3 over [d_brp - 1, 2 d_brp - 1): the
+# two overlap by 1 us, so neither copy reaches it.
+@example(({3: (0.0, 0.0), 70: (20.0, 0.0), 512: (40.0, 0.0)}, 0, 0, True, None, None, [(512, 0), (3, C.d_brp - 1)]))
+def test_the_flood_equals_the_reference_flood(case):
+    positions, w_br, seed, collisions, source, initiator, injections = case
+    topo = build_udg(positions, 25.0)
+    c = dataclasses.replace(C, w_br=w_br)
+    if initiator is None:
+        engine = FloodEngine(topo, c, source=source, seed=seed, collisions=collisions)
+        for node, t in injections:
+            engine.inject_reception(node, t)
+        report = engine.run()
+    else:
+        report = simulate_flood(topo, initiator, source=source, c=c, seed=seed, collisions=collisions)
+    assert report == reference_flood(topo, c, seed, collisions, source, initiator, injections)

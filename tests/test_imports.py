@@ -218,29 +218,68 @@ def test_every_sinksim_definition_has_a_caller_outside_the_tests():
     assert {f for f in fields if f[2] not in read_fields} == set(TEST_FACING_FIELDS)
 
 
-# Keyword-only parameters of sinksim functions that no call outside the tests
-# passes, each with the reason it stays.
-TEST_ONLY_KEYWORDS = {}
+# Parameters with a default of sinksim functions that no call outside the
+# tests passes, each with the reason it stays.
+TEST_ONLY_KNOBS = {
+    ("energy", "v_max_bs", "chord_m"): (
+        "the sink's chord through the base station's range, twice the 25 m default "
+        "range; a field at another range changes it (ROADMAP items 5 and 20)"
+    ),
+    ("flood", "simulate_flood", "collisions"): (
+        "the lossy flood, which `flood-sim` is to count lost copies of (ROADMAP item 4(b))"
+    ),
+    ("frames", "ack_frame", "seq"): "the frame's sequence field, which criterion 11 round-trips",
+    ("frames", "data_frame", "seq"): "the frame's sequence field, as `ack_frame` takes it",
+}
 
 
-def test_every_keyword_only_parameter_is_passed_outside_the_tests():
-    # A keyword-only parameter is passed when a call in src/sinksim, scripts/
-    # or bench/ names it as a keyword and calls a name or attribute of the
-    # function's own name; names are matched, not resolved.  A knob that
-    # only tests turn shows up here.
-    parameters = []  # (module, function, parameter)
-    passed = set()  # (called name, keyword)
+def defined_functions(nodes, owner=None):
+    """(function, the name a call names it by, its positional parameters
+    that a call fills) of every function defined in `nodes`: a method skips
+    its instance or class, and `__init__` is called by its class's name."""
+    for node in nodes:
+        if isinstance(node, ast.ClassDef):
+            yield from defined_functions(node.body, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            called = owner if node.name == "__init__" else node.name
+            positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+            yield node, called, positional[owner is not None and not static:]
+            yield from defined_functions(node.body)
+        else:
+            yield from defined_functions(ast.iter_child_nodes(node), owner)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # A parameter with a default, keyword-only or positional, is passed when a
+    # call in src/sinksim, scripts/ or bench/ to a name or attribute of the
+    # function's own name (its class's, for `__init__`) names it as a keyword,
+    # reaches it by position or unpacks arguments; names are matched, not
+    # resolved.  A knob that only tests turn shows up here.
+    parameters = []  # (module, function, parameter, position or None)
+    passed = set()  # (called name, keyword); None for ** unpacking
+    reached = {}  # called name -> the most positional arguments a call passes
     for path in non_test_sources():
-        for node in ast.walk(ast.parse(path.read_text())):
-            if path.parent.name == "sinksim" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                parameters += [(path.stem, node.name, arg.arg) for arg in node.args.kwonlyargs]
-            elif isinstance(node, ast.Call):
+        tree = ast.parse(path.read_text())
+        if path.parent.name == "sinksim":
+            for node, called, positional in defined_functions(tree.body):
+                first = len(positional) - len(node.args.defaults)
+                parameters += [(path.stem, called, arg, i) for i, arg in enumerate(positional) if i >= first]
+                parameters += [(path.stem, called, arg.arg, None) for arg in node.args.kwonlyargs]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
                 func = node.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 passed |= {(called, keyword.arg) for keyword in node.keywords}
-    assert len(parameters) >= 6
-    unpassed = {(module, name, arg) for module, name, arg in parameters if (name, arg) not in passed}
-    assert unpassed == set(TEST_ONLY_KEYWORDS)
+                count = sys.maxsize if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+                reached[called] = max(reached.get(called, 0), count)
+    assert len(parameters) >= 25
+    unpassed = {
+        (module, name, arg)
+        for module, name, arg, i in parameters
+        if not {(name, arg), (name, None)} & passed and (i is None or reached.get(name, 0) <= i)
+    }
+    assert unpassed == set(TEST_ONLY_KNOBS)
 
 
 def load_bench_module(name):

@@ -235,6 +235,19 @@ def test_round_limit_counts_as_miss():
     assert res.rounds == 10
 
 
+def test_a_sink_that_runs_out_of_states_raises_value_error_naming_the_round():
+    # A bare StopIteration would end a generator that calls the walk.
+    g = grid_topology(3, 25.0)
+
+    def walks(sink):
+        yield route(g, g.positions, 0, sink, round_limit=10)
+
+    with pytest.raises(ValueError, match="no state for round 2$"):
+        next(walks([((200.0, 200.0), False)] * 2))
+    with pytest.raises(ValueError, match="no state for round 0$"):
+        next(walks([]))
+
+
 def test_header_overflow_on_long_walks():
     positions = {i: (i * 20.0, 0.0) for i in range(140)}
     topo = build_udg(positions, 25.0)

@@ -806,12 +806,11 @@ def test_a_rotation_fills_spans_only_when_they_are_asked_for(monkeypatch):
     view = report.timeline
     integrate_timeline(view, power_table(0))
     timeline_coverage(view)
-    assert len(view) == PINNED_ROTATIONS["collisions"]["segments"][0]
     assert calls == []
     spans = view.spans()
     outside = set(range(PINNED_ROTATIONS["collisions"]["side"] ** 2)) - involved
     assert 0 < len(outside) and len(calls) == 1 + len(outside)
-    assert sum(map(len, spans.values())) == len(view)
+    assert sum(map(len, spans.values())) == len(view) == PINNED_ROTATIONS["collisions"]["segments"][0]
 
 
 # Recorded before timelines were assembled from per-node spans: every
@@ -971,7 +970,7 @@ def shared_totals_view():
     """A view whose nodes 0, 2 and 3 share one mapping of three states."""
     shared = {"sleep": 123_457, "poll": 987_654_321, "rx": 7}
     totals = {BS_ID: {"listen": 5, "poll": 3}, 0: shared, 1: {"rx": 5, "poll": 9}, 2: shared, 3: shared}
-    return Timeline(totals, {}, 5, dict)
+    return Timeline(totals, {}, dict)
 
 
 @pytest.mark.parametrize("name", ["loss-free", "synthetic"])
@@ -979,9 +978,7 @@ def test_nodes_sharing_one_totals_mapping_price_as_their_copies(name):
     view = run_pinned(name).timeline if name == "loss-free" else shared_totals_view()
     assert len({id(states) for states in view.totals.values()}) < len(view.totals)
     before = {nid: list(states.items()) for nid, states in view.totals.items()}
-    copies = Timeline(
-        {nid: dict(states) for nid, states in view.totals.items()}, view.clipped_us, len(view), view.spans
-    )
+    copies = Timeline({nid: dict(states) for nid, states in view.totals.items()}, view.clipped_us, view.spans)
     for dbm in (0, -25):
         powers = power_table(dbm)
         energy = integrate_timeline(view, powers)
@@ -1108,8 +1105,8 @@ def state_totals(spans):
 @TRAIN_CONSTANTS
 def test_base_station_totals_equal_the_built_train(constants, horizon):
     train = base_station_train(constants, horizon)
-    totals, length = _base_station_totals(constants, horizon)
-    assert (list(totals.items()), length) == (list(state_totals(train).items()), len(train))
+    totals = _base_station_totals(constants, horizon)
+    assert list(totals.items()) == list(state_totals(train).items())
 
 
 SPAN = st.tuples(st.integers(-50, 450), st.integers(0, 120), st.sampled_from(RADIO_STATES))
