@@ -87,7 +87,7 @@ def _topology(args):
     if not args.topology:
         _at_least_one(args, "grid")
         # before the build, which takes seconds at a side of 300
-        if args.grid**2 - 1 > MAX_NODE_ID:
+        if args.grid * args.grid - 1 > MAX_NODE_ID:
             raise ValueError(f"--grid {args.grid} numbers nodes beyond id {MAX_NODE_ID}")
         extent = (args.grid - 1) * args.spacing
         if not extent * extent < math.inf:

@@ -121,8 +121,10 @@ def _strip(xs: Sequence[float], px: float, range_m: float) -> slice:
     point at x `px`.
 
     A node further than the range in x, with a margin far above rounding
-    and above underflow, fails the pair test of Topology.in_range, so only
-    the nodes inside the strip need the test.
+    and above underflow, fails the pair test of Topology.in_range: its
+    `dx * dx` alone exceeds `r * r` by far more than one ulp, and adding a
+    non-negative `dy * dy` never lowers the sum.  So only the nodes inside
+    the strip need the test.
     """
     reach = range_m + 1e-9 * (abs(px) + range_m) + _UNDERFLOW_GAP
     return slice(bisect_left(xs, px - reach), bisect_right(xs, px + reach))
@@ -138,12 +140,18 @@ def _hearers(
 
     `nodes` are (id, position) pairs sorted by x and `xs` their xs, as
     `Topology.view` keeps them; only the x strip around `point` is tested,
-    with the pair test of Topology.in_range.
+    with the pair test of Topology.in_range, dx * dx + dy * dy <= r * r.
     """
     px, py = point
-    r2 = range_m**2
-    strip = nodes[_strip(xs, px, range_m)]
-    return sorted(nid for nid, (x, y) in strip if (x - px) ** 2 + (y - py) ** 2 <= r2)
+    r2 = range_m * range_m
+    heard = []
+    for nid, (x, y) in nodes[_strip(xs, px, range_m)]:
+        dx = x - px
+        dy = y - py
+        if dx * dx + dy * dy <= r2:
+            heard.append(nid)
+    heard.sort()
+    return heard
 
 
 def _first_cca_catch(c: ProtocolConstants, cca_offset: int, not_before: int) -> int:

@@ -38,11 +38,13 @@ from typing import BinaryIO, Callable, List, Tuple
 
 # On a 2-core host the round trip of a call to one persistent worker, with
 # an empty slice, took 0.03-0.04 ms (median of 2,000 calls in each of two
-# runs), and one replication walks in 28-30 us on the grid and 20-24 us on a
-# random graph whose set-up is drawn.  Each process also makes what a point
-# walks against (0.09 ms for a grid slice).  Against one process, 2 workers
-# broke even at 20 replications each and took 1.1 ms for 40 grid
-# replications against 1.9 ms.  No worker gets fewer items than this.
+# runs).  One replication walks in 24-25 us on the grid and in 18-36 us on
+# a random graph of degree 4 to 10 whose set-up is drawn (63-163 us when the
+# walk draws it): medians of serial slice calls in one process.  Each process
+# also makes what a point walks against (0.09 ms for a grid slice).  Against
+# one process, 2 workers broke even at 20 replications each and took 1.1 ms
+# for 40 grid replications against 1.9 ms.  No worker gets fewer items than
+# this.
 MIN_SLICE = 20
 
 # (pid, write end of its request pipe, read end of its reply pipe), in

@@ -39,9 +39,18 @@ class Topology:
         return len(self.positions)
 
     def in_range(self, node: NodeId, point: Position) -> bool:
-        """True when `point` is within communication range of `node`."""
+        """True when `point` is within communication range of `node`.
+
+        This is the one pair test: dx * dx + dy * dy <= r * r, each square
+        an exact product, never `** 2`, which CPython sends to the C
+        library's `pow`: slower, and not correctly rounded on every libm,
+        so a pair at the range would depend on the platform.
+        """
         x, y = self.positions[node]
-        return (x - point[0]) ** 2 + (y - point[1]) ** 2 <= self.range_m**2
+        dx = x - point[0]
+        dy = y - point[1]
+        r = self.range_m
+        return dx * dx + dy * dy <= r * r
 
     @cached_property
     def view(self) -> "TopologyView":
@@ -88,9 +97,11 @@ def build_udg(positions: Mapping[NodeId, Position], range_m: float) -> Topology:
 
     Sweeps the nodes in (x, id) order and stops pairing a node once the
     squared x gap alone exceeds the squared range, so only pairs within one
-    range in x are tested.  The squared gap never shrinks along the sweep and
-    adding the y term never lowers it, so every pruned pair is one the full
-    test rejects; a pair at exactly the range still counts as connected.
+    range in x are tested, with the pair test of Topology.in_range.  Both
+    squares are products (`dx * dx`): a rounded product never falls as the
+    gap grows along the sweep, and adding a non-negative `dy * dy` never
+    lowers the sum, so every pruned pair is one the full test rejects; a
+    pair at exactly the range still counts as connected.
 
     Raises ValueError for a range that is negative or whose square is not
     finite.
@@ -99,7 +110,8 @@ def build_udg(positions: Mapping[NodeId, Position], range_m: float) -> Topology:
         raise ValueError(f"range must be finite and >= 0 with a finite square, got {range_m!r}")
     pos = {nid: (float(p[0]), float(p[1])) for nid, p in positions.items()}
 
-    r2 = float(range_m) ** 2
+    r = float(range_m)
+    r2 = r * r
     # A NaN x fails every pair test and would break the sort order: leave it out.
     swept = sorted((x, nid, y) for nid, (x, y) in pos.items() if not math.isnan(x))
     nbrs: Dict[NodeId, list] = {nid: [] for nid in sorted(pos)}
@@ -107,14 +119,16 @@ def build_udg(positions: Mapping[NodeId, Position], range_m: float) -> Topology:
         near = nbrs[a]
         for j in range(i + 1, len(swept)):
             bx, b, by = swept[j]
-            dx2 = (ax - bx) ** 2
+            dx = ax - bx
+            dx2 = dx * dx
             if dx2 > r2:
                 break
-            if dx2 + (ay - by) ** 2 <= r2:
+            dy = ay - by
+            if dx2 + dy * dy <= r2:
                 near.append(b)
                 nbrs[b].append(a)
     adjacency = {nid: tuple(sorted(ns)) for nid, ns in nbrs.items()}
-    return Topology(pos, float(range_m), adjacency)
+    return Topology(pos, r, adjacency)
 
 
 def grid_topology(side: int, spacing: float, range_m: float = None) -> Topology:

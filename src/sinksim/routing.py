@@ -105,7 +105,9 @@ def next_hop_3rule(
         if v in visited:
             continue
         vx, vy = coords[v]
-        d2 = (vx - tx) ** 2 + (vy - ty) ** 2
+        dx = vx - tx
+        dy = vy - ty
+        d2 = dx * dx + dy * dy
         if best is None or d2 < best_d2:
             best, best_d2 = v, d2
     if best is not None:
@@ -207,7 +209,10 @@ def route(
     """
     limit = round_limit if round_limit is not None else 4 * len(topology)
     positions = topology.positions
-    r2 = topology.range_m**2  # the pair test is the expression of Topology.in_range
+    # The pair test is the expression of Topology.in_range: each square one
+    # product, never `** 2`, which calls the C library's `pow`.
+    r = topology.range_m
+    r2 = r * r
     next_state = iter(sink).__next__
     try:
         pos, departed = next_state()
@@ -233,7 +238,9 @@ def route(
         if departed or rounds >= limit:
             return RouteResult(False, len(path) - 1, restarts, path, "missed", rounds)
         x, y = positions[node]
-        if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
+        dx = x - pos[0]
+        dy = y - pos[1]
+        if dx * dx + dy * dy <= r2:
             if on_round is not None:
                 on_round(rounds, node, None, dest)
             return RouteResult(True, len(path) - 1, restarts, path, "delivered", rounds)

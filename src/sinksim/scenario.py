@@ -320,14 +320,19 @@ def _place_sink(drawn: _Drawn, seed: int, i: int, field: float, range_m: float) 
     own stream of the set-up of `seed`."""
     rng = random.Random(f"{seed}/placement/{i}")
     draw = rng.random
-    r2 = float(range_m) ** 2
+    r = float(range_m)
+    r2 = r * r
     # Redraw the sink until some node is in range of it; the source is then
     # uniform over the components of the nodes in range.  Only the nodes in
     # the sink's x strip can be.
     while True:
         sx, sy = field * draw(), field * draw()
-        strip = drawn.nodes[_strip(drawn.xs, sx, range_m)]
-        heard = {lab for (x, y), lab in strip if (x - sx) ** 2 + (y - sy) ** 2 <= r2}
+        heard = set()
+        for (x, y), lab in drawn.nodes[_strip(drawn.xs, sx, range_m)]:
+            dx = x - sx
+            dy = y - sy
+            if dx * dx + dy * dy <= r2:
+                heard.add(lab)
         if heard:
             break
     # The ids of the heard components, ascending.
@@ -535,7 +540,7 @@ def _crossing_walks(
     """
     rng = random.Random(seed)
     # (source, coordinate seed or None)
-    draws = [(rng.randrange(GRID_SIDE**2), rng.randrange(2**31) if virtual else None) for _ in range(hi)]
+    draws = [(rng.randrange(GRID_SIDE * GRID_SIDE), rng.randrange(2**31) if virtual else None) for _ in range(hi)]
     g = grid_topology(GRID_SIDE, GRID_SPACING_M)
     limit = 4 * len(g)
     paths = [line_crossing((0.0, 0.0), _CROSSING_ENDS[name], speed, limit) for name in crossings]

@@ -159,7 +159,8 @@ def mean_ci(values: Sequence[float]) -> Tuple[float, float]:
         return mean, float("inf")
     var = 0.0
     for v in values:
-        var += (v - mean) ** 2
+        d = v - mean
+        var += d * d
     var /= n - 1
     half = _t975(n - 1) * math.sqrt(var / n)
     return mean, half

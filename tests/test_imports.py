@@ -137,6 +137,24 @@ def test_stats_imports_nothing_from_sinksim():
     assert sinksim_modules_loaded_by("sinksim.stats") == ["sinksim.stats"]
 
 
+def test_no_sinksim_square_calls_pow():
+    # `x ** 2` of a float calls the C library's `pow`, which costs over twice a
+    # product and is not correctly rounded on every platform, so a pair test
+    # at the range could depend on the libm.  Squares are products,
+    # `dx * dx`; a literal base (`2**31`) is folded when the module compiles.
+    squares = [
+        (path.name, node.lineno)
+        for path in sorted((SRC / "sinksim").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+        and not isinstance(node.left, ast.Constant)
+    ]
+    assert squares == []
+
+
 def test_no_sinksim_module_is_over_600_lines():
     # Compiling a module takes memory that grows faster than its length, and
     # every benchmark run's peak includes compiling sinksim.
@@ -250,12 +268,36 @@ def defined_functions(nodes, owner=None):
             yield from defined_functions(ast.iter_child_nodes(node), owner)
 
 
+def names_outside_sinksim(path, tree):
+    """The names that the module at `path`, parsed as `tree`, binds to what
+    is not sinksim's: modules other than sinksim and what it imports from
+    them, and, outside src/sinksim, its own top-level functions and classes."""
+    names = set()
+    if path.parent.name != "sinksim":
+        names |= {
+            top.name
+            for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a for a in node.names if a.name.partition(".")[0] != "sinksim"]
+            names |= {a.asname or a.name.partition(".")[0] for a in modules}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.partition(".")[0] != "sinksim":
+                names |= {a.asname or a.name for a in node.names}
+    return names
+
+
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
     # A parameter with a default, keyword-only or positional, is passed when a
     # call in src/sinksim, scripts/ or bench/ to a name or attribute of the
     # function's own name (its class's, for `__init__`) names it as a keyword,
     # reaches it by position or unpacks arguments; names are matched, not
-    # resolved.  A knob that only tests turn shows up here.
+    # resolved.  A call made through a name that is not sinksim's (an import
+    # from elsewhere, as in `subprocess.run`, or a function of bench/ or
+    # scripts/ itself) reaches no sinksim function and passes nothing.  A knob
+    # that only tests turn shows up here.
     parameters = []  # (module, function, parameter, position or None)
     passed = set()  # (called name, keyword); None for ** unpacking
     reached = {}  # called name -> the most positional arguments a call passes
@@ -266,9 +308,14 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                 first = len(positional) - len(node.args.defaults)
                 parameters += [(path.stem, called, arg, i) for i, arg in enumerate(positional) if i >= first]
                 parameters += [(path.stem, called, arg.arg, None) for arg in node.args.kwonlyargs]
+        outside = names_outside_sinksim(path, tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                func = node.func
+                func = root = node.func
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in outside:
+                    continue
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 passed |= {(called, keyword.arg) for keyword in node.keywords}
                 count = sys.maxsize if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)

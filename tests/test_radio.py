@@ -1,9 +1,11 @@
 import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinksim.flight import _hearers
 from sinksim.radio import (
     E_PREAMB_MJ,
     POWER_TABLES,
@@ -15,19 +17,23 @@ from sinksim.radio import (
     power_table,
     to_dot,
 )
+from sinksim.routing import route
 
 
 def brute_force_adjacency(positions, range_m):
-    """Every ordered pair through the unit-disk test on squared distances."""
-    r2 = float(range_m) ** 2
+    """Every ordered pair through the unit-disk test on squared distances,
+    each square one product: dx * dx + dy * dy <= r * r."""
+    r = float(range_m)
     adj = {}
     for a in sorted(positions):
         ax, ay = positions[a]
-        adj[a] = tuple(
-            b
-            for b in sorted(positions)
-            if b != a and (ax - positions[b][0]) ** 2 + (ay - positions[b][1]) ** 2 <= r2
-        )
+        near = []
+        for b in sorted(positions):
+            dx = ax - positions[b][0]
+            dy = ay - positions[b][1]
+            if b != a and dx * dx + dy * dy <= r * r:
+                near.append(b)
+        adj[a] = tuple(near)
     return adj
 
 
@@ -225,6 +231,35 @@ def test_in_range_uses_topology_range():
     assert g.in_range(0, (12.0, 0.0))
     assert not g.in_range(0, (26.0, 0.0))
     assert g.in_range(0, (25.0, 0.0))
+
+
+# Node 1 at `point`, node 0 at the origin, and a range at which the exact
+# product and `x ** 2` (the C library's `pow`, which glibc 2.36 does not
+# round correctly) give a square one ulp apart, so the two rules disagree:
+# (point, range, connected under the product rule).
+PAIR_RULE_CASES = {
+    "r ** 2 one ulp low": ((190.17266711804643, -197.49092620040685), 274.16839579040806, True),
+    "dx ** 2 one ulp high": ((-153.13409400626367, 101.13404146833398), 183.51606221483146, True),
+    "dx ** 2 one ulp low": ((134.63958396865263, 38.73860308803222), 140.10173782099906, False),
+    "dy ** 2 one ulp low": ((245.42705785158262, 284.162100945557), 375.4764178207161, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_RULE_CASES))
+def test_every_pair_test_squares_with_one_product(case):
+    # The topology build, Topology.in_range, the flight's hearers and the
+    # walk's delivery all follow dx * dx + dy * dy <= r * r.
+    point, range_m, connected = PAIR_RULE_CASES[case]
+    dx, dy = 0.0 - point[0], 0.0 - point[1]
+    assert (dx * dx + dy * dy <= range_m * range_m) is connected
+    pair = build_udg({0: (0.0, 0.0), 1: point}, range_m)
+    assert pair.adjacency == {0: (1,) * connected, 1: (0,) * connected}
+    assert pair.in_range(0, point) is connected
+    assert pair.in_range(1, (0.0, 0.0)) is connected
+    alone = build_udg({0: (0.0, 0.0)}, range_m)
+    assert _hearers(alone.view.xs, alone.view.nodes, range_m, point) == [0] * connected
+    res = route(alone, alone.positions, 0, repeat((point, False)), round_limit=3)
+    assert (res.delivered, res.rounds) == (connected, 0)
 
 
 def test_euclid():

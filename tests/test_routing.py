@@ -362,7 +362,7 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
     end the walk."""
     limit = round_limit if round_limit is not None else 4 * len(topology)
     positions = topology.positions
-    r2 = topology.range_m**2
+    r = topology.range_m
     states = iter(sink)
     pos, departed = next(states)
     dest = sink_coord or pos
@@ -382,7 +382,9 @@ def reference_route(topology, coords, source, sink, *, sink_coord=None, round_li
         if rounds >= limit:
             return RouteResult(False, hops, restarts, path, "missed", rounds)
         x, y = positions[current]
-        if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 <= r2:
+        dx = x - pos[0]
+        dy = y - pos[1]
+        if dx * dx + dy * dy <= r * r:
             if on_round is not None:
                 on_round(rounds, current, None, dest)
             return RouteResult(True, hops, restarts, path, "delivered", rounds)
