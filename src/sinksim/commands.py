@@ -179,13 +179,13 @@ MAX_WINDOWS = 1_000
 MAX_DRAWS = 10_000_000
 
 # The most replications one route-sim point may hold.  A point keeps every
-# replication's draws and outcome at once: about 0.9 kB per replication on
-# the random-graph preset (degree 10, the four paired speeds in one process,
-# each tour kept for the next speed) and 145-175 B on grid25, measured with
-# tracemalloc.  At this bound a one-point random-graph run (degree 10, speed
-# 50) peaked at 71 MB RSS in a process on 2 processes, and a grid25 run at
-# 35 MB; 100 million grid25 runs ended in a MemoryError from the draw list
-# under a 600 MB address cap.
+# replication's draws and outcome at once: 0.67 kB per replication kept and
+# 0.84 kB at the peak on the random-graph preset (degree 10, the four paired
+# speeds in one process, each tour kept for the next speed) and 145-175 B on
+# grid25, measured with tracemalloc.  At this bound a one-point random-graph
+# run (degree 10, speed 50) peaked at 71 MB RSS in a process on 2 processes,
+# and a grid25 run at 35 MB; 100 million grid25 runs ended in a MemoryError
+# from the draw list under a 600 MB address cap.
 MAX_RUNS = 100_000
 
 

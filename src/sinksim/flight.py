@@ -1,28 +1,28 @@
 """The sink's flight over a network, as a collection rotation reads it.
 
-What a rotation reads of its topology that the topology alone decides (the
-bounding box and the nodes sorted by x) it reads from the topology's view
+The flight runs across the bounding box of the topology's view
 (`Topology.view`).  From it: where the sink is and whether it has left the
 network at a time after it sets off, which nodes hear each of its request
-passes, the first pass that some node hears, and when the sink's channel
-sampling first catches a base-station request preamble.  The routing walk
-reads the sink's position and departure at each hop exchange's ACK instant
-(`run_scenario` makes those states).
+passes (one scan of every node's position, :func:`_hearers`, which the
+random-graph sink placement runs as well), the first pass that some node
+hears, and when the sink's channel sampling first catches a base-station
+request preamble.  The routing walk reads the sink's position and departure
+at each hop exchange's ACK instant (`run_scenario` makes those states).
 
-The sink's flight over a view, and what each of its request passes finds
-(the nodes that hear it, or that the sink has left), draw nothing: they are
-kept as one memo of the last view and flight, grown pass by pass as far as
-a rotation tests them, and later rotations on the same flight read them.
+The sink's flight over a topology, and what each of its request passes
+finds (the nodes that hear it, or that the sink has left), draw nothing:
+they are kept as one memo of the last topology and flight, grown pass by
+pass as far as a rotation tests them, and later rotations on the same
+flight read them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from .core import NodeId, Position, ProtocolConstants
-from .radio import Topology, TopologyView, euclid
+from .radio import Topology, euclid
 from .tracks import WaypointTrack
 
 
@@ -37,8 +37,8 @@ MAX_PASSES = 1_000_000
 
 
 class _Flight:
-    """The sink's flight from the base station across a view's network, of
-    range `range_m`, and back, and what each of its request passes finds.
+    """The sink's flight from the base station across `topo`'s network and
+    back, and what each of its request passes finds.
 
     `key` is (bs_position, ms_speed_mps, t_brp, d_brp).  Times `dt` count
     from the sink's set-off, in integer microseconds, so the set-off time
@@ -48,11 +48,11 @@ class _Flight:
     rotation first asks for it.
     """
 
-    def __init__(self, view: TopologyView, range_m: float, key: Tuple[Position, float, int, int]):
+    def __init__(self, topo: Topology, key: Tuple[Position, float, int, int]):
         bs_position, speed_mps, _, _ = key
-        x0, y0, x1, y1 = view.bbox
+        x0, y0, x1, y1 = topo.view.bbox
         entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
-        self.view, self.range_m, self.key = view, range_m, key
+        self.topo, self.key = topo, key
         self.track = WaypointTrack([bs_position, entry, exit_, bs_position], speed_mps)
         self.exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
         self._passes: List[Optional[List[NodeId]]] = []
@@ -83,69 +83,40 @@ class _Flight:
             dt = len(passes) * t_brp + d_brp
             heard = None
             if not self.departed(dt):
-                heard = _hearers(self.view.xs, self.view.nodes, self.range_m, self.position(dt))
+                heard = _hearers(self.topo.positions, self.topo.range_m, self.position(dt))
             # passes in a row mostly find the same nodes; sharing one list
             # keeps a short t_brp's many passes at a pointer each
             passes.append(passes[-1] if passes and heard == passes[-1] else heard)
         return passes[i]
 
 
-# The flight the last rotation flew.  It holds its view, so no other view can
-# take on its identity while it is kept; a rotation on another view or flight
-# replaces it.
+# The flight the last rotation flew.  It holds its topology, so no other
+# topology can take on its identity while it is kept; a rotation on another
+# topology or flight replaces it.
 _FLIGHT_CACHE: List[_Flight] = []
 
 
 def _flight(topo: Topology, bs_position: Position, speed_mps: float, t_brp: int, d_brp: int) -> _Flight:
     """The flight over the non-empty `topo`, kept from the last call when
-    that was on the same view object and an equal flight.
+    that was on the same topology object and an equal flight.
 
     Raises ValueError for a speed or a base station that the track rejects.
     """
-    view, key = topo.view, (tuple(bs_position), speed_mps, t_brp, d_brp)
-    if _FLIGHT_CACHE and _FLIGHT_CACHE[0].view is view and _FLIGHT_CACHE[0].key == key:
+    key = (tuple(bs_position), speed_mps, t_brp, d_brp)
+    if _FLIGHT_CACHE and _FLIGHT_CACHE[0].topo is topo and _FLIGHT_CACHE[0].key == key:
         return _FLIGHT_CACHE[0]
-    flight = _Flight(view, topo.range_m, key)
+    flight = _Flight(topo, key)
     _FLIGHT_CACHE[:] = [flight]
     return flight
 
 
-# Gaps below this square to less than the smallest normal float and can
-# round to 0, so the pair test may pass them whatever the range; the strip's
-# margin never comes closer than this.
-_UNDERFLOW_GAP = 1e-150
-
-
-def _strip(xs: Sequence[float], px: float, range_m: float) -> slice:
-    """The slice of the ascending `xs` that can be within `range_m` of a
-    point at x `px`.
-
-    A node further than the range in x, with a margin far above rounding
-    and above underflow, fails the pair test of Topology.in_range: its
-    `dx * dx` alone exceeds `r * r` by far more than one ulp, and adding a
-    non-negative `dy * dy` never lowers the sum.  So only the nodes inside
-    the strip need the test.
-    """
-    reach = range_m + 1e-9 * (abs(px) + range_m) + _UNDERFLOW_GAP
-    return slice(bisect_left(xs, px - reach), bisect_right(xs, px + reach))
-
-
-def _hearers(
-    xs: Sequence[float],
-    nodes: Sequence[Tuple[NodeId, Position]],
-    range_m: float,
-    point: Position,
-) -> List[NodeId]:
-    """Ids of the `nodes` within range of `point`, ascending.
-
-    `nodes` are (id, position) pairs sorted by x and `xs` their xs, as
-    `Topology.view` keeps them; only the x strip around `point` is tested,
-    with the pair test of Topology.in_range, dx * dx + dy * dy <= r * r.
-    """
+def _hearers(positions: Mapping[NodeId, Position], range_m: float, point: Position) -> List[NodeId]:
+    """Ids of the nodes at `positions` within range of `point`, ascending,
+    by the pair test of Topology.in_range: dx * dx + dy * dy <= r * r."""
     px, py = point
     r2 = range_m * range_m
     heard = []
-    for nid, (x, y) in nodes[_strip(xs, px, range_m)]:
+    for nid, (x, y) in positions.items():
         dx = x - px
         dy = y - py
         if dx * dx + dy * dy <= r2:

@@ -4,8 +4,9 @@ spans and timeline view that per-node timelines are made of.
 Connectivity is a plain unit disk graph: two nodes are neighbors iff their
 Euclidean distance is at most the communication range (equality counts, so a
 grid with spacing equal to the range stays connected).  A topology indexes
-its nodes once, on first use, as its `view`: the flood's slots and the
-sink's flight both read it, and it lives exactly as long as the topology.
+its nodes once, on first use, as its `view`: the flood reads its slots, the
+sink's flight its bounding box, and it lives exactly as long as the
+topology.
 Power draws are measured hardware values, keyed by transmission power
 setting.  A `Timeline` keeps each node's microseconds per state and builds
 the per-node spans only when asked (:mod:`sinksim.timelines` assembles it).
@@ -58,23 +59,18 @@ class Topology:
 
         It is not a field, so `==`, `repr` and the fields stay as they were.
         It is valid only while `positions` and `adjacency` are not mutated.
-        The random-graph sweep's set-up keeps its own x-sort of each of its
-        topologies: it needs no slot adjacency, and it builds 50 topologies
-        per point, a set-up the benchmark times.
         """
         return _build_view(self)
 
 
 class TopologyView(NamedTuple):
-    """A topology's nodes numbered by slot (slot i is the i-th id ascending),
-    its bounding box, and its nodes sorted by x."""
+    """A topology's nodes numbered by slot (slot i is the i-th id ascending)
+    and its bounding box."""
 
     ids: List[NodeId]  # the id in each slot
     slot_of: Dict[NodeId, int]  # the slot of each id
     adjacency: List[Tuple[int, ...]]  # each slot's neighbors, in the topology's order
     bbox: Optional[Tuple[float, float, float, float]]  # (x0, y0, x1, y1); None when empty
-    xs: List[float]  # the xs of `nodes`
-    nodes: List[Tuple[NodeId, Position]]  # (id, position) sorted by x, a NaN x left out
 
 
 def _build_view(topology: Topology) -> TopologyView:
@@ -85,11 +81,7 @@ def _build_view(topology: Topology) -> TopologyView:
     xs = [p[0] for p in positions.values()]
     ys = [p[1] for p in positions.values()]
     bbox = (min(xs), min(ys), max(xs), max(ys)) if xs else None
-    # A NaN x fails every pair test and would break the sort order, so such a
-    # node is left out, as `build_udg` leaves it out of its sweep.
-    nodes = [(nid, p) for nid, p in positions.items() if not math.isnan(p[0])]
-    nodes.sort(key=lambda item: item[1][0])
-    return TopologyView(ids, slot_of, adjacency, bbox, [x for _, (x, _) in nodes], nodes)
+    return TopologyView(ids, slot_of, adjacency, bbox)
 
 
 def build_udg(positions: Mapping[NodeId, Position], range_m: float) -> Topology:

@@ -40,7 +40,7 @@ from itertools import count, repeat
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .core import DEFAULT_CONSTANTS, MAX_NODE_ID, NodeId, Position, ProtocolConstants
-from .flight import MAX_PASSES, ConfigError, _first_cca_catch, _flight, _strip
+from .flight import MAX_PASSES, ConfigError, _first_cca_catch, _flight, _hearers
 from .flood import FloodEngine, FloodReport
 from .forkmap import split_call
 from .frames import MAX_ADDRESS_COUNT
@@ -291,12 +291,11 @@ _Placement = Tuple[NodeId, Position, int, int]
 
 
 class _Drawn(NamedTuple):
-    """A random-graph topology and what its placements read: its nodes
-    sorted by x, with their component labels, and each component's ids."""
+    """A random-graph topology and what its placements read: each node's
+    component label and each component's ids."""
 
     topology: Topology
-    xs: List[float]  # the xs of `nodes`
-    nodes: List[Tuple[Position, int]]  # (position, component label), sorted by x
+    labels: List[int]  # each node's component label, by id
     members: Dict[int, List[NodeId]]  # each component's ids, ascending
 
 
@@ -306,33 +305,24 @@ def _draw_topology(n: int, seed: int, t: int, field: float, range_m: float) -> _
     draw = random.Random(f"{seed}/topology/{t}").random
     # rng.uniform(0, field) is 0 + (field - 0) * rng.random(), i.e. field * rng.random().
     topo = build_udg({i: (field * draw(), field * draw()) for i in range(n)}, range_m)
-    positions, labels = topo.positions, _component_labels(topo.adjacency)
+    labels = _component_labels(topo.adjacency)
     members: Dict[int, List[NodeId]] = {}
     for nid, lab in enumerate(labels):
         members.setdefault(lab, []).append(nid)
-    order = sorted(positions, key=positions.__getitem__)
-    nodes = [(positions[nid], labels[nid]) for nid in order]
-    return _Drawn(topo, [x for (x, _), _ in nodes], nodes, members)
+    return _Drawn(topo, labels, members)
 
 
-def _place_sink(drawn: _Drawn, seed: int, i: int, field: float, range_m: float) -> _Placement:
+def _place_sink(drawn: _Drawn, seed: int, i: int, field: float) -> _Placement:
     """Replication `i`'s placement on its topology, from the replication's
     own stream of the set-up of `seed`."""
     rng = random.Random(f"{seed}/placement/{i}")
     draw = rng.random
-    r = float(range_m)
-    r2 = r * r
+    topo, labels = drawn.topology, drawn.labels
     # Redraw the sink until some node is in range of it; the source is then
-    # uniform over the components of the nodes in range.  Only the nodes in
-    # the sink's x strip can be.
+    # uniform over the components of the nodes in range.
     while True:
         sx, sy = field * draw(), field * draw()
-        heard = set()
-        for (x, y), lab in drawn.nodes[_strip(drawn.xs, sx, range_m)]:
-            dx = x - sx
-            dy = y - sy
-            if dx * dx + dy * dy <= r2:
-                heard.add(lab)
+        heard = {labels[nid] for nid in _hearers(topo.positions, topo.range_m, (sx, sy))}
         if heard:
             break
     # The ids of the heard components, ascending.
@@ -346,7 +336,9 @@ class _SetUp:
     """What this process has made of one random-graph set-up."""
 
     built: Dict[int, _Drawn]  # by topology index
-    replications: Dict[int, Tuple[_Placement, Tour]]  # the tours grown by the walks here
+    # (sink x, sink y, track seed, coordinate seed, tour), the tour grown by
+    # the walks here; its first entry is the source
+    replications: Dict[int, Tuple[float, float, int, int, Tour]]
 
 
 # The one set-up kept between calls, keyed by the node count and seed, which
@@ -444,10 +436,11 @@ def _random_graph_walks(n: int, speed: float, runs: int, seed: int, lo: int, hi:
         if t not in built:
             built[t] = _draw_topology(n, seed, t, field, range_m)
         if i not in replications:
-            placement = _place_sink(built[t], seed, i, field, range_m)
-            replications[i] = (placement, Tour([placement[0]]))
+            source, (sx, sy), track_seed, vc_seed = _place_sink(built[t], seed, i, field)
+            replications[i] = (sx, sy, track_seed, vc_seed, Tour([source]))
         topo = built[t].topology
-        (source, start, track_seed, vc_seed), tour = replications[i]
+        sx, sy, track_seed, vc_seed, tour = replications[i]
+        start, source = (sx, sy), tour.entries[0]
         # A bounce at speed 0 never moves: it is a static sink, without the draws.
         states = bounce(start, speed, field, seed=track_seed) if speed else repeat((start, False))
         res = route(

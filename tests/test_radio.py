@@ -257,7 +257,7 @@ def test_every_pair_test_squares_with_one_product(case):
     assert pair.in_range(0, point) is connected
     assert pair.in_range(1, (0.0, 0.0)) is connected
     alone = build_udg({0: (0.0, 0.0)}, range_m)
-    assert _hearers(alone.view.xs, alone.view.nodes, range_m, point) == [0] * connected
+    assert _hearers(alone.positions, range_m, point) == [0] * connected
     res = route(alone, alone.positions, 0, repeat((point, False)), round_limit=3)
     assert (res.delivered, res.rounds) == (connected, 0)
 

@@ -1138,12 +1138,11 @@ def test_fill_gaps_covers_the_window_and_counts_what_it_clips(spans, start, leng
 
 def test_sink_exactly_at_range_diagonally_off_a_corner_is_heard():
     g = grid_topology(3, 25.0)
-    xs, nodes = g.view.xs, g.view.nodes
     # a 15-20-25 triangle off a corner node, outside the box in x and in y
-    assert _hearers(xs, nodes, g.range_m, (-15.0, -20.0)) == [0]
-    assert _hearers(xs, nodes, g.range_m, (70.0, 65.0)) == [8]
-    assert _hearers(xs, nodes, g.range_m, (-15.0, -20.001)) == []
-    assert _hearers(xs, nodes, g.range_m, (25.0, -25.0)) == [1]  # below the box, no x offset
+    assert _hearers(g.positions, g.range_m, (-15.0, -20.0)) == [0]
+    assert _hearers(g.positions, g.range_m, (70.0, 65.0)) == [8]
+    assert _hearers(g.positions, g.range_m, (-15.0, -20.001)) == []
+    assert _hearers(g.positions, g.range_m, (25.0, -25.0)) == [1]  # below the box, no x offset
 
 
 # whole numbers make exact-range ties (Pythagorean offsets) likely
@@ -1161,10 +1160,10 @@ POINT = st.integers(-120, 120).map(float) | st.floats(-120.0, 120.0)
 @example(positions={0: (math.nan, 0.0), 1: (3.0, 0.0), 2: (-1.0, 0.0)}, range_m=5.0, point=(0.0, 0.0))
 # the gap squares to 0, so the pair test passes it at range 0
 @example(positions={0: (2.2250738585072014e-308, 0.0)}, range_m=0.0, point=(0.0, 0.0))
-def test_prefiltered_hearers_equal_the_in_range_scan(positions, range_m, point):
+def test_hearers_equal_the_in_range_scan(positions, range_m, point):
     topo = build_udg(positions, range_m)
     expected = [nid for nid in sorted(topo.positions) if topo.in_range(nid, point)]
-    assert _hearers(topo.view.xs, topo.view.nodes, topo.range_m, point) == expected
+    assert _hearers(topo.positions, topo.range_m, point) == expected
 
 
 @pytest.mark.parametrize("nid", [256, -1])
@@ -1348,12 +1347,11 @@ def clear_rotation_memos():
 def fresh_passes(topo, bs_position, speed, t_brp, d_brp, fly_start=144_960):
     """The quiet count and the hearers of each later pass until the sink has
     left, as a rotation once tested every pass from pass 0: at the pass's end
-    time, the departure first, then the nodes in range of the sink's position."""
+    time, the departure first, then each node with Topology.in_range."""
     x0, y0, x1, y1 = topo.view.bbox
     entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
     track = WaypointTrack([bs_position, entry, exit_, bs_position], speed)
     exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
-    xs, nodes = topo.view.xs, topo.view.nodes
     passes = []
     for i in range(5_000):
         brp_end = fly_start + i * t_brp + d_brp
@@ -1361,7 +1359,7 @@ def fresh_passes(topo, bs_position, speed, t_brp, d_brp, fly_start=144_960):
             quiet = next((k for k, heard in enumerate(passes) if heard), len(passes))
             return exit_dist, quiet, passes[quiet:]
         position = track.position_at(brp_end - fly_start) if brp_end > fly_start else bs_position
-        passes.append(_hearers(xs, nodes, topo.range_m, position))
+        passes.append([nid for nid in sorted(topo.positions) if topo.in_range(nid, position)])
     raise AssertionError("the sink never left")
 
 
@@ -1730,13 +1728,13 @@ def _naive_set_up(n, seed, t, i, field, range_m):
     "n, field, range_m",
     [(33, 1000.0, 200.0), (81, 1000.0, 200.0), (12, 1000.0, 60.0), (12, 50.0, 3.0), (40, 1e7, 2e6)],
 )
-def test_the_set_up_tests_only_a_strip_but_draws_as_if_it_tested_every_node(n, field, range_m):
+def test_the_set_up_draws_as_the_naive_set_up(n, field, range_m):
     # 120 replications over 7 topologies, replication i on topology i % 7.
     drawn = [scenario._draw_topology(n, 5, t, field, range_m) for t in range(7)]
     for i in range(120):
         topo, placement = _naive_set_up(n, 5, i % 7, i, field, range_m)
         assert drawn[i % 7].topology == topo
-        assert scenario._place_sink(drawn[i % 7], 5, i, field, range_m) == placement
+        assert scenario._place_sink(drawn[i % 7], 5, i, field) == placement
 
 
 def test_a_replication_draws_from_its_node_count_seed_and_index_alone(workers):
@@ -1862,18 +1860,18 @@ def _point_fields(pt):
 
 def _memo_tours():
     """The memo's placements and tours by replication, as plain data, after
-    checking that the one entry holds topologies, placements and tours only:
-    ints, no coordinates."""
+    checking that the one entry holds topologies and one flat tuple per
+    replication: the sink start's floats, then ints and the tour."""
     (setup,) = scenario._SETUP_CACHE.values()
     assert all(isinstance(drawn.topology, radio.Topology) for drawn in setup.built.values())
     tours = {}
-    for i, (placement, tour) in setup.replications.items():
-        source, start, track_seed, vc_seed = placement
+    for i, (sx, sy, track_seed, vc_seed, tour) in setup.replications.items():
         assert isinstance(tour, Tour)
-        assert all(type(v) is int for v in (source, track_seed, vc_seed, *tour.entries))
-        assert type(start) is tuple and type(tour.complete) is bool
+        assert all(type(v) is int for v in (track_seed, vc_seed, *tour.entries))
+        assert type(sx) is float and type(sy) is float and type(tour.complete) is bool
         assert not hasattr(tour, "__dict__")  # entries and complete only
         assert [f.name for f in dataclasses.fields(tour)] == ["entries", "complete"]
+        placement = (tour.entries[0], (sx, sy), track_seed, vc_seed)
         tours[i] = (placement, (tuple(tour.entries), tour.complete))
     return tours
 
