@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("route-sim", help="routing sweeps over speed and degree")
     p.add_argument("--config", help="INI file with a [sweep] section")
-    p.add_argument("--preset", default="random-graph", help="random-graph or grid25")
+    p.add_argument("--preset", default="random-graph", choices=("random-graph", "grid25"))
     p.add_argument("--mobility", default="both", choices=("edge", "diagonal", "both"))
     p.add_argument("--coord-mode", default="virtual", choices=("virtual", "physical"))
     p.add_argument("--speeds", help="comma-separated per-round speeds")

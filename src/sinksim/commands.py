@@ -272,9 +272,6 @@ def _option_list(args, name: str, default: List[float]) -> List[float]:
 
 
 def cmd_route_sim(args, c: ProtocolConstants) -> int:
-    presets = ("random-graph", "grid25")
-    if args.preset not in presets:
-        raise ValueError(f"unknown preset {args.preset!r}; choose from {presets}")
     _at_least_one(args, "runs")
     if args.runs > MAX_RUNS:
         raise ValueError(f"--runs {args.runs} is more than the {MAX_RUNS:,} replications a point may hold")

@@ -1,13 +1,16 @@
 """The sink's flight over a network, as a collection rotation reads it.
 
-The flight runs across the bounding box of the topology's view
-(`Topology.view`).  From it: where the sink is and whether it has left the
-network at a time after it sets off, which nodes hear each of its request
-passes (one scan of every node's position, :func:`_hearers`, which the
-random-graph sink placement runs as well), the first pass that some node
-hears, and when the sink's channel sampling first catches a base-station
-request preamble.  The routing walk reads the sink's position and departure
-at each hop exchange's ACK instant (`run_scenario` makes those states).
+The flight is three straight legs flown at a constant ground speed: from
+the base station to the network's entry, the middle of the x = x0 edge of
+the bounding box of the topology's view (`Topology.view`), across to its
+exit, the middle of the x = x1 edge, and back to the base station.  From
+it: where the sink is and whether it has left the network at a time after
+it sets off, which nodes hear each of its request passes (one scan of
+every node's position, :func:`_hearers`, which the random-graph sink
+placement runs as well), the first pass that some node hears, and when the
+sink's channel sampling first catches a base-station request preamble.
+The routing walk reads the sink's position and departure at each hop
+exchange's ACK instant (`run_scenario` makes those states).
 
 The sink's flight over a topology, and what each of its request passes
 finds (the nodes that hear it, or that the sink has left), draw nothing:
@@ -18,12 +21,12 @@ flight read them.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import List, Mapping, Optional, Tuple
 
 from .core import NodeId, Position, ProtocolConstants
 from .radio import Topology, euclid
-from .tracks import WaypointTrack
 
 
 class ConfigError(ValueError):
@@ -46,24 +49,53 @@ class _Flight:
     either flown past the network's exit, or is heard by the nodes in range
     of its position.  Nothing is drawn, so each pass is tested once, when a
     rotation first asks for it.
+
+    `points` are the base station, the entry, the exit and the base station
+    again; `cum` holds the distance flown at each, so the sink has left the
+    network once it has flown `exit_dist`, cum[2].
     """
 
     def __init__(self, topo: Topology, key: Tuple[Position, float, int, int]):
         bs_position, speed_mps, _, _ = key
+        if not 0 < speed_mps < math.inf:
+            raise ValueError(f"speed must be finite and positive, got {speed_mps!r}")
         x0, y0, x1, y1 = topo.view.bbox
-        entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
+        bs = (float(bs_position[0]), float(bs_position[1]))
+        mid = (y0 + y1) / 2
+        self.points = [bs, (float(x0), mid), (float(x1), mid), bs]
+        cum = [0.0]
+        for a, b in zip(self.points, self.points[1:]):
+            cum.append(cum[-1] + euclid(a, b))
+        # a non-finite length would keep the sink from ever arriving or leaving
+        if not math.isfinite(cum[3]):
+            raise ValueError("waypoints must be finite")
         self.topo, self.key = topo, key
-        self.track = WaypointTrack([bs_position, entry, exit_, bs_position], speed_mps)
-        self.exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
+        self.cum, self.speed_mps = cum, float(speed_mps)
+        self.exit_dist = cum[2]
+        self.duration_us = int(math.ceil(cum[3] / self.speed_mps * 1e6))
         self._passes: List[Optional[List[NodeId]]] = []
+
+    def _distance(self, dt: int) -> float:
+        """How far along its legs the sink has flown `dt` after it sets off."""
+        return min(self.speed_mps * dt / 1e6, self.cum[3])
 
     def position(self, dt: int) -> Position:
         """Where the sink is `dt` after it sets off: at the base station until then."""
-        return self.key[0] if dt <= 0 else self.track.position_at(dt)
+        if dt <= 0:
+            return self.key[0]
+        d = self._distance(dt)
+        cum = self.cum
+        # the first leg that ends at or past d, else the last one
+        i = 0 if d <= cum[1] else 1 if d <= cum[2] else 2
+        leg = cum[i + 1] - cum[i]
+        frac = (d - cum[i]) / leg if leg else 1.0
+        frac = min(max(frac, 0.0), 1.0)
+        (ax, ay), (bx, by) = self.points[i], self.points[i + 1]
+        return (ax + (bx - ax) * frac, ay + (by - ay) * frac)
 
     def departed(self, dt: int) -> bool:
         """Whether the sink has flown past the network's exit `dt` after it sets off."""
-        return dt > 0 and self.track.distance_at(dt) >= self.exit_dist
+        return dt > 0 and self._distance(dt) >= self.exit_dist
 
     @cached_property
     def quiet(self) -> int:
@@ -100,7 +132,8 @@ def _flight(topo: Topology, bs_position: Position, speed_mps: float, t_brp: int,
     """The flight over the non-empty `topo`, kept from the last call when
     that was on the same topology object and an equal flight.
 
-    Raises ValueError for a speed or a base station that the track rejects.
+    Raises ValueError for a speed that is not finite and positive, or a
+    base station that is not finite.
     """
     key = (tuple(bs_position), speed_mps, t_brp, d_brp)
     if _FLIGHT_CACHE and _FLIGHT_CACHE[0].topo is topo and _FLIGHT_CACHE[0].key == key:

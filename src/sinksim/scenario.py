@@ -23,13 +23,13 @@ data-request preamble with the data.
 Each node's radio states over the rotation are assembled into one
 :class:`~sinksim.radio.Timeline` view (:mod:`sinksim.timelines`).
 
-The pieces that call no traced name live in their own modules: the sink
-tracks (`tracks`), the timeline assembly (`timelines`), the sink's flight
-over the network (`flight`) and the sweep presets (`presets`).  The names
-this module uses, and those `bench/` reads from it, are bound here as well;
-the rest import from their own module.  Every function that calls a name
-`bench/tracer.py` wraps in `scenario` stays here, so that the wrapper sees
-each call.
+The pieces that call no traced name live in their own modules: the sweeps'
+round-based sink tracks (`tracks`), the timeline assembly (`timelines`),
+the six-phase run's three-leg flight over the network (`flight`) and the
+sweep presets (`presets`).  The names this module uses, and those `bench/`
+reads from it, are bound here as well; the rest import from their own
+module.  Every function that calls a name `bench/tracer.py` wraps in
+`scenario` stays here, so that the wrapper sees each call.
 """
 
 from __future__ import annotations
@@ -142,10 +142,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
             raise ConfigError(f"node id {nid} does not fit the one byte a DATA payload gives it")
     x0, y0, x1, y1 = view.bbox
     flight = _flight(topo, cfg.bs_position, cfg.ms_speed_mps, c.t_brp, c.d_brp)
-    track = flight.track
-    if track.duration_us() > MAX_ROUND_TRIP_S * 1_000_000:
+    if flight.duration_us > MAX_ROUND_TRIP_S * 1_000_000:
         raise ConfigError(
-            f"the sink's round trip takes {track.duration_us() / 1e6:.4g} s, more than {MAX_ROUND_TRIP_S} s"
+            f"the sink's round trip takes {flight.duration_us / 1e6:.4g} s, more than {MAX_ROUND_TRIP_S} s"
         )
     # A sink gone by the end of the last pass it may send finds some pass
     # before it heard or gone, so phases 2 and 3 end within the cap.
@@ -262,7 +261,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
         ms_active.append((t, t + c.d_ack, "tx"))
         phase_times[5] = t + c.d_ack
         # Phase 6: back at the base station, answer the next request with data.
-        arrival = fly_start + track.duration_us()
+        arrival = fly_start + flight.duration_us
         drp_end = _first_cca_catch(c, cca_offset, max(arrival, phase_times[5]))
         ms_active.append((drp_end, drp_end + c.d_data, "tx"))
         phase_times[6] = drp_end + c.d_data

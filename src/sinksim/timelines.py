@@ -15,7 +15,7 @@ filled only when the view's `spans()` is called.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import NodeId, ProtocolConstants
 from .radio import Span, Timeline
@@ -225,25 +225,7 @@ def hop_exchange_timeline(
     return timeline
 
 
-def timeline_coverage(
-    timeline: Union[Timeline, Mapping[NodeId, Sequence[Span]]]
-) -> Dict[NodeId, int]:
-    """Total covered microseconds per node.
-
-    A `Timeline` view's state totals are summed per node (its overlaps are
-    counted in `clipped_us`); plain per-node spans raise ValueError where a
-    node's spans overlap.
-    """
-    if isinstance(timeline, Timeline):
-        return {node: sum(states.values()) for node, states in timeline.totals.items()}
-    totals = {}
-    for node, spans in timeline.items():
-        total = 0
-        last_end = None
-        for s, e, _ in sorted(spans):
-            if last_end is not None and s < last_end:
-                raise ValueError(f"overlapping spans for node {node}")
-            total += e - s
-            last_end = e
-        totals[node] = total
-    return totals
+def timeline_coverage(timeline: Timeline) -> Dict[NodeId, int]:
+    """Total covered microseconds per node: the sum of its state totals in
+    the view (its overlaps are counted in `clipped_us`)."""
+    return {node: sum(states.values()) for node, states in timeline.totals.items()}

@@ -1,5 +1,5 @@
-"""Sink mobility: the round-based tracks of the routing sweeps and the
-event-time flight path of the six-phase run.
+"""Sink mobility: the round-based tracks of the routing sweeps.  The
+six-phase run's event-time flight is :mod:`sinksim.flight`.
 
 A sink, as :func:`sinksim.routing.route` reads it, is an iterator of its
 :data:`State`, (position, departed), one per round: the walk takes the
@@ -9,16 +9,13 @@ end the walk.  A static sink is ``itertools.repeat`` of one state.
 draws nothing per walk, so it takes the same path in every walk:
 :func:`line_crossing` records that path once, as far as a walk's round
 limit, as a list of states that each walk iterates.
-:class:`WaypointTrack` is a piecewise-linear path flown at a constant
-ground speed, read as a function of elapsed microseconds.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from .core import Position
 from .radio import euclid
@@ -119,48 +116,3 @@ def line_crossing(start: Position, end: Position, speed: float, steps: int) -> L
         departed = departed or traveled >= length
         states.append(((x0 + dx * frac, y0 + dy * frac), departed))
     return states
-
-
-# ---------------------------------------------------------------------------
-# Event-time sink path
-# ---------------------------------------------------------------------------
-
-
-class WaypointTrack:
-    """Piecewise-linear flight path traversed at constant ground speed."""
-
-    def __init__(self, points: Sequence[Position], speed_mps: float):
-        if len(points) < 2:
-            raise ValueError("need at least two waypoints")
-        if not 0 < speed_mps < math.inf:
-            raise ValueError(f"speed must be finite and positive, got {speed_mps!r}")
-        self.points = [(float(x), float(y)) for x, y in points]
-        self.speed_mps = float(speed_mps)
-        self.cum = [0.0]
-        for a, b in zip(self.points, self.points[1:]):
-            self.cum.append(self.cum[-1] + euclid(a, b))
-        # a non-finite length would keep the sink from ever arriving or leaving
-        if not math.isfinite(self.cum[-1]):
-            raise ValueError("waypoints must be finite")
-
-    @property
-    def total_length(self) -> float:
-        return self.cum[-1]
-
-    def duration_us(self) -> int:
-        return int(math.ceil(self.total_length / self.speed_mps * 1e6))
-
-    def distance_at(self, dt_us: float) -> float:
-        return min(self.speed_mps * dt_us / 1e6, self.total_length)
-
-    def position_at(self, dt_us: float) -> Position:
-        d = self.distance_at(dt_us)
-        cum = self.cum
-        # the first segment that ends at or past d, else the last one
-        i = bisect_left(cum, d, 1, len(cum) - 1) - 1
-        seg = cum[i + 1] - cum[i]
-        frac = (d - cum[i]) / seg if seg else 1.0
-        frac = min(max(frac, 0.0), 1.0)
-        ax, ay = self.points[i]
-        bx, by = self.points[i + 1]
-        return (ax + (bx - ax) * frac, ay + (by - ay) * frac)

@@ -149,8 +149,12 @@ def test_zero_runs_is_a_usage_error_without_output(tmp_path, capsys, command):
 
 
 def test_route_sim_unknown_preset(tmp_path, capsys):
-    assert run_cli("route-sim", "--preset", "moon", "--out", str(tmp_path)) == 2
-    assert "random-graph" in capsys.readouterr().err
+    # argparse rejects it among the option's choices
+    with pytest.raises(SystemExit) as exc:
+        run_cli("route-sim", "--preset", "moon", "--out", str(tmp_path))
+    assert exc.value.code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "random-graph" in line
 
 
 def test_route_sim_grid_preset(tmp_path, capsys):
@@ -387,6 +391,7 @@ INPUT_FILES = {
     "sweep_runz.ini": "[sweep]\nrunz = 5\n",
     "sweep_runs_abc.ini": "[sweep]\nruns = abc\n",
     "sweep_mobility.ini": "[sweep]\npreset = grid25\nmobility = sideways\n",
+    "sweep_preset.ini": "[sweep]\npreset = moon\n",
     "no_section.ini": "runs = 5\n",
     "scenario_out.ini": "[scenario]\nout = elsewhere\n",
     "sweep_seed.ini": "[sweep]\nseed = -1\n",
@@ -479,6 +484,7 @@ def _cap_memory():
         ["route-sim", "--config", "sweep_runz.ini"],  # a misspelled key
         ["route-sim", "--config", "sweep_runs_abc.ini"],
         ["route-sim", "--config", "sweep_mobility.ini"],  # not one of the choices
+        ["route-sim", "--config", "sweep_preset.ini"],  # not one of the choices
         ["route-sim", "--config", "no_section.ini"],
         ["demo", "--config", "scenario_out.ini"],  # a key that is no [scenario] key
         ["analyze", "--config", "constants_float.ini"],

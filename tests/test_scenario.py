@@ -36,7 +36,7 @@ from sinksim.scenario import (
 )
 from sinksim.stats import mean_ci
 from sinksim.timelines import _base_station_totals, _fill_gaps
-from sinksim.tracks import WaypointTrack, _fold, bounce, line_crossing
+from sinksim.tracks import _fold, bounce, line_crossing
 
 C = DEFAULT_CONSTANTS
 
@@ -350,52 +350,88 @@ def test_static_sink_never_moves():
 
 
 def test_waypoint_track_positions():
-    track = WaypointTrack([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)], speed_mps=1.0)
-    assert track.total_length == pytest.approx(20.0)
-    assert track.position_at(0) == (0.0, 0.0)
-    assert track.position_at(5_000_000) == (5.0, 0.0)
-    assert track.position_at(15_000_000) == (10.0, 5.0)
-    assert track.position_at(10**9) == (10.0, 10.0)
-    with pytest.raises(ValueError):
-        WaypointTrack([(0.0, 0.0), (1.0, 0.0)], speed_mps=0.0)
+    # the flight's waypoints over the box (10, 0)-(20, 10): legs of 10 m,
+    # 10 m and 10 * sqrt(2) m
+    topo = build_udg({0: (10.0, 0.0), 1: (20.0, 10.0)}, 25.0)
+    sink = flight._flight(topo, (10.0, -5.0), 1.0, C.t_brp, C.d_brp)
+    assert sink.exit_dist == 20.0
+    assert sink.duration_us == math.ceil((20.0 + math.hypot(10.0, 10.0)) * 1e6)
+    assert sink.position(0) == (10.0, -5.0)
+    assert sink.position(5_000_000) == (10.0, 0.0)
+    assert sink.position(15_000_000) == (15.0, 5.0)
+    assert sink.position(10**9) == (10.0, -5.0)
+    assert not sink.departed(19_999_999) and sink.departed(20_000_000)
+    with pytest.raises(ValueError, match="speed must be finite and positive"):
+        flight._flight(topo, (10.0, -5.0), 0.0, C.t_brp, C.d_brp)
 
 
-def position_by_scan(track, dt_us):
-    """WaypointTrack.position_at as it was: a walk from the first segment."""
-    d = track.distance_at(dt_us)
-    for i in range(len(track.points) - 1):
-        if d <= track.cum[i + 1] or i == len(track.points) - 2:
-            seg = track.cum[i + 1] - track.cum[i]
-            frac = (d - track.cum[i]) / seg if seg else 1.0
+def flight_points(topo, bs_position):
+    """The base station, the network's entry and exit (the middles of the
+    x = x0 and x = x1 edges of its bounding box), and the base station."""
+    x0, y0, x1, y1 = topo.view.bbox
+    bs = (float(bs_position[0]), float(bs_position[1]))
+    return [bs, (float(x0), (y0 + y1) / 2), (float(x1), (y0 + y1) / 2), bs]
+
+
+def leg_ends(points):
+    """The distance along the path at each of `points`, summed leg by leg."""
+    ends, flown = [0.0], 0.0
+    for (ax, ay), (bx, by) in zip(points, points[1:]):
+        flown += math.hypot(bx - ax, by - ay)
+        ends.append(flown)
+    return ends
+
+
+def position_by_scan(points, speed, dt_us):
+    """Where a sink flying straight through `points` at `speed` m/s is `dt_us`
+    after it sets off: the distance flown, capped at the path's length, on
+    the first leg from the start that ends at or past it, else the last."""
+    ends = leg_ends(points)
+    d = min(speed * dt_us / 1e6, ends[-1])
+    for i in range(len(points) - 1):
+        if d <= ends[i + 1] or i == len(points) - 2:
+            leg = ends[i + 1] - ends[i]
+            frac = (d - ends[i]) / leg if leg else 1.0
             frac = min(max(frac, 0.0), 1.0)
-            ax, ay = track.points[i]
-            bx, by = track.points[i + 1]
+            (ax, ay), (bx, by) = points[i], points[i + 1]
             return (ax + (bx - ax) * frac, ay + (by - ay) * frac)
-    return track.points[-1]
+
+
+# A box from x = 0.3 to 0.9 and a base station at x = 0.8: on the first two
+# legs a + (b - a) * 1.0 rounds away from b in x, so a flight that takes the
+# leg after an end instead of the one before reads another float there.
+ODD_BOX = {0: (0.3, 0.1), 1: (0.9, 0.9)}
+ONE_COLUMN = {0: (0.3, 0.1), 1: (0.3, 0.9)}
 
 
 def test_waypoint_positions_equal_the_scan_from_the_start():
-    # Zero-length segments first, in the middle and last.  Two segments end
-    # where a + (b - a) * 1.0 rounds away from b, so a scan that takes the
-    # segment after an end instead of the one before reads another float.
-    track = WaypointTrack(
-        [(0.1, 0.7), (0.1, 0.7), (0.3, 0.1), (0.3, 0.1), (0.7, 0.9), (1.3, 0.2), (1.3, 0.2)],
-        speed_mps=7.0,
-    )
-    times = list(range(-10_000, 400_000, 997))
-    for end in track.cum:
-        t = end * 1e6 / 7.0
-        near = [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)]
-        exact = [t for t in near if track.distance_at(t) == end]
-        assert exact  # the end itself is sampled
-        times += near
-    # the six-phase run's track over the benchmark grid
-    flight = WaypointTrack([(-80.0, 37.5), (0.0, 137.5), (275.0, 137.5), (-80.0, 37.5)], 7.0)
+    flights = [
+        (ODD_BOX, (0.8, 0.2)),
+        (ODD_BOX, (0.3, 0.5)),  # the base station at the entry
+        (ONE_COLUMN, (0.8, 0.2)),  # the entry is the exit
+        (ODD_BOX, (0.9, 0.5)),  # the base station at the exit
+    ]
+    samples = []
+    for positions, bs_position in flights:
+        topo = build_udg(positions, 1.0)
+        points = flight_points(topo, bs_position)
+        times = list(range(-10_000, 400_000, 997))
+        for end in leg_ends(points):
+            t = end * 1e6 / 7.0
+            near = [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)]
+            assert any(7.0 * t / 1e6 == end for t in near)  # the end itself is sampled
+            times += near
+        samples += [(topo, bs_position, points, t) for t in times]
+    # the six-phase run's flight over the benchmark grid
+    topo = grid_topology(12, 25.0)
+    points = flight_points(topo, (-80.0, 37.5))
+    assert points == [(-80.0, 37.5), (0.0, 137.5), (275.0, 137.5), (-80.0, 37.5)]
+    duration_us = flight._flight(topo, (-80.0, 37.5), 7.0, C.t_brp, C.d_brp).duration_us
     rng = random.Random(3)
-    samples = [(track, t) for t in times]
-    samples += [(flight, rng.randrange(flight.duration_us() + 10**6)) for _ in range(2_000)]
-    for track, t in samples:
-        assert repr(track.position_at(t)) == repr(position_by_scan(track, t))
+    samples += [(topo, (-80.0, 37.5), points, rng.randrange(duration_us + 10**6)) for _ in range(2_000)]
+    for topo, bs_position, points, t in samples:
+        sink = flight._flight(topo, bs_position, 7.0, C.t_brp, C.d_brp)
+        assert repr(sink.position(t)) == repr(position_by_scan(points, 7.0, t))
 
 
 @pytest.mark.parametrize(
@@ -403,15 +439,18 @@ def test_waypoint_positions_equal_the_scan_from_the_start():
     [
         ([(0.0, 0.0), (1.0, 0.0)], math.nan),
         ([(0.0, 0.0), (1.0, 0.0)], math.inf),
-        ([(0.0, 0.0), (math.nan, 0.0)], 1.0),
-        ([(0.0, 0.0), (math.inf, 0.0)], 1.0),
+        ([(math.nan, 0.0), (1.0, 0.0)], 1.0),
+        ([(math.inf, 0.0), (1.0, 0.0)], 1.0),
     ],
 )
 def test_waypoint_track_rejects_what_would_never_arrive(points, speed):
     # A sink whose flight has no finite length or duration flew a million
-    # request retries before the rotation gave up.
-    with pytest.raises(ValueError):
-        WaypointTrack(points, speed_mps=speed)
+    # request retries before the rotation gave up.  `points` are the base
+    # station, then the network's nodes.
+    bs_position, *nodes = points
+    topo = build_udg(dict(enumerate(nodes)), 25.0)
+    with pytest.raises(ValueError, match="speed must be finite and positive|waypoints must be finite"):
+        flight._flight(topo, bs_position, speed, C.t_brp, C.d_brp)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +458,23 @@ def test_waypoint_track_rejects_what_would_never_arrive(points, speed):
 # ---------------------------------------------------------------------------
 
 
+def assert_covers(node_spans, start, end):
+    """`node_spans` are non-empty and run end to end from `start` to `end`,
+    and their lengths add up to end - start."""
+    t = start
+    for s, e, _ in node_spans:
+        assert s == t and e > s
+        t = e
+    assert t == end
+    assert sum(e - s for s, e, _ in node_spans) == end - start
+
+
 def test_hop_timeline_partitions_the_exchange():
     responders = [(1, 2_000), (2, 8_000), (3, 20_000)]
     spans = hop_exchange_timeline(C, 0, responders, data_target=2, t0=0)
-    window = C.d_rrp + C.w_rr + C.d_data
-    assert timeline_coverage(spans) == {0: window, 1: window, 2: window, 3: window}
+    assert list(spans) == [0, 1, 2, 3]
+    for node_spans in spans.values():
+        assert_covers(node_spans, 0, C.d_rrp + C.w_rr + C.d_data)
 
 
 def test_hop_timeline_listen_budget():
@@ -440,7 +491,11 @@ def test_hop_timeline_listen_budget():
 def test_hop_timeline_merges_overlapping_acks():
     responders = [(1, 1_000), (2, 1_100)]  # ACKs overlap on the air
     spans = hop_exchange_timeline(C, 0, responders, data_target=None, t0=0)
-    timeline_coverage(spans)  # must not raise
+    for node_spans in spans.values():
+        assert_covers(node_spans, 0, C.d_rrp + C.w_rr)
+    # the sender receives one merged ACK, from the first's start to the second's end
+    rx = [(s, e) for s, e, state in spans[0] if state == "rx"]
+    assert rx == [(C.d_rrp + 1_000, C.d_rrp + 1_100 + C.d_ack)]
 
 
 def test_hop_timeline_without_ack_time_has_no_empty_segments():
@@ -455,8 +510,9 @@ def test_hop_timeline_without_ack_time_has_no_empty_segments():
         ("tx", c.d_rrp + c.w_rr, c.d_rrp + c.w_rr + c.d_data),
     ]
     assert not any(state == "tx" for node in (1, 2) for _, _, state in spans[node])
-    window = c.d_rrp + c.w_rr + c.d_data
-    assert timeline_coverage(spans) == {0: window, 1: window, 2: window}
+    assert list(spans) == [0, 1, 2]
+    for node_spans in spans.values():
+        assert_covers(node_spans, 0, c.d_rrp + c.w_rr + c.d_data)
 
 
 def gap_filled_exchange(c, sender, responders, data_target, t0, cca_offsets):
@@ -779,7 +835,9 @@ def test_timeline_view_agrees_with_its_segments(name):
         # in key order too: the energy adds the states in that order
         assert list(view.totals[nid].items()) == list(radio.state_totals(node_spans).items())
     assert view.clipped_us == ({49: 53_707} if name == "clipping" else {})
-    assert timeline_coverage(view) == timeline_coverage(spans)
+    for node_spans in spans.values():
+        assert_covers(node_spans, 0, report.horizon_us)
+    assert timeline_coverage(view) == {nid: report.horizon_us for nid in spans}
     for dbm in (0, -25):
         powers = power_table(dbm)
         by_span = {
@@ -1089,9 +1147,7 @@ TRAIN_CONSTANTS = pytest.mark.parametrize(
 def test_base_station_train_equals_the_gap_filled_one(constants, horizon):
     train = base_station_train(constants, horizon)
     assert train == earlier_base_station_timeline(constants, horizon)
-    assert timeline_coverage({BS_ID: train} if train else {}) == (
-        {BS_ID: horizon} if horizon else {}
-    )
+    assert_covers(train, 0, horizon)
 
 
 def state_totals(spans):
@@ -1348,17 +1404,15 @@ def fresh_passes(topo, bs_position, speed, t_brp, d_brp, fly_start=144_960):
     """The quiet count and the hearers of each later pass until the sink has
     left, as a rotation once tested every pass from pass 0: at the pass's end
     time, the departure first, then each node with Topology.in_range."""
-    x0, y0, x1, y1 = topo.view.bbox
-    entry, exit_ = (x0, (y0 + y1) / 2), (x1, (y0 + y1) / 2)
-    track = WaypointTrack([bs_position, entry, exit_, bs_position], speed)
-    exit_dist = euclid(bs_position, entry) + euclid(entry, exit_)
+    points = flight_points(topo, bs_position)
+    exit_dist = leg_ends(points)[2]
     passes = []
     for i in range(5_000):
         brp_end = fly_start + i * t_brp + d_brp
-        if brp_end > fly_start and track.distance_at(brp_end - fly_start) >= exit_dist:
+        if brp_end > fly_start and speed * (brp_end - fly_start) / 1e6 >= exit_dist:
             quiet = next((k for k, heard in enumerate(passes) if heard), len(passes))
             return exit_dist, quiet, passes[quiet:]
-        position = track.position_at(brp_end - fly_start) if brp_end > fly_start else bs_position
+        position = position_by_scan(points, speed, brp_end - fly_start) if brp_end > fly_start else bs_position
         passes.append([nid for nid in sorted(topo.positions) if topo.in_range(nid, position)])
     raise AssertionError("the sink never left")
 
